@@ -45,7 +45,7 @@ cd "$(dirname "$0")"
 
 BASELINE_DIR="bench/baselines"
 DEFAULT_BASELINE_SCALE=60000
-DEFAULT_BASELINE_FILTER='fig03|tab1_nbatch|service_tail'
+DEFAULT_BASELINE_FILTER='fig03|fig04|tab1_nbatch|service_tail'
 
 fail() {
   echo "run_benches.sh: FAILED: $*" >&2

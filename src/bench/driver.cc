@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <thread>
 
 #include "src/bench/metrics_dump.h"
@@ -204,9 +205,17 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   }
   pmsim::StatsSnapshot before = runtime.device().stats().Snapshot();
 
+  // Zipfian state only for Zipfian runs, and zeta only once per run: each
+  // worker draws from a reseeded copy of one shape.
+  std::optional<ZipfianGenerator> zipf_shape;
+  if (config.dist == KeyDistribution::kZipfian) {
+    zipf_shape.emplace(config.warm_keys + config.ops == 0 ? 1 : config.warm_keys + config.ops,
+                       config.zipf_theta);
+  }
+
   struct WorkerState {
     Rng rng;
-    ZipfianGenerator zipf;
+    std::optional<ZipfianGenerator> zipf;
     YcsbOpPicker picker;
     std::vector<kvindex::KeyValue> scan_out;
     uint64_t cursor = 0;
@@ -216,20 +225,22 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     std::array<metrics::Histogram, trace::kNumComponents> comp_latency;
     uint64_t final_vtime = 0;
 
-    WorkerState(const RunConfig& config, int w)
+    WorkerState(const RunConfig& config, const std::optional<ZipfianGenerator>& zipf_shape, int w)
         : rng(config.seed * 977 + static_cast<uint64_t>(w)),
-          zipf(config.warm_keys + config.ops == 0 ? 1 : config.warm_keys + config.ops,
-               config.zipf_theta, config.seed * 31 + static_cast<uint64_t>(w)),
           picker(config.mix != nullptr ? *config.mix : kYcsbInsertOnly,
                  config.seed + static_cast<uint64_t>(w) * 13),
-          scan_out(config.scan_len) {}
+          scan_out(config.scan_len) {
+      if (zipf_shape) {
+        zipf.emplace(*zipf_shape, config.seed * 31 + static_cast<uint64_t>(w));
+      }
+    }
   };
 
   std::vector<WorkerState> states;
   states.reserve(static_cast<size_t>(config.threads));
   uint64_t per_thread_ops = config.ops / static_cast<uint64_t>(config.threads);
   for (int w = 0; w < config.threads; w++) {
-    states.emplace_back(config, w);
+    states.emplace_back(config, zipf_shape, w);
     states.back().cursor = static_cast<uint64_t>(w) * per_thread_ops;
     states.back().limit =
         w + 1 == config.threads ? config.ops : states.back().cursor + per_thread_ops;
@@ -264,7 +275,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
         if (config.preset_keys != nullptr) {
           key = (*config.preset_keys)[config.warm_keys + i];
         } else if (config.dist == KeyDistribution::kZipfian) {
-          key = Mix64(st.zipf.NextRank()) | 1;
+          key = Mix64(st.zipf->NextRank()) | 1;
         } else if (config.dist == KeyDistribution::kSequential) {
           key = config.warm_keys + i + 1;
         } else {
@@ -276,7 +287,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       }
       case OpType::kUpdate: {
         uint64_t key = config.dist == KeyDistribution::kZipfian
-                           ? Mix64(st.zipf.NextRank() % config.warm_keys) | 1
+                           ? Mix64(st.zipf->NextRank() % config.warm_keys) | 1
                            : WarmKey(config, st.rng.NextBounded(config.warm_keys));
         ctx->stats_shard().AddUserBytes(write_bytes);
         index.Upsert(key, MakeValue(runtime, config, (config.warm_keys + config.ops + i + 1) << 1));
@@ -290,7 +301,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       }
       case OpType::kRead: {
         uint64_t key = config.dist == KeyDistribution::kZipfian
-                           ? Mix64(st.zipf.NextRank() % config.warm_keys) | 1
+                           ? Mix64(st.zipf->NextRank() % config.warm_keys) | 1
                            : WarmKey(config, st.rng.NextBounded(config.warm_keys));
         uint64_t value = 0;
         index.Lookup(key, &value);

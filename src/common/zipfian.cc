@@ -4,13 +4,6 @@
 
 namespace cclbt {
 
-namespace {
-// Computing zeta(n, theta) exactly is O(n); for the large n used in benches we
-// cap the exact sum and extrapolate with the integral approximation, which is
-// the standard YCSB trick (they incrementally maintain zetan; we precompute).
-constexpr uint64_t kExactZetaLimit = 1 << 22;
-}  // namespace
-
 double ZipfianGenerator::Zeta(uint64_t n, double theta) {
   uint64_t exact = n < kExactZetaLimit ? n : kExactZetaLimit;
   double sum = 0.0;
@@ -37,6 +30,11 @@ ZipfianGenerator::ZipfianGenerator(uint64_t n, double theta, uint64_t seed)
       rng_(seed) {
   eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
          (1.0 - zeta2theta_ / zetan_);
+}
+
+ZipfianGenerator::ZipfianGenerator(const ZipfianGenerator& shape, uint64_t seed)
+    : ZipfianGenerator(shape) {
+  rng_ = Rng(seed);
 }
 
 uint64_t ZipfianGenerator::NextRank() {

@@ -13,8 +13,18 @@ namespace cclbt {
 
 class ZipfianGenerator {
  public:
+  // Computing zeta(n, theta) exactly is O(n); above this n the sum is capped
+  // and the tail extrapolated with the integral approximation (the standard
+  // YCSB trick: they maintain zetan incrementally, we precompute).
+  static constexpr uint64_t kExactZetaLimit = 1 << 22;
+
   // `theta` is the skew coefficient (the paper uses 0.9 and sweeps 0.5-0.99).
+  // O(min(n, kExactZetaLimit)) pow() calls.
   ZipfianGenerator(uint64_t n, double theta, uint64_t seed = 1);
+  // Same distribution as `shape`, own stream from `seed`: draws exactly the
+  // ranks ZipfianGenerator(shape.n(), shape.theta(), seed) would, without
+  // recomputing zeta. Workers of one run share a shape this way.
+  ZipfianGenerator(const ZipfianGenerator& shape, uint64_t seed);
 
   // Next rank in [0, n), Zipf-distributed (rank 0 is the hottest).
   uint64_t NextRank();

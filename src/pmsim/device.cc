@@ -1,6 +1,7 @@
 #include "src/pmsim/device.h"
 
 #include <sys/mman.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cassert>
@@ -133,6 +134,9 @@ PmDevice::PmDevice(const DeviceConfig& config)
   pool_ = MapAnonymous(config_.pool_bytes);
   if (config_.crash_tracking) {
     shadow_ = MapAnonymous(config_.pool_bytes);
+    page_shift_ = ShiftFor(static_cast<size_t>(::sysconf(_SC_PAGESIZE)));
+    const size_t pages = ((config_.pool_bytes - 1) >> page_shift_) + 1;
+    shadow_pages_ = std::make_unique<std::atomic<uint64_t>[]>((pages + 63) / 64);
   }
   assert(config_.xpline_bytes >= kCachelineBytes && config_.xpline_bytes <= 4096 &&
          (config_.xpline_bytes & (config_.xpline_bytes - 1)) == 0 &&
@@ -218,7 +222,7 @@ void PmDevice::FlushLine(ThreadContext& ctx, const void* addr) {
       lockcheck_->OnPmWrite(ctx, line);
     }
     if (shadow_.data != nullptr) {
-      std::memcpy(shadow_.get() + line, pool_.get() + line, kCachelineBytes);
+      WriteShadowLine(line, pool_.get() + line);
     }
     ctx.stats_shard().AddCommittedLines(trace::CurrentComponent(), 1);
     // The dirty line reaches the XPBuffer via the backend's modeled
@@ -321,7 +325,7 @@ template <bool kTraced>
 void PmDevice::CommitLine(ThreadContext& ctx, uintptr_t line_offset, trace::Component comp) {
   if (durable_at_commit_) {
     if (shadow_.data != nullptr) {
-      std::memcpy(shadow_.get() + line_offset, pool_.get() + line_offset, kCachelineBytes);
+      WriteShadowLine(line_offset, pool_.get() + line_offset);
     }
   } else {
     // Volatile device buffer (CXL): the fence hands the line to the device,
@@ -524,7 +528,7 @@ void PmDevice::Crash() {
     }
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, /*torn_lines_applied=*/0);
-  std::memcpy(pool_.get(), shadow_.get(), config_.pool_bytes);
+  RestoreWorkingImage();
   // Fresh boot: the XPBuffer is power-protected, so its content already lives
   // in the shadow image; the model itself restarts cold.
   for (auto& xpbuffer : xpbuffers_) {
@@ -549,7 +553,7 @@ void PmDevice::CrashTorn(uint64_t seed) {
     for (ThreadContext* ctx : contexts_) {
       for (uintptr_t line : ctx->pending_lines_) {
         if ((rng.Next() & 1) != 0) {
-          std::memcpy(shadow_.get() + line, pool_.get() + line, kCachelineBytes);
+          WriteShadowLine(line, pool_.get() + line);
           torn_lines_applied++;
         } else {
           lines_dropped++;
@@ -559,9 +563,33 @@ void PmDevice::CrashTorn(uint64_t seed) {
     }
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, torn_lines_applied);
-  std::memcpy(pool_.get(), shadow_.get(), config_.pool_bytes);
+  RestoreWorkingImage();
   for (auto& xpbuffer : xpbuffers_) {
     xpbuffer->Drain([](bool, StreamTag, trace::Component, uint64_t) {});
+  }
+}
+
+void PmDevice::RestoreWorkingImage() {
+  const size_t pages = ((config_.pool_bytes - 1) >> page_shift_) + 1;
+  auto marked = [this](size_t page) {
+    return ((shadow_pages_[page / 64].load(std::memory_order_relaxed) >> (page % 64)) & 1) != 0;
+  };
+  for (size_t first = 0; first < pages;) {
+    const bool copy = marked(first);
+    size_t end = first + 1;
+    while (end < pages && marked(end) == copy) {
+      end++;
+    }
+    const size_t offset = first << page_shift_;
+    const size_t len = std::min(end << page_shift_, config_.pool_bytes) - offset;
+    std::byte* dst = pool_.get() + offset;
+    if (copy) {
+      std::memcpy(dst, shadow_.get() + offset, len);
+    } else if (::madvise(dst, len, MADV_DONTNEED) != 0) {
+      // An unmarked shadow page is all zero, so zeroing by hand matches too.
+      std::memset(dst, 0, len);
+    }
+    first = end;
   }
 }
 

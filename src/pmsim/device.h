@@ -13,7 +13,9 @@
 // pushed through the XPBuffer model, which generates media traffic on
 // eviction. Crash() restores the working image from the shadow image, so
 // unflushed/unfenced stores vanish exactly as they would on real ADR
-// hardware.
+// hardware. The restore is page-granular: a bitmap marks every OS page the
+// shadow image holds a line of, marked pages are copied back and the rest
+// are zero-filled, so a crash costs what the run wrote, not the pool size.
 //
 // Everything backend-specific — the eADR flush-free domain with its modeled
 // CPU cache, the CXL page-buffer staging, the per-backend pmcheck rule
@@ -27,6 +29,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -234,6 +237,24 @@ class PmDevice {
     }
   }
 
+  // Copies one line into the shadow image and marks its OS page. Every shadow
+  // write goes through here, so an unmarked shadow page is still all zero.
+  // Test-before-set: once the page is marked, the commit path pays one
+  // relaxed load.
+  void WriteShadowLine(uintptr_t line_offset, const std::byte* src) {
+    std::memcpy(shadow_.get() + line_offset, src, kCachelineBytes);
+    const size_t page = line_offset >> page_shift_;
+    std::atomic<uint64_t>& word = shadow_pages_[page / 64];
+    const uint64_t bit = uint64_t{1} << (page % 64);
+    if ((word.load(std::memory_order_relaxed) & bit) == 0) {
+      word.fetch_or(bit, std::memory_order_relaxed);
+    }
+  }
+  // Crash()/CrashTorn(): makes the working image equal the shadow image by
+  // copying back marked pages and returning each run of unmarked pages to
+  // the kernel (zero-filled on next touch).
+  void RestoreWorkingImage();
+
   void RegisterContext(ThreadContext* ctx);
   void UnregisterContext(ThreadContext* ctx);
 
@@ -263,6 +284,10 @@ class PmDevice {
   std::unique_ptr<std::atomic<uint32_t>[]> unit_writes_;
   Mapping pool_;
   Mapping shadow_;
+  // One bit per OS page of shadow_, set by WriteShadowLine and never
+  // cleared; null without crash_tracking.
+  int page_shift_ = 12;
+  std::unique_ptr<std::atomic<uint64_t>[]> shadow_pages_;
   Stats stats_;
   CrashInjector* injector_ = nullptr;
   std::unique_ptr<PmCheck> pmcheck_;      // persistency checker; null = disabled

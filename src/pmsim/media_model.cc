@@ -71,7 +71,11 @@ void MediaModel::PushAccountingOnly(PmDevice& device, uintptr_t line_offset) {
 
 std::byte* MediaModel::Pool(PmDevice& device) { return device.pool_.get(); }
 
-std::byte* MediaModel::Shadow(PmDevice& device) { return device.shadow_.get(); }
+void MediaModel::WriteShadowLine(PmDevice& device, uintptr_t line_offset, const std::byte* src) {
+  if (device.shadow_.data != nullptr) {
+    device.WriteShadowLine(line_offset, src);
+  }
+}
 
 // --- EadrModel --------------------------------------------------------------
 
@@ -152,10 +156,7 @@ CxlMemModel::CxlMemModel(PmDevice& device, size_t unit_bytes, bool volatile_buff
     : device_(device), unit_bytes_(unit_bytes), volatile_buffer_(volatile_buffer) {}
 
 void CxlMemModel::CommitLineToShadowLocked(uintptr_t line_offset, const LineImage& image) {
-  std::byte* shadow = Shadow(device_);
-  if (shadow != nullptr) {
-    std::memcpy(shadow + line_offset, image.bytes, kCachelineBytes);
-  }
+  WriteShadowLine(device_, line_offset, image.bytes);
 }
 
 void CxlMemModel::StageCommittedLine(uintptr_t line_offset) {

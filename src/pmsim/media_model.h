@@ -126,7 +126,9 @@ class MediaModel {
                        trace::Component comp);
   static void PushAccountingOnly(PmDevice& device, uintptr_t line_offset);
   static std::byte* Pool(PmDevice& device);
-  static std::byte* Shadow(PmDevice& device);  // null without crash_tracking
+  // Copies one line into the shadow (durable) image; no-op without
+  // crash_tracking.
+  static void WriteShadowLine(PmDevice& device, uintptr_t line_offset, const std::byte* src);
 };
 
 // ADR Optane: the backend the device's built-in commit loop models. All

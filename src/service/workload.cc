@@ -52,7 +52,7 @@ bool OpenLoopGenerator::Next(Request* out) {
     case OpType::kScan:
     case OpType::kDelete:
       out->key = config_.dist == KeyDistribution::kZipfian
-                     ? ServiceWarmKey(zipf_.NextRank())
+                     ? ServiceWarmKey(zipf_->NextRank())
                      : ServiceWarmKey(rng_.NextBounded(config_.warm_keys));
       break;
   }

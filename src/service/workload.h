@@ -18,6 +18,7 @@
 #define SRC_SERVICE_WORKLOAD_H_
 
 #include <cstdint>
+#include <optional>
 
 #include "src/common/keyspace.h"
 #include "src/common/rng.h"
@@ -82,9 +83,12 @@ class OpenLoopGenerator {
   explicit OpenLoopGenerator(const OpenLoopConfig& config)
       : config_(config),
         rng_(config.seed * 0x9E3779B9ULL + 1),
-        zipf_(config.warm_keys == 0 ? 1 : config.warm_keys, config.zipf_theta,
-              config.seed * 31 + 7),
-        picker_(config.mix != nullptr ? *config.mix : kYcsbInsertOnly, config.seed + 13) {}
+        picker_(config.mix != nullptr ? *config.mix : kYcsbInsertOnly, config.seed + 13) {
+    if (config.dist == KeyDistribution::kZipfian) {
+      zipf_.emplace(config.warm_keys == 0 ? 1 : config.warm_keys, config.zipf_theta,
+                    config.seed * 31 + 7);
+    }
+  }
 
   // Fills `out` with the next request; false once `ops` have been emitted.
   bool Next(Request* out);
@@ -95,7 +99,7 @@ class OpenLoopGenerator {
 
   OpenLoopConfig config_;
   Rng rng_;
-  ZipfianGenerator zipf_;
+  std::optional<ZipfianGenerator> zipf_;  // Zipfian runs only
   YcsbOpPicker picker_;
   uint64_t emitted_ = 0;
   uint64_t inserted_ = 0;  // fresh keys appended beyond the warm space

@@ -101,6 +101,24 @@ TEST(Zipfian, ScrambledSpreadsHotKeys) {
   EXPECT_GT(std::max(k0, k1) - std::min(k0, k1), 1u);
 }
 
+// Workers of one run draw from reseeded copies of a shared shape; each copy
+// must draw exactly the ranks a generator built from scratch with its seed
+// draws, whatever the shape's own stream did, on both sides of the
+// exact-zeta limit.
+TEST(Zipfian, ReseededCopyMatchesFreshGenerator) {
+  for (uint64_t n : {uint64_t{40'000}, ZipfianGenerator::kExactZetaLimit + 123'457}) {
+    ZipfianGenerator shape(n, 0.9);
+    shape.NextRank();
+    for (uint64_t seed : {uint64_t{7}, uint64_t{1'000'003}}) {
+      ZipfianGenerator fresh(n, 0.9, seed);
+      ZipfianGenerator copy(shape, seed);
+      for (int i = 0; i < 20'000; i++) {
+        ASSERT_EQ(copy.NextRank(), fresh.NextRank()) << "n=" << n << " seed=" << seed << " i=" << i;
+      }
+    }
+  }
+}
+
 // Histogram tests live in tests/metrics_test.cc: the one log-bucketed
 // histogram implementation moved to src/metrics/histogram.h.
 

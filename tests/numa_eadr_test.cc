@@ -105,7 +105,8 @@ TEST(Eadr, ExplicitFlushBeatsEadrOnXbiForCcl) {
     config.ops = 30'000;
     kvindex::RuntimeOptions runtime_options;
     runtime_options.device.pool_bytes = 512 << 20;
-    runtime_options.device.eadr = eadr;
+    runtime_options.device.backend =
+        eadr ? pmsim::MediaBackend::kEadr : pmsim::MediaBackend::kAdrOptane;
     runtime_options.device.crash_tracking = false;
     runtime_options.device.eadr_cache_lines = 4096;
     kvindex::Runtime runtime(runtime_options);

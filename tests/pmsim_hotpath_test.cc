@@ -141,8 +141,12 @@ TEST(StatsShardTest, ResetZeroesBaseAndLiveShards) {
 // must conserve media accounting — every media write recorded in stats
 // corresponds to an XPLine eviction or an end-of-run drain of a resident
 // line, and DrainBuffers() empties every buffer.
+//
+// This and the two pending-set tests below count media writes in 256 B
+// XPLines, so they pin ADR rather than follow CCL_BACKEND.
 TEST(PmDeviceHotpathTest, MultithreadedFlushStormConservesMediaAccounting) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;
   config.pool_bytes = 64 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 4;
@@ -192,6 +196,7 @@ TEST(PmDeviceHotpathTest, MultithreadedFlushStormConservesMediaAccounting) {
 // are directly observable via media accounting after a drain.
 TEST(PmDeviceHotpathTest, PendingSetDedupCommitsEachLineOnce) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
@@ -219,6 +224,7 @@ TEST(PmDeviceHotpathTest, PendingSetDedupCommitsEachLineOnce) {
 // fence groups commits twice.
 TEST(PmDeviceHotpathTest, PendingSetResetsAcrossFences) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;

@@ -13,8 +13,12 @@
 namespace cclbt::pmsim {
 namespace {
 
+// The queueing properties below are those of the ADR Optane write path
+// (256 B XPLines, RMW service, WPQ backpressure on every fence), so the
+// configs pin that backend instead of following CCL_BACKEND.
 DeviceConfig OneDimmConfig() {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;
   config.pool_bytes = 256 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
@@ -108,6 +112,7 @@ TEST(QueueingModel, ReadsQueueBehindWrites) {
 
 TEST(QueueingModel, RemoteWritesCostMoreServiceTime) {
   DeviceConfig config;
+  config.backend = MediaBackend::kAdrOptane;
   config.pool_bytes = 256 << 20;
   config.num_sockets = 2;
   config.dimms_per_socket = 1;
@@ -169,6 +174,7 @@ TEST(QueueingModel, ElapsedLinearInXplineCount) {
 
 TEST(QueueingModel, InterleaveSpreadsLoadAcrossDimms) {
   DeviceConfig config = OneDimmConfig();
+  config.backend = MediaBackend::kAuto;  // address mapping holds on every backend
   config.dimms_per_socket = 4;
   PmDevice device(config);
   ThreadContext ctx(device, 0, 0);

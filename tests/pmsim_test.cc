@@ -19,6 +19,19 @@ DeviceConfig SmallConfig() {
   return config;
 }
 
+// For tests of ADR-only behaviour (the flushed-but-unfenced crash window,
+// WPQ backpressure, 256 B media units): pinned so CCL_BACKEND cannot rebind
+// them. Everything on SmallConfig() runs under every backend.
+DeviceConfig AdrConfig() {
+  DeviceConfig config = SmallConfig();
+  config.backend = MediaBackend::kAdrOptane;
+  return config;
+}
+
+uint64_t* WordAt(PmDevice& device, size_t offset) {
+  return reinterpret_cast<uint64_t*>(device.base() + offset);
+}
+
 TEST(XpBuffer, MergesLinesOfSameXpline) {
   XpBuffer buffer(4);
   // Four lines of one XPLine: one insert, three hits, no eviction.
@@ -100,7 +113,7 @@ TEST(Device, CliAccountingCountsLineFlushes) {
 }
 
 TEST(Device, XbiRequiresEvictionOrDrain) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   std::byte* addr = device.base() + 4096;
   device.FlushLine(ctx, addr);
@@ -138,18 +151,26 @@ TEST(Device, SequentialWritesAmplifyLessThanRandom) {
 }
 
 TEST(Device, CrashDropsUnflushedStores) {
-  PmDevice device(SmallConfig());
-  ThreadContext ctx(device, 0);
-  auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
-  *word = 0xAAAA;
-  device.PersistRange(ctx, word, 8);
-  *word = 0xBBBB;  // stored but never flushed
-  device.Crash();
-  EXPECT_EQ(*word, 0xAAAAu);
+  for (bool torn : {false, true}) {
+    PmDevice device(SmallConfig());
+    ThreadContext ctx(device, 0);
+    auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
+    *word = 0xAAAA;
+    device.PersistRange(ctx, word, 8);
+    *word = 0xBBBB;  // stored but never flushed
+    *WordAt(device, 8192 + 1024) = 0xCCCC;  // another line of the durable line's page
+    if (torn) {
+      device.CrashTorn(/*seed=*/3);
+    } else {
+      device.Crash();
+    }
+    EXPECT_EQ(*word, 0xAAAAu) << "torn=" << torn;
+    EXPECT_EQ(*WordAt(device, 8192 + 1024), 0u) << "torn=" << torn;
+  }
 }
 
 TEST(Device, CrashDropsFlushedButUnfencedStores) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
   *word = 0x1111;
@@ -172,7 +193,7 @@ TEST(Device, FencedStoresSurviveCrash) {
 }
 
 TEST(Device, CrashTornAppliesSubsetOfPendingLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   // Prepare 64 pending lines, then crash torn: roughly half should persist.
   for (int i = 0; i < 64; i++) {
@@ -187,6 +208,63 @@ TEST(Device, CrashTornAppliesSubsetOfPendingLines) {
   }
   EXPECT_GT(persisted, 8);
   EXPECT_LT(persisted, 56);
+}
+
+// Crash()/CrashTorn() copy back only the OS pages the durable image holds a
+// line of and zero-fill the rest; the pool must still end exactly as the
+// durable image. These run under every backend.
+TEST(Device, CrashZeroesPagesWithNoDurableLine) {
+  for (bool torn : {false, true}) {
+    PmDevice device(SmallConfig());
+    ThreadContext ctx(device, 0);
+    *WordAt(device, 8192) = 0x5151;
+    device.PersistRange(ctx, WordAt(device, 8192), 8);
+    *WordAt(device, 1 << 20) = 0xDEAD;  // never flushed, on a page with no durable line
+    if (torn) {
+      device.CrashTorn(/*seed=*/3);
+    } else {
+      device.Crash();
+    }
+    EXPECT_EQ(*WordAt(device, 8192), 0x5151u) << "torn=" << torn;
+    EXPECT_EQ(*WordAt(device, 1 << 20), 0u) << "torn=" << torn;
+  }
+}
+
+TEST(Device, SecondCrashRestoresWritesMadeAfterRecovery) {
+  PmDevice device(SmallConfig());
+  ThreadContext ctx(device, 0);
+  *WordAt(device, 8192) = 1;
+  device.PersistRange(ctx, WordAt(device, 8192), 8);
+  *WordAt(device, 2 << 20) = 2;
+  device.Crash();
+  ASSERT_EQ(*WordAt(device, 2 << 20), 0u);
+  // After recovery: a durable write to the page the first crash zero-filled,
+  // lost stores next to the old durable line and on a fresh page.
+  *WordAt(device, 2 << 20) = 3;
+  device.PersistRange(ctx, WordAt(device, 2 << 20), 8);
+  *WordAt(device, 8192 + 64) = 4;
+  *WordAt(device, 3 << 20) = 5;
+  device.Crash();
+  EXPECT_EQ(*WordAt(device, 8192), 1u);
+  EXPECT_EQ(*WordAt(device, 8192 + 64), 0u);
+  EXPECT_EQ(*WordAt(device, 2 << 20), 3u);
+  EXPECT_EQ(*WordAt(device, 3 << 20), 0u);
+}
+
+TEST(Device, CrashCoversLastPageOfPool) {
+  for (bool durable : {false, true}) {
+    PmDevice device(SmallConfig());
+    ThreadContext ctx(device, 0);
+    const size_t last_line = device.size() - kCachelineBytes;
+    *WordAt(device, last_line) = 0xAB;
+    if (durable) {
+      device.PersistRange(ctx, WordAt(device, last_line), 8);
+    }
+    *WordAt(device, last_line - kCachelineBytes) = 0xCD;  // same page, never flushed
+    device.Crash();
+    EXPECT_EQ(*WordAt(device, last_line), durable ? 0xABu : 0u) << "durable=" << durable;
+    EXPECT_EQ(*WordAt(device, last_line - kCachelineBytes), 0u) << "durable=" << durable;
+  }
 }
 
 TEST(Device, VirtualClockAdvancesOnPmReads) {
@@ -219,7 +297,7 @@ TEST(Device, WpqBackpressureStallsWriters) {
   // Flood one DIMM with random-XPLine flushes: the virtual clock must grow
   // roughly linearly with the number of media writes (the Figure 2(b)
   // regime) rather than with the flush CPU cost alone.
-  DeviceConfig config = SmallConfig();
+  DeviceConfig config = AdrConfig();
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
   PmDevice device(config);
@@ -273,7 +351,7 @@ TEST(Device, EadrRandomizedEvictionRaisesXbiOfSequentialStream) {
     config.pool_bytes = 64 << 20;
     config.num_sockets = 1;
     config.dimms_per_socket = 1;
-    config.eadr = eadr;
+    config.backend = eadr ? MediaBackend::kEadr : MediaBackend::kAdrOptane;
     config.eadr_cache_lines = 1024;
     PmDevice device(config);
     ThreadContext ctx(device, 0);
@@ -319,7 +397,7 @@ TEST(CrashInjector, DetachedInjectorIsInert) {
 }
 
 TEST(CrashInjector, FiresAtTargetBeforeCommittingPendingLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);
   *word = 0x1111;
@@ -365,7 +443,7 @@ TEST(CrashInjector, FiresAtMostOnce) {
 }
 
 TEST(CrashInjector, CrashCountersAccountDroppedAndTornLines) {
-  PmDevice device(SmallConfig());
+  PmDevice device(AdrConfig());
   ThreadContext ctx(device, 0);
   for (int i = 0; i < 16; i++) {
     auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192 + i * 64);

@@ -123,8 +123,12 @@ TEST_F(TraceTest, ScopeNestingRestoresComponent) {
 // per-component media-write bytes sum exactly to media_write_bytes — every
 // media write is attributed to exactly one component, through both the
 // eviction path and the end-of-run drain.
+//
+// ADR: the per-component assertions need evictions at 256 B XPLines, and an
+// eADR eviction is charged to whatever scope is active when it happens.
 TEST_F(TraceTest, ComponentAttributionSumsToMediaWriteBytes) {
   pmsim::DeviceConfig config;
+  config.backend = pmsim::MediaBackend::kAdrOptane;
   config.pool_bytes = 64 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 2;
@@ -180,8 +184,10 @@ TEST_F(TraceTest, ComponentAttributionSumsToMediaWriteBytes) {
   EXPECT_LE(committed * pmsim::kCachelineBytes, s.xpbuffer_write_bytes);
 }
 
+// ADR: eADR flushes and fences are free, leaving no virtual time to charge.
 TEST_F(TraceTest, ScopeTimingChargesExclusiveVirtualTime) {
   pmsim::DeviceConfig config;
+  config.backend = pmsim::MediaBackend::kAdrOptane;
   config.pool_bytes = 16 << 20;
   config.num_sockets = 1;
   config.dimms_per_socket = 1;
