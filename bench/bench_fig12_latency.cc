@@ -32,7 +32,7 @@ void RegisterAll() {
           config.warm_keys = scale;
           config.ops = scale;
           config.op = op;
-          config.collect_latency = true;
+          config.metrics = true;
           config.collect_component_latency = true;
           RunResult result = RunIndexWorkload(name, config);
           SetCommonCounters(state, result);

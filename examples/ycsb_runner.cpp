@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
   config.warm_keys = ops;
   config.ops = mix->scan_pct > 50 ? ops / 20 : ops;
   config.mix = mix;
-  config.collect_latency = true;
+  config.metrics = true;
 
   std::printf("index=%s mix=%s threads=%d warm=%llu ops=%llu\n", index_name.c_str(), mix->name,
               threads, (unsigned long long)config.warm_keys, (unsigned long long)config.ops);

@@ -7,14 +7,13 @@
 #include <optional>
 #include <thread>
 
-#include "src/bench/metrics_dump.h"
+#include "src/bench/measured_phase.h"
 #include "src/bench/trace_dump.h"
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/pmem/value_store.h"
-#include "src/pmsim/media_model.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::bench {
@@ -195,15 +194,13 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   if (config.collect_component_latency) {
     trace::SetScopeTiming(true);
   }
-  // Metrics registry: covers the measurement phase only (Reset after warm).
-  // CPU-side by construction — enabling it cannot move a virtual metric.
-  const bool metrics_dump = MetricsDumpRequested();
-  const bool metrics_on = config.metrics || config.collect_latency || metrics_dump;
-  if (metrics_on) {
-    metrics::Reset();
-    metrics::SetEnabled(true);
-  }
-  pmsim::StatsSnapshot before = runtime.device().stats().Snapshot();
+  // Metrics registry and epoch series: measurement phase only, CPU-side by
+  // construction, so enabling them cannot move a virtual metric. Epochs need
+  // sequential scheduling: epoch ends taken from concurrent OS threads would
+  // interleave nondeterministically.
+  MeasuredPhase phase(runtime.device(), config.metrics, !config.os_parallel && config.ops > 0,
+                      [&index](MeasuredPhase::Gauges* gauges) { index.SampleGauges(gauges); });
+  const bool metrics_on = phase.metrics();
 
   // Zipfian state only for Zipfian runs, and zeta only once per run: each
   // worker draws from a reseeded copy of one shape.
@@ -267,60 +264,39 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     if (config.key_bytes > 8) {
       key_blobs.ChargeTraversal(runtime, st.rng);
     }
+    uint64_t key = 0;
+    uint64_t value = 0;
     switch (op) {
-      case OpType::kInsert: {
+      case OpType::kInsert:
         // Fresh keys beyond the warm space (the paper "upserts the remaining
         // 50 M KVs"); Zipfian draws over the whole space (upsert semantics).
-        uint64_t key;
         if (config.preset_keys != nullptr) {
           key = (*config.preset_keys)[config.warm_keys + i];
-        } else if (config.dist == KeyDistribution::kZipfian) {
+        } else if (st.zipf) {
           key = Mix64(st.zipf->NextRank()) | 1;
         } else if (config.dist == KeyDistribution::kSequential) {
           key = config.warm_keys + i + 1;
         } else {
           key = Mix64(config.warm_keys + i) | 1;
         }
-        ctx->stats_shard().AddUserBytes(write_bytes);
-        index.Upsert(key, MakeValue(runtime, config, (config.warm_keys + i + 1) << 1));
+        value = MakeValue(runtime, config, (config.warm_keys + i + 1) << 1);
         break;
-      }
-      case OpType::kUpdate: {
-        uint64_t key = config.dist == KeyDistribution::kZipfian
-                           ? Mix64(st.zipf->NextRank() % config.warm_keys) | 1
-                           : WarmKey(config, st.rng.NextBounded(config.warm_keys));
-        ctx->stats_shard().AddUserBytes(write_bytes);
-        index.Upsert(key, MakeValue(runtime, config, (config.warm_keys + config.ops + i + 1) << 1));
+      case OpType::kUpdate:
+      case OpType::kRead:
+        key = st.zipf ? Mix64(st.zipf->NextRank() % config.warm_keys) | 1
+                      : WarmKey(config, st.rng.NextBounded(config.warm_keys));
+        if (op == OpType::kUpdate) {
+          value = MakeValue(runtime, config, (config.warm_keys + config.ops + i + 1) << 1);
+        }
         break;
-      }
-      case OpType::kDelete: {
-        uint64_t key = WarmKey(config, st.rng.NextBounded(config.warm_keys));
-        ctx->stats_shard().AddUserBytes(write_bytes);
-        index.Remove(key);
+      case OpType::kDelete:
+      case OpType::kScan:
+        key = WarmKey(config, st.rng.NextBounded(config.warm_keys));
         break;
-      }
-      case OpType::kRead: {
-        uint64_t key = config.dist == KeyDistribution::kZipfian
-                           ? Mix64(st.zipf->NextRank() % config.warm_keys) | 1
-                           : WarmKey(config, st.rng.NextBounded(config.warm_keys));
-        uint64_t value = 0;
-        index.Lookup(key, &value);
-        break;
-      }
-      case OpType::kScan: {
-        uint64_t start = config.preset_keys != nullptr
-                             ? (*config.preset_keys)[st.rng.NextBounded(config.warm_keys)]
-                             : WarmKey(config, st.rng.NextBounded(config.warm_keys));
-        index.Scan(start, config.scan_len, st.scan_out.data());
-        break;
-      }
     }
+    metrics::OpKind kind =
+        ExecuteOp(index, op, key, value, write_bytes, config.scan_len, st.scan_out.data());
     if (metrics_on) {
-      // Insert/update/delete are all upsert-class writes (the paper
-      // implements all three as upsert, §4.2).
-      metrics::OpKind kind = op == OpType::kRead   ? metrics::OpKind::kLookup
-                             : op == OpType::kScan ? metrics::OpKind::kScan
-                                                   : metrics::OpKind::kUpsert;
       metrics::RecordOp(kind, ctx->now_ns() - t0, metrics::WallNowNs() - wall0);
     }
     if (config.collect_component_latency) {
@@ -335,66 +311,10 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     }
   };
 
-  // Stats timeline for the dump, sampled every ~1/32nd of the op count.
-  // Sequential scheduling only: samples from concurrent OS threads would
-  // interleave nondeterministically (and Snapshot() under contention is not
-  // worth a mutex on the op path).
-  std::vector<TimelineSample> timeline;
-  const bool sample_timeline = tracing && !config.os_parallel && config.ops > 0;
-  const uint64_t sample_every = std::max<uint64_t>(1, config.ops / 32);
-  uint64_t sampled_ops = 0;
   // Driver-paced GC epochs (gc_epoch_ops): sequential scheduling only — the
   // shared counter below would race under os_parallel.
   const uint64_t gc_epoch_ops = config.os_parallel ? 0 : config.gc_epoch_ops;
   uint64_t gc_epoch_counter = 0;
-
-  // Metrics virtual-time epochs: snapshot the windowed pmsim stats, registry
-  // counters and latency percentiles each time the running worker's clock
-  // crosses the next epoch boundary. Sequential scheduling only (same
-  // rationale as the timeline above); every field is virtual-time/count
-  // data, so the series is bit-identical run-to-run for a deterministic
-  // config.
-  const bool collect_epochs = metrics_on && !config.os_parallel && config.ops > 0;
-  const uint64_t epoch_ns = std::max<uint64_t>(1, config.metrics_epoch_ns);
-  uint64_t next_epoch_ns = epoch_ns;
-  metrics::EpochSeries epochs;
-  pmsim::StatsSnapshot epoch_prev_stats = before;
-  metrics::MetricsSnapshot epoch_prev_metrics;
-  auto record_epoch = [&](uint64_t t_ns) {
-    pmsim::StatsSnapshot cur = runtime.device().stats().Snapshot();
-    pmsim::StatsSnapshot win = cur.Delta(epoch_prev_stats);
-    metrics::MetricsSnapshot mcur = metrics::Snapshot();
-    metrics::EpochRecord e;
-    e.index = epochs.size();
-    e.t_ns = t_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      metrics::Histogram w = mcur.op_virtual[k].Delta(epoch_prev_metrics.op_virtual[k]);
-      e.ops.push_back(w.Count());
-      e.p50_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(50));
-      e.p99_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99));
-      e.p999_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99.9));
-    }
-    e.user_bytes = win.user_bytes;
-    e.xpbuffer_write_bytes = win.xpbuffer_write_bytes;
-    e.media_write_bytes = win.media_write_bytes;
-    e.media_read_bytes = win.media_read_bytes;
-    e.line_flushes = win.line_flushes;
-    e.fences = win.fences;
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      e.comp_bytes.push_back(win.media_write_bytes_by_component[c]);
-    }
-    pmsim::PmDevice::XpBufferTotals xb = runtime.device().SampleXpBuffers();
-    e.xpbuf_resident = xb.resident;
-    e.xpbuf_insertions = xb.insertions;
-    e.xpbuf_evictions = xb.evictions;
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      e.counters.push_back(mcur.counters[c] - epoch_prev_metrics.counters[c]);
-    }
-    index.SampleGauges(&e.gauges);
-    epochs.push_back(std::move(e));
-    epoch_prev_stats = cur;
-    epoch_prev_metrics = std::move(mcur);
-  };
 
   {
     auto ctxs = MakeContexts(runtime, config);
@@ -406,25 +326,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
         if (gc_epoch_ops != 0 && ++gc_epoch_counter % gc_epoch_ops == 0) {
           index.GcTick();
         }
-        if (collect_epochs) {
-          uint64_t now = pmsim::ThreadContext::Current()->now_ns();
-          if (now >= next_epoch_ns) {
-            record_epoch(now);
-            next_epoch_ns = (now / epoch_ns + 1) * epoch_ns;
-          }
-        }
-        if (sample_timeline && ++sampled_ops % sample_every == 0) {
-          pmsim::StatsSnapshot now =
-              runtime.device().stats().Snapshot().Delta(before);
-          TimelineSample sample;
-          sample.t_ns = pmsim::ThreadContext::Current()->now_ns();
-          sample.ops_done = sampled_ops;
-          sample.media_write_bytes = now.media_write_bytes;
-          sample.xpbuffer_write_bytes = now.xpbuffer_write_bytes;
-          sample.line_flushes = now.line_flushes;
-          sample.fences = now.fences;
-          timeline.push_back(sample);
-        }
+        phase.Tick(pmsim::ThreadContext::Current()->now_ns());
       }
       bool more = st.cursor < st.limit;
       if (!more) {
@@ -436,24 +338,17 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 
   RunResult result;
   result.warnings = std::move(warnings);
-  uint64_t busy_ns = runtime.device().MaxDimmBusyNs();
+  // The frontier is the slowest worker's end, not the largest clock now:
+  // naive GC's RaiseContextClocks can advance a finished worker's clock.
   uint64_t worker_ns = 0;
   for (const auto& st : states) {
     worker_ns = std::max(worker_ns, st.final_vtime);
   }
-  uint64_t elapsed_ns = std::max(busy_ns, worker_ns);
-  if (collect_epochs) {
-    // Close the final (partial) window so the epoch series tiles the whole
-    // measured phase: summed windowed bytes == the run's stats delta.
-    record_epoch(worker_ns);
-  }
+  const std::string label = config.trace_label.empty() ? "run" : config.trace_label;
+  uint64_t elapsed_ns = phase.Finish(worker_ns, label, static_cast<uint64_t>(config.threads),
+                                     config.ops, &result);
   result.max_worker_vtime_ms = static_cast<double>(worker_ns) / 1e6;
-  result.max_dimm_busy_ms = static_cast<double>(busy_ns) / 1e6;
-  pmsim::StatsSnapshot after = runtime.device().stats().Snapshot();
-  result.stats = after.Delta(before);
-  result.cli_amplification = result.stats.CliAmplification();
-  result.xbi_amplification = result.stats.XbiAmplification();
-  result.elapsed_virtual_ms = static_cast<double>(elapsed_ns) / 1e6;
+  result.max_dimm_busy_ms = static_cast<double>(runtime.device().MaxDimmBusyNs()) / 1e6;
   result.mops = elapsed_ns == 0
                     ? 0.0
                     : static_cast<double>(config.ops) * 1e3 / static_cast<double>(elapsed_ns);
@@ -462,43 +357,9 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       result.component_latency[c].Merge(st.comp_latency[c]);
     }
   }
-  if (metrics_on) {
-    result.metrics_snapshot = metrics::Snapshot();
-    metrics::SetEnabled(false);
-    // Whole-op latency view (all kinds merged) — what collect_latency
-    // callers consumed before the registry existed.
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      result.latency.Merge(result.metrics_snapshot.op_virtual[k]);
-    }
-    result.epochs = std::move(epochs);
-  }
-  if (metrics_dump) {
-    metrics::PmMetricsFile file;
-    file.header.label = config.trace_label.empty() ? "run" : config.trace_label;
-    file.header.backend = pmsim::MediaBackendName(runtime.device().config().backend);
-    file.header.epoch_ns = epoch_ns;
-    file.header.threads = static_cast<uint64_t>(config.threads);
-    file.header.ops = config.ops;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.header.op_kinds.emplace_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
-    }
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      file.header.counters.emplace_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
-    }
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      file.header.components.emplace_back(
-          trace::ComponentName(static_cast<trace::Component>(c)));
-    }
-    file.epochs = result.epochs;
-    file.has_summary = true;
-    file.summary.elapsed_virtual_ns = elapsed_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.summary.virt.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_virtual[k]));
-      file.summary.wall.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_wall[k]));
-    }
-    result.metrics_dump_path = WriteMetricsDump(file);
+  // Whole-op latency view: every op kind merged.
+  for (int k = 0; k < metrics::kNumOpKinds; k++) {
+    result.latency.Merge(result.metrics_snapshot.op_virtual[k]);
   }
   result.footprint = index.Footprint();
   if (pmsim::PmCheck* check = runtime.device().pmcheck(); check != nullptr) {
@@ -510,8 +371,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 
   if (tracing) {
     result.trace_dump_path =
-        WriteTraceDump(runtime, config.trace_label.empty() ? "run" : config.trace_label,
-                       result.stats, timeline, result.elapsed_virtual_ms);
+        WriteTraceDump(runtime, label, result.stats, result.elapsed_virtual_ms);
     trace::SetEnabled(false);
     trace::ClearRings();
   }

@@ -1,7 +1,9 @@
 // Workload driver shared by every benchmark binary: spawns worker threads
 // with per-thread virtual clocks, runs warm-up + measurement phases, and
 // reports modeled throughput, amplification counters and latency
-// percentiles.
+// percentiles. The measurement phase's bracket, epoch series and .pmmetrics
+// dump are the MeasuredPhase the service also runs (measured_phase.h); the
+// driver adds its closed-loop scheduler and key generation.
 //
 // Timing model: a run's modeled elapsed time is
 //     max( max over workers of their virtual clock ,
@@ -18,12 +20,12 @@
 #include <vector>
 
 #include "src/bench/index_factory.h"
+#include "src/bench/measured_phase.h"
 #include "src/common/keyspace.h"
 #include "src/common/ycsb.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
-#include "src/metrics/pmmetrics.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/component.h"
@@ -43,23 +45,20 @@ struct RunConfig {
   double zipf_theta = 0.9;
   size_t scan_len = 100;
   int threads_per_socket = 48;
-  bool collect_latency = false;
   // Enable the metrics registry (src/metrics) for the measurement phase:
-  // per-op-kind latency histograms in virtual AND wall time, registry
-  // counters, and — under sequential scheduling — the virtual-time-epoch
-  // series in RunResult::epochs (windowed XBI/CLI, media bytes by component,
-  // latency percentiles, XPBuffer/GC gauges). Also switched on by the
-  // CCL_METRICS environment variable, which additionally dumps a .pmmetrics
-  // file (see src/bench/metrics_dump.h). Epoch records are virtual-time-only
-  // and bit-identical run-to-run for a deterministic config; the registry is
+  // per-op-kind latency histograms in virtual AND wall time (merged into
+  // RunResult::latency), registry counters, and — under sequential
+  // scheduling — the series of kMetricsEpochNs virtual-time epochs in
+  // RunResult::epochs (windowed XBI/CLI, media bytes by component, latency
+  // percentiles, XPBuffer/GC gauges). Also switched on by the CCL_METRICS
+  // environment variable, which additionally dumps a .pmmetrics file (see
+  // src/bench/measured_phase.h). Epoch records are virtual-time-only and
+  // bit-identical run-to-run for a deterministic config; the registry is
   // CPU-side only, so enabling it never shifts a virtual metric.
   bool metrics = false;
-  // Virtual-time width of one metrics epoch (sequential scheduling only;
-  // under os_parallel only the end-of-run totals are collected).
-  uint64_t metrics_epoch_ns = 1'000'000;
   // Additionally break per-op latency down by trace::Component (enables
-  // trace scope timing for the measurement phase; implies collect_latency
-  // semantics for the component histograms only).
+  // trace scope timing for the measurement phase; fills
+  // RunResult::component_latency).
   bool collect_component_latency = false;
   // Label stamped into the .pmtrace dump written when CCL_TRACE is set
   // (RunIndexWorkload defaults it to the index name).
@@ -121,27 +120,16 @@ struct RunConfig {
   bool cxl_volatile_buffer = false;
 };
 
-struct RunResult {
+// Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,
+// registry totals, epochs, .pmmetrics path) plus the driver's own fields.
+struct RunResult : PhaseResult {
   double mops = 0;                 // modeled throughput, Mop/s
-  double elapsed_virtual_ms = 0;   // modeled elapsed time of the measure phase
   double max_worker_vtime_ms = 0;  // slowest worker's clock (latency-bound part)
   double max_dimm_busy_ms = 0;     // busiest DIMM's media work (bandwidth-bound part)
-  pmsim::StatsSnapshot stats;      // measure-phase delta
-  double cli_amplification = 0;
-  double xbi_amplification = 0;
-  metrics::Histogram latency;      // per-op virtual latencies (if collected)
+  metrics::Histogram latency;      // per-op virtual latencies, all kinds (if metrics)
   // Per-component share of each op's virtual latency (only ops that spent
   // time in the component are recorded; see collect_component_latency).
   std::array<metrics::Histogram, trace::kNumComponents> component_latency;
-  // Registry totals for the measurement phase (zero unless metrics were on):
-  // per-op-kind virtual/wall histograms and counters.
-  metrics::MetricsSnapshot metrics_snapshot;
-  // Virtual-time-epoch series (empty unless metrics were on and the run was
-  // sequential). Deterministic: bit-identical run-to-run per DESIGN.md §10.
-  metrics::EpochSeries epochs;
-  // Path of the .pmmetrics dump written for this run ("" when CCL_METRICS
-  // unset).
-  std::string metrics_dump_path;
   // Path of the .pmtrace dump written for this run ("" when CCL_TRACE unset).
   std::string trace_dump_path;
   kvindex::MemoryFootprint footprint;

@@ -1,7 +1,7 @@
 #include "src/bench/trace_dump.h"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
@@ -44,25 +44,31 @@ std::string Sanitize(const std::string& label) {
 
 bool TraceDumpRequested() { return std::getenv("CCL_TRACE") != nullptr; }
 
-std::string TraceDumpPrefix() {
-  const char* prefix = std::getenv("CCL_TRACE");
-  return prefix == nullptr ? std::string() : std::string(prefix);
+std::string DumpPath(const char* env_var, std::atomic<int>& seq, const std::string& label,
+                     const char* suffix) {
+  const char* prefix = std::getenv(env_var);
+  if (prefix == nullptr || *prefix == '\0') {
+    return std::string();
+  }
+  return std::string(prefix) + "." +
+         std::to_string(seq.fetch_add(1, std::memory_order_relaxed)) + "." + Sanitize(label) +
+         suffix;
+}
+
+std::string DumpWriteFailed(const std::string& path) {
+  std::fprintf(stderr, "dump: cannot write %s\n", path.c_str());
+  return std::string();
 }
 
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
-                           const pmsim::StatsSnapshot& stats,
-                           const std::vector<TimelineSample>& timeline,
-                           double elapsed_virtual_ms) {
-  std::string prefix = TraceDumpPrefix();
-  if (prefix.empty()) {
-    return std::string();
+                           const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms) {
+  std::string path = DumpPath("CCL_TRACE", g_dump_seq, label, ".pmtrace");
+  if (path.empty()) {
+    return path;
   }
-  int seq = g_dump_seq.fetch_add(1, std::memory_order_relaxed);
-  std::string path =
-      prefix + "." + std::to_string(seq) + "." + Sanitize(label) + ".pmtrace";
   std::ofstream out(path);
   if (!out) {
-    return std::string();
+    return DumpWriteFailed(path);
   }
 
   const pmsim::DeviceConfig& dc = runtime.device().config();
@@ -90,11 +96,6 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
     out << "statcomp " << trace::ComponentName(static_cast<trace::Component>(c)) << " "
         << stats.media_write_bytes_by_component[c] << " "
         << stats.committed_lines_by_component[c] << "\n";
-  }
-
-  for (const TimelineSample& s : timeline) {
-    out << "sample " << s.t_ns << " " << s.ops_done << " " << s.media_write_bytes << " "
-        << s.xpbuffer_write_bytes << " " << s.line_flushes << " " << s.fences << "\n";
   }
 
   // Heatmap: fold per-XPLine write counts into at most kMaxHeatBins bins so
@@ -138,10 +139,7 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
   }
 
   out.flush();
-  if (!out) {
-    return std::string();
-  }
-  return path;
+  return out ? path : DumpWriteFailed(path);
 }
 
 bool AppendPmCheckSection(const std::string& path, const pmsim::PmCheckReport& report) {

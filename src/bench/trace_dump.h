@@ -1,16 +1,16 @@
 // Writer for .pmtrace dump files — the interchange format between a bench
 // run and tools/pmctl. A dump is produced at the end of a measured phase
 // when the CCL_TRACE environment variable names a path prefix; it carries
-// the phase's stats snapshot (with per-component attribution), a coarse
-// stats timeline, the XPLine write heatmap, and every worker's retained
-// trace events. Plain "keyword fields..." text lines: greppable, versioned,
-// no dependencies (see DESIGN.md "Observability" for the schema).
+// the phase's stats snapshot (with per-component attribution), the XPLine
+// write heatmap, and every worker's retained trace events. Plain "keyword
+// fields..." text lines: greppable, versioned, no dependencies (see DESIGN.md
+// "Observability" for the schema). The time series of a run lives in its
+// .pmmetrics dump (src/bench/measured_phase.h), not here.
 #ifndef SRC_BENCH_TRACE_DUMP_H_
 #define SRC_BENCH_TRACE_DUMP_H_
 
-#include <cstdint>
+#include <atomic>
 #include <string>
-#include <vector>
 
 #include "src/kvindex/runtime.h"
 #include "src/pmsim/lockcheck.h"
@@ -19,31 +19,25 @@
 
 namespace cclbt::bench {
 
-// One point of the measured phase's stats timeline (sampled by the driver in
-// sequential-scheduler mode; virtual time is worker 0's clock).
-struct TimelineSample {
-  uint64_t t_ns = 0;
-  uint64_t ops_done = 0;
-  uint64_t media_write_bytes = 0;
-  uint64_t xpbuffer_write_bytes = 0;
-  uint64_t line_flushes = 0;
-  uint64_t fences = 0;
-};
-
 // True when CCL_TRACE is set in the environment: the driver enables event
 // tracing for the measured phase and writes one dump per run.
 bool TraceDumpRequested();
 
-// The CCL_TRACE value (path prefix), or "" when unset.
-std::string TraceDumpPrefix();
+// Path of a run's next dump, "<prefix>.<seq>.<label><suffix>" with the
+// prefix read from `env_var`, or "" when that variable is unset or empty.
+// `seq` is the dump type's own process-wide counter, so a bench binary that
+// runs many indexes writes distinct files; the label is made file-name safe.
+std::string DumpPath(const char* env_var, std::atomic<int>& seq, const std::string& label,
+                     const char* suffix);
 
-// Writes "<prefix>.<seq>.<label>.pmtrace" (seq is a process-wide counter so
-// a bench binary that runs many indexes produces distinct files). Collects
-// the trace rings itself. Returns the path written, or "" on failure.
+// Names a dump that could not be written in one stderr line and returns ""
+// (a writer's "no dump" result).
+std::string DumpWriteFailed(const std::string& path);
+
+// Writes "<CCL_TRACE>.<seq>.<label>.pmtrace". Collects the trace rings
+// itself. Returns the path written, or "" when unset or on failure.
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
-                           const pmsim::StatsSnapshot& stats,
-                           const std::vector<TimelineSample>& timeline,
-                           double elapsed_virtual_ms);
+                           const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms);
 
 // Appends the pmcheck section (pmcheck/pmcheckstat/pmcheckclass/pmcheckdiag/
 // pmcheckev keyword lines, consumed by `pmctl check`) to an already-written

@@ -14,8 +14,8 @@
 //  * CPU-side only, by construction: nothing here touches pmsim state, so
 //    the flush schedule and every virtual-time metric are bit-identical with
 //    the gate on or off. Gauges (XPBuffer occupancy, GC backlog) are pulled
-//    from existing accessors at epoch boundaries by the bench driver, never
-//    pushed from hot paths.
+//    from existing accessors at epoch boundaries by the measured phase
+//    (src/bench/measured_phase.h), never pushed from hot paths.
 //
 // Consistency contract (same as pmsim::Stats): Snapshot()/Reset() are exact
 // only when no thread is concurrently recording (quiesced, as at phase
@@ -63,9 +63,10 @@ inline constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
 const char* CounterName(Counter c);
 
-// Operation kinds for latency histograms. The driver maps OpType onto these:
-// insert/update/delete are all upsert-class writes (the paper implements all
-// three as upsert, §4.2); recover is recorded by the recovery harness.
+// Operation kinds for latency histograms. bench::ExecuteOp maps OpType onto
+// these: insert/update/delete are all upsert-class writes (the paper
+// implements all three as upsert, §4.2); recover is recorded by the recovery
+// harness.
 enum class OpKind : uint8_t { kUpsert = 0, kLookup = 1, kScan = 2, kRecover = 3, kCount = 4 };
 inline constexpr int kNumOpKinds = static_cast<int>(OpKind::kCount);
 

@@ -101,7 +101,8 @@ void PmCheck::DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp,
   if (info) {
     info_counts_[static_cast<int>(cls)]++;
     if (info_materialized_ >= kMaxInfoDiagnostics) {
-      return;  // counted above; info overflow is not "dropped" data
+      diagnostics_truncated_++;  // counted above, but the list is incomplete
+      return;
     }
     info_materialized_++;
   } else {

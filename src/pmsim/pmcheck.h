@@ -141,9 +141,10 @@ struct PmCheckReport {
   std::array<uint64_t, kNumPmCheckClasses> info{};
   uint64_t fence_epochs = 0;
   uint64_t lines_tracked = 0;
-  // Diagnostics beyond the retention cap are counted but not materialized;
-  // a nonzero value means the list below is incomplete (never read a capped
-  // run as clean — the counts above stay exact).
+  // Diagnostics beyond either retention cap (violations or informational)
+  // are counted but not materialized; a nonzero value means the list below
+  // is incomplete (never read a capped run as clean — the counts above stay
+  // exact).
   uint64_t diagnostics_truncated = 0;
   std::vector<PmCheckDiagnostic> diagnostics;
 

@@ -5,29 +5,13 @@
 #include <string>
 #include <utility>
 
-#include "src/bench/metrics_dump.h"
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
-#include "src/pmsim/media_model.h"
 #include "src/pmsim/thread_context.h"
-#include "src/trace/trace.h"
 
 namespace cclbt::service {
 
 namespace {
-
-// Insert/update/delete are all upsert-class writes (the paper implements all
-// three as upsert, §4.2) — same mapping as the closed-loop driver.
-metrics::OpKind KindOf(OpType op) {
-  switch (op) {
-    case OpType::kRead:
-      return metrics::OpKind::kLookup;
-    case OpType::kScan:
-      return metrics::OpKind::kScan;
-    default:
-      return metrics::OpKind::kUpsert;
-  }
-}
 
 bool IsWrite(OpType op) {
   return op == OpType::kInsert || op == OpType::kUpdate || op == OpType::kDelete;
@@ -102,6 +86,7 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   }
   struct Served {
     Request req;
+    metrics::OpKind kind;
     uint64_t wall_ns;
   };
   std::vector<Served> batch;
@@ -113,27 +98,10 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
     Request req = sh.queue.front();
     sh.queue.pop_front();
     uint64_t wall0 = metrics::WallNowNs();
-    kvindex::KvIndex& tree = *trees_[static_cast<size_t>(s)];
-    switch (req.op) {
-      case OpType::kInsert:
-      case OpType::kUpdate:
-        ctx->stats_shard().AddUserBytes(kWriteUserBytes);
-        tree.Upsert(req.key, req.value);
-        break;
-      case OpType::kDelete:
-        ctx->stats_shard().AddUserBytes(kWriteUserBytes);
-        tree.Remove(req.key);
-        break;
-      case OpType::kRead: {
-        uint64_t value = 0;
-        tree.Lookup(req.key, &value);
-        break;
-      }
-      case OpType::kScan:
-        tree.Scan(req.key, config_.scan_len, scan_out_.data());
-        break;
-    }
-    batch.push_back({req, metrics::WallNowNs() - wall0});
+    metrics::OpKind kind = bench::ExecuteOp(*trees_[static_cast<size_t>(s)], req.op, req.key,
+                                            req.value, kWriteUserBytes, config_.scan_len,
+                                            scan_out_.data());
+    batch.push_back({req, kind, metrics::WallNowNs() - wall0});
   }
   // Group commit: every request in the batch is acked at the batch's
   // completion; an admitted request's latency spans arrival -> ack. In
@@ -142,7 +110,7 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   uint64_t done_ns = ctx->now_ns();
   for (const Served& sv : batch) {
     uint64_t arrival = closed_loop ? start_ns : sv.req.arrival_ns;
-    metrics::RecordOp(KindOf(sv.req.op), done_ns - arrival, sv.wall_ns);
+    metrics::RecordOp(sv.kind, done_ns - arrival, sv.wall_ns);
     if (config_.track_acked && IsWrite(sv.req.op)) {
       acked_[sv.req.key] = sv.req.op == OpType::kDelete ? 0 : sv.req.value;
     }
@@ -152,72 +120,31 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   metrics::Add(metrics::Counter::kServiceBatches);
 }
 
+void ShardedKvService::SampleGauges(bench::MeasuredPhase::Gauges* out) const {
+  for (int s = 0; s < config_.shards; s++) {
+    const Shard& sh = *shards_[static_cast<size_t>(s)];
+    std::string p = "s" + std::to_string(s) + "_";
+    out->emplace_back(p + "queue_depth", sh.queue.size());
+    out->emplace_back(p + "shed", sh.stats.shed);
+    bench::MeasuredPhase::Gauges tree_gauges;
+    trees_[static_cast<size_t>(s)]->SampleGauges(&tree_gauges);
+    for (auto& [name, value] : tree_gauges) {
+      out->emplace_back(p + name, value);
+    }
+  }
+}
+
 ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
   const bool closed_loop = workload.offered_mops <= 0;
-  const bool metrics_dump = bench::MetricsDumpRequested();
-  metrics::Reset();
-  metrics::SetEnabled(true);
-  pmsim::StatsSnapshot before = rt_.device().stats().Snapshot();
+  bench::MeasuredPhase phase(
+      rt_.device(), /*metrics=*/true, /*epochs=*/true,
+      [this](bench::MeasuredPhase::Gauges* gauges) { SampleGauges(gauges); });
   for (auto& sh : shards_) {
     ShardStats fresh;
     fresh.socket = sh->stats.socket;
     sh->stats = fresh;
     sh->queue.clear();
   }
-
-  const bool collect_epochs = config_.collect_epochs;
-  const uint64_t epoch_ns = std::max<uint64_t>(1, config_.metrics_epoch_ns);
-  uint64_t next_epoch_ns = epoch_ns;
-  metrics::EpochSeries epochs;
-  pmsim::StatsSnapshot epoch_prev_stats = before;
-  metrics::MetricsSnapshot epoch_prev_metrics;
-  auto record_epoch = [&](uint64_t t_ns) {
-    pmsim::StatsSnapshot cur = rt_.device().stats().Snapshot();
-    pmsim::StatsSnapshot win = cur.Delta(epoch_prev_stats);
-    metrics::MetricsSnapshot mcur = metrics::Snapshot();
-    metrics::EpochRecord e;
-    e.index = epochs.size();
-    e.t_ns = t_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      metrics::Histogram w = mcur.op_virtual[k].Delta(epoch_prev_metrics.op_virtual[k]);
-      e.ops.push_back(w.Count());
-      e.p50_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(50));
-      e.p99_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99));
-      e.p999_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99.9));
-    }
-    e.user_bytes = win.user_bytes;
-    e.xpbuffer_write_bytes = win.xpbuffer_write_bytes;
-    e.media_write_bytes = win.media_write_bytes;
-    e.media_read_bytes = win.media_read_bytes;
-    e.line_flushes = win.line_flushes;
-    e.fences = win.fences;
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      e.comp_bytes.push_back(win.media_write_bytes_by_component[c]);
-    }
-    pmsim::PmDevice::XpBufferTotals xb = rt_.device().SampleXpBuffers();
-    e.xpbuf_resident = xb.resident;
-    e.xpbuf_insertions = xb.insertions;
-    e.xpbuf_evictions = xb.evictions;
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      e.counters.push_back(mcur.counters[c] - epoch_prev_metrics.counters[c]);
-    }
-    // Per-shard service gauges (queue depth at the epoch instant, cumulative
-    // sheds) plus each shard index's own gauges, name-prefixed by shard.
-    for (int s = 0; s < config_.shards; s++) {
-      const Shard& sh = *shards_[static_cast<size_t>(s)];
-      std::string p = "s" + std::to_string(s) + "_";
-      e.gauges.emplace_back(p + "queue_depth", sh.queue.size());
-      e.gauges.emplace_back(p + "shed", sh.stats.shed);
-      std::vector<std::pair<std::string, uint64_t>> tree_gauges;
-      trees_[static_cast<size_t>(s)]->SampleGauges(&tree_gauges);
-      for (auto& [name, value] : tree_gauges) {
-        e.gauges.emplace_back(p + name, value);
-      }
-    }
-    epochs.push_back(std::move(e));
-    epoch_prev_stats = cur;
-    epoch_prev_metrics = std::move(mcur);
-  };
 
   OpenLoopGenerator gen(workload);
   Request next;
@@ -261,13 +188,7 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
       break;  // stream exhausted and every queue drained
     }
     ServeBatch(best, best_t, closed_loop);
-    if (collect_epochs) {
-      uint64_t now = shards_[static_cast<size_t>(best)]->ctx->now_ns();
-      if (now >= next_epoch_ns) {
-        record_epoch(now);
-        next_epoch_ns = (now / epoch_ns + 1) * epoch_ns;
-      }
-    }
+    phase.Tick(shards_[static_cast<size_t>(best)]->ctx->now_ns());
   }
   pmsim::ThreadContext::SetCurrent(nullptr);
 
@@ -282,53 +203,14 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
     result.completed += sh->stats.completed;
     result.shards.push_back(sh->stats);
   }
-  if (collect_epochs) {
-    // Close the final (partial) window so the series tiles the whole run.
-    record_epoch(frontier_ns);
-  }
+  uint64_t elapsed_ns = phase.Finish(frontier_ns, config_.label.empty() ? "service" : config_.label,
+                                     static_cast<uint64_t>(config_.shards), workload.ops, &result);
   result.shed_rate =
       offered == 0 ? 0.0 : static_cast<double>(result.shed) / static_cast<double>(offered);
   result.offered_mops = workload.offered_mops;
-  uint64_t elapsed_ns = std::max(frontier_ns, rt_.device().MaxDimmBusyNs());
-  result.elapsed_virtual_ms = static_cast<double>(elapsed_ns) / 1e6;
   result.achieved_mops = elapsed_ns == 0 ? 0.0
                                          : static_cast<double>(result.completed) * 1e3 /
                                                static_cast<double>(elapsed_ns);
-  pmsim::StatsSnapshot after = rt_.device().stats().Snapshot();
-  result.stats = after.Delta(before);
-  result.cli_amplification = result.stats.CliAmplification();
-  result.xbi_amplification = result.stats.XbiAmplification();
-  result.metrics_snapshot = metrics::Snapshot();
-  result.epochs = std::move(epochs);
-  metrics::SetEnabled(false);
-
-  if (metrics_dump) {
-    metrics::PmMetricsFile file;
-    file.header.label = config_.label.empty() ? "service" : config_.label;
-    file.header.backend = pmsim::MediaBackendName(rt_.device().config().backend);
-    file.header.epoch_ns = epoch_ns;
-    file.header.threads = static_cast<uint64_t>(config_.shards);
-    file.header.ops = workload.ops;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.header.op_kinds.emplace_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
-    }
-    for (int c = 0; c < metrics::kNumCounters; c++) {
-      file.header.counters.emplace_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
-    }
-    for (int c = 0; c < trace::kNumComponents; c++) {
-      file.header.components.emplace_back(trace::ComponentName(static_cast<trace::Component>(c)));
-    }
-    file.epochs = result.epochs;
-    file.has_summary = true;
-    file.summary.elapsed_virtual_ns = elapsed_ns;
-    for (int k = 0; k < metrics::kNumOpKinds; k++) {
-      file.summary.virt.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_virtual[k]));
-      file.summary.wall.push_back(
-          metrics::SummarizeHistogram(result.metrics_snapshot.op_wall[k]));
-    }
-    result.metrics_dump_path = bench::WriteMetricsDump(file);
-  }
   return result;
 }
 

@@ -11,6 +11,9 @@
 //   arrival (open-loop generator) -> admission control -> per-shard bounded
 //   FIFO -> group-commit batch of `batch_ops` requests -> index ops on the
 //   shard's context -> ack (latency = batch completion - arrival).
+// The measured phase around that flow — bracket, epoch series, .pmmetrics
+// dump, op execution — is the MeasuredPhase the closed-loop driver runs too
+// (src/bench/measured_phase.h); the service keeps its own event loop.
 //
 // Admission control sheds a request at its arrival instant when the target
 // shard's queue already holds `queue_capacity` requests — the service
@@ -39,10 +42,9 @@
 #include <vector>
 
 #include "src/bench/index_factory.h"
+#include "src/bench/measured_phase.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
-#include "src/metrics/pmmetrics.h"
-#include "src/pmsim/device.h"
 #include "src/service/workload.h"
 
 namespace cclbt::service {
@@ -67,9 +69,6 @@ struct ServiceConfig {
   // tree's nbatch keeps buffer-node slots full).
   size_t batch_ops = 8;
   size_t scan_len = 16;
-  // Virtual-time epoch width of the metrics series.
-  uint64_t metrics_epoch_ns = 1'000'000;
-  bool collect_epochs = true;
   std::string label = "service";
   // Record the last acked value per key (crash tests verify no acked update
   // is lost across shard queues). Off by default: it is DRAM bookkeeping the
@@ -87,7 +86,9 @@ struct ShardStats {
   uint64_t final_vtime_ns = 0;
 };
 
-struct ServiceResult {
+// Measured-phase results (PhaseResult; its latency histograms span arrival
+// -> group-commit ack of each admitted request) plus the service's own.
+struct ServiceResult : bench::PhaseResult {
   uint64_t offered = 0;    // requests the generator produced
   uint64_t admitted = 0;   // passed admission control
   uint64_t shed = 0;       // rejected at arrival
@@ -95,16 +96,7 @@ struct ServiceResult {
   double shed_rate = 0;    // shed / offered
   double offered_mops = 0;
   double achieved_mops = 0;  // completed / elapsed
-  double elapsed_virtual_ms = 0;
-  pmsim::StatsSnapshot stats;  // measured-phase device delta
-  double cli_amplification = 0;
-  double xbi_amplification = 0;
-  // Latency histograms (virtual + wall) and service counters; latency of an
-  // admitted request spans arrival -> group-commit ack.
-  metrics::MetricsSnapshot metrics_snapshot;
-  metrics::EpochSeries epochs;  // deterministic per-epoch series
   std::vector<ShardStats> shards;
-  std::string metrics_dump_path;  // "" unless CCL_METRICS was set
 };
 
 class ShardedKvService {
@@ -143,6 +135,11 @@ class ShardedKvService {
   // Serves one group-commit batch on shard `s`, starting at virtual time
   // `start_ns` (>= the shard clock; the gap is modeled idle waiting).
   void ServeBatch(int s, uint64_t start_ns, bool closed_loop);
+
+  // Epoch gauges: each shard's queue depth at the epoch instant and its
+  // cumulative sheds, plus the shard index's own gauges, name-prefixed by
+  // shard ("s0_queue_depth", "s0_gc_rounds", ...).
+  void SampleGauges(bench::MeasuredPhase::Gauges* out) const;
 
   kvindex::Runtime& rt_;
   ServiceConfig config_;

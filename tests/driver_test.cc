@@ -62,7 +62,7 @@ TEST(Driver, MoreThreadsDoNotReduceTotalWorkAccounting) {
 
 TEST(Driver, LatencyCollectionCoversAllOps) {
   RunConfig config = SmallConfig();
-  config.collect_latency = true;
+  config.metrics = true;
   RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
   EXPECT_EQ(result.latency.Count(), config.ops);
   EXPECT_GT(result.latency.Percentile(50), 0u);

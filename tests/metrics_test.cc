@@ -4,7 +4,9 @@
 // across real OS threads, the disabled-gate zero-registration contract, the
 // deterministic .pmmetrics epoch series (bit-identical across identical
 // RunConfigs, including with background GC), the per-epoch component-bytes
-// sum invariant, and the .pmmetrics serialize/parse round trip.
+// sum invariant over both front ends that record epochs (the closed-loop
+// driver and the sharded service), and the .pmmetrics serialize/parse round
+// trip.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -16,9 +18,11 @@
 
 #include "src/bench/driver.h"
 #include "src/common/rng.h"
+#include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
 #include "src/metrics/metrics.h"
 #include "src/metrics/pmmetrics.h"
+#include "src/service/service.h"
 
 namespace cclbt {
 namespace {
@@ -236,25 +240,52 @@ TEST(MetricsEpochSeries, BackgroundGcBitIdenticalAcrossRuns) {
 // media_write_bytes, epoch windows must tile the measurement phase exactly
 // (byte and op totals telescope to the run totals), and window ends must be
 // strictly increasing.
+void ExpectEpochsTile(const metrics::EpochSeries& epochs, uint64_t media_write_bytes,
+                      uint64_t ops) {
+  ASSERT_FALSE(epochs.empty());
+  uint64_t media_bytes = 0;
+  uint64_t epoch_ops = 0;
+  uint64_t prev_t = 0;
+  for (const metrics::EpochRecord& e : epochs) {
+    EXPECT_EQ(e.ComponentBytesTotal(), e.media_write_bytes) << "epoch " << e.index;
+    EXPECT_GT(e.t_ns, prev_t) << "epoch " << e.index;
+    prev_t = e.t_ns;
+    media_bytes += e.media_write_bytes;
+    epoch_ops += e.TotalOps();
+  }
+  EXPECT_EQ(media_bytes, media_write_bytes);
+  EXPECT_EQ(epoch_ops, ops);
+  EXPECT_EQ(epochs.back().index, epochs.size() - 1);
+}
+
+// Both front ends record epochs through the same measured phase: the
+// closed-loop driver, and a 2-shard closed-loop service run.
 TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
   bench::IndexConfig index_config;
   index_config.tree.background_gc = true;
   bench::RunConfig config = MetricsConfig();
   bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config);
-  ASSERT_FALSE(result.epochs.empty());
-  uint64_t media_bytes = 0;
-  uint64_t ops = 0;
-  uint64_t prev_t = 0;
-  for (const metrics::EpochRecord& e : result.epochs) {
-    EXPECT_EQ(e.ComponentBytesTotal(), e.media_write_bytes) << "epoch " << e.index;
-    EXPECT_GT(e.t_ns, prev_t) << "epoch " << e.index;
-    prev_t = e.t_ns;
-    media_bytes += e.media_write_bytes;
-    ops += e.TotalOps();
+  {
+    SCOPED_TRACE("driver");
+    ExpectEpochsTile(result.epochs, result.stats.media_write_bytes, config.ops);
   }
-  EXPECT_EQ(media_bytes, result.stats.media_write_bytes);
-  EXPECT_EQ(ops, config.ops);
-  EXPECT_EQ(result.epochs.back().index, result.epochs.size() - 1);
+
+  kvindex::RuntimeOptions options;
+  options.device.pool_bytes = 256 << 20;
+  kvindex::Runtime runtime(options);
+  service::ServiceConfig service_config;
+  service_config.shards = 2;
+  service::ShardedKvService service(runtime, service_config);
+  service::OpenLoopConfig workload;
+  workload.ops = 20'000;
+  workload.warm_keys = 10'000;
+  workload.offered_mops = 0;  // closed loop
+  service.Warm(workload);
+  service::ServiceResult served = service.Run(workload);
+  {
+    SCOPED_TRACE("service");
+    ExpectEpochsTile(served.epochs, served.stats.media_write_bytes, served.completed);
+  }
 }
 
 // A run without the metrics flag (and no CCL_METRICS / latency collection)

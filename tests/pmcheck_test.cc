@@ -84,6 +84,25 @@ TEST(PmCheck, EadrDowngradesFlushDisciplineToInfo) {
   EXPECT_TRUE(saw_info_diag);
 }
 
+// Informational diagnostics past their materialization budget are counted
+// as truncated, like violations past theirs: a nonzero marker is what tells
+// `pmctl check` the list is incomplete.
+TEST(PmCheck, InfoOverflowCountsAsTruncation) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kEadr;
+  PmDevice device{config};
+  ASSERT_NE(device.pmcheck(), nullptr);
+  ThreadContext ctx(device, 0, 0);
+  for (int i = 0; i < 40; i++) {
+    device.Fence(ctx);  // fence in flush-free domain: info
+  }
+  PmCheckReport report = Report(device);
+  EXPECT_EQ(report.total(), 0u);
+  EXPECT_EQ(report.total_info(), 40u);
+  EXPECT_EQ(report.diagnostics.size(), 16u);
+  EXPECT_EQ(report.diagnostics_truncated, 24u);
+}
+
 // eADR rule table, off classes: a store that stays dirty across a fence is
 // not a hazard when persistence does not hinge on flush ordering.
 TEST(PmCheck, EadrDirtyAtFenceIsOff) {

@@ -4,14 +4,13 @@
 // attribution data instead of DIMM SMART counters.
 //
 //   pmctl stats   <dump>            amplification + per-tag/per-component table
-//   pmctl watch   <dump>            stats timeline as per-interval rates
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
 //   pmctl check   <dump>            pmcheck persistency report; exit 3 on violations
 //   pmctl locks   <dump>            lockcheck locking report; exit 3 on violations
 //
 // It also reads the .pmmetrics JSON-lines time series written when
-// CCL_METRICS=<prefix> is set (src/bench/metrics_dump.h):
+// CCL_METRICS=<prefix> is set (src/bench/measured_phase.h):
 //   pmctl top     <dump.pmmetrics>          one-shot terminal dashboard (no
 //                                           polling by design — wrap with
 //                                           `watch -n1` for a live view)
@@ -48,15 +47,6 @@ struct CompRow {
   std::string name;
   uint64_t media_bytes = 0;
   uint64_t committed_lines = 0;
-};
-
-struct Sample {
-  uint64_t t_ns = 0;
-  uint64_t ops = 0;
-  uint64_t media_write_bytes = 0;
-  uint64_t xpbuffer_write_bytes = 0;
-  uint64_t line_flushes = 0;
-  uint64_t fences = 0;
 };
 
 // One recent-event line attached to a pmcheck diagnostic.
@@ -120,7 +110,6 @@ struct Dump {
   std::vector<std::pair<std::string, uint64_t>> stats;  // declaration order
   std::vector<TagRow> tags;
   std::vector<CompRow> comps;
-  std::vector<Sample> samples;
   uint64_t heat_units = 0;
   uint64_t heat_per_bin = 0;
   std::vector<trace::HeatBin> heat_bins;  // sparse, as dumped
@@ -184,11 +173,6 @@ bool ParseDump(const std::string& path, Dump& d) {
       CompRow row;
       ss >> row.name >> row.media_bytes >> row.committed_lines;
       d.comps.push_back(row);
-    } else if (kw == "sample") {
-      Sample s;
-      ss >> s.t_ns >> s.ops >> s.media_write_bytes >> s.xpbuffer_write_bytes >>
-          s.line_flushes >> s.fences;
-      d.samples.push_back(s);
     } else if (kw == "heat") {
       ss >> d.heat_units >> d.heat_per_bin;
     } else if (kw == "heatbin") {
@@ -371,40 +355,6 @@ int CmdStats(const Dump& d) {
                    static_cast<unsigned long long>(media));
       return 2;
     }
-  }
-  return 0;
-}
-
-int CmdWatch(const Dump& d) {
-  if (d.samples.empty()) {
-    std::printf("(no timeline samples in dump; sequential-scheduler runs only)\n");
-    return 0;
-  }
-  std::printf("%10s %12s %10s %12s %12s %10s %10s\n", "t_ms", "ops", "Mops", "media_MB/s",
-              "xpbuf_MB/s", "flush/op", "fence/op");
-  Sample prev;
-  for (const Sample& s : d.samples) {
-    uint64_t dt = s.t_ns - prev.t_ns;
-    uint64_t dops = s.ops - prev.ops;
-    double dt_s = static_cast<double>(dt) / 1e9;
-    double mops = dt == 0 ? 0.0 : static_cast<double>(dops) / 1e6 / dt_s;
-    double media_mbs =
-        dt == 0 ? 0.0
-                : static_cast<double>(s.media_write_bytes - prev.media_write_bytes) / 1e6 / dt_s;
-    double xpb_mbs =
-        dt == 0 ? 0.0
-                : static_cast<double>(s.xpbuffer_write_bytes - prev.xpbuffer_write_bytes) /
-                      1e6 / dt_s;
-    double fpo = dops == 0 ? 0.0
-                           : static_cast<double>(s.line_flushes - prev.line_flushes) /
-                                 static_cast<double>(dops);
-    double fepo = dops == 0 ? 0.0
-                            : static_cast<double>(s.fences - prev.fences) /
-                                  static_cast<double>(dops);
-    std::printf("%10.2f %12llu %10.3f %12.1f %12.1f %10.2f %10.2f\n",
-                static_cast<double>(s.t_ns) / 1e6, static_cast<unsigned long long>(s.ops),
-                mops, media_mbs, xpb_mbs, fpo, fepo);
-    prev = s;
   }
   return 0;
 }
@@ -805,9 +755,8 @@ int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
 
 int Usage() {
   std::cerr
-      << "usage: pmctl <stats|watch|heatmap|trace|check|locks|top|series> <dump> [options]\n"
+      << "usage: pmctl <stats|heatmap|trace|check|locks|top|series> <dump> [options]\n"
          "  stats   <dump.pmtrace>              counters, amplification, per-component breakdown\n"
-         "  watch   <dump.pmtrace>              stats timeline as per-interval rates\n"
          "  heatmap <dump.pmtrace> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
          "  trace   <dump.pmtrace> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
          "  check   <dump.pmtrace>              pmcheck persistency report; exit 3 on violations\n"
@@ -858,9 +807,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "check") {
     return CmdCheck(d);
-  }
-  if (cmd == "watch") {
-    return CmdWatch(d);
   }
   if (cmd == "heatmap") {
     int columns = 64;
