@@ -109,6 +109,34 @@ std::vector<std::unique_ptr<pmsim::ThreadContext>> MakeContexts(kvindex::Runtime
   return ctxs;
 }
 
+// Appends a checker's section to the run's dump (when one was written) and
+// prints its stderr summary: totals and counters, then each class with
+// violations.
+template <typename Report>
+void ReportChecker(const Report& report, const std::string& label, const std::string& dump) {
+  if (!report.enabled) {
+    return;
+  }
+  if (!dump.empty()) {
+    AppendCheckerSection(dump, report);
+  }
+  std::fprintf(stderr, "%s[%s]: %llu violation(s), %llu informational, %llu suppressed",
+               report.checker, label.c_str(), static_cast<unsigned long long>(report.total()),
+               static_cast<unsigned long long>(report.total_info()),
+               static_cast<unsigned long long>(report.total_suppressed()));
+  for (const auto& [name, value] : report.stats) {
+    std::fprintf(stderr, ", %s=%llu", name, static_cast<unsigned long long>(value));
+  }
+  std::fprintf(stderr, "\n");
+  for (size_t c = 0; c < Report::kNumClasses; c++) {
+    if (report.counts[c] != 0) {
+      std::fprintf(stderr, "%s[%s]:   %-20s %llu\n", report.checker, label.c_str(),
+                   pmsim::CheckClassName(static_cast<typename Report::Class>(c)),
+                   static_cast<unsigned long long>(report.counts[c]));
+    }
+  }
+}
+
 }  // namespace
 
 uint64_t WarmKey(const RunConfig& config, uint64_t i) {
@@ -391,13 +419,6 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
   runtime_options.device.pmcheck = config.pmcheck;
   runtime_options.device.lockcheck = config.lockcheck;
   runtime_options.device.backend = config.backend;
-  if (config.media_unit_bytes != 0) {
-    runtime_options.device.xpline_bytes = config.media_unit_bytes;
-  }
-  if (config.media_buffer_bytes != 0) {
-    runtime_options.device.xpbuffer_bytes = config.media_buffer_bytes;
-  }
-  runtime_options.device.cxl_volatile_buffer = config.cxl_volatile_buffer;
   kvindex::Runtime runtime(runtime_options);
   auto index = MakeIndex(index_name, runtime, index_config);
   const std::string label = config.trace_label.empty() ? index_name : config.trace_label;
@@ -412,47 +433,12 @@ RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& confi
     // charged (determinism contract, DESIGN.md §10).
     runtime.device().DrainBuffers();
     result.pmcheck = check->Snapshot();
-    if (!result.trace_dump_path.empty()) {
-      AppendPmCheckSection(result.trace_dump_path, result.pmcheck);
-    }
-    std::fprintf(stderr,
-                 "pmcheck[%s]: %llu violation(s), %llu informational, %llu suppressed, "
-                 "%llu fence epochs\n",
-                 label.c_str(), static_cast<unsigned long long>(result.pmcheck.total()),
-                 static_cast<unsigned long long>(result.pmcheck.total_info()),
-                 static_cast<unsigned long long>(result.pmcheck.total_suppressed()),
-                 static_cast<unsigned long long>(result.pmcheck.fence_epochs));
-    for (int c = 0; c < pmsim::kNumPmCheckClasses; c++) {
-      if (result.pmcheck.counts[static_cast<size_t>(c)] != 0) {
-        std::fprintf(stderr, "pmcheck[%s]:   %-20s %llu\n", label.c_str(),
-                     pmsim::PmCheckClassName(static_cast<pmsim::PmCheckClass>(c)),
-                     static_cast<unsigned long long>(
-                         result.pmcheck.counts[static_cast<size_t>(c)]));
-      }
-    }
   }
   if (pmsim::LockCheck* locks = runtime.device().lockcheck(); locks != nullptr) {
     result.lockcheck = locks->Snapshot();
-    if (!result.trace_dump_path.empty()) {
-      AppendLockCheckSection(result.trace_dump_path, result.lockcheck);
-    }
-    std::fprintf(stderr,
-                 "lockcheck[%s]: %llu violation(s), %llu informational, %llu suppressed, "
-                 "%llu locks / %llu lines tracked\n",
-                 label.c_str(), static_cast<unsigned long long>(result.lockcheck.total()),
-                 static_cast<unsigned long long>(result.lockcheck.total_info()),
-                 static_cast<unsigned long long>(result.lockcheck.total_suppressed()),
-                 static_cast<unsigned long long>(result.lockcheck.locks_tracked),
-                 static_cast<unsigned long long>(result.lockcheck.lines_tracked));
-    for (int c = 0; c < pmsim::kNumLockCheckClasses; c++) {
-      if (result.lockcheck.counts[static_cast<size_t>(c)] != 0) {
-        std::fprintf(stderr, "lockcheck[%s]:   %-20s %llu\n", label.c_str(),
-                     pmsim::LockCheckClassName(static_cast<pmsim::LockCheckClass>(c)),
-                     static_cast<unsigned long long>(
-                         result.lockcheck.counts[static_cast<size_t>(c)]));
-      }
-    }
   }
+  ReportChecker(result.pmcheck, label, result.trace_dump_path);
+  ReportChecker(result.lockcheck, label, result.trace_dump_path);
   return result;
 }
 

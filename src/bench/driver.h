@@ -93,31 +93,18 @@ struct RunConfig {
   // Concurrency correctness is covered by the test suite, which always uses
   // real threads.
   bool os_parallel = false;
-  // Enable the pmcheck persistency checker (DESIGN.md §11) on the run's
-  // device. Equivalent to CCL_PMCHECK=1 (the environment variable overrides
-  // in either direction). Diagnostics are returned in RunResult::pmcheck and,
-  // when a trace dump is written, appended to it for `pmctl check`. Never
-  // perturbs virtual-time metrics.
+  // Enable the pmcheck persistency checker (DESIGN.md §11) / the lockcheck
+  // lockset and lock-order sanitizer (§16) on the run's device. Equivalent
+  // to CCL_PMCHECK=1 / CCL_LOCKCHECK=1 (each environment variable overrides
+  // in either direction). Diagnostics are returned in RunResult::pmcheck /
+  // ::lockcheck, summarized on stderr and, when a trace dump is written,
+  // appended to it for `pmctl check`. Never perturb virtual-time metrics.
   bool pmcheck = false;
-  // Enable the lockcheck lockset/lock-order sanitizer (DESIGN.md §16) on the
-  // run's device. Equivalent to CCL_LOCKCHECK=1 (the environment variable
-  // overrides in either direction). Diagnostics are returned in
-  // RunResult::lockcheck and, when a trace dump is written, appended to it
-  // for `pmctl locks`. Never perturbs virtual-time metrics.
   bool lockcheck = false;
   // Persistence-domain backend for the run's device (DESIGN.md §14). kAuto
   // resolves through DeviceConfig's legacy eadr flag, then the CCL_BACKEND
   // environment selector, then defaults to ADR/Optane.
   pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto;
-  // Media write-combining unit override in bytes (DeviceConfig::xpline_bytes;
-  // 0 = keep the backend default). CXL page-granular runs set 256..4096.
-  size_t media_unit_bytes = 0;
-  // Buffer-capacity override in bytes (DeviceConfig::xpbuffer_bytes; 0 =
-  // keep the backend default).
-  size_t media_buffer_bytes = 0;
-  // CXL only: model a volatile device-side write-combining buffer instead of
-  // a persistent one (committed lines stage until unit eviction).
-  bool cxl_volatile_buffer = false;
 };
 
 // Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,

@@ -5,7 +5,9 @@
 #include <cstdlib>
 #include <fstream>
 
+#include "src/pmsim/lockcheck.h"
 #include "src/pmsim/media_model.h"
+#include "src/pmsim/pmcheck.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::bench {
@@ -142,79 +144,49 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
   return out ? path : DumpWriteFailed(path);
 }
 
-bool AppendPmCheckSection(const std::string& path, const pmsim::PmCheckReport& report) {
+template <typename Report>
+void AppendCheckerSection(const std::string& path, const Report& report) {
   if (!report.enabled) {
-    return true;  // nothing to append; `pmctl check` reports not-enabled
+    return;
   }
   std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
+  const std::string name = report.checker;
+  // Ends a diagnostic or event line with the checker's own fields.
+  auto end_line = [&out](const auto& item) {
+    item.ForEachField([&out](const char* key, const auto& value) {
+      out << ' ' << key << '=' << value;
+    });
+    out << '\n';
+  };
+  out << "checker " << name << " 1\n";
+  for (const auto& [key, value] : report.stats) {
+    out << "checkerstat " << name << ' ' << key << ' ' << value << '\n';
   }
-  // Version 2 adds the per-class informational column (backend-downgraded
-  // severities, DESIGN.md §14) and the pmcheckinfo diagnostic keyword;
-  // version-1 readers skip the unknown keyword and extra column.
-  out << "pmcheck 2\n";
-  out << "pmcheckstat fence_epochs " << report.fence_epochs << "\n";
-  out << "pmcheckstat lines_tracked " << report.lines_tracked << "\n";
-  // Explicit truncation marker: nonzero means the kMaxDiagnostics retention
-  // cap dropped materialized diagnostics (counts stay exact). `pmctl check`
-  // warns on it so a capped run is never read as clean-and-complete.
-  out << "pmcheckstat diagnostics_truncated " << report.diagnostics_truncated << "\n";
-  for (int c = 0; c < pmsim::kNumPmCheckClasses; c++) {
-    out << "pmcheckclass " << pmsim::PmCheckClassName(static_cast<pmsim::PmCheckClass>(c))
-        << " " << report.counts[static_cast<size_t>(c)] << " "
-        << report.suppressed[static_cast<size_t>(c)] << " "
-        << report.info[static_cast<size_t>(c)] << "\n";
+  out << "checkerstat " << name << " diagnostics_truncated " << report.diagnostics_truncated
+      << '\n';
+  for (size_t c = 0; c < Report::kNumClasses; c++) {
+    out << "checkerclass " << name << ' '
+        << pmsim::CheckClassName(static_cast<typename Report::Class>(c)) << ' '
+        << report.counts[c] << ' ' << report.suppressed[c] << ' ' << report.info[c] << '\n';
   }
-  for (const pmsim::PmCheckDiagnostic& d : report.diagnostics) {
-    out << (d.info ? "pmcheckinfo " : "pmcheckdiag ")
-        << pmsim::PmCheckClassName(d.cls) << " " << d.line << " "
-        << d.xpline << " " << d.dimm << " " << trace::ComponentName(d.comp) << " "
-        << d.worker << " " << d.fence_epoch << " " << d.detail << "\n";
-    for (const pmsim::PmCheckEvent& ev : d.recent) {
-      out << "pmcheckev " << pmsim::PmCheckEventKindName(ev.kind) << " "
-          << trace::ComponentName(ev.comp) << " " << ev.worker << " " << ev.detail << " "
-          << ev.fence_epoch << "\n";
+  for (const auto& d : report.diagnostics) {
+    out << (d.info ? "checkerinfo " : "checkerdiag ") << name << ' '
+        << pmsim::CheckClassName(d.cls) << ' ' << d.line << ' ' << trace::ComponentName(d.comp)
+        << ' ' << d.worker << ' ' << d.detail;
+    end_line(d);
+    for (const auto& ev : d.recent) {
+      out << "checkerev " << name << ' ' << pmsim::CheckEventName(ev.kind) << ' '
+          << trace::ComponentName(ev.comp) << ' ' << ev.worker << ' ' << ev.detail;
+      end_line(ev);
     }
   }
   out.flush();
-  return static_cast<bool>(out);
+  if (!out) {
+    DumpWriteFailed(path);
+  }
 }
 
-bool AppendLockCheckSection(const std::string& path, const pmsim::LockCheckReport& report) {
-  if (!report.enabled) {
-    return true;  // nothing to append; `pmctl locks` reports not-enabled
-  }
-  std::ofstream out(path, std::ios::app);
-  if (!out) {
-    return false;
-  }
-  out << "lockcheck 1\n";
-  out << "lockcheckstat locks_tracked " << report.locks_tracked << "\n";
-  out << "lockcheckstat lines_tracked " << report.lines_tracked << "\n";
-  out << "lockcheckstat order_edges " << report.order_edges << "\n";
-  out << "lockcheckstat seq_read_sections " << report.seq_read_sections << "\n";
-  out << "lockcheckstat seq_validate_failures " << report.seq_validate_failures << "\n";
-  out << "lockcheckstat diagnostics_truncated " << report.diagnostics_truncated << "\n";
-  for (int c = 0; c < pmsim::kNumLockCheckClasses; c++) {
-    out << "lockcheckclass "
-        << pmsim::LockCheckClassName(static_cast<pmsim::LockCheckClass>(c)) << " "
-        << report.counts[static_cast<size_t>(c)] << " "
-        << report.suppressed[static_cast<size_t>(c)] << " "
-        << report.info[static_cast<size_t>(c)] << "\n";
-  }
-  for (const pmsim::LockCheckDiagnostic& d : report.diagnostics) {
-    out << (d.info ? "lockcheckinfo " : "lockcheckdiag ") << pmsim::LockCheckClassName(d.cls)
-        << " " << d.line << " " << trace::ComponentName(d.comp) << " " << d.worker << " "
-        << d.lock << " " << d.lock2 << " " << d.detail << "\n";
-    for (const pmsim::LockCheckEvent& ev : d.recent) {
-      out << "lockcheckev " << pmsim::LockCheckEventKindName(ev.kind) << " "
-          << trace::ComponentName(ev.comp) << " " << ev.worker << " "
-          << (ev.lock[0] == '\0' ? "-" : ev.lock) << " " << ev.detail << "\n";
-    }
-  }
-  out.flush();
-  return static_cast<bool>(out);
-}
+template void AppendCheckerSection(const std::string&, const pmsim::PmCheckReport&);
+template void AppendCheckerSection(const std::string&, const pmsim::LockCheckReport&);
 
 }  // namespace cclbt::bench

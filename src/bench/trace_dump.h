@@ -13,8 +13,6 @@
 #include <string>
 
 #include "src/kvindex/runtime.h"
-#include "src/pmsim/lockcheck.h"
-#include "src/pmsim/pmcheck.h"
 #include "src/pmsim/stats.h"
 
 namespace cclbt::bench {
@@ -39,18 +37,21 @@ std::string DumpWriteFailed(const std::string& path);
 std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
                            const pmsim::StatsSnapshot& stats, double elapsed_virtual_ms);
 
-// Appends the pmcheck section (pmcheck/pmcheckstat/pmcheckclass/pmcheckdiag/
-// pmcheckev keyword lines, consumed by `pmctl check`) to an already-written
-// dump. Appended after the end-of-run close scan so the unflushed-at-close
-// class is included; older pmctl builds skip the unknown keywords. Returns
-// false if the dump cannot be written.
-bool AppendPmCheckSection(const std::string& path, const pmsim::PmCheckReport& report);
-
-// Appends the lockcheck section (lockcheck/lockcheckstat/lockcheckclass/
-// lockcheckdiag/lockcheckev keyword lines, consumed by `pmctl locks`) to an
-// already-written dump. Same versioned-keyword contract as the pmcheck
-// section. Returns false if the dump cannot be written.
-bool AppendLockCheckSection(const std::string& path, const pmsim::LockCheckReport& report);
+// Appends one checker's section (DESIGN.md §11, §16) to an already-written
+// dump, for `pmctl check`; a disabled report appends nothing. Every line of
+// the `checker*` keyword family names the checker first, then the keyword's
+// fixed fields, then the checker's own `key=value` fields:
+//   checker      <name> <version>
+//   checkerstat  <name> <counter> <value>
+//   checkerclass <name> <class> <violations> <suppressed> <info>
+//   checkerdiag  <name> <class> <line> <component> <worker> <detail> k=v...
+//   checkerinfo  (same fields; an informational finding)
+//   checkerev    <name> <kind> <component> <worker> <detail> k=v...
+// Appended after the end-of-run close scan so the unflushed-at-close class is
+// included; older pmctl builds skip the unknown keywords. A section that
+// cannot be written is named on stderr (DumpWriteFailed).
+template <typename Report>
+void AppendCheckerSection(const std::string& path, const Report& report);
 
 }  // namespace cclbt::bench
 

@@ -41,8 +41,6 @@ constexpr size_t kMaxHeld = 32;
 thread_local HeldLock tl_held[kMaxHeld];
 thread_local size_t tl_held_count = 0;
 
-constinit thread_local int tl_lc_expect_depth[kNumLockCheckClasses] = {};
-
 uint16_t CurrentWorker() {
   ThreadContext* ctx = ThreadContext::Current();
   return ctx ? static_cast<uint16_t>(ctx->worker_id()) : kNoWorker;
@@ -50,7 +48,7 @@ uint16_t CurrentWorker() {
 
 }  // namespace
 
-const char* LockCheckClassName(LockCheckClass cls) {
+const char* CheckClassName(LockCheckClass cls) {
   switch (cls) {
     case LockCheckClass::kUnlockedWrite: return "unlocked_write";
     case LockCheckClass::kLocksetEmpty: return "lockset_empty";
@@ -62,31 +60,19 @@ const char* LockCheckClassName(LockCheckClass cls) {
   return "?";
 }
 
-const char* LockCheckEventKindName(LockCheckEvent::Kind kind) {
+const char* CheckEventName(LockCheckEventKind kind) {
   switch (kind) {
-    case LockCheckEvent::Kind::kAcquire: return "acquire";
-    case LockCheckEvent::Kind::kRelease: return "release";
-    case LockCheckEvent::Kind::kSeqBegin: return "seqbegin";
-    case LockCheckEvent::Kind::kSeqRetire: return "seqretire";
-    case LockCheckEvent::Kind::kWrite: return "write";
-    case LockCheckEvent::Kind::kRead: return "read";
-    case LockCheckEvent::Kind::kFence: return "fence";
-    case LockCheckEvent::Kind::kReset: return "reset";
-    case LockCheckEvent::Kind::kCrash: return "crash";
+    case LockCheckEventKind::kAcquire: return "acquire";
+    case LockCheckEventKind::kRelease: return "release";
+    case LockCheckEventKind::kSeqBegin: return "seqbegin";
+    case LockCheckEventKind::kSeqRetire: return "seqretire";
+    case LockCheckEventKind::kWrite: return "write";
+    case LockCheckEventKind::kRead: return "read";
+    case LockCheckEventKind::kFence: return "fence";
+    case LockCheckEventKind::kReset: return "reset";
+    case LockCheckEventKind::kCrash: return "crash";
   }
   return "?";
-}
-
-// --- LockCheckExpect --------------------------------------------------------
-
-LockCheckExpect::LockCheckExpect(LockCheckClass cls) : cls_(cls) {
-  tl_lc_expect_depth[static_cast<int>(cls_)]++;
-}
-
-LockCheckExpect::~LockCheckExpect() { tl_lc_expect_depth[static_cast<int>(cls_)]--; }
-
-bool LockCheckExpect::ActiveFor(LockCheckClass cls) {
-  return tl_lc_expect_depth[static_cast<int>(cls)] > 0;
 }
 
 // --- free function ----------------------------------------------------------
@@ -187,54 +173,20 @@ void LockCheck::AddOrderEdgeLocked(uint32_t from_name, uint32_t to_name,
   order_edges_++;
 }
 
-void LockCheck::AppendEventLocked(LockCheckEvent::Kind kind, trace::Component comp,
+void LockCheck::AppendEventLocked(LockCheckEventKind kind, trace::Component comp,
                                   uint16_t worker, const char* lock, uint64_t detail) {
-  LockCheckEvent& ev = events_[events_seen_ % kEventRing];
-  ev.kind = kind;
-  ev.comp = comp;
-  ev.worker = worker;
-  ev.lock = lock;
-  ev.detail = detail;
-  events_seen_++;
+  core_.Record(LockCheckEvent{{kind, comp, worker, detail}, lock});
 }
 
 void LockCheck::DiagLocked(LockCheckClass cls, uint64_t line, trace::Component comp,
                            uint16_t worker, const char* lock, const char* lock2,
                            const char* detail, bool info) {
-  const int idx = static_cast<int>(cls);
-  if (LockCheckExpect::ActiveFor(cls)) {
-    suppressed_[idx]++;
-    return;
+  LockCheckDiagnostic* d = core_.File(cls, info ? CheckAction::kInfo : CheckAction::kReport,
+                                      line, comp, worker, detail);
+  if (d != nullptr) {
+    d->lock = lock;
+    d->lock2 = lock2;
   }
-  if (info) {
-    info_counts_[idx]++;
-    if (info_materialized_ >= kMaxInfoDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-    info_materialized_++;
-  } else {
-    counts_[idx]++;
-    if (diagnostics_.size() - info_materialized_ >= kMaxDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-  }
-  LockCheckDiagnostic diag;
-  diag.cls = cls;
-  diag.line = line;
-  diag.comp = comp;
-  diag.worker = worker;
-  diag.lock = lock;
-  diag.lock2 = lock2;
-  diag.detail = detail;
-  diag.info = info;
-  const uint64_t have = std::min<uint64_t>(events_seen_, kRecentEventsPerDiagnostic);
-  diag.recent.reserve(have);
-  for (uint64_t i = events_seen_ - have; i < events_seen_; ++i) {
-    diag.recent.push_back(events_[i % kEventRing]);
-  }
-  diagnostics_.push_back(std::move(diag));
 }
 
 // --- sync::LockObserver -----------------------------------------------------
@@ -259,7 +211,7 @@ void LockCheck::OnLockAcquire(const void* lock, const char* name, sync::LockKind
       // Hot spinlocks (per-DIMM XPBuffer, trace rings) fire once per flush;
       // recording them would flood the 64-entry ring with noise. They still
       // feed the order graph and the held stack above/below.
-      AppendEventLocked(LockCheckEvent::Kind::kAcquire, comp, worker, name,
+      AppendEventLocked(LockCheckEventKind::kAcquire, comp, worker, name,
                         exclusive ? 1 : 0);
     }
   }
@@ -287,7 +239,7 @@ void LockCheck::OnLockRelease(const void* lock, const char* name, sync::LockKind
   }
   const uint16_t worker = CurrentWorker();
   std::lock_guard<CheckerMutex> lk(mu_);
-  AppendEventLocked(LockCheckEvent::Kind::kRelease, trace::CurrentComponent(), worker,
+  AppendEventLocked(LockCheckEventKind::kRelease, trace::CurrentComponent(), worker,
                     name, exclusive ? 1 : 0);
 }
 
@@ -296,7 +248,7 @@ void LockCheck::OnSeqReadBegin(const void* lock, const char* name) {
   std::lock_guard<CheckerMutex> lk(mu_);
   InternLocked(lock, name, sync::LockKind::kSeqLock);
   seq_read_sections_++;
-  AppendEventLocked(LockCheckEvent::Kind::kSeqBegin, trace::CurrentComponent(), worker,
+  AppendEventLocked(LockCheckEventKind::kSeqBegin, trace::CurrentComponent(), worker,
                     name, 0);
 }
 
@@ -307,7 +259,7 @@ void LockCheck::OnSeqReadRetire(const void* lock, const char* name, bool validat
   if (!validated) {
     seq_validate_failures_++;
   }
-  AppendEventLocked(LockCheckEvent::Kind::kSeqRetire, trace::CurrentComponent(), worker,
+  AppendEventLocked(LockCheckEventKind::kSeqRetire, trace::CurrentComponent(), worker,
                     name, validated ? 1 : 0);
 }
 
@@ -329,7 +281,7 @@ void LockCheck::OnPmWrite(const ThreadContext& ctx, uintptr_t line) {
   }
 
   std::lock_guard<CheckerMutex> lk(mu_);
-  AppendEventLocked(LockCheckEvent::Kind::kWrite, comp, worker, "", line);
+  AppendEventLocked(LockCheckEventKind::kWrite, comp, worker, "", line);
 
   if (live_contexts_.load(std::memory_order_relaxed) <= 1) {
     // Single-threaded phase (pool format, recovery boot): the sole live
@@ -439,7 +391,7 @@ void LockCheck::OnPmRead(const ThreadContext& ctx, uintptr_t offset, size_t len)
       (offset + (len == 0 ? 0 : len - 1)) & ~static_cast<uintptr_t>(kCachelineBytes - 1);
 
   std::lock_guard<CheckerMutex> lk(mu_);
-  AppendEventLocked(LockCheckEvent::Kind::kRead, trace::CurrentComponent(), worker, "",
+  AppendEventLocked(LockCheckEventKind::kRead, trace::CurrentComponent(), worker, "",
                     first);
   if (live_contexts_.load(std::memory_order_relaxed) <= 1) {
     return;
@@ -470,7 +422,7 @@ void LockCheck::OnFencePending(const ThreadContext& ctx,
   std::vector<Candidate> candidates;
   {
     std::lock_guard<CheckerMutex> lk(mu_);
-    AppendEventLocked(LockCheckEvent::Kind::kFence, comp, worker, "", pending.size());
+    AppendEventLocked(LockCheckEventKind::kFence, comp, worker, "", pending.size());
     // Interned ids of everything held (any mode — even a shared hold keeps
     // other writers out for the duration of the publish).
     uint32_t held_ids[kMaxHeld];
@@ -528,7 +480,7 @@ void LockCheck::OnFencePending(const ThreadContext& ctx,
 
 void LockCheck::OnCrash() {
   std::lock_guard<CheckerMutex> lk(mu_);
-  AppendEventLocked(LockCheckEvent::Kind::kCrash, trace::CurrentComponent(),
+  AppendEventLocked(LockCheckEventKind::kCrash, trace::CurrentComponent(),
                     CurrentWorker(), "", 0);
   // Line history dies with the working image; the order graph and counters
   // describe the whole run and survive.
@@ -547,7 +499,7 @@ void LockCheck::ResetRange(uintptr_t offset, size_t len) {
   const uintptr_t last =
       (offset + len - 1) & ~static_cast<uintptr_t>(kCachelineBytes - 1);
   std::lock_guard<CheckerMutex> lk(mu_);
-  AppendEventLocked(LockCheckEvent::Kind::kReset, trace::CurrentComponent(),
+  AppendEventLocked(LockCheckEventKind::kReset, trace::CurrentComponent(),
                     CurrentWorker(), "", first);
   for (uintptr_t line = first; line <= last; line += kCachelineBytes) {
     lines_.erase(line);
@@ -556,19 +508,11 @@ void LockCheck::ResetRange(uintptr_t offset, size_t len) {
 
 LockCheckReport LockCheck::Snapshot() const {
   std::lock_guard<CheckerMutex> lk(mu_);
-  LockCheckReport report;
-  report.enabled = true;
-  report.counts = counts_;
-  report.suppressed = suppressed_;
-  report.info = info_counts_;
-  report.locks_tracked = locks_.size();
-  report.lines_tracked = lines_.size();
-  report.order_edges = order_edges_;
-  report.seq_read_sections = seq_read_sections_;
-  report.seq_validate_failures = seq_validate_failures_;
-  report.diagnostics_truncated = diagnostics_truncated_;
-  report.diagnostics = diagnostics_;
-  return report;
+  return core_.Snapshot({{"locks_tracked", locks_.size()},
+                         {"lines_tracked", lines_.size()},
+                         {"order_edges", order_edges_},
+                         {"seq_read_sections", seq_read_sections_},
+                         {"seq_validate_failures", seq_validate_failures_}});
 }
 
 }  // namespace cclbt::pmsim

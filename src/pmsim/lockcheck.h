@@ -52,10 +52,11 @@
 //  * LockCheckResetRange: allocators call it on ownership transfer (slab
 //    slot reuse, WAL chunk recycling) so a line's history does not leak
 //    across logical owners.
-//  * LockCheckExpect annotates intentional protocol exceptions in place,
-//    mirroring PmCheckExpect: reads under an active kLocksetEmpty scope are
-//    protocol-synchronized by construction (recovery's timestamp-ordered log
-//    scan) and skip the state machine entirely.
+//  * LockCheckExpect (the checker core's scoped suppression,
+//    src/pmsim/checker.h) annotates intentional protocol exceptions in
+//    place. PM reads under an active kLocksetEmpty scope additionally skip
+//    the state machine: they are synchronized by a protocol the checker
+//    cannot see (recovery's timestamp-ordered WAL scan).
 //
 // Enablement and cost: CCL_LOCKCHECK=1 (or DeviceConfig::lockcheck /
 // RunConfig::lockcheck). Disabled, the wrappers pay one atomic load + branch
@@ -66,14 +67,15 @@
 #define SRC_PMSIM_LOCKCHECK_H_
 
 #include <array>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/lock.h"
+#include "src/pmsim/checker.h"
 #include "src/trace/component.h"
 
 namespace cclbt::pmsim {
@@ -91,117 +93,51 @@ enum class LockCheckClass : uint8_t {
   kCount = 5,
 };
 
-inline constexpr int kNumLockCheckClasses = static_cast<int>(LockCheckClass::kCount);
-
-// Stable slug used in .pmtrace dumps and `pmctl locks` output.
-const char* LockCheckClassName(LockCheckClass cls);
-
-// One entry of the recent-event ring attached to every diagnostic. Hot spin
-// locks (per-DIMM XPBuffer, trace rings) are checked but not recorded here —
-// they would flood the ring with one pair per flush and drown the context
-// that actually explains a violation.
-struct LockCheckEvent {
-  enum class Kind : uint8_t {
-    kAcquire = 0,   // detail = 1 exclusive / 0 shared
-    kRelease = 1,
-    kSeqBegin = 2,  // optimistic read section opened
-    kSeqRetire = 3, // detail = 1 validated / 0 failed
-    kWrite = 4,     // detail = line offset
-    kRead = 5,      // detail = first line offset of the range
-    kFence = 6,     // detail = pending line count
-    kReset = 7,     // detail = first line offset (ownership transfer)
-    kCrash = 8,
-  };
-  Kind kind = Kind::kAcquire;
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
-  const char* lock = "";  // static lock name, "" when not lock-related
-  uint64_t detail = 0;
+// Recent-event kinds. Hot spin locks (per-DIMM XPBuffer, trace rings) are
+// checked but not recorded — they would flood the ring with one pair per
+// flush and drown the context that actually explains a violation.
+enum class LockCheckEventKind : uint8_t {
+  kAcquire = 0,    // detail = 1 exclusive / 0 shared
+  kRelease = 1,
+  kSeqBegin = 2,   // optimistic read section opened
+  kSeqRetire = 3,  // detail = 1 validated / 0 failed
+  kWrite = 4,      // detail = line offset
+  kRead = 5,       // detail = first line offset of the range
+  kFence = 6,      // detail = pending line count
+  kReset = 7,      // detail = first line offset (ownership transfer)
+  kCrash = 8,
 };
 
-const char* LockCheckEventKindName(LockCheckEvent::Kind kind);
+struct LockCheckEvent : CheckerEvent<LockCheckEventKind> {
+  const char* lock = "";  // static lock name, "" when not lock-related
 
-struct LockCheckDiagnostic {
-  LockCheckClass cls = LockCheckClass::kUnlockedWrite;
-  uint64_t line = 0;  // line-aligned pool offset (0 for lock_cycle)
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("lock", lock[0] == '\0' ? "-" : lock);
+  }
+};
+
+struct LockCheckDiagnostic : CheckerDiagnostic<LockCheckClass, LockCheckEvent> {
   // Primary lock name: the guarding seqlock (class 3), the held-from node of
   // the cycle edge (class 4), or the lockset remnant (classes 1-2, 5);
   // "none" when no lock is involved.
   const char* lock = "none";
   // Second lock name: the acquired-to node of the cycle edge (class 4).
   const char* lock2 = "none";
-  // Static single-token cause string (no spaces; dump-format safe).
-  const char* detail = "";
-  // True for informational findings (class 5 without pmcheck confirmation).
-  bool info = false;
-  // Up to kRecentEventsPerDiagnostic events preceding the violation,
-  // oldest first.
-  std::vector<LockCheckEvent> recent;
-};
 
-struct LockCheckReport {
-  bool enabled = false;
-  std::array<uint64_t, kNumLockCheckClasses> counts{};
-  std::array<uint64_t, kNumLockCheckClasses> suppressed{};
-  std::array<uint64_t, kNumLockCheckClasses> info{};
-  uint64_t locks_tracked = 0;
-  uint64_t lines_tracked = 0;
-  uint64_t order_edges = 0;
-  uint64_t seq_read_sections = 0;
-  uint64_t seq_validate_failures = 0;
-  // Diagnostics beyond the retention cap are counted but not materialized;
-  // a nonzero value here means the list below is incomplete (never read a
-  // capped run as clean — the counts above stay exact).
-  uint64_t diagnostics_truncated = 0;
-  std::vector<LockCheckDiagnostic> diagnostics;
-
-  // Unsuppressed violations (what `pmctl locks` gates its exit status on).
-  uint64_t total() const {
-    uint64_t sum = 0;
-    for (uint64_t c : counts) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_suppressed() const {
-    uint64_t sum = 0;
-    for (uint64_t c : suppressed) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_info() const {
-    uint64_t sum = 0;
-    for (uint64_t c : info) {
-      sum += c;
-    }
-    return sum;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("lock", lock);
+    f("lock2", lock2);
   }
 };
 
-// Scoped whitelist for an *intentional* protocol exception, mirroring
-// PmCheckExpect: while alive on the calling thread, diagnostics of `cls`
-// raised by this thread are counted as suppressed instead of reported.
-// Additionally, PM reads under an active kLocksetEmpty scope skip the
-// lockset state machine entirely — the annotation marks reads that are
-// synchronized by a protocol the checker cannot see (recovery's
-// timestamp-ordered WAL scan). Zero device dependency: annotated code builds
-// and runs unchanged when lockcheck is off.
-class LockCheckExpect {
- public:
-  explicit LockCheckExpect(LockCheckClass cls);
-  ~LockCheckExpect();
+using LockCheckReport = CheckerReport<LockCheckDiagnostic>;
+using LockCheckExpect = CheckerExpect<LockCheckClass>;
 
-  LockCheckExpect(const LockCheckExpect&) = delete;
-  LockCheckExpect& operator=(const LockCheckExpect&) = delete;
-
-  static bool ActiveFor(LockCheckClass cls);
-
- private:
-  LockCheckClass cls_;
-};
+// Stable slugs used in .pmtrace dumps and `pmctl check` output.
+const char* CheckClassName(LockCheckClass cls);
+const char* CheckEventName(LockCheckEventKind kind);
 
 // Ownership-transfer reset: allocators call this when a PM range changes
 // logical owner (slab slot handed out, WAL chunk recycled) so stale lockset
@@ -213,12 +149,10 @@ void LockCheckResetRange(const void* addr, size_t len);
 // (the pointer doubles as the runtime gate, like pmcheck). Installs itself
 // as the process-wide sync::LockObserver for its lifetime.
 //
-// Locking: shared state serializes on one plain std::mutex. It is
-// deliberately NOT a sync::Mutex — the checker's own serialization must be
-// invisible to the checker (a sync lock here would recurse into the observer
-// hooks). Per-thread state (held-lock stack, open seq sections, Expect
-// depths) is thread-local and lock-free. Hooks never advance virtual clocks
-// and never touch Stats.
+// Locking: shared state serializes on one CheckerMutex — deliberately NOT a
+// sync::Mutex, whose acquires would recurse into the observer hooks.
+// Per-thread state (held-lock stack, Expect depths) is thread-local and
+// lock-free. Hooks never advance virtual clocks and never touch Stats.
 class LockCheck final : public sync::LockObserver {
  public:
   explicit LockCheck(PmDevice& device);
@@ -275,13 +209,8 @@ class LockCheck final : public sync::LockObserver {
   };
   static constexpr uint8_t kLocksetUninit = 0xFF;
 
-  static constexpr size_t kEventRing = 64;
-  static constexpr size_t kRecentEventsPerDiagnostic = 8;
-  static constexpr size_t kMaxDiagnostics = 256;
-  static constexpr size_t kMaxInfoDiagnostics = 16;
-
   uint32_t InternLocked(const void* lock, const char* name, sync::LockKind kind);
-  void AppendEventLocked(LockCheckEvent::Kind kind, trace::Component comp,
+  void AppendEventLocked(LockCheckEventKind kind, trace::Component comp,
                          uint16_t worker, const char* lock, uint64_t detail);
   void DiagLocked(LockCheckClass cls, uint64_t line, trace::Component comp,
                   uint16_t worker, const char* lock, const char* lock2,
@@ -296,9 +225,6 @@ class LockCheck final : public sync::LockObserver {
   PmDevice& device_;
   std::atomic<size_t> live_contexts_{0};
 
-  // Checker-internal serialization; see the class comment for why this is a
-  // raw std::mutex rather than a sync::Mutex.
-  using CheckerMutex = std::mutex;  // lint_pm_api: allow
   mutable CheckerMutex mu_;
   bool observer_installed_ = false;
 
@@ -318,14 +244,7 @@ class LockCheck final : public sync::LockObserver {
   uint64_t seq_read_sections_ = 0;
   uint64_t seq_validate_failures_ = 0;
 
-  std::array<uint64_t, kNumLockCheckClasses> counts_{};
-  std::array<uint64_t, kNumLockCheckClasses> suppressed_{};
-  std::array<uint64_t, kNumLockCheckClasses> info_counts_{};
-  uint64_t diagnostics_truncated_ = 0;
-  size_t info_materialized_ = 0;
-  std::vector<LockCheckDiagnostic> diagnostics_;
-  std::array<LockCheckEvent, kEventRing> events_{};
-  uint64_t events_seen_ = 0;
+  CheckerCore<LockCheckDiagnostic> core_{"lockcheck"};
 };
 
 }  // namespace cclbt::pmsim

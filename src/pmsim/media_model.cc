@@ -84,22 +84,22 @@ EadrModel::EadrModel(PmDevice& device, size_t capacity_lines)
       capacity_(capacity_lines),
       lines_(std::make_unique<uintptr_t[]>(capacity_lines + 1)) {}
 
-PmCheckAction EadrModel::check_action(PmCheckClass cls) const {
+CheckAction EadrModel::check_action(PmCheckClass cls) const {
   switch (cls) {
     case PmCheckClass::kRedundantFlush:
     case PmCheckClass::kUselessFence:
       // Free on eADR, yet worth counting: every hit is an instruction an
       // eADR-tuned build of the same workload could shed.
-      return PmCheckAction::kInfo;
+      return CheckAction::kInfo;
     case PmCheckClass::kDirtyAtFence:
     case PmCheckClass::kReadBeforeDurable:
       // There is no flush→fence pending window for these to fire in.
-      return PmCheckAction::kOff;
+      return CheckAction::kOff;
     default:
       // unflushed_at_close stays a real violation: in the model a store only
       // becomes durable at its (free) FlushLine, so a line never flushed is
       // data the program never asked to persist.
-      return PmCheckAction::kReport;
+      return CheckAction::kReport;
   }
 }
 

@@ -86,8 +86,8 @@ class MediaModel {
 
   // pmcheck severity for one diagnostic class on this backend (the rule
   // table; DESIGN.md §14).
-  virtual PmCheckAction check_action(PmCheckClass /*cls*/) const {
-    return PmCheckAction::kReport;
+  virtual CheckAction check_action(PmCheckClass /*cls*/) const {
+    return CheckAction::kReport;
   }
 
   // --- flush-free hooks (eADR) ---------------------------------------------
@@ -145,7 +145,7 @@ class EadrModel final : public MediaModel {
 
   MediaBackend kind() const override { return MediaBackend::kEadr; }
   bool explicit_persist() const override { return false; }
-  PmCheckAction check_action(PmCheckClass cls) const override;
+  CheckAction check_action(PmCheckClass cls) const override;
 
   void AbsorbFlushFree(ThreadContext& ctx, uintptr_t line_offset) override;
   void DrainResidual() override;

@@ -9,13 +9,7 @@
 
 namespace cclbt::pmsim {
 
-namespace {
-// Per-thread nesting depth of PmCheckExpect scopes, one slot per class.
-// constinit: no TLS init guard on the ActiveFor fast path.
-constinit thread_local int tl_expect_depth[kNumPmCheckClasses] = {};
-}  // namespace
-
-const char* PmCheckClassName(PmCheckClass cls) {
+const char* CheckClassName(PmCheckClass cls) {
   switch (cls) {
     case PmCheckClass::kRedundantFlush: return "redundant_flush";
     case PmCheckClass::kUselessFence: return "useless_fence";
@@ -27,25 +21,15 @@ const char* PmCheckClassName(PmCheckClass cls) {
   return "?";
 }
 
-const char* PmCheckEventKindName(PmCheckEvent::Kind kind) {
+const char* CheckEventName(PmCheckEventKind kind) {
   switch (kind) {
-    case PmCheckEvent::Kind::kFlush: return "flush";
-    case PmCheckEvent::Kind::kFence: return "fence";
-    case PmCheckEvent::Kind::kRead: return "read";
-    case PmCheckEvent::Kind::kCrash: return "crash";
-    case PmCheckEvent::Kind::kClose: return "close";
+    case PmCheckEventKind::kFlush: return "flush";
+    case PmCheckEventKind::kFence: return "fence";
+    case PmCheckEventKind::kRead: return "read";
+    case PmCheckEventKind::kCrash: return "crash";
+    case PmCheckEventKind::kClose: return "close";
   }
   return "?";
-}
-
-PmCheckExpect::PmCheckExpect(PmCheckClass cls) : cls_(cls) {
-  tl_expect_depth[static_cast<int>(cls_)]++;
-}
-
-PmCheckExpect::~PmCheckExpect() { tl_expect_depth[static_cast<int>(cls_)]--; }
-
-bool PmCheckExpect::ActiveFor(PmCheckClass cls) {
-  return tl_expect_depth[static_cast<int>(cls)] > 0;
 }
 
 PmCheck::PmCheck(PmDevice& device)
@@ -56,12 +40,10 @@ PmCheck::PmCheck(PmDevice& device)
       xpline_bytes_(device.config_.xpline_bytes) {
   // The device constructs its MediaModel before the checker, so the backend
   // rule table is final here.
-  for (int c = 0; c < kNumPmCheckClasses; c++) {
-    actions_[static_cast<size_t>(c)] =
-        device.media().check_action(static_cast<PmCheckClass>(c));
+  for (size_t c = 0; c < actions_.size(); c++) {
+    actions_[c] = device.media().check_action(static_cast<PmCheckClass>(c));
   }
   lines_.reserve(1 << 14);
-  diagnostics_.reserve(64);
 }
 
 uint64_t PmCheck::HashLine(const std::byte* line) {
@@ -76,67 +58,27 @@ uint64_t PmCheck::HashLine(const std::byte* line) {
   return h;
 }
 
-void PmCheck::AppendEventLocked(PmCheckEvent::Kind kind, trace::Component comp, uint16_t worker,
+void PmCheck::AppendEventLocked(PmCheckEventKind kind, trace::Component comp, uint16_t worker,
                                 uint64_t detail) {
-  PmCheckEvent& slot = events_[events_seen_ % kEventRing];
-  slot.kind = kind;
-  slot.comp = comp;
-  slot.worker = worker;
-  slot.detail = detail;
-  slot.fence_epoch = fence_epochs_;
-  events_seen_++;
+  core_.Record(PmCheckEvent{{kind, comp, worker, detail}, fence_epochs_});
 }
 
 void PmCheck::DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp, uint16_t worker,
                          const char* detail) {
-  const PmCheckAction action = actions_[static_cast<size_t>(cls)];
-  if (action == PmCheckAction::kOff) {
-    return;
+  PmCheckDiagnostic* d =
+      core_.File(cls, actions_[static_cast<size_t>(cls)], line, comp, worker, detail);
+  if (d != nullptr) {
+    d->xpline = line / xpline_bytes_;
+    d->dimm = device_.DimmOf(line);
+    d->fence_epoch = fence_epochs_;
   }
-  if (PmCheckExpect::ActiveFor(cls)) {
-    suppressed_[static_cast<int>(cls)]++;
-    return;
-  }
-  const bool info = action == PmCheckAction::kInfo;
-  if (info) {
-    info_counts_[static_cast<int>(cls)]++;
-    if (info_materialized_ >= kMaxInfoDiagnostics) {
-      diagnostics_truncated_++;  // counted above, but the list is incomplete
-      return;
-    }
-    info_materialized_++;
-  } else {
-    counts_[static_cast<int>(cls)]++;
-    if (diagnostics_.size() - info_materialized_ >= kMaxDiagnostics) {
-      diagnostics_truncated_++;
-      return;
-    }
-  }
-  PmCheckDiagnostic d;
-  d.info = info;
-  d.cls = cls;
-  d.line = line;
-  d.xpline = line / xpline_bytes_;
-  d.dimm = device_.DimmOf(line);
-  d.comp = comp;
-  d.worker = worker;
-  d.fence_epoch = fence_epochs_;
-  d.detail = detail;
-  size_t n = events_seen_ < kRecentEventsPerDiagnostic
-                 ? static_cast<size_t>(events_seen_)
-                 : kRecentEventsPerDiagnostic;
-  d.recent.reserve(n);
-  for (size_t i = 0; i < n; i++) {
-    d.recent.push_back(events_[(events_seen_ - n + i) % kEventRing]);
-  }
-  diagnostics_.push_back(std::move(d));
 }
 
 void PmCheck::OnFlush(const ThreadContext& ctx, uintptr_t line, bool newly_pending) {
   const trace::Component comp = trace::CurrentComponent();
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   std::lock_guard<CheckerMutex> guard(mu_);
-  AppendEventLocked(PmCheckEvent::Kind::kFlush, comp, worker, line);
+  AppendEventLocked(PmCheckEventKind::kFlush, comp, worker, line);
   const uint64_t hash = HashLine(pool_ + line);
   LineRecord& rec = lines_[line];
   if (!newly_pending) {
@@ -166,7 +108,7 @@ void PmCheck::OnUselessFence(const ThreadContext& ctx) {
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   std::lock_guard<CheckerMutex> guard(mu_);
   fence_epochs_++;
-  AppendEventLocked(PmCheckEvent::Kind::kFence, comp, worker, 0);
+  AppendEventLocked(PmCheckEventKind::kFence, comp, worker, 0);
   DiagLocked(PmCheckClass::kUselessFence, 0, comp, worker, "fence_with_no_pending_lines");
 }
 
@@ -174,7 +116,7 @@ void PmCheck::OnFlushFree(const ThreadContext& ctx, uintptr_t line) {
   const trace::Component comp = trace::CurrentComponent();
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   std::lock_guard<CheckerMutex> guard(mu_);
-  AppendEventLocked(PmCheckEvent::Kind::kFlush, comp, worker, line);
+  AppendEventLocked(PmCheckEventKind::kFlush, comp, worker, line);
   // Called before the device syncs the shadow copy, so a clean line here
   // means the flush persists nothing on *any* backend.
   if (std::memcmp(pool_ + line, shadow_ + line, kCachelineBytes) == 0) {
@@ -197,7 +139,7 @@ void PmCheck::OnFenceFree(const ThreadContext& ctx) {
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   std::lock_guard<CheckerMutex> guard(mu_);
   fence_epochs_++;
-  AppendEventLocked(PmCheckEvent::Kind::kFence, comp, worker, 0);
+  AppendEventLocked(PmCheckEventKind::kFence, comp, worker, 0);
   DiagLocked(PmCheckClass::kUselessFence, 0, comp, worker, "fence_in_flush_free_domain");
 }
 
@@ -206,7 +148,7 @@ void PmCheck::OnFenceCommit(const ThreadContext& ctx, const std::vector<uintptr_
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   std::lock_guard<CheckerMutex> guard(mu_);
   fence_epochs_++;
-  AppendEventLocked(PmCheckEvent::Kind::kFence, comp, worker, pending.size());
+  AppendEventLocked(PmCheckEventKind::kFence, comp, worker, pending.size());
   for (uintptr_t line : pending) {
     LineRecord& rec = lines_[line];
     if (rec.pending && HashLine(pool_ + line) != rec.flush_hash) {
@@ -227,7 +169,7 @@ void PmCheck::OnReadRange(const ThreadContext& ctx, uintptr_t offset, size_t len
   const auto worker = static_cast<uint16_t>(ctx.worker_id());
   const uintptr_t first = offset & ~(kCachelineBytes - 1);
   std::lock_guard<CheckerMutex> guard(mu_);
-  AppendEventLocked(PmCheckEvent::Kind::kRead, comp, worker, first);
+  AppendEventLocked(PmCheckEventKind::kRead, comp, worker, first);
   for (uintptr_t line = first; line < offset + len; line += kCachelineBytes) {
     auto it = lines_.find(line);
     if (it != lines_.end() && it->second.pending && it->second.owner != &ctx) {
@@ -266,7 +208,7 @@ void PmCheck::ScanUnflushedLocked(const char* detail_unflushed, const char* deta
 
 void PmCheck::OnCrash(bool injected) {
   std::lock_guard<CheckerMutex> guard(mu_);
-  AppendEventLocked(PmCheckEvent::Kind::kCrash, trace::Component::kOther, 0, injected ? 1 : 0);
+  AppendEventLocked(PmCheckEventKind::kCrash, trace::Component::kOther, 0, injected ? 1 : 0);
   if (!injected) {
     // A crash nobody scheduled: whatever is still dirty is data loss the
     // program did not plan for.
@@ -280,7 +222,7 @@ void PmCheck::OnCrash(bool injected) {
 
 void PmCheck::OnClose() {
   std::lock_guard<CheckerMutex> guard(mu_);
-  AppendEventLocked(PmCheckEvent::Kind::kClose, trace::Component::kOther, 0, 0);
+  AppendEventLocked(PmCheckEventKind::kClose, trace::Component::kOther, 0, 0);
   ScanUnflushedLocked("line_stored_but_never_flushed_at_close",
                       "line_flushed_but_never_fenced_at_close");
 }
@@ -296,16 +238,7 @@ bool PmCheck::LineRedirtiedSinceFlush(uintptr_t line) const {
 
 PmCheckReport PmCheck::Snapshot() const {
   std::lock_guard<CheckerMutex> guard(mu_);
-  PmCheckReport report;
-  report.enabled = true;
-  report.counts = counts_;
-  report.suppressed = suppressed_;
-  report.info = info_counts_;
-  report.fence_epochs = fence_epochs_;
-  report.lines_tracked = lines_.size();
-  report.diagnostics_truncated = diagnostics_truncated_;
-  report.diagnostics = diagnostics_;
-  return report;
+  return core_.Snapshot({{"fence_epochs", fence_epochs_}, {"lines_tracked", lines_.size()}});
 }
 
 }  // namespace cclbt::pmsim

@@ -32,9 +32,10 @@
 //                          not yet fenced durable: the reader may act on
 //                          state that a crash would revert.
 //
-// Diagnostics carry the active trace::Component, fence epoch, DIMM/XPLine
-// address, and a short ring of recent events; `pmctl check` prints attributed
-// reports from a .pmtrace dump and exits nonzero on violations.
+// Diagnostics carry, besides the checker core's common fields
+// (src/pmsim/checker.h), the fence epoch and DIMM/XPLine address;
+// `pmctl check` prints attributed reports from a .pmtrace dump and exits
+// nonzero on violations.
 //
 // Enablement and cost: CCL_PMCHECK=1 (or DeviceConfig::pmcheck /
 // RunConfig::pmcheck). Disabled cost follows the PR 2 playbook — one gate
@@ -45,7 +46,7 @@
 // virtual-time metric bit-identical (the determinism contract, DESIGN.md §10).
 //
 // Severity is backend-dependent: the device's MediaModel supplies a per-class
-// PmCheckAction rule table (DESIGN.md §14). On eADR, redundant_flush and
+// CheckAction rule table (DESIGN.md §14). On eADR, redundant_flush and
 // useless_fence downgrade to informational (flushes/fences cost nothing for
 // persistence there, but the counts tell you what an ADR-tuned workload could
 // shed), and the pending-window classes (dirty_at_fence, read_before_durable)
@@ -60,10 +61,10 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <unordered_map>
 #include <vector>
 
+#include "src/pmsim/checker.h"
 #include "src/trace/component.h"
 
 namespace cclbt::pmsim {
@@ -80,117 +81,43 @@ enum class PmCheckClass : uint8_t {
   kCount = 5,
 };
 
-inline constexpr int kNumPmCheckClasses = static_cast<int>(PmCheckClass::kCount);
-
-// Stable slug used in .pmtrace dumps and pmctl check output.
-const char* PmCheckClassName(PmCheckClass cls);
-
-// Severity of one diagnostic class on one persistence backend. The table is
-// supplied by the device's MediaModel (DESIGN.md §14): the same code pattern
-// can be a bug on one backend and merely wasteful (or meaningless) on
-// another — e.g. a redundant flush costs CPU + media traffic on ADR but
-// nothing on eADR, and a pending-line race cannot exist where there is no
-// pending window.
-//   kReport  counted + materialized as a violation; gates `pmctl check`
-//   kInfo    counted separately as informational; never gates an exit status
-//   kOff     the class cannot occur / carries no signal on this backend
-enum class PmCheckAction : uint8_t { kReport = 0, kInfo = 1, kOff = 2 };
-
-// One entry of the recent-event ring attached to every diagnostic: what the
-// device was doing just before the violation, for attribution.
-struct PmCheckEvent {
-  enum class Kind : uint8_t {
-    kFlush = 0,   // detail = line offset
-    kFence = 1,   // detail = committed line count (0 for a useless fence)
-    kRead = 2,    // detail = first line offset of the ReadPm range
-    kCrash = 3,
-    kClose = 4,
-  };
-  Kind kind = Kind::kFlush;
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
-  uint64_t detail = 0;
-  uint64_t fence_epoch = 0;
+// What the device was doing just before a finding, for attribution.
+enum class PmCheckEventKind : uint8_t {
+  kFlush = 0,  // detail = line offset
+  kFence = 1,  // detail = committed line count (0 for a useless fence)
+  kRead = 2,   // detail = first line offset of the ReadPm range
+  kCrash = 3,
+  kClose = 4,
 };
 
-const char* PmCheckEventKindName(PmCheckEvent::Kind kind);
+struct PmCheckEvent : CheckerEvent<PmCheckEventKind> {
+  uint64_t fence_epoch = 0;
 
-struct PmCheckDiagnostic {
-  PmCheckClass cls = PmCheckClass::kRedundantFlush;
-  uint64_t line = 0;    // line-aligned pool offset (0 for useless_fence)
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("epoch", fence_epoch);
+  }
+};
+
+struct PmCheckDiagnostic : CheckerDiagnostic<PmCheckClass, PmCheckEvent> {
   uint64_t xpline = 0;  // media unit index of `line`
   int dimm = 0;
-  trace::Component comp = trace::Component::kOther;
-  uint16_t worker = 0;
   uint64_t fence_epoch = 0;
-  // Static single-token cause string (no spaces; dump-format safe).
-  const char* detail = "";
-  // True when the backend's rule table downgraded this class to kInfo.
-  bool info = false;
-  // Up to kRecentEventsPerDiagnostic events preceding the violation,
-  // oldest first.
-  std::vector<PmCheckEvent> recent;
-};
 
-struct PmCheckReport {
-  bool enabled = false;
-  std::array<uint64_t, kNumPmCheckClasses> counts{};
-  std::array<uint64_t, kNumPmCheckClasses> suppressed{};
-  // Informational occurrences (classes the backend downgrades to kInfo).
-  // Never part of total(), never gate an exit status.
-  std::array<uint64_t, kNumPmCheckClasses> info{};
-  uint64_t fence_epochs = 0;
-  uint64_t lines_tracked = 0;
-  // Diagnostics beyond either retention cap (violations or informational)
-  // are counted but not materialized; a nonzero value means the list below
-  // is incomplete (never read a capped run as clean — the counts above stay
-  // exact).
-  uint64_t diagnostics_truncated = 0;
-  std::vector<PmCheckDiagnostic> diagnostics;
-
-  // Unsuppressed violations (what `pmctl check` gates its exit status on).
-  uint64_t total() const {
-    uint64_t sum = 0;
-    for (uint64_t c : counts) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_suppressed() const {
-    uint64_t sum = 0;
-    for (uint64_t c : suppressed) {
-      sum += c;
-    }
-    return sum;
-  }
-  uint64_t total_info() const {
-    uint64_t sum = 0;
-    for (uint64_t c : info) {
-      sum += c;
-    }
-    return sum;
+  template <typename F>
+  void ForEachField(F&& f) const {
+    f("xpline", xpline);
+    f("dimm", dimm);
+    f("epoch", fence_epoch);
   }
 };
 
-// Scoped whitelist for an *intentional* violation: while alive on the calling
-// thread, diagnostics of `cls` raised by this thread's device calls are
-// counted as suppressed instead of reported. RAII + thread-local depth, so
-// scopes nest and never leak suppression across threads. Zero device
-// dependency: annotating code builds and runs unchanged when pmcheck is off.
-class PmCheckExpect {
- public:
-  explicit PmCheckExpect(PmCheckClass cls);
-  ~PmCheckExpect();
+using PmCheckReport = CheckerReport<PmCheckDiagnostic>;
+using PmCheckExpect = CheckerExpect<PmCheckClass>;
 
-  PmCheckExpect(const PmCheckExpect&) = delete;
-  PmCheckExpect& operator=(const PmCheckExpect&) = delete;
-
-  // True if the calling thread is inside a PmCheckExpect scope for `cls`.
-  static bool ActiveFor(PmCheckClass cls);
-
- private:
-  PmCheckClass cls_;
-};
+// Stable slugs used in .pmtrace dumps and `pmctl check` output.
+const char* CheckClassName(PmCheckClass cls);
+const char* CheckEventName(PmCheckEventKind kind);
 
 // The checker proper; owned by PmDevice when enabled, absent otherwise.
 // All hooks serialize on one mutex — pmcheck is a checker mode, not a
@@ -253,16 +180,9 @@ class PmCheck {
     const ThreadContext* owner = nullptr;  // context owning the pending flush
   };
 
-  static constexpr size_t kEventRing = 64;
-  static constexpr size_t kRecentEventsPerDiagnostic = 8;
-  static constexpr size_t kMaxDiagnostics = 256;
-  // Informational diagnostics materialize into their own (small) budget so a
-  // flood of downgraded findings cannot crowd out real violations.
-  static constexpr size_t kMaxInfoDiagnostics = 16;
-
   static uint64_t HashLine(const std::byte* line);
 
-  void AppendEventLocked(PmCheckEvent::Kind kind, trace::Component comp, uint16_t worker,
+  void AppendEventLocked(PmCheckEventKind kind, trace::Component comp, uint16_t worker,
                          uint64_t detail);
   void DiagLocked(PmCheckClass cls, uint64_t line, trace::Component comp, uint16_t worker,
                   const char* detail);
@@ -281,23 +201,12 @@ class PmCheck {
   // Per-class severity, copied from the device's MediaModel rule table at
   // construction (the model outlives the checker; a copy keeps DiagLocked a
   // plain array load).
-  std::array<PmCheckAction, kNumPmCheckClasses> actions_{};
+  std::array<CheckAction, static_cast<size_t>(PmCheckClass::kCount)> actions_{};
 
-  // Checker-internal serialization stays a raw std::mutex: a sync::Mutex
-  // would report its own acquires to the lockcheck observer, making checker
-  // bookkeeping visible to the checkers themselves.
-  using CheckerMutex = std::mutex;  // lint_pm_api: allow
   mutable CheckerMutex mu_;
   std::unordered_map<uint64_t, LineRecord> lines_;
   uint64_t fence_epochs_ = 0;
-  std::array<uint64_t, kNumPmCheckClasses> counts_{};
-  std::array<uint64_t, kNumPmCheckClasses> suppressed_{};
-  std::array<uint64_t, kNumPmCheckClasses> info_counts_{};
-  uint64_t diagnostics_truncated_ = 0;
-  size_t info_materialized_ = 0;
-  std::vector<PmCheckDiagnostic> diagnostics_;
-  std::array<PmCheckEvent, kEventRing> events_{};
-  uint64_t events_seen_ = 0;
+  CheckerCore<PmCheckDiagnostic> core_{"pmcheck"};
 };
 
 }  // namespace cclbt::pmsim

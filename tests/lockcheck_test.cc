@@ -1,10 +1,13 @@
 // Tests for lockcheck, the lockset / lock-order sanitizer (DESIGN.md §16):
 // one deliberately-buggy driver per diagnostic class asserting the exact
-// diagnostic fires, suppression via LockCheckExpect, ownership-transfer
-// resets, the disabled gate (no checker, no events), and clean-run checks
-// over a cclbtree fig10-micro workload and a 4-shard service run.
+// diagnostic fires (fence_publish_gap with and without pmcheck's redirty
+// confirmation), suppression via LockCheckExpect, the retention cap,
+// ownership-transfer resets, the disabled gate (no checker, no events), and
+// clean-run checks over a cclbtree fig10-micro workload and a 4-shard
+// service run.
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -14,6 +17,7 @@
 #include "src/kvindex/runtime.h"
 #include "src/pmsim/device.h"
 #include "src/pmsim/lockcheck.h"
+#include "src/pmsim/pmcheck.h"
 #include "src/service/service.h"
 
 namespace cclbt::pmsim {
@@ -73,7 +77,7 @@ TEST(LockCheck, EnabledCheckerStartsAllZero) {
   EXPECT_EQ(report.total(), 0u);
   EXPECT_EQ(report.total_info(), 0u);
   EXPECT_EQ(report.total_suppressed(), 0u);
-  EXPECT_EQ(report.locks_tracked, 0u);
+  EXPECT_EQ(report.stat("locks_tracked"), 0u);
   EXPECT_EQ(report.diagnostics_truncated, 0u);
   EXPECT_TRUE(report.diagnostics.empty());
 }
@@ -214,7 +218,7 @@ TEST(LockCheck, AbBaCycleReportsOnClosingEdge) {
   EXPECT_STREQ(report.diagnostics[0].lock, "test.b");
   EXPECT_STREQ(report.diagnostics[0].lock2, "test.a");
   EXPECT_STREQ(report.diagnostics[0].detail, "cycle-closing-edge");
-  EXPECT_GE(report.order_edges, 2u);
+  EXPECT_GE(report.stat("order_edges"), 2u);
   // The known-edge path must not re-report the same cycle.
   b.lock();
   a.lock();
@@ -239,6 +243,95 @@ TEST(LockCheck, TryAcquireAddsNoOrderEdge) {
   a.unlock();
   b.unlock();
   EXPECT_EQ(Count(Report(device), LockCheckClass::kLockCycle), 0u);
+}
+
+// --- class 5: fence-publish gap ----------------------------------------------
+
+// Seeds the gap on line kPublishLine: workers 0 and 1 each write it under
+// lock A and fence while still holding A (C = {A}); then worker 0 stores and
+// flushes it under A, releases A, optionally stores it again, and fences.
+constexpr uintptr_t kPublishLine = 640;
+
+void SeedFencePublishGap(PmDevice& device, bool store_after_release) {
+  ThreadContext w0(device, 0, /*worker_id=*/0);
+  ThreadContext w1(device, 1, /*worker_id=*/1);
+  sync::Mutex a{"test.publish"};
+  uint64_t value = 0x70;
+  for (ThreadContext* w : {&w0, &w1}) {
+    a.lock();
+    StoreAndFlush(device, *w, kPublishLine, value++);
+    device.Fence(*w);
+    a.unlock();
+  }
+  a.lock();
+  StoreAndFlush(device, w0, kPublishLine, value++);
+  a.unlock();
+  if (store_after_release) {
+    std::memcpy(device.base() + kPublishLine, &value, sizeof(value));
+  }
+  device.Fence(w0);
+}
+
+DeviceConfig PublishConfig(bool pmcheck) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kAdrOptane;  // the window needs explicit fences
+  config.pmcheck = pmcheck;
+  return config;
+}
+
+// Without pmcheck nothing can confirm a write into the window: one
+// informational finding, no violation.
+TEST(LockCheck, FencePublishGapIsInfoWithoutPmcheck) {
+  const std::string pmcheck_env =
+      std::getenv("CCL_PMCHECK") != nullptr ? std::getenv("CCL_PMCHECK") : "";
+  setenv("CCL_PMCHECK", "0", 1);  // off whatever the suite runs under
+  PmDevice device{PublishConfig(false)};
+  setenv("CCL_PMCHECK", pmcheck_env.c_str(), 1);
+  ASSERT_EQ(device.pmcheck(), nullptr);
+  SeedFencePublishGap(device, /*store_after_release=*/true);
+  LockCheckReport report = Report(device);
+  EXPECT_EQ(report.total(), 0u);
+  EXPECT_EQ(report.info[static_cast<size_t>(LockCheckClass::kFencePublishGap)], 1u);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_TRUE(report.diagnostics[0].info);
+  EXPECT_EQ(report.diagnostics[0].line, kPublishLine);
+  EXPECT_STREQ(report.diagnostics[0].lock, "test.publish");
+  EXPECT_STREQ(report.diagnostics[0].detail, "publish-window-unprotected");
+}
+
+// With pmcheck on, its shadow state confirms the line changed after its
+// flush: the gap escalates to a violation (and pmcheck sees dirty_at_fence).
+TEST(LockCheck, FencePublishGapRedirtiedIsAViolationWithPmcheck) {
+  PmDevice device{PublishConfig(true)};
+  ASSERT_NE(device.pmcheck(), nullptr);
+  SeedFencePublishGap(device, /*store_after_release=*/true);
+  LockCheckReport report = Report(device);
+  EXPECT_EQ(Count(report, LockCheckClass::kFencePublishGap), 1u);
+  EXPECT_EQ(report.total(), 1u);
+  EXPECT_EQ(report.total_info(), 0u);
+  ASSERT_EQ(report.diagnostics.size(), 1u);
+  EXPECT_FALSE(report.diagnostics[0].info);
+  EXPECT_STREQ(report.diagnostics[0].detail, "redirtied-since-flush");
+  PmCheckReport pm = device.pmcheck()->Snapshot();
+  EXPECT_EQ(pm.counts[static_cast<size_t>(PmCheckClass::kDirtyAtFence)], 1u);
+}
+
+// --- retention cap -------------------------------------------------------------
+
+// Past 256 materialized violations the rest are counted and marked
+// truncated, as in pmcheck: both checkers share the cap.
+TEST(LockCheck, ViolationOverflowCountsAsTruncation) {
+  PmDevice device{CheckedConfig()};
+  ThreadContext w0(device, 0, /*worker_id=*/0);
+  ThreadContext w1(device, 1, /*worker_id=*/1);
+  for (uintptr_t i = 0; i < 300; i++) {
+    StoreAndFlush(device, w0, 64 * (i + 1), 0x100 + i);
+    StoreAndFlush(device, w1, 64 * (i + 1), 0x200 + i);  // unlocked_write
+  }
+  LockCheckReport report = Report(device);
+  EXPECT_EQ(report.total(), 300u);
+  EXPECT_EQ(report.diagnostics.size(), 256u);
+  EXPECT_EQ(report.diagnostics_truncated, 44u);
 }
 
 // --- suppression and ownership transfer --------------------------------------
@@ -313,8 +406,8 @@ TEST(LockCheck, CleanRunOnCclbtreeFig10Micro) {
                                                : result.lockcheck.diagnostics[0].detail);
   EXPECT_EQ(result.lockcheck.total_info(), 0u);
   EXPECT_EQ(result.lockcheck.diagnostics_truncated, 0u);
-  EXPECT_GT(result.lockcheck.locks_tracked, 0u);
-  EXPECT_GT(result.lockcheck.lines_tracked, 0u);
+  EXPECT_GT(result.lockcheck.stat("locks_tracked"), 0u);
+  EXPECT_GT(result.lockcheck.stat("lines_tracked"), 0u);
 }
 
 }  // namespace
@@ -352,7 +445,7 @@ TEST(LockCheck, CleanRunOnFourShardService) {
       << "first diagnostic: "
       << (report.diagnostics.empty() ? "(none materialized)" : report.diagnostics[0].detail);
   EXPECT_EQ(report.total_info(), 0u);
-  EXPECT_GT(report.locks_tracked, 0u);
+  EXPECT_GT(report.stat("locks_tracked"), 0u);
 }
 
 }  // namespace

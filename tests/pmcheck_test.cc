@@ -1,7 +1,8 @@
 // Tests for pmcheck, the persistency-ordering checker (DESIGN.md §11): one
 // deliberately-buggy driver per diagnostic class asserting the exact
-// diagnostic fires, suppression via PmCheckExpect, crash-injection
-// interaction, and a clean-run check over a cclbtree fig10-micro workload.
+// diagnostic fires, suppression via PmCheckExpect, the retention caps,
+// crash-injection interaction, and a clean-run check over a cclbtree
+// fig10-micro workload.
 #include <cstdlib>
 #include <cstring>
 
@@ -103,6 +104,22 @@ TEST(PmCheck, InfoOverflowCountsAsTruncation) {
   EXPECT_EQ(report.diagnostics_truncated, 24u);
 }
 
+// The violation cap works the same way: past 256 materialized violations the
+// rest are counted and marked truncated.
+TEST(PmCheck, ViolationOverflowCountsAsTruncation) {
+  DeviceConfig config = CheckedConfig();
+  config.backend = MediaBackend::kAdrOptane;
+  PmDevice device{config};
+  ThreadContext ctx(device, 0, 0);
+  for (int i = 0; i < 300; i++) {
+    device.Fence(ctx);  // useless fence on ADR: a violation
+  }
+  PmCheckReport report = Report(device);
+  EXPECT_EQ(report.total(), 300u);
+  EXPECT_EQ(report.diagnostics.size(), 256u);
+  EXPECT_EQ(report.diagnostics_truncated, 44u);
+}
+
 // eADR rule table, off classes: a store that stays dirty across a fence is
 // not a hazard when persistence does not hinge on flush ordering.
 TEST(PmCheck, EadrDirtyAtFenceIsOff) {
@@ -191,7 +208,7 @@ TEST(PmCheck, UselessFence) {
   ASSERT_EQ(report.diagnostics.size(), 1u);
   EXPECT_EQ(report.diagnostics[0].cls, PmCheckClass::kUselessFence);
   EXPECT_STREQ(report.diagnostics[0].detail, "fence_with_no_pending_lines");
-  EXPECT_EQ(report.fence_epochs, 1u);
+  EXPECT_EQ(report.stat("fence_epochs"), 1u);
 }
 
 // Class 3: line re-dirtied between its flush and the fence — on real
@@ -323,7 +340,7 @@ TEST(PmCheck, DiagnosticsCarryRecentEvents) {
   device.Fence(ctx);  // the violation
   PmCheckReport report = Report(device);
   ASSERT_EQ(report.diagnostics.size(), 1u);
-  EXPECT_EQ(report.fence_epochs, 4u);
+  EXPECT_EQ(report.stat("fence_epochs"), 4u);
   EXPECT_EQ(report.diagnostics[0].fence_epoch, 4u);
   const auto& recent = report.diagnostics[0].recent;
   ASSERT_GE(recent.size(), 2u);
@@ -356,7 +373,7 @@ TEST(PmCheck, CleanRunOnCclbtreeFig10Micro) {
       << (result.pmcheck.diagnostics.empty()
               ? "(none materialized)"
               : result.pmcheck.diagnostics[0].detail);
-  EXPECT_GT(result.pmcheck.fence_epochs, 0u);
+  EXPECT_GT(result.pmcheck.stat("fence_epochs"), 0u);
 }
 
 }  // namespace

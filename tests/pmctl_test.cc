@@ -1,9 +1,10 @@
 // End-to-end test of tools/pmctl over dumps written by real workloads: a
 // cclbtree driver run and a 2-shard closed-loop service run, both with
 // tracing, metrics, pmcheck and lockcheck on. Every pmctl verb must accept
-// the dumps it reads, a removed verb is a usage error, a .pmtrace line from
-// an older writer is skipped, and a dump that cannot be written is named on
-// stderr.
+// the dumps it reads, `pmctl check` must exit 3 / 0 / 2 on dumps with a
+// seeded violation / only informational findings / no checker, a removed
+// verb is a usage error, a .pmtrace line from an older writer is skipped,
+// and a dump or checker section that cannot be written is named on stderr.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -16,7 +17,9 @@
 #include <gtest/gtest.h>
 
 #include "src/bench/driver.h"
+#include "src/bench/trace_dump.h"
 #include "src/kvindex/runtime.h"
+#include "src/pmsim/device.h"
 #include "src/service/service.h"
 
 namespace cclbt {
@@ -49,6 +52,40 @@ bench::RunResult RunDriver() {
   config.ops = 10'000;
   config.op = OpType::kUpdate;
   return bench::RunIndexWorkload("cclbtree", config, {}, 256 << 20);
+}
+
+// Writes a dump of a bare runtime on `backend` after `seed` ran on its device,
+// with the section of every checker the device has. Returns the dump's path.
+template <typename Seed>
+std::string SeededDump(pmsim::MediaBackend backend, Seed seed) {
+  kvindex::RuntimeOptions options;
+  options.device.pool_bytes = 64 << 20;
+  options.device.backend = backend;
+  kvindex::Runtime runtime(options);
+  pmsim::PmDevice& device = runtime.device();
+  {
+    pmsim::ThreadContext ctx(device, 0, 0);
+    seed(device, ctx);
+  }
+  const std::string path =
+      bench::WriteTraceDump(runtime, "seeded", device.stats().Snapshot(), 0);
+  if (device.pmcheck() != nullptr) {
+    bench::AppendCheckerSection(path, device.pmcheck()->Snapshot());
+  }
+  if (device.lockcheck() != nullptr) {
+    bench::AppendCheckerSection(path, device.lockcheck()->Snapshot());
+  }
+  return path;
+}
+
+// Number of lines of the dump at `path` that start with `prefix`.
+int CountLines(const std::string& path, const std::string& prefix) {
+  std::ifstream in(path);
+  int n = 0;
+  for (std::string line; std::getline(in, line);) {
+    n += line.rfind(prefix, 0) == 0 ? 1 : 0;
+  }
+  return n;
 }
 
 // Writes both workloads' dumps once for the whole suite.
@@ -96,7 +133,38 @@ TEST_F(Pmctl, TraceVerbsAcceptDriverDump) {
   EXPECT_EQ(RunPmctl("heatmap " + trace_dump_), 0);
   EXPECT_EQ(RunPmctl("trace " + trace_dump_ + " -o " + Scratch("chrome.json")), 0);
   EXPECT_EQ(RunPmctl("check " + trace_dump_), 0);
-  EXPECT_EQ(RunPmctl("locks " + trace_dump_), 0);
+  EXPECT_EQ(CountLines(trace_dump_, "checker pmcheck "), 1);
+  EXPECT_EQ(CountLines(trace_dump_, "checker lockcheck "), 1);
+}
+
+// `pmctl check` gates on violations in any checker section, never on
+// informational findings, and tells a run without checkers apart (exit 2).
+TEST_F(Pmctl, CheckExitStatusFollowsTheSections) {
+  auto useless_fence = [](pmsim::PmDevice& device, pmsim::ThreadContext& ctx) {
+    device.Fence(ctx);
+  };
+  const std::string violation = SeededDump(pmsim::MediaBackend::kAdrOptane, useless_fence);
+  EXPECT_EQ(CountLines(violation, "checkerdiag pmcheck useless_fence "), 1);
+  EXPECT_EQ(RunPmctl("check " + violation), 3);
+
+  // eADR downgrades fences (the seeded one and the pool format's) to
+  // informational findings.
+  const std::string info = SeededDump(pmsim::MediaBackend::kEadr, useless_fence);
+  EXPECT_GE(CountLines(info, "checkerinfo pmcheck useless_fence "), 2);
+  EXPECT_EQ(CountLines(info, "checkerdiag "), 0);
+  EXPECT_EQ(RunPmctl("check " + info), 0);
+
+  setenv("CCL_PMCHECK", "0", 1);
+  setenv("CCL_LOCKCHECK", "0", 1);
+  const std::string unchecked = SeededDump(pmsim::MediaBackend::kAdrOptane, useless_fence);
+  setenv("CCL_PMCHECK", "1", 1);
+  setenv("CCL_LOCKCHECK", "1", 1);
+  EXPECT_EQ(CountLines(unchecked, "checker"), 0);
+  EXPECT_EQ(RunPmctl("check " + unchecked), 2);
+
+  for (const std::string& path : {violation, info, unchecked}) {
+    std::remove(path.c_str());
+  }
 }
 
 TEST_F(Pmctl, MetricsVerbsAcceptBothFrontEnds) {
@@ -108,11 +176,12 @@ TEST_F(Pmctl, MetricsVerbsAcceptBothFrontEnds) {
   }
 }
 
-// The .pmtrace timeline and its `watch` verb are gone: the run's one time
-// series is the .pmmetrics epoch series.
-TEST_F(Pmctl, WatchIsAUsageError) {
+// Removed verbs are usage errors: `watch` (the run's one time series is the
+// .pmmetrics epoch series) and `locks` (`check` prints every checker).
+TEST_F(Pmctl, RemovedVerbsAreUsageErrors) {
   ASSERT_FALSE(trace_dump_.empty());
   EXPECT_EQ(RunPmctl("watch " + trace_dump_), 64);
+  EXPECT_EQ(RunPmctl("locks " + trace_dump_), 64);
 }
 
 // Dumps from older writers still carry `sample` timeline lines; the reader
@@ -149,6 +218,17 @@ TEST(PmctlDumpWriters, UnwritablePrefixIsNamedOnStderr) {
   EXPECT_TRUE(run.metrics_dump_path.empty());
   EXPECT_NE(err.find("cannot write " + missing + "t."), std::string::npos) << err;
   EXPECT_NE(err.find("cannot write " + missing + "m."), std::string::npos) << err;
+}
+
+TEST(PmctlDumpWriters, UnwritableCheckerSectionIsNamedOnStderr) {
+  pmsim::PmCheckReport report;
+  report.checker = "pmcheck";
+  report.enabled = true;
+  const std::string missing = Scratch("missing") + "/dir/run.pmtrace";
+  ::testing::internal::CaptureStderr();
+  bench::AppendCheckerSection(missing, report);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("dump: cannot write " + missing), std::string::npos) << err;
 }
 
 }  // namespace

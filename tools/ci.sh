@@ -12,11 +12,10 @@
 #   4. simd-off: the full test suite re-run with CCL_SIMD=off so the scalar
 #      fallbacks of src/common/simd.h stay exercised and provably give the
 #      same query results as the SIMD paths (DESIGN.md §12)
-#   5. pmcheck: the full test suite re-run with CCL_PMCHECK=1 so every test
-#      workload doubles as a persistency-ordering check (DESIGN.md §11)
-#   5b. lockcheck: the full test suite (incl. the crash matrix) re-run with
-#      CCL_LOCKCHECK=1 so every test workload doubles as a locking-
-#      discipline check (DESIGN.md §16)
+#   5. checkers: the full test suite (incl. the crash matrix) re-run with
+#      CCL_PMCHECK=1 CCL_LOCKCHECK=1 so every test workload doubles as a
+#      persistency-ordering and locking-discipline check, with lockcheck's
+#      fence-publish cross-check against pmcheck live (DESIGN.md §11, §16)
 #   6. crash: quick crash-injection matrix profile (ctest label "crash")
 #   6b. backend-matrix: the full test suite re-run under each non-default
 #      persistence-domain backend (CCL_BACKEND=eadr, then =cxl; DESIGN.md
@@ -94,21 +93,15 @@ fi
 echo "=== simd-off: ctest with CCL_SIMD=off ==="
 CCL_SIMD=off ctest --test-dir build --output-on-failure -j"$(nproc)"
 
-# Persistency sanitizer pass: every test workload re-run with the pmcheck
-# shadow checker on. Tests that assert pmcheck-off defaults clear the env
-# themselves; pmcheck_test additionally asserts zero diagnostics on a real
-# cclbtree workload, so checker regressions surface here.
-echo "=== pmcheck: ctest with CCL_PMCHECK=1 ==="
-CCL_PMCHECK=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
-
-# Locking sanitizer pass: every test workload re-run with the lockcheck
-# shadow checker on — lockset intersection, lock-order cycles, and the
-# fence-publish cross-check all live (DESIGN.md §16). Includes the crash
-# matrix so lock state teardown across simulated crashes stays covered.
-# lockcheck_test additionally asserts zero diagnostics on real cclbtree and
-# service workloads, so checker regressions surface here.
-echo "=== lockcheck: ctest with CCL_LOCKCHECK=1 (incl. crash matrix) ==="
-CCL_LOCKCHECK=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
+# Shadow-checker pass: every test workload re-run with both checkers on —
+# store→flush→fence ordering, lockset intersection, lock-order cycles, and
+# the fence-publish cross-check between them (DESIGN.md §11, §16). Includes
+# the crash matrix so checker state across simulated crashes stays covered.
+# Tests that assert checker-off defaults clear the env themselves;
+# pmcheck_test and lockcheck_test additionally assert zero diagnostics on
+# real cclbtree and service workloads, so checker regressions surface here.
+echo "=== checkers: ctest with CCL_PMCHECK=1 CCL_LOCKCHECK=1 (incl. crash matrix) ==="
+CCL_PMCHECK=1 CCL_LOCKCHECK=1 ctest --test-dir build --output-on-failure -j"$(nproc)"
 
 # Quick crash-matrix profile: reruns just the crash-labelled tests so a
 # crash-consistency regression is named explicitly in the CI log (DESIGN.md §9).

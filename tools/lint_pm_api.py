@@ -29,10 +29,11 @@ Rules (R1-R7; see RULES below for the authoritative patterns):
       atomic_flag spins/hand-rolled acquire-ordered CAS or exchange loops)
       outside src/common/lock.h — every lock must be a sync:: wrapper so the
       clang thread-safety annotations and the lockcheck observer (DESIGN.md
-      s16) see every acquire; checker-internal mutexes opt out per line with
-      `lint_pm_api: allow` (their serialization must stay invisible to the
-      observer). One-shot relaxed exchange flags (crash_injector) do not
-      match: the patterns require acquire ordering inside a spin loop.
+      s16) see every acquire; the checkers' internal CheckerMutex
+      (src/pmsim/checker.h) opts out per line with `lint_pm_api: allow` (its
+      serialization must stay invisible to the observer). One-shot relaxed
+      exchange flags (crash_injector) do not match: the patterns require
+      acquire ordering inside a spin loop.
 
 Usage:
   tools/lint_pm_api.py [--root DIR]   # lint the tree, exit 1 on violations

@@ -6,8 +6,8 @@
 //   pmctl stats   <dump>            amplification + per-tag/per-component table
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
-//   pmctl check   <dump>            pmcheck persistency report; exit 3 on violations
-//   pmctl locks   <dump>            lockcheck locking report; exit 3 on violations
+//   pmctl check   <dump>            every checker section (pmcheck, lockcheck);
+//                                   exit 3 on violations, 2 if no checker ran
 //
 // It also reads the .pmmetrics JSON-lines time series written when
 // CCL_METRICS=<prefix> is set (src/bench/measured_phase.h):
@@ -49,27 +49,26 @@ struct CompRow {
   uint64_t committed_lines = 0;
 };
 
-// One recent-event line attached to a pmcheck diagnostic.
+// One recent event of a checker diagnostic. `fields` holds the checker's
+// own `key=value` fields verbatim.
 struct CheckEvent {
   std::string kind;
   std::string comp;
   int worker = 0;
   uint64_t detail = 0;
-  uint64_t fence_epoch = 0;
+  std::string fields;
 };
 
 struct CheckDiag {
   std::string cls;
   uint64_t line = 0;
-  uint64_t xpline = 0;
-  int dimm = 0;
   std::string comp;
   int worker = 0;
-  uint64_t fence_epoch = 0;
   std::string detail;
-  // Informational diagnostic (backend-downgraded severity; pmcheckinfo
-  // keyword in v2 dumps). Never counts toward the exit status.
+  // Informational finding (checkerinfo keyword): never counts toward the
+  // exit status.
   bool info = false;
+  std::string fields;
   std::vector<CheckEvent> recent;
 };
 
@@ -77,30 +76,15 @@ struct CheckClassRow {
   std::string name;
   uint64_t count = 0;
   uint64_t suppressed = 0;
-  uint64_t info = 0;  // v2 dumps only; 0 for v1
+  uint64_t info = 0;
 };
 
-// One recent-event line attached to a lockcheck diagnostic.
-struct LockEvent {
-  std::string kind;
-  std::string comp;
-  int worker = 0;
-  std::string lock;  // "-" when not lock-related
-  uint64_t detail = 0;
-};
-
-struct LockDiag {
-  std::string cls;
-  uint64_t line = 0;  // line-aligned pool offset; 0 for lock_cycle
-  std::string comp;
-  int worker = 0;
-  std::string lock;   // primary lock name ("none" when not lock-related)
-  std::string lock2;  // cycle-edge target for lock_cycle, else "none"
-  std::string detail;
-  // Informational diagnostic (fence_publish_gap without pmcheck
-  // confirmation). Never counts toward the exit status.
-  bool info = false;
-  std::vector<LockEvent> recent;
+// One checker's section of a dump (present iff the run had that checker on).
+struct CheckerSection {
+  std::string name;
+  std::vector<std::pair<std::string, uint64_t>> stats;
+  std::vector<CheckClassRow> classes;
+  std::vector<CheckDiag> diags;
 };
 
 struct Dump {
@@ -114,16 +98,7 @@ struct Dump {
   uint64_t heat_per_bin = 0;
   std::vector<trace::HeatBin> heat_bins;  // sparse, as dumped
   std::vector<trace::NamedRing> rings;
-  // pmcheck section (present iff the run had CCL_PMCHECK=1 / RunConfig on).
-  int pmcheck_version = 0;
-  std::vector<std::pair<std::string, uint64_t>> pmcheck_stats;
-  std::vector<CheckClassRow> pmcheck_classes;
-  std::vector<CheckDiag> pmcheck_diags;
-  // lockcheck section (present iff the run had CCL_LOCKCHECK=1 / RunConfig on).
-  int lockcheck_version = 0;
-  std::vector<std::pair<std::string, uint64_t>> lockcheck_stats;
-  std::vector<CheckClassRow> lockcheck_classes;
-  std::vector<LockDiag> lockcheck_diags;
+  std::vector<CheckerSection> checkers;  // in dump order
 };
 
 uint64_t Stat(const Dump& d, const std::string& name) {
@@ -133,6 +108,66 @@ uint64_t Stat(const Dump& d, const std::string& name) {
     }
   }
   return 0;
+}
+
+// The `key=value` fields that end a checker line, space-separated.
+std::string RestOfLine(std::istringstream& ss) {
+  std::string rest;
+  for (std::string field; ss >> field;) {
+    rest += " " + field;
+  }
+  return rest;
+}
+
+// Parses one line of the `checker*` keyword family (src/bench/trace_dump.h):
+// the checker's name, the keyword's fixed fields, then the checker's own
+// fields. Returns false on a malformed line or one outside its section.
+bool ParseCheckerLine(const std::string& kw, std::istringstream& ss, Dump& d) {
+  std::string name;
+  ss >> name;
+  if (kw == "checker") {
+    int version = 0;
+    ss >> version;
+    d.checkers.emplace_back().name = name;
+    return static_cast<bool>(ss);
+  }
+  if (d.checkers.empty() || d.checkers.back().name != name) {
+    return false;
+  }
+  CheckerSection& s = d.checkers.back();
+  if (kw == "checkerstat") {
+    std::string stat;
+    uint64_t value = 0;
+    ss >> stat >> value;
+    s.stats.emplace_back(stat, value);
+    return static_cast<bool>(ss);
+  }
+  if (kw == "checkerclass") {
+    CheckClassRow row;
+    ss >> row.name >> row.count >> row.suppressed >> row.info;
+    s.classes.push_back(row);
+    return static_cast<bool>(ss);
+  }
+  if (kw == "checkerdiag" || kw == "checkerinfo") {
+    CheckDiag diag;
+    if (!(ss >> diag.cls >> diag.line >> diag.comp >> diag.worker >> diag.detail)) {
+      return false;
+    }
+    diag.info = kw == "checkerinfo";
+    diag.fields = RestOfLine(ss);
+    s.diags.push_back(std::move(diag));
+    return true;
+  }
+  if (kw == "checkerev") {
+    CheckEvent ev;
+    if (s.diags.empty() || !(ss >> ev.kind >> ev.comp >> ev.worker >> ev.detail)) {
+      return false;
+    }
+    ev.fields = RestOfLine(ss);
+    s.diags.back().recent.push_back(std::move(ev));
+    return true;
+  }
+  return true;  // unknown keyword of the family: skip
 }
 
 bool ParseDump(const std::string& path, Dump& d) {
@@ -204,63 +239,11 @@ bool ParseDump(const std::string& path, Dump& d) {
       ev.comp = static_cast<uint8_t>(comp);
       ev.dimm = static_cast<uint16_t>(dimm);
       ring->events.push_back(ev);
-    } else if (kw == "pmcheck") {
-      ss >> d.pmcheck_version;
-    } else if (kw == "pmcheckstat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.pmcheck_stats.emplace_back(name, value);
-    } else if (kw == "pmcheckclass") {
-      CheckClassRow row;
-      ss >> row.name >> row.count >> row.suppressed;
-      uint64_t info = 0;
-      if (ss >> info) {
-        row.info = info;
-      } else {
-        ss.clear();  // v1 dumps have no info column
+    } else if (kw.rfind("checker", 0) == 0) {
+      if (ParseCheckerLine(kw, ss, d)) {
+        continue;
       }
-      d.pmcheck_classes.push_back(row);
-    } else if (kw == "pmcheckdiag" || kw == "pmcheckinfo") {
-      CheckDiag diag;
-      ss >> diag.cls >> diag.line >> diag.xpline >> diag.dimm >> diag.comp >> diag.worker >>
-          diag.fence_epoch >> diag.detail;
-      diag.info = kw == "pmcheckinfo";
-      d.pmcheck_diags.push_back(std::move(diag));
-    } else if (kw == "pmcheckev") {
-      CheckEvent ev;
-      ss >> ev.kind >> ev.comp >> ev.worker >> ev.detail >> ev.fence_epoch;
-      if (d.pmcheck_diags.empty()) {
-        std::cerr << "pmctl: " << path << ":" << lineno << ": pmcheckev outside a diagnostic\n";
-        return false;
-      }
-      d.pmcheck_diags.back().recent.push_back(std::move(ev));
-    } else if (kw == "lockcheck") {
-      ss >> d.lockcheck_version;
-    } else if (kw == "lockcheckstat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.lockcheck_stats.emplace_back(name, value);
-    } else if (kw == "lockcheckclass") {
-      CheckClassRow row;
-      ss >> row.name >> row.count >> row.suppressed >> row.info;
-      d.lockcheck_classes.push_back(row);
-    } else if (kw == "lockcheckdiag" || kw == "lockcheckinfo") {
-      LockDiag diag;
-      ss >> diag.cls >> diag.line >> diag.comp >> diag.worker >> diag.lock >> diag.lock2 >>
-          diag.detail;
-      diag.info = kw == "lockcheckinfo";
-      d.lockcheck_diags.push_back(std::move(diag));
-    } else if (kw == "lockcheckev") {
-      LockEvent ev;
-      ss >> ev.kind >> ev.comp >> ev.worker >> ev.lock >> ev.detail;
-      if (d.lockcheck_diags.empty()) {
-        std::cerr << "pmctl: " << path << ":" << lineno
-                  << ": lockcheckev outside a diagnostic\n";
-        return false;
-      }
-      d.lockcheck_diags.back().recent.push_back(std::move(ev));
+      ss.setstate(std::ios::failbit);  // reported as malformed below
     } else {
       // Unknown keyword: skip (forward compatibility with newer dumps).
       continue;
@@ -431,130 +414,69 @@ int CmdTrace(const Dump& d, const std::string& out_path) {
   return 0;
 }
 
-// Persistency report from the dump's pmcheck section (DESIGN.md §11).
-// Exit status: 0 clean, 2 checker was not enabled for the run, 3 violations.
+// Every checker section of the dump: pmcheck (DESIGN.md §11) and lockcheck
+// (§16). Exit status: 0 clean, 2 no checker was enabled for the run, 3
+// violations in any section. Informational findings never gate it.
 int CmdCheck(const Dump& d) {
-  if (d.pmcheck_version == 0) {
-    std::printf("run %s: pmcheck was not enabled for this run\n", d.label.c_str());
-    std::printf("(rerun with CCL_PMCHECK=1 and CCL_TRACE=<prefix> to produce a checked dump)\n");
+  if (d.checkers.empty()) {
+    std::printf("run %s: no checker was enabled for this run\n", d.label.c_str());
+    std::printf("(rerun with CCL_PMCHECK=1 and/or CCL_LOCKCHECK=1 and CCL_TRACE=<prefix> to "
+                "produce a checked dump)\n");
     return 2;
   }
-  uint64_t total = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;
-  for (const CheckClassRow& row : d.pmcheck_classes) {
-    total += row.count;
-    suppressed += row.suppressed;
-    info += row.info;
-  }
-  // Informational counts (backend-downgraded classes) are reported but never
-  // gate the exit status.
-  std::printf("run %s: pmcheck %s — %llu violation(s), %llu informational, %llu suppressed\n",
-              d.label.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
-              static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
-              static_cast<unsigned long long>(suppressed));
   auto backend = d.config.find("backend");
-  if (backend != d.config.end()) {
-    std::printf("  %-22s %14s\n", "backend", backend->second.c_str());
-  }
-  for (const auto& [name, value] : d.pmcheck_stats) {
-    std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    if (name == "diagnostics_truncated" && value != 0) {
-      std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
-                  "but not materialized — the list below is incomplete\n",
-                  static_cast<unsigned long long>(value));
+  bool violations = false;
+  for (const CheckerSection& s : d.checkers) {
+    uint64_t total = 0;
+    uint64_t suppressed = 0;
+    uint64_t info = 0;
+    for (const CheckClassRow& row : s.classes) {
+      total += row.count;
+      suppressed += row.suppressed;
+      info += row.info;
     }
-  }
-  std::printf("\n-- violations by class --\n");
-  for (const CheckClassRow& row : d.pmcheck_classes) {
-    std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
-                static_cast<unsigned long long>(row.count),
-                static_cast<unsigned long long>(row.info),
-                static_cast<unsigned long long>(row.suppressed));
-  }
-  if (!d.pmcheck_diags.empty()) {
-    std::printf("\n-- diagnostics --\n");
-    size_t i = 0;
-    for (const CheckDiag& diag : d.pmcheck_diags) {
-      std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
-                  diag.detail.c_str());
-      std::printf("    line 0x%llx (XPLine %llu, DIMM %d), component %s, worker %d, "
-                  "fence epoch %llu\n",
-                  static_cast<unsigned long long>(diag.line),
-                  static_cast<unsigned long long>(diag.xpline), diag.dimm, diag.comp.c_str(),
-                  diag.worker, static_cast<unsigned long long>(diag.fence_epoch));
-      for (const CheckEvent& ev : diag.recent) {
-        std::printf("      ... %-6s comp=%-10s worker=%-3d detail=0x%llx epoch=%llu\n",
-                    ev.kind.c_str(), ev.comp.c_str(), ev.worker,
-                    static_cast<unsigned long long>(ev.detail),
-                    static_cast<unsigned long long>(ev.fence_epoch));
+    violations = violations || total != 0;
+    std::printf("run %s: %s %s — %llu violation(s), %llu informational, %llu suppressed\n",
+                d.label.c_str(), s.name.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
+                static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
+                static_cast<unsigned long long>(suppressed));
+    if (backend != d.config.end()) {
+      std::printf("  %-22s %14s\n", "backend", backend->second.c_str());
+    }
+    for (const auto& [name, value] : s.stats) {
+      std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
+      if (name == "diagnostics_truncated" && value != 0) {
+        std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
+                    "but not materialized — the list below is incomplete\n",
+                    static_cast<unsigned long long>(value));
       }
     }
-  }
-  return total == 0 ? 0 : 3;
-}
-
-// Locking report from the dump's lockcheck section (DESIGN.md §16).
-// Exit status: 0 clean, 2 checker was not enabled for the run, 3 violations.
-int CmdLocks(const Dump& d) {
-  if (d.lockcheck_version == 0) {
-    std::printf("run %s: lockcheck was not enabled for this run\n", d.label.c_str());
-    std::printf("(rerun with CCL_LOCKCHECK=1 and CCL_TRACE=<prefix> to produce a checked "
-                "dump)\n");
-    return 2;
-  }
-  uint64_t total = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;
-  for (const CheckClassRow& row : d.lockcheck_classes) {
-    total += row.count;
-    suppressed += row.suppressed;
-    info += row.info;
-  }
-  // Informational counts (fence_publish_gap without pmcheck confirmation)
-  // are reported but never gate the exit status.
-  std::printf("run %s: lockcheck %s — %llu violation(s), %llu informational, %llu "
-              "suppressed\n",
-              d.label.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
-              static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
-              static_cast<unsigned long long>(suppressed));
-  for (const auto& [name, value] : d.lockcheck_stats) {
-    std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
-    if (name == "diagnostics_truncated" && value != 0) {
-      std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
-                  "but not materialized — the list below is incomplete\n",
-                  static_cast<unsigned long long>(value));
+    std::printf("\n-- violations by class --\n");
+    for (const CheckClassRow& row : s.classes) {
+      std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
+                  static_cast<unsigned long long>(row.count),
+                  static_cast<unsigned long long>(row.info),
+                  static_cast<unsigned long long>(row.suppressed));
     }
-  }
-  std::printf("\n-- violations by class --\n");
-  for (const CheckClassRow& row : d.lockcheck_classes) {
-    std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
-                static_cast<unsigned long long>(row.count),
-                static_cast<unsigned long long>(row.info),
-                static_cast<unsigned long long>(row.suppressed));
-  }
-  if (!d.lockcheck_diags.empty()) {
-    std::printf("\n-- diagnostics --\n");
-    size_t i = 0;
-    for (const LockDiag& diag : d.lockcheck_diags) {
-      std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
-                  diag.detail.c_str());
-      if (diag.cls == "lock_cycle") {
-        std::printf("    order edge %s -> %s, component %s, worker %d\n", diag.lock.c_str(),
-                    diag.lock2.c_str(), diag.comp.c_str(), diag.worker);
-      } else {
-        std::printf("    line 0x%llx, lock %s, component %s, worker %d\n",
-                    static_cast<unsigned long long>(diag.line), diag.lock.c_str(),
-                    diag.comp.c_str(), diag.worker);
-      }
-      for (const LockEvent& ev : diag.recent) {
-        std::printf("      ... %-8s comp=%-10s worker=%-3d lock=%-18s detail=0x%llx\n",
-                    ev.kind.c_str(), ev.comp.c_str(), ev.worker, ev.lock.c_str(),
-                    static_cast<unsigned long long>(ev.detail));
+    if (!s.diags.empty()) {
+      std::printf("\n-- diagnostics --\n");
+      size_t i = 0;
+      for (const CheckDiag& diag : s.diags) {
+        std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
+                    diag.detail.c_str());
+        std::printf("    line 0x%llx, component %s, worker %d,%s\n",
+                    static_cast<unsigned long long>(diag.line), diag.comp.c_str(), diag.worker,
+                    diag.fields.c_str());
+        for (const CheckEvent& ev : diag.recent) {
+          std::printf("      ... %-9s comp=%-10s worker=%-5d detail=0x%llx%s\n", ev.kind.c_str(),
+                      ev.comp.c_str(), ev.worker, static_cast<unsigned long long>(ev.detail),
+                      ev.fields.c_str());
+        }
       }
     }
+    std::printf("\n");
   }
-  return total == 0 ? 0 : 3;
+  return violations ? 3 : 0;
 }
 
 // --- .pmmetrics commands ----------------------------------------------------
@@ -755,18 +677,17 @@ int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
 
 int Usage() {
   std::cerr
-      << "usage: pmctl <stats|heatmap|trace|check|locks|top|series> <dump> [options]\n"
+      << "usage: pmctl <stats|heatmap|trace|check|top|series> <dump> [options]\n"
          "  stats   <dump.pmtrace>              counters, amplification, per-component breakdown\n"
          "  heatmap <dump.pmtrace> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
          "  trace   <dump.pmtrace> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
-         "  check   <dump.pmtrace>              pmcheck persistency report; exit 3 on violations\n"
-         "  locks   <dump.pmtrace>              lockcheck locking report; exit 3 on violations\n"
+         "  check   <dump.pmtrace>              every checker section (pmcheck, lockcheck);\n"
+         "                                      exit 3 on violations, 2 if no checker ran\n"
          "  top     <dump.pmmetrics>            terminal dashboard (one-shot; `watch -n1` for live)\n"
          "  series  <dump.pmmetrics> [--json]   per-epoch series as CSV (default) or JSON lines;\n"
          "                                      exit 3 on component-sum violation\n"
          "Produce .pmtrace dumps by running any bench with CCL_TRACE=<path-prefix>\n"
-         "(add CCL_PMCHECK=1 / CCL_LOCKCHECK=1 for dumps `pmctl check` / `pmctl locks`\n"
-         "can report on), and\n"
+         "(add CCL_PMCHECK=1 and/or CCL_LOCKCHECK=1 for `pmctl check`), and\n"
          ".pmmetrics dumps with CCL_METRICS=<path-prefix>.\n";
   return 64;
 }
@@ -801,9 +722,6 @@ int Main(int argc, char** argv) {
   }
   if (cmd == "stats") {
     return CmdStats(d);
-  }
-  if (cmd == "locks") {
-    return CmdLocks(d);
   }
   if (cmd == "check") {
     return CmdCheck(d);
