@@ -20,8 +20,8 @@ void RegisterAll() {
       benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
         for (auto _ : state) {
           kvindex::RuntimeOptions runtime_options;
+          runtime_options.device = spec.device;
           runtime_options.device.pool_bytes = 2ULL << 30;
-          ApplyBackendSpec(spec, runtime_options.device);
           kvindex::Runtime runtime(runtime_options);
           auto index = MakeIndex(name, runtime, {});
           RunConfig config;

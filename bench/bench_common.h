@@ -27,39 +27,29 @@
 namespace cclbt::bench {
 
 // A named persistence-domain configuration for backend-parameterized benches
-// (DESIGN.md §14): the MediaBackend plus the unit/buffer geometry that
-// defines it. Applied to a DeviceConfig before Runtime construction.
+// (DESIGN.md §14): the device the rows run on — backend plus the unit/buffer
+// geometry that defines it. Benches copy it into their RuntimeOptions and set
+// the pool size on top.
 struct BackendSpec {
   std::string name;  // row segment, e.g. "adr", "eadr", "cxl4096"
-  pmsim::MediaBackend backend = pmsim::MediaBackend::kAdrOptane;
-  size_t unit_bytes = 0;    // media-unit override (0 = DeviceConfig default)
-  size_t buffer_bytes = 0;  // buffer-capacity override (0 = default)
-  bool cxl_volatile_buffer = false;
-  bool crash_tracking = true;
+  pmsim::DeviceConfig device;
 };
 
-inline void ApplyBackendSpec(const BackendSpec& spec, pmsim::DeviceConfig& device) {
-  device.backend = spec.backend;
-  if (spec.unit_bytes != 0) {
-    device.xpline_bytes = spec.unit_bytes;
-  }
-  if (spec.buffer_bytes != 0) {
-    device.xpbuffer_bytes = spec.buffer_bytes;
-  }
-  device.cxl_volatile_buffer = spec.cxl_volatile_buffer;
-  device.crash_tracking = spec.crash_tracking;
+// The CXL-mem backend at `unit_bytes` media units. Buffer capacity is held at
+// 64 units, so a unit-size sweep isolates the granularity effect.
+inline pmsim::DeviceConfig CxlDevice(size_t unit_bytes) {
+  return {.xpbuffer_bytes = 64 * unit_bytes,
+          .xpline_bytes = unit_bytes,
+          .backend = pmsim::MediaBackend::kCxlMem};
 }
 
 // The backend sweep for bench_backend_matrix: the ADR/Optane baseline, the
-// flush-free eADR domain, and page-granular CXL-mem at 1 KB and 4 KB units
-// (buffer capacity held at 64 media units, as in bench_extra_cxl_pagesize).
+// flush-free eADR domain, and page-granular CXL-mem at 1 KB and 4 KB units.
 inline std::vector<BackendSpec> MatrixBackends() {
-  std::vector<BackendSpec> specs;
-  specs.push_back({"adr", pmsim::MediaBackend::kAdrOptane, 0, 0, false, true});
-  specs.push_back({"eadr", pmsim::MediaBackend::kEadr, 0, 0, false, true});
-  specs.push_back({"cxl1024", pmsim::MediaBackend::kCxlMem, 1024, 64 * 1024, false, true});
-  specs.push_back({"cxl4096", pmsim::MediaBackend::kCxlMem, 4096, 64 * 4096, false, true});
-  return specs;
+  return {{"adr", {.backend = pmsim::MediaBackend::kAdrOptane}},
+          {"eadr", {.backend = pmsim::MediaBackend::kEadr}},
+          {"cxl1024", CxlDevice(1024)},
+          {"cxl4096", CxlDevice(4096)}};
 }
 
 inline uint64_t BenchScale(uint64_t default_ops = 400'000) {

@@ -22,16 +22,12 @@ void RegisterAll() {
       // The CXL-mem backend with its persistent write-combining buffer
       // (DESIGN.md §14): page-granular media units, buffer capacity held at
       // 64 media units so the sweep isolates the unit-size effect.
-      BackendSpec spec;
-      spec.name = "cxl" + std::to_string(unit);
-      spec.backend = pmsim::MediaBackend::kCxlMem;
-      spec.unit_bytes = unit;
-      spec.buffer_bytes = 64 * unit;
+      const BackendSpec spec{"cxl" + std::to_string(unit), CxlDevice(unit)};
       benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
         for (auto _ : state) {
           kvindex::RuntimeOptions runtime_options;
+          runtime_options.device = spec.device;
           runtime_options.device.pool_bytes = 2ULL << 30;
-          ApplyBackendSpec(spec, runtime_options.device);
           kvindex::Runtime runtime(runtime_options);
           auto index = MakeIndex(name, runtime, {});
           RunConfig config;

@@ -19,15 +19,16 @@ void RegisterAll() {
       std::string bench_name =
           "extra_xpbuf/" + name + "/kb:" + std::to_string(xpbuffer_kb);
       // Pinned to the ADR/Optane backend (DESIGN.md §14): the ablation sweeps
-      // the XPBuffer capacity of the explicit-flush domain.
-      BackendSpec spec;
-      spec.name = "adr";
-      spec.buffer_bytes = xpbuffer_kb * 1024;
+      // the XPBuffer capacity of the explicit-flush domain, so CCL_BACKEND
+      // must not rebind it.
+      const BackendSpec spec{"adr",
+                             {.xpbuffer_bytes = xpbuffer_kb * 1024,
+                              .backend = pmsim::MediaBackend::kAdrOptane}};
       benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
         for (auto _ : state) {
           kvindex::RuntimeOptions runtime_options;
+          runtime_options.device = spec.device;
           runtime_options.device.pool_bytes = 2ULL << 30;
-          ApplyBackendSpec(spec, runtime_options.device);
           kvindex::Runtime runtime(runtime_options);
           auto index = MakeIndex(name, runtime, {});
           RunConfig config;

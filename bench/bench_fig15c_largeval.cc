@@ -22,7 +22,7 @@ void RegisterAll() {
           config.ops = scale / 2;
           config.op = OpType::kInsert;
           config.value_bytes = value_bytes;
-          RunResult result = RunIndexWorkload(name, config, {}, 4ULL << 30);
+          RunResult result = RunIndexWorkload(name, config, {}, {.pool_bytes = 4ULL << 30});
           SetCommonCounters(state, result);
         }
       })->Iterations(1)->Unit(benchmark::kMillisecond);

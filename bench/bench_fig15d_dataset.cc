@@ -20,7 +20,7 @@ void RegisterAll() {
           config.warm_keys = scale * mult / 2;
           config.ops = scale * mult / 2;
           config.op = OpType::kInsert;
-          RunResult result = RunIndexWorkload(name, config, {}, 8ULL << 30);
+          RunResult result = RunIndexWorkload(name, config, {}, {.pool_bytes = 8ULL << 30});
           SetCommonCounters(state, result);
         }
       })->Iterations(1)->Unit(benchmark::kMillisecond);

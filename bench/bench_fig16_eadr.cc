@@ -15,18 +15,16 @@ void RegisterAll() {
   uint64_t scale = BenchScale();
   // The eADR persistence-domain backend (DESIGN.md §14); crash tracking off —
   // this is a perf run only.
-  BackendSpec spec;
-  spec.name = "eadr";
-  spec.backend = pmsim::MediaBackend::kEadr;
-  spec.crash_tracking = false;
+  const BackendSpec spec{"eadr",
+                         {.backend = pmsim::MediaBackend::kEadr, .crash_tracking = false}};
   for (const std::string& name : TreeIndexNames()) {
     for (int threads : {1, 24, 48, 72, 96}) {
       std::string bench_name = "fig16/" + name + "/threads:" + std::to_string(threads);
       benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
         for (auto _ : state) {
           kvindex::RuntimeOptions runtime_options;
+          runtime_options.device = spec.device;
           runtime_options.device.pool_bytes = 2ULL << 30;
-          ApplyBackendSpec(spec, runtime_options.device);
           kvindex::Runtime runtime(runtime_options);
           auto index = MakeIndex(name, runtime, {});
           RunConfig config;

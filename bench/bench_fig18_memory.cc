@@ -23,7 +23,7 @@ void RegisterAll() {
           config.ops = scale;
           config.op = OpType::kInsert;
           config.value_bytes = value_bytes;
-          RunResult result = RunIndexWorkload(name, config, {}, 8ULL << 30);
+          RunResult result = RunIndexWorkload(name, config, {}, {.pool_bytes = 8ULL << 30});
           state.counters["DRAM_MB"] = static_cast<double>(result.footprint.dram_bytes) / 1e6;
           state.counters["PM_MB"] = static_cast<double>(result.footprint.pm_bytes) / 1e6;
           state.counters["dram_pct"] =

@@ -29,7 +29,7 @@ void RegisterAll() {
           config.ops = scale;
           config.op = OpType::kInsert;
           config.preset_keys = keys;
-          RunResult result = RunIndexWorkload(name, config, {}, 4ULL << 30);
+          RunResult result = RunIndexWorkload(name, config, {}, {.pool_bytes = 4ULL << 30});
           SetCommonCounters(state, result);
         }
       })->Iterations(1)->Unit(benchmark::kMillisecond);

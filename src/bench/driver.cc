@@ -153,16 +153,10 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
                       const RunConfig& config) {
   assert(config.threads >= 1);
   // Sequential-only features requested under os_parallel would be dropped on
-  // the floor below (a shared op counter / epoch snapshot would race across
-  // real threads). Fail loudly instead of ignoring the user's config: one
-  // warning per dropped feature, surfaced in RunResult::warnings and on
-  // stderr.
+  // the floor below (an epoch snapshot would race across real threads). Fail
+  // loudly instead of ignoring the user's config: one warning per dropped
+  // feature, surfaced in RunResult::warnings and on stderr.
   std::vector<std::string> warnings;
-  if (config.os_parallel && config.gc_epoch_ops != 0) {
-    warnings.emplace_back(
-        "gc_epoch_ops ignored: driver-paced GC requires sequential "
-        "scheduling (os_parallel=true races the shared op counter)");
-  }
   if (config.os_parallel && (config.metrics || MetricsDumpRequested()) && config.ops > 0) {
     warnings.emplace_back(
         "metrics epoch series not collected: virtual-time epochs require "
@@ -339,11 +333,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     }
   };
 
-  // Driver-paced GC epochs (gc_epoch_ops): sequential scheduling only — the
-  // shared counter below would race under os_parallel.
-  const uint64_t gc_epoch_ops = config.os_parallel ? 0 : config.gc_epoch_ops;
-  uint64_t gc_epoch_counter = 0;
-
   {
     auto ctxs = MakeContexts(runtime, config);
     Schedule(config, ctxs, [&](int w) {
@@ -351,9 +340,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       uint64_t end = std::min(st.limit, st.cursor + kSliceOps);
       for (; st.cursor < end; st.cursor++) {
         run_one(st, st.cursor);
-        if (gc_epoch_ops != 0 && ++gc_epoch_counter % gc_epoch_ops == 0) {
-          index.GcTick();
-        }
         phase.Tick(pmsim::ThreadContext::Current()->now_ns());
       }
       bool more = st.cursor < st.limit;
@@ -410,16 +396,11 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 }
 
 RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& config,
-                           const IndexConfig& index_config, size_t pool_bytes) {
-  kvindex::RuntimeOptions runtime_options;
-  runtime_options.device.pool_bytes = pool_bytes;
+                           const IndexConfig& index_config, pmsim::DeviceConfig device) {
   // When a trace dump is requested, also record the per-XPLine heatmap (the
   // counters only exist when enabled at device construction).
-  runtime_options.device.record_unit_heatmap = TraceDumpRequested();
-  runtime_options.device.pmcheck = config.pmcheck;
-  runtime_options.device.lockcheck = config.lockcheck;
-  runtime_options.device.backend = config.backend;
-  kvindex::Runtime runtime(runtime_options);
+  device.record_unit_heatmap = device.record_unit_heatmap || TraceDumpRequested();
+  kvindex::Runtime runtime({.device = device});
   auto index = MakeIndex(index_name, runtime, index_config);
   const std::string label = config.trace_label.empty() ? index_name : config.trace_label;
   RunConfig labeled = config;

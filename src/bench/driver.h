@@ -26,6 +26,7 @@
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
+#include "src/pmsim/config.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/component.h"
@@ -72,39 +73,17 @@ struct RunConfig {
   // Preset key set (e.g. SOSD datasets); overrides dist for inserts.
   const std::vector<uint64_t>* preset_keys = nullptr;
   uint64_t seed = 99;
-  // Additionally call KvIndex::GcTick() every gc_epoch_ops-th measured op
-  // (0 = off), pinning background-GC rounds to explicit virtual-time epochs
-  // of the driver instead of the index's own cooperative quantum. Sequential
-  // scheduling only; ignored under os_parallel (a shared op counter would
-  // race). Useful for read-heavy mixes whose sparse upserts would starve the
-  // index-side quantum.
-  uint64_t gc_epoch_ops = 0;
   // Execute the logical workers on real OS threads. Sequential execution
   // (the default) is fully deterministic: the same RunConfig yields
   // bit-identical virtual-time metrics run after run — including indexes
   // with background GC, which runs at deterministic virtual-time points
-  // under GcScheduling::kDeterministic (the default; see DESIGN.md §10).
-  // The only escape from the contract is TreeOptions::gc_scheduling =
-  // kOsThread, which reintroduces a free-running GC thread for concurrency
-  // stress. With one worker, os_parallel on/off is also bit-identical. With
-  // several workers, os_parallel results differ slightly run-to-run:
-  // real-thread interleaving changes lock-acquisition order and XPBuffer LRU
-  // state, so eviction counts and queueing delays shift within noise.
-  // Concurrency correctness is covered by the test suite, which always uses
-  // real threads.
+  // (DESIGN.md §10). With one worker, os_parallel on/off is also
+  // bit-identical. With several workers, os_parallel results differ slightly
+  // run-to-run: real-thread interleaving changes lock-acquisition order and
+  // XPBuffer LRU state, so eviction counts and queueing delays shift within
+  // noise. Concurrency correctness is covered by the test suite, which
+  // always uses real threads.
   bool os_parallel = false;
-  // Enable the pmcheck persistency checker (DESIGN.md §11) / the lockcheck
-  // lockset and lock-order sanitizer (§16) on the run's device. Equivalent
-  // to CCL_PMCHECK=1 / CCL_LOCKCHECK=1 (each environment variable overrides
-  // in either direction). Diagnostics are returned in RunResult::pmcheck /
-  // ::lockcheck, summarized on stderr and, when a trace dump is written,
-  // appended to it for `pmctl check`. Never perturb virtual-time metrics.
-  bool pmcheck = false;
-  bool lockcheck = false;
-  // Persistence-domain backend for the run's device (DESIGN.md §14). kAuto
-  // resolves through DeviceConfig's legacy eadr flag, then the CCL_BACKEND
-  // environment selector, then defaults to ADR/Optane.
-  pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto;
 };
 
 // Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,
@@ -120,18 +99,20 @@ struct RunResult : PhaseResult {
   // Path of the .pmtrace dump written for this run ("" when CCL_TRACE unset).
   std::string trace_dump_path;
   kvindex::MemoryFootprint footprint;
-  // pmcheck report (enabled == false unless the checker ran). RunIndexWorkload
+  // pmcheck report (enabled == false unless DeviceConfig::pmcheck or
+  // CCL_PMCHECK=1 turned the checker on). RunIndexWorkload
   // refreshes it after an end-of-run DrainBuffers so the unflushed-at-close
   // class is included; RunWorkload alone reports the phases it saw.
   pmsim::PmCheckReport pmcheck;
-  // lockcheck report (enabled == false unless the checker ran). Snapshot at
+  // lockcheck report (enabled == false unless DeviceConfig::lockcheck or
+  // CCL_LOCKCHECK=1 turned the checker on). Snapshot at
   // measurement end; the event stream keeps flowing until the runtime dies,
   // but counts only grow, so a clean snapshot of a finished run stays clean.
   pmsim::LockCheckReport lockcheck;
-  // Configuration the driver could not honor (e.g. gc_epoch_ops or the
-  // metrics epoch series under os_parallel, which are sequential-scheduling
-  // features). Each dropped request produces one entry here and one warning
-  // line on stderr — a set config is never ignored silently.
+  // Configuration the driver could not honor (the metrics epoch series
+  // under os_parallel, a sequential-scheduling feature). Each dropped request
+  // produces one entry here and one warning line on stderr — a set config is
+  // never ignored silently.
   std::vector<std::string> warnings;
 };
 
@@ -140,10 +121,14 @@ struct RunResult : PhaseResult {
 // created on `runtime`.
 RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index, const RunConfig& config);
 
-// Convenience: build runtime + index, run, tear down.
+// Convenience: build a runtime on `device` (pool, backend, checkers; the
+// default is a 2 GiB pool on the kAuto backend) and an index, run, tear down.
+// With pmcheck on, the teardown runs the unflushed-at-close scan; each
+// enabled checker's report is summarized on stderr and appended to the
+// run's trace dump for `pmctl check`.
 RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& config,
                            const IndexConfig& index_config = {},
-                           size_t pool_bytes = 2ULL << 30);
+                           pmsim::DeviceConfig device = {.pool_bytes = 2ULL << 30});
 
 // Key for warm-phase position i (dense scrambled space of warm_keys).
 uint64_t WarmKey(const RunConfig& config, uint64_t i);

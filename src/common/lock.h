@@ -132,8 +132,7 @@ inline void RemoveObserver(LockObserver* obs) {
 // --- Mutex -------------------------------------------------------------------
 
 // std::mutex with a capability annotation, a diagnostic name and observer
-// events. Satisfies BasicLockable/Lockable, so std::unique_lock and
-// std::condition_variable_any compose with it.
+// events. Satisfies BasicLockable/Lockable.
 class CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

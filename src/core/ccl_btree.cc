@@ -6,6 +6,7 @@
 #include <cstring>
 #include <map>
 #include <optional>
+#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -142,13 +143,12 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
       std::memory_order_relaxed);
   recovered_ = true;
   // GC may only start now: every earlier return leaves the instance without
-  // GC state, so a failed recovery destructs without joining anything.
+  // a GC context, so a failed recovery never runs a GC round.
   InitGc();
   return true;
 }
 
 CclBTree::~CclBTree() {
-  StopBackgroundGc();
   sync::LockGuard<sync::Mutex> guard(all_bns_mu_);
   for (BufferNode* bn : all_bns_) {
     BufferNode::Delete(bn);
@@ -216,14 +216,9 @@ void CclBTree::Upsert(uint64_t key, uint64_t value) {
   // Cooperative GC quantum, outside the naive gate (NaiveGc takes it
   // exclusively; scheduling from inside the shared section would deadlock).
   if (options_.background_gc && options_.gc_mode != GcMode::kNone) {
-    if (options_.gc_scheduling == GcScheduling::kDeterministic) {
-      uint64_t n = gc_op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (options_.gc_quantum_ops > 0 &&
-          n % static_cast<uint64_t>(options_.gc_quantum_ops) == 0) {
-        GcTick();
-      }
-    } else {
-      NotifyGcThreadIfTriggered();
+    uint64_t n = gc_op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (options_.gc_quantum_ops > 0 && n % static_cast<uint64_t>(options_.gc_quantum_ops) == 0) {
+      GcTick();
     }
   }
 }
@@ -850,14 +845,9 @@ void CclBTree::InitGc() {
   if (options_.gc_mode == GcMode::kNone) {
     return;
   }
-  if (options_.background_gc && options_.gc_scheduling == GcScheduling::kOsThread) {
-    // Legacy escape hatch: a real OS thread, for concurrency stress only.
-    gc_thread_ = std::thread([this] { GcThreadBody(); });
-    return;
-  }
   // Deterministic participant: a tree-owned context that all GC PM traffic
   // is charged to, whether rounds come from the cooperative quantum or from
-  // explicit GcTick() callers (benches, crash matrix). Constructed with no
+  // explicit GcTick() callers (fig14, tests). Constructed with no
   // thread-local current installed so the context is bound to no OS thread
   // and carries no dangling `previous_` restore target.
   pmsim::ThreadContext* saved = pmsim::ThreadContext::Current();
@@ -865,45 +855,6 @@ void CclBTree::InitGc() {
   gc_ctx_ = std::make_unique<pmsim::ThreadContext>(rt_.device(), /*socket=*/0,
                                                    /*worker_id=*/options_.max_workers - 1);
   pmsim::ThreadContext::SetCurrent(saved);
-}
-
-void CclBTree::StopBackgroundGc() {
-  {
-    sync::LockGuard<sync::Mutex> guard(gc_cv_mu_);
-    stop_gc_.store(true, std::memory_order_release);
-  }
-  gc_cv_.notify_all();
-  if (gc_thread_.joinable()) {
-    gc_thread_.join();
-  }
-}
-
-void CclBTree::NotifyGcThreadIfTriggered() {
-  if (!gc_thread_.joinable() || !GcTriggerReached()) {
-    return;
-  }
-  // The empty critical section pairs with the predicate re-check inside
-  // GcThreadBody's wait: either the waiter sees the trigger, or it is parked
-  // inside wait() when this notify lands — no lost wakeup either way.
-  { sync::LockGuard<sync::Mutex> guard(gc_cv_mu_); }
-  gc_cv_.notify_one();
-}
-
-void CclBTree::GcThreadBody() {
-  pmsim::ThreadContext gc_ctx(rt_.device(), /*socket=*/0,
-                              /*worker_id=*/options_.max_workers - 1);
-  std::unique_lock<sync::Mutex> lock(gc_cv_mu_);
-  while (!stop_gc_.load(std::memory_order_acquire)) {
-    gc_cv_.wait(lock, [this] {
-      return stop_gc_.load(std::memory_order_acquire) || GcTriggerReached();
-    });
-    if (stop_gc_.load(std::memory_order_acquire)) {
-      break;
-    }
-    lock.unlock();
-    RunGcOnce();
-    lock.lock();
-  }
 }
 
 bool CclBTree::GcTick() {

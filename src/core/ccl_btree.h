@@ -11,9 +11,7 @@
 #define SRC_CORE_CCL_BTREE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "src/common/lock.h"
@@ -66,16 +64,15 @@ class CclBTree : public kvindex::KvIndex {
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
   // One full GC round in the caller's thread (benches drive this directly;
-  // the background scheduler calls it when the TH_log trigger fires).
+  // GcTick() calls it when the TH_log trigger fires).
   void RunGcOnce();
   bool GcTriggerReached() const;
   // Deterministic virtual-time GC step: if the trigger has fired, runs one
   // round on the tree-owned GC context, fast-forwarded to the frontier of
   // all live worker clocks. Called automatically every gc_quantum_ops-th
-  // upsert when background_gc is on in kDeterministic scheduling; drivers,
-  // benches and the crash matrix may also call it directly at virtual-time
-  // epochs. Returns true if a round ran. No-op in GcMode::kNone and while
-  // another thread is mid-round.
+  // upsert when background_gc is on; benches and tests may also call it
+  // directly at virtual-time epochs. Returns true if a round ran. No-op in
+  // GcMode::kNone and while another thread is mid-round.
   bool GcTick() override;
   // Fence-count windows [first, last] (1-based, inclusive) of completed GC
   // rounds, recorded only while a pmsim::CrashInjector is installed. The
@@ -95,9 +92,8 @@ class CclBTree : public kvindex::KvIndex {
   uint64_t splits() const { return splits_.load(std::memory_order_relaxed); }
   uint64_t merges() const { return merges_.load(std::memory_order_relaxed); }
   uint64_t gc_rounds() const { return gc_rounds_.load(std::memory_order_relaxed); }
-  // Virtual clock of the deterministic GC context (0 when GC runs on the
-  // legacy OS thread or gc_mode is kNone). Benches fold this into the run's
-  // modeled elapsed time.
+  // Virtual clock of the deterministic GC context (0 when gc_mode is kNone).
+  // Benches fold this into the run's modeled elapsed time.
   uint64_t gc_vtime_ns() const { return gc_ctx_ ? gc_ctx_->now_ns() : 0; }
   // Modeled duration of the last Recover() call: serial rebuild walk plus
   // the slowest parallel replay worker (paper Figure 17).
@@ -154,17 +150,11 @@ class CclBTree : public kvindex::KvIndex {
   void TryMergeLeft(uint64_t sep);
 
   // --- GC internals ------------------------------------------------------------
-  // Starts the configured GC scheduler. Called exactly once per instance,
-  // only after the tree is fully initialized (end of the kCreate constructor
-  // or after recovered_ is set in Recover()) — no code path may start GC on
-  // a tree whose recovery is unsettled.
+  // Creates the GC context. Called exactly once per instance, only after the
+  // tree is fully initialized (end of the kCreate constructor or after
+  // recovered_ is set in Recover()) — no code path may start GC on a tree
+  // whose recovery is unsettled.
   void InitGc();
-  // Stops and joins the legacy OS GC thread if one is running. Idempotent.
-  void StopBackgroundGc();
-  // Post-op hook in kOsThread scheduling: wakes the GC thread when the
-  // trigger is reached (it otherwise blocks on gc_cv_ instead of polling).
-  void NotifyGcThreadIfTriggered();
-  void GcThreadBody();
   void NaiveGc();
   void LocalityAwareGc();
   // Collects live buffer nodes in key order (brief shared-lock windows).
@@ -215,8 +205,8 @@ class CclBTree : public kvindex::KvIndex {
   std::atomic<uint64_t> replay_max_vtime_ns_{0};
 
   // --- GC scheduling state (DESIGN.md §10) ------------------------------------
-  // Deterministic scheduling: the tree-owned context all GC PM traffic is
-  // charged to (fig14's GC cost model), serialized by gc_tick_mu_.
+  // The tree-owned context all GC PM traffic is charged to (fig14's GC cost
+  // model), serialized by gc_tick_mu_.
   std::unique_ptr<pmsim::ThreadContext> gc_ctx_;
   sync::Mutex gc_tick_mu_{"tree.gc_tick"};
   // Upserts since creation; every gc_quantum_ops-th one checks the trigger.
@@ -225,12 +215,6 @@ class CclBTree : public kvindex::KvIndex {
   // injector is installed (crash-matrix runs), so the hot path never locks.
   mutable sync::Mutex gc_windows_mu_{"tree.gc_windows"};
   std::vector<GcFenceWindow> gc_fence_windows_ GUARDED_BY(gc_windows_mu_);
-  // Legacy kOsThread scheduling: trigger-signalled worker (no timed polling).
-  std::atomic<bool> stop_gc_{false};
-  sync::Mutex gc_cv_mu_{"tree.gc_cv"};
-  // _any: sync::Mutex is BasicLockable but is not std::mutex.
-  std::condition_variable_any gc_cv_;
-  std::thread gc_thread_;
 };
 
 }  // namespace cclbt::core

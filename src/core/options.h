@@ -13,22 +13,6 @@ enum class GcMode {
   kLocalityAware,  // B-log/I-log epoch flip (the paper's design, §3.4)
 };
 
-// How background GC is scheduled (DESIGN.md §10).
-enum class GcScheduling {
-  // GC is a virtual-time participant: trigger checks run cooperatively at
-  // deterministic points in the simulated timeline (every gc_quantum_ops-th
-  // upsert, plus explicit GcTick() calls), and the round's PM traffic is
-  // charged to a dedicated ThreadContext whose clock starts at the frontier
-  // of all live worker clocks. Fully deterministic under the sequential
-  // bench driver and the crash matrix.
-  kDeterministic,
-  // Legacy escape hatch: a free-running OS thread paced by a condition
-  // variable. GC work lands at OS-scheduler-dependent points, so
-  // virtual-time metrics are NOT reproducible run to run. Kept for
-  // real-concurrency stress (the TSan preset exercises it).
-  kOsThread,
-};
-
 struct TreeOptions {
   // Number of KV slots per buffer node (paper N_batch).
   int nbatch = 2;
@@ -42,12 +26,12 @@ struct TreeOptions {
   bool buffering = true;
   bool write_conservative_logging = true;
   // Run GC automatically when the trigger fires (benches may drive GC
-  // manually instead). Scheduling is controlled by gc_scheduling.
+  // manually instead). GC is a virtual-time participant (DESIGN.md §10):
+  // every gc_quantum_ops-th upsert checks the trigger (the cooperative
+  // quantum) and runs a due round on the tree's own ThreadContext, so runs
+  // stay deterministic. Smaller quanta react faster to log growth at the
+  // price of more trigger checks on the write path.
   bool background_gc = true;
-  GcScheduling gc_scheduling = GcScheduling::kDeterministic;
-  // Deterministic scheduling: check the GC trigger every gc_quantum_ops-th
-  // upsert (the cooperative quantum). Smaller values react faster to log
-  // growth at the price of more trigger checks on the write path.
   int gc_quantum_ops = 64;
   // Parallelism of one locality-aware GC round (paper §5.1: "we set the
   // default number of GC threads for CCL-BTree to 1"). Each GC worker scans

@@ -14,6 +14,14 @@ namespace cclbt::crashtest {
 
 namespace {
 
+// Low GC trigger and tight quantum so GC fires within small workloads.
+constexpr int kThLogPct = 6;
+constexpr int kGcQuantumOps = 16;
+// A small pool keeps the per-point Crash() restore cheap.
+constexpr size_t kPoolBytes = 32ULL << 20;
+constexpr int kRecoveryThreads = 1;
+constexpr int kMaxDiagnostics = 8;
+
 struct Op {
   uint64_t key;
   uint64_t value;
@@ -39,31 +47,23 @@ std::vector<Op> BuildOps(const MatrixConfig& config) {
 
 kvindex::RuntimeOptions RuntimeOptionsFor(const MatrixConfig& config) {
   kvindex::RuntimeOptions options;
-  // Single socket/DIMM: the matrix measures correctness, not NUMA effects,
-  // and a small pool keeps the per-point Crash() shadow copy cheap.
-  options.device.pool_bytes = config.pool_bytes;
+  // Single socket/DIMM: the matrix measures correctness, not NUMA effects.
+  options.device.pool_bytes = kPoolBytes;
   options.device.num_sockets = 1;
   options.device.dimms_per_socket = 1;
   options.device.backend = config.backend;
-  if (config.media_unit_bytes != 0) {
-    options.device.xpline_bytes = config.media_unit_bytes;
-    // Keep buffer capacity at 64 media units, as in the CXL page sweep.
-    options.device.xpbuffer_bytes = 64 * config.media_unit_bytes;
-  }
-  options.device.cxl_volatile_buffer = config.cxl_volatile_buffer;
   return options;
 }
 
-bench::IndexConfig IndexConfigFor(const MatrixConfig& config) {
+bench::IndexConfig IndexConfigFor() {
   bench::IndexConfig index_config;
-  // Deterministic GC scheduling (DESIGN.md §10) keeps fence counts a pure
-  // function of the op stream even with background GC on, so the matrix can
-  // crash inside GC's own flush/fence stream instead of disabling it.
-  index_config.tree.background_gc = config.background_gc;
-  index_config.tree.gc_scheduling = core::GcScheduling::kDeterministic;
-  index_config.tree.th_log_pct = config.th_log_pct;
-  index_config.tree.gc_quantum_ops = config.gc_quantum_ops;
-  index_config.tree.max_workers = 2 + config.recovery_threads;
+  // Deterministic GC (DESIGN.md §10) keeps fence counts a pure function of
+  // the op stream even with background GC on, so the matrix can crash inside
+  // GC's own flush/fence stream instead of disabling it.
+  index_config.tree.background_gc = true;
+  index_config.tree.th_log_pct = kThLogPct;
+  index_config.tree.gc_quantum_ops = kGcQuantumOps;
+  index_config.tree.max_workers = 2 + kRecoveryThreads;
   return index_config;
 }
 
@@ -94,7 +94,7 @@ struct Probe {
 Probe ProbeWorkload(const MatrixConfig& config, const std::vector<Op>& ops) {
   Probe probe;
   kvindex::Runtime runtime(RuntimeOptionsFor(config));
-  auto index = bench::MakeIndex(config.index, runtime, IndexConfigFor(config));
+  auto index = bench::MakeIndex(config.index, runtime, IndexConfigFor());
   probe.recoverable = index->recoverable();
   probe.tolerates_torn = index->tolerates_torn_crash();
   pmsim::CrashInjector injector;
@@ -130,7 +130,7 @@ PointOutcome RunPoint(const MatrixConfig& config, const std::vector<Op>& ops,
                       const CrashPoint& point) {
   PointOutcome outcome;
   kvindex::Runtime runtime(RuntimeOptionsFor(config));
-  auto index = bench::MakeIndex(config.index, runtime, IndexConfigFor(config));
+  auto index = bench::MakeIndex(config.index, runtime, IndexConfigFor());
   pmsim::CrashInjector injector;
   DurabilityOracle oracle;
   {
@@ -168,14 +168,13 @@ PointOutcome RunPoint(const MatrixConfig& config, const std::vector<Op>& ops,
   if (!outcome.reopen_ok) {
     return outcome;
   }
-  auto recovered =
-      bench::RecoverIndex(config.index, runtime, IndexConfigFor(config), config.recovery_threads);
+  auto recovered = bench::RecoverIndex(config.index, runtime, IndexConfigFor(), kRecoveryThreads);
   outcome.recover_ok = recovered != nullptr;
   if (!outcome.recover_ok) {
     return outcome;
   }
   pmsim::ThreadContext ctx(runtime.device(), /*socket=*/0, /*worker_id=*/0);
-  outcome.report = oracle.Verify(*recovered, config.max_diagnostics);
+  outcome.report = oracle.Verify(*recovered, kMaxDiagnostics);
   return outcome;
 }
 
@@ -209,20 +208,15 @@ std::vector<CrashPoint> BuildSchedule(const MatrixConfig& config, uint64_t total
     }
   }
   if (config.window_len != 0 && total_fences != 0) {
-    uint64_t start = config.window_start;
-    if (start == 0) {
-      start = total_fences > config.window_len ? (total_fences - config.window_len) / 2 + 1 : 1;
-    }
+    uint64_t start =
+        total_fences > config.window_len ? (total_fences - config.window_len) / 2 + 1 : 1;
     for (uint64_t i = 0; i < config.window_len; i++) {
       add(start + i);
     }
   }
-  if (config.gc_stride != 0) {
-    for (const GcWindow& window : gc_windows) {
-      for (uint64_t target = window.first_fence; target <= window.last_fence;
-           target += config.gc_stride) {
-        add(target);
-      }
+  for (const GcWindow& window : gc_windows) {
+    for (uint64_t target = window.first_fence; target <= window.last_fence; target += kGcStride) {
+      add(target);
     }
   }
   return points;
@@ -268,7 +262,7 @@ MatrixResult RunCrashMatrix(const MatrixConfig& config) {
     result.digest = Mix64(result.digest ^ (point.torn ? point.torn_seed : 0x11ULL));
     if (!outcome.reopen_ok) {
       result.reopen_failures++;
-      if (static_cast<int>(result.diagnostics.size()) < config.max_diagnostics) {
+      if (static_cast<int>(result.diagnostics.size()) < kMaxDiagnostics) {
         result.diagnostics.push_back("reopen failed @fence " +
                                      std::to_string(point.fence_target) + ": " +
                                      outcome.reopen_error);
@@ -277,7 +271,7 @@ MatrixResult RunCrashMatrix(const MatrixConfig& config) {
     }
     if (!outcome.recover_ok) {
       result.recover_failures++;
-      if (static_cast<int>(result.diagnostics.size()) < config.max_diagnostics) {
+      if (static_cast<int>(result.diagnostics.size()) < kMaxDiagnostics) {
         result.diagnostics.push_back("recover failed @fence " +
                                      std::to_string(point.fence_target));
       }
@@ -289,7 +283,7 @@ MatrixResult RunCrashMatrix(const MatrixConfig& config) {
     result.garbage += outcome.report.garbage;
     result.digest = Mix64(result.digest ^ outcome.report.observation_digest);
     for (const std::string& diag : outcome.report.diagnostics) {
-      if (static_cast<int>(result.diagnostics.size()) >= config.max_diagnostics) {
+      if (static_cast<int>(result.diagnostics.size()) >= kMaxDiagnostics) {
         break;
       }
       result.diagnostics.push_back("@fence " + std::to_string(point.fence_target) +

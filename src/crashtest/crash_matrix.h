@@ -18,7 +18,6 @@
 #ifndef SRC_CRASHTEST_CRASH_MATRIX_H_
 #define SRC_CRASHTEST_CRASH_MATRIX_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -35,6 +34,14 @@ struct CrashPoint {
   uint64_t torn_seed = 0;
 };
 
+// Background-GC coverage (cclbtree, DESIGN.md §10): the matrix runs the tree
+// with background GC on, so GC rounds land at fence counts that are a pure
+// function of the op stream and crash points can hit GC's own flush/fence
+// stream — including the relocate-then-free window of the locality-aware GC.
+// The gc-window schedule puts a crash point at every kGcStride-th fence
+// inside each GC round's fence window observed in the probe run.
+inline constexpr uint64_t kGcStride = 2;
+
 struct MatrixConfig {
   std::string index = "cclbtree";  // factory name; must be recoverable
   // Drives the workload keys/values/op-mix AND every schedule/torn seed.
@@ -46,36 +53,17 @@ struct MatrixConfig {
   uint64_t nth = 0;
   // seeded-random schedule: `random_points` uniform draws over [1, fences].
   uint64_t random_points = 0;
-  // exhaustive-window schedule: every fence in
-  // [window_start, window_start + window_len); window_start 0 centres the
-  // window on the workload.
-  uint64_t window_start = 0;
+  // exhaustive-window schedule: every fence of a `window_len`-fence window
+  // centred on the workload.
   uint64_t window_len = 0;
   // Make every second scheduled point a torn crash (CrashTorn) — only
   // honoured when the index declares tolerates_torn_crash().
   bool torn = false;
-  // --- background-GC coverage (cclbtree, DESIGN.md §10) --------------------
-  // The matrix runs the tree with background GC enabled under deterministic
-  // scheduling, so GC rounds land at fence counts that are a pure function
-  // of the op stream and crash points can hit GC's own flush/fence stream —
-  // including the relocate-then-free window of the locality-aware GC.
-  bool background_gc = true;
-  int th_log_pct = 6;      // low trigger so GC fires within small workloads
-  int gc_quantum_ops = 16;  // tight quantum for the same reason
-  // gc-window schedule: a crash point at every gc_stride-th fence inside
-  // each GC round's fence window observed in the probe run (0 disables).
-  uint64_t gc_stride = 2;
-  size_t pool_bytes = 32ULL << 20;
-  int recovery_threads = 1;
-  int max_diagnostics = 8;
   // Persistence-domain backend of every per-point Runtime (DESIGN.md §14).
   // kAuto resolves to ADR unless CCL_BACKEND overrides; kEadr shrinks the
   // crash window to nothing (acked stores are durable at the cacheline),
   // kCxlMem widens it to a media page.
   pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto;
-  // CXL geometry for backend == kCxlMem (0 = DeviceConfig defaults).
-  size_t media_unit_bytes = 0;
-  bool cxl_volatile_buffer = false;
 };
 
 // Fence-count window [first_fence, last_fence] (1-based, inclusive) of one

@@ -64,8 +64,10 @@ class KvIndex {
   // Deterministic-GC hook (DESIGN.md §10): an index with a schedulable
   // background reclaimer checks its trigger here and runs at most one round
   // at this virtual-time point, charging the work to its own context.
-  // Returns true if a round ran. Drivers call it at virtual-time epochs;
-  // indexes without background work keep the no-op default.
+  // Returns true if a round ran. CclBTree's cooperative quantum calls it
+  // every gc_quantum_ops-th upsert; benches and tests may also call it at
+  // chosen virtual-time points. Indexes without background work keep the
+  // no-op default.
   virtual bool GcTick() { return false; }
 
   // Observability hook: append (name, value) gauge samples describing the

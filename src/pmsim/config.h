@@ -34,9 +34,8 @@ inline constexpr size_t kLinesPerXpline = kXplineBytes / kCachelineBytes;  // 4
 //   kCxlMem     CXL memory-semantic device: page-granular write combining
 //               (xpline_bytes up to 4 KB); optionally a volatile internal
 //               buffer, giving a page-sized crash window.
-//   kAuto       resolve at device construction: the legacy `eadr` flag maps
-//               to kEadr, else the CCL_BACKEND environment selector
-//               (adr | eadr | cxl), else kAdrOptane.
+//   kAuto       resolve at device construction: the CCL_BACKEND
+//               environment selector (adr | eadr | cxl), else kAdrOptane.
 enum class MediaBackend : uint8_t {
   kAuto = 0,
   kAdrOptane = 1,
@@ -94,14 +93,8 @@ struct DeviceConfig {
   size_t interleave_bytes = 4096;
   // Persistence-domain backend; kAuto resolves at device construction (see
   // MediaBackend above). After construction PmDevice::config().backend is
-  // always a concrete backend, and `eadr` below mirrors it.
+  // always a concrete backend.
   MediaBackend backend = MediaBackend::kAuto;
-  // Legacy eADR switch, kept for existing configs: equivalent to
-  // backend = kEadr when `backend` is kAuto. In eADR, flushes are free for
-  // persistence, but dirty lines reach the XPBuffer via a modeled CPU-cache
-  // eviction stream with randomized order (reproducing the paper's §5.5
-  // observation that implicit evictions destroy XPLine locality).
-  bool eadr = false;
   // kCxlMem only: model the device-internal page buffer as volatile — fence
   // commits stage line contents in the buffer and they only reach the
   // persistence boundary when the containing media unit is evicted (or at a
@@ -134,7 +127,7 @@ struct DeviceConfig {
   // forces off). Independent of pmcheck (the cross-check simply degrades to
   // informational without it). Diagnostics never touch virtual time.
   bool lockcheck = false;
-  CostParams cost;
+  CostParams cost{};
 
   int total_dimms() const { return num_sockets * dimms_per_socket; }
   size_t xpbuffer_entries() const { return xpbuffer_bytes / xpline_bytes; }

@@ -1,6 +1,7 @@
 #include "src/pmsim/media_model.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -23,9 +24,6 @@ const char* MediaBackendName(MediaBackend backend) {
 }
 
 void ResolveMediaBackend(DeviceConfig& config) {
-  if (config.backend == MediaBackend::kAuto && config.eadr) {
-    config.backend = MediaBackend::kEadr;
-  }
   if (config.backend == MediaBackend::kAuto) {
     if (const char* env = std::getenv("CCL_BACKEND"); env != nullptr && env[0] != '\0') {
       std::string_view selector(env);
@@ -41,6 +39,10 @@ void ResolveMediaBackend(DeviceConfig& config) {
           bool pow2 = requested != 0 && (requested & (requested - 1)) == 0;
           if (pow2 && requested >= kXplineBytes && requested <= 4096) {
             page = requested;
+          } else {
+            std::fprintf(stderr,
+                         "pmsim: CCL_CXL_PAGE=%s is not a power of two in [%zu, 4096]; using %zu\n",
+                         p, kXplineBytes, page);
           }
         }
         config.xpline_bytes = page;
@@ -48,14 +50,15 @@ void ResolveMediaBackend(DeviceConfig& config) {
         // selector isolates the granularity effect (the same constant-units
         // choice as the extra_cxl page-size sweep).
         config.xpbuffer_bytes = std::max(config.xpbuffer_bytes, 64 * page);
+      } else {
+        std::fprintf(stderr,
+                     "pmsim: unknown CCL_BACKEND=%s (expected adr, eadr or cxl); using adr\n", env);
       }
-      // Unknown selector values fall through to the ADR default.
     }
   }
   if (config.backend == MediaBackend::kAuto) {
     config.backend = MediaBackend::kAdrOptane;
   }
-  config.eadr = config.backend == MediaBackend::kEadr;
 }
 
 MediaModel::~MediaModel() = default;

@@ -61,11 +61,12 @@ class ThreadContext;
 // dump headers and bench row names. kAuto maps to "auto".
 const char* MediaBackendName(MediaBackend backend);
 
-// Resolves config.backend in place to a concrete backend: the legacy `eadr`
-// flag wins when backend is kAuto, then the CCL_BACKEND environment selector
-// (adr | eadr | cxl; cxl also applies CCL_CXL_PAGE, default 4096, to
-// xpline_bytes and sizes the combining buffer to hold 64 pages), then
-// kAdrOptane. Afterwards config.eadr mirrors the resolved backend.
+// Resolves config.backend in place to a concrete backend: when backend is
+// kAuto, the CCL_BACKEND environment selector (adr | eadr | cxl; cxl also
+// applies CCL_CXL_PAGE, default 4096, to xpline_bytes and sizes the
+// combining buffer to hold 64 pages), else kAdrOptane. An unknown selector
+// or an out-of-range page size is named in one stderr line and replaced by
+// the default.
 void ResolveMediaBackend(DeviceConfig& config);
 
 class MediaModel {

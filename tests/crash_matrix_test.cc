@@ -64,15 +64,15 @@ TEST(BuildSchedule, CoversAllThreeKindsDeterministically) {
   for (uint64_t i = 0; i < nth_points; i++) {
     EXPECT_EQ(points[i].fence_target, (i + 1) * config.nth);
   }
-  // gc-window schedule: every gc_stride-th fence of each window, clamped to
+  // gc-window schedule: every kGcStride-th fence of each window, clamped to
   // the observed fence range.
   std::vector<GcWindow> gc_windows = {{100, 110}, {2990, 3010}};
   auto with_gc = BuildSchedule(config, total_fences, /*torn_allowed=*/true, gc_windows);
   std::vector<uint64_t> expected;
-  for (uint64_t target = 100; target <= 110; target += config.gc_stride) {
+  for (uint64_t target = 100; target <= 110; target += kGcStride) {
     expected.push_back(target);
   }
-  for (uint64_t target = 2990; target <= 3000; target += config.gc_stride) {
+  for (uint64_t target = 2990; target <= 3000; target += kGcStride) {
     expected.push_back(target);  // 3002+ fall outside total_fences
   }
   ASSERT_EQ(with_gc.size(), points.size() + expected.size());

@@ -26,10 +26,8 @@ RunConfig SmallConfig() {
 // The cclbtree cases below assert media writes and GC bytes that a run this
 // small only produces at ADR's 256 B XPLine (a 4 KB CXL page buffer absorbs
 // it), so they pin that backend; the determinism itself holds on every one.
-RunConfig AdrConfig() {
-  RunConfig config = SmallConfig();
-  config.backend = pmsim::MediaBackend::kAdrOptane;
-  return config;
+pmsim::DeviceConfig AdrDevice() {
+  return {.pool_bytes = 2ULL << 30, .backend = pmsim::MediaBackend::kAdrOptane};
 }
 
 void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
@@ -58,9 +56,9 @@ void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
 TEST(DriverDeterminismTest, RepeatedRunsAreBitIdentical) {
   IndexConfig index_config;
   index_config.tree.background_gc = false;
-  RunConfig config = AdrConfig();
-  RunResult first = RunIndexWorkload("cclbtree", config, index_config);
-  RunResult second = RunIndexWorkload("cclbtree", config, index_config);
+  RunConfig config = SmallConfig();
+  RunResult first = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
+  RunResult second = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
   ASSERT_GT(first.stats.media_write_bytes, 0u);
   ExpectIdenticalVirtualMetrics(first, second);
 }
@@ -92,9 +90,9 @@ TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
   // Low trigger threshold so several GC rounds fire inside this small run;
   // the assertions below prove GC actually ran.
   index_config.tree.th_log_pct = 10;
-  RunConfig config = AdrConfig();
-  RunResult first = RunIndexWorkload("cclbtree", config, index_config);
-  RunResult second = RunIndexWorkload("cclbtree", config, index_config);
+  RunConfig config = SmallConfig();
+  RunResult first = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
+  RunResult second = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
   ASSERT_GT(first.stats.media_write_bytes, 0u);
   ExpectIdenticalVirtualMetrics(first, second);
   // GC-attributed media bytes: present (GC ran) and bit-identical.
@@ -116,22 +114,6 @@ TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
     }
     EXPECT_EQ(component_sum, result->stats.media_write_bytes);
   }
-}
-
-// Driver-paced GC epochs (RunConfig::gc_epoch_ops) are part of the same
-// contract: pinning rounds to driver epochs must be reproducible too.
-TEST(DriverDeterminismTest, DriverGcEpochRunsAreBitIdentical) {
-  IndexConfig index_config;
-  index_config.tree.background_gc = false;  // GC paced by the driver instead
-  index_config.tree.th_log_pct = 10;
-  RunConfig config = AdrConfig();
-  config.gc_epoch_ops = 512;
-  RunResult first = RunIndexWorkload("cclbtree", config, index_config);
-  RunResult second = RunIndexWorkload("cclbtree", config, index_config);
-  ExpectIdenticalVirtualMetrics(first, second);
-  uint64_t gc_bytes = first.stats.media_write_bytes_for(trace::Component::kGc);
-  EXPECT_GT(gc_bytes, 0u) << "driver epochs never ticked a GC round";
-  EXPECT_EQ(gc_bytes, second.stats.media_write_bytes_for(trace::Component::kGc));
 }
 
 // Determinism must hold for a baseline index too (different code path: no

@@ -19,18 +19,26 @@ RunConfig SmallConfig(OpType op = OpType::kInsert) {
   return config;
 }
 
-// Deterministic tree config: the background GC thread runs on wall-clock
-// time and would make run-to-run counters nondeterministic.
+// Background GC off: the counters below measure foreground work only.
 IndexConfig QuietTree() {
   IndexConfig config;
   config.tree.background_gc = false;
   return config;
 }
 
+// The tests' device: a 1 GiB pool whose backend follows CCL_BACKEND.
+pmsim::DeviceConfig Device() { return {.pool_bytes = 1ULL << 30}; }
+
+// Tests whose bounds assume the 256 B XPLine pin ADR, so CCL_BACKEND does
+// not rebind them.
+pmsim::DeviceConfig AdrDevice(size_t pool_bytes = 1ULL << 30) {
+  return {.pool_bytes = pool_bytes, .backend = pmsim::MediaBackend::kAdrOptane};
+}
+
 TEST(Driver, DeterministicAcrossRuns) {
   RunConfig config = SmallConfig();
-  RunResult a = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  RunResult b = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult a = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
+  RunResult b = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_DOUBLE_EQ(a.mops, b.mops);
   EXPECT_EQ(a.stats.media_write_bytes, b.stats.media_write_bytes);
   EXPECT_EQ(a.stats.line_flushes, b.stats.line_flushes);
@@ -40,11 +48,10 @@ TEST(Driver, SeedChangesWorkloadButNotScaleOfResults) {
   // ADR: a 4 KB CXL page buffer absorbs this small run, so neither seed
   // writes any media bytes.
   RunConfig a_config = SmallConfig(OpType::kUpdate);
-  a_config.backend = pmsim::MediaBackend::kAdrOptane;
   RunConfig b_config = a_config;
   b_config.seed = 12345;
-  RunResult a = RunIndexWorkload("fptree", a_config, {}, 1ULL << 30);
-  RunResult b = RunIndexWorkload("fptree", b_config, {}, 1ULL << 30);
+  RunResult a = RunIndexWorkload("fptree", a_config, {}, AdrDevice());
+  RunResult b = RunIndexWorkload("fptree", b_config, {}, AdrDevice());
   EXPECT_NE(a.stats.media_write_bytes, b.stats.media_write_bytes);
   EXPECT_NEAR(a.mops, b.mops, a.mops * 0.2);
 }
@@ -52,9 +59,9 @@ TEST(Driver, SeedChangesWorkloadButNotScaleOfResults) {
 TEST(Driver, MoreThreadsDoNotReduceTotalWorkAccounting) {
   RunConfig config = SmallConfig();
   config.threads = 1;
-  RunResult one = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult one = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   config.threads = 32;
-  RunResult many = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult many = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_EQ(one.stats.user_bytes, many.stats.user_bytes);
   // Throughput should not degrade catastrophically with threads.
   EXPECT_GT(many.mops, one.mops * 0.8);
@@ -63,7 +70,7 @@ TEST(Driver, MoreThreadsDoNotReduceTotalWorkAccounting) {
 TEST(Driver, LatencyCollectionCoversAllOps) {
   RunConfig config = SmallConfig();
   config.metrics = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_EQ(result.latency.Count(), config.ops);
   EXPECT_GT(result.latency.Percentile(50), 0u);
   EXPECT_LE(result.latency.Percentile(50), result.latency.Percentile(99.9));
@@ -74,19 +81,19 @@ TEST(Driver, ZipfianConcentratesWritesOnFewerXplines) {
   RunConfig zipf = SmallConfig();
   zipf.dist = KeyDistribution::kZipfian;
   zipf.zipf_theta = 0.99;
-  RunResult u = RunIndexWorkload("fptree", uniform, {}, 1ULL << 30);
-  RunResult z = RunIndexWorkload("fptree", zipf, {}, 1ULL << 30);
+  RunResult u = RunIndexWorkload("fptree", uniform, {}, Device());
+  RunResult z = RunIndexWorkload("fptree", zipf, {}, Device());
   // Hot keys combine in the XPBuffer: Zipfian XBI must be lower (Fig 3 vs 4).
   EXPECT_LT(z.xbi_amplification, u.xbi_amplification);
 }
 
 TEST(Driver, LargeValuesGoOutOfBand) {
   RunConfig config = SmallConfig();
-  config.backend = pmsim::MediaBackend::kAdrOptane;  // the bound assumes 256 B XPLines
   config.value_bytes = 128;
   config.warm_keys = 5'000;
   config.ops = 5'000;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  // ADR: the bound assumes 256 B XPLines.
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), AdrDevice());
   // Value blobs dominate user bytes; amplification must drop well below the
   // 8 B-value case (paper Fig. 15(c)'s rationale).
   EXPECT_EQ(result.stats.user_bytes, config.ops * (8 + 128));
@@ -99,15 +106,15 @@ TEST(Driver, VariableKeysChargeBlobReads) {
   plain.ops = 5'000;
   RunConfig varkey = plain;
   varkey.key_bytes = 64;
-  RunResult p = RunIndexWorkload("fptree", plain, {}, 1ULL << 30);
-  RunResult v = RunIndexWorkload("fptree", varkey, {}, 1ULL << 30);
+  RunResult p = RunIndexWorkload("fptree", plain, {}, Device());
+  RunResult v = RunIndexWorkload("fptree", varkey, {}, Device());
   EXPECT_LT(v.mops, p.mops);  // pointer chasing slows everyone (Fig 15(b))
 }
 
 TEST(Driver, ScanOpsProduceNoUserWriteBytes) {
   RunConfig config = SmallConfig(OpType::kScan);
   config.ops = 1'000;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_EQ(result.stats.user_bytes, 0u);
   EXPECT_GT(result.mops, 0.0);
 }
@@ -115,7 +122,7 @@ TEST(Driver, ScanOpsProduceNoUserWriteBytes) {
 TEST(Driver, YcsbMixRunsAllOpTypes) {
   RunConfig config = SmallConfig();
   config.mix = &kYcsbInsertIntensive;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   // ~75% of ops write 16 B of user data.
   double writes = static_cast<double>(result.stats.user_bytes) / 16.0;
   EXPECT_NEAR(writes / static_cast<double>(config.ops), 0.75, 0.05);
@@ -125,32 +132,55 @@ TEST(Driver, OsParallelModeProducesSaneResults) {
   RunConfig config = SmallConfig();
   config.threads = 4;
   config.os_parallel = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_GT(result.mops, 0.0);
   EXPECT_EQ(result.stats.user_bytes, config.ops * 16);
 }
 
 TEST(Driver, OsParallelWarnsOnDroppedSequentialFeatures) {
-  // gc_epoch_ops and the metrics epoch series both require sequential
-  // scheduling; requesting them under os_parallel used to be silently
-  // ignored. The run must now surface one diagnostic per dropped feature.
+  // The metrics epoch series requires sequential scheduling; requesting it
+  // under os_parallel used to be silently ignored. The run must now surface
+  // one diagnostic per dropped feature.
   RunConfig config = SmallConfig();
   config.threads = 4;
   config.os_parallel = true;
-  config.gc_epoch_ops = 1'000;
   config.metrics = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  ASSERT_EQ(result.warnings.size(), 2u);
-  EXPECT_NE(result.warnings[0].find("gc_epoch_ops"), std::string::npos);
-  EXPECT_NE(result.warnings[1].find("metrics epoch"), std::string::npos);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
+  ASSERT_EQ(result.warnings.size(), 1u);
+  EXPECT_NE(result.warnings[0].find("metrics epoch"), std::string::npos);
   EXPECT_TRUE(result.epochs.empty());
 
   // The same config sequentially is fully honored: no warnings, epochs
   // collected.
   config.os_parallel = false;
-  RunResult sequential = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult sequential = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_TRUE(sequential.warnings.empty());
   EXPECT_FALSE(sequential.epochs.empty());
+}
+
+// RunIndexWorkload runs on the device it is given: a cxl1024 device through
+// it must give the same virtual metrics as a hand-built Runtime on that
+// device plus RunWorkload, the path bench_backend_matrix takes.
+TEST(Driver, RunIndexWorkloadBuildsTheGivenDevice) {
+  const pmsim::DeviceConfig cxl1024{.pool_bytes = 1ULL << 30,
+                                    .xpbuffer_bytes = 64 * 1024,
+                                    .xpline_bytes = 1024,
+                                    .backend = pmsim::MediaBackend::kCxlMem};
+  RunConfig config = SmallConfig();
+  RunResult driven = RunIndexWorkload("cclbtree", config, {}, cxl1024);
+
+  kvindex::Runtime runtime({.device = cxl1024});
+  auto index = MakeIndex("cclbtree", runtime, {});
+  RunResult by_hand = RunWorkload(runtime, *index, config);
+
+  ASSERT_GT(driven.stats.media_write_bytes, 0u);
+  EXPECT_EQ(driven.mops, by_hand.mops);
+  EXPECT_EQ(driven.xbi_amplification, by_hand.xbi_amplification);
+  EXPECT_EQ(driven.cli_amplification, by_hand.cli_amplification);
+  EXPECT_EQ(driven.stats.media_write_bytes, by_hand.stats.media_write_bytes);
+  // The device reached the run: the same workload on ADR writes differently.
+  RunResult adr = RunIndexWorkload("cclbtree", config, {}, AdrDevice());
+  EXPECT_NE(adr.stats.media_write_bytes, driven.stats.media_write_bytes);
 }
 
 TEST(Driver, PresetKeysDriveWarmAndMeasure) {
@@ -160,17 +190,17 @@ TEST(Driver, PresetKeysDriveWarmAndMeasure) {
   }
   RunConfig config = SmallConfig();
   config.preset_keys = &keys;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
+  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
   EXPECT_GT(result.mops, 0.0);
 }
 
 // The two headline claims of the paper as driver-level properties.
 TEST(Driver, CclBeatsUnsortedLeafTreesOnXbi) {
   RunConfig config = SmallConfig();
-  config.backend = pmsim::MediaBackend::kAdrOptane;  // the paper's 256 B XPLine domain
   config.threads = 32;
-  RunResult ccl = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  RunResult fp = RunIndexWorkload("fptree", config, {}, 512 << 20);
+  // ADR: the paper's 256 B XPLine domain.
+  RunResult ccl = RunIndexWorkload("cclbtree", config, QuietTree(), AdrDevice());
+  RunResult fp = RunIndexWorkload("fptree", config, {}, AdrDevice(512 << 20));
   EXPECT_LT(ccl.xbi_amplification, fp.xbi_amplification * 0.7);
 }
 
@@ -178,8 +208,8 @@ TEST(Driver, FlatstoreScansFarSlowerThanCcl) {
   RunConfig config = SmallConfig(OpType::kScan);
   config.ops = 2'000;
   config.scan_len = 100;
-  RunResult ccl = RunIndexWorkload("cclbtree", config, QuietTree(), 1ULL << 30);
-  RunResult flat = RunIndexWorkload("flatstore", config, {}, 1ULL << 30);
+  RunResult ccl = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
+  RunResult flat = RunIndexWorkload("flatstore", config, {}, Device());
   EXPECT_GT(ccl.mops, flat.mops * 3.0);
 }
 

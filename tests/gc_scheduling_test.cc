@@ -1,12 +1,11 @@
-// GC scheduling (DESIGN.md §10): deterministic virtual-time GC (the default)
-// runs rounds at reproducible points via the cooperative quantum and the
-// explicit GcTick() API; the legacy kOsThread escape hatch backs off on a
-// condition variable (no timed polling) and never starts before recovery is
-// settled. The kOsThread tests double as the TSan coverage of the real
-// GC thread (tools/ci.sh includes this binary in the sanitizer presets).
-#include <chrono>
+// GC scheduling (DESIGN.md §10): deterministic virtual-time GC runs rounds at
+// reproducible points via the cooperative quantum and the explicit GcTick()
+// API, and never starts before recovery is settled. CooperativeGcOnRealThreads
+// is the real-concurrency stress of the one scheduler (tools/ci.sh includes
+// this binary in the sanitizer presets).
 #include <memory>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -42,7 +41,7 @@ void InsertMany(CclBTree& tree, uint64_t count, uint64_t seed) {
 
 TEST(GcSchedulingTest, DeterministicQuantumRunsGcAtTrigger) {
   auto rt = MakeRuntime();
-  TreeOptions options = GcOptions();  // background_gc on, kDeterministic
+  TreeOptions options = GcOptions();  // background_gc on
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   InsertMany(tree, 4000, /*seed=*/1);
@@ -118,14 +117,11 @@ TEST(GcSchedulingTest, NaiveGcRaisesWorkerClocksToBarrierEnd) {
 // state may exist before recovered_ is settled. Run under ASan/TSan via the
 // sanitizer presets.
 TEST(GcSchedulingTest, FailedRecoveryDestructsCleanly) {
-  for (GcScheduling scheduling : {GcScheduling::kDeterministic, GcScheduling::kOsThread}) {
-    auto rt = MakeRuntime();
-    TreeOptions options = GcOptions();
-    options.gc_scheduling = scheduling;
-    auto tree = std::make_unique<CclBTree>(*rt, options, kvindex::Lifecycle::kAttach);
-    EXPECT_FALSE(tree->Recover(*rt, /*recovery_threads=*/2));
-    tree.reset();  // must not join/stop anything that was never started
-  }
+  auto rt = MakeRuntime();
+  auto tree = std::make_unique<CclBTree>(*rt, GcOptions(), kvindex::Lifecycle::kAttach);
+  EXPECT_FALSE(tree->Recover(*rt, /*recovery_threads=*/2));
+  EXPECT_FALSE(tree->GcTick());  // no GC context before recovery settles
+  tree.reset();
 }
 
 TEST(GcSchedulingTest, RecoverOnCreateInstanceFails) {
@@ -134,30 +130,37 @@ TEST(GcSchedulingTest, RecoverOnCreateInstanceFails) {
   EXPECT_FALSE(tree.Recover(*rt, 1));
 }
 
-// Legacy escape hatch: the GC thread parks on a condition variable and is
-// woken by trigger producers — rounds still happen without any timed poll.
-TEST(GcSchedulingTest, OsThreadModeRunsGcWhenSignalled) {
+// Real-concurrency stress of the one GC scheduler: OS threads, each with its
+// own pmsim context, upsert disjoint keys while the cooperative quantum runs
+// GC rounds from whichever thread's upsert crosses it (gc_tick_mu_ is
+// try-locked, so concurrent ticks lose cheaply). Runs instrumented under the
+// TSan and ASan presets.
+TEST(GcSchedulingTest, CooperativeGcOnRealThreads) {
+  constexpr int kThreads = 4;
+  constexpr uint64_t kKeysPerThread = 3000;
   auto rt = MakeRuntime();
-  TreeOptions options = GcOptions();
-  options.gc_scheduling = GcScheduling::kOsThread;
-  CclBTree tree(*rt, options);
-  pmsim::ThreadContext ctx(rt->device(), 0, 0);
-  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  uint64_t seed = 5;
-  while (tree.gc_rounds() == 0 && std::chrono::steady_clock::now() < deadline) {
-    InsertMany(tree, 200, seed);
-    seed += 200;
+  CclBTree tree(*rt, GcOptions());
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; t++) {
+    workers.emplace_back([&rt, &tree, t] {
+      pmsim::ThreadContext ctx(rt->device(), /*socket=*/t % 2, /*worker_id=*/t);
+      for (uint64_t i = 0; i < kKeysPerThread; i++) {
+        uint64_t n = static_cast<uint64_t>(t) * kKeysPerThread + i;
+        tree.Upsert(Mix64(n) | 1, n + 1);
+      }
+    });
   }
-  EXPECT_GT(tree.gc_rounds(), 0u) << "GC thread never woke on the trigger signal";
-}
-
-// Destruction with the GC thread parked (trigger never reached) must not
-// hang: StopBackgroundGc signals the condition variable.
-TEST(GcSchedulingTest, OsThreadModeStopsPromptlyWhenIdle) {
-  auto rt = MakeRuntime();
-  TreeOptions options;  // default trigger: never reached with zero ops
-  options.gc_scheduling = GcScheduling::kOsThread;
-  CclBTree tree(*rt, options);
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+  EXPECT_GT(tree.gc_rounds(), 0u) << "the quantum never ran a round under real threads";
+  EXPECT_TRUE(tree.CheckInvariants());
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  for (uint64_t n = 0; n < kThreads * kKeysPerThread; n += 97) {
+    uint64_t value = 0;
+    ASSERT_TRUE(tree.Lookup(Mix64(n) | 1, &value)) << "key #" << n;
+    EXPECT_EQ(value, n + 1);
+  }
 }
 
 }  // namespace

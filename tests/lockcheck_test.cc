@@ -397,8 +397,8 @@ TEST(LockCheck, CleanRunOnCclbtreeFig10Micro) {
   config.warm_keys = 15'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
-  config.lockcheck = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, {}, 1ULL << 30);
+  RunResult result =
+      RunIndexWorkload("cclbtree", config, {}, {.pool_bytes = 1ULL << 30, .lockcheck = true});
   ASSERT_TRUE(result.lockcheck.enabled);
   EXPECT_EQ(result.lockcheck.total(), 0u)
       << "first diagnostic: "

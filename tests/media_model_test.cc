@@ -1,11 +1,12 @@
 // Tests for the pluggable persistence-domain backends (DESIGN.md §14):
-// backend resolution (explicit config > legacy eadr flag > CCL_BACKEND env >
-// ADR default), the per-backend crash-window semantics (eADR loses nothing
-// acked; a volatile CXL buffer loses exactly its staged lines), the CXL
-// non-volatile path's equivalence with the ADR commit loop, and the
-// backend-appropriate pmcheck severities on CXL.
+// backend resolution (explicit config > CCL_BACKEND env > ADR default, with a
+// mistyped selector named on stderr), the per-backend crash-window semantics
+// (eADR loses nothing acked; a volatile CXL buffer loses exactly its staged
+// lines), the CXL non-volatile path's equivalence with the ADR commit loop,
+// and the backend-appropriate pmcheck severities on CXL.
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,6 @@ TEST(ResolveBackend, DefaultIsAdrOptane) {
   DeviceConfig config = SmallConfig();
   ResolveMediaBackend(config);
   EXPECT_EQ(config.backend, MediaBackend::kAdrOptane);
-  EXPECT_FALSE(config.eadr);
   PmDevice device{SmallConfig()};
   EXPECT_EQ(device.config().backend, MediaBackend::kAdrOptane);
   EXPECT_STREQ(device.media().name(), "adr");
@@ -64,20 +64,11 @@ TEST(ResolveBackend, DefaultIsAdrOptane) {
   EXPECT_TRUE(device.media().durable_at_commit());
 }
 
-TEST(ResolveBackend, LegacyEadrFlagMapsToEadrBackend) {
-  DeviceConfig config = SmallConfig();
-  config.eadr = true;
-  ResolveMediaBackend(config);
-  EXPECT_EQ(config.backend, MediaBackend::kEadr);
-  EXPECT_TRUE(config.eadr);  // mirror stays consistent
-}
-
 TEST(ResolveBackend, EnvSelectorAppliesWhenAuto) {
   setenv("CCL_BACKEND", "eadr", 1);
   DeviceConfig config = SmallConfig();
   ResolveMediaBackend(config);
   EXPECT_EQ(config.backend, MediaBackend::kEadr);
-  EXPECT_TRUE(config.eadr);
 
   setenv("CCL_BACKEND", "cxl", 1);
   DeviceConfig cxl = SmallConfig();
@@ -96,6 +87,38 @@ TEST(ResolveBackend, EnvSelectorAppliesWhenAuto) {
   pinned.backend = MediaBackend::kAdrOptane;
   ResolveMediaBackend(pinned);
   EXPECT_EQ(pinned.backend, MediaBackend::kAdrOptane);
+
+  unsetenv("CCL_CXL_PAGE");
+  unsetenv("CCL_BACKEND");
+}
+
+// A mistyped selector still falls back to the default, but says so: one
+// stderr line naming the variable, the value and what was used instead.
+TEST(ResolveBackend, MistypedSelectorIsNamedOnStderr) {
+  setenv("CCL_BACKEND", "cxI", 1);
+  DeviceConfig typo = SmallConfig();
+  testing::internal::CaptureStderr();
+  ResolveMediaBackend(typo);
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(typo.backend, MediaBackend::kAdrOptane);
+  EXPECT_EQ(err, "pmsim: unknown CCL_BACKEND=cxI (expected adr, eadr or cxl); using adr\n");
+
+  setenv("CCL_BACKEND", "cxl", 1);
+  setenv("CCL_CXL_PAGE", "3000", 1);
+  DeviceConfig page = SmallConfig();
+  testing::internal::CaptureStderr();
+  ResolveMediaBackend(page);
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(page.backend, MediaBackend::kCxlMem);
+  EXPECT_EQ(page.xpline_bytes, 4096u);
+  EXPECT_EQ(err, "pmsim: CCL_CXL_PAGE=3000 is not a power of two in [256, 4096]; using 4096\n");
+
+  // Valid selectors resolve silently.
+  setenv("CCL_CXL_PAGE", "1024", 1);
+  DeviceConfig valid = SmallConfig();
+  testing::internal::CaptureStderr();
+  ResolveMediaBackend(valid);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
 
   unsetenv("CCL_CXL_PAGE");
   unsetenv("CCL_BACKEND");

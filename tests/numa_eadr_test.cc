@@ -21,7 +21,7 @@ TEST(Numa, RemoteAccessesAppearWhenThreadsSpanSockets) {
   config.threads_per_socket = 4;
   config.warm_keys = 20'000;
   config.ops = 20'000;
-  RunResult result = RunIndexWorkload("fptree", config, {}, 512 << 20);
+  RunResult result = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
   EXPECT_GT(result.stats.remote_accesses, config.ops / 4);
 }
 
@@ -31,7 +31,7 @@ TEST(Numa, SingleSocketRunHasNoRemoteAccesses) {
   config.threads_per_socket = 48;  // everyone on socket 0
   config.warm_keys = 20'000;
   config.ops = 20'000;
-  RunResult result = RunIndexWorkload("fptree", config, {}, 512 << 20);
+  RunResult result = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
   EXPECT_EQ(result.stats.remote_accesses, 0u);
 }
 
@@ -45,15 +45,15 @@ TEST(Numa, CclRemoteFractionLowerThanSocketObliviousBaseline) {
   config.ops = 30'000;
   IndexConfig quiet;
   quiet.tree.background_gc = false;
-  RunResult ccl = RunIndexWorkload("cclbtree", config, quiet, 512 << 20);
-  RunResult fp = RunIndexWorkload("fptree", config, {}, 512 << 20);
+  RunResult ccl = RunIndexWorkload("cclbtree", config, quiet, {.pool_bytes = 512 << 20});
+  RunResult fp = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
   EXPECT_LT(ccl.stats.remote_accesses, fp.stats.remote_accesses);
 }
 
 TEST(Eadr, TreeWorksWithoutFences) {
   kvindex::RuntimeOptions runtime_options;
   runtime_options.device.pool_bytes = 256 << 20;
-  runtime_options.device.eadr = true;
+  runtime_options.device.backend = pmsim::MediaBackend::kEadr;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
   options.background_gc = false;
@@ -73,7 +73,7 @@ TEST(Eadr, TreeWorksWithoutFences) {
 TEST(Eadr, EadrStoresPersistAcrossCrashWithoutFences) {
   kvindex::RuntimeOptions runtime_options;
   runtime_options.device.pool_bytes = 256 << 20;
-  runtime_options.device.eadr = true;
+  runtime_options.device.backend = pmsim::MediaBackend::kEadr;
   runtime_options.device.crash_tracking = true;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;

@@ -366,8 +366,8 @@ TEST(PmCheck, CleanRunOnCclbtreeFig10Micro) {
   config.warm_keys = 15'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
-  config.pmcheck = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, {}, 1ULL << 30);
+  RunResult result =
+      RunIndexWorkload("cclbtree", config, {}, {.pool_bytes = 1ULL << 30, .pmcheck = true});
   ASSERT_TRUE(result.pmcheck.enabled);
   EXPECT_EQ(result.pmcheck.total(), 0u) << "first diagnostic: "
       << (result.pmcheck.diagnostics.empty()

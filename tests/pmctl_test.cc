@@ -51,7 +51,7 @@ bench::RunResult RunDriver() {
   config.warm_keys = 10'000;
   config.ops = 10'000;
   config.op = OpType::kUpdate;
-  return bench::RunIndexWorkload("cclbtree", config, {}, 256 << 20);
+  return bench::RunIndexWorkload("cclbtree", config, {}, {.pool_bytes = 256 << 20});
 }
 
 // Writes a dump of a bare runtime on `backend` after `seed` ran on its device,

@@ -332,7 +332,7 @@ TEST(Device, TagAttributionFollowsRegisteredRanges) {
 
 TEST(Device, EadrModePersistsWithoutFence) {
   DeviceConfig config = SmallConfig();
-  config.eadr = true;
+  config.backend = MediaBackend::kEadr;
   PmDevice device(config);
   ThreadContext ctx(device, 0);
   auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192);

@@ -40,15 +40,16 @@
 #  10. ASan+UBSan on the pmsim + trace + GC-scheduling + pmcheck + lockcheck
 #      + simd + dram_btree + media_model + service + crash_matrix + metrics
 #      test subset
-#  11. TSan on the same subset (gc_scheduling_test's kOsThread tests are the
-#      real-concurrency stress of the legacy GC thread; dram_btree_test's
-#      descent stress races optimistic readers against writers;
-#      service_test's real-thread pinning regimes run instrumented here)
+#  11. TSan on the same subset (gc_scheduling_test's CooperativeGcOnRealThreads
+#      is the real-concurrency stress of the cooperative GC quantum;
+#      dram_btree_test's descent stress races optimistic readers against
+#      writers; service_test's real-thread pinning regimes run instrumented
+#      here)
 #
 # The sanitizer passes cover the code with the trickiest concurrency story —
 # the lock-striped XPBuffer, sharded stats, the pmtrace ring/registry, and
-# the GC thread lifecycle — without paying for a fully instrumented build of
-# every bench binary.
+# GC rounds entered from concurrent upserts — without paying for a fully
+# instrumented build of every bench binary.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

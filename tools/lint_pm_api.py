@@ -54,8 +54,9 @@ SCAN_DIRS = ("src", "bench", "tests", "tools", "examples")
 CXX_EXTS = (".cc", ".h")
 
 # Wall-clock sleeps are banned everywhere: a sleeping test is a flaky test,
-# and a sleeping bench perturbs the op stream. Waiting code polls virtual
-# state under a steady_clock *deadline* instead (see gc_scheduling_test.cc).
+# and a sleeping bench perturbs the op stream. A test that must wait joins
+# the threads it started, or polls state under a steady_clock *deadline*
+# (R2 allows steady_clock in tests).
 SLEEP_RE = re.compile(r"sleep_for|sleep_until|\busleep\s*\(|\bnanosleep\s*\(")
 
 # Wall-clock reads; allowed in tests (deadlines) and in the two benches that
