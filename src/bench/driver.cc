@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
-#include <thread>
 
 #include "src/bench/measured_phase.h"
 #include "src/bench/trace_dump.h"
@@ -14,6 +13,7 @@
 #include "src/metrics/clock.h"
 #include "src/metrics/metrics.h"
 #include "src/pmem/value_store.h"
+#include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::bench {
@@ -53,61 +53,9 @@ struct KeyBlobModel {
   }
 };
 
-// Interleaves `threads` logical workers. Each call of `step(w)` performs a
-// bounded slice of operations and returns false once worker w is finished.
-// Default mode: all workers share the calling OS thread, sliced round-robin
-// so their virtual clocks advance roughly in lockstep (which the per-DIMM
-// queueing model assumes); os_parallel mode uses real threads instead.
-template <typename StepFn>
-void Schedule(const RunConfig& config, std::vector<std::unique_ptr<pmsim::ThreadContext>>& ctxs,
-              StepFn&& step) {
-  if (config.os_parallel) {
-    std::vector<std::thread> threads;
-    threads.reserve(static_cast<size_t>(config.threads));
-    for (int w = 0; w < config.threads; w++) {
-      threads.emplace_back([&, w] {
-        pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-        while (step(w)) {
-        }
-        pmsim::ThreadContext::SetCurrent(nullptr);
-      });
-    }
-    for (auto& thread : threads) {
-      thread.join();
-    }
-    return;
-  }
-  std::vector<bool> alive(static_cast<size_t>(config.threads), true);
-  bool any_alive = true;
-  while (any_alive) {
-    any_alive = false;
-    for (int w = 0; w < config.threads; w++) {
-      if (!alive[static_cast<size_t>(w)]) {
-        continue;
-      }
-      pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-      alive[static_cast<size_t>(w)] = step(w);
-      any_alive = any_alive || alive[static_cast<size_t>(w)];
-    }
-  }
-  pmsim::ThreadContext::SetCurrent(nullptr);
-}
-
 // Ops per scheduling slice: small enough to bound virtual-clock skew between
 // workers to a few microseconds.
 constexpr uint64_t kSliceOps = 1;
-
-std::vector<std::unique_ptr<pmsim::ThreadContext>> MakeContexts(kvindex::Runtime& runtime,
-                                                                const RunConfig& config) {
-  std::vector<std::unique_ptr<pmsim::ThreadContext>> ctxs;
-  ctxs.reserve(static_cast<size_t>(config.threads));
-  for (int w = 0; w < config.threads; w++) {
-    ctxs.push_back(std::make_unique<pmsim::ThreadContext>(
-        runtime.device(), runtime.SocketForWorker(w, config.threads_per_socket), w));
-  }
-  pmsim::ThreadContext::SetCurrent(nullptr);
-  return ctxs;
-}
 
 // Appends a checker's section to the run's dump (when one was written) and
 // prints its stderr summary: totals and counters, then each class with
@@ -152,21 +100,7 @@ uint64_t WarmKey(const RunConfig& config, uint64_t i) {
 RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
                       const RunConfig& config) {
   assert(config.threads >= 1);
-  // Sequential-only features requested under os_parallel would be dropped on
-  // the floor below (an epoch snapshot would race across real threads). Fail
-  // loudly instead of ignoring the user's config: one warning per dropped
-  // feature, surfaced in RunResult::warnings and on stderr.
-  std::vector<std::string> warnings;
-  if (config.os_parallel && (config.metrics || MetricsDumpRequested()) && config.ops > 0) {
-    warnings.emplace_back(
-        "metrics epoch series not collected: virtual-time epochs require "
-        "sequential scheduling (os_parallel=true); only end-of-run totals "
-        "are reported");
-  }
-  for (const std::string& w : warnings) {
-    std::fprintf(stderr, "driver[%s]: WARNING: %s\n",
-                 config.trace_label.empty() ? "run" : config.trace_label.c_str(), w.c_str());
-  }
+  auto socket_of = [&](int w) { return runtime.SocketForWorker(w, config.threads_per_socket); };
   if (config.preset_keys != nullptr) {
     assert(config.preset_keys->size() >= config.warm_keys + config.ops);
   }
@@ -175,7 +109,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 
   // --- warm-up phase -----------------------------------------------------------
   {
-    auto ctxs = MakeContexts(runtime, config);
+    pmsim::VirtualWorkers workers(runtime.device(), config.threads, socket_of);
     uint64_t per_thread = config.warm_keys / static_cast<uint64_t>(config.threads);
     std::vector<uint64_t> cursor(static_cast<size_t>(config.threads));
     std::vector<uint64_t> limit(static_cast<size_t>(config.threads));
@@ -184,7 +118,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
       limit[static_cast<size_t>(w)] =
           w + 1 == config.threads ? config.warm_keys : cursor[static_cast<size_t>(w)] + per_thread;
     }
-    Schedule(config, ctxs, [&](int w) {
+    workers.Run([&](int w) {
       uint64_t& i = cursor[static_cast<size_t>(w)];
       uint64_t end = std::min(limit[static_cast<size_t>(w)], i + kSliceOps);
       for (; i < end; i++) {
@@ -217,10 +151,8 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     trace::SetScopeTiming(true);
   }
   // Metrics registry and epoch series: measurement phase only, CPU-side by
-  // construction, so enabling them cannot move a virtual metric. Epochs need
-  // sequential scheduling: epoch ends taken from concurrent OS threads would
-  // interleave nondeterministically.
-  MeasuredPhase phase(runtime.device(), config.metrics, !config.os_parallel && config.ops > 0,
+  // construction, so enabling them cannot move a virtual metric.
+  MeasuredPhase phase(runtime.device(), config.metrics, config.ops > 0,
                       [&index](MeasuredPhase::Gauges* gauges) { index.SampleGauges(gauges); });
   const bool metrics_on = phase.metrics();
 
@@ -334,8 +266,8 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   };
 
   {
-    auto ctxs = MakeContexts(runtime, config);
-    Schedule(config, ctxs, [&](int w) {
+    pmsim::VirtualWorkers workers(runtime.device(), config.threads, socket_of);
+    workers.Run([&](int w) {
       WorkerState& st = states[static_cast<size_t>(w)];
       uint64_t end = std::min(st.limit, st.cursor + kSliceOps);
       for (; st.cursor < end; st.cursor++) {
@@ -351,7 +283,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   }
 
   RunResult result;
-  result.warnings = std::move(warnings);
   // The frontier is the slowest worker's end, not the largest clock now:
   // naive GC's RaiseContextClocks can advance a finished worker's clock.
   uint64_t worker_ns = 0;

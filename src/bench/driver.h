@@ -1,5 +1,5 @@
-// Workload driver shared by every benchmark binary: spawns worker threads
-// with per-thread virtual clocks, runs warm-up + measurement phases, and
+// Workload driver shared by every benchmark binary: steps virtual workers
+// (pmsim::VirtualWorkers), runs warm-up + measurement phases, and
 // reports modeled throughput, amplification counters and latency
 // percentiles. The measurement phase's bracket, epoch series and .pmmetrics
 // dump are the MeasuredPhase the service also runs (measured_phase.h); the
@@ -34,6 +34,8 @@
 namespace cclbt::bench {
 
 struct RunConfig {
+  // Modeled workers, stepped one op at a time on the calling OS thread: the
+  // same RunConfig gives bit-identical virtual metrics (DESIGN.md §10).
   int threads = 48;
   // Distinct keys loaded before measurement (the paper warms with 50 M).
   uint64_t warm_keys = 1'000'000;
@@ -48,11 +50,11 @@ struct RunConfig {
   int threads_per_socket = 48;
   // Enable the metrics registry (src/metrics) for the measurement phase:
   // per-op-kind latency histograms in virtual AND wall time (merged into
-  // RunResult::latency), registry counters, and — under sequential
-  // scheduling — the series of kMetricsEpochNs virtual-time epochs in
-  // RunResult::epochs (windowed XBI/CLI, media bytes by component, latency
-  // percentiles, XPBuffer/GC gauges). Also switched on by the CCL_METRICS
-  // environment variable, which additionally dumps a .pmmetrics file (see
+  // RunResult::latency), registry counters, and the series of
+  // kMetricsEpochNs virtual-time epochs in RunResult::epochs (windowed
+  // XBI/CLI, media bytes by component, latency percentiles, XPBuffer/GC
+  // gauges). Also switched on by the CCL_METRICS environment variable,
+  // which additionally dumps a .pmmetrics file (see
   // src/bench/measured_phase.h). Epoch records are virtual-time-only and
   // bit-identical run-to-run for a deterministic config; the registry is
   // CPU-side only, so enabling it never shifts a virtual metric.
@@ -73,17 +75,6 @@ struct RunConfig {
   // Preset key set (e.g. SOSD datasets); overrides dist for inserts.
   const std::vector<uint64_t>* preset_keys = nullptr;
   uint64_t seed = 99;
-  // Execute the logical workers on real OS threads. Sequential execution
-  // (the default) is fully deterministic: the same RunConfig yields
-  // bit-identical virtual-time metrics run after run — including indexes
-  // with background GC, which runs at deterministic virtual-time points
-  // (DESIGN.md §10). With one worker, os_parallel on/off is also
-  // bit-identical. With several workers, os_parallel results differ slightly
-  // run-to-run: real-thread interleaving changes lock-acquisition order and
-  // XPBuffer LRU state, so eviction counts and queueing delays shift within
-  // noise. Concurrency correctness is covered by the test suite, which
-  // always uses real threads.
-  bool os_parallel = false;
 };
 
 // Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,
@@ -109,11 +100,6 @@ struct RunResult : PhaseResult {
   // measurement end; the event stream keeps flowing until the runtime dies,
   // but counts only grow, so a clean snapshot of a finished run stays clean.
   pmsim::LockCheckReport lockcheck;
-  // Configuration the driver could not honor (the metrics epoch series
-  // under os_parallel, a sequential-scheduling feature). Each dropped request
-  // produces one entry here and one warning line on stderr — a set config is
-  // never ignored silently.
-  std::vector<std::string> warnings;
 };
 
 // Loads `config.warm_keys` distinct keys (or the preset set), then runs the

@@ -15,6 +15,7 @@
 #include "src/pmsim/crash_injector.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
+#include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::core {
@@ -133,14 +134,14 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
   head_leaf_ = LeafAt(root->head_leaf_offset);
 
-  RebuildFromLeafList();
+  if (!RebuildFromLeafList()) {
+    return false;
+  }
   ReplayLogs(recovery_threads);
   ResetLeafTimestamps();
-  // Modeled recovery duration: the serial work on this thread (leaf-list
-  // walk, chunk reclaim, timestamp reset) plus the slowest replay worker.
-  last_recovery_modeled_ns_.store(
-      boot_ctx.now_ns() - boot_start + replay_max_vtime_ns_.load(std::memory_order_relaxed),
-      std::memory_order_relaxed);
+  // Modeled recovery duration: the boot context's clock covers every phase,
+  // since replay ends by raising it to the slowest replay worker's clock.
+  last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
   recovered_ = true;
   // GC may only start now: every earlier return leaves the instance without
   // a GC context, so a failed recovery never runs a GC round.
@@ -981,57 +982,24 @@ void CclBTree::LocalityAwareGc() {
   // sequential appends, never a random leaf write. The copy gets a fresh
   // timestamp, which is safe: the slot holds the newest value for its key
   // and every later update will receive a still-larger timestamp.
-  std::vector<BufferNode*> bns = CollectBufferNodes();
-  auto scan_partition = [this, &bns, old_epoch, new_epoch](size_t begin, size_t end) {
-    // Helper threads don't inherit the caller's scope: re-enter kGc here so
-    // their WAL appends attribute as GC-driven I-log traffic.
-    trace::TraceScope scope(trace::Component::kGc);
-    pmsim::ThreadContext* gc_ctx = pmsim::ThreadContext::Current();
-    for (size_t b = begin; b < end; b++) {
-      BufferNode* bn = bns[b];
-      bn->Lock();
-      if (!bn->dead()) {
-        BufferSlot* slots = bn->slots();
-        int pos = bn->pos();
-        for (int i = 0; i < pos; i++) {
-          if (bn->EpochBit(i) == old_epoch) {
-            uint64_t ts = rt_.ordo().Now(gc_ctx->socket());
-            bool logged = wals_->Append(gc_ctx->worker_id(), static_cast<int>(new_epoch),
-                                        slots[i].key.load(std::memory_order_relaxed),
-                                        slots[i].value.load(std::memory_order_relaxed), ts);
-            assert(logged && "log arena exhausted during GC");
-            (void)logged;
-            bn->SetEpochBit(i, new_epoch);
-          }
+  for (BufferNode* bn : CollectBufferNodes()) {
+    bn->Lock();
+    if (!bn->dead()) {
+      BufferSlot* slots = bn->slots();
+      int pos = bn->pos();
+      for (int i = 0; i < pos; i++) {
+        if (bn->EpochBit(i) == old_epoch) {
+          uint64_t ts = rt_.ordo().Now(ctx->socket());
+          bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(new_epoch),
+                                      slots[i].key.load(std::memory_order_relaxed),
+                                      slots[i].value.load(std::memory_order_relaxed), ts);
+          assert(logged && "log arena exhausted during GC");
+          (void)logged;
+          bn->SetEpochBit(i, new_epoch);
         }
       }
-      bn->Unlock();
     }
-  };
-  int gc_threads = std::max(1, options_.gc_threads);
-  if (gc_threads == 1 || bns.size() < 1024) {
-    scan_partition(0, bns.size());
-  } else {
-    // Each helper gets its own WAL (reserved worker-id range) and I-logs to
-    // its local socket.
-    std::vector<std::thread> helpers;
-    size_t per = (bns.size() + static_cast<size_t>(gc_threads) - 1) /
-                 static_cast<size_t>(gc_threads);
-    for (int t = 0; t < gc_threads; t++) {
-      size_t begin = static_cast<size_t>(t) * per;
-      size_t end = std::min(bns.size(), begin + per);
-      if (begin >= end) {
-        break;
-      }
-      helpers.emplace_back([this, &scan_partition, begin, end, t] {
-        pmsim::ThreadContext helper_ctx(rt_.device(), t % rt_.device().config().num_sockets,
-                                        options_.max_workers - 1 - t);
-        scan_partition(begin, end);
-      });
-    }
-    for (auto& helper : helpers) {
-      helper.join();
-    }
+    bn->Unlock();
   }
   // Every buffered-but-unflushed KV now lives in the I-log (either copied
   // above or logged there by foreground threads after the flip): the old
@@ -1056,10 +1024,11 @@ void CclBTree::FlushAll() {
 
 // --- recovery ---------------------------------------------------------------------
 
-void CclBTree::RebuildFromLeafList() {
-  std::unordered_set<uint64_t> reachable;
-  // Head sentinel.
-  reachable.insert(LeafOffset(head_leaf_));
+bool CclBTree::RebuildFromLeafList() {
+  // Every leaf the walk has visited, so a next pointer back to one ends it;
+  // minus the unlinked empty leaves, that is the reachable set.
+  std::unordered_set<uint64_t> walked{LeafOffset(head_leaf_)};
+  std::vector<uint64_t> unlinked;
   BufferNode* head_bn = NewBufferNode(head_leaf_, 0, head_leaf_->timestamp);
   inner_.Insert(0, head_bn);
 
@@ -1067,128 +1036,95 @@ void CclBTree::RebuildFromLeafList() {
   uint64_t next_offset = head_leaf_->next_offset();
   uint64_t prev_min = 0;
   while (next_offset != 0) {
+    if (!walked.insert(next_offset).second) {
+      return false;  // the leaf list loops back on itself
+    }
     PmLeaf* leaf = LeafAt(next_offset);
     pmsim::ReadPm(leaf, kLeafBytes);
     bool has_min = false;
     uint64_t min_key = leaf->MinKey(&has_min);
     if (!has_min) {
       // Empty leaf: unlink and let the slab reclaim it (it stays invisible).
+      unlinked.push_back(next_offset);
       prev->meta.store(MakeMeta(prev->bitmap(), leaf->next_offset()), std::memory_order_release);
       pmsim::FlushLine(prev);
       pmsim::Fence();
       next_offset = leaf->next_offset();
       continue;
     }
-    assert(min_key > prev_min && "leaf list must be ordered");
+    if (min_key <= prev_min) {
+      return false;  // the leaf list must be ordered by key
+    }
     prev_min = min_key;
-    reachable.insert(next_offset);
     BufferNode* bn = NewBufferNode(leaf, min_key, leaf->timestamp);
     inner_.Insert(min_key, bn);
     prev = leaf;
     next_offset = leaf->next_offset();
   }
-  leaf_slab_->Recover([this, &reachable](const void* slot) {
-    return reachable.contains(rt_.pool().ToOffset(slot));
+  for (uint64_t offset : unlinked) {
+    walked.erase(offset);
+  }
+  leaf_slab_->Recover([this, &walked](const void* slot) {
+    return walked.contains(rt_.pool().ToOffset(slot));
   });
+  return true;
 }
 
 void CclBTree::ReplayLogs(int threads) {
   assert(threads >= 1);
-  // Phase 1: gather the chunks, then scan them (parallel by chunk),
-  // bucketing entries by key hash so each key is replayed by one thread in
-  // timestamp order.
-  std::vector<std::byte*> chunks;
-  log_arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(static_cast<std::byte*>(mem)); });
+  std::vector<void*> chunks;
+  log_arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
+  const auto n = static_cast<size_t>(threads);
+  std::vector<std::vector<LogEntry>> buckets(n);
+  std::vector<size_t> steps(n, 0);  // steps each worker has taken in this phase
+  pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
+  {
+    // Virtual workers (DESIGN.md §10), starting where the rebuild left the
+    // boot clock.
+    pmsim::VirtualWorkers workers(
+        rt_.device(), threads, [this](int w) { return rt_.SocketForWorker(w); }, boot->now_ns());
 
-  auto buckets = std::vector<std::vector<LogEntry>>(static_cast<size_t>(threads));
-  sync::Mutex buckets_mu{"tree.replay_buckets"};
-
-  auto record_vtime = [this](const pmsim::ThreadContext& ctx) {
-    uint64_t now = ctx.now_ns();
-    uint64_t seen = replay_max_vtime_ns_.load(std::memory_order_relaxed);
-    while (now > seen &&
-           !replay_max_vtime_ns_.compare_exchange_weak(seen, now, std::memory_order_relaxed)) {
-    }
-  };
-  auto scan_worker = [&](int worker) {
-    pmsim::ThreadContext ctx(rt_.device(), rt_.SocketForWorker(worker), worker);
-    // Lockless reads of the pre-crash workers' chunks; replay ordering comes
-    // from timestamps, not locks (same exemption as WalSet::ScanAll).
-    pmsim::LockCheckExpect scan_expect(pmsim::LockCheckClass::kLocksetEmpty);
-    std::vector<std::vector<LogEntry>> local(static_cast<size_t>(threads));
-    for (size_t c = static_cast<size_t>(worker); c < chunks.size();
-         c += static_cast<size_t>(threads)) {
-      std::byte* base = chunks[c];
-      const auto* header = reinterpret_cast<const LogChunkHeader*>(base);
-      if (header->magic != kLogChunkMagic || header->state != kChunkActive) {
-        continue;
+    // Phase 1: worker w scans chunks w, w + threads, ..., one per step,
+    // bucketing entries by key hash so each key is replayed by one worker.
+    workers.Run([&](int w) {
+      size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
+      if (c < chunks.size()) {
+        WalSet::ScanChunk(chunks[c], [&buckets, n](const LogEntry& entry) {
+          buckets[Mix64(entry.key) % n].push_back(entry);
+        });
       }
-      pmsim::ReadPm(header, sizeof(LogChunkHeader));
-      const auto* entries = reinterpret_cast<const LogEntry*>(base + sizeof(LogChunkHeader));
-      size_t max_entries = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
-      size_t consumed = 0;
-      for (size_t i = 0; i < max_entries; i++) {
-        if (!EntryValid(entries[i], header->generation)) {
-          break;
-        }
-        size_t bucket = Mix64(entries[i].key) % static_cast<uint64_t>(threads);
-        local[bucket].push_back(entries[i]);
-        consumed++;
-      }
-      pmsim::ReadPm(entries, (consumed + 1) * sizeof(LogEntry));
-    }
-    {
-      sync::LockGuard<sync::Mutex> guard(buckets_mu);
-      for (int b = 0; b < threads; b++) {
-        auto& bucket = buckets[static_cast<size_t>(b)];
-        bucket.insert(bucket.end(), local[static_cast<size_t>(b)].begin(),
-                      local[static_cast<size_t>(b)].end());
-      }
-    }
-    record_vtime(ctx);
-  };
-
-  // Phase 2: apply each bucket in timestamp order. Entries are filtered
-  // against the leaf's *pre-crash* timestamp snapshot (recovery_orig_ts):
-  // an entry newer than the last flush was buffered in DRAM and lost, so it
-  // is re-applied straight to the leaf. Replay is idempotent — a crash during
-  // recovery leaves the logs in place and the snapshot unchanged (leaf
-  // timestamps are only reset after the logs are reclaimed).
-  auto apply_worker = [&](int worker) {
-    pmsim::ThreadContext ctx(rt_.device(), rt_.SocketForWorker(worker), worker);
-    auto& bucket = buckets[static_cast<size_t>(worker)];
-    std::sort(bucket.begin(), bucket.end(), [](const LogEntry& a, const LogEntry& b) {
-      return a.timestamp() < b.timestamp();
+      return c + n < chunks.size();
     });
-    for (const LogEntry& entry : bucket) {
-      BufferNode* bn = RouteAndLock(entry.key);
-      if (entry.timestamp() > bn->recovery_orig_ts()) {
-        kvindex::KeyValue kv{entry.key, entry.value};
-        BatchInsertLeaf(bn, &kv, 1, /*ts=*/0, /*update_ts=*/false);
-      }
-      bn->Unlock();
-    }
-    record_vtime(ctx);
-  };
+    workers.Barrier();
 
-  if (threads == 1) {
-    scan_worker(0);
-    apply_worker(0);
-  } else {
-    std::vector<std::thread> workers;
-    for (int t = 0; t < threads; t++) {
-      workers.emplace_back(scan_worker, t);
+    // Phase 2: worker w applies bucket w in timestamp order, one entry per
+    // step. Entries are filtered against the leaf's *pre-crash* timestamp
+    // snapshot (recovery_orig_ts): an entry newer than the last flush was
+    // buffered in DRAM and lost, so it is re-applied straight to the leaf.
+    // Replay is idempotent — a crash during recovery leaves the logs in place
+    // and the snapshot unchanged (leaf timestamps are only reset after the
+    // logs are reclaimed).
+    for (auto& bucket : buckets) {
+      std::sort(bucket.begin(), bucket.end(), [](const LogEntry& a, const LogEntry& b) {
+        return a.timestamp() < b.timestamp();
+      });
     }
-    for (auto& worker : workers) {
-      worker.join();
-    }
-    workers.clear();
-    for (int t = 0; t < threads; t++) {
-      workers.emplace_back(apply_worker, t);
-    }
-    for (auto& worker : workers) {
-      worker.join();
-    }
+    std::fill(steps.begin(), steps.end(), 0);
+    workers.Run([&](int w) {
+      const std::vector<LogEntry>& bucket = buckets[static_cast<size_t>(w)];
+      size_t i = steps[static_cast<size_t>(w)]++;
+      if (i < bucket.size()) {
+        BufferNode* bn = RouteAndLock(bucket[i].key);
+        if (bucket[i].timestamp() > bn->recovery_orig_ts()) {
+          kvindex::KeyValue kv{bucket[i].key, bucket[i].value};
+          BatchInsertLeaf(bn, &kv, 1, /*ts=*/0, /*update_ts=*/false);
+        }
+        bn->Unlock();
+      }
+      return i + 1 < bucket.size();
+    });
+    // The boot context resumes once the slowest replay worker is done.
+    boot->ResetClock(workers.Barrier());
   }
 
   // Phase 3: every log chunk is now dead — reclaim them all. The free-marker

@@ -56,10 +56,10 @@ class CclBTree : public kvindex::KvIndex {
   // lines before the header line that publishes them.
   bool tolerates_torn_crash() const override { return true; }
   // Failure recovery: rebuilds the DRAM layers from the persistent leaf
-  // list, replays WALs, resets leaf timestamps, reclaims unreachable leaves
-  // and log chunks. `recovery_threads` parallelizes the log scan/replay
-  // phase (paper Figure 17). Only valid once, on a kAttach instance; returns
-  // false if the pool holds no valid tree root.
+  // list, replays WALs on `recovery_threads` virtual workers (paper Figure
+  // 17), reclaims unreachable leaves and log chunks, resets leaf timestamps.
+  // Only valid once, on a kAttach instance; returns false if the pool holds
+  // no valid tree root or the leaf list loops or is out of key order.
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
@@ -95,8 +95,8 @@ class CclBTree : public kvindex::KvIndex {
   // Virtual clock of the deterministic GC context (0 when gc_mode is kNone).
   // Benches fold this into the run's modeled elapsed time.
   uint64_t gc_vtime_ns() const { return gc_ctx_ ? gc_ctx_->now_ns() : 0; }
-  // Modeled duration of the last Recover() call: serial rebuild walk plus
-  // the slowest parallel replay worker (paper Figure 17).
+  // Modeled duration of the last Recover() call (paper Figure 17): the boot
+  // context's elapsed clock, which waits at the replay workers' last barrier.
   uint64_t last_recovery_modeled_ns() const override {
     return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
   }
@@ -161,7 +161,7 @@ class CclBTree : public kvindex::KvIndex {
   std::vector<BufferNode*> CollectBufferNodes() const;
 
   // --- recovery internals --------------------------------------------------------
-  void RebuildFromLeafList();
+  bool RebuildFromLeafList();
   void ReplayLogs(int threads);
   void ResetLeafTimestamps();
 
@@ -202,7 +202,6 @@ class CclBTree : public kvindex::KvIndex {
   // Live log bytes right after the last GC round (hysteresis floor).
   std::atomic<uint64_t> post_gc_live_bytes_{0};
   std::atomic<uint64_t> last_recovery_modeled_ns_{0};
-  std::atomic<uint64_t> replay_max_vtime_ns_{0};
 
   // --- GC scheduling state (DESIGN.md §10) ------------------------------------
   // The tree-owned context all GC PM traffic is charged to (fig14's GC cost

@@ -33,12 +33,8 @@ struct TreeOptions {
   // price of more trigger checks on the write path.
   bool background_gc = true;
   int gc_quantum_ops = 64;
-  // Parallelism of one locality-aware GC round (paper §5.1: "we set the
-  // default number of GC threads for CCL-BTree to 1"). Each GC worker scans
-  // a partition of the buffer nodes and appends to its own I-log.
-  int gc_threads = 1;
-  // Maximum worker ids (threads) the per-thread WAL array supports. The top
-  // `gc_threads` ids are reserved for GC workers.
+  // Maximum worker ids (threads) the per-thread WAL array supports; the
+  // tree's GC context appends its I-log entries as the last one.
   int max_workers = 136;
   // Pool app-root slot holding this tree's persistent root record. Multiple
   // trees can coexist in one pool (the sharded service gives each shard its

@@ -148,31 +148,29 @@ void WalSet::ReleaseEpoch(int epoch) {
   live_bytes_.fetch_sub(released, std::memory_order_relaxed);
 }
 
-void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn) {
+void WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn) {
   // Recovery reads every worker's chunks with no lock; the pre-crash owners
   // are gone and replay order is fixed by timestamps, not locks. Without the
   // scope these reads would demote still-live lines out of their
   // single-writer exemption and later owner writes would intersect to empty.
   pmsim::LockCheckExpect scan_expect(pmsim::LockCheckClass::kLocksetEmpty);
-  arena.ForEachChunk([&fn](void* mem) {
-    auto* base = static_cast<std::byte*>(mem);
-    const auto* header = reinterpret_cast<const LogChunkHeader*>(base);
-    if (header->magic != kLogChunkMagic || header->state != kChunkActive) {
-      return;
-    }
-    pmsim::ReadPm(header, sizeof(LogChunkHeader));
-    const auto* entries = reinterpret_cast<const LogEntry*>(base + sizeof(LogChunkHeader));
-    size_t consumed = 0;
-    for (size_t i = 0; i < kEntriesPerChunk; i++) {
-      if (!EntryValid(entries[i], header->generation)) {
-        break;  // End of this chunk's valid prefix.
-      }
-      fn(entries[i]);
-      consumed++;
-    }
-    // Replay reads are sequential; charge one pass over the consumed prefix.
-    pmsim::ReadPm(entries, (consumed + 1) * sizeof(LogEntry));
-  });
+  const auto* header = static_cast<const LogChunkHeader*>(chunk);
+  if (header->magic != kLogChunkMagic || header->state != kChunkActive) {
+    return;
+  }
+  pmsim::ReadPm(header, sizeof(LogChunkHeader));
+  const auto* entries = reinterpret_cast<const LogEntry*>(header + 1);
+  size_t consumed = 0;  // length of the chunk's valid prefix
+  for (; consumed < kEntriesPerChunk && EntryValid(entries[consumed], header->generation);
+       consumed++) {
+    fn(entries[consumed]);
+  }
+  // Replay reads are sequential; charge one pass over the consumed prefix.
+  pmsim::ReadPm(entries, (consumed + 1) * sizeof(LogEntry));
+}
+
+void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn) {
+  arena.ForEachChunk([&fn](void* mem) { ScanChunk(mem, fn); });
 }
 
 }  // namespace cclbt::core

@@ -124,8 +124,9 @@ class WalSet {
   // High-water mark of live log bytes (paper Table 2's "peak log size").
   uint64_t peak_bytes() const { return peak_bytes_.load(std::memory_order_relaxed); }
 
-  // Recovery: scans every arena chunk and invokes `fn` for each valid entry
-  // of each active chunk.
+  // Recovery: invokes `fn` for each valid entry of `chunk` if it is an
+  // active log chunk. ScanAll does so for every arena chunk.
+  static void ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
   static void ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn);
 
  private:

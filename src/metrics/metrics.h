@@ -9,8 +9,8 @@
 //  * The enabled path is single-writer: each OS thread owns a
 //    cacheline-aligned MetricsShard (relaxed load+store increments, no RMW).
 //    Shards are owned by a global registry and survive thread death, so a
-//    snapshot at the end of a run sees every worker's counts even though the
-//    driver's OS threads are gone (same lifecycle as pmtrace rings).
+//    snapshot at the end of a run sees every thread's counts even after the
+//    thread is gone (same lifecycle as pmtrace rings).
 //  * CPU-side only, by construction: nothing here touches pmsim state, so
 //    the flush schedule and every virtual-time metric are bit-identical with
 //    the gate on or off. Gauges (XPBuffer occupancy, GC backlog) are pulled

@@ -19,11 +19,11 @@ constexpr uint16_t kNoWorker = 0xFFFF;
 // ---------------------------------------------------------------------------
 // Per-OS-thread shadow state. Correctness of thread-locals here rests on a
 // structural property of the codebase: a logical worker's operation runs to
-// completion on one OS thread before the driver rebinds the thread to another
-// context (SetCurrent), and no lock is ever held across such a rebind — locks
-// are acquired and released inside a single Upsert/Lookup/GC round. So "locks
-// held by this OS thread" and "locks held by the current logical worker"
-// coincide at every event the checker sees.
+// completion on one OS thread before pmsim::VirtualWorkers rebinds the thread
+// to another context (SetCurrent), and no lock is ever held across such a
+// rebind — locks are acquired and released inside a single Upsert/Lookup/GC
+// round or replay step. So "locks held by this OS thread" and "locks held by
+// the current logical worker" coincide at every event the checker sees.
 // ---------------------------------------------------------------------------
 
 struct HeldLock {

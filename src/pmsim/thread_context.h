@@ -6,8 +6,9 @@
 // performs modeled work (CPU costs, PM read latencies, WPQ back-pressure).
 // A run's modeled elapsed time is the max over workers, which is what the
 // benches report throughput against. This keeps the performance results
-// deterministic and independent of the host machine's core count, while
-// locks and atomics still execute under real concurrency.
+// deterministic and independent of the host machine's core count. Modeled
+// workers step on one OS thread (virtual_workers.h); the locks and atomics
+// they take are still checked under real concurrency by the tests.
 #ifndef SRC_PMSIM_THREAD_CONTEXT_H_
 #define SRC_PMSIM_THREAD_CONTEXT_H_
 
@@ -40,7 +41,7 @@ class ThreadContext {
   static ThreadContext* Current();
 
   // Explicitly installs `ctx` (possibly nullptr) as this thread's current
-  // context. Used by the bench driver to interleave many logical workers on
+  // context. Used by pmsim::VirtualWorkers to step many modeled workers on
   // one OS thread; the destructor of a manually-switched context leaves the
   // slot untouched unless it is still the current one.
   static void SetCurrent(ThreadContext* ctx);

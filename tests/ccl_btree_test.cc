@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -565,6 +566,11 @@ TEST(CclRecovery, CrashAfterGcLosesNothing) {
 }
 
 TEST(CclRecovery, ParallelRecoveryMatchesSerial) {
+  struct Recovered {
+    std::map<uint64_t, uint64_t> contents;
+    uint64_t modeled_ns = 0;
+    pmsim::StatsSnapshot stats;
+  };
   auto build = [](int recovery_threads) {
     auto rt = MakeRuntime();
     TreeOptions options;
@@ -582,18 +588,86 @@ TEST(CclRecovery, ParallelRecoveryMatchesSerial) {
       }
     }
     auto tree = testutil::CrashAndRecoverTree(*rt, options, recovery_threads);
+    Recovered out;
+    out.modeled_ns = tree->last_recovery_modeled_ns();
+    out.stats = rt->device().stats().Snapshot();
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
-    std::map<uint64_t, uint64_t> result;
     for (const auto& [key, value] : model) {
       uint64_t got = 0;
       if (tree->Lookup(key, &got)) {
-        result[key] = got;
+        out.contents[key] = got;
       }
     }
-    EXPECT_EQ(result.size(), model.size());
-    return result;
+    EXPECT_EQ(out.contents.size(), model.size());
+    return out;
   };
-  EXPECT_EQ(build(1), build(4));
+  Recovered serial = build(1);
+  Recovered parallel = build(4);
+  EXPECT_EQ(serial.contents, parallel.contents);
+  // Replay runs on virtual workers, so two recoveries of the same image take
+  // the same modeled time and move the same media bytes.
+  Recovered again = build(4);
+  EXPECT_GT(parallel.modeled_ns, 0u);
+  EXPECT_EQ(parallel.modeled_ns, again.modeled_ns);
+  EXPECT_EQ(parallel.stats.media_read_bytes, again.stats.media_read_bytes);
+  EXPECT_EQ(parallel.stats.media_write_bytes, again.stats.media_write_bytes);
+  EXPECT_EQ(parallel.stats.pm_read_hits, again.stats.pm_read_hits);
+}
+
+// Recovery validates the persistent leaf list instead of trusting it. A next
+// pointer back to an earlier leaf, an empty leaf linked to itself, or leaves
+// out of key order each make Recover() return false, and the failed instance
+// destructs cleanly.
+TEST(CclRecovery, DamagedLeafListFailsRecovery) {
+  enum class Damage { kBackPointer, kSelfLinkedEmptyLeaf, kOutOfOrder };
+  for (Damage damage : {Damage::kBackPointer, Damage::kSelfLinkedEmptyLeaf, Damage::kOutOfOrder}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    auto rt = MakeRuntime();
+    TreeOptions options = QuietOptions();
+    {
+      CclBTree tree(*rt, options);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (uint64_t k = 1; k <= 200; k++) {
+        tree.Upsert(k, k);
+      }
+      tree.FlushAll();
+    }
+    rt->device().Crash();
+    std::string error;
+    ASSERT_TRUE(rt->Reopen(&error)) << error;
+
+    // The durable leaf list, head first; the tree root record's second word
+    // is the head leaf's pool offset.
+    auto leaf_at = [&rt](uint64_t offset) {
+      return static_cast<PmLeaf*>(rt->pool().ToAddr(offset));
+    };
+    const auto* root =
+        static_cast<const uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(options.root_slot)));
+    std::vector<uint64_t> leaves;
+    for (uint64_t offset = root[1]; offset != 0; offset = leaf_at(offset)->next_offset()) {
+      leaves.push_back(offset);
+    }
+    ASSERT_GE(leaves.size(), 4u);
+    PmLeaf* first = leaf_at(leaves[1]);
+    PmLeaf* second = leaf_at(leaves[2]);
+    PmLeaf* third = leaf_at(leaves[3]);
+    switch (damage) {
+      case Damage::kBackPointer:
+        second->meta.store(MakeMeta(second->bitmap(), leaves[1]));
+        break;
+      case Damage::kSelfLinkedEmptyLeaf:
+        second->meta.store(MakeMeta(0, leaves[2]));
+        break;
+      case Damage::kOutOfOrder:  // head -> first -> third -> second
+        first->meta.store(MakeMeta(first->bitmap(), leaves[3]));
+        third->meta.store(MakeMeta(third->bitmap(), leaves[2]));
+        break;
+    }
+    auto tree = std::make_unique<CclBTree>(*rt, options, kvindex::Lifecycle::kAttach);
+    EXPECT_FALSE(tree->Recover(*rt, /*recovery_threads=*/4));
+    EXPECT_FALSE(tree->GcTick());
+    tree.reset();
+  }
 }
 
 TEST(CclRecovery, DoubleCrashDuringOperationIsSafe) {

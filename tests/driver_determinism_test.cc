@@ -63,23 +63,6 @@ TEST(DriverDeterminismTest, RepeatedRunsAreBitIdentical) {
   ExpectIdenticalVirtualMetrics(first, second);
 }
 
-// A single logical worker must produce the same virtual metrics whether it
-// runs inline in the driver or on a real OS thread: with one worker there is
-// no interleaving, so os_parallel may not affect simulated results.
-TEST(DriverDeterminismTest, SingleWorkerOsParallelMatchesSequential) {
-  IndexConfig index_config;
-  index_config.tree.background_gc = false;
-  RunConfig config = SmallConfig();
-  config.threads = 1;
-  config.threads_per_socket = 1;
-  config.os_parallel = false;
-  RunResult sequential = RunIndexWorkload("cclbtree", config, index_config);
-  config.os_parallel = true;
-  RunResult parallel = RunIndexWorkload("cclbtree", config, index_config);
-  ASSERT_GT(sequential.stats.media_write_bytes, 0u);
-  ExpectIdenticalVirtualMetrics(sequential, parallel);
-}
-
 // The tentpole of DESIGN.md §10: with background GC *enabled* (the default
 // deterministic scheduling), repeated runs must still be bit-identical —
 // historically the one standing exception to the driver's contract, because

@@ -128,36 +128,6 @@ TEST(Driver, YcsbMixRunsAllOpTypes) {
   EXPECT_NEAR(writes / static_cast<double>(config.ops), 0.75, 0.05);
 }
 
-TEST(Driver, OsParallelModeProducesSaneResults) {
-  RunConfig config = SmallConfig();
-  config.threads = 4;
-  config.os_parallel = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
-  EXPECT_GT(result.mops, 0.0);
-  EXPECT_EQ(result.stats.user_bytes, config.ops * 16);
-}
-
-TEST(Driver, OsParallelWarnsOnDroppedSequentialFeatures) {
-  // The metrics epoch series requires sequential scheduling; requesting it
-  // under os_parallel used to be silently ignored. The run must now surface
-  // one diagnostic per dropped feature.
-  RunConfig config = SmallConfig();
-  config.threads = 4;
-  config.os_parallel = true;
-  config.metrics = true;
-  RunResult result = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
-  ASSERT_EQ(result.warnings.size(), 1u);
-  EXPECT_NE(result.warnings[0].find("metrics epoch"), std::string::npos);
-  EXPECT_TRUE(result.epochs.empty());
-
-  // The same config sequentially is fully honored: no warnings, epochs
-  // collected.
-  config.os_parallel = false;
-  RunResult sequential = RunIndexWorkload("cclbtree", config, QuietTree(), Device());
-  EXPECT_TRUE(sequential.warnings.empty());
-  EXPECT_FALSE(sequential.epochs.empty());
-}
-
 // RunIndexWorkload runs on the device it is given: a cxl1024 device through
 // it must give the same virtual metrics as a hand-built Runtime on that
 // device plus RunWorkload, the path bench_backend_matrix takes.

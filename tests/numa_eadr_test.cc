@@ -1,6 +1,6 @@
 // Integration tests for the NUMA and eADR aspects of the simulator + tree:
 // remote-access accounting, per-socket leaf/log placement, eADR persistence
-// and the randomized-eviction locality penalty, multi-threaded GC.
+// and the randomized-eviction locality penalty.
 #include <memory>
 #include <string>
 
@@ -116,57 +116,6 @@ TEST(Eadr, ExplicitFlushBeatsEadrOnXbiForCcl) {
     return RunWorkload(runtime, *index, config).xbi_amplification;
   };
   EXPECT_GT(run(true), run(false));
-}
-
-TEST(Gc, MultiThreadedGcRoundPreservesData) {
-  kvindex::RuntimeOptions runtime_options;
-  runtime_options.device.pool_bytes = 512 << 20;
-  kvindex::Runtime runtime(runtime_options);
-  core::TreeOptions options;
-  options.background_gc = false;
-  options.gc_threads = 4;
-  core::CclBTree tree(runtime, options);
-  pmsim::ThreadContext ctx(runtime.device(), 0, 0);
-  for (uint64_t k = 1; k <= 80'000; k++) {
-    tree.Upsert(Mix64(k) | 1, k);
-  }
-  uint64_t live_before = tree.log_live_bytes();
-  tree.RunGcOnce();
-  EXPECT_LT(tree.log_live_bytes(), live_before);
-  for (uint64_t k = 1; k <= 80'000; k += 371) {
-    uint64_t value = 0;
-    ASSERT_TRUE(tree.Lookup(Mix64(k) | 1, &value));
-    EXPECT_EQ(value, k);
-  }
-  // Crash after a parallel GC: everything must still recover.
-  runtime.device().Crash();
-}
-
-TEST(Gc, MultiThreadedGcThenCrashRecovers) {
-  kvindex::RuntimeOptions runtime_options;
-  runtime_options.device.pool_bytes = 512 << 20;
-  kvindex::Runtime runtime(runtime_options);
-  core::TreeOptions options;
-  options.background_gc = false;
-  options.gc_threads = 3;
-  {
-    core::CclBTree tree(runtime, options);
-    pmsim::ThreadContext ctx(runtime.device(), 0, 0);
-    for (uint64_t k = 1; k <= 50'000; k++) {
-      tree.Upsert(Mix64(k) | 1, k);
-    }
-    tree.RunGcOnce();
-    for (uint64_t k = 50'001; k <= 60'000; k++) {
-      tree.Upsert(Mix64(k) | 1, k);
-    }
-  }
-  auto tree = testutil::CrashAndRecoverTree(runtime, options);
-  pmsim::ThreadContext ctx(runtime.device(), 0, 0);
-  for (uint64_t k = 1; k <= 60'000; k += 293) {
-    uint64_t value = 0;
-    ASSERT_TRUE(tree->Lookup(Mix64(k) | 1, &value)) << "key " << k;
-    EXPECT_EQ(value, k);
-  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Unit tests for the persistent-memory simulator: XPBuffer write-combining,
 // media accounting (CLI vs XBI), ADR crash semantics, NUMA mapping, and the
-// virtual-time cost model.
+// virtual-time cost model, and the virtual-worker stepper.
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/pmsim/crash_injector.h"
 #include "src/pmsim/device.h"
+#include "src/pmsim/virtual_workers.h"
 
 namespace cclbt::pmsim {
 namespace {
@@ -477,6 +480,58 @@ TEST(ThreadContext, NestingRestoresPrevious) {
     EXPECT_EQ(ThreadContext::Current(), &inner);
   }
   EXPECT_EQ(ThreadContext::Current(), &outer);
+}
+
+// Steps go w0, w1, w2, w0, ..., each with the worker's own context current,
+// and a worker whose step returned false is never stepped again.
+TEST(VirtualWorkers, RunStepsRoundRobinAndSkipsFinishedWorkers) {
+  PmDevice device(SmallConfig());
+  VirtualWorkers workers(device, 3, [](int w) { return w % 2; });
+  std::vector<int> steps_left = {1, 3, 2};
+  std::vector<int> order;
+  workers.Run([&](int w) {
+    ThreadContext* ctx = ThreadContext::Current();
+    EXPECT_EQ(ctx->worker_id(), w);
+    EXPECT_EQ(ctx->socket(), w % 2);
+    order.push_back(w);
+    return --steps_left[static_cast<size_t>(w)] > 0;
+  });
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 1, 2, 1}));
+}
+
+TEST(VirtualWorkers, RunRestoresTheCallersContext) {
+  PmDevice device(SmallConfig());
+  ThreadContext caller(device, 0);
+  VirtualWorkers workers(device, 2, [](int) { return 0; });
+  EXPECT_EQ(ThreadContext::Current(), &caller);
+  workers.Run([&](int) {
+    EXPECT_NE(ThreadContext::Current(), &caller);
+    return false;
+  });
+  EXPECT_EQ(ThreadContext::Current(), &caller);
+  // A crash injector aborts a step by throwing; the caller's context is
+  // still restored.
+  EXPECT_THROW(workers.Run([](int) -> bool { throw CrashPointReached{}; }), CrashPointReached);
+  EXPECT_EQ(ThreadContext::Current(), &caller);
+}
+
+TEST(VirtualWorkers, BarrierRaisesEveryClockToTheSlowest) {
+  PmDevice device(SmallConfig());
+  VirtualWorkers workers(device, 3, [](int) { return 0; }, /*start_ns=*/100);
+  std::vector<uint64_t> clocks;
+  workers.Run([&](int w) {
+    clocks.push_back(ThreadContext::Current()->now_ns());
+    ThreadContext::Current()->AdvanceCpu(10 * static_cast<uint64_t>(w + 1));
+    return false;
+  });
+  EXPECT_EQ(clocks, (std::vector<uint64_t>{100, 100, 100}));
+  EXPECT_EQ(workers.Barrier(), 130u);
+  clocks.clear();
+  workers.Run([&](int) {
+    clocks.push_back(ThreadContext::Current()->now_ns());
+    return false;
+  });
+  EXPECT_EQ(clocks, (std::vector<uint64_t>{130, 130, 130}));
 }
 
 }  // namespace

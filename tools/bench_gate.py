@@ -31,6 +31,7 @@ import tempfile
 DEFAULT_BASELINES = os.path.join(os.path.dirname(__file__), "..", "bench", "baselines")
 
 # Wall-clock fields: banded, never exact. Everything else numeric is virtual.
+# summarize_benches.py --tail drops the same keys from determinism tails.
 WALL_KEYS = {"real_time", "cpu_time", "wall_ms", "mops_wall"}
 
 # google-benchmark bookkeeping that says nothing about behavior.

@@ -7,7 +7,7 @@ backend would live), and nothing inside a measured region may consult wall
 clocks or nondeterministic RNGs — virtual-metric tails are diffed bit-for-bit
 by the determinism CI gate (DESIGN.md s10).
 
-Rules (R1-R7; see RULES below for the authoritative patterns):
+Rules (R1-R8; see RULES below for the authoritative patterns):
   R1  raw persistence intrinsics (_mm_clwb/_mm_clflush*/_mm_sfence/...,
       __builtin_ia32_*, inline asm) outside src/pmsim/
   R2  wall-clock (std::chrono clocks, gettimeofday, sleep_for/sleep_until)
@@ -34,6 +34,9 @@ Rules (R1-R7; see RULES below for the authoritative patterns):
       serialization must stay invisible to the observer). One-shot relaxed
       exchange flags (crash_injector) do not match: the patterns require
       acquire ordering inside a spin loop.
+  R8  thread creation (std::thread/std::jthread/std::async/pthread_create)
+      in src/ — modeled workers step on pmsim::VirtualWorkers (DESIGN.md
+      s10); tests/ and bench/ (wall-clock hot path) may start threads
 
 Usage:
   tools/lint_pm_api.py [--root DIR]   # lint the tree, exit 1 on violations
@@ -106,6 +109,9 @@ RAW_LOCK_RE = re.compile(
 # The one sanctioned home for lock primitives (DESIGN.md s16).
 LOCK_HOME = "src/common/lock.h"
 
+# Starting an OS thread (std::this_thread::yield does not match).
+THREAD_CREATE_RE = re.compile(r"\bstd::j?thread\b|\bstd::async\b|\bpthread_create\s*\(")
+
 # (rule, regex, predicate(relpath) -> bool applies, message)
 RULES = [
     (
@@ -165,6 +171,12 @@ RULES = [
         "raw lock primitive outside src/common/lock.h (use the annotated "
         "sync:: wrappers so thread-safety analysis and lockcheck see every "
         "acquire)",
+    ),
+    (
+        "R8",
+        THREAD_CREATE_RE,
+        lambda p: p.startswith("src/"),
+        "thread creation in src/ (step modeled workers on pmsim::VirtualWorkers)",
     ),
 ]
 
@@ -270,6 +282,9 @@ SELF_TEST_CASES = [
         "#include <mutex>\nusing CheckerMutex = std::mutex;  // lint_pm_api: allow\n",
         None,
     ),
+    # An OS thread under src/; yielding is not thread creation.
+    ("src/core/bad_thread.cc", "void f() { std::thread t([] {}); t.join(); }\n", "R8"),
+    ("src/core/ok_yield.cc", "void f() { std::this_thread::yield(); }\n", None),
 ]
 
 

@@ -577,7 +577,7 @@ int CmdTop(const metrics::PmMetricsFile& f) {
       std::printf("\n");
     }
   } else {
-    std::printf("\n(no epoch records; os_parallel runs collect totals only)\n");
+    std::printf("\n(no epoch records)\n");
   }
 
   if (f.has_summary) {

@@ -20,14 +20,17 @@ the first invalid file.
 
 --tail extracts the deterministic "metric tail" of one bench console log:
 per-row counters (virtual-time metrics, key=value tokens, kept verbatim) and
-the fig14 GC timeline, dropping the wall-clock time columns. Two runs of the
-same bench must produce byte-identical --tail output (the driver determinism
-contract, DESIGN.md §10); run_benches.sh --determinism diffs them.
+the fig14 GC timeline, dropping the wall-clock time columns and the wall
+counters tools/bench_gate.py bands (WALL_KEYS). Two runs of the same bench
+must produce byte-identical --tail output (the driver determinism contract,
+DESIGN.md §10); run_benches.sh --determinism diffs them.
 """
 import json
 import re
 import sys
 from collections import defaultdict
+
+from bench_gate import WALL_KEYS
 
 ROW = re.compile(
     r"^(?P<name>(fig|tab|extra|backend|service)\w*/\S+?)/iterations:1\s+(?P<rest>.*)$")
@@ -108,7 +111,8 @@ def run_tail(paths: list[str]) -> int:
                 continue
             counters = COUNTER.findall(match.group("rest"))
             print(match.group("name") + "  " +
-                  " ".join(f"{key}={value}" for key, value in counters))
+                  " ".join(f"{key}={value}" for key, value in counters
+                           if key not in WALL_KEYS))
             emitted += 1
     if emitted == 0:
         # An empty tail would make any determinism diff vacuously pass.
