@@ -21,7 +21,6 @@ DpTree::DpTree(kvindex::Runtime& runtime, const Options& options)
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kBigLeafBytes;
   slab_options.slots_per_chunk = 64;  // 256 KB chunks
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   leaf_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   auto* head = static_cast<BigLeaf*>(leaf_slab_->Allocate(0));
   assert(head != nullptr);

@@ -52,7 +52,6 @@ FastFairTree::FastFairTree(kvindex::Runtime& runtime, kvindex::Lifecycle lifecyc
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kNodeBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;  // the whole tree is "index data"
   node_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   root_ = NewNode(/*level=*/0);
   {
@@ -87,7 +86,6 @@ bool FastFairTree::Recover(kvindex::Runtime& runtime, int /*recovery_threads*/) 
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kNodeBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   node_slab_ = pmem::SlabAllocator::Open(rt_.pool(), registry_offset, slab_options);
 
   // 1. Walk the persistent leaf chain: the leaves hold the entire dataset,
@@ -295,6 +293,8 @@ bool FastFairTree::Lookup(uint64_t key, uint64_t* value_out) {
 }
 
 bool FastFairTree::Remove(uint64_t key) {
+  // Lazy deletion only ever rewrites a leaf.
+  trace::TraceScope scope(trace::Component::kLeaf);
   sync::LockGuard<sync::SharedMutex> guard(mu_);
   Node* leaf = DescendToLeaf(key, nullptr, nullptr);
   int pos = 0;

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "src/trace/trace.h"
+
 namespace cclbt::baselines {
 
 FlatStore::FlatStore(kvindex::Runtime& runtime) : rt_(runtime), logs_(130) {
@@ -12,6 +14,7 @@ FlatStore::FlatStore(kvindex::Runtime& runtime) : rt_(runtime), logs_(130) {
 FlatStore::~FlatStore() = default;
 
 const FlatStore::Record* FlatStore::Append(uint64_t key, uint64_t value, bool tombstone) {
+  trace::TraceScope scope(trace::Component::kWal);
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
   auto& log = logs_[static_cast<size_t>(ctx->worker_id())];

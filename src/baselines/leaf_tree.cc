@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "src/pmsim/pmcheck.h"
+#include "src/trace/trace.h"
 
 namespace cclbt::baselines {
 
@@ -23,7 +24,6 @@ LeafTree::LeafTree(kvindex::Runtime& runtime, const Options& options)
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   leaf_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   head_leaf_ = static_cast<PmLeaf*>(leaf_slab_->Allocate(0));
   assert(head_leaf_ != nullptr);
@@ -31,6 +31,7 @@ LeafTree::LeafTree(kvindex::Runtime& runtime, const Options& options)
   {
     // Formatting persist: the empty head leaf must be durable even though a
     // fresh pool already holds zeroes (a reused slot would not).
+    trace::TraceScope scope(trace::Component::kLeaf);
     pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
     pmsim::Persist(head_leaf_, kLeafBytes);
   }
@@ -66,6 +67,9 @@ LeafHandle* LeafTree::RouteAndLock(uint64_t key) {
 
 void LeafTree::Upsert(uint64_t key, uint64_t value) {
   assert(key != 0);
+  // Every PM write of an upsert, splits included, is leaf traffic: the inner
+  // index lives in DRAM.
+  trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   LeafHandle* handle = RouteAndLock(key);
   if (options_.policy == LeafPolicy::kSorted) {
@@ -284,6 +288,7 @@ bool LeafTree::Lookup(uint64_t key, uint64_t* value_out) {
 }
 
 bool LeafTree::Remove(uint64_t key) {
+  trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   LeafHandle* handle = RouteAndLock(key);
   PmLeaf* leaf = handle->leaf();

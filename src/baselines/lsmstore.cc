@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/trace/trace.h"
+
 namespace cclbt::baselines {
 
 namespace {
@@ -18,10 +20,12 @@ LsmStore::LsmStore(kvindex::Runtime& runtime, const Options& options)
 LsmStore::~LsmStore() = default;
 
 LsmStore::Run LsmStore::WriteRun(const std::vector<kvindex::KeyValue>& entries) {
+  // Memtable flushes and compactions write the sorted runs: the store's
+  // data layer.
+  trace::TraceScope scope(trace::Component::kLeaf);
   size_t bytes = entries.size() * sizeof(kvindex::KeyValue);
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  auto* mem = static_cast<kvindex::KeyValue*>(
-      rt_.pool().AllocateRaw(bytes, ctx->socket(), pmsim::StreamTag::kLog));
+  auto* mem = static_cast<kvindex::KeyValue*>(rt_.pool().AllocateRaw(bytes, ctx->socket()));
   assert(mem != nullptr && "PM exhausted");
   std::memcpy(mem, entries.data(), bytes);
   pmsim::Persist(mem, bytes);  // big sequential write: combines well, but lots of it
@@ -32,11 +36,13 @@ LsmStore::Run LsmStore::WriteRun(const std::vector<kvindex::KeyValue>& entries) 
 void LsmStore::Upsert(uint64_t key, uint64_t value) {
   assert(key != 0);
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
+  // The WAL append is the upsert's own PM write; a memtable flush below
+  // opens WriteRun's inner `leaf` scope.
+  trace::TraceScope scope(trace::Component::kWal);
   sync::LockGuard<sync::SharedMutex> guard(mu_);
   // WAL append (sequential), then memtable insert.
   if (wal_remaining_ < 24) {
-    wal_cursor_ = static_cast<std::byte*>(
-        rt_.pool().AllocateRaw(1 << 20, ctx->socket(), pmsim::StreamTag::kLog));
+    wal_cursor_ = static_cast<std::byte*>(rt_.pool().AllocateRaw(1 << 20, ctx->socket()));
     assert(wal_cursor_ != nullptr && "PM exhausted");
     wal_remaining_ = 1 << 20;
   }

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/pmsim/pmcheck.h"
+#include "src/trace/trace.h"
 
 namespace cclbt::baselines {
 
@@ -20,13 +21,13 @@ UTree::UTree(kvindex::Runtime& runtime) : rt_(runtime) {
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = sizeof(ListNode);
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   node_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   head_ = static_cast<ListNode*>(node_slab_->Allocate(0));
   assert(head_ != nullptr);
   std::memset(static_cast<void*>(head_), 0, sizeof(ListNode));
   {
     // Formatting persist of the zeroed head sentinel (see LeafTree's ctor).
+    trace::TraceScope scope(trace::Component::kLeaf);
     pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
     pmsim::Persist(head_, sizeof(ListNode));
   }
@@ -41,6 +42,8 @@ UTree::ListNode* UTree::NodeAt(uint64_t offset) const {
 
 void UTree::Upsert(uint64_t key, uint64_t value) {
   assert(key != 0);
+  // The PM list is µTree's leaf layer; its index lives in DRAM.
+  trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   sync::LockGuard<sync::SharedMutex> guard(mu_);
   ListNode* existing = nullptr;
@@ -82,6 +85,7 @@ bool UTree::Lookup(uint64_t key, uint64_t* value_out) {
 }
 
 bool UTree::Remove(uint64_t key) {
+  trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   sync::LockGuard<sync::SharedMutex> guard(mu_);
   ListNode* node = nullptr;

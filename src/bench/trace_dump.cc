@@ -16,19 +16,6 @@ namespace {
 
 std::atomic<int> g_dump_seq{0};
 
-const char* TagName(int tag) {
-  switch (static_cast<pmsim::StreamTag>(tag)) {
-    case pmsim::StreamTag::kOther:
-      return "other";
-    case pmsim::StreamTag::kLeaf:
-      return "leaf";
-    case pmsim::StreamTag::kLog:
-      return "log";
-    default:
-      return "unknown";
-  }
-}
-
 // File-name-safe version of a run label.
 std::string Sanitize(const std::string& label) {
   std::string out = label.empty() ? "run" : label;
@@ -91,9 +78,6 @@ std::string WriteTraceDump(kvindex::Runtime& runtime, const std::string& label,
 #undef CCLBT_DUMP_STAT_S
 #undef CCLBT_DUMP_STAT_A
 
-  for (int t = 0; t < static_cast<int>(pmsim::StreamTag::kCount); t++) {
-    out << "stattag " << TagName(t) << " " << stats.media_writes_by_tag[t] << "\n";
-  }
   for (int c = 0; c < trace::kNumComponents; c++) {
     out << "statcomp " << trace::ComponentName(static_cast<trace::Component>(c)) << " "
         << stats.media_write_bytes_by_component[c] << " "

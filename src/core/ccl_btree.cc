@@ -76,7 +76,6 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   leaf_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   log_arena_ = pmem::LogArena::Create(rt_.pool());
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
@@ -91,8 +90,7 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
     pmsim::Persist(head_leaf_, kLeafBytes);
   }
 
-  auto* root = static_cast<TreeRoot*>(
-      rt_.pool().AllocateRaw(sizeof(TreeRoot), 0, pmsim::StreamTag::kOther));
+  auto* root = static_cast<TreeRoot*>(rt_.pool().AllocateRaw(sizeof(TreeRoot), 0));
   assert(root != nullptr);
   root->magic = kTreeMagic;
   root->head_leaf_offset = LeafOffset(head_leaf_);
@@ -128,7 +126,6 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   leaf_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);

@@ -7,6 +7,7 @@
 
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
+#include "src/trace/trace.h"
 
 namespace cclbt::core {
 
@@ -20,29 +21,31 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options)
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   overflow_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
   log_arena_ = pmem::LogArena::Create(rt_.pool());
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
 
   size_t directory_bytes = options_.num_buckets * kLeafBytes;
-  buckets_ = static_cast<PmLeaf*>(
-      rt_.pool().AllocateRaw(directory_bytes, 0, pmsim::StreamTag::kLeaf));
+  buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, 0));
   assert(buckets_ != nullptr && "PM exhausted for bucket directory");
   std::memset(static_cast<void*>(buckets_), 0, directory_bytes);
   {
-    // Persist the zeroed directory header lines lazily: a fresh bucket with
-    // bitmap 0 is already its persistent state under Crash() only if flushed.
-    // Formatting persist — content-equal to a fresh pool's zeroes by design.
-    pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
-    for (size_t b = 0; b < options_.num_buckets; b++) {
-      pmsim::FlushLine(Bucket(b));
+    // The directory buckets are the table's leaves. The scope spans the
+    // fence, which is where the device reads the component.
+    trace::TraceScope scope(trace::Component::kLeaf);
+    {
+      // Persist the zeroed directory header lines lazily: a fresh bucket with
+      // bitmap 0 is already its persistent state under Crash() only if flushed.
+      // Formatting persist — content-equal to a fresh pool's zeroes by design.
+      pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
+      for (size_t b = 0; b < options_.num_buckets; b++) {
+        pmsim::FlushLine(Bucket(b));
+      }
     }
+    pmsim::Fence();
   }
-  pmsim::Fence();
 
-  auto* root = static_cast<TableRoot*>(
-      rt_.pool().AllocateRaw(sizeof(TableRoot), 0, pmsim::StreamTag::kOther));
+  auto* root = static_cast<TableRoot*>(rt_.pool().AllocateRaw(sizeof(TableRoot), 0));
   assert(root != nullptr);
   root->magic = kHashMagic;
   root->num_buckets = options_.num_buckets;
@@ -68,7 +71,6 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options, bo
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
-  slab_options.tag = pmsim::StreamTag::kLeaf;
   overflow_slab_ =
       pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
@@ -202,6 +204,7 @@ void CclHashTable::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, u
 
 void CclHashTable::BatchInsertBucket(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts,
                                      bool update_ts) {
+  trace::TraceScope scope(trace::Component::kLeaf);
   PmLeaf* bucket = bn->leaf();
   for (int i = 0; i < n; i++) {
     const kvindex::KeyValue& kv = kvs[i];

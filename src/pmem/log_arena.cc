@@ -13,7 +13,7 @@ LogArena::LogArena(PmPool& pool, size_t max_chunks) : pool_(&pool), max_chunks_(
 std::unique_ptr<LogArena> LogArena::Create(PmPool& pool, size_t max_chunks) {
   auto arena = std::unique_ptr<LogArena>(new LogArena(pool, max_chunks));
   size_t registry_bytes = sizeof(Registry) + max_chunks * sizeof(uint64_t);
-  void* mem = pool.AllocateRaw(registry_bytes, 0, pmsim::StreamTag::kOther);
+  void* mem = pool.AllocateRaw(registry_bytes, 0);
   assert(mem != nullptr);
   arena->registry_ = reinterpret_cast<Registry*>(mem);
   arena->registry_->chunk_count = 0;
@@ -46,7 +46,7 @@ void* LogArena::AllocChunk(int socket) {
   if (registry_->chunk_count >= max_chunks_) {
     return nullptr;
   }
-  void* chunk = pool_->AllocateRaw(kLogChunkBytes, socket, pmsim::StreamTag::kLog);
+  void* chunk = pool_->AllocateRaw(kLogChunkBytes, socket);
   if (chunk == nullptr) {
     return nullptr;
   }

@@ -112,7 +112,7 @@ std::unique_ptr<PmPool> PmPool::Open(pmsim::PmDevice& device, PoolOpenError* err
   return pool;
 }
 
-void* PmPool::AllocateRaw(size_t bytes, int socket, pmsim::StreamTag tag) {
+void* PmPool::AllocateRaw(size_t bytes, int socket) {
   trace::TraceScope scope(trace::Component::kAllocMeta);
   assert(socket >= 0 && socket < device_->config().num_sockets);
   bytes = AlignUp(bytes, kAllocAlign);
@@ -126,9 +126,7 @@ void* PmPool::AllocateRaw(size_t bytes, int socket, pmsim::StreamTag tag) {
   }
   header->bump_offset[socket] = offset + bytes;
   pmsim::Persist(&header->bump_offset[socket], sizeof(uint64_t));
-  void* addr = device_->AddrOf(offset);
-  device_->RegisterRange(addr, bytes, tag);
-  return addr;
+  return device_->AddrOf(offset);
 }
 
 uint64_t PmPool::GetAppRoot(int slot) const {

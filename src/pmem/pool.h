@@ -72,10 +72,10 @@ class PmPool {
 
   pmsim::PmDevice& device() const { return *device_; }
 
-  // Allocates `bytes` from `socket`'s region, 256 B aligned, tagging the
-  // range for media-write attribution. Aborts (returns nullptr) when the
-  // socket region is exhausted.
-  void* AllocateRaw(size_t bytes, int socket, pmsim::StreamTag tag);
+  // Allocates `bytes` from `socket`'s region, 256 B aligned; nullptr when the
+  // region is exhausted. Media writes to the range are charged to the
+  // TraceScope of the code that persists them.
+  void* AllocateRaw(size_t bytes, int socket);
 
   // Offset <-> pointer helpers (PM data structures store offsets, never raw
   // pointers, so a re-open at a different base address stays valid).

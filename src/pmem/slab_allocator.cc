@@ -18,8 +18,7 @@ SlabAllocator::SlabAllocator(PmPool& pool, const Options& options)
 std::unique_ptr<SlabAllocator> SlabAllocator::Create(PmPool& pool, const Options& options) {
   auto slab = std::unique_ptr<SlabAllocator>(new SlabAllocator(pool, options));
   size_t registry_bytes = sizeof(Registry) + options.max_chunks * sizeof(uint64_t);
-  // The registry is allocator metadata, not leaf/log payload: tag kOther.
-  void* mem = pool.AllocateRaw(registry_bytes, 0, pmsim::StreamTag::kOther);
+  void* mem = pool.AllocateRaw(registry_bytes, 0);
   assert(mem != nullptr);
   slab->registry_ = reinterpret_cast<Registry*>(mem);
   slab->registry_->chunk_count = 0;
@@ -44,7 +43,7 @@ bool SlabAllocator::GrowLocked(int socket, SocketState& state) {
     return false;
   }
   size_t chunk_bytes = options_.slot_bytes * options_.slots_per_chunk;
-  void* chunk = pool_->AllocateRaw(chunk_bytes, socket, options_.tag);
+  void* chunk = pool_->AllocateRaw(chunk_bytes, socket);
   if (chunk == nullptr) {
     return false;
   }

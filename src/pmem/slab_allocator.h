@@ -29,7 +29,6 @@ class SlabAllocator {
     size_t slot_bytes = 256;
     size_t slots_per_chunk = 1024;  // 256 KB chunks by default
     size_t max_chunks = 64 * 1024;
-    pmsim::StreamTag tag = pmsim::StreamTag::kLeaf;
   };
 
   // Creates a fresh allocator; its persistent registry offset is available

@@ -35,8 +35,7 @@ uint64_t ValueStore::Append(std::span<const std::byte> data, int socket) {
   if (region_cursor_[idx] == nullptr ||
       region_cursor_[idx] + need > region_end_[idx]) {
     size_t region_bytes = need > kRegionBytes ? need : kRegionBytes;
-    auto* region = reinterpret_cast<std::byte*>(
-        pool_->AllocateRaw(region_bytes, socket, pmsim::StreamTag::kOther));
+    auto* region = reinterpret_cast<std::byte*>(pool_->AllocateRaw(region_bytes, socket));
     assert(region != nullptr && "PM exhausted in ValueStore");
     region_cursor_[idx] = region;
     region_end_[idx] = region + region_bytes;

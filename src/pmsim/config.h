@@ -134,11 +134,6 @@ struct DeviceConfig {
   size_t socket_region_bytes() const { return pool_bytes / static_cast<size_t>(num_sockets); }
 };
 
-// Classification of PM address ranges, used to attribute media writes to the
-// structure that caused them (the paper's Figure 13(b) splits XBI into leaf
-// vs WAL traffic).
-enum class StreamTag : uint8_t { kOther = 0, kLeaf = 1, kLog = 2, kCount = 3 };
-
 }  // namespace cclbt::pmsim
 
 #endif  // SRC_PMSIM_CONFIG_H_

@@ -146,11 +146,6 @@ PmDevice::PmDevice(const DeviceConfig& config)
         config_.xpbuffer_entries(),
         static_cast<int>(config_.xpline_bytes / kCachelineBytes)));
   }
-  size_t num_pages = (config_.pool_bytes + kTagPageBytes - 1) / kTagPageBytes;
-  page_tags_ = std::make_unique<std::atomic<uint8_t>[]>(num_pages);
-  for (size_t i = 0; i < num_pages; i++) {
-    page_tags_[i].store(static_cast<uint8_t>(StreamTag::kOther), std::memory_order_relaxed);
-  }
   if (config_.record_unit_heatmap) {
     num_units_ = config_.pool_bytes / config_.xpline_bytes;
     unit_writes_ = std::make_unique<std::atomic<uint32_t>[]>(num_units_);
@@ -191,19 +186,6 @@ void PmDevice::Unmap(Mapping& mapping) {
     ::munmap(mapping.data, mapping.bytes);
     mapping.data = nullptr;
   }
-}
-
-void PmDevice::RegisterRange(const void* start, size_t len, StreamTag tag) {
-  uintptr_t off = OffsetOf(start);
-  size_t first = off / kTagPageBytes;
-  size_t last = (off + len + kTagPageBytes - 1) / kTagPageBytes;
-  for (size_t page = first; page < last; page++) {
-    page_tags_[page].store(static_cast<uint8_t>(tag), std::memory_order_relaxed);
-  }
-}
-
-StreamTag PmDevice::TagOf(uintptr_t offset) const {
-  return static_cast<StreamTag>(page_tags_[offset / kTagPageBytes].load(std::memory_order_relaxed));
 }
 
 void PmDevice::FlushLine(ThreadContext& ctx, const void* addr) {
@@ -358,8 +340,7 @@ void PmDevice::PushThroughXpBuffer(ThreadContext& ctx, uintptr_t line_offset,
   uint64_t lag = 0;
   {
     sync::LockGuard<XpBufferLock> guard(buffer.mutex());
-    result = buffer.OnLineFlushLocked(UnitOf(line_offset), LineInUnit(line_offset),
-                                      TagOf(line_offset), comp);
+    result = buffer.OnLineFlushLocked(UnitOf(line_offset), LineInUnit(line_offset), comp);
     if (result.evicted) {
       // Service time scales with the media unit (a 4 KB flash page takes
       // proportionally longer than a 256 B XPLine).
@@ -379,7 +360,7 @@ void PmDevice::PushThroughXpBuffer(ThreadContext& ctx, uintptr_t line_offset,
     }
     // The media write is charged to the component whose scope buffered the
     // evicted XPLine, which may differ from the committing scope `comp`.
-    ctx.stats_shard().AddMediaWrite(result.evicted_tag, result.evicted_comp, unit);
+    ctx.stats_shard().AddMediaWrite(result.evicted_comp, unit);
     NoteMediaWrite(result.evicted_xpline);
     if constexpr (kTraced) {
       trace::Emit(trace::EventType::kXpbufEvict, result.evicted_xpline,
@@ -408,13 +389,12 @@ void PmDevice::PushThroughXpBufferAccountingOnly(uintptr_t line_offset) {
   int dimm = DimmOf(line_offset);
   size_t unit = config_.xpline_bytes;
   XpBufferResult result = xpbuffers_[static_cast<size_t>(dimm)]->OnLineFlush(
-      UnitOf(line_offset), LineInUnit(line_offset), TagOf(line_offset),
-      trace::CurrentComponent());
+      UnitOf(line_offset), LineInUnit(line_offset), trace::CurrentComponent());
   if (result.evicted) {
     if (!durable_at_commit_) {
       media_->CommitStagedUnit(result.evicted_xpline);
     }
-    stats_.AddMediaWrite(result.evicted_tag, result.evicted_comp, unit);
+    stats_.AddMediaWrite(result.evicted_comp, unit);
     NoteMediaWrite(result.evicted_xpline);
     if (result.rmw) {
       stats_.AddMediaRead(unit);
@@ -491,9 +471,8 @@ void PmDevice::DrainBuffers() {
   // CXL-flash page writes 4 KB, not the 256 B XPLine default.
   uint64_t unit = config_.xpline_bytes;
   for (auto& xpbuffer : xpbuffers_) {
-    xpbuffer->Drain([this, unit](bool rmw, StreamTag tag, trace::Component comp,
-                                 uint64_t xpline) {
-      stats_.AddMediaWrite(tag, comp, unit);
+    xpbuffer->Drain([this, unit](bool rmw, trace::Component comp, uint64_t xpline) {
+      stats_.AddMediaWrite(comp, unit);
       NoteMediaWrite(xpline);
       if (rmw) {
         stats_.AddMediaRead(unit);
@@ -532,7 +511,7 @@ void PmDevice::Crash() {
   // Fresh boot: the XPBuffer is power-protected, so its content already lives
   // in the shadow image; the model itself restarts cold.
   for (auto& xpbuffer : xpbuffers_) {
-    xpbuffer->Drain([](bool, StreamTag, trace::Component, uint64_t) {});
+    xpbuffer->Drain([](bool, trace::Component, uint64_t) {});
   }
 }
 
@@ -565,7 +544,7 @@ void PmDevice::CrashTorn(uint64_t seed) {
   stats_.AddCrash(lines_dropped + volatile_lines_lost, torn_lines_applied);
   RestoreWorkingImage();
   for (auto& xpbuffer : xpbuffers_) {
-    xpbuffer->Drain([](bool, StreamTag, trace::Component, uint64_t) {});
+    xpbuffer->Drain([](bool, trace::Component, uint64_t) {});
   }
 }
 

@@ -92,12 +92,6 @@ class PmDevice {
     return socket * config_.dimms_per_socket + dimm_in_socket;
   }
 
-  // --- stream attribution -------------------------------------------------
-  // Allocators register the ranges they hand out so evicted XPLines can be
-  // attributed to leaf vs log traffic (Figure 13(b)).
-  void RegisterRange(const void* start, size_t len, StreamTag tag);
-  StreamTag TagOf(uintptr_t offset) const;
-
   // --- persistence primitives ----------------------------------------------
   // clwb: marks one 64 B line for persistence at the next fence.
   void FlushLine(ThreadContext& ctx, const void* addr);
@@ -302,12 +296,6 @@ class PmDevice {
     uint64_t busy_until_ns = 0;
   };
   std::vector<DimmClock> dimm_busy_until_ns_;
-
-  // Stream tag per 4 KB pool page. Written at allocator-registration time,
-  // read on every XPLine eviction; relaxed atomics keep concurrent
-  // registration/eviction well-defined.
-  static constexpr size_t kTagPageBytes = 4096;
-  std::unique_ptr<std::atomic<uint8_t>[]> page_tags_;
 
   mutable sync::Mutex contexts_mu_{"pm.contexts"};
   std::vector<ThreadContext*> contexts_ GUARDED_BY(contexts_mu_);

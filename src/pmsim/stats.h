@@ -1,8 +1,8 @@
 // Hardware-counter equivalents of what the paper reads through ipmctl:
 // bytes written to the XPBuffer (CLI numerator), bytes physically written to
 // / read from the 3D-XPoint media (XBI numerator), NUMA traffic splits, plus
-// two attribution dimensions: StreamTag (which address range) and
-// trace::Component (which subsystem's code — see src/trace/component.h).
+// their attribution to trace::Component (which subsystem's code wrote the
+// bytes — see src/trace/component.h).
 //
 // Sharded design: the hot path (PmDevice::FlushLine/Fence/ReadPm) never
 // performs an atomic RMW on shared cachelines. Each ThreadContext owns a
@@ -50,7 +50,6 @@ namespace cclbt::pmsim {
   S(crashes_injected)                                                       \
   S(crash_lines_dropped)                                                    \
   S(crash_torn_lines_applied)                                               \
-  A(media_writes_by_tag, static_cast<int>(::cclbt::pmsim::StreamTag::kCount)) \
   A(media_write_bytes_by_component, ::cclbt::trace::kNumComponents)         \
   A(committed_lines_by_component, ::cclbt::trace::kNumComponents)
 
@@ -131,14 +130,9 @@ struct alignas(64) StatsShard {
   void AddFence() { Bump(fences); }
   // `comp` charges the media write to the subsystem whose scope created the
   // evicted XPLine (see trace::TraceScope).
-  void AddMediaWrite(StreamTag tag, trace::Component comp, uint64_t bytes = kXplineBytes) {
+  void AddMediaWrite(trace::Component comp, uint64_t bytes = kXplineBytes) {
     Bump(media_write_bytes, bytes);
-    // Tag counts are in units of media writes (one XPLine / media unit each).
-    Bump(media_writes_by_tag[static_cast<int>(tag)]);
     Bump(media_write_bytes_by_component[static_cast<int>(comp)], bytes);
-  }
-  void AddMediaWrite(StreamTag tag, uint64_t bytes = kXplineBytes) {
-    AddMediaWrite(tag, trace::Component::kOther, bytes);
   }
   // `n` cachelines entered the XPBuffer on behalf of `comp` (fence commit,
   // or eADR cache insert).
@@ -208,14 +202,10 @@ class Stats {
     base_.xpbuffer_write_bytes.fetch_add(kCachelineBytes, std::memory_order_relaxed);
   }
   void AddFence() { base_.fences.fetch_add(1, std::memory_order_relaxed); }
-  void AddMediaWrite(StreamTag tag, trace::Component comp, uint64_t bytes = kXplineBytes) {
+  void AddMediaWrite(trace::Component comp, uint64_t bytes = kXplineBytes) {
     base_.media_write_bytes.fetch_add(bytes, std::memory_order_relaxed);
-    base_.media_writes_by_tag[static_cast<int>(tag)].fetch_add(1, std::memory_order_relaxed);
     base_.media_write_bytes_by_component[static_cast<int>(comp)].fetch_add(
         bytes, std::memory_order_relaxed);
-  }
-  void AddMediaWrite(StreamTag tag, uint64_t bytes = kXplineBytes) {
-    AddMediaWrite(tag, trace::Component::kOther, bytes);
   }
   void AddCommittedLines(trace::Component comp, uint64_t n) {
     base_.committed_lines_by_component[static_cast<int>(comp)].fetch_add(

@@ -42,9 +42,8 @@ using XpBufferLock = sync::TtasSpinLock;
 struct XpBufferResult {
   bool evicted = false;        // an XPLine was written to media
   bool rmw = false;            // ... and required a read-modify-write
-  StreamTag evicted_tag = StreamTag::kOther;
-  // Code-side attribution: the trace::Component whose scope buffered the
-  // evicted XPLine (stamped at insertion, like evicted_tag).
+  // The trace::Component whose scope committed the evicted XPLine's first
+  // line (stamped at insertion).
   trace::Component evicted_comp = trace::Component::kOther;
   uint64_t evicted_xpline = 0;  // media unit index of the eviction
 };
@@ -59,11 +58,10 @@ class XpBuffer {
   XpBuffer& operator=(const XpBuffer&) = delete;
 
   // A cacheline flush for XPLine `xpline` arrived; `line_in_xpline` in [0,4).
-  // `tag` classifies the flushing stream and `comp` the flushing code, both
-  // for attribution at eviction time. Defined inline below: this is the
-  // single hottest function in the simulator and the call sits on every
-  // committed line.
-  XpBufferResult OnLineFlush(uint64_t xpline, int line_in_xpline, StreamTag tag,
+  // `comp` names the flushing code, for attribution at eviction time.
+  // Defined inline below: this is the single hottest function in the
+  // simulator and the call sits on every committed line.
+  XpBufferResult OnLineFlush(uint64_t xpline, int line_in_xpline,
                              trace::Component comp = trace::Component::kOther);
 
   // A PM read touching `xpline`. Returns true if served from the buffer.
@@ -74,20 +72,20 @@ class XpBuffer {
   // round-trip per committed line instead of lock + separate CAS).
   XpBufferLock& mutex() const RETURN_CAPABILITY(mu_) { return mu_; }
   // Variants for callers already holding mutex().
-  XpBufferResult OnLineFlushLocked(uint64_t xpline, int line_in_xpline, StreamTag tag,
+  XpBufferResult OnLineFlushLocked(uint64_t xpline, int line_in_xpline,
                                    trace::Component comp = trace::Component::kOther)
       REQUIRES(mu_);
   bool OnReadLocked(uint64_t xpline) REQUIRES(mu_);
 
   // Evict everything (e.g. end-of-run accounting). Calls
-  // `sink(rmw, tag, comp, xpline)` per evicted XPLine. Drained lines do not
+  // `sink(rmw, comp, xpline)` per evicted XPLine. Drained lines do not
   // count toward evictions().
   template <typename Sink>
   void Drain(Sink&& sink) {
     sync::LockGuard<XpBufferLock> guard(mu_);
     for (int32_t s = lru_head_; s != kNil; s = slots_[static_cast<size_t>(s)].next) {
       const Slot& slot = slots_[static_cast<size_t>(s)];
-      sink(slot.dirty_mask != full_mask_, slot.tag, slot.comp, slot.xpline);
+      sink(slot.dirty_mask != full_mask_, slot.comp, slot.xpline);
     }
     ResetLocked();
   }
@@ -121,7 +119,6 @@ class XpBuffer {
     int32_t table_pos = kNil;  // current position in table_, kept in sync by
                                // insertion and backward-shift deletion so
                                // eviction needs no second hash probe
-    StreamTag tag = StreamTag::kOther;
     trace::Component comp = trace::Component::kOther;
   };
 
@@ -226,14 +223,14 @@ class XpBuffer {
   std::vector<TableEntry> table_ GUARDED_BY(mu_);  // open-addressing index into slots_
 };
 
-inline XpBufferResult XpBuffer::OnLineFlush(uint64_t xpline, int line_in_xpline, StreamTag tag,
+inline XpBufferResult XpBuffer::OnLineFlush(uint64_t xpline, int line_in_xpline,
                                             trace::Component comp) {
   sync::LockGuard<XpBufferLock> guard(mu_);
-  return OnLineFlushLocked(xpline, line_in_xpline, tag, comp);
+  return OnLineFlushLocked(xpline, line_in_xpline, comp);
 }
 
 inline XpBufferResult XpBuffer::OnLineFlushLocked(uint64_t xpline, int line_in_xpline,
-                                                  StreamTag tag, trace::Component comp) {
+                                                  trace::Component comp) {
   XpBufferResult result;
   int32_t s = Find(xpline);
   if (s != kNil) {
@@ -248,7 +245,6 @@ inline XpBufferResult XpBuffer::OnLineFlushLocked(uint64_t xpline, int line_in_x
     Slot& vslot = slots_[static_cast<size_t>(victim)];
     result.evicted = true;
     result.rmw = vslot.dirty_mask != full_mask_;
-    result.evicted_tag = vslot.tag;
     result.evicted_comp = vslot.comp;
     result.evicted_xpline = vslot.xpline;
     evictions_++;
@@ -264,7 +260,6 @@ inline XpBufferResult XpBuffer::OnLineFlushLocked(uint64_t xpline, int line_in_x
   Slot& slot = slots_[static_cast<size_t>(s)];
   slot.xpline = xpline;
   slot.dirty_mask = 1ULL << line_in_xpline;
-  slot.tag = tag;
   slot.comp = comp;
   LruPushFront(s);
   size_t i = Home(xpline);

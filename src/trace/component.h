@@ -1,12 +1,14 @@
 // Component taxonomy for write-amplification attribution (pmtrace).
 //
-// A Component names the *code* that caused PM traffic, complementing
-// pmsim::StreamTag which names the *address range* the traffic landed on.
-// Core/baseline code pushes a TraceScope(Component) around its PM-writing
-// sections; the simulator charges every cacheline flush and every media
-// write to the innermost active component, so StatsSnapshot can explain
-// which subsystem produced which share of media_write_bytes (the per-figure
-// breakdown the paper derives from ipmctl counters in §2.1/§5).
+// A Component names the *code* that caused PM traffic; it is the simulator's
+// only media-write attribution. Core/baseline code pushes a
+// TraceScope(Component) around its PM-writing sections. PmDevice::Fence
+// reads the innermost active component once and stamps it on every line it
+// commits, so a scope must enclose the fence, not just the flushes. A media
+// write is charged to the component stamped on the evicted XPLine, so
+// StatsSnapshot can explain which subsystem produced which share of
+// media_write_bytes (the split ipmctl's device-wide counters cannot make,
+// paper §2.1; Figure 13(b) reads leaf vs wal + gc from it).
 #ifndef SRC_TRACE_COMPONENT_H_
 #define SRC_TRACE_COMPONENT_H_
 

@@ -205,5 +205,30 @@ TEST(CclHash, BufferingReducesMediaWrites) {
   EXPECT_LT(buffered, unbuffered * 85 / 100);
 }
 
+// CCL-Hash is not in MakeIndex, so it repeats the index conformance check:
+// bucket writes and the directory format are leaf traffic, log appends wal,
+// and at most 1% of media bytes stays unattributed.
+TEST(CclHash, MediaWritesAreAttributedToComponents) {
+  auto rt = MakeRuntime(512 << 20, pmsim::MediaBackend::kAdrOptane);
+  CclHashTable table(*rt, SmallTable());
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  Rng rng(29);
+  for (int i = 0; i < 20000; i++) {
+    uint64_t key = Mix64(rng.NextBounded(5000) + 1) | 1;
+    if (rng.NextBounded(10) < 8) {
+      table.Upsert(key, rng.Next() | 1);
+    } else {
+      table.Remove(key);
+    }
+  }
+  rt->device().DrainBuffers();
+  pmsim::StatsSnapshot stats = rt->device().stats().Snapshot();
+  ASSERT_GT(stats.media_write_bytes, 0u);
+  EXPECT_LE(stats.media_write_bytes_for(trace::Component::kOther) * 100,
+            stats.media_write_bytes)
+      << stats.media_write_bytes_for(trace::Component::kOther) << " of "
+      << stats.media_write_bytes << " media bytes unattributed";
+}
+
 }  // namespace
 }  // namespace cclbt::core

@@ -32,19 +32,16 @@ pmsim::DeviceConfig AdrDevice() {
 
 void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
   // Bit-identical, not approximately equal: every virtual counter and every
-  // derived virtual time must match exactly.
-  EXPECT_EQ(a.stats.user_bytes, b.stats.user_bytes);
-  EXPECT_EQ(a.stats.line_flushes, b.stats.line_flushes);
-  EXPECT_EQ(a.stats.fences, b.stats.fences);
-  EXPECT_EQ(a.stats.xpbuffer_write_bytes, b.stats.xpbuffer_write_bytes);
-  EXPECT_EQ(a.stats.media_write_bytes, b.stats.media_write_bytes);
-  EXPECT_EQ(a.stats.media_read_bytes, b.stats.media_read_bytes);
-  for (int i = 0; i < 3; i++) {
-    EXPECT_EQ(a.stats.media_writes_by_tag[i], b.stats.media_writes_by_tag[i]) << "tag " << i;
+  // derived virtual time must match exactly. The counters come from the
+  // stats field list itself, so a new counter cannot be left out.
+#define CCLBT_EXPECT_EQ_S(name) EXPECT_EQ(a.stats.name, b.stats.name) << #name;
+#define CCLBT_EXPECT_EQ_A(name, n)                                          \
+  for (int i = 0; i < (n); i++) {                                           \
+    EXPECT_EQ(a.stats.name[i], b.stats.name[i]) << #name "[" << i << "]"; \
   }
-  EXPECT_EQ(a.stats.remote_accesses, b.stats.remote_accesses);
-  EXPECT_EQ(a.stats.pm_reads, b.stats.pm_reads);
-  EXPECT_EQ(a.stats.pm_read_hits, b.stats.pm_read_hits);
+  CCLBT_PMSIM_STATS_FIELDS(CCLBT_EXPECT_EQ_S, CCLBT_EXPECT_EQ_A)
+#undef CCLBT_EXPECT_EQ_S
+#undef CCLBT_EXPECT_EQ_A
   EXPECT_EQ(a.elapsed_virtual_ms, b.elapsed_virtual_ms);
   EXPECT_EQ(a.max_worker_vtime_ms, b.max_worker_vtime_ms);
   EXPECT_EQ(a.max_dimm_busy_ms, b.max_dimm_busy_ms);
@@ -78,16 +75,10 @@ TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
   RunResult second = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
   ASSERT_GT(first.stats.media_write_bytes, 0u);
   ExpectIdenticalVirtualMetrics(first, second);
-  // GC-attributed media bytes: present (GC ran) and bit-identical.
-  uint64_t gc_bytes_first = first.stats.media_write_bytes_for(trace::Component::kGc);
-  uint64_t gc_bytes_second = second.stats.media_write_bytes_for(trace::Component::kGc);
-  EXPECT_GT(gc_bytes_first, 0u) << "GC never fired; the run has no GC to pin down";
-  EXPECT_EQ(gc_bytes_first, gc_bytes_second);
-  for (int c = 0; c < trace::kNumComponents; c++) {
-    EXPECT_EQ(first.stats.media_write_bytes_by_component[c],
-              second.stats.media_write_bytes_by_component[c])
-        << "component " << trace::ComponentName(static_cast<trace::Component>(c));
-  }
+  // GC-attributed media bytes are present (GC ran); the comparison above
+  // already pinned them bit-identical.
+  EXPECT_GT(first.stats.media_write_bytes_for(trace::Component::kGc), 0u)
+      << "GC never fired; the run has no GC to pin down";
   // The `pmctl stats` conservation invariant, per run: attributed bytes sum
   // exactly to the total — GC's share is moved between runs, never lost.
   for (const RunResult* result : {&first, &second}) {

@@ -17,11 +17,13 @@
 namespace cclbt::bench {
 namespace {
 
-std::unique_ptr<kvindex::Runtime> MakeRuntime() {
+std::unique_ptr<kvindex::Runtime> MakeRuntime(
+    pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto) {
   kvindex::RuntimeOptions options;
   options.device.pool_bytes = 512 << 20;
   options.device.num_sockets = 2;
   options.device.dimms_per_socket = 2;
+  options.device.backend = backend;
   return std::make_unique<kvindex::Runtime>(options);
 }
 
@@ -184,6 +186,38 @@ TEST_P(IndexConformanceTest, ConcurrentMixedSmoke) {
       EXPECT_EQ(value, key);
     }
   }
+}
+
+// Every index opens a trace::TraceScope on its write paths, so all but a
+// sliver of its media bytes (the pool format) are charged to the layer that
+// wrote them rather than to `other`. Pinned to ADR: under eADR the modeled
+// CPU cache drains outside any scope, so its residue lands in `other`
+// whatever the index does.
+TEST_P(IndexConformanceTest, MediaWritesAreAttributedToComponents) {
+  ctx_.reset();
+  index_.reset();
+  rt_ = MakeRuntime(pmsim::MediaBackend::kAdrOptane);
+  IndexConfig config;
+  config.tree.background_gc = false;
+  index_ = MakeIndex(GetParam(), *rt_, config);
+  ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
+  Rng rng(29);
+  for (int i = 0; i < 20000; i++) {
+    uint64_t key = Mix64(rng.NextBounded(5000) + 1) | 1;
+    if (rng.NextBounded(10) < 8) {
+      index_->Upsert(key, rng.Next() | 1);
+    } else {
+      index_->Remove(key);
+    }
+  }
+  index_->FlushAll();
+  rt_->device().DrainBuffers();
+  pmsim::StatsSnapshot stats = rt_->device().stats().Snapshot();
+  ASSERT_GT(stats.media_write_bytes, 0u) << GetParam();
+  EXPECT_LE(stats.media_write_bytes_for(trace::Component::kOther) * 100,
+            stats.media_write_bytes)
+      << GetParam() << ": " << stats.media_write_bytes_for(trace::Component::kOther) << " of "
+      << stats.media_write_bytes << " media bytes unattributed";
 }
 
 // --- crash/recovery conformance ---------------------------------------------------

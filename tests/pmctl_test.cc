@@ -135,6 +135,8 @@ TEST_F(Pmctl, TraceVerbsAcceptDriverDump) {
   EXPECT_EQ(RunPmctl("check " + trace_dump_), 0);
   EXPECT_EQ(CountLines(trace_dump_, "checker pmcheck "), 1);
   EXPECT_EQ(CountLines(trace_dump_, "checker lockcheck "), 1);
+  // Media bytes are attributed only per component (`statcomp`).
+  EXPECT_EQ(CountLines(trace_dump_, "stattag "), 0);
 }
 
 // `pmctl check` gates on violations in any checker section, never on
@@ -184,8 +186,9 @@ TEST_F(Pmctl, RemovedVerbsAreUsageErrors) {
   EXPECT_EQ(RunPmctl("locks " + trace_dump_), 64);
 }
 
-// Dumps from older writers still carry `sample` timeline lines; the reader
-// skips them like any unknown keyword.
+// Dumps from older writers still carry `sample` timeline lines and
+// address-range `stattag` lines; the reader skips them like any unknown
+// keyword.
 TEST_F(Pmctl, LegacySampleLineStillParses) {
   ASSERT_FALSE(trace_dump_.empty());
   std::ifstream in(trace_dump_);
@@ -201,6 +204,7 @@ TEST_F(Pmctl, LegacySampleLineStillParses) {
       out << lines[i] << "\n";
       if (i == 1) {
         out << "sample 1000000 5000 4096 8192 64 32\n";
+        out << "stattag leaf 4096\n";
       }
     }
   }

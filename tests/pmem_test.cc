@@ -27,7 +27,7 @@ TEST(PmPool, CreateFormatsSuperblock) {
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
   EXPECT_EQ(pool->AllocatedBytes(), 0u);
-  void* a = pool->AllocateRaw(1000, 0, pmsim::StreamTag::kOther);
+  void* a = pool->AllocateRaw(1000, 0);
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(pool->AllocatedBytes(), 1024u);  // 256 B aligned
 }
@@ -37,7 +37,7 @@ TEST(PmPool, AllocationsAreXplineAligned) {
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
   for (int i = 0; i < 10; i++) {
-    void* p = pool->AllocateRaw(100, 0, pmsim::StreamTag::kOther);
+    void* p = pool->AllocateRaw(100, 0);
     EXPECT_EQ(pool->ToOffset(p) % 256, 0u);
   }
 }
@@ -46,8 +46,8 @@ TEST(PmPool, SocketRegionsAreDisjoint) {
   pmsim::PmDevice device(TestConfig());
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
-  void* s0 = pool->AllocateRaw(256, 0, pmsim::StreamTag::kOther);
-  void* s1 = pool->AllocateRaw(256, 1, pmsim::StreamTag::kOther);
+  void* s0 = pool->AllocateRaw(256, 0);
+  void* s1 = pool->AllocateRaw(256, 1);
   EXPECT_EQ(device.SocketOf(pool->ToOffset(s0)), 0);
   EXPECT_EQ(device.SocketOf(pool->ToOffset(s1)), 1);
 }
@@ -57,7 +57,7 @@ TEST(PmPool, ExhaustionReturnsNull) {
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
   // Socket 0 region is 4 MB; a 8 MB request cannot fit.
-  EXPECT_EQ(pool->AllocateRaw(8 << 20, 0, pmsim::StreamTag::kOther), nullptr);
+  EXPECT_EQ(pool->AllocateRaw(8 << 20, 0), nullptr);
 }
 
 TEST(PmPool, AppRootsPersistAcrossReopen) {
@@ -66,7 +66,7 @@ TEST(PmPool, AppRootsPersistAcrossReopen) {
   uint64_t offset;
   {
     auto pool = PmPool::Create(device);
-    void* p = pool->AllocateRaw(256, 0, pmsim::StreamTag::kOther);
+    void* p = pool->AllocateRaw(256, 0);
     offset = pool->ToOffset(p);
     pool->SetAppRoot(3, offset);
   }
@@ -79,10 +79,10 @@ TEST(PmPool, BumpPointerSurvivesCrash) {
   pmsim::PmDevice device(TestConfig());
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
-  void* a = pool->AllocateRaw(256, 0, pmsim::StreamTag::kOther);
+  void* a = pool->AllocateRaw(256, 0);
   device.Crash();
   auto reopened = PmPool::Open(device);
-  void* b = reopened->AllocateRaw(256, 0, pmsim::StreamTag::kOther);
+  void* b = reopened->AllocateRaw(256, 0);
   EXPECT_NE(a, b);  // never hand out the same region twice
 }
 

@@ -37,8 +37,7 @@ TEST(XpBufferStressTest, EvictionConservationUnderContention) {
       uint64_t local_rmw = 0;
       for (uint64_t i = 0; i < kOpsPerThread; i++) {
         uint64_t key = rng.Next() % kKeySpace;
-        XpBufferResult result =
-            buffer.OnLineFlush(key, static_cast<int>(rng.Next() & 3), StreamTag::kOther);
+        XpBufferResult result = buffer.OnLineFlush(key, static_cast<int>(rng.Next() & 3));
         if (result.evicted) {
           local_evictions++;
           if (result.rmw) {
@@ -72,12 +71,12 @@ TEST(XpBufferStressTest, DrainAfterStressReportsAllResidentLines) {
   XpBuffer buffer(32);
   Rng rng(7);
   for (int i = 0; i < 10'000; i++) {
-    buffer.OnLineFlush(rng.Next() % 512, static_cast<int>(rng.Next() & 3), StreamTag::kLeaf);
+    buffer.OnLineFlush(rng.Next() % 512, static_cast<int>(rng.Next() & 3));
   }
   uint64_t evictions_before = buffer.evictions();
   size_t resident_before = buffer.resident();
   size_t drained = 0;
-  buffer.Drain([&drained](bool, StreamTag, trace::Component, uint64_t) { drained++; });
+  buffer.Drain([&drained](bool, trace::Component, uint64_t) { drained++; });
   EXPECT_EQ(drained, resident_before);
   EXPECT_EQ(buffer.resident(), 0u);
   // Drain never counts as eviction.
@@ -85,7 +84,7 @@ TEST(XpBufferStressTest, DrainAfterStressReportsAllResidentLines) {
   // After a drain the conservation baseline restarts from the drained state:
   // subsequent inserts balance again.
   for (int i = 0; i < 100; i++) {
-    buffer.OnLineFlush(static_cast<uint64_t>(i), 0, StreamTag::kOther);
+    buffer.OnLineFlush(static_cast<uint64_t>(i), 0);
   }
   EXPECT_EQ(buffer.resident(), 32u);
 }
@@ -99,7 +98,7 @@ TEST(StatsShardTest, SnapshotSeesLiveShardsAndSurvivesFold) {
   stats.RegisterShard(shard.get());
   shard->AddUserBytes(100);
   shard->AddLineFlush();
-  shard->AddMediaWrite(StreamTag::kLog);
+  shard->AddMediaWrite(trace::Component::kWal);
   stats.AddFence();  // base-shard fallback path
 
   StatsSnapshot live = stats.Snapshot();
@@ -107,7 +106,7 @@ TEST(StatsShardTest, SnapshotSeesLiveShardsAndSurvivesFold) {
   EXPECT_EQ(live.line_flushes, 1u);
   EXPECT_EQ(live.xpbuffer_write_bytes, kCachelineBytes);
   EXPECT_EQ(live.media_write_bytes, kXplineBytes);
-  EXPECT_EQ(live.media_writes_by_tag[static_cast<int>(StreamTag::kLog)], 1u);
+  EXPECT_EQ(live.media_write_bytes_for(trace::Component::kWal), kXplineBytes);
   EXPECT_EQ(live.fences, 1u);
 
   stats.UnregisterShard(shard.get());
@@ -182,12 +181,12 @@ TEST(PmDeviceHotpathTest, MultithreadedFlushStormConservesMediaAccounting) {
   // The drain recorded the resident lines (4 DIMMs x 64-entry buffers were
   // saturated by the storm, so it must have added writes).
   EXPECT_GT(after_drain.media_write_bytes, before_drain.media_write_bytes);
-  // Tag attribution totals always match the media write count.
-  uint64_t tag_total = 0;
-  for (uint64_t by_tag : after_drain.media_writes_by_tag) {
-    tag_total += by_tag;
+  // Component attribution bytes always sum to the media write bytes.
+  uint64_t component_total = 0;
+  for (uint64_t bytes : after_drain.media_write_bytes_by_component) {
+    component_total += bytes;
   }
-  EXPECT_EQ(tag_total, after_drain.media_write_bytes / kXplineBytes);
+  EXPECT_EQ(component_total, after_drain.media_write_bytes);
 }
 
 // The pending-set dedup: flushing the same line repeatedly before one fence

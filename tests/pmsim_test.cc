@@ -39,7 +39,7 @@ TEST(XpBuffer, MergesLinesOfSameXpline) {
   XpBuffer buffer(4);
   // Four lines of one XPLine: one insert, three hits, no eviction.
   for (int line = 0; line < 4; line++) {
-    auto result = buffer.OnLineFlush(/*xpline=*/7, line, StreamTag::kLeaf);
+    auto result = buffer.OnLineFlush(/*xpline=*/7, line);
     EXPECT_FALSE(result.evicted);
   }
   EXPECT_EQ(buffer.resident(), 1u);
@@ -47,27 +47,27 @@ TEST(XpBuffer, MergesLinesOfSameXpline) {
 
 TEST(XpBuffer, EvictsLruOnOverflow) {
   XpBuffer buffer(2);
-  EXPECT_FALSE(buffer.OnLineFlush(1, 0, StreamTag::kLeaf).evicted);
-  EXPECT_FALSE(buffer.OnLineFlush(2, 0, StreamTag::kLog).evicted);
-  auto result = buffer.OnLineFlush(3, 0, StreamTag::kOther);
+  EXPECT_FALSE(buffer.OnLineFlush(1, 0, trace::Component::kLeaf).evicted);
+  EXPECT_FALSE(buffer.OnLineFlush(2, 0, trace::Component::kWal).evicted);
+  auto result = buffer.OnLineFlush(3, 0, trace::Component::kOther);
   EXPECT_TRUE(result.evicted);
-  EXPECT_EQ(result.evicted_tag, StreamTag::kLeaf);  // xpline 1 was LRU
+  EXPECT_EQ(result.evicted_comp, trace::Component::kLeaf);  // xpline 1 was LRU
 }
 
 TEST(XpBuffer, TouchRefreshesLru) {
   XpBuffer buffer(2);
-  buffer.OnLineFlush(1, 0, StreamTag::kLeaf);
-  buffer.OnLineFlush(2, 0, StreamTag::kLog);
-  buffer.OnLineFlush(1, 1, StreamTag::kLeaf);  // touch 1
-  auto result = buffer.OnLineFlush(3, 0, StreamTag::kOther);
+  buffer.OnLineFlush(1, 0, trace::Component::kLeaf);
+  buffer.OnLineFlush(2, 0, trace::Component::kWal);
+  buffer.OnLineFlush(1, 1, trace::Component::kLeaf);  // touch 1
+  auto result = buffer.OnLineFlush(3, 0, trace::Component::kOther);
   EXPECT_TRUE(result.evicted);
-  EXPECT_EQ(result.evicted_tag, StreamTag::kLog);  // 2 is now LRU
+  EXPECT_EQ(result.evicted_comp, trace::Component::kWal);  // 2 is now LRU
 }
 
 TEST(XpBuffer, PartialEvictionIsRmw) {
   XpBuffer buffer(1);
-  buffer.OnLineFlush(1, 0, StreamTag::kLeaf);  // only 1 of 4 lines dirty
-  auto result = buffer.OnLineFlush(2, 0, StreamTag::kLeaf);
+  buffer.OnLineFlush(1, 0);  // only 1 of 4 lines dirty
+  auto result = buffer.OnLineFlush(2, 0);
   EXPECT_TRUE(result.evicted);
   EXPECT_TRUE(result.rmw);
 }
@@ -75,16 +75,16 @@ TEST(XpBuffer, PartialEvictionIsRmw) {
 TEST(XpBuffer, FullLineEvictionIsNotRmw) {
   XpBuffer buffer(1);
   for (int line = 0; line < 4; line++) {
-    buffer.OnLineFlush(1, line, StreamTag::kLeaf);
+    buffer.OnLineFlush(1, line);
   }
-  auto result = buffer.OnLineFlush(2, 0, StreamTag::kLeaf);
+  auto result = buffer.OnLineFlush(2, 0);
   EXPECT_TRUE(result.evicted);
   EXPECT_FALSE(result.rmw);
 }
 
 TEST(XpBuffer, ReadHitsResidentLines) {
   XpBuffer buffer(4);
-  buffer.OnLineFlush(5, 0, StreamTag::kLeaf);
+  buffer.OnLineFlush(5, 0);
   EXPECT_TRUE(buffer.OnRead(5));
   EXPECT_FALSE(buffer.OnRead(6));
 }
@@ -317,20 +317,6 @@ TEST(Device, WpqBackpressureStallsWriters) {
   uint64_t media_lower_bound =
       static_cast<uint64_t>(kWrites - 200) * config.cost.xpline_write_service_ns;
   EXPECT_GT(ctx.now_ns() + config.cost.wpq_slack_ns, media_lower_bound / 2);
-}
-
-TEST(Device, TagAttributionFollowsRegisteredRanges) {
-  PmDevice device(SmallConfig());
-  ThreadContext ctx(device, 0);
-  device.RegisterRange(device.base() + 4096, 4096, StreamTag::kLeaf);
-  device.RegisterRange(device.base() + 8192, 4096, StreamTag::kLog);
-  device.FlushLine(ctx, device.base() + 4096);
-  device.FlushLine(ctx, device.base() + 8192);
-  device.Fence(ctx);
-  device.DrainBuffers();
-  auto snapshot = device.stats().Snapshot();
-  EXPECT_EQ(snapshot.media_writes_by_tag[static_cast<int>(StreamTag::kLeaf)], 1u);
-  EXPECT_EQ(snapshot.media_writes_by_tag[static_cast<int>(StreamTag::kLog)], 1u);
 }
 
 TEST(Device, EadrModePersistsWithoutFence) {

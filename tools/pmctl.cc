@@ -3,7 +3,7 @@
 // on ipmctl's show/performance verbs, but reading the simulator's richer
 // attribution data instead of DIMM SMART counters.
 //
-//   pmctl stats   <dump>            amplification + per-tag/per-component table
+//   pmctl stats   <dump>            amplification + per-component table
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
 //   pmctl check   <dump>            every checker section (pmcheck, lockcheck);
@@ -37,11 +37,6 @@
 
 namespace cclbt::pmctl {
 namespace {
-
-struct TagRow {
-  std::string name;
-  uint64_t writes = 0;
-};
 
 struct CompRow {
   std::string name;
@@ -92,7 +87,6 @@ struct Dump {
   std::string label;
   std::map<std::string, std::string> config;
   std::vector<std::pair<std::string, uint64_t>> stats;  // declaration order
-  std::vector<TagRow> tags;
   std::vector<CompRow> comps;
   uint64_t heat_units = 0;
   uint64_t heat_per_bin = 0;
@@ -200,10 +194,6 @@ bool ParseDump(const std::string& path, Dump& d) {
       uint64_t value = 0;
       ss >> name >> value;
       d.stats.emplace_back(name, value);
-    } else if (kw == "stattag") {
-      TagRow row;
-      ss >> row.name >> row.writes;
-      d.tags.push_back(row);
     } else if (kw == "statcomp") {
       CompRow row;
       ss >> row.name >> row.media_bytes >> row.committed_lines;
@@ -295,20 +285,6 @@ int CmdStats(const Dump& d) {
                 static_cast<double>(media) / static_cast<double>(user));
   } else {
     std::printf("  (no user bytes recorded; read-only run?)\n");
-  }
-  if (!d.tags.empty()) {
-    std::printf("\n-- media writes by stream tag (address range) --\n");
-    uint64_t total = 0;
-    for (const TagRow& row : d.tags) {
-      total += row.writes;
-    }
-    for (const TagRow& row : d.tags) {
-      double pct = total == 0 ? 0.0
-                              : 100.0 * static_cast<double>(row.writes) /
-                                    static_cast<double>(total);
-      std::printf("  %-12s %14llu  %6.2f%%\n", row.name.c_str(),
-                  static_cast<unsigned long long>(row.writes), pct);
-    }
   }
   if (!d.comps.empty()) {
     std::printf("\n-- media write bytes by component (code scope) --\n");
