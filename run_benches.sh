@@ -19,14 +19,16 @@
 # (tools/summarize_benches.py --tail): any difference is a violation of the
 # driver determinism contract (DESIGN.md §10) and fails the script. Each run
 # also gets CCL_METRICS set, so every .pmmetrics dump the bench emits is
-# checked two ways: the header+epoch lines must be bit-identical across the
-# two runs (the summary record holds wall-clock data and is excluded), and
-# `pmctl series` must accept each dump (it exits non-zero if any epoch's
-# per-component media-write bytes fail to sum to that epoch's windowed
-# media_write_bytes). FILTER is an optional egrep pattern over binary names
-# (default: every bench). bench_pmsim_hotpath is excluded — it measures host
-# wall time by design. No bench_output.txt / BENCH_*.json artifacts are
-# touched in this mode.
+# checked: every record but the summary (which holds wall-clock data) must
+# be bit-identical across the two runs — epochs, stats and checker records
+# alike —, and `pmctl series` must accept each dump (it exits non-zero if
+# any epoch's per-component media-write bytes fail to sum to that epoch's
+# windowed media_write_bytes). When CCL_PMCHECK or CCL_LOCKCHECK is 1,
+# `pmctl check` must also exit 0 on every run-1 dump: 3 means checker
+# violations, 2 means a checked run left no checker record. FILTER is an
+# optional egrep pattern over binary names (default: every bench).
+# bench_pmsim_hotpath is excluded — it measures host wall time by design.
+# No bench_output.txt / BENCH_*.json artifacts are touched in this mode.
 #
 #   ./run_benches.sh --baseline-update
 #
@@ -62,7 +64,10 @@ manifest_get() {  # manifest_get KEY DEFAULT
 
 run_determinism() {
   local filter="${1:-.}"
-  local status=0 matched=0 total_dumps=0
+  local status=0 matched=0 total_dumps=0 checked=0 rc
+  if [ "${CCL_PMCHECK:-}" = 1 ] || [ "${CCL_LOCKCHECK:-}" = 1 ]; then
+    checked=1
+  fi
   local out1 out2 tail1 tail2 mdir1 mdir2
   out1="$(mktemp)" && out2="$(mktemp)" && tail1="$(mktemp)" && tail2="$(mktemp)" \
     && mdir1="$(mktemp -d)" && mdir2="$(mktemp -d)" || fail "mktemp"
@@ -88,11 +93,12 @@ run_determinism() {
       echo "run_benches.sh: DETERMINISM VIOLATION in ${name} (diff above)" >&2
       status=1
     fi
-    # Metrics epoch-series determinism: every .pmmetrics dump of run 1 must
-    # have a bit-identical counterpart (header+epoch lines; the summary
-    # record is wall-clock territory) in run 2, and must satisfy the
-    # per-epoch component-bytes sum invariant enforced by `pmctl series`.
-    local ndumps=0 dump1 dump2 base
+    # Dump determinism: every .pmmetrics dump of run 1 must have a
+    # bit-identical counterpart (every record but the summary, which is
+    # wall-clock territory) in run 2, must satisfy the per-epoch
+    # component-bytes sum invariant enforced by `pmctl series`, and in a
+    # checked run must carry clean checker verdicts (`pmctl check`).
+    local ndumps=0 bad=0 dump1 dump2 base
     for dump1 in "$mdir1"/*.pmmetrics; do
       [ -e "$dump1" ] || continue
       ndumps=$((ndumps + 1))
@@ -100,22 +106,32 @@ run_determinism() {
       dump2="$mdir2/$base"
       if [ ! -f "$dump2" ]; then
         echo "run_benches.sh: DETERMINISM VIOLATION in ${name}: ${base} only emitted by run 1" >&2
-        status=1
+        bad=1
         continue
       fi
       if ! diff -u <(grep -v '"type":"summary"' "$dump1") \
                    <(grep -v '"type":"summary"' "$dump2"); then
         echo "run_benches.sh: DETERMINISM VIOLATION in ${name} metrics series ${base} (diff above)" >&2
-        status=1
+        bad=1
       fi
       if ! build/tools/pmctl series "$dump1" > /dev/null; then
         echo "run_benches.sh: ${name} ${base}: pmctl series rejected the dump (component-bytes sum violation?)" >&2
-        status=1
+        bad=1
+      fi
+      if [ "$checked" = 1 ]; then
+        build/tools/pmctl check "$dump1" > /dev/null
+        rc=$?
+        if [ "$rc" != 0 ]; then
+          echo "run_benches.sh: ${name} ${base}: pmctl check exited ${rc} (3: checker violations; 2: the checked run left no checker record)" >&2
+          bad=1
+        fi
       fi
     done
-    if [ "$ndumps" -gt 0 ]; then
-      echo "metrics determinism OK: ${name} (${ndumps} epoch series bit-identical, component sums verified)"
-      total_dumps=$((total_dumps + ndumps))
+    total_dumps=$((total_dumps + ndumps))
+    if [ "$bad" = 1 ]; then
+      status=1
+    elif [ "$ndumps" -gt 0 ]; then
+      echo "metrics determinism OK: ${name} (${ndumps} dumps bit-identical, component sums verified$([ "$checked" = 1 ] && echo ", checker verdicts clean"))"
     else
       # e.g. bench_fig14_gc drives kvindex::Runtime directly, not the driver.
       echo "metrics: ${name} emitted no .pmmetrics dump (bench bypasses the driver)"

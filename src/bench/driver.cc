@@ -7,7 +7,6 @@
 #include <optional>
 
 #include "src/bench/measured_phase.h"
-#include "src/bench/trace_dump.h"
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
 #include "src/metrics/clock.h"
@@ -57,16 +56,12 @@ struct KeyBlobModel {
 // workers to a few microseconds.
 constexpr uint64_t kSliceOps = 1;
 
-// Appends a checker's section to the run's dump (when one was written) and
-// prints its stderr summary: totals and counters, then each class with
-// violations.
+// Prints a checker's stderr summary: totals and counters, then each class
+// with violations.
 template <typename Report>
-void ReportChecker(const Report& report, const std::string& label, const std::string& dump) {
+void ReportChecker(const Report& report, const std::string& label) {
   if (!report.enabled) {
     return;
-  }
-  if (!dump.empty()) {
-    AppendCheckerSection(dump, report);
   }
   std::fprintf(stderr, "%s[%s]: %llu violation(s), %llu informational, %llu suppressed",
                report.checker, label.c_str(), static_cast<unsigned long long>(report.total()),
@@ -139,19 +134,11 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 
   // --- measurement phase ----------------------------------------------------------
   runtime.device().ResetCosts();
-  // pmtrace: event tracing covers the measurement phase only. Rings are
-  // cleared first so a dump shows this phase, not the warm-up; contexts
-  // created below pick up rings because tracing is already enabled.
-  const bool tracing = TraceDumpRequested();
-  if (tracing) {
-    trace::ClearRings();
-    trace::SetEnabled(true);
-  }
   if (config.collect_component_latency) {
     trace::SetScopeTiming(true);
   }
-  // Metrics registry and epoch series: measurement phase only, CPU-side by
-  // construction, so enabling them cannot move a virtual metric.
+  // Metrics registry, epoch series and tracing: measurement phase only,
+  // CPU-side by construction, so enabling them cannot move a virtual metric.
   MeasuredPhase phase(runtime.device(), config.metrics, config.ops > 0,
                       [&index](MeasuredPhase::Gauges* gauges) { index.SampleGauges(gauges); });
   const bool metrics_on = phase.metrics();
@@ -289,7 +276,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   for (const auto& st : states) {
     worker_ns = std::max(worker_ns, st.final_vtime);
   }
-  const std::string label = config.trace_label.empty() ? "run" : config.trace_label;
+  const std::string label = config.label.empty() ? "run" : config.label;
   uint64_t elapsed_ns = phase.Finish(worker_ns, label, static_cast<uint64_t>(config.threads),
                                      config.ops, &result);
   result.max_worker_vtime_ms = static_cast<double>(worker_ns) / 1e6;
@@ -307,19 +294,6 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     result.latency.Merge(result.metrics_snapshot.op_virtual[k]);
   }
   result.footprint = index.Footprint();
-  if (pmsim::PmCheck* check = runtime.device().pmcheck(); check != nullptr) {
-    result.pmcheck = check->Snapshot();
-  }
-  if (pmsim::LockCheck* locks = runtime.device().lockcheck(); locks != nullptr) {
-    result.lockcheck = locks->Snapshot();
-  }
-
-  if (tracing) {
-    result.trace_dump_path =
-        WriteTraceDump(runtime, label, result.stats, result.elapsed_virtual_ms);
-    trace::SetEnabled(false);
-    trace::ClearRings();
-  }
   if (config.collect_component_latency) {
     trace::SetScopeTiming(false);
   }
@@ -328,29 +302,27 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
 
 RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& config,
                            const IndexConfig& index_config, pmsim::DeviceConfig device) {
-  // When a trace dump is requested, also record the per-XPLine heatmap (the
-  // counters only exist when enabled at device construction).
-  device.record_unit_heatmap = device.record_unit_heatmap || TraceDumpRequested();
   kvindex::Runtime runtime({.device = device});
   auto index = MakeIndex(index_name, runtime, index_config);
-  const std::string label = config.trace_label.empty() ? index_name : config.trace_label;
+  const std::string label = config.label.empty() ? index_name : config.label;
   RunConfig labeled = config;
-  labeled.trace_label = label;
+  labeled.label = label;
   RunResult result = RunWorkload(runtime, *index, labeled);
   if (pmsim::PmCheck* check = runtime.device().pmcheck(); check != nullptr) {
     // The runtime is torn down on return, so this is the pool close from the
     // checker's point of view: run the unflushed-at-close scan and take the
-    // final report. Happens after the metric snapshot above — media traffic
-    // drained here never reaches the returned stats, and no virtual time is
-    // charged (determinism contract, DESIGN.md §10).
+    // final report, whose dump record supersedes the phase's. Happens after
+    // the metric snapshot above — media traffic drained here never reaches
+    // the returned stats, and no virtual time is charged (determinism
+    // contract, DESIGN.md §10).
     runtime.device().DrainBuffers();
     result.pmcheck = check->Snapshot();
+    if (!result.metrics_dump_path.empty()) {
+      AppendCheckerRecord(result.metrics_dump_path, result.pmcheck);
+    }
   }
-  if (pmsim::LockCheck* locks = runtime.device().lockcheck(); locks != nullptr) {
-    result.lockcheck = locks->Snapshot();
-  }
-  ReportChecker(result.pmcheck, label, result.trace_dump_path);
-  ReportChecker(result.lockcheck, label, result.trace_dump_path);
+  ReportChecker(result.pmcheck, label);
+  ReportChecker(result.lockcheck, label);
   return result;
 }
 

@@ -27,8 +27,6 @@
 #include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
 #include "src/pmsim/config.h"
-#include "src/pmsim/lockcheck.h"
-#include "src/pmsim/pmcheck.h"
 #include "src/trace/component.h"
 
 namespace cclbt::bench {
@@ -63,9 +61,9 @@ struct RunConfig {
   // trace scope timing for the measurement phase; fills
   // RunResult::component_latency).
   bool collect_component_latency = false;
-  // Label stamped into the .pmtrace dump written when CCL_TRACE is set
+  // Label of the run's .pmmetrics dump and of its checker summaries
   // (RunIndexWorkload defaults it to the index name).
-  std::string trace_label;
+  std::string label;
   // Values larger than 8 B go through ValueStore indirection; the stored
   // word is the handle (paper §4.4 Opt. 3). 0/8 = inline.
   size_t value_bytes = 8;
@@ -78,7 +76,10 @@ struct RunConfig {
 };
 
 // Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,
-// registry totals, epochs, .pmmetrics path) plus the driver's own fields.
+// registry totals, epochs, checker reports, .pmmetrics path) plus the
+// driver's own fields. RunIndexWorkload refreshes `pmcheck` after an
+// end-of-run DrainBuffers, so the unflushed-at-close class is included;
+// RunWorkload alone reports the phase it saw.
 struct RunResult : PhaseResult {
   double mops = 0;                 // modeled throughput, Mop/s
   double max_worker_vtime_ms = 0;  // slowest worker's clock (latency-bound part)
@@ -87,19 +88,7 @@ struct RunResult : PhaseResult {
   // Per-component share of each op's virtual latency (only ops that spent
   // time in the component are recorded; see collect_component_latency).
   std::array<metrics::Histogram, trace::kNumComponents> component_latency;
-  // Path of the .pmtrace dump written for this run ("" when CCL_TRACE unset).
-  std::string trace_dump_path;
   kvindex::MemoryFootprint footprint;
-  // pmcheck report (enabled == false unless DeviceConfig::pmcheck or
-  // CCL_PMCHECK=1 turned the checker on). RunIndexWorkload
-  // refreshes it after an end-of-run DrainBuffers so the unflushed-at-close
-  // class is included; RunWorkload alone reports the phases it saw.
-  pmsim::PmCheckReport pmcheck;
-  // lockcheck report (enabled == false unless DeviceConfig::lockcheck or
-  // CCL_LOCKCHECK=1 turned the checker on). Snapshot at
-  // measurement end; the event stream keeps flowing until the runtime dies,
-  // but counts only grow, so a clean snapshot of a finished run stays clean.
-  pmsim::LockCheckReport lockcheck;
 };
 
 // Loads `config.warm_keys` distinct keys (or the preset set), then runs the
@@ -109,9 +98,9 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index, const 
 
 // Convenience: build a runtime on `device` (pool, backend, checkers; the
 // default is a 2 GiB pool on the kAuto backend) and an index, run, tear down.
-// With pmcheck on, the teardown runs the unflushed-at-close scan; each
-// enabled checker's report is summarized on stderr and appended to the
-// run's trace dump for `pmctl check`.
+// With pmcheck on, the teardown runs the unflushed-at-close scan and appends
+// the final pmcheck record to the run's dump; each enabled checker's report
+// is summarized on stderr.
 RunResult RunIndexWorkload(const std::string& index_name, const RunConfig& config,
                            const IndexConfig& index_config = {},
                            pmsim::DeviceConfig device = {.pool_bytes = 2ULL << 30});

@@ -2,33 +2,202 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 
-#include "src/bench/trace_dump.h"
 #include "src/pmsim/media_model.h"
 #include "src/trace/component.h"
+#include "src/trace/trace.h"
 
 namespace cclbt::bench {
 
 namespace {
 
-std::atomic<int> g_metrics_dump_seq{0};
+std::atomic<int> g_dump_seq{0};
+
+// Path of the run's dump, "<CCL_METRICS>.<seq>.<label>.pmmetrics", or ""
+// when CCL_METRICS is unset or empty. The process-wide sequence keeps the
+// dumps of a bench binary that runs many indexes apart; the label is made
+// file-name safe.
+std::string DumpPath(const std::string& label) {
+  const char* prefix = std::getenv("CCL_METRICS");
+  if (prefix == nullptr || *prefix == '\0') {
+    return std::string();
+  }
+  std::string name = label.empty() ? "run" : label;
+  for (char& c : name) {
+    bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') ||
+              c == '-' || c == '_' || c == '.';
+    if (!ok) {
+      c = '-';
+    }
+  }
+  const int seq = g_dump_seq.fetch_add(1, std::memory_order_relaxed);
+  return std::string(prefix) + "." + std::to_string(seq) + "." + name + ".pmmetrics";
+}
+
+// Names a dump that could not be written in one stderr line and returns ""
+// (a writer's "no dump" result).
+std::string DumpWriteFailed(const std::string& path) {
+  std::fprintf(stderr, "dump: cannot write %s\n", path.c_str());
+  return std::string();
+}
+
+// The phase's pmsim counters: every scalar by name, straight from the field
+// list, plus the per-component arrays indexed by the header's components.
+std::string StatsRecord(const pmsim::StatsSnapshot& stats) {
+  metrics::JsonLine line("stats");
+  line.Key("counters").BeginObject();
+#define CCLBT_DUMP_STAT_S(name) line.Field(#name, stats.name);
+#define CCLBT_DUMP_STAT_A(name, n)
+  CCLBT_PMSIM_STATS_FIELDS(CCLBT_DUMP_STAT_S, CCLBT_DUMP_STAT_A)
+#undef CCLBT_DUMP_STAT_S
+#undef CCLBT_DUMP_STAT_A
+  return line.EndObject()
+      .Array("comp_bytes", stats.media_write_bytes_by_component)
+      .Array("comp_lines", stats.committed_lines_by_component)
+      .Finish();
+}
+
+// The per-XPLine write counts folded into at most kMaxHeatBins bins, so the
+// record stays small for multi-GB pools. Sparse: empty bins are implicit.
+std::string HeatRecord(const pmsim::PmDevice& device) {
+  constexpr uint64_t kMaxHeatBins = 512;
+  const uint64_t units = device.num_units();
+  const uint64_t per_bin = std::max<uint64_t>((units + kMaxHeatBins - 1) / kMaxHeatBins, 1);
+  metrics::JsonLine line("heat");
+  line.Field("units", units).Field("per_bin", per_bin).Key("bins").BeginArray();
+  for (uint64_t first = 0; first < units; first += per_bin) {
+    const uint64_t end = std::min(units, first + per_bin);
+    uint64_t writes = 0;
+    uint64_t hottest_unit = first;
+    uint64_t hottest_writes = 0;
+    for (uint64_t u = first; u < end; u++) {
+      const uint64_t w = device.UnitWriteCount(u);
+      writes += w;
+      if (w > hottest_writes) {
+        hottest_writes = w;
+        hottest_unit = u;
+      }
+    }
+    if (writes != 0) {
+      line.BeginArray().Value(first).Value(end - first).Value(writes).Value(hottest_unit)
+          .Value(hottest_writes).EndArray();
+    }
+  }
+  return line.EndArray().Finish();
+}
+
+std::string RingRecord(const trace::NamedRing& ring) {
+  metrics::JsonLine line("ring");
+  line.Field("worker", ring.worker_id)
+      .Field("socket", ring.socket)
+      .Field("emitted", ring.emitted)
+      .Key("events")
+      .BeginArray();
+  for (const trace::TraceEvent& ev : ring.events) {
+    line.BeginArray().Value(ev.t_ns).Value(ev.type).Value(ev.comp).Value(ev.arg)
+        .Value(ev.aux).Value(ev.dimm).EndArray();
+  }
+  return line.EndArray().Finish();
+}
+
+// A checker diagnostic's or event's own fields, as one object.
+template <typename Item>
+void AppendFields(metrics::JsonLine& line, const Item& item) {
+  line.Key("fields").BeginObject();
+  item.ForEachField([&line](const char* key, const auto& value) { line.Field(key, value); });
+  line.EndObject();
+}
+
+// One checker's report (DESIGN.md §11, §16), or "" when it is disabled.
+template <typename Report>
+std::string CheckerRecord(const Report& report) {
+  if (!report.enabled) {
+    return std::string();
+  }
+  metrics::JsonLine line("checker");
+  line.Field("checker", report.checker).Key("stats").BeginObject();
+  for (const auto& [key, value] : report.stats) {
+    line.Field(key, value);
+  }
+  line.Field("diagnostics_truncated", report.diagnostics_truncated)
+      .EndObject()
+      .Key("classes")
+      .BeginArray();
+  for (size_t c = 0; c < Report::kNumClasses; c++) {
+    line.BeginObject()
+        .Field("class", pmsim::CheckClassName(static_cast<typename Report::Class>(c)))
+        .Field("violations", report.counts[c])
+        .Field("suppressed", report.suppressed[c])
+        .Field("info", report.info[c])
+        .EndObject();
+  }
+  line.EndArray().Key("diags").BeginArray();
+  for (const auto& d : report.diagnostics) {
+    line.BeginObject()
+        .Field("class", pmsim::CheckClassName(d.cls))
+        .Key("info")
+        .Bool(d.info)
+        .Field("line", d.line)
+        .Field("comp", trace::ComponentName(d.comp))
+        .Field("worker", d.worker)
+        .Field("detail", d.detail);
+    AppendFields(line, d);
+    line.Key("recent").BeginArray();
+    for (const auto& ev : d.recent) {
+      line.BeginObject()
+          .Field("kind", pmsim::CheckEventName(ev.kind))
+          .Field("comp", trace::ComponentName(ev.comp))
+          .Field("worker", ev.worker)
+          .Field("detail", ev.detail);
+      AppendFields(line, ev);
+      line.EndObject();
+    }
+    line.EndArray().EndObject();
+  }
+  return line.EndArray().Finish();
+}
 
 }  // namespace
 
 bool MetricsDumpRequested() { return std::getenv("CCL_METRICS") != nullptr; }
+
+template <typename Report>
+void AppendCheckerRecord(const std::string& path, const Report& report) {
+  if (!report.enabled) {
+    return;
+  }
+  std::ofstream out(path, std::ios::app);
+  out << CheckerRecord(report);
+  out.flush();
+  if (!out) {
+    DumpWriteFailed(path);
+  }
+}
+
+template void AppendCheckerRecord(const std::string&, const pmsim::PmCheckReport&);
+template void AppendCheckerRecord(const std::string&, const pmsim::LockCheckReport&);
 
 MeasuredPhase::MeasuredPhase(pmsim::PmDevice& device, bool metrics, bool epochs,
                              GaugeSampler sample_gauges)
     : device_(device),
       metrics_(metrics || MetricsDumpRequested()),
       epochs_(metrics_ && epochs),
+      tracing_(trace::TracingRequested()),
       sample_gauges_(std::move(sample_gauges)),
       next_epoch_ns_(epochs_ ? kMetricsEpochNs : UINT64_MAX) {
   if (metrics_) {
     metrics::Reset();
     metrics::SetEnabled(true);
+  }
+  if (tracing_) {
+    // Rings are cleared first so the dump shows this phase, not the warm-up;
+    // contexts created from here on pick up rings at construction, older
+    // ones on their first emit.
+    trace::ClearRings();
+    trace::SetEnabled(true);
   }
   before_ = device_.stats().Snapshot();
   epoch_prev_stats_ = before_;
@@ -86,6 +255,18 @@ uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, u
   result->stats = device_.stats().Snapshot().Delta(before_);
   result->cli_amplification = result->stats.CliAmplification();
   result->xbi_amplification = result->stats.XbiAmplification();
+  std::vector<trace::NamedRing> rings;
+  if (tracing_) {
+    rings = trace::CollectRings();
+    trace::SetEnabled(false);
+    trace::ClearRings();
+  }
+  if (pmsim::PmCheck* check = device_.pmcheck(); check != nullptr) {
+    result->pmcheck = check->Snapshot();
+  }
+  if (pmsim::LockCheck* locks = device_.lockcheck(); locks != nullptr) {
+    result->lockcheck = locks->Snapshot();
+  }
   if (!metrics_) {
     return elapsed_ns;
   }
@@ -93,7 +274,7 @@ uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, u
   metrics::SetEnabled(false);
   result->epochs = std::move(series_);
 
-  const std::string path = DumpPath("CCL_METRICS", g_metrics_dump_seq, label, ".pmmetrics");
+  const std::string path = DumpPath(label);
   if (path.empty()) {
     return elapsed_ns;
   }
@@ -120,7 +301,14 @@ uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, u
   }
   std::ofstream out(path);
   out << metrics::SerializeHeader(header) << metrics::SerializeEpochSeries(result->epochs)
-      << metrics::SerializeSummary(summary);
+      << metrics::SerializeSummary(summary) << StatsRecord(result->stats);
+  if (device_.heatmap_enabled()) {
+    out << HeatRecord(device_);
+  }
+  for (const trace::NamedRing& ring : rings) {
+    out << RingRecord(ring);
+  }
+  out << CheckerRecord(result->pmcheck) << CheckerRecord(result->lockcheck);
   out.flush();
   result->metrics_dump_path = out ? path : DumpWriteFailed(path);
   return elapsed_ns;

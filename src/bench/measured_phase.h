@@ -7,7 +7,11 @@
 //    max(front-end frontier, busiest DIMM) and the stats delta at the end;
 //  * the virtual-time epoch series (DESIGN.md §13), closed on a fixed
 //    kMetricsEpochNs grid and tiling the phase exactly;
-//  * the .pmmetrics dump written when CCL_METRICS names a path prefix;
+//  * event tracing under CCL_TRACE=1 (src/trace/trace.h);
+//  * the checker reports at the end of the phase;
+//  * the run's one dump, "<CCL_METRICS>.<seq>.<label>.pmmetrics": header,
+//    epochs, summary, stats, and the heat, ring and checker records
+//    (src/metrics/pmmetrics.h);
 //  * ExecuteOp, the one op switch with its user-byte accounting and
 //    OpType -> OpKind mapping.
 #ifndef SRC_BENCH_MEASURED_PHASE_H_
@@ -24,6 +28,8 @@
 #include "src/metrics/metrics.h"
 #include "src/metrics/pmmetrics.h"
 #include "src/pmsim/device.h"
+#include "src/pmsim/lockcheck.h"
+#include "src/pmsim/pmcheck.h"
 #include "src/pmsim/stats.h"
 #include "src/pmsim/thread_context.h"
 
@@ -35,6 +41,13 @@ inline constexpr uint64_t kMetricsEpochNs = 1'000'000;
 // True when CCL_METRICS is set: every measured phase enables the metrics
 // registry and writes "<prefix>.<seq>.<label>.pmmetrics".
 bool MetricsDumpRequested();
+
+// Appends one checker record to the dump at `path`; a disabled report
+// appends nothing. RunIndexWorkload appends the report it takes after the
+// unflushed-at-close scan, which supersedes the phase's own record. A record
+// that cannot be written is named on stderr.
+template <typename Report>
+void AppendCheckerRecord(const std::string& path, const Report& report);
 
 // What every front end reports about its measured phase.
 struct PhaseResult {
@@ -48,6 +61,12 @@ struct PhaseResult {
   // Virtual-time-epoch series (empty unless epochs were collected).
   // Deterministic: bit-identical run-to-run per DESIGN.md §10.
   metrics::EpochSeries epochs;
+  // Checker reports at the end of the phase (enabled == false unless
+  // DeviceConfig::pmcheck / ::lockcheck or CCL_PMCHECK=1 / CCL_LOCKCHECK=1
+  // turned the checker on). Counts only grow, so a clean report of a
+  // finished run stays clean.
+  pmsim::PmCheckReport pmcheck;
+  pmsim::LockCheckReport lockcheck;
   // Path of the .pmmetrics dump ("" when CCL_METRICS is unset or the dump
   // could not be written).
   std::string metrics_dump_path;
@@ -61,7 +80,8 @@ class MeasuredPhase {
   // Starts the phase on `device`, whose costs the caller has already reset.
   // `metrics` (or CCL_METRICS) resets and enables the registry; `epochs`
   // additionally records the epoch series, pulling index gauges through
-  // `sample_gauges` at each epoch end.
+  // `sample_gauges` at each epoch end. CCL_TRACE=1 clears the trace rings
+  // and enables tracing until Finish.
   MeasuredPhase(pmsim::PmDevice& device, bool metrics, bool epochs,
                 GaugeSampler sample_gauges);
 
@@ -81,8 +101,9 @@ class MeasuredPhase {
   }
 
   // Ends the phase at the front end's `frontier_ns`: closes the final
-  // (partial) epoch there, fills `result`, disables the registry and writes
-  // the .pmmetrics dump under `label`. Returns the elapsed virtual ns.
+  // (partial) epoch there, fills `result`, disables the registry and
+  // tracing, and writes the .pmmetrics dump under `label`. Returns the
+  // elapsed virtual ns.
   uint64_t Finish(uint64_t frontier_ns, const std::string& label, uint64_t threads, uint64_t ops,
                   PhaseResult* result);
 
@@ -92,6 +113,7 @@ class MeasuredPhase {
   pmsim::PmDevice& device_;
   const bool metrics_;
   const bool epochs_;
+  const bool tracing_;
   GaugeSampler sample_gauges_;
   uint64_t next_epoch_ns_;
   pmsim::StatsSnapshot before_;

@@ -3,15 +3,16 @@
 #include <cctype>
 #include <cstdio>
 #include <fstream>
+#include <string_view>
+#include <utility>
 
 namespace cclbt::metrics {
 
 namespace {
 
-// --- writer helpers ---------------------------------------------------------
-
-void AppendString(std::string& out, const std::string& s) {
-  out += '"';
+// `s` as a JSON string literal.
+std::string Quoted(std::string_view s) {
+  std::string out = "\"";
   for (char c : s) {
     if (c == '"' || c == '\\') {
       out += '\\';
@@ -24,96 +25,26 @@ void AppendString(std::string& out, const std::string& s) {
       out += c;
     }
   }
-  out += '"';
+  return out + '"';
 }
 
-void AppendU64(std::string& out, uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(v));
-  out += buf;
-}
-
-void AppendKey(std::string& out, const char* key) {
-  out += '"';
-  out += key;
-  out += "\":";
-}
-
-void AppendU64Field(std::string& out, const char* key, uint64_t v) {
-  AppendKey(out, key);
-  AppendU64(out, v);
-}
-
-void AppendU64Array(std::string& out, const char* key, const std::vector<uint64_t>& vs) {
-  AppendKey(out, key);
-  out += '[';
-  for (size_t i = 0; i < vs.size(); i++) {
-    if (i != 0) {
-      out += ',';
-    }
-    AppendU64(out, vs[i]);
+void AppendOpSummaries(JsonLine& line, const char* key, const std::vector<OpLatencySummary>& vs) {
+  line.Key(key).BeginArray();
+  for (const OpLatencySummary& s : vs) {
+    line.BeginObject()
+        .Field("count", s.count)
+        .Field("p50_ns", s.p50_ns)
+        .Field("p99_ns", s.p99_ns)
+        .Field("p999_ns", s.p999_ns)
+        .Field("max_ns", s.max_ns)
+        .EndObject();
   }
-  out += ']';
-}
-
-void AppendStringArray(std::string& out, const char* key, const std::vector<std::string>& vs) {
-  AppendKey(out, key);
-  out += '[';
-  for (size_t i = 0; i < vs.size(); i++) {
-    if (i != 0) {
-      out += ',';
-    }
-    AppendString(out, vs[i]);
-  }
-  out += ']';
-}
-
-void AppendOpSummaryArray(std::string& out, const char* key,
-                          const std::vector<OpLatencySummary>& vs) {
-  AppendKey(out, key);
-  out += '[';
-  for (size_t i = 0; i < vs.size(); i++) {
-    if (i != 0) {
-      out += ',';
-    }
-    out += '{';
-    AppendU64Field(out, "count", vs[i].count);
-    out += ',';
-    AppendU64Field(out, "p50_ns", vs[i].p50_ns);
-    out += ',';
-    AppendU64Field(out, "p99_ns", vs[i].p99_ns);
-    out += ',';
-    AppendU64Field(out, "p999_ns", vs[i].p999_ns);
-    out += ',';
-    AppendU64Field(out, "max_ns", vs[i].max_ns);
-    out += '}';
-  }
-  out += ']';
+  line.EndArray();
 }
 
 // --- minimal JSON reader ----------------------------------------------------
-// Parses exactly the subset this file's writer emits: objects, arrays,
-// strings with \" \\ \uXXXX escapes, booleans, null, and non-negative
-// integers (everything numeric in .pmmetrics is a uint64).
-
-struct JsonValue {
-  enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  uint64_t number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;  // insertion order
-
-  const JsonValue* Find(const char* key) const {
-    for (const auto& [k, v] : object) {
-      if (k == key) {
-        return &v;
-      }
-    }
-    return nullptr;
-  }
-};
+// Parses exactly the subset JsonLine emits: objects, arrays, strings with
+// \" \\ \uXXXX escapes, booleans, null, and non-negative integers.
 
 class JsonParser {
  public:
@@ -302,37 +233,17 @@ class JsonParser {
   size_t pos_ = 0;
 };
 
-uint64_t GetU64(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kNumber ? v->number : 0;
-}
-
-std::string GetString(const JsonValue& obj, const char* key) {
-  const JsonValue* v = obj.Find(key);
-  return v != nullptr && v->kind == JsonValue::Kind::kString ? v->str : std::string();
-}
-
 std::vector<uint64_t> GetU64Array(const JsonValue& obj, const char* key) {
   std::vector<uint64_t> out;
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
-    return out;
-  }
-  out.reserve(v->array.size());
-  for (const JsonValue& e : v->array) {
-    out.push_back(e.kind == JsonValue::Kind::kNumber ? e.number : 0);
+  for (const JsonValue& e : obj.Array(key)) {
+    out.push_back(e.number);
   }
   return out;
 }
 
 std::vector<std::string> GetStringArray(const JsonValue& obj, const char* key) {
   std::vector<std::string> out;
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
-    return out;
-  }
-  out.reserve(v->array.size());
-  for (const JsonValue& e : v->array) {
+  for (const JsonValue& e : obj.Array(key)) {
     out.push_back(e.str);
   }
   return out;
@@ -340,95 +251,73 @@ std::vector<std::string> GetStringArray(const JsonValue& obj, const char* key) {
 
 std::vector<OpLatencySummary> GetOpSummaryArray(const JsonValue& obj, const char* key) {
   std::vector<OpLatencySummary> out;
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kArray) {
-    return out;
-  }
-  for (const JsonValue& e : v->array) {
-    OpLatencySummary s;
-    s.count = GetU64(e, "count");
-    s.p50_ns = GetU64(e, "p50_ns");
-    s.p99_ns = GetU64(e, "p99_ns");
-    s.p999_ns = GetU64(e, "p999_ns");
-    s.max_ns = GetU64(e, "max_ns");
-    out.push_back(s);
+  for (const JsonValue& e : obj.Array(key)) {
+    out.push_back({e.U64("count"), e.U64("p50_ns"), e.U64("p99_ns"), e.U64("p999_ns"),
+                   e.U64("max_ns")});
   }
   return out;
 }
 
 }  // namespace
 
+const JsonValue& JsonValue::At(const char* key) const {
+  static const JsonValue kNull;
+  for (const auto& [k, v] : object) {
+    if (k == key) {
+      return v;
+    }
+  }
+  return kNull;
+}
+
+bool ParseJson(const std::string& text, JsonValue* out) { return JsonParser(text).Parse(out); }
+
+JsonLine& JsonLine::Key(std::string_view key) { return Put(Quoted(key) + ':', false); }
+
+JsonLine& JsonLine::Value(std::string_view s) { return Put(Quoted(s), true); }
+
 std::string SerializeHeader(const PmMetricsHeader& header) {
-  std::string out = "{\"type\":\"header\",";
-  AppendU64Field(out, "pmmetrics", kPmMetricsVersion);
-  out += ',';
-  AppendKey(out, "label");
-  AppendString(out, header.label);
-  out += ',';
-  AppendKey(out, "backend");
-  AppendString(out, header.backend);
-  out += ',';
-  AppendU64Field(out, "epoch_ns", header.epoch_ns);
-  out += ',';
-  AppendU64Field(out, "threads", header.threads);
-  out += ',';
-  AppendU64Field(out, "ops", header.ops);
-  out += ',';
-  AppendStringArray(out, "op_kinds", header.op_kinds);
-  out += ',';
-  AppendStringArray(out, "counters", header.counters);
-  out += ',';
-  AppendStringArray(out, "components", header.components);
-  out += "}\n";
-  return out;
+  return JsonLine("header")
+      .Field("pmmetrics", kPmMetricsVersion)
+      .Field("label", header.label)
+      .Field("backend", header.backend)
+      .Field("epoch_ns", header.epoch_ns)
+      .Field("threads", header.threads)
+      .Field("ops", header.ops)
+      .Array("op_kinds", header.op_kinds)
+      .Array("counters", header.counters)
+      .Array("components", header.components)
+      .Finish();
 }
 
 std::string SerializeEpoch(const EpochRecord& epoch) {
-  std::string out = "{\"type\":\"epoch\",";
-  AppendU64Field(out, "i", epoch.index);
-  out += ',';
-  AppendU64Field(out, "t_ns", epoch.t_ns);
-  out += ',';
-  AppendU64Array(out, "ops", epoch.ops);
-  out += ',';
-  AppendU64Array(out, "p50_ns", epoch.p50_ns);
-  out += ',';
-  AppendU64Array(out, "p99_ns", epoch.p99_ns);
-  out += ',';
-  AppendU64Array(out, "p999_ns", epoch.p999_ns);
-  out += ',';
-  AppendU64Field(out, "user_bytes", epoch.user_bytes);
-  out += ',';
-  AppendU64Field(out, "xpbuffer_write_bytes", epoch.xpbuffer_write_bytes);
-  out += ',';
-  AppendU64Field(out, "media_write_bytes", epoch.media_write_bytes);
-  out += ',';
-  AppendU64Field(out, "media_read_bytes", epoch.media_read_bytes);
-  out += ',';
-  AppendU64Field(out, "line_flushes", epoch.line_flushes);
-  out += ',';
-  AppendU64Field(out, "fences", epoch.fences);
-  out += ',';
-  AppendU64Array(out, "comp_bytes", epoch.comp_bytes);
-  out += ",\"xpbuf\":{";
-  AppendU64Field(out, "resident", epoch.xpbuf_resident);
-  out += ',';
-  AppendU64Field(out, "insertions", epoch.xpbuf_insertions);
-  out += ',';
-  AppendU64Field(out, "evictions", epoch.xpbuf_evictions);
-  out += "},";
-  AppendU64Array(out, "counters", epoch.counters);
-  out += ",\"gauges\":{";
-  for (size_t i = 0; i < epoch.gauges.size(); i++) {
-    if (i != 0) {
-      out += ',';
-    }
-    AppendString(out, epoch.gauges[i].first);
-    out += ':';
-    AppendU64(out, epoch.gauges[i].second);
+  JsonLine line("epoch");
+  line.Field("i", epoch.index)
+      .Field("t_ns", epoch.t_ns)
+      .Array("ops", epoch.ops)
+      .Array("p50_ns", epoch.p50_ns)
+      .Array("p99_ns", epoch.p99_ns)
+      .Array("p999_ns", epoch.p999_ns)
+      .Field("user_bytes", epoch.user_bytes)
+      .Field("xpbuffer_write_bytes", epoch.xpbuffer_write_bytes)
+      .Field("media_write_bytes", epoch.media_write_bytes)
+      .Field("media_read_bytes", epoch.media_read_bytes)
+      .Field("line_flushes", epoch.line_flushes)
+      .Field("fences", epoch.fences)
+      .Array("comp_bytes", epoch.comp_bytes)
+      .Key("xpbuf")
+      .BeginObject()
+      .Field("resident", epoch.xpbuf_resident)
+      .Field("insertions", epoch.xpbuf_insertions)
+      .Field("evictions", epoch.xpbuf_evictions)
+      .EndObject()
+      .Array("counters", epoch.counters)
+      .Key("gauges")
+      .BeginObject();
+  for (const auto& [name, value] : epoch.gauges) {
+    line.Field(name, value);
   }
-  out += "}}\n";
-  return out;
+  return line.EndObject().Finish();
 }
 
 std::string SerializeEpochSeries(const EpochSeries& series) {
@@ -440,14 +329,11 @@ std::string SerializeEpochSeries(const EpochSeries& series) {
 }
 
 std::string SerializeSummary(const PmMetricsSummary& summary) {
-  std::string out = "{\"type\":\"summary\",";
-  AppendU64Field(out, "elapsed_virtual_ns", summary.elapsed_virtual_ns);
-  out += ',';
-  AppendOpSummaryArray(out, "virt", summary.virt);
-  out += ',';
-  AppendOpSummaryArray(out, "wall", summary.wall);
-  out += "}\n";
-  return out;
+  JsonLine line("summary");
+  line.Field("elapsed_virtual_ns", summary.elapsed_virtual_ns);
+  AppendOpSummaries(line, "virt", summary.virt);
+  AppendOpSummaries(line, "wall", summary.wall);
+  return line.Finish();
 }
 
 OpLatencySummary SummarizeHistogram(const Histogram& h) {
@@ -477,65 +363,61 @@ bool ReadPmMetricsFile(const std::string& path, PmMetricsFile* out, std::string*
       continue;
     }
     JsonValue v;
-    if (!JsonParser(line).Parse(&v) || v.kind != JsonValue::Kind::kObject) {
+    if (!ParseJson(line, &v) || v.kind != JsonValue::Kind::kObject) {
       if (error != nullptr) {
         *error = path + ":" + std::to_string(lineno) + ": malformed JSON line";
       }
       return false;
     }
-    std::string type = GetString(v, "type");
+    const std::string type = v.Str("type");
     if (type == "header") {
-      if (GetU64(v, "pmmetrics") != kPmMetricsVersion) {
+      if (v.U64("pmmetrics") != kPmMetricsVersion) {
         if (error != nullptr) {
           *error = path + ": unsupported pmmetrics version";
         }
         return false;
       }
-      out->header.label = GetString(v, "label");
-      out->header.backend = GetString(v, "backend");
-      out->header.epoch_ns = GetU64(v, "epoch_ns");
-      out->header.threads = GetU64(v, "threads");
-      out->header.ops = GetU64(v, "ops");
+      out->header.label = v.Str("label");
+      out->header.backend = v.Str("backend");
+      out->header.epoch_ns = v.U64("epoch_ns");
+      out->header.threads = v.U64("threads");
+      out->header.ops = v.U64("ops");
       out->header.op_kinds = GetStringArray(v, "op_kinds");
       out->header.counters = GetStringArray(v, "counters");
       out->header.components = GetStringArray(v, "components");
       saw_header = true;
     } else if (type == "epoch") {
       EpochRecord e;
-      e.index = GetU64(v, "i");
-      e.t_ns = GetU64(v, "t_ns");
+      e.index = v.U64("i");
+      e.t_ns = v.U64("t_ns");
       e.ops = GetU64Array(v, "ops");
       e.p50_ns = GetU64Array(v, "p50_ns");
       e.p99_ns = GetU64Array(v, "p99_ns");
       e.p999_ns = GetU64Array(v, "p999_ns");
-      e.user_bytes = GetU64(v, "user_bytes");
-      e.xpbuffer_write_bytes = GetU64(v, "xpbuffer_write_bytes");
-      e.media_write_bytes = GetU64(v, "media_write_bytes");
-      e.media_read_bytes = GetU64(v, "media_read_bytes");
-      e.line_flushes = GetU64(v, "line_flushes");
-      e.fences = GetU64(v, "fences");
+      e.user_bytes = v.U64("user_bytes");
+      e.xpbuffer_write_bytes = v.U64("xpbuffer_write_bytes");
+      e.media_write_bytes = v.U64("media_write_bytes");
+      e.media_read_bytes = v.U64("media_read_bytes");
+      e.line_flushes = v.U64("line_flushes");
+      e.fences = v.U64("fences");
       e.comp_bytes = GetU64Array(v, "comp_bytes");
-      if (const JsonValue* x = v.Find("xpbuf"); x != nullptr) {
-        e.xpbuf_resident = GetU64(*x, "resident");
-        e.xpbuf_insertions = GetU64(*x, "insertions");
-        e.xpbuf_evictions = GetU64(*x, "evictions");
-      }
+      const JsonValue& xpbuf = v.At("xpbuf");
+      e.xpbuf_resident = xpbuf.U64("resident");
+      e.xpbuf_insertions = xpbuf.U64("insertions");
+      e.xpbuf_evictions = xpbuf.U64("evictions");
       e.counters = GetU64Array(v, "counters");
-      if (const JsonValue* g = v.Find("gauges");
-          g != nullptr && g->kind == JsonValue::Kind::kObject) {
-        for (const auto& [name, value] : g->object) {
-          e.gauges.emplace_back(
-              name, value.kind == JsonValue::Kind::kNumber ? value.number : 0);
-        }
+      for (const auto& [name, value] : v.At("gauges").object) {
+        e.gauges.emplace_back(name, value.number);
       }
       out->epochs.push_back(std::move(e));
     } else if (type == "summary") {
       out->has_summary = true;
-      out->summary.elapsed_virtual_ns = GetU64(v, "elapsed_virtual_ns");
+      out->summary.elapsed_virtual_ns = v.U64("elapsed_virtual_ns");
       out->summary.virt = GetOpSummaryArray(v, "virt");
       out->summary.wall = GetOpSummaryArray(v, "wall");
+    } else {
+      out->records.push_back(std::move(v));
     }
-    // Unknown record types: skip (forward compatibility).
   }
   if (!saw_header) {
     if (error != nullptr) {

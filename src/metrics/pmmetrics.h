@@ -1,10 +1,10 @@
-// .pmmetrics — the JSON-lines time-series interchange format between a bench
-// run and tools/pmctl (`top` / `series`). One file per measured run, three
-// record types, one JSON object per line:
+// .pmmetrics — the one dump a measured run writes (CCL_METRICS=<prefix>) and
+// tools/pmctl reads. JSON lines, one record per line, one file per run
+// (DESIGN.md §13):
 //
-//   {"type":"header", ...}    run identity: label, epoch_ns, threads, ops,
-//                             plus the op-kind / counter / component name
-//                             tables that index the epoch arrays
+//   {"type":"header", ...}    run identity: label, backend, epoch_ns,
+//                             threads, ops, plus the op-kind / counter /
+//                             component name tables that index the arrays
 //   {"type":"epoch", ...}     one per virtual-time epoch: windowed pmsim
 //                             stats (user/xpbuffer/media bytes -> windowed
 //                             XBI/CLI), windowed media bytes by component,
@@ -14,11 +14,21 @@
 //                             counters, and sampled index gauges
 //   {"type":"summary", ...}   end-of-run totals incl. the WALL-time latency
 //                             histograms
+//   {"type":"stats", ...}     the phase's pmsim counters by name and its
+//                             per-component media bytes and committed lines
+//   {"type":"heat", ...}      sparse XPLine write heatmap    (CCL_TRACE=1)
+//   {"type":"ring", ...}      one worker's trace events      (CCL_TRACE=1)
+//   {"type":"checker", ...}   one per enabled checker; a later record of
+//                             the same checker supersedes an earlier one
 //
-// Determinism contract: header and epoch records contain virtual-time /
-// count data only and are bit-identical run-to-run for a deterministic
-// RunConfig (the CI metrics-determinism gate diffs them). Everything derived
-// from wall time lives exclusively in the summary record.
+// Header, epoch and summary have typed structs below; the other records are
+// written with JsonLine and read as JsonValue (src/bench/measured_phase.cc,
+// tools/pmctl.cc).
+//
+// Determinism contract: every record but the summary contains virtual-time /
+// count data only and is bit-identical run-to-run for a deterministic
+// RunConfig (the CI determinism gate diffs them). Everything derived from
+// wall time lives exclusively in the summary record.
 //
 // Invariant (extends the PR 2 sum-to-total contract to every window): in
 // every epoch record, sum(comp_bytes) == media_write_bytes. `pmctl series`
@@ -28,6 +38,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -119,12 +130,94 @@ struct PmMetricsSummary {
   std::vector<OpLatencySummary> wall;  // per op kind, host wall time
 };
 
+// One parsed JSON value: objects, arrays, strings, booleans, null and
+// non-negative integers (everything numeric in .pmmetrics is a uint64).
+struct JsonValue {
+  enum class Kind : uint8_t { kNull, kBool, kNumber, kString, kArray, kObject };
+  Kind kind = Kind::kNull;
+  bool boolean = false;
+  uint64_t number = 0;
+  std::string str;
+  std::vector<JsonValue> array;
+  std::vector<std::pair<std::string, JsonValue>> object;  // insertion order
+
+  // The member `key` of an object, or a null value when there is none. A
+  // value's number, string, array and object are 0 / empty unless it is of
+  // that kind, so the accessors below need no kind checks.
+  const JsonValue& At(const char* key) const;
+  uint64_t U64(const char* key) const { return At(key).number; }
+  const std::string& Str(const char* key) const { return At(key).str; }
+  const std::vector<JsonValue>& Array(const char* key) const { return At(key).array; }
+};
+
+// Parses one JSON value spanning all of `text`; false on malformed input.
+bool ParseJson(const std::string& text, JsonValue* out);
+
+// Builds one record line. Every call places its own separator, so a writer
+// lists keys and values in order and never writes a comma:
+//   JsonLine("heat").Field("units", 8).Key("bins").BeginArray()...
+class JsonLine {
+ public:
+  // Opens the record: {"type":"<type>"
+  explicit JsonLine(const char* type) { Field("type", type); }
+
+  JsonLine& Key(std::string_view key);
+  JsonLine& Value(uint64_t v) { return Put(std::to_string(v), true); }
+  JsonLine& Value(std::string_view s);
+  JsonLine& Bool(bool b) { return Put(b ? "true" : "false", true); }
+  JsonLine& BeginArray() { return Put("[", false); }
+  JsonLine& EndArray() { return Close(']'); }
+  JsonLine& BeginObject() { return Put("{", false); }
+  JsonLine& EndObject() { return Close('}'); }
+
+  // Key(key) followed by the value `v`, or by the array of `vs` (a vector or
+  // a C array).
+  template <typename T>
+  JsonLine& Field(std::string_view key, const T& v) {
+    return Key(key).Value(v);
+  }
+  template <typename Range>
+  JsonLine& Array(std::string_view key, const Range& vs) {
+    Key(key).BeginArray();
+    for (const auto& v : vs) {
+      Value(v);
+    }
+    return EndArray();
+  }
+
+  // Closes the record and returns it with its trailing newline.
+  std::string Finish() { return std::move(out_) + "}\n"; }
+
+ private:
+  // Appends `text` after a comma if it follows a value; `ends_value` says
+  // whether `text` completes one.
+  JsonLine& Put(std::string_view text, bool ends_value) {
+    if (comma_) {
+      out_ += ',';
+    }
+    out_ += text;
+    comma_ = ends_value;
+    return *this;
+  }
+  JsonLine& Close(char c) {
+    out_ += c;
+    comma_ = true;
+    return *this;
+  }
+
+  std::string out_ = "{";
+  bool comma_ = false;
+};
+
 // A parsed .pmmetrics file (tools/pmctl).
 struct PmMetricsFile {
   PmMetricsHeader header;
   EpochSeries epochs;
   bool has_summary = false;
   PmMetricsSummary summary;
+  // Every other record (stats, heat, ring, checker, and types this reader
+  // does not know), in file order.
+  std::vector<JsonValue> records;
 };
 
 // --- serialization (one "...\n" JSON line each; key order is fixed so the
@@ -140,7 +233,7 @@ OpLatencySummary SummarizeHistogram(const Histogram& h);
 
 // --- parsing ----------------------------------------------------------------
 // Parses a .pmmetrics file. Returns false and fills *error on malformed
-// input (unknown record types are skipped for forward compatibility).
+// input, naming the line.
 bool ReadPmMetricsFile(const std::string& path, PmMetricsFile* out, std::string* error);
 
 }  // namespace cclbt::metrics

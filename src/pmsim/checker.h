@@ -12,8 +12,9 @@
 //   * the report snapshot.
 // A checker keeps only its state machine, its class and event-kind names,
 // and the extra fields of its diagnostics and events. It lists those fields
-// in a `ForEachField(f)` member, which the dump writer turns into `key=value`
-// pairs (src/bench/trace_dump.h) for `pmctl check`.
+// in a `ForEachField(f)` member, which the dump writer turns into the
+// `fields` object of the run's checker record (src/bench/measured_phase.cc)
+// for `pmctl check`.
 #ifndef SRC_PMSIM_CHECKER_H_
 #define SRC_PMSIM_CHECKER_H_
 

@@ -108,10 +108,6 @@ struct DeviceConfig {
   // Maintain the shadow persistent image for Crash() support. Costs 1x pool
   // memory and a 64 B copy per flush; benches that never crash can disable.
   bool crash_tracking = true;
-  // Record a per-media-unit write counter (one uint32 per XPLine in the
-  // pool) for the pmtrace heatmap exporter. One extra relaxed increment per
-  // media write while on; off by default.
-  bool record_unit_heatmap = false;
   // Enable pmcheck, the persistency-ordering checker (DESIGN.md §11). The
   // CCL_PMCHECK environment variable overrides this at device construction
   // ("1" forces on, "0" forces off). Requires the shadow image, so

@@ -146,7 +146,7 @@ PmDevice::PmDevice(const DeviceConfig& config)
         config_.xpbuffer_entries(),
         static_cast<int>(config_.xpline_bytes / kCachelineBytes)));
   }
-  if (config_.record_unit_heatmap) {
+  if (trace::TracingRequested()) {
     num_units_ = config_.pool_bytes / config_.xpline_bytes;
     unit_writes_ = std::make_unique<std::atomic<uint32_t>[]>(num_units_);
     for (size_t i = 0; i < num_units_; i++) {

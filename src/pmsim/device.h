@@ -169,8 +169,10 @@ class PmDevice {
   // Reset performance accounting between bench phases (not persistence state).
   void ResetCosts();
 
-  // --- pmtrace heatmap -------------------------------------------------------
-  // Per-media-unit write counts, recorded when config.record_unit_heatmap.
+  // --- XPLine write heatmap ----------------------------------------------------
+  // Per-media-unit write counts (one uint32 per XPLine of the pool), kept
+  // when CCL_TRACE=1 was on at construction (trace::TracingRequested) for
+  // the dump's heat record.
   bool heatmap_enabled() const { return num_units_ != 0; }
   size_t num_units() const { return num_units_; }
   uint32_t UnitWriteCount(uint64_t unit) const {
@@ -224,7 +226,7 @@ class PmDevice {
     return finish - now;
   }
   // Bumps the heatmap counter for `unit` if the heatmap is on. The fetch_add
-  // only ever runs behind an explicit config opt-in.
+  // only ever runs behind the CCL_TRACE=1 switch.
   void NoteMediaWrite(uint64_t unit) {
     if (num_units_ != 0) {
       unit_writes_[unit].fetch_add(1, std::memory_order_relaxed);
@@ -270,8 +272,8 @@ class PmDevice {
   int unit_shift_ = -1;
   size_t dimm_mask_ = 0;  // dimms_per_socket - 1 when pow2, else 0
   uint64_t unit_scale_ = 1;  // xpline_bytes / 256 (media service multiplier)
-  // Heatmap write counters, one per media unit; null/0 unless
-  // config.record_unit_heatmap. Declared among the hot members: num_units_
+  // Heatmap write counters, one per media unit; null/0 unless CCL_TRACE=1
+  // at construction. Declared among the hot members: num_units_
   // is tested on every XPLine eviction (NoteMediaWrite), so it must share a
   // cacheline with fields that hot path touches anyway.
   size_t num_units_ = 0;

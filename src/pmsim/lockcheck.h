@@ -135,7 +135,7 @@ struct LockCheckDiagnostic : CheckerDiagnostic<LockCheckClass, LockCheckEvent> {
 using LockCheckReport = CheckerReport<LockCheckDiagnostic>;
 using LockCheckExpect = CheckerExpect<LockCheckClass>;
 
-// Stable slugs used in .pmtrace dumps and `pmctl check` output.
+// Stable slugs used in .pmmetrics checker records and `pmctl check` output.
 const char* CheckClassName(LockCheckClass cls);
 const char* CheckEventName(LockCheckEventKind kind);
 

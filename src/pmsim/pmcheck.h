@@ -34,8 +34,8 @@
 //
 // Diagnostics carry, besides the checker core's common fields
 // (src/pmsim/checker.h), the fence epoch and DIMM/XPLine address;
-// `pmctl check` prints attributed reports from a .pmtrace dump and exits
-// nonzero on violations.
+// `pmctl check` prints attributed reports from the run's .pmmetrics dump and
+// exits nonzero on violations.
 //
 // Enablement and cost: CCL_PMCHECK=1 (or DeviceConfig::pmcheck /
 // RunConfig::pmcheck). Disabled cost follows the PR 2 playbook — one gate
@@ -115,7 +115,7 @@ struct PmCheckDiagnostic : CheckerDiagnostic<PmCheckClass, PmCheckEvent> {
 using PmCheckReport = CheckerReport<PmCheckDiagnostic>;
 using PmCheckExpect = CheckerExpect<PmCheckClass>;
 
-// Stable slugs used in .pmtrace dumps and `pmctl check` output.
+// Stable slugs used in .pmmetrics checker records and `pmctl check` output.
 const char* CheckClassName(PmCheckClass cls);
 const char* CheckEventName(PmCheckEventKind kind);
 

@@ -1,6 +1,7 @@
 // Trace event record for pmtrace. 24 bytes, fixed layout, written into
-// per-ThreadContext ring buffers (see trace.h) and exported to the .pmtrace
-// dump / Chrome trace-event JSON (exporters.h).
+// per-ThreadContext ring buffers (see trace.h) and exported to the run's
+// .pmmetrics dump (one `ring` record per worker, under CCL_TRACE=1) and to
+// Chrome trace-event JSON (exporters.h).
 #ifndef SRC_TRACE_EVENT_H_
 #define SRC_TRACE_EVENT_H_
 

@@ -1,7 +1,7 @@
 // Exporters for pmtrace data: Chrome trace-event JSON (loadable in Perfetto
 // / chrome://tracing, virtual-time timeline, one track per worker) and an
-// ASCII XPLine write-count heatmap. Used by the bench driver's dump writer
-// and by tools/pmctl.
+// ASCII XPLine write-count heatmap. tools/pmctl renders both from the ring
+// and heat records of a .pmmetrics dump.
 #ifndef SRC_TRACE_EXPORTERS_H_
 #define SRC_TRACE_EXPORTERS_H_
 

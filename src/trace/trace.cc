@@ -1,5 +1,8 @@
 #include "src/trace/trace.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <mutex>
 
 namespace cclbt::trace {
@@ -35,6 +38,30 @@ void EmitSlow(EventType type, uint64_t arg, uint32_t aux, uint16_t dimm) {
 }  // namespace detail
 
 void SetEnabled(bool on) { detail::g_enabled.store(on, std::memory_order_relaxed); }
+
+bool TracingRequested() {
+  const char* value = std::getenv("CCL_TRACE");
+  if (value == nullptr || value[0] == '\0' || std::strcmp(value, "0") == 0) {
+    return false;
+  }
+  const char* dump = std::getenv("CCL_METRICS");
+  const bool switch_on = std::strcmp(value, "1") == 0;
+  if (switch_on && dump != nullptr && dump[0] != '\0') {
+    return true;
+  }
+  static std::atomic<bool> named_value{false};
+  static std::atomic<bool> named_missing_dump{false};
+  if (!switch_on && !named_value.exchange(true, std::memory_order_relaxed)) {
+    std::fprintf(stderr,
+                 "trace: CCL_TRACE=%s is not 0 or 1 (the dump prefix is CCL_METRICS=<prefix>); "
+                 "tracing off\n",
+                 value);
+  } else if (switch_on && !named_missing_dump.exchange(true, std::memory_order_relaxed)) {
+    std::fprintf(stderr,
+                 "trace: CCL_TRACE=1 needs CCL_METRICS=<prefix> to name the dump; tracing off\n");
+  }
+  return false;
+}
 
 void SetScopeTiming(bool on) {
   detail::g_scope_timing.store(on, std::memory_order_relaxed);

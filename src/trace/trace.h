@@ -129,6 +129,13 @@ void EmitSlow(EventType type, uint64_t arg, uint32_t aux, uint16_t dimm);
 inline bool Enabled() { return detail::g_enabled.load(std::memory_order_relaxed); }
 void SetEnabled(bool on);
 
+// The CCL_TRACE switch (DESIGN.md §13): true when CCL_TRACE=1 and
+// CCL_METRICS names the run's dump, into which each measured phase then
+// writes its trace rings and the device's XPLine heatmap. Unset or "0" is
+// off. Any other value, such as a path, and "1" without CCL_METRICS, is
+// named once per process on stderr and leaves tracing off.
+bool TracingRequested();
+
 inline bool ScopeTimingEnabled() {
   return detail::g_scope_timing.load(std::memory_order_relaxed);
 }

@@ -365,5 +365,48 @@ TEST(PmMetricsFormat, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed.epochs[0].ComponentBytesTotal(), parsed.epochs[0].media_write_bytes);
 }
 
+// JsonLine places every separator itself: nested arrays and objects, an
+// empty array, a boolean and an escaped string come out as one exact line
+// that parses back to the same values.
+TEST(PmMetricsFormat, JsonLineSerializesAndParsesBack) {
+  const std::string line = metrics::JsonLine("test")
+                               .Field("n", 7)
+                               .Field("s", "a \"quoted\"\\path\n")
+                               .Key("flag")
+                               .Bool(true)
+                               .Array("empty", std::vector<uint64_t>{})
+                               .Key("nested")
+                               .BeginArray()
+                               .BeginArray()
+                               .Value(1)
+                               .Value(2)
+                               .EndArray()
+                               .BeginObject()
+                               .Field("k", 3)
+                               .Key("off")
+                               .Bool(false)
+                               .EndObject()
+                               .EndArray()
+                               .Finish();
+  EXPECT_EQ(line,
+            "{\"type\":\"test\",\"n\":7,\"s\":\"a \\\"quoted\\\"\\\\path\\u000a\",\"flag\":true,"
+            "\"empty\":[],\"nested\":[[1,2],{\"k\":3,\"off\":false}]}\n");
+
+  metrics::JsonValue v;
+  ASSERT_TRUE(metrics::ParseJson(line.substr(0, line.size() - 1), &v));
+  EXPECT_EQ(v.Str("type"), "test");
+  EXPECT_EQ(v.U64("n"), 7u);
+  EXPECT_EQ(v.Str("s"), "a \"quoted\"\\path\n");
+  EXPECT_TRUE(v.At("flag").boolean);
+  EXPECT_TRUE(v.Array("empty").empty());
+  const std::vector<metrics::JsonValue>& nested = v.Array("nested");
+  ASSERT_EQ(nested.size(), 2u);
+  ASSERT_EQ(nested[0].array.size(), 2u);
+  EXPECT_EQ(nested[0].array[1].number, 2u);
+  EXPECT_EQ(nested[1].U64("k"), 3u);
+  EXPECT_EQ(nested[1].At("off").kind, metrics::JsonValue::Kind::kBool);
+  EXPECT_FALSE(nested[1].At("off").boolean);
+}
+
 }  // namespace
 }  // namespace cclbt

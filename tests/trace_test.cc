@@ -1,10 +1,11 @@
 // pmtrace layer tests: ring-buffer wraparound semantics, the disabled-gate
 // contract (zero events, zero rings), component attribution conservation
 // (per-component media-write bytes sum exactly to media_write_bytes on a
-// deterministic single-thread workload), scope nesting/timing, and the
-// Chrome-trace exporter's structural invariants.
+// deterministic single-thread workload), scope nesting/timing, the
+// Chrome-trace exporter's structural invariants, and the CCL_TRACE switch.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -264,6 +265,39 @@ TEST_F(TraceTest, ChromeTraceJsonIsStructurallyBalanced) {
   };
   EXPECT_EQ(count("\"ph\":\"B\""), count("\"ph\":\"E\""));
   EXPECT_GT(count("\"ph\":\"i\""), 0u);
+}
+
+// CCL_TRACE is a 0/1 switch on the CCL_METRICS dump. The retired prefix
+// form and a switch without a dump are named once per process on stderr
+// (not once per device or phase) and leave tracing off.
+TEST(TracingRequested, OldSpellingIsNamedOnStderr) {
+  setenv("CCL_METRICS", "/tmp/m", 1);
+  setenv("CCL_TRACE", "/tmp/tr", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(trace::TracingRequested());
+  EXPECT_FALSE(trace::TracingRequested());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "trace: CCL_TRACE=/tmp/tr is not 0 or 1 (the dump prefix is "
+            "CCL_METRICS=<prefix>); tracing off\n");
+
+  unsetenv("CCL_METRICS");
+  setenv("CCL_TRACE", "1", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_FALSE(trace::TracingRequested());
+  EXPECT_FALSE(trace::TracingRequested());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "trace: CCL_TRACE=1 needs CCL_METRICS=<prefix> to name the dump; tracing off\n");
+
+  // The switch itself resolves silently.
+  setenv("CCL_METRICS", "/tmp/m", 1);
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(trace::TracingRequested());
+  setenv("CCL_TRACE", "0", 1);
+  EXPECT_FALSE(trace::TracingRequested());
+  EXPECT_EQ(testing::internal::GetCapturedStderr(), "");
+
+  unsetenv("CCL_TRACE");
+  unsetenv("CCL_METRICS");
 }
 
 }  // namespace

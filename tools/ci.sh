@@ -25,8 +25,10 @@
 #      (ctest -R service) so a socket-pinning, admission-control, or
 #      acked-write-durability regression is named explicitly (DESIGN.md §15)
 #   7. determinism: staged benches run twice with pmcheck enabled,
-#      virtual-metric tails diffed (run_benches.sh --determinism; §10 —
-#      diagnostics must not perturb virtual time); includes the
+#      virtual-metric tails and .pmmetrics dumps diffed (run_benches.sh
+#      --determinism; §10 — diagnostics must not perturb virtual time), and
+#      `pmctl check` gates every run-1 dump: a violation, or a checked run
+#      without a checker record, fails the step; includes the
 #      bench_backend_matrix sweep across all backends, the open-loop
 #      bench_service_tail sweep (virtual tail latencies must be bit-stable)
 #      and fig17's recovery rows (replay on virtual workers)
@@ -54,7 +56,7 @@
 #      writes fingerprints that LeafTree::Lookup reads via PmLeaf::FindSlot).
 #
 # The sanitizer passes cover the code with the trickiest concurrency story —
-# the lock-striped XPBuffer, sharded stats, the pmtrace ring/registry, and
+# the lock-striped XPBuffer, sharded stats, the trace ring/registry, and
 # GC rounds entered from concurrent upserts — without paying for a fully
 # instrumented build of every bench binary.
 set -euo pipefail
@@ -132,12 +134,13 @@ echo "=== service: ctest -R service ==="
 ctest --test-dir build -R service --output-on-failure
 
 # Determinism gate: the paper-figure benches must produce bit-identical
-# virtual-metric tails across back-to-back runs — including cclbtree rows
-# with background GC on (DESIGN.md §10), the backend-matrix sweep across
-# ADR/eADR/CXL (DESIGN.md §14) and fig17's multi-worker recovery. Small
-# scale: the property being checked is exact equality, not the metric values
-# themselves.
-echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17 run twice, tails diffed (pmcheck on) ==="
+# virtual-metric tails and dumps across back-to-back runs — including
+# cclbtree rows with background GC on (DESIGN.md §10), the backend-matrix
+# sweep across ADR/eADR/CXL (DESIGN.md §14) and fig17's multi-worker
+# recovery — and every dump's pmcheck verdict must be clean (`pmctl check`
+# exit 0). Small scale: the property being checked is exact equality and
+# zero violations, not the metric values themselves.
+echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17 run twice, tails + dumps diffed, pmctl check gated (pmcheck on) ==="
 CCL_PMCHECK=1 CCL_BENCH_SCALE="${CCL_BENCH_SCALE:-60000}" \
   ./run_benches.sh --determinism 'fig03|fig10|fig14|backend_matrix|service_tail|fig17'
 

@@ -1,36 +1,32 @@
-// pmctl: inspector for .pmtrace dumps produced by the bench driver (set
-// CCL_TRACE=<prefix> and run any bench; one dump per measured run). Modeled
-// on ipmctl's show/performance verbs, but reading the simulator's richer
-// attribution data instead of DIMM SMART counters.
+// pmctl: inspector for the .pmmetrics dump a bench run writes (set
+// CCL_METRICS=<prefix> and run any bench; one dump per measured run, and
+// CCL_TRACE=1 adds the heatmap and trace rings). Modeled on ipmctl's
+// show/performance verbs, but reading the simulator's richer attribution
+// data instead of DIMM SMART counters. Every verb reads the same file:
 //
 //   pmctl stats   <dump>            amplification + per-component table
 //   pmctl heatmap <dump> [--cols N] ASCII XPLine write-count heatmap
 //   pmctl trace   <dump> [-o f]     Chrome trace-event JSON (Perfetto-loadable)
-//   pmctl check   <dump>            every checker section (pmcheck, lockcheck);
+//   pmctl check   <dump>            every checker record (pmcheck, lockcheck);
 //                                   exit 3 on violations, 2 if no checker ran
-//
-// It also reads the .pmmetrics JSON-lines time series written when
-// CCL_METRICS=<prefix> is set (src/bench/measured_phase.h):
-//   pmctl top     <dump.pmmetrics>          one-shot terminal dashboard (no
-//                                           polling by design — wrap with
-//                                           `watch -n1` for a live view)
-//   pmctl series  <dump.pmmetrics> [--json] per-epoch time series as CSV
-//                                           (default) or raw JSON lines;
-//                                           exits 3 if any epoch's
-//                                           per-component bytes fail to sum
-//                                           to that epoch's media_write_bytes
+//   pmctl top     <dump>            one-shot terminal dashboard (no polling
+//                                   by design — wrap with `watch -n1` for a
+//                                   live view)
+//   pmctl series  <dump> [--json]   per-epoch time series as CSV (default)
+//                                   or raw JSON lines; exits 3 if any
+//                                   epoch's per-component bytes fail to sum
+//                                   to that epoch's media_write_bytes
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/metrics/pmmetrics.h"
-#include "src/trace/component.h"
 #include "src/trace/event.h"
 #include "src/trace/exporters.h"
 #include "src/trace/trace.h"
@@ -38,218 +34,18 @@
 namespace cclbt::pmctl {
 namespace {
 
-struct CompRow {
-  std::string name;
-  uint64_t media_bytes = 0;
-  uint64_t committed_lines = 0;
-};
+using metrics::JsonValue;
+using metrics::PmMetricsFile;
 
-// One recent event of a checker diagnostic. `fields` holds the checker's
-// own `key=value` fields verbatim.
-struct CheckEvent {
-  std::string kind;
-  std::string comp;
-  int worker = 0;
-  uint64_t detail = 0;
-  std::string fields;
-};
-
-struct CheckDiag {
-  std::string cls;
-  uint64_t line = 0;
-  std::string comp;
-  int worker = 0;
-  std::string detail;
-  // Informational finding (checkerinfo keyword): never counts toward the
-  // exit status.
-  bool info = false;
-  std::string fields;
-  std::vector<CheckEvent> recent;
-};
-
-struct CheckClassRow {
-  std::string name;
-  uint64_t count = 0;
-  uint64_t suppressed = 0;
-  uint64_t info = 0;
-};
-
-// One checker's section of a dump (present iff the run had that checker on).
-struct CheckerSection {
-  std::string name;
-  std::vector<std::pair<std::string, uint64_t>> stats;
-  std::vector<CheckClassRow> classes;
-  std::vector<CheckDiag> diags;
-};
-
-struct Dump {
-  int version = 0;
-  std::string label;
-  std::map<std::string, std::string> config;
-  std::vector<std::pair<std::string, uint64_t>> stats;  // declaration order
-  std::vector<CompRow> comps;
-  uint64_t heat_units = 0;
-  uint64_t heat_per_bin = 0;
-  std::vector<trace::HeatBin> heat_bins;  // sparse, as dumped
-  std::vector<trace::NamedRing> rings;
-  std::vector<CheckerSection> checkers;  // in dump order
-};
-
-uint64_t Stat(const Dump& d, const std::string& name) {
-  for (const auto& [k, v] : d.stats) {
-    if (k == name) {
-      return v;
+// The last record of `type` in the dump, or nullptr.
+const JsonValue* FindRecord(const PmMetricsFile& f, const char* type) {
+  const JsonValue* found = nullptr;
+  for (const JsonValue& r : f.records) {
+    if (r.Str("type") == type) {
+      found = &r;
     }
   }
-  return 0;
-}
-
-// The `key=value` fields that end a checker line, space-separated.
-std::string RestOfLine(std::istringstream& ss) {
-  std::string rest;
-  for (std::string field; ss >> field;) {
-    rest += " " + field;
-  }
-  return rest;
-}
-
-// Parses one line of the `checker*` keyword family (src/bench/trace_dump.h):
-// the checker's name, the keyword's fixed fields, then the checker's own
-// fields. Returns false on a malformed line or one outside its section.
-bool ParseCheckerLine(const std::string& kw, std::istringstream& ss, Dump& d) {
-  std::string name;
-  ss >> name;
-  if (kw == "checker") {
-    int version = 0;
-    ss >> version;
-    d.checkers.emplace_back().name = name;
-    return static_cast<bool>(ss);
-  }
-  if (d.checkers.empty() || d.checkers.back().name != name) {
-    return false;
-  }
-  CheckerSection& s = d.checkers.back();
-  if (kw == "checkerstat") {
-    std::string stat;
-    uint64_t value = 0;
-    ss >> stat >> value;
-    s.stats.emplace_back(stat, value);
-    return static_cast<bool>(ss);
-  }
-  if (kw == "checkerclass") {
-    CheckClassRow row;
-    ss >> row.name >> row.count >> row.suppressed >> row.info;
-    s.classes.push_back(row);
-    return static_cast<bool>(ss);
-  }
-  if (kw == "checkerdiag" || kw == "checkerinfo") {
-    CheckDiag diag;
-    if (!(ss >> diag.cls >> diag.line >> diag.comp >> diag.worker >> diag.detail)) {
-      return false;
-    }
-    diag.info = kw == "checkerinfo";
-    diag.fields = RestOfLine(ss);
-    s.diags.push_back(std::move(diag));
-    return true;
-  }
-  if (kw == "checkerev") {
-    CheckEvent ev;
-    if (s.diags.empty() || !(ss >> ev.kind >> ev.comp >> ev.worker >> ev.detail)) {
-      return false;
-    }
-    ev.fields = RestOfLine(ss);
-    s.diags.back().recent.push_back(std::move(ev));
-    return true;
-  }
-  return true;  // unknown keyword of the family: skip
-}
-
-bool ParseDump(const std::string& path, Dump& d) {
-  std::ifstream in(path);
-  if (!in) {
-    std::cerr << "pmctl: cannot open " << path << "\n";
-    return false;
-  }
-  std::string line;
-  trace::NamedRing* ring = nullptr;
-  size_t lineno = 0;
-  while (std::getline(in, line)) {
-    lineno++;
-    if (line.empty() || line[0] == '#') {
-      continue;
-    }
-    std::istringstream ss(line);
-    std::string kw;
-    ss >> kw;
-    if (kw == "pmtrace") {
-      ss >> d.version;
-    } else if (kw == "label") {
-      ss >> d.label;
-    } else if (kw == "config") {
-      std::string key, value;
-      ss >> key >> value;
-      d.config[key] = value;
-    } else if (kw == "stat") {
-      std::string name;
-      uint64_t value = 0;
-      ss >> name >> value;
-      d.stats.emplace_back(name, value);
-    } else if (kw == "statcomp") {
-      CompRow row;
-      ss >> row.name >> row.media_bytes >> row.committed_lines;
-      d.comps.push_back(row);
-    } else if (kw == "heat") {
-      ss >> d.heat_units >> d.heat_per_bin;
-    } else if (kw == "heatbin") {
-      trace::HeatBin bin;
-      ss >> bin.first_unit >> bin.units >> bin.writes >> bin.hottest_unit >>
-          bin.hottest_writes;
-      d.heat_bins.push_back(bin);
-    } else if (kw == "ring") {
-      trace::NamedRing r;
-      uint64_t retained = 0;
-      ss >> r.worker_id >> r.socket >> r.emitted >> retained;
-      r.events.reserve(retained);
-      d.rings.push_back(std::move(r));
-      ring = &d.rings.back();
-    } else if (kw == "event") {
-      int worker = 0;
-      uint64_t t_ns = 0, arg = 0;
-      unsigned type = 0, comp = 0, aux = 0, dimm = 0;
-      ss >> worker >> t_ns >> type >> comp >> arg >> aux >> dimm;
-      if (ring == nullptr || ring->worker_id != worker) {
-        std::cerr << "pmctl: " << path << ":" << lineno << ": event outside its ring\n";
-        return false;
-      }
-      trace::TraceEvent ev;
-      ev.t_ns = t_ns;
-      ev.arg = arg;
-      ev.aux = aux;
-      ev.type = static_cast<uint8_t>(type);
-      ev.comp = static_cast<uint8_t>(comp);
-      ev.dimm = static_cast<uint16_t>(dimm);
-      ring->events.push_back(ev);
-    } else if (kw.rfind("checker", 0) == 0) {
-      if (ParseCheckerLine(kw, ss, d)) {
-        continue;
-      }
-      ss.setstate(std::ios::failbit);  // reported as malformed below
-    } else {
-      // Unknown keyword: skip (forward compatibility with newer dumps).
-      continue;
-    }
-    if (!ss && kw != "pmtrace") {
-      std::cerr << "pmctl: " << path << ":" << lineno << ": malformed '" << kw
-                << "' line\n";
-      return false;
-    }
-  }
-  if (d.version != 1) {
-    std::cerr << "pmctl: " << path << ": unsupported pmtrace version " << d.version
-              << "\n";
-    return false;
-  }
-  return true;
+  return found;
 }
 
 std::string HumanBytes(uint64_t bytes) {
@@ -266,16 +62,25 @@ std::string HumanBytes(uint64_t bytes) {
   return buf;
 }
 
-int CmdStats(const Dump& d) {
-  uint64_t user = Stat(d, "user_bytes");
-  uint64_t xpb = Stat(d, "xpbuffer_write_bytes");
-  uint64_t media = Stat(d, "media_write_bytes");
-  std::printf("run %s (elapsed %s virtual ms)\n", d.label.c_str(),
-              d.config.count("elapsed_virtual_ms") ? d.config.at("elapsed_virtual_ms").c_str()
-                                                   : "?");
+int CmdStats(const PmMetricsFile& f) {
+  const JsonValue* stats = FindRecord(f, "stats");
+  if (stats == nullptr) {
+    std::cerr << "pmctl: no stats record in dump\n";
+    return 1;
+  }
+  const JsonValue& counters = stats->At("counters");
+  const uint64_t user = counters.U64("user_bytes");
+  const uint64_t xpb = counters.U64("xpbuffer_write_bytes");
+  const uint64_t media = counters.U64("media_write_bytes");
+  char elapsed[32] = "?";
+  if (f.has_summary) {
+    std::snprintf(elapsed, sizeof(elapsed), "%g",
+                  static_cast<double>(f.summary.elapsed_virtual_ns) / 1e6);
+  }
+  std::printf("run %s (elapsed %s virtual ms)\n", f.header.label.c_str(), elapsed);
   std::printf("\n-- counters --\n");
-  for (const auto& [name, value] : d.stats) {
-    std::printf("  %-28s %20llu\n", name.c_str(), static_cast<unsigned long long>(value));
+  for (const auto& [name, value] : counters.object) {
+    std::printf("  %-28s %20llu\n", name.c_str(), static_cast<unsigned long long>(value.number));
   }
   std::printf("\n-- amplification --\n");
   if (user != 0) {
@@ -286,23 +91,26 @@ int CmdStats(const Dump& d) {
   } else {
     std::printf("  (no user bytes recorded; read-only run?)\n");
   }
-  if (!d.comps.empty()) {
+  const std::vector<JsonValue>& comp_bytes = stats->Array("comp_bytes");
+  const std::vector<JsonValue>& comp_lines = stats->Array("comp_lines");
+  if (!comp_bytes.empty()) {
     std::printf("\n-- media write bytes by component (code scope) --\n");
     uint64_t comp_total = 0;
-    for (const CompRow& row : d.comps) {
-      comp_total += row.media_bytes;
+    for (const JsonValue& bytes : comp_bytes) {
+      comp_total += bytes.number;
     }
-    for (const CompRow& row : d.comps) {
-      if (row.media_bytes == 0 && row.committed_lines == 0) {
+    for (size_t c = 0; c < comp_bytes.size(); c++) {
+      const uint64_t bytes = comp_bytes[c].number;
+      const uint64_t lines = c < comp_lines.size() ? comp_lines[c].number : 0;
+      if (bytes == 0 && lines == 0) {
         continue;
       }
       double pct = media == 0 ? 0.0
-                              : 100.0 * static_cast<double>(row.media_bytes) /
-                                    static_cast<double>(media);
+                              : 100.0 * static_cast<double>(bytes) / static_cast<double>(media);
       std::printf("  %-12s %14llu  %6.2f%%   (%s, %llu committed lines)\n",
-                  row.name.c_str(), static_cast<unsigned long long>(row.media_bytes), pct,
-                  HumanBytes(row.media_bytes).c_str(),
-                  static_cast<unsigned long long>(row.committed_lines));
+                  c < f.header.components.size() ? f.header.components[c].c_str() : "?",
+                  static_cast<unsigned long long>(bytes), pct, HumanBytes(bytes).c_str(),
+                  static_cast<unsigned long long>(lines));
     }
     std::printf("  %-12s %14llu  %s\n", "total", static_cast<unsigned long long>(comp_total),
                 comp_total == media ? "(= media_write_bytes)" : "(!= media_write_bytes)");
@@ -318,23 +126,30 @@ int CmdStats(const Dump& d) {
   return 0;
 }
 
-int CmdHeatmap(const Dump& d, int columns) {
-  if (d.heat_units == 0 || d.heat_per_bin == 0) {
-    std::printf("(no heatmap in dump; run under CCL_TRACE with a driver that enables "
-                "record_unit_heatmap)\n");
+int CmdHeatmap(const PmMetricsFile& f, int columns) {
+  const JsonValue* heat = FindRecord(f, "heat");
+  const uint64_t units = heat != nullptr ? heat->U64("units") : 0;
+  const uint64_t per_bin = heat != nullptr ? heat->U64("per_bin") : 0;
+  if (units == 0 || per_bin == 0) {
+    std::printf("(no heatmap in dump; rerun with CCL_TRACE=1 and CCL_METRICS=<prefix>)\n");
     return 0;
   }
   // Reconstitute the dense bin vector (the dump omits empty bins).
-  size_t num_bins = static_cast<size_t>((d.heat_units + d.heat_per_bin - 1) / d.heat_per_bin);
+  size_t num_bins = static_cast<size_t>((units + per_bin - 1) / per_bin);
   std::vector<trace::HeatBin> bins(num_bins);
   for (size_t i = 0; i < num_bins; i++) {
-    bins[i].first_unit = static_cast<uint64_t>(i) * d.heat_per_bin;
-    bins[i].units = std::min<uint64_t>(d.heat_per_bin, d.heat_units - bins[i].first_unit);
+    bins[i].first_unit = static_cast<uint64_t>(i) * per_bin;
+    bins[i].units = std::min<uint64_t>(per_bin, units - bins[i].first_unit);
   }
   uint64_t total_writes = 0;
   trace::HeatBin hottest;
-  for (const trace::HeatBin& bin : d.heat_bins) {
-    size_t idx = static_cast<size_t>(bin.first_unit / d.heat_per_bin);
+  for (const JsonValue& row : heat->Array("bins")) {
+    if (row.array.size() != 5) {
+      continue;
+    }
+    trace::HeatBin bin{row.array[0].number, row.array[1].number, row.array[2].number,
+                       row.array[3].number, row.array[4].number};
+    size_t idx = static_cast<size_t>(bin.first_unit / per_bin);
     if (idx >= num_bins) {
       continue;
     }
@@ -347,9 +162,8 @@ int CmdHeatmap(const Dump& d, int columns) {
     }
   }
   std::printf("run %s: %llu media writes over %llu XPLines (%llu XPLines/bin)\n",
-              d.label.c_str(), static_cast<unsigned long long>(total_writes),
-              static_cast<unsigned long long>(d.heat_units),
-              static_cast<unsigned long long>(d.heat_per_bin));
+              f.header.label.c_str(), static_cast<unsigned long long>(total_writes),
+              static_cast<unsigned long long>(units), static_cast<unsigned long long>(per_bin));
   trace::RenderHeatmap(std::cout, bins, columns);
   if (hottest.hottest_writes > 0) {
     std::printf("hottest XPLine: unit %llu with %llu writes\n",
@@ -359,20 +173,43 @@ int CmdHeatmap(const Dump& d, int columns) {
   return 0;
 }
 
-int CmdTrace(const Dump& d, const std::string& out_path) {
-  if (d.rings.empty()) {
+int CmdTrace(const PmMetricsFile& f, const std::string& out_path) {
+  std::vector<trace::NamedRing> rings;
+  for (const JsonValue& r : f.records) {
+    if (r.Str("type") != "ring") {
+      continue;
+    }
+    trace::NamedRing& ring = rings.emplace_back();
+    ring.worker_id = static_cast<int>(r.U64("worker"));
+    ring.socket = static_cast<int>(r.U64("socket"));
+    ring.emitted = r.U64("emitted");
+    for (const JsonValue& e : r.Array("events")) {
+      if (e.array.size() != 6) {
+        continue;
+      }
+      trace::TraceEvent& ev = ring.events.emplace_back();
+      ev.t_ns = e.array[0].number;
+      ev.type = static_cast<uint8_t>(e.array[1].number);
+      ev.comp = static_cast<uint8_t>(e.array[2].number);
+      ev.arg = e.array[3].number;
+      ev.aux = static_cast<uint32_t>(e.array[4].number);
+      ev.dimm = static_cast<uint16_t>(e.array[5].number);
+    }
+  }
+  if (rings.empty()) {
     std::cerr << "pmctl: no trace rings in dump\n";
     return 1;
   }
   uint64_t total = 0, retained = 0;
-  for (const trace::NamedRing& ring : d.rings) {
+  for (const trace::NamedRing& ring : rings) {
     total += ring.emitted;
     retained += ring.events.size();
   }
-  std::cerr << "pmctl: " << d.rings.size() << " worker rings, " << retained << "/" << total
+  std::cerr << "pmctl: " << rings.size() << " worker rings, " << retained << "/" << total
             << " events retained\n";
+  const std::string& label = f.header.label;
   if (out_path.empty() || out_path == "-") {
-    trace::ExportChromeTraceJson(std::cout, d.rings, d.label);
+    trace::ExportChromeTraceJson(std::cout, rings, label);
     return 0;
   }
   std::ofstream out(out_path);
@@ -380,7 +217,7 @@ int CmdTrace(const Dump& d, const std::string& out_path) {
     std::cerr << "pmctl: cannot write " << out_path << "\n";
     return 1;
   }
-  trace::ExportChromeTraceJson(out, d.rings, d.label);
+  trace::ExportChromeTraceJson(out, rings, label);
   out.flush();
   if (!out) {
     std::cerr << "pmctl: write to " << out_path << " failed\n";
@@ -390,63 +227,93 @@ int CmdTrace(const Dump& d, const std::string& out_path) {
   return 0;
 }
 
-// Every checker section of the dump: pmcheck (DESIGN.md §11) and lockcheck
-// (§16). Exit status: 0 clean, 2 no checker was enabled for the run, 3
-// violations in any section. Informational findings never gate it.
-int CmdCheck(const Dump& d) {
-  if (d.checkers.empty()) {
-    std::printf("run %s: no checker was enabled for this run\n", d.label.c_str());
-    std::printf("(rerun with CCL_PMCHECK=1 and/or CCL_LOCKCHECK=1 and CCL_TRACE=<prefix> to "
+// A checker diagnostic's or event's own fields as " key=value" text.
+std::string FieldsText(const JsonValue& item) {
+  std::string out;
+  for (const auto& [key, value] : item.At("fields").object) {
+    out += " " + key + "=" +
+           (value.kind == JsonValue::Kind::kNumber ? std::to_string(value.number) : value.str);
+  }
+  return out;
+}
+
+// Every checker record of the dump: pmcheck (DESIGN.md §11) and lockcheck
+// (§16), in order of first appearance; a later record of a checker
+// supersedes its earlier one. Exit status: 0 clean, 2 no checker was
+// enabled for the run, 3 violations in any record. Informational findings
+// never gate it.
+int CmdCheck(const PmMetricsFile& f) {
+  std::vector<const JsonValue*> checkers;
+  for (const JsonValue& r : f.records) {
+    if (r.Str("type") != "checker") {
+      continue;
+    }
+    auto same = std::find_if(checkers.begin(), checkers.end(), [&r](const JsonValue* c) {
+      return c->Str("checker") == r.Str("checker");
+    });
+    if (same != checkers.end()) {
+      *same = &r;
+    } else {
+      checkers.push_back(&r);
+    }
+  }
+  const char* label = f.header.label.c_str();
+  if (checkers.empty()) {
+    std::printf("run %s: no checker was enabled for this run\n", label);
+    std::printf("(rerun with CCL_PMCHECK=1 and/or CCL_LOCKCHECK=1 and CCL_METRICS=<prefix> to "
                 "produce a checked dump)\n");
     return 2;
   }
-  auto backend = d.config.find("backend");
   bool violations = false;
-  for (const CheckerSection& s : d.checkers) {
+  for (const JsonValue* s : checkers) {
     uint64_t total = 0;
     uint64_t suppressed = 0;
     uint64_t info = 0;
-    for (const CheckClassRow& row : s.classes) {
-      total += row.count;
-      suppressed += row.suppressed;
-      info += row.info;
+    for (const JsonValue& row : s->Array("classes")) {
+      total += row.U64("violations");
+      suppressed += row.U64("suppressed");
+      info += row.U64("info");
     }
     violations = violations || total != 0;
     std::printf("run %s: %s %s — %llu violation(s), %llu informational, %llu suppressed\n",
-                d.label.c_str(), s.name.c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
+                label, s->Str("checker").c_str(), total == 0 ? "CLEAN" : "VIOLATIONS",
                 static_cast<unsigned long long>(total), static_cast<unsigned long long>(info),
                 static_cast<unsigned long long>(suppressed));
-    if (backend != d.config.end()) {
-      std::printf("  %-22s %14s\n", "backend", backend->second.c_str());
+    if (!f.header.backend.empty()) {
+      std::printf("  %-22s %14s\n", "backend", f.header.backend.c_str());
     }
-    for (const auto& [name, value] : s.stats) {
-      std::printf("  %-22s %14llu\n", name.c_str(), static_cast<unsigned long long>(value));
-      if (name == "diagnostics_truncated" && value != 0) {
+    for (const auto& [name, value] : s->At("stats").object) {
+      std::printf("  %-22s %14llu\n", name.c_str(),
+                  static_cast<unsigned long long>(value.number));
+      if (name == "diagnostics_truncated" && value.number != 0) {
         std::printf("  WARNING: %llu diagnostic(s) beyond the retention cap were counted "
                     "but not materialized — the list below is incomplete\n",
-                    static_cast<unsigned long long>(value));
+                    static_cast<unsigned long long>(value.number));
       }
     }
     std::printf("\n-- violations by class --\n");
-    for (const CheckClassRow& row : s.classes) {
-      std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.name.c_str(),
-                  static_cast<unsigned long long>(row.count),
-                  static_cast<unsigned long long>(row.info),
-                  static_cast<unsigned long long>(row.suppressed));
+    for (const JsonValue& row : s->Array("classes")) {
+      std::printf("  %-22s %14llu   (%llu info, %llu suppressed)\n", row.Str("class").c_str(),
+                  static_cast<unsigned long long>(row.U64("violations")),
+                  static_cast<unsigned long long>(row.U64("info")),
+                  static_cast<unsigned long long>(row.U64("suppressed")));
     }
-    if (!s.diags.empty()) {
+    const std::vector<JsonValue>& diags = s->Array("diags");
+    if (!diags.empty()) {
       std::printf("\n-- diagnostics --\n");
       size_t i = 0;
-      for (const CheckDiag& diag : s.diags) {
-        std::printf("[%zu] %s%s: %s\n", i++, diag.cls.c_str(), diag.info ? " (info)" : "",
-                    diag.detail.c_str());
-        std::printf("    line 0x%llx, component %s, worker %d,%s\n",
-                    static_cast<unsigned long long>(diag.line), diag.comp.c_str(), diag.worker,
-                    diag.fields.c_str());
-        for (const CheckEvent& ev : diag.recent) {
-          std::printf("      ... %-9s comp=%-10s worker=%-5d detail=0x%llx%s\n", ev.kind.c_str(),
-                      ev.comp.c_str(), ev.worker, static_cast<unsigned long long>(ev.detail),
-                      ev.fields.c_str());
+      for (const JsonValue& diag : diags) {
+        std::printf("[%zu] %s%s: %s\n", i++, diag.Str("class").c_str(),
+                    diag.At("info").boolean ? " (info)" : "", diag.Str("detail").c_str());
+        std::printf("    line 0x%llx, component %s, worker %llu,%s\n",
+                    static_cast<unsigned long long>(diag.U64("line")), diag.Str("comp").c_str(),
+                    static_cast<unsigned long long>(diag.U64("worker")),
+                    FieldsText(diag).c_str());
+        for (const JsonValue& ev : diag.Array("recent")) {
+          std::printf("      ... %-9s comp=%-10s worker=%-5llu detail=0x%llx%s\n",
+                      ev.Str("kind").c_str(), ev.Str("comp").c_str(),
+                      static_cast<unsigned long long>(ev.U64("worker")),
+                      static_cast<unsigned long long>(ev.U64("detail")), FieldsText(ev).c_str());
         }
       }
     }
@@ -455,13 +322,13 @@ int CmdCheck(const Dump& d) {
   return violations ? 3 : 0;
 }
 
-// --- .pmmetrics commands ----------------------------------------------------
+// --- epoch-series commands --------------------------------------------------
 
 // Verifies the per-epoch extension of the PR 2 sum-to-total invariant: in
 // every epoch, the windowed per-component media bytes must sum exactly to
 // the windowed media_write_bytes. Returns the number of violating epochs
 // (reported to stderr).
-size_t CheckEpochComponentSums(const metrics::PmMetricsFile& f) {
+size_t CheckEpochComponentSums(const PmMetricsFile& f) {
   size_t bad = 0;
   for (const metrics::EpochRecord& e : f.epochs) {
     uint64_t sum = e.ComponentBytesTotal();
@@ -492,7 +359,7 @@ std::string Spark(const std::vector<double>& values) {
   return out;
 }
 
-int CmdTop(const metrics::PmMetricsFile& f) {
+int CmdTop(const PmMetricsFile& f) {
   std::printf("run %-20s  threads %llu  ops %llu  epoch %.3f virtual ms\n",
               f.header.label.c_str(), static_cast<unsigned long long>(f.header.threads),
               static_cast<unsigned long long>(f.header.ops),
@@ -587,7 +454,7 @@ int CmdTop(const metrics::PmMetricsFile& f) {
   return 0;
 }
 
-int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
+int CmdSeries(const PmMetricsFile& f, bool json) {
   if (json) {
     // Raw record lines (the deterministic payload), re-serialized.
     std::fputs(metrics::SerializeHeader(f.header).c_str(), stdout);
@@ -653,18 +520,18 @@ int CmdSeries(const metrics::PmMetricsFile& f, bool json) {
 
 int Usage() {
   std::cerr
-      << "usage: pmctl <stats|heatmap|trace|check|top|series> <dump> [options]\n"
-         "  stats   <dump.pmtrace>              counters, amplification, per-component breakdown\n"
-         "  heatmap <dump.pmtrace> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
-         "  trace   <dump.pmtrace> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
-         "  check   <dump.pmtrace>              every checker section (pmcheck, lockcheck);\n"
-         "                                      exit 3 on violations, 2 if no checker ran\n"
-         "  top     <dump.pmmetrics>            terminal dashboard (one-shot; `watch -n1` for live)\n"
-         "  series  <dump.pmmetrics> [--json]   per-epoch series as CSV (default) or JSON lines;\n"
-         "                                      exit 3 on component-sum violation\n"
-         "Produce .pmtrace dumps by running any bench with CCL_TRACE=<path-prefix>\n"
-         "(add CCL_PMCHECK=1 and/or CCL_LOCKCHECK=1 for `pmctl check`), and\n"
-         ".pmmetrics dumps with CCL_METRICS=<path-prefix>.\n";
+      << "usage: pmctl <stats|heatmap|trace|check|top|series> <dump.pmmetrics> [options]\n"
+         "  stats   <dump>              counters, amplification, per-component breakdown\n"
+         "  heatmap <dump> [--cols N]   ASCII XPLine write heatmap (default 64 cols)\n"
+         "  trace   <dump> [-o f.json]  Chrome trace JSON to f.json (default stdout)\n"
+         "  check   <dump>              every checker record (pmcheck, lockcheck);\n"
+         "                              exit 3 on violations, 2 if no checker ran\n"
+         "  top     <dump>              terminal dashboard (one-shot; `watch -n1` for live)\n"
+         "  series  <dump> [--json]     per-epoch series as CSV (default) or JSON lines;\n"
+         "                              exit 3 on component-sum violation\n"
+         "Produce dumps by running any bench with CCL_METRICS=<path-prefix>; add\n"
+         "CCL_TRACE=1 for `heatmap` and `trace`, and CCL_PMCHECK=1 and/or\n"
+         "CCL_LOCKCHECK=1 for `pmctl check`.\n";
   return 64;
 }
 
@@ -674,16 +541,16 @@ int Main(int argc, char** argv) {
   }
   std::string cmd = argv[1];
   std::string path = argv[2];
-  if (cmd == "top" || cmd == "series") {
-    metrics::PmMetricsFile f;
-    std::string error;
-    if (!metrics::ReadPmMetricsFile(path, &f, &error)) {
-      std::fprintf(stderr, "pmctl: %s\n", error.c_str());
-      return 1;
-    }
-    if (cmd == "top") {
-      return CmdTop(f);
-    }
+  PmMetricsFile f;
+  std::string error;
+  if (!metrics::ReadPmMetricsFile(path, &f, &error)) {
+    std::fprintf(stderr, "pmctl: %s\n", error.c_str());
+    return 1;
+  }
+  if (cmd == "top") {
+    return CmdTop(f);
+  }
+  if (cmd == "series") {
     bool json = false;
     for (int i = 3; i < argc; i++) {
       if (std::strcmp(argv[i], "--json") == 0) {
@@ -692,15 +559,11 @@ int Main(int argc, char** argv) {
     }
     return CmdSeries(f, json);
   }
-  Dump d;
-  if (!ParseDump(path, d)) {
-    return 1;
-  }
   if (cmd == "stats") {
-    return CmdStats(d);
+    return CmdStats(f);
   }
   if (cmd == "check") {
-    return CmdCheck(d);
+    return CmdCheck(f);
   }
   if (cmd == "heatmap") {
     int columns = 64;
@@ -712,7 +575,7 @@ int Main(int argc, char** argv) {
     if (columns <= 0) {
       return Usage();
     }
-    return CmdHeatmap(d, columns);
+    return CmdHeatmap(f, columns);
   }
   if (cmd == "trace") {
     std::string out_path;
@@ -721,7 +584,7 @@ int Main(int argc, char** argv) {
         out_path = argv[i + 1];
       }
     }
-    return CmdTrace(d, out_path);
+    return CmdTrace(f, out_path);
   }
   return Usage();
 }
