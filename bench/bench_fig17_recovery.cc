@@ -1,6 +1,7 @@
 // Figure 17: failure-recovery time of CCL-BTree vs dataset size, with 24 and
 // 48 recovery threads. Recovery = rebuild DRAM layers from the leaf list +
-// parallel WAL replay + timestamp reset; the paper reports time growing
+// parallel WAL replay of each key's newest entry in leaf batches + one
+// timestamp-floor persist + chunk reclaim; the paper reports time growing
 // linearly with data and shrinking with threads. Replay runs on virtual
 // workers, so recovery_ms is bit-identical run to run.
 #include <algorithm>
@@ -61,8 +62,8 @@ void RegisterAll() {
                   std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)
                       .count()));
           // Modeled recovery time: the boot context's clock across rebuild,
-          // replay (scan → barrier → apply → barrier), chunk reclaim and
-          // timestamp reset, floored by the outstanding media work.
+          // replay (scan → barrier → apply → barrier), floor persist and
+          // chunk reclaim, floored by the outstanding media work.
           state.counters["recovery_ms"] =
               static_cast<double>(std::max(tree->last_recovery_modeled_ns(),
                                            runtime.device().MaxDimmBusyNs())) /

@@ -49,6 +49,10 @@ class OrdoClock {
 
   uint64_t boundary_ns() const { return boundary_ns_; }
 
+  // A power cycle restarts the counter, as it restarts the TSC: timestamps
+  // read after a restart are not ordered after those read before it.
+  void Restart() { counter_.store(1, std::memory_order_relaxed); }
+
  private:
   uint64_t boundary_ns_;
   mutable std::atomic<uint64_t> counter_{1};

@@ -13,7 +13,6 @@
 #include "src/common/simd.h"
 #include "src/metrics/metrics.h"
 #include "src/pmsim/crash_injector.h"
-#include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
@@ -96,6 +95,7 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
   root->head_leaf_offset = LeafOffset(head_leaf_);
   root->slab_registry_offset = leaf_slab_->registry_offset();
   root->arena_registry_offset = log_arena_->registry_offset();
+  root->ts_floor = 0;
   pmsim::Persist(root, sizeof(TreeRoot));
   rt_.pool().SetAppRoot(options_.root_slot, rt_.pool().ToOffset(root));
 
@@ -131,11 +131,24 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
   head_leaf_ = LeafAt(root->head_leaf_offset);
 
-  if (!RebuildFromLeafList()) {
+  uint64_t max_ts = root->ts_floor;
+  if (!RebuildFromLeafList(root->ts_floor, &max_ts)) {
     return false;
   }
-  ReplayLogs(recovery_threads);
-  ResetLeafTimestamps();
+  ReplayLogs(recovery_threads, &max_ts);
+  // Every leaf now holds its keys' newest logged values. The floor is
+  // persisted before the chunk reclaim, so a recovery after a crash inside
+  // the reclaim skips the entries left in chunks not yet freed: an older
+  // entry of a key whose newest entry's chunk is already free would
+  // otherwise overwrite the newer value. Timestamps taken above the floor
+  // order after every one read here although a restart restarts the ORDO
+  // clock, so no leaf timestamp is ever rewritten.
+  if (max_ts != root->ts_floor) {
+    root->ts_floor = max_ts;
+    pmsim::Persist(&root->ts_floor, sizeof(root->ts_floor));
+  }
+  ts_floor_ = max_ts;
+  WalSet::ReclaimAll(*log_arena_);
   // Modeled recovery duration: the boot context's clock covers every phase,
   // since replay ends by raising it to the slowest replay worker's clock.
   last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
@@ -232,7 +245,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     // without any WAL.
     BufferNode* bn = RouteAndLock(key);
     kvindex::KeyValue kv{key, value};
-    BatchInsertLeaf(bn, &kv, 1, rt_.ordo().Now(ctx->socket()));
+    BatchInsertLeaf(bn, &kv, 1, Timestamp(ctx->socket()));
     uint64_t sep = bn->sep();
     bool underflow = value == kTombstone && bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
     bn->Unlock();
@@ -263,7 +276,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   if (current_match >= 0) {
     // Update of a KV still buffered: overwrite in place. Logged always (it
     // never triggers a flush).
-    uint64_t ts = rt_.ordo().Now(ctx->socket());
+    uint64_t ts = Timestamp(ctx->socket());
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
     (void)logged;
@@ -277,7 +290,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   if (pos < nbatch) {
     // Non-trigger write: append the WAL entry first, then fill the slot
     // (§3.3 — the log is the recovery source for buffered KVs).
-    uint64_t ts = rt_.ordo().Now(ctx->socket());
+    uint64_t ts = Timestamp(ctx->socket());
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
     (void)logged;
@@ -301,7 +314,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   // Trigger write: the buffer is full — flush everything plus this KV in one
   // XPLine batch. Write-conservative logging skips the WAL entry because the
   // KV becomes durable via the leaf flush itself (§3.3).
-  uint64_t ts = rt_.ordo().Now(ctx->socket());
+  uint64_t ts = Timestamp(ctx->socket());
   if (!options_.write_conservative_logging) {
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
@@ -484,7 +497,11 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
 
   // Step 3: commit — update timestamp then publish the new bitmap with one
   // atomic meta store, persist the header line. Nothing in this batch is
-  // visible before the meta line lands (§4.2).
+  // visible before the meta line lands (§4.2). A replay batch that keeps
+  // the timestamp and changed nothing in line 0 has nothing to commit.
+  if (!update_ts && !header_changed && (dirty_lines & 1) == 0) {
+    return;
+  }
   if (update_ts) {
     leaf->timestamp = ts;
   }
@@ -492,8 +509,6 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
   leaf->meta.store(MakeMeta(bitmap, next_offset), std::memory_order_release);
   pmsim::FlushLine(leaf);
   pmsim::Fence();
-
-  (void)header_changed;
 }
 
 BufferNode* CclBTree::SplitLeaf(BufferNode* bn) {
@@ -608,7 +623,7 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
     // so drain the left buffer first (its flush timestamp is globally fresh).
     if (left->pos() > 0) {
       pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-      FlushBuffer(left, nullptr, rt_.ordo().Now(ctx->socket()));
+      FlushBuffer(left, nullptr, Timestamp(ctx->socket()));
     }
     PmLeaf* left_leaf = left->leaf();
     PmLeaf* right_leaf = right->leaf();
@@ -956,7 +971,7 @@ void CclBTree::NaiveGc() {
   for (BufferNode* bn : CollectBufferNodes()) {
     bn->Lock();
     if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, rt_.ordo().Now(pmsim::ThreadContext::Current()->socket()));
+      FlushBuffer(bn, nullptr, Timestamp(pmsim::ThreadContext::Current()->socket()));
     }
     bn->Unlock();
   }
@@ -986,7 +1001,7 @@ void CclBTree::LocalityAwareGc() {
       int pos = bn->pos();
       for (int i = 0; i < pos; i++) {
         if (bn->EpochBit(i) == old_epoch) {
-          uint64_t ts = rt_.ordo().Now(ctx->socket());
+          uint64_t ts = Timestamp(ctx->socket());
           bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(new_epoch),
                                       slots[i].key.load(std::memory_order_relaxed),
                                       slots[i].value.load(std::memory_order_relaxed), ts);
@@ -1013,7 +1028,7 @@ void CclBTree::FlushAll() {
   for (BufferNode* bn : CollectBufferNodes()) {
     bn->Lock();
     if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, rt_.ordo().Now(ctx->socket()));
+      FlushBuffer(bn, nullptr, Timestamp(ctx->socket()));
     }
     bn->Unlock();
   }
@@ -1021,12 +1036,13 @@ void CclBTree::FlushAll() {
 
 // --- recovery ---------------------------------------------------------------------
 
-bool CclBTree::RebuildFromLeafList() {
+bool CclBTree::RebuildFromLeafList(uint64_t floor, uint64_t* max_ts) {
   // Every leaf the walk has visited, so a next pointer back to one ends it;
   // minus the unlinked empty leaves, that is the reachable set.
   std::unordered_set<uint64_t> walked{LeafOffset(head_leaf_)};
   std::vector<uint64_t> unlinked;
-  BufferNode* head_bn = NewBufferNode(head_leaf_, 0, head_leaf_->timestamp);
+  *max_ts = std::max(*max_ts, head_leaf_->timestamp);
+  BufferNode* head_bn = NewBufferNode(head_leaf_, 0, std::max(head_leaf_->timestamp, floor));
   inner_.Insert(0, head_bn);
 
   PmLeaf* prev = head_leaf_;
@@ -1038,6 +1054,7 @@ bool CclBTree::RebuildFromLeafList() {
     }
     PmLeaf* leaf = LeafAt(next_offset);
     pmsim::ReadPm(leaf, kLeafBytes);
+    *max_ts = std::max(*max_ts, leaf->timestamp);
     bool has_min = false;
     uint64_t min_key = leaf->MinKey(&has_min);
     if (!has_min) {
@@ -1053,7 +1070,7 @@ bool CclBTree::RebuildFromLeafList() {
       return false;  // the leaf list must be ordered by key
     }
     prev_min = min_key;
-    BufferNode* bn = NewBufferNode(leaf, min_key, leaf->timestamp);
+    BufferNode* bn = NewBufferNode(leaf, min_key, std::max(leaf->timestamp, floor));
     inner_.Insert(min_key, bn);
     prev = leaf;
     next_offset = leaf->next_offset();
@@ -1067,97 +1084,70 @@ bool CclBTree::RebuildFromLeafList() {
   return true;
 }
 
-void CclBTree::ReplayLogs(int threads) {
+void CclBTree::ReplayLogs(int threads, uint64_t* max_ts) {
   assert(threads >= 1);
   std::vector<void*> chunks;
   log_arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
   const auto n = static_cast<size_t>(threads);
-  std::vector<std::vector<LogEntry>> buckets(n);
-  std::vector<size_t> steps(n, 0);  // steps each worker has taken in this phase
+  std::vector<LogEntry> entries;
+  std::vector<size_t> steps(n, 0);  // chunks each worker has scanned
   pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
-  {
-    // Virtual workers (DESIGN.md §10), starting where the rebuild left the
-    // boot clock.
-    pmsim::VirtualWorkers workers(
-        rt_.device(), threads, [this](int w) { return rt_.SocketForWorker(w); }, boot->now_ns());
+  // Virtual workers (DESIGN.md §10), starting where the rebuild left the
+  // boot clock.
+  pmsim::VirtualWorkers workers(
+      rt_.device(), threads, [this](int w) { return rt_.SocketForWorker(w); }, boot->now_ns());
 
-    // Phase 1: worker w scans chunks w, w + threads, ..., one per step,
-    // bucketing entries by key hash so each key is replayed by one worker.
-    workers.Run([&](int w) {
-      size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
-      if (c < chunks.size()) {
-        WalSet::ScanChunk(chunks[c], [&buckets, n](const LogEntry& entry) {
-          buckets[Mix64(entry.key) % n].push_back(entry);
-        });
-      }
-      return c + n < chunks.size();
-    });
-    workers.Barrier();
-
-    // Phase 2: worker w applies bucket w in timestamp order, one entry per
-    // step. Entries are filtered against the leaf's *pre-crash* timestamp
-    // snapshot (recovery_orig_ts): an entry newer than the last flush was
-    // buffered in DRAM and lost, so it is re-applied straight to the leaf.
-    // Replay is idempotent — a crash during recovery leaves the logs in place
-    // and the snapshot unchanged (leaf timestamps are only reset after the
-    // logs are reclaimed).
-    for (auto& bucket : buckets) {
-      std::sort(bucket.begin(), bucket.end(), [](const LogEntry& a, const LogEntry& b) {
-        return a.timestamp() < b.timestamp();
-      });
+  // Phase 1: worker w scans chunks w, w + threads, ..., one per step.
+  workers.Run([&](int w) {
+    size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
+    if (c < chunks.size()) {
+      WalSet::ScanChunk(chunks[c], [&entries](const LogEntry& entry) { entries.push_back(entry); });
     }
-    std::fill(steps.begin(), steps.end(), 0);
-    workers.Run([&](int w) {
-      const std::vector<LogEntry>& bucket = buckets[static_cast<size_t>(w)];
-      size_t i = steps[static_cast<size_t>(w)]++;
-      if (i < bucket.size()) {
-        BufferNode* bn = RouteAndLock(bucket[i].key);
-        if (bucket[i].timestamp() > bn->recovery_orig_ts()) {
-          kvindex::KeyValue kv{bucket[i].key, bucket[i].value};
-          BatchInsertLeaf(bn, &kv, 1, /*ts=*/0, /*update_ts=*/false);
-        }
-        bn->Unlock();
-      }
-      return i + 1 < bucket.size();
-    });
-    // The boot context resumes once the slowest replay worker is done.
-    boot->ResetClock(workers.Barrier());
-  }
-
-  // Phase 3: every log chunk is now dead — reclaim them all. The free-marker
-  // writes land in headers the pre-crash workers wrote; recovery owns the
-  // whole image, which lockcheck cannot express as a lock.
-  pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
-  log_arena_->ResetVolatile();
-  log_arena_->ForEachChunk([this](void* mem) {
-    auto* header = reinterpret_cast<LogChunkHeader*>(mem);
-    if (header->magic == kLogChunkMagic && header->state == kChunkActive) {
-      header->state = kChunkFree;
-      pmsim::Persist(&header->state, sizeof(header->state));
-    }
-    log_arena_->FreeChunk(mem);
+    return c + n < chunks.size();
   });
-  // Clear the replay filter snapshots.
-  for (BufferNode* bn : CollectBufferNodes()) {
-    bn->set_recovery_orig_ts(0);
-  }
-}
+  workers.Barrier();
 
-void CclBTree::ResetLeafTimestamps() {
-  PmLeaf* leaf = head_leaf_;
-  bool flushed_any = false;
-  while (leaf != nullptr) {
-    if (leaf->timestamp != 0) {
-      leaf->timestamp = 0;
-      pmsim::FlushLine(leaf);
-      flushed_any = true;
+  // Keep each key's newest entry, and only if it is newer than its leaf's
+  // snapshot (recovery_orig_ts): an older one was flushed before the crash.
+  // Every entry touches only its own key, so applying the newest entries in
+  // key order ends in the state timestamp-ordered replay of all of them
+  // would. Sorting and compacting in place keeps one copy of the log.
+  std::sort(entries.begin(), entries.end(), [](const LogEntry& a, const LogEntry& b) {
+    return a.key != b.key ? a.key < b.key : a.timestamp() < b.timestamp();
+  });
+  size_t kept = 0;
+  for (size_t i = 0; i < entries.size(); i++) {
+    const LogEntry& entry = entries[i];
+    if (i + 1 < entries.size() && entries[i + 1].key == entry.key) {
+      continue;  // a newer entry of this key follows
     }
-    uint64_t next = leaf->next_offset();
-    leaf = next == 0 ? nullptr : LeafAt(next);
+    *max_ts = std::max(*max_ts, entry.timestamp());
+    if (entry.timestamp() > inner_.RouteFloor(entry.key)->recovery_orig_ts()) {
+      entries[kept++] = entry;
+    }
   }
-  if (flushed_any) {
-    pmsim::Fence();
-  }
+  entries.resize(kept);
+
+  // Phase 2: each step applies the next entries of one leaf, at most 8, in
+  // one leaf batch that keeps the leaf's timestamp. Every batch routes
+  // afresh, so the entries after a split go to the half that covers them.
+  size_t next = 0;
+  workers.Run([&](int /*w*/) {
+    if (next < entries.size()) {
+      BufferNode* bn = RouteAndLock(entries[next].key);
+      kvindex::KeyValue batch[8];
+      int count = 0;
+      do {
+        batch[count++] = {entries[next].key, entries[next].value};
+        next++;
+      } while (count < 8 && next < entries.size() && inner_.RouteFloor(entries[next].key) == bn);
+      BatchInsertLeaf(bn, batch, count, /*ts=*/0, /*update_ts=*/false);
+      bn->Unlock();
+    }
+    return next < entries.size();
+  });
+  // The boot context resumes once the slowest replay worker is done.
+  boot->ResetClock(workers.Barrier());
 }
 
 // --- introspection ---------------------------------------------------------------

@@ -56,10 +56,13 @@ class CclBTree : public kvindex::KvIndex {
   // lines before the header line that publishes them.
   bool tolerates_torn_crash() const override { return true; }
   // Failure recovery: rebuilds the DRAM layers from the persistent leaf
-  // list, replays WALs on `recovery_threads` virtual workers (paper Figure
-  // 17), reclaims unreachable leaves and log chunks, resets leaf timestamps.
-  // Only valid once, on a kAttach instance; returns false if the pool holds
-  // no valid tree root or the leaf list loops or is out of key order.
+  // list, replays each key's newest WAL entry on `recovery_threads` virtual
+  // workers (paper Figure 17), one leaf batch at a time, raises the persisted
+  // timestamp floor past every timestamp it read, and reclaims unreachable
+  // leaves and log chunks. Leaf timestamps are never rewritten. A crash
+  // anywhere inside recovery recovers again to the same state. Only valid
+  // once, on a kAttach instance; returns false if the pool holds no valid
+  // tree root or the leaf list loops or is out of key order.
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
@@ -96,7 +99,8 @@ class CclBTree : public kvindex::KvIndex {
   // Benches fold this into the run's modeled elapsed time.
   uint64_t gc_vtime_ns() const { return gc_ctx_ ? gc_ctx_->now_ns() : 0; }
   // Modeled duration of the last Recover() call (paper Figure 17): the boot
-  // context's elapsed clock, which waits at the replay workers' last barrier.
+  // context's elapsed clock over rebuild, replay (it waits at the replay
+  // workers' last barrier), the floor persist and the chunk reclaim.
   uint64_t last_recovery_modeled_ns() const override {
     return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
   }
@@ -127,6 +131,10 @@ class CclBTree : public kvindex::KvIndex {
     uint64_t head_leaf_offset;
     uint64_t slab_registry_offset;
     uint64_t arena_registry_offset;
+    // Every leaf and log timestamp written before the last completed replay
+    // is at most this; the tree adds it to every ORDO reading, since a
+    // restart restarts the ORDO clock.
+    uint64_t ts_floor;
   };
   static constexpr uint64_t kTreeMagic = 0xCC1B7123ULL;
 
@@ -161,11 +169,14 @@ class CclBTree : public kvindex::KvIndex {
   std::vector<BufferNode*> CollectBufferNodes() const;
 
   // --- recovery internals --------------------------------------------------------
-  bool RebuildFromLeafList();
-  void ReplayLogs(int threads);
-  void ResetLeafTimestamps();
+  // Both raise *max_ts to every timestamp they read. The rebuild snapshots
+  // max(leaf timestamp, floor) as each buffer node's replay filter.
+  bool RebuildFromLeafList(uint64_t floor, uint64_t* max_ts);
+  void ReplayLogs(int threads, uint64_t* max_ts);
 
   // --- helpers ----------------------------------------------------------------
+  // Timestamp for a log entry or leaf flush: the ORDO clock above the floor.
+  uint64_t Timestamp(int socket) const { return ts_floor_ + rt_.ordo().Now(socket); }
   PmLeaf* AllocLeaf(int socket);
   BufferNode* NewBufferNode(PmLeaf* leaf, uint64_t sep, uint64_t recovery_ts);
   uint64_t LeafOffset(const PmLeaf* leaf) const;
@@ -183,6 +194,7 @@ class CclBTree : public kvindex::KvIndex {
 
   kvindex::DramBTree<BufferNode*> inner_;
   PmLeaf* head_leaf_ = nullptr;
+  uint64_t ts_floor_ = 0;  // TreeRoot::ts_floor as of the last Recover()
 
   std::atomic<uint32_t> global_epoch_{0};
   // Gate used only by the naive GC baseline: upserts shared, GC exclusive.

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <unordered_set>
 
-#include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/trace.h"
 
@@ -391,18 +390,7 @@ void CclHashTable::ReplayLogs() {
     kvindex::KeyValue kv{entry.key, entry.value};
     BatchInsertBucket(bn, &kv, 1, entry.timestamp(), /*update_ts=*/false);
   }
-  // All chunks are dead after replay. Recovery owns the image; the
-  // free-marker writes into pre-crash workers' headers are not lock-protected.
-  pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
-  log_arena_->ResetVolatile();
-  log_arena_->ForEachChunk([this](void* mem) {
-    auto* header = reinterpret_cast<LogChunkHeader*>(mem);
-    if (header->magic == kLogChunkMagic && header->state == kChunkActive) {
-      header->state = kChunkFree;
-      pmsim::Persist(&header->state, sizeof(header->state));
-    }
-    log_arena_->FreeChunk(mem);
-  });
+  WalSet::ReclaimAll(*log_arena_);  // all chunks are dead after replay
   // Reset bucket timestamps (same rationale as tree recovery).
   bool flushed = false;
   for (size_t b = 0; b < options_.num_buckets; b++) {

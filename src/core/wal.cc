@@ -173,4 +173,19 @@ void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEn
   arena.ForEachChunk([&fn](void* mem) { ScanChunk(mem, fn); });
 }
 
+void WalSet::ReclaimAll(pmem::LogArena& arena) {
+  // The free markers land in headers the pre-crash workers wrote; recovery
+  // owns the whole image, which lockcheck cannot express as a lock.
+  pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
+  arena.ResetVolatile();
+  arena.ForEachChunk([&arena](void* mem) {
+    auto* header = static_cast<LogChunkHeader*>(mem);
+    if (header->magic == kLogChunkMagic && header->state == kChunkActive) {
+      header->state = kChunkFree;
+      pmsim::Persist(&header->state, sizeof(header->state));
+    }
+    arena.FreeChunk(mem);
+  });
+}
+
 }  // namespace cclbt::core

@@ -128,6 +128,10 @@ class WalSet {
   // active log chunk. ScanAll does so for every arena chunk.
   static void ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
   static void ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn);
+  // Recovery, once every log entry has been replayed: persists the free
+  // marker of each active chunk, one chunk at a time, and rebuilds the
+  // arena's free list from every chunk.
+  static void ReclaimAll(pmem::LogArena& arena);
 
  private:
   pmem::LogArena* arena_;

@@ -35,7 +35,9 @@ class Runtime {
   Runtime& operator=(const Runtime&) = delete;
 
   // Simulated machine restart: re-attaches to the surviving device media via
-  // PmPool::Open (superblock validation included) instead of reformatting.
+  // PmPool::Open (superblock validation included) instead of reformatting,
+  // and restarts the ORDO clock. An index whose timestamps must order after
+  // pre-crash ones persists its own floor (CCL-BTree's TreeRoot::ts_floor).
   // Typically called after PmDevice::Crash()/CrashTorn(). On validation
   // failure returns false, fills `error_out` with the structured diagnostic
   // message, and leaves the previous pool/value-store handles in place.
@@ -59,6 +61,7 @@ class Runtime {
     // value-store gauges (pmctl top/series) instead of vanishing silently.
     uint64_t leaked = values_->leaked_bytes() + values_->unused_reserved_bytes();
     values_ = std::make_unique<pmem::ValueStore>(*pool_, leaked);
+    ordo_.Restart();
     return true;
   }
 

@@ -505,6 +505,8 @@ void PmDevice::Crash() {
       lines_dropped += ctx->pending_lines_.size();
       ctx->ClearPending();
     }
+    lines_dropped += unwound_pending_.size();
+    unwound_pending_.clear();
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, /*torn_lines_applied=*/0);
   RestoreWorkingImage();
@@ -529,17 +531,24 @@ void PmDevice::CrashTorn(uint64_t seed) {
   uint64_t torn_lines_applied = 0;
   {
     sync::LockGuard<sync::Mutex> guard(contexts_mu_);
+    auto draw = [&](uintptr_t line) {
+      if ((rng.Next() & 1) != 0) {
+        WriteShadowLine(line, pool_.get() + line);
+        torn_lines_applied++;
+      } else {
+        lines_dropped++;
+      }
+    };
     for (ThreadContext* ctx : contexts_) {
       for (uintptr_t line : ctx->pending_lines_) {
-        if ((rng.Next() & 1) != 0) {
-          WriteShadowLine(line, pool_.get() + line);
-          torn_lines_applied++;
-        } else {
-          lines_dropped++;
-        }
+        draw(line);
       }
       ctx->ClearPending();
     }
+    for (uintptr_t line : unwound_pending_) {
+      draw(line);
+    }
+    unwound_pending_.clear();
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, torn_lines_applied);
   RestoreWorkingImage();
@@ -651,6 +660,10 @@ void PmDevice::UnregisterContext(ThreadContext* ctx) {
     sync::LockGuard<sync::Mutex> guard(contexts_mu_);
     contexts_.erase(std::remove(contexts_.begin(), contexts_.end(), ctx), contexts_.end());
     live = contexts_.size();
+    if (injector_ != nullptr && injector_->fired()) {
+      unwound_pending_.insert(unwound_pending_.end(), ctx->pending_lines_.begin(),
+                              ctx->pending_lines_.end());
+    }
   }
   if (lockcheck_ != nullptr) {
     lockcheck_->OnContextCount(live);

@@ -114,7 +114,8 @@ class PmDevice {
   void Crash();
   // Like Crash(), but each pending unfenced line independently persists with
   // probability 1/2 (clwb without sfence *may* reach the DIMM). Exercises
-  // recovery under torn fence groups.
+  // recovery under torn fence groups. Pending lines include those of
+  // contexts the injected crash unwound (e.g. a recovery's own contexts).
   void CrashTorn(uint64_t seed);
 
   // Installs (or with nullptr removes) a crash-injection policy: every fence
@@ -301,6 +302,10 @@ class PmDevice {
 
   mutable sync::Mutex contexts_mu_{"pm.contexts"};
   std::vector<ThreadContext*> contexts_ GUARDED_BY(contexts_mu_);
+  // Pending lines of contexts destroyed after the crash injector fired, i.e.
+  // unwound by CrashPointReached: still in flight at the power failure, so
+  // Crash() drops them and CrashTorn() draws for them like a live context's.
+  std::vector<uintptr_t> unwound_pending_ GUARDED_BY(contexts_mu_);
 
   // The persistence-domain backend (media_model.h); constructed before the
   // checker so pmcheck can copy its rule table.

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,6 +13,7 @@
 
 #include "src/common/rng.h"
 #include "src/core/ccl_btree.h"
+#include "src/pmsim/crash_injector.h"
 #include "tests/crash_util.h"
 
 namespace cclbt::core {
@@ -751,6 +753,149 @@ TEST(CclRecovery, TornCrashIsRecoverable) {
     uint64_t got = 0;
     ASSERT_TRUE(tree->Lookup(key, &got)) << "lost key " << key;
     EXPECT_EQ(got, value);
+  }
+}
+
+// A restart restarts the ORDO clock, so updates logged after one recovery
+// carry timestamps below those of leaves flushed before the first crash.
+// They must still replay after a second crash.
+TEST(CclRecovery, UpdatesAfterRecoverySurviveSecondCrash) {
+  auto rt = MakeRuntime();
+  TreeOptions options = QuietOptions();
+  std::map<uint64_t, uint64_t> model;
+  {
+    CclBTree tree(*rt, options);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t round = 1; round <= 5; round++) {
+      for (uint64_t k = 1; k <= 3000; k++) {
+        tree.Upsert(k, k * 10 + round);
+        model[k] = k * 10 + round;
+      }
+    }
+    tree.FlushAll();
+  }
+  {
+    auto tree = testutil::CrashAndRecoverTree(*rt, options);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    // One key per leaf, so each update stays buffered and logged.
+    for (uint64_t k = 1; k <= 3000; k += 40) {
+      tree->Upsert(k, k * 10 + 9);
+      model[k] = k * 10 + 9;
+    }
+  }
+  auto tree = testutil::CrashAndRecoverTree(*rt, options);
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  for (const auto& [key, value] : model) {
+    uint64_t got = 0;
+    ASSERT_TRUE(tree->Lookup(key, &got)) << "lost key " << key;
+    EXPECT_EQ(got, value) << "stale value for key " << key;
+  }
+  EXPECT_TRUE(tree->CheckInvariants());
+}
+
+// Recovery replays a key's newest entry only: a hot key logged 1000 times
+// in one buffer slot costs one leaf batch, not 1000.
+TEST(CclRecovery, HotKeyIsReplayedOnce) {
+  auto rt = MakeRuntime();
+  TreeOptions options = QuietOptions();
+  {
+    CclBTree tree(*rt, options);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 2000; k++) {
+      tree.Upsert(k, k);
+    }
+    tree.FlushAll();
+    for (uint64_t i = 1; i <= 1000; i++) {
+      tree.Upsert(777, i);
+    }
+  }
+  testutil::CrashRestart(*rt);
+  CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+  pmsim::CrashInjector injector;
+  rt->device().SetCrashInjector(&injector);
+  injector.Arm(/*fence_target=*/0);  // count-only
+  ASSERT_TRUE(tree.Recover(*rt, /*recovery_threads=*/1));
+  rt->device().SetCrashInjector(nullptr);
+  EXPECT_LT(injector.fences_observed(), 10u);
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  uint64_t value = 0;
+  ASSERT_TRUE(tree.Lookup(777, &value));
+  EXPECT_EQ(value, 1000u);
+}
+
+// RECIPE's "writers fix inconsistencies", applied to recovery itself: a
+// crash at a fence inside Recover(), clean or torn, with one or four replay
+// workers, recovers again to a tree that holds every acknowledged upsert.
+// Two pre-crash workers log into two chunks, so a key's entries can span the
+// chunks the reclaim frees one at a time.
+TEST(CclRecovery, CrashInsideRecoveryRecoversAgain) {
+  TreeOptions options = QuietOptions();
+  std::map<uint64_t, uint64_t> model;
+  // The same seeded crashed image on every call.
+  auto crashed_image = [&options, &model]() {
+    auto rt = MakeRuntime();
+    {
+      CclBTree tree(*rt, options);
+      pmsim::ThreadContext w0(rt->device(), 0, 0);
+      pmsim::ThreadContext w1(rt->device(), 1, 1);
+      Rng rng(91);
+      for (int i = 0; i < 6000; i++) {
+        pmsim::ThreadContext::SetCurrent(i % 2 == 0 ? &w0 : &w1);
+        uint64_t key = Mix64(rng.NextBounded(2500) + 1) | 1;
+        uint64_t value = rng.Next() | 1;
+        tree.Upsert(key, value);
+        model[key] = value;
+      }
+    }
+    testutil::CrashRestart(*rt);
+    return rt;
+  };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " recovery threads");
+    uint64_t fences = 0;
+    {
+      auto rt = crashed_image();
+      CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+      pmsim::CrashInjector injector;
+      rt->device().SetCrashInjector(&injector);
+      injector.Arm(/*fence_target=*/0);  // count-only
+      ASSERT_TRUE(tree.Recover(*rt, threads));
+      rt->device().SetCrashInjector(nullptr);
+      fences = injector.fences_observed();
+    }
+    ASSERT_GT(fences, 40u);
+    // 40 points spread over the fences, plus the last three: the floor
+    // persist and the two chunk frees.
+    std::set<uint64_t> targets = {fences - 2, fences - 1};
+    for (uint64_t i = 1; i <= 40; i++) {
+      targets.insert(i * fences / 40);
+    }
+
+    bool torn = false;
+    for (uint64_t target : targets) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = crashed_image();
+      {
+        CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+        pmsim::CrashInjector injector;
+        rt->device().SetCrashInjector(&injector);
+        injector.Arm(target);
+        EXPECT_THROW(tree.Recover(*rt, threads), pmsim::CrashPointReached);
+        rt->device().SetCrashInjector(nullptr);
+      }
+      testutil::CrashRestart(*rt, torn, /*torn_seed=*/target);
+      CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+      ASSERT_TRUE(tree.Recover(*rt, threads));
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (const auto& [key, value] : model) {
+        uint64_t got = 0;
+        ASSERT_TRUE(tree.Lookup(key, &got)) << "lost key " << key;
+        ASSERT_EQ(got, value) << "stale value for key " << key;
+      }
+      EXPECT_TRUE(tree.CheckInvariants());
+      torn = !torn;
+    }
   }
 }
 

@@ -1,14 +1,16 @@
 // Tests for pmcheck, the persistency-ordering checker (DESIGN.md §11): one
 // deliberately-buggy driver per diagnostic class asserting the exact
 // diagnostic fires, suppression via PmCheckExpect, the retention caps,
-// crash-injection interaction, and a clean-run check over a cclbtree
-// fig10-micro workload.
+// crash-injection interaction, and clean-run checks over a cclbtree
+// fig10-micro workload and over cclbtree recovery.
 #include <cstdlib>
 #include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "src/bench/driver.h"
+#include "src/common/rng.h"
+#include "src/core/ccl_btree.h"
 #include "src/pmsim/device.h"
 #include "src/pmsim/pmcheck.h"
 
@@ -374,6 +376,37 @@ TEST(PmCheck, CleanRunOnCclbtreeFig10Micro) {
               ? "(none materialized)"
               : result.pmcheck.diagnostics[0].detail);
   EXPECT_GT(result.pmcheck.stat("fence_epochs"), 0u);
+}
+
+// Recovery must be pmcheck-clean too: a replay batch that keeps the leaf
+// timestamp and changes no header byte skips the header commit, and a
+// second recovery that does not move the timestamp floor skips its persist.
+TEST(PmCheck, CleanRecoveryOfCclbtree) {
+  kvindex::RuntimeOptions options;
+  options.device.pool_bytes = 256 << 20;
+  options.device.num_sockets = 2;
+  options.device.dimms_per_socket = 2;
+  options.device.pmcheck = true;
+  kvindex::Runtime rt(options);
+  core::TreeOptions tree_options;
+  tree_options.background_gc = false;
+  {
+    core::CclBTree tree(rt, tree_options);
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    Rng rng(91);
+    for (int i = 0; i < 20000; i++) {
+      tree.Upsert(Mix64(rng.NextBounded(5000) + 1) | 1, rng.Next() | 1);
+    }
+  }
+  for (int round = 0; round < 2; round++) {
+    rt.device().Crash();
+    ASSERT_TRUE(rt.Reopen());
+    core::CclBTree tree(rt, tree_options, kvindex::Lifecycle::kAttach);
+    ASSERT_TRUE(tree.Recover(rt, /*recovery_threads=*/4));
+  }
+  pmsim::PmCheckReport report = rt.device().pmcheck()->Snapshot();
+  EXPECT_EQ(report.total(), 0u) << "first diagnostic: "
+      << (report.diagnostics.empty() ? "(none materialized)" : report.diagnostics[0].detail);
 }
 
 }  // namespace

@@ -457,6 +457,29 @@ TEST(CrashInjector, CrashCountersAccountDroppedAndTornLines) {
   EXPECT_GT(after_torn.crash_torn_lines_applied, 0u);
 }
 
+TEST(CrashInjector, TornCrashDrawsForContextsTheCrashUnwound) {
+  PmDevice device(AdrConfig());
+  CrashInjector injector;
+  device.SetCrashInjector(&injector);
+  injector.Arm(/*fence_target=*/1);
+  try {
+    ThreadContext ctx(device, 0);
+    for (int i = 0; i < 16; i++) {
+      auto* word = reinterpret_cast<uint64_t*>(device.base() + 8192 + i * 64);
+      *word = 9;
+      device.FlushLine(ctx, word);
+    }
+    device.Fence(ctx);  // power lost at the sfence; ctx unwinds with 16 lines
+  } catch (const CrashPointReached&) {
+  }
+  device.SetCrashInjector(nullptr);
+  device.CrashTorn(/*seed=*/5);
+  auto stats = device.stats().Snapshot();
+  EXPECT_EQ(stats.crash_lines_dropped + stats.crash_torn_lines_applied, 16u);
+  EXPECT_GT(stats.crash_torn_lines_applied, 0u);
+  EXPECT_GT(stats.crash_lines_dropped, 0u);
+}
+
 TEST(ThreadContext, NestingRestoresPrevious) {
   PmDevice device(SmallConfig());
   ThreadContext outer(device, 0);
