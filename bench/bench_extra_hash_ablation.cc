@@ -2,12 +2,10 @@
 // CCL-Hash — buffer nodes + write-conservative logging + locality-aware GC
 // applied to a persistent hash table. Compares media write amplification and
 // modeled insert throughput of the buffered design against direct bucket
-// writes (the CCEH-style baseline arm).
-#include <memory>
+// writes (the CCEH-style baseline arm), on the shared driver.
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/core/ccl_hash.h"
 
 namespace cclbt::bench {
 namespace {
@@ -24,52 +22,16 @@ void RegisterAll() {
                                           : "unbuffered");
       benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
         for (auto _ : state) {
-          kvindex::RuntimeOptions runtime_options;
-          runtime_options.device.pool_bytes = 2ULL << 30;
-          kvindex::Runtime runtime(runtime_options);
-          core::CclHashTable::Options options;
-          options.num_buckets = scale / 8;
-          options.buffering = buffering;
-          options.write_conservative_logging = conservative;
-          core::CclHashTable table(runtime, options);
-
-          // Interleaved virtual workers (same discipline as the driver).
-          const int kThreads = 48;
-          std::vector<std::unique_ptr<pmsim::ThreadContext>> ctxs;
-          for (int w = 0; w < kThreads; w++) {
-            ctxs.push_back(std::make_unique<pmsim::ThreadContext>(
-                runtime.device(), runtime.SocketForWorker(w), w));
-          }
-          pmsim::ThreadContext::SetCurrent(nullptr);
-          // Warm.
-          uint64_t done = 0;
-          while (done < scale) {
-            for (int w = 0; w < kThreads && done < scale; w++, done++) {
-              pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-              table.Upsert(Mix64(done) | 1, done + 1);
-            }
-          }
-          runtime.device().ResetCosts();
-          auto before = runtime.device().stats().Snapshot();
-          // Measure.
-          done = 0;
-          while (done < scale) {
-            for (int w = 0; w < kThreads && done < scale; w++, done++) {
-              pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-              runtime.device().stats().AddUserBytes(16);
-              table.Upsert(Mix64(scale + done) | 1, done + 1);
-            }
-          }
-          pmsim::ThreadContext::SetCurrent(nullptr);
-          uint64_t elapsed = runtime.device().MaxDimmBusyNs();
-          for (auto& ctx : ctxs) {
-            elapsed = std::max<uint64_t>(elapsed, ctx->now_ns());
-          }
-          auto delta = runtime.device().stats().Snapshot().Delta(before);
-          state.counters["Mops"] =
-              elapsed == 0 ? 0 : static_cast<double>(scale) * 1e3 / static_cast<double>(elapsed);
-          state.counters["XBI"] = delta.XbiAmplification();
-          state.counters["CLI"] = delta.CliAmplification();
+          RunConfig config;
+          config.threads = 48;
+          config.warm_keys = scale;
+          config.ops = scale;
+          config.op = OpType::kInsert;
+          IndexConfig index_config;
+          index_config.tree.buffering = buffering;
+          index_config.tree.write_conservative_logging = conservative;
+          index_config.hash_buckets = scale / 8;
+          SetCommonCounters(state, RunIndexWorkload("cclhash", config, index_config));
         }
       })->Iterations(1)->Unit(benchmark::kMillisecond);
     }

@@ -7,12 +7,8 @@
 //   * pmsim instrumentation layer: FlushLine/Fence/ReadPm mixes at 1 and N
 //     OS threads, plus a PersistRange stress (pending-set dedup).
 //   * whole-tree CCL-BTree operations: point lookup (hit/miss), upsert,
-//     short scans, at 1 thread and N OS threads. Each read scenario is
-//     paired with a "_scalarlock" A/B baseline — SIMD forced to the scalar
-//     fallback (simd::ForceLevel) and the inner index's optimistic descent
-//     replaced by its shared_mutex path (set_locked_inner_reads) — under an
-//     otherwise identical harness. Scenarios report the median of
-//     kTreeReps reps.
+//     short scans, at 1 thread and N OS threads. Scenarios report the median
+//     of kTreeReps reps.
 //
 // Also counts heap allocations during each measured region via a global
 // operator new/delete override, so "allocation-free hot path" is a number in
@@ -33,7 +29,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/core/ccl_btree.h"
 #include "src/pmsim/device.h"
 
@@ -256,20 +251,6 @@ ScenarioResult MeasureMedian(const std::string& name, int threads, uint64_t ops,
   return median;
 }
 
-// Pins the A/B configuration for one scenario: baseline = scalar SIMD +
-// shared_mutex inner reads; full = detected SIMD + optimistic descent.
-struct TreeAbConfig {
-  core::CclBTree* tree;
-  void Baseline() const {
-    simd::ForceLevel(simd::Level::kScalar);
-    tree->set_locked_inner_reads(true);
-  }
-  void Full() const {
-    simd::ClearForce();
-    tree->set_locked_inner_reads(false);
-  }
-};
-
 struct TreeFixture {
   std::unique_ptr<kvindex::Runtime> runtime;
   std::unique_ptr<core::CclBTree> tree;
@@ -314,53 +295,40 @@ void LookupWorker(core::CclBTree& tree, uint64_t scale, bool hit, uint64_t ops, 
   sink.fetch_add(found + acc, std::memory_order_relaxed);
 }
 
-ScenarioResult RunTreeLookup1T(TreeFixture& fx, bool hit, bool baseline) {
-  TreeAbConfig ab{fx.tree.get()};
-  baseline ? ab.Baseline() : ab.Full();
+ScenarioResult RunTreeLookup1T(TreeFixture& fx, bool hit) {
   pmsim::ThreadContext ctx(fx.runtime->device(), 0, 0);
   const uint64_t kOps = fx.scale;
   std::atomic<uint64_t> sink{0};
   LookupWorker(*fx.tree, fx.scale, hit, kOps / 10, 11, sink);  // warm
-  std::string name = std::string("ccl_lookup_") + (hit ? "hit" : "miss") + "_1t" +
-                     (baseline ? "_scalarlock" : "");
-  ScenarioResult result = MeasureMedian(name, 1, kOps, [&] {
+  std::string name = std::string("ccl_lookup_") + (hit ? "hit" : "miss") + "_1t";
+  return MeasureMedian(name, 1, kOps, [&] {
     LookupWorker(*fx.tree, fx.scale, hit, kOps, 13, sink);
   });
-  ab.Full();
-  return result;
 }
 
-ScenarioResult RunTreeLookupNT(TreeFixture& fx, bool baseline) {
-  TreeAbConfig ab{fx.tree.get()};
-  baseline ? ab.Baseline() : ab.Full();
+ScenarioResult RunTreeLookupNT(TreeFixture& fx) {
   const uint64_t kOpsPerThread = fx.scale / 2;
   std::atomic<uint64_t> sink{0};
-  std::string name = std::string("ccl_lookup_hit_") + std::to_string(kTreeReadThreads) + "t" +
-                     (baseline ? "_scalarlock" : "");
+  std::string name = std::string("ccl_lookup_hit_") + std::to_string(kTreeReadThreads) + "t";
   // Unlike the 1T scenarios, each rep pays thread spawn inside the measured
-  // region; spawn cost is identical across the A/B pair, and the median damps
-  // scheduler noise. Contexts live in the workers (per-thread clocks).
-  ScenarioResult result =
-      MeasureMedian(name, kTreeReadThreads, kOpsPerThread * kTreeReadThreads, [&] {
-        std::vector<std::thread> workers;
-        for (int w = 0; w < kTreeReadThreads; w++) {
-          workers.emplace_back([&fx, &sink, kOpsPerThread, w] {
-            pmsim::ThreadContext ctx(fx.runtime->device(), 0, w);
-            LookupWorker(*fx.tree, fx.scale, /*hit=*/true, kOpsPerThread,
-                         static_cast<uint64_t>(w) + 31, sink);
-          });
-        }
-        for (auto& t : workers) {
-          t.join();
-        }
+  // region; the median damps scheduler noise. Contexts live in the workers
+  // (per-thread clocks).
+  return MeasureMedian(name, kTreeReadThreads, kOpsPerThread * kTreeReadThreads, [&] {
+    std::vector<std::thread> workers;
+    for (int w = 0; w < kTreeReadThreads; w++) {
+      workers.emplace_back([&fx, &sink, kOpsPerThread, w] {
+        pmsim::ThreadContext ctx(fx.runtime->device(), 0, w);
+        LookupWorker(*fx.tree, fx.scale, /*hit=*/true, kOpsPerThread,
+                     static_cast<uint64_t>(w) + 31, sink);
       });
-  ab.Full();
-  return result;
+    }
+    for (auto& t : workers) {
+      t.join();
+    }
+  });
 }
 
 ScenarioResult RunTreeUpsert1T(TreeFixture& fx) {
-  TreeAbConfig ab{fx.tree.get()};
-  ab.Full();
   pmsim::ThreadContext ctx(fx.runtime->device(), 0, 0);
   const uint64_t kOps = fx.scale / 2;
   // Steady state: overwrite existing keys, so batches apply in place (no
@@ -378,8 +346,6 @@ ScenarioResult RunTreeUpsert1T(TreeFixture& fx) {
 }
 
 ScenarioResult RunTreeScan1T(TreeFixture& fx) {
-  TreeAbConfig ab{fx.tree.get()};
-  ab.Full();
   pmsim::ThreadContext ctx(fx.runtime->device(), 0, 0);
   constexpr size_t kScanLen = 100;
   const uint64_t kScans = fx.scale / 50;
@@ -411,20 +377,16 @@ int main(int argc, char** argv) {
 
   {
     cclbt::pmsim::TreeFixture fx;
-    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/true, /*baseline=*/false));
-    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/true, /*baseline=*/true));
-    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/false, /*baseline=*/false));
-    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/false, /*baseline=*/true));
-    results.push_back(cclbt::pmsim::RunTreeLookupNT(fx, /*baseline=*/false));
-    results.push_back(cclbt::pmsim::RunTreeLookupNT(fx, /*baseline=*/true));
+    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/true));
+    results.push_back(cclbt::pmsim::RunTreeLookup1T(fx, /*hit=*/false));
+    results.push_back(cclbt::pmsim::RunTreeLookupNT(fx));
     results.push_back(cclbt::pmsim::RunTreeScan1T(fx));
     results.push_back(cclbt::pmsim::RunTreeUpsert1T(fx));
   }
 
-  // Hard gates, not advisory numbers:
-  //  * steady-state tree lookups and upserts must be allocation-free
-  //    (max over reps; see the WAL chunk-list reserve in src/core/wal.h);
-  //  * A/B speedup of the full configuration over scalar+shared_mutex.
+  // Hard gate, not an advisory number: steady-state tree lookups and upserts
+  // must be allocation-free (max over reps; see the WAL chunk-list reserve
+  // in src/core/wal.h).
   int status = 0;
   for (const auto& r : results) {
     bool must_be_alloc_free = r.name == "ccl_lookup_hit_1t" || r.name == "ccl_lookup_miss_1t" ||
@@ -435,23 +397,6 @@ int main(int argc, char** argv) {
       status = 1;
     }
   }
-  auto find_result = [&](const std::string& name) -> const ScenarioResult* {
-    for (const auto& r : results) {
-      if (r.name == name) {
-        return &r;
-      }
-    }
-    return nullptr;
-  };
-  for (const char* base : {"ccl_lookup_hit_1t", "ccl_lookup_miss_1t"}) {
-    const ScenarioResult* full = find_result(base);
-    const ScenarioResult* ab = find_result(std::string(base) + "_scalarlock");
-    if (full != nullptr && ab != nullptr && full->wall_ms > 0) {
-      std::printf("A/B %-20s speedup=%.2fx (%.1f ms -> %.1f ms, median of reps)\n", base,
-                  ab->wall_ms / full->wall_ms, ab->wall_ms, full->wall_ms);
-    }
-  }
-
   for (const auto& r : results) {
     std::printf("%-18s threads=%d ops=%llu wall_ms=%.1f Mops(wall)=%.2f heap_allocs=%llu\n",
                 r.name.c_str(), r.threads, static_cast<unsigned long long>(r.ops), r.wall_ms,

@@ -43,7 +43,7 @@ void DpTree::Upsert(uint64_t key, uint64_t value) {
     sync::SharedLockGuard<sync::SharedMutex> gate(mu_);
     // Crash consistency: log first (sequential per-thread PM append), then
     // buffer in DRAM.
-    uint64_t ts = rt_.ordo().Now(ctx->socket());
+    uint64_t ts = rt_.ordo().Now();
     bool logged = wals_->Append(ctx->worker_id(), /*epoch=*/0, key, value, ts);
     assert(logged && "log arena exhausted");
     (void)logged;

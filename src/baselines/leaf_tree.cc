@@ -12,12 +12,9 @@ namespace cclbt::baselines {
 using core::kBitmapMask;
 using core::kLeafBytes;
 using core::kLeafSlots;
+using core::LineOfSlot;
 using core::MakeMeta;
 using core::PmLeaf;
-
-namespace {
-uint32_t LineOfSlot(int slot) { return static_cast<uint32_t>((32 + 16 * slot) / 64); }
-}  // namespace
 
 LeafTree::LeafTree(kvindex::Runtime& runtime, const Options& options)
     : rt_(runtime), options_(options) {

@@ -10,6 +10,7 @@
 #include "src/baselines/lsmstore.h"
 #include "src/baselines/utree.h"
 #include "src/core/ccl_btree.h"
+#include "src/core/ccl_hash.h"
 
 namespace cclbt::bench {
 
@@ -52,6 +53,9 @@ std::unique_ptr<kvindex::KvIndex> MakeIndex(const std::string& name, kvindex::Ru
   if (name == "lsmstore") {
     return std::make_unique<baselines::LsmStore>(runtime);
   }
+  if (name == "cclhash") {
+    return std::make_unique<core::CclHashTable>(runtime, config.tree, config.hash_buckets);
+  }
   std::fprintf(stderr, "unknown index name: %s\n", name.c_str());
   std::abort();
 }
@@ -63,6 +67,9 @@ std::unique_ptr<kvindex::KvIndex> RecoverIndex(const std::string& name, kvindex:
     index = std::make_unique<core::CclBTree>(runtime, config.tree, kvindex::Lifecycle::kAttach);
   } else if (name == "fastfair") {
     index = std::make_unique<baselines::FastFairTree>(runtime, kvindex::Lifecycle::kAttach);
+  } else if (name == "cclhash") {
+    index = std::make_unique<core::CclHashTable>(runtime, config.tree, config.hash_buckets,
+                                                 kvindex::Lifecycle::kAttach);
   } else {
     return nullptr;  // declared not_recoverable
   }

@@ -14,12 +14,15 @@
 namespace cclbt::bench {
 
 struct IndexConfig {
-  // Passed through to CCL-BTree; ignored by baselines.
+  // Passed through to CCL-BTree and CCL-Hash; ignored by baselines.
   core::TreeOptions tree;
+  // CCL-Hash's fixed bucket count (choose ~keys/10 for ~70% load).
+  size_t hash_buckets = 1 << 16;
 };
 
 // Names: "cclbtree", "fptree", "fastfair", "dptree", "utree", "lbtree",
-// "pactree", "flatstore", "lsmstore". Aborts on unknown name.
+// "pactree", "flatstore", "lsmstore", and "cclhash" (the paper's §6 hash,
+// in neither name list below). Aborts on unknown name.
 std::unique_ptr<kvindex::KvIndex> MakeIndex(const std::string& name, kvindex::Runtime& runtime,
                                             const IndexConfig& config = {});
 

@@ -57,9 +57,10 @@ class BufferNode {
   uint64_t sep() const { return sep_; }
   void set_sep(uint64_t sep) { sep_ = sep; }
 
-  // Replay filter of the last recovery: the leaf's pre-crash timestamp, or
-  // the tree's persisted timestamp floor if larger. Read only by
-  // CclBTree::ReplayLogs; a split copies it to the new right-hand node.
+  // Replay filter of the last recovery (WalSet::Replay): the pre-crash
+  // timestamp of the leaf (of the hash's bucket chain), or the index's
+  // persisted timestamp floor if larger. A tree split copies it to the new
+  // right-hand node.
   uint64_t recovery_orig_ts() const { return recovery_orig_ts_; }
   void set_recovery_orig_ts(uint64_t ts) { recovery_orig_ts_ = ts; }
 

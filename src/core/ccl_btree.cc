@@ -4,7 +4,6 @@
 #include <cstdio>
 #include <cassert>
 #include <cstring>
-#include <map>
 #include <optional>
 #include <thread>
 #include <unordered_set>
@@ -14,30 +13,11 @@
 #include "src/metrics/metrics.h"
 #include "src/pmsim/crash_injector.h"
 #include "src/pmsim/pmcheck.h"
-#include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::core {
 
 namespace {
-
-// Leaf cacheline geometry: line 0 holds the header plus slots 0-1; slots 2-5,
-// 6-9, 10-13 occupy lines 1-3.
-uint32_t LineOfSlot(int slot) {
-  return static_cast<uint32_t>((32 + 16 * slot) / 64);
-}
-
-int FindSlotWithBitmap(const PmLeaf* leaf, uint64_t bitmap, uint64_t key) {
-  uint8_t fp = Fingerprint8(key);
-  for (uint32_t cand = simd::FpMatch16(leaf->fingerprints, fp, static_cast<uint32_t>(bitmap));
-       cand != 0; cand &= cand - 1) {
-    int slot = __builtin_ctz(cand);
-    if (leaf->kvs[slot].key == key) {
-      return slot;
-    }
-  }
-  return -1;
-}
 
 // Bitmask of buffer slots whose key equals `key`. The slots are atomics
 // mutated under the node's version lock; the SIMD probe reads them with
@@ -135,20 +115,27 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   if (!RebuildFromLeafList(root->ts_floor, &max_ts)) {
     return false;
   }
-  ReplayLogs(recovery_threads, &max_ts);
-  // Every leaf now holds its keys' newest logged values. The floor is
-  // persisted before the chunk reclaim, so a recovery after a crash inside
-  // the reclaim skips the entries left in chunks not yet freed: an older
-  // entry of a key whose newest entry's chunk is already free would
-  // otherwise overwrite the newer value. Timestamps taken above the floor
-  // order after every one read here although a restart restarts the ORDO
-  // clock, so no leaf timestamp is ever rewritten.
-  if (max_ts != root->ts_floor) {
-    root->ts_floor = max_ts;
-    pmsim::Persist(&root->ts_floor, sizeof(root->ts_floor));
-  }
-  ts_floor_ = max_ts;
-  WalSet::ReclaimAll(*log_arena_);
+  // Each replay step applies the next entries of one leaf, at most 8, in one
+  // leaf batch that keeps the leaf's timestamp. Every batch routes afresh,
+  // so the entries after a split go to the half that covers them. Timestamps
+  // taken above the new floor order after every one read here although a
+  // restart restarts the ORDO clock, so no leaf timestamp is ever rewritten.
+  ts_floor_ = WalSet::Replay(
+      rt_, *log_arena_, recovery_threads,
+      [this](uint64_t key) { return inner_.RouteFloor(key)->recovery_orig_ts(); },
+      [this](const std::vector<LogEntry>& entries, size_t* next) {
+        BufferNode* bn = RouteAndLock(entries[*next].key);
+        kvindex::KeyValue batch[8];
+        int count = 0;
+        do {
+          batch[count++] = {entries[*next].key, entries[*next].value};
+          ++*next;
+        } while (count < 8 && *next < entries.size() &&
+                 inner_.RouteFloor(entries[*next].key) == bn);
+        BatchInsertLeaf(bn, batch, count, /*ts=*/0, /*update_ts=*/false);
+        bn->Unlock();
+      },
+      max_ts, &root->ts_floor);
   // Modeled recovery duration: the boot context's clock covers every phase,
   // since replay ends by raising it to the slowest replay worker's clock.
   last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
@@ -245,7 +232,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     // without any WAL.
     BufferNode* bn = RouteAndLock(key);
     kvindex::KeyValue kv{key, value};
-    BatchInsertLeaf(bn, &kv, 1, Timestamp(ctx->socket()));
+    BatchInsertLeaf(bn, &kv, 1, Timestamp());
     uint64_t sep = bn->sep();
     bool underflow = value == kTombstone && bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
     bn->Unlock();
@@ -276,7 +263,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   if (current_match >= 0) {
     // Update of a KV still buffered: overwrite in place. Logged always (it
     // never triggers a flush).
-    uint64_t ts = Timestamp(ctx->socket());
+    uint64_t ts = Timestamp();
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
     (void)logged;
@@ -290,7 +277,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   if (pos < nbatch) {
     // Non-trigger write: append the WAL entry first, then fill the slot
     // (§3.3 — the log is the recovery source for buffered KVs).
-    uint64_t ts = Timestamp(ctx->socket());
+    uint64_t ts = Timestamp();
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
     (void)logged;
@@ -314,7 +301,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   // Trigger write: the buffer is full — flush everything plus this KV in one
   // XPLine batch. Write-conservative logging skips the WAL entry because the
   // KV becomes durable via the leaf flush itself (§3.3).
-  uint64_t ts = Timestamp(ctx->socket());
+  uint64_t ts = Timestamp();
   if (!options_.write_conservative_logging) {
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
     assert(logged && "log arena exhausted");
@@ -399,7 +386,7 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
     if (kvs[i].value == kTombstone) {
       continue;
     }
-    if (FindSlotWithBitmap(leaf, bitmap, kvs[i].key) < 0) {
+    if (leaf->FindSlot(kvs[i].key, bitmap) < 0) {
       need++;
     }
   }
@@ -441,7 +428,7 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
   bool identical_rewrite = false;
   for (int i = 0; i < n; i++) {
     const kvindex::KeyValue& kv = kvs[i];
-    int slot = FindSlotWithBitmap(leaf, bitmap, kv.key);
+    int slot = leaf->FindSlot(kv.key, bitmap);
     if (kv.value == kTombstone) {
       if (slot >= 0) {
         // Deleting the leaf's minimum key would raise the recovery-time
@@ -622,8 +609,7 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
     // smaller timestamp and would be skipped by the recovery replay filter,
     // so drain the left buffer first (its flush timestamp is globally fresh).
     if (left->pos() > 0) {
-      pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-      FlushBuffer(left, nullptr, Timestamp(ctx->socket()));
+      FlushBuffer(left, nullptr, Timestamp());
     }
     PmLeaf* left_leaf = left->leaf();
     PmLeaf* right_leaf = right->leaf();
@@ -971,7 +957,7 @@ void CclBTree::NaiveGc() {
   for (BufferNode* bn : CollectBufferNodes()) {
     bn->Lock();
     if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, Timestamp(pmsim::ThreadContext::Current()->socket()));
+      FlushBuffer(bn, nullptr, Timestamp());
     }
     bn->Unlock();
   }
@@ -1001,7 +987,7 @@ void CclBTree::LocalityAwareGc() {
       int pos = bn->pos();
       for (int i = 0; i < pos; i++) {
         if (bn->EpochBit(i) == old_epoch) {
-          uint64_t ts = Timestamp(ctx->socket());
+          uint64_t ts = Timestamp();
           bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(new_epoch),
                                       slots[i].key.load(std::memory_order_relaxed),
                                       slots[i].value.load(std::memory_order_relaxed), ts);
@@ -1028,7 +1014,7 @@ void CclBTree::FlushAll() {
   for (BufferNode* bn : CollectBufferNodes()) {
     bn->Lock();
     if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, Timestamp(ctx->socket()));
+      FlushBuffer(bn, nullptr, Timestamp());
     }
     bn->Unlock();
   }
@@ -1082,72 +1068,6 @@ bool CclBTree::RebuildFromLeafList(uint64_t floor, uint64_t* max_ts) {
     return walked.contains(rt_.pool().ToOffset(slot));
   });
   return true;
-}
-
-void CclBTree::ReplayLogs(int threads, uint64_t* max_ts) {
-  assert(threads >= 1);
-  std::vector<void*> chunks;
-  log_arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
-  const auto n = static_cast<size_t>(threads);
-  std::vector<LogEntry> entries;
-  std::vector<size_t> steps(n, 0);  // chunks each worker has scanned
-  pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
-  // Virtual workers (DESIGN.md §10), starting where the rebuild left the
-  // boot clock.
-  pmsim::VirtualWorkers workers(
-      rt_.device(), threads, [this](int w) { return rt_.SocketForWorker(w); }, boot->now_ns());
-
-  // Phase 1: worker w scans chunks w, w + threads, ..., one per step.
-  workers.Run([&](int w) {
-    size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
-    if (c < chunks.size()) {
-      WalSet::ScanChunk(chunks[c], [&entries](const LogEntry& entry) { entries.push_back(entry); });
-    }
-    return c + n < chunks.size();
-  });
-  workers.Barrier();
-
-  // Keep each key's newest entry, and only if it is newer than its leaf's
-  // snapshot (recovery_orig_ts): an older one was flushed before the crash.
-  // Every entry touches only its own key, so applying the newest entries in
-  // key order ends in the state timestamp-ordered replay of all of them
-  // would. Sorting and compacting in place keeps one copy of the log.
-  std::sort(entries.begin(), entries.end(), [](const LogEntry& a, const LogEntry& b) {
-    return a.key != b.key ? a.key < b.key : a.timestamp() < b.timestamp();
-  });
-  size_t kept = 0;
-  for (size_t i = 0; i < entries.size(); i++) {
-    const LogEntry& entry = entries[i];
-    if (i + 1 < entries.size() && entries[i + 1].key == entry.key) {
-      continue;  // a newer entry of this key follows
-    }
-    *max_ts = std::max(*max_ts, entry.timestamp());
-    if (entry.timestamp() > inner_.RouteFloor(entry.key)->recovery_orig_ts()) {
-      entries[kept++] = entry;
-    }
-  }
-  entries.resize(kept);
-
-  // Phase 2: each step applies the next entries of one leaf, at most 8, in
-  // one leaf batch that keeps the leaf's timestamp. Every batch routes
-  // afresh, so the entries after a split go to the half that covers them.
-  size_t next = 0;
-  workers.Run([&](int /*w*/) {
-    if (next < entries.size()) {
-      BufferNode* bn = RouteAndLock(entries[next].key);
-      kvindex::KeyValue batch[8];
-      int count = 0;
-      do {
-        batch[count++] = {entries[next].key, entries[next].value};
-        next++;
-      } while (count < 8 && next < entries.size() && inner_.RouteFloor(entries[next].key) == bn);
-      BatchInsertLeaf(bn, batch, count, /*ts=*/0, /*update_ts=*/false);
-      bn->Unlock();
-    }
-    return next < entries.size();
-  });
-  // The boot context resumes once the slowest replay worker is done.
-  boot->ResetClock(workers.Barrier());
 }
 
 // --- introspection ---------------------------------------------------------------

@@ -111,11 +111,6 @@ class CclBTree : public kvindex::KvIndex {
   // relaxed counters/accessors, no pmsim traffic.
   void SampleGauges(std::vector<std::pair<std::string, uint64_t>>* out) const override;
 
-  // Bench A/B knob: route inner-index reads through the shared_mutex instead
-  // of the optimistic version-validated descent (the pre-optimization
-  // behavior). Semantically neutral; wall-clock only.
-  void set_locked_inner_reads(bool locked) { inner_.set_locked_reads(locked); }
-
   // Walks the persistent leaf list and verifies structural invariants
   // (ordering between leaves, bitmap/fingerprint agreement). Test hook.
   bool CheckInvariants() const;
@@ -169,14 +164,13 @@ class CclBTree : public kvindex::KvIndex {
   std::vector<BufferNode*> CollectBufferNodes() const;
 
   // --- recovery internals --------------------------------------------------------
-  // Both raise *max_ts to every timestamp they read. The rebuild snapshots
-  // max(leaf timestamp, floor) as each buffer node's replay filter.
+  // Raises *max_ts to every leaf timestamp and snapshots max(leaf timestamp,
+  // floor) as each buffer node's replay filter.
   bool RebuildFromLeafList(uint64_t floor, uint64_t* max_ts);
-  void ReplayLogs(int threads, uint64_t* max_ts);
 
   // --- helpers ----------------------------------------------------------------
   // Timestamp for a log entry or leaf flush: the ORDO clock above the floor.
-  uint64_t Timestamp(int socket) const { return ts_floor_ + rt_.ordo().Now(socket); }
+  uint64_t Timestamp() const { return ts_floor_ + rt_.ordo().Now(); }
   PmLeaf* AllocLeaf(int socket);
   BufferNode* NewBufferNode(PmLeaf* leaf, uint64_t sep, uint64_t recovery_ts);
   uint64_t LeafOffset(const PmLeaf* leaf) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <optional>
 #include <unordered_set>
 
 #include "src/pmsim/pmcheck.h"
@@ -11,11 +12,35 @@
 namespace cclbt::core {
 
 namespace {
-uint32_t LineOfSlot(int slot) { return static_cast<uint32_t>((32 + 16 * slot) / 64); }
+
+// One chain bucket's part of a batch: its staged bitmap and next pointer,
+// the data lines written, and whether line 0 must be committed.
+struct StagedBucket {
+  PmLeaf* bucket;
+  uint64_t bitmap;
+  uint64_t next;
+  uint32_t dirty_lines;
+  bool header_changed;
+  // A store rewrote bytes equal to the slot's current content, so a flush
+  // of this bucket may be byte-identical to its durable image (a replay
+  // entry applied before the crash).
+  bool identical_rewrite;
+};
+
+// A batch of at most 8 KVs touches at most 16 buckets: one per KV, plus
+// the tail each new overflow bucket is linked from.
+constexpr int kMaxStaged = 16;
+
 }  // namespace
 
-CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options)
-    : rt_(runtime), options_(options) {
+CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options,
+                           size_t num_buckets, kvindex::Lifecycle lifecycle)
+    : rt_(runtime), options_(options), num_buckets_(num_buckets), lifecycle_(lifecycle) {
+  if (lifecycle_ == kvindex::Lifecycle::kAttach) {
+    // Binding to the persistent image is deferred to Recover(), which
+    // validates the root record instead of asserting on it.
+    return;
+  }
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
 
   pmem::SlabAllocator::Options slab_options;
@@ -24,7 +49,7 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options)
   log_arena_ = pmem::LogArena::Create(rt_.pool());
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
 
-  size_t directory_bytes = options_.num_buckets * kLeafBytes;
+  size_t directory_bytes = num_buckets_ * kLeafBytes;
   buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, 0));
   assert(buckets_ != nullptr && "PM exhausted for bucket directory");
   std::memset(static_cast<void*>(buckets_), 0, directory_bytes);
@@ -37,7 +62,7 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options)
       // bitmap 0 is already its persistent state under Crash() only if flushed.
       // Formatting persist — content-equal to a fresh pool's zeroes by design.
       pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
-      for (size_t b = 0; b < options_.num_buckets; b++) {
+      for (size_t b = 0; b < num_buckets_; b++) {
         pmsim::FlushLine(Bucket(b));
       }
     }
@@ -47,27 +72,39 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options)
   auto* root = static_cast<TableRoot*>(rt_.pool().AllocateRaw(sizeof(TableRoot), 0));
   assert(root != nullptr);
   root->magic = kHashMagic;
-  root->num_buckets = options_.num_buckets;
+  root->num_buckets = num_buckets_;
   root->directory_offset = rt_.pool().ToOffset(buckets_);
   root->slab_registry_offset = overflow_slab_->registry_offset();
   root->arena_registry_offset = log_arena_->registry_offset();
+  root->ts_floor = 0;
   pmsim::Persist(root, sizeof(TableRoot));
   rt_.pool().SetAppRoot(kAppRootSlot, rt_.pool().ToOffset(root));
 
-  directory_.resize(options_.num_buckets, nullptr);
-  for (size_t b = 0; b < options_.num_buckets; b++) {
+  directory_.resize(num_buckets_, nullptr);
+  for (size_t b = 0; b < num_buckets_; b++) {
     directory_[b] = BufferNode::New(Bucket(b), options_.nbatch);
   }
 }
 
-CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options, bool /*recover*/)
-    : rt_(runtime), options_(options) {
+bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
+  assert(&runtime == &rt_ && "Recover must use the runtime the table was constructed with");
+  (void)runtime;
+  if (lifecycle_ != kvindex::Lifecycle::kAttach || recovered_) {
+    return false;
+  }
   uint64_t root_offset = rt_.pool().GetAppRoot(kAppRootSlot);
-  assert(root_offset != 0 && "no hash table to recover");
+  if (root_offset == 0) {
+    return false;  // the pool was never formatted with a table
+  }
   auto* root = static_cast<TableRoot*>(rt_.pool().ToAddr(root_offset));
-  assert(root->magic == kHashMagic);
-  options_.num_buckets = root->num_buckets;
+  if (root->magic != kHashMagic) {
+    return false;
+  }
 
+  pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
+  uint64_t boot_start = boot_ctx.now_ns();
+  pmsim::ReadPm(root, sizeof(TableRoot));
+  num_buckets_ = root->num_buckets;
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
   overflow_slab_ =
@@ -75,32 +112,47 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const Options& options, bo
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
   buckets_ = static_cast<PmLeaf*>(rt_.pool().ToAddr(root->directory_offset));
-  directory_.resize(options_.num_buckets, nullptr);
-  for (size_t b = 0; b < options_.num_buckets; b++) {
-    directory_[b] = BufferNode::New(Bucket(b), options_.nbatch);
-  }
-}
 
-std::unique_ptr<CclHashTable> CclHashTable::Recover(kvindex::Runtime& runtime,
-                                                    const Options& options) {
-  auto table =
-      std::unique_ptr<CclHashTable>(new CclHashTable(runtime, options, /*recover=*/true));
-  pmsim::ThreadContext boot_ctx(runtime.device(), 0, 0);
-  // Overflow buckets are live iff reachable from some directory bucket.
+  // Overflow buckets are live iff reachable from some directory bucket. A
+  // chain's replay filter is its largest timestamp (the bucket a batch
+  // commits last carries the batch's), or the floor if larger.
+  uint64_t max_ts = root->ts_floor;
   std::unordered_set<uint64_t> reachable;
-  for (size_t b = 0; b < table->options_.num_buckets; b++) {
-    uint64_t next = table->Bucket(b)->next_offset();
-    while (next != 0) {
-      reachable.insert(next);
-      table->overflow_buckets_.fetch_add(1, std::memory_order_relaxed);
-      next = static_cast<PmLeaf*>(runtime.pool().ToAddr(next))->next_offset();
+  directory_.reserve(num_buckets_);
+  for (size_t b = 0; b < num_buckets_; b++) {
+    directory_.push_back(BufferNode::New(Bucket(b), options_.nbatch));
+    uint64_t chain_ts = 0;
+    for (PmLeaf* node = Bucket(b); node != nullptr; node = BucketAt(node->next_offset())) {
+      pmsim::ReadPm(node, 64);
+      chain_ts = std::max(chain_ts, node->timestamp);
+      if (node->next_offset() != 0 && !reachable.insert(node->next_offset()).second) {
+        return false;  // the chain loops back on itself
+      }
     }
+    directory_.back()->set_recovery_orig_ts(std::max(chain_ts, root->ts_floor));
+    max_ts = std::max(max_ts, chain_ts);
   }
-  table->overflow_slab_->Recover([&runtime, &reachable](const void* slot) {
-    return reachable.contains(runtime.pool().ToOffset(slot));
+  overflow_buckets_.store(reachable.size(), std::memory_order_relaxed);
+  overflow_slab_->Recover([this, &reachable](const void* slot) {
+    return reachable.contains(rt_.pool().ToOffset(slot));
   });
-  table->ReplayLogs();
-  return table;
+  // Each replay step applies the next entry to its chain, keeping every
+  // timestamp.
+  ts_floor_ = WalSet::Replay(
+      rt_, *log_arena_, recovery_threads,
+      [this](uint64_t key) { return directory_[BucketIndex(key)]->recovery_orig_ts(); },
+      [this](const std::vector<LogEntry>& entries, size_t* next) {
+        const LogEntry& entry = entries[(*next)++];
+        BufferNode* bn = directory_[BucketIndex(entry.key)];
+        kvindex::KeyValue kv{entry.key, entry.value};
+        bn->Lock();
+        BatchInsertBucket(bn, &kv, 1, /*ts=*/0, /*update_ts=*/false);
+        bn->Unlock();
+      },
+      max_ts, &root->ts_floor);
+  last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
+  recovered_ = true;
+  return true;
 }
 
 CclHashTable::~CclHashTable() {
@@ -117,7 +169,7 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   bn->Lock();
   if (!options_.buffering) {
     kvindex::KeyValue kv{key, value};
-    BatchInsertBucket(bn, &kv, 1, rt_.ordo().Now(ctx->socket()));
+    BatchInsertBucket(bn, &kv, 1, Timestamp());
     bn->Unlock();
     return;
   }
@@ -134,20 +186,14 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
     }
   }
   if (current_match >= 0) {
-    uint64_t ts = rt_.ordo().Now(ctx->socket());
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged);
-    (void)logged;
+    Log(ctx->worker_id(), epoch, key, value, Timestamp());
     slots[current_match].value.store(value, std::memory_order_release);
     bn->SetEpochBit(current_match, epoch);
     bn->Unlock();
     return;
   }
   if (pos < nbatch) {
-    uint64_t ts = rt_.ordo().Now(ctx->socket());
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged);
-    (void)logged;
+    Log(ctx->worker_id(), epoch, key, value, Timestamp());
     if (stale_match >= 0 && stale_match != pos) {
       slots[stale_match].key.store(slots[pos].key.load(std::memory_order_relaxed),
                                    std::memory_order_relaxed);
@@ -163,11 +209,9 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   }
   // Trigger write: flush buffered KVs + this one in one bucket batch;
   // write-conservative logging skips the WAL entry (§3.3).
-  uint64_t ts = rt_.ordo().Now(ctx->socket());
+  uint64_t ts = Timestamp();
   if (!options_.write_conservative_logging) {
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged);
-    (void)logged;
+    Log(ctx->worker_id(), epoch, key, value, ts);
   }
   kvindex::KeyValue extra{key, value};
   FlushBuffer(bn, &extra, ts);
@@ -187,7 +231,6 @@ void CclHashTable::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, u
     batch[n++] = *extra;
   }
   BatchInsertBucket(bn, batch, n, ts);
-  buffer_flushes_.fetch_add(1, std::memory_order_relaxed);
   bn->set_pos(0);
   if (extra != nullptr) {
     for (int i = 1; i < bn->nbatch(); i++) {
@@ -201,68 +244,85 @@ void CclHashTable::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, u
   }
 }
 
-void CclHashTable::BatchInsertBucket(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts,
-                                     bool update_ts) {
+void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kvs, int n,
+                                     uint64_t ts, bool update_ts) {
+  assert(n <= 8);
   trace::TraceScope scope(trace::Component::kLeaf);
-  PmLeaf* bucket = bn->leaf();
+  StagedBucket staged[kMaxStaged] = {};
+  int num_staged = 0;
+  auto find = [&](const PmLeaf* bucket) -> StagedBucket* {
+    for (int s = 0; s < num_staged; s++) {
+      if (staged[s].bucket == bucket) {
+        return &staged[s];
+      }
+    }
+    return nullptr;
+  };
+  auto stage = [&](PmLeaf* bucket) -> StagedBucket& {
+    if (StagedBucket* found = find(bucket)) {
+      return *found;
+    }
+    assert(num_staged < kMaxStaged);
+    staged[num_staged] = {bucket, bucket->bitmap(), bucket->next_offset(), 0, false, false};
+    return staged[num_staged++];
+  };
+
+  // Stage every KV: walk the chain's staged view for the key, remembering
+  // the first bucket with a free slot for inserts. Every walk starts at the
+  // head, so the buckets read so far are a prefix of the chain; the batch
+  // reads each bucket's header line once.
+  int read_prefix = 0;
   for (int i = 0; i < n; i++) {
     const kvindex::KeyValue& kv = kvs[i];
-    // Walk the bucket chain looking for the key; remember the first bucket
-    // with a free slot for inserts.
-    PmLeaf* node = bucket;
-    PmLeaf* free_bucket = nullptr;
-    int free_slot = -1;
     PmLeaf* found_bucket = nullptr;
     int found_slot = -1;
-    PmLeaf* tail = node;
-    while (node != nullptr) {
-      pmsim::ReadPm(node, 64);
-      int slot = node->FindSlot(kv.key);
+    PmLeaf* free_bucket = nullptr;
+    int free_slot = -1;
+    PmLeaf* tail = nullptr;
+    int depth = 0;
+    for (PmLeaf* node = bn->leaf(); node != nullptr; depth++) {
+      if (depth == read_prefix) {
+        pmsim::ReadPm(node, 64);
+        read_prefix++;
+      }
+      const StagedBucket* st = find(node);
+      uint64_t bitmap = st != nullptr ? st->bitmap : node->bitmap();
+      int slot = node->FindSlot(kv.key, bitmap);
       if (slot >= 0) {
         found_bucket = node;
         found_slot = slot;
         break;
       }
-      if (free_bucket == nullptr) {
-        int candidate = node->FreeSlot();
-        if (candidate >= 0) {
-          free_bucket = node;
-          free_slot = candidate;
-        }
+      // A slot this batch cleared keeps its old key valid in PM until the
+      // header commit, so only a later batch may reuse it.
+      uint64_t taken = bitmap | node->bitmap();
+      if (free_bucket == nullptr && taken != kBitmapMask) {
+        free_bucket = node;
+        free_slot = __builtin_ctzll(~taken & kBitmapMask);
       }
       tail = node;
-      uint64_t next = node->next_offset();
-      node = next == 0 ? nullptr : static_cast<PmLeaf*>(rt_.pool().ToAddr(next));
+      node = BucketAt(st != nullptr ? st->next : node->next_offset());
     }
     if (kv.value == kTombstone) {
       if (found_bucket != nullptr) {
         // Hash recovery recomputes routes from key hashes, so (unlike the
         // tree) the minimum key needs no fence: clear the bit outright.
-        found_bucket->meta.store(
-            MakeMeta(found_bucket->bitmap() & ~(1ULL << found_slot),
-                     found_bucket->next_offset()),
-            std::memory_order_release);
-        if (update_ts) {
-          found_bucket->timestamp = ts;
-        }
-        pmsim::FlushLine(found_bucket);
-        pmsim::Fence();
+        StagedBucket& st = stage(found_bucket);
+        st.bitmap &= ~(1ULL << found_slot);
+        st.header_changed = true;
       }
       continue;
     }
     if (found_bucket != nullptr) {
+      StagedBucket& st = stage(found_bucket);
+      st.identical_rewrite |= found_bucket->kvs[found_slot].value == kv.value;
       found_bucket->kvs[found_slot].value = kv.value;
-      pmsim::FlushLine(reinterpret_cast<const std::byte*>(found_bucket) +
-                       LineOfSlot(found_slot) * 64);
-      if (update_ts) {
-        found_bucket->timestamp = ts;
-        pmsim::FlushLine(found_bucket);
-      }
-      pmsim::Fence();
+      st.dirty_lines |= 1u << LineOfSlot(found_slot);
       continue;
     }
     if (free_bucket == nullptr) {
-      // Chain a fresh overflow bucket (CCEH-stash style).
+      // Chain a fresh overflow bucket (CCEH-stash style). Its zeroed format
+      // is durable before the tail's commit publishes the link.
       pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
       auto* fresh = static_cast<PmLeaf*>(overflow_slab_->Allocate(ctx->socket()));
       assert(fresh != nullptr && "PM exhausted");
@@ -273,25 +333,54 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, kvindex::KeyValue* kvs, int
         pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
         pmsim::Persist(fresh, kLeafBytes);
       }
-      tail->meta.store(MakeMeta(tail->bitmap(), rt_.pool().ToOffset(fresh)),
-                       std::memory_order_release);
-      pmsim::FlushLine(tail);
-      pmsim::Fence();
+      StagedBucket& link = stage(tail);
+      link.next = rt_.pool().ToOffset(fresh);
+      link.header_changed = true;
       overflow_buckets_.fetch_add(1, std::memory_order_relaxed);
       free_bucket = fresh;
       free_slot = 0;
     }
+    StagedBucket& st = stage(free_bucket);
+    st.identical_rewrite |= free_bucket->kvs[free_slot].key == kv.key &&
+                            free_bucket->kvs[free_slot].value == kv.value;
     free_bucket->kvs[free_slot] = kv;
     free_bucket->fingerprints[free_slot] = Fingerprint8(kv.key);
-    pmsim::FlushLine(reinterpret_cast<const std::byte*>(free_bucket) + LineOfSlot(free_slot) * 64);
-    pmsim::Fence();
-    if (update_ts) {
-      free_bucket->timestamp = ts;
+    st.bitmap |= 1ULL << free_slot;
+    st.dirty_lines |= 1u << LineOfSlot(free_slot);
+    st.header_changed = true;
+  }
+
+  // Commit each staged bucket once, the way CclBTree::BatchInsertLeaf
+  // commits a leaf: its data lines, fence, then its header line, fence. The
+  // bucket committed last carries the timestamp, so a crash before it
+  // leaves the chain's largest timestamp below every logged entry of the
+  // batch and replay restores them.
+  for (int s = 0; s < num_staged; s++) {
+    StagedBucket& st = staged[s];
+    std::optional<pmsim::PmCheckExpect> rewrite_expect;
+    if (st.identical_rewrite) {
+      rewrite_expect.emplace(pmsim::PmCheckClass::kRedundantFlush);
     }
-    free_bucket->meta.store(
-        MakeMeta(free_bucket->bitmap() | (1ULL << free_slot), free_bucket->next_offset()),
-        std::memory_order_release);
-    pmsim::FlushLine(free_bucket);
+    auto* lines = reinterpret_cast<const std::byte*>(st.bucket);
+    bool flushed_any = false;
+    for (uint32_t line = 1; line < 4; line++) {  // the header line commits below
+      if ((st.dirty_lines >> line) & 1) {
+        pmsim::FlushLine(lines + line * 64);
+        flushed_any = true;
+      }
+    }
+    if (flushed_any) {
+      pmsim::Fence();
+    }
+    bool stamp = update_ts && s + 1 == num_staged;
+    if (!stamp && !st.header_changed && (st.dirty_lines & 1) == 0) {
+      continue;
+    }
+    if (stamp) {
+      st.bucket->timestamp = ts;
+    }
+    st.bucket->meta.store(MakeMeta(st.bitmap, st.next), std::memory_order_release);
+    pmsim::FlushLine(st.bucket);
     pmsim::Fence();
   }
 }
@@ -319,8 +408,7 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
         continue;
       }
     }
-    PmLeaf* node = bn->leaf();
-    while (node != nullptr) {
+    for (PmLeaf* node = bn->leaf(); node != nullptr; node = BucketAt(node->next_offset())) {
       pmsim::ReadPm(node, kLeafBytes);
       int slot = node->FindSlot(key);
       if (slot >= 0) {
@@ -331,8 +419,6 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
         *value_out = value;
         return true;
       }
-      uint64_t next = node->next_offset();
-      node = next == 0 ? nullptr : static_cast<PmLeaf*>(rt_.pool().ToAddr(next));
     }
     if (bn->ReadValidate(snapshot)) {
       return false;
@@ -343,6 +429,53 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
 bool CclHashTable::Remove(uint64_t key) {
   Upsert(key, kTombstone);
   return true;
+}
+
+size_t CclHashTable::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) {
+  std::vector<kvindex::KeyValue> found;
+  for (BufferNode* bn : directory_) {
+    const auto mark = static_cast<std::ptrdiff_t>(found.size());
+    uint64_t snapshot = 0;
+    do {
+      snapshot = bn->ReadBegin();
+      found.resize(static_cast<size_t>(mark));
+      // The buffered slots first, tombstones included: they override the chain.
+      for (int i = 0; options_.buffering && i < bn->nbatch(); i++) {
+        uint64_t key = bn->slots()[i].key.load(std::memory_order_acquire);
+        if (key != 0) {
+          found.push_back({key, bn->slots()[i].value.load(std::memory_order_acquire)});
+        }
+      }
+      const auto buffered_end = static_cast<std::ptrdiff_t>(found.size());
+      for (PmLeaf* node = bn->leaf(); node != nullptr; node = BucketAt(node->next_offset())) {
+        pmsim::ReadPm(node, kLeafBytes);
+        for (uint64_t bits = node->bitmap(); bits != 0; bits &= bits - 1) {
+          kvindex::KeyValue kv = node->kvs[__builtin_ctzll(bits)];
+          if (std::none_of(found.begin() + mark, found.begin() + buffered_end,
+                           [&kv](const kvindex::KeyValue& b) { return b.key == kv.key; })) {
+            found.push_back(kv);
+          }
+        }
+      }
+    } while (!bn->ReadValidate(snapshot));
+  }
+  std::erase_if(found, [start_key](const kvindex::KeyValue& kv) {
+    return kv.key < start_key || kv.value == kTombstone;
+  });
+  size_t n = std::min(count, found.size());
+  std::partial_sort(found.begin(), found.begin() + static_cast<std::ptrdiff_t>(n), found.end(),
+                    [](const kvindex::KeyValue& a, const kvindex::KeyValue& b) {
+                      return a.key < b.key;
+                    });
+  std::copy_n(found.begin(), n, out);
+  return n;
+}
+
+kvindex::MemoryFootprint CclHashTable::Footprint() const {
+  kvindex::MemoryFootprint footprint;
+  footprint.dram_bytes = num_buckets_ * BufferNode::PackedBytes(options_.nbatch);
+  footprint.pm_bytes = rt_.pool().AllocatedBytes();
+  return footprint;
 }
 
 void CclHashTable::RunGcOnce() {
@@ -357,52 +490,14 @@ void CclHashTable::RunGcOnce() {
     int pos = bn->pos();
     for (int i = 0; i < pos; i++) {
       if (bn->EpochBit(i) == old_epoch) {
-        uint64_t ts = rt_.ordo().Now(ctx->socket());
-        bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(new_epoch),
-                                    slots[i].key.load(std::memory_order_relaxed),
-                                    slots[i].value.load(std::memory_order_relaxed), ts);
-        assert(logged);
-        (void)logged;
+        Log(ctx->worker_id(), new_epoch, slots[i].key.load(std::memory_order_relaxed),
+            slots[i].value.load(std::memory_order_relaxed), Timestamp());
         bn->SetEpochBit(i, new_epoch);
       }
     }
     bn->Unlock();
   }
   wals_->ReleaseEpoch(static_cast<int>(old_epoch));
-}
-
-void CclHashTable::ReplayLogs() {
-  // Collect all valid entries, sort by timestamp, apply where newer than the
-  // bucket chain's flush timestamp. Per-bucket timestamps follow the same
-  // discipline as tree leaves; routing is exact (hash of the key).
-  std::vector<LogEntry> entries;
-  WalSet::ScanAll(*log_arena_, [&entries](const LogEntry& entry) { entries.push_back(entry); });
-  std::sort(entries.begin(), entries.end(),
-            [](const LogEntry& a, const LogEntry& b) { return a.timestamp() < b.timestamp(); });
-  for (const LogEntry& entry : entries) {
-    BufferNode* bn = directory_[BucketIndex(entry.key)];
-    // Conservative filter: the head bucket's timestamp lags flushes that
-    // landed only in overflow buckets, so some already-flushed entries are
-    // re-applied — harmless, the application below is idempotent.
-    if (entry.timestamp() <= bn->leaf()->timestamp) {
-      continue;
-    }
-    kvindex::KeyValue kv{entry.key, entry.value};
-    BatchInsertBucket(bn, &kv, 1, entry.timestamp(), /*update_ts=*/false);
-  }
-  WalSet::ReclaimAll(*log_arena_);  // all chunks are dead after replay
-  // Reset bucket timestamps (same rationale as tree recovery).
-  bool flushed = false;
-  for (size_t b = 0; b < options_.num_buckets; b++) {
-    if (Bucket(b)->timestamp != 0) {
-      Bucket(b)->timestamp = 0;
-      pmsim::FlushLine(Bucket(b));
-      flushed = true;
-    }
-  }
-  if (flushed) {
-    pmsim::Fence();
-  }
 }
 
 }  // namespace cclbt::core

@@ -5,7 +5,7 @@
 // consistency with reduced write amplification."
 //
 // Structure:
-//   directory     DRAM   fixed array of buffer nodes, one per bucket
+//   directory     DRAM   fixed array of buffer nodes, one per bucket chain
 //   buckets       PM     256 B (one XPLine), same layout as a tree leaf
 //                        (bitmap + fingerprints + timestamp + 14 unsorted
 //                        KV slots); overflow buckets chain via the next
@@ -14,56 +14,79 @@
 //                        not logged)
 //   GC            locality-aware B-log/I-log epoch flip
 //
-// Compared with the tree, recovery is *simpler*: an entry's bucket is
-// recomputed from its key hash, so there is no separator-routing subtlety
-// (no fence entries needed). The table has a fixed bucket count (resizing à
-// la CLevel is out of scope for this prototype).
+// It runs on CCL-BTree's machinery: the same TreeOptions, the same kvindex
+// lifecycle and the same recovery (WalSet::Replay filtered by
+// BufferNode::recovery_orig_ts, and a persisted timestamp floor). Routing is
+// simpler than the tree's: an entry's chain is recomputed from its key hash,
+// so no fence entries are needed. The bucket count is fixed (resizing à la
+// CLevel is out of scope for this prototype).
 #ifndef SRC_CORE_CCL_HASH_H_
 #define SRC_CORE_CCL_HASH_H_
 
 #include <atomic>
+#include <cassert>
 #include <memory>
 #include <vector>
 
 #include "src/core/buffer_node.h"
 #include "src/core/leaf_node.h"
+#include "src/core/options.h"
 #include "src/core/wal.h"
+#include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/pmem/slab_allocator.h"
 
 namespace cclbt::core {
 
-class CclHashTable {
+class CclHashTable : public kvindex::KvIndex {
  public:
-  struct Options {
-    size_t num_buckets = 1 << 16;  // fixed; choose ~keys/10 for ~70% load
-    int nbatch = 2;
-    bool write_conservative_logging = true;
-    // false = unbuffered baseline (direct bucket writes, no WAL needed):
-    // the ablation arm of bench_extra_hash_ablation.
-    bool buffering = true;
-    int max_workers = 136;
-  };
+  // Formats a fresh table of `num_buckets` chains in the runtime's pool
+  // (Lifecycle::kCreate, app-root slot 1), or binds to an existing table
+  // after Runtime::Reopen() (Lifecycle::kAttach: the bucket count is the
+  // persisted one) — an attached table must complete Recover() before any
+  // operation. Reads nbatch, buffering (false = the unbuffered ablation arm:
+  // direct bucket writes, no WAL), write_conservative_logging and
+  // max_workers from `options`.
+  CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options, size_t num_buckets,
+               kvindex::Lifecycle lifecycle = kvindex::Lifecycle::kCreate);
 
-  // Formats a fresh table in the runtime's pool (app-root slot 1).
-  CclHashTable(kvindex::Runtime& runtime, const Options& options);
-  // Re-attaches after a crash: rebuilds buffer nodes, replays WALs.
-  static std::unique_ptr<CclHashTable> Recover(kvindex::Runtime& runtime, const Options& options);
-
-  ~CclHashTable();
+  ~CclHashTable() override;
 
   CclHashTable(const CclHashTable&) = delete;
   CclHashTable& operator=(const CclHashTable&) = delete;
 
-  void Upsert(uint64_t key, uint64_t value);
-  bool Lookup(uint64_t key, uint64_t* value_out);
-  bool Remove(uint64_t key);  // tombstone upsert
+  // --- kvindex::KvIndex -----------------------------------------------------
+  void Upsert(uint64_t key, uint64_t value) override;
+  bool Lookup(uint64_t key, uint64_t* value_out) override;
+  bool Remove(uint64_t key) override;  // tombstone upsert; always true
+  // A hash keeps no key order, so a range query sweeps every chain: buffered
+  // slots override the chain, tombstones are skipped, and the `count`
+  // smallest keys >= start_key are returned in key order.
+  size_t Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) override;
+  const char* name() const override { return "CCL-Hash"; }
+  kvindex::MemoryFootprint Footprint() const override;
+
+  // --- persistence lifecycle (DESIGN.md §9) ----------------------------------
+  bool recoverable() const override { return true; }
+  // WAL entries are checksum-tagged and a bucket commit persists its data
+  // lines before the header line that publishes them.
+  bool tolerates_torn_crash() const override { return true; }
+  // Rebuilds the directory, snapshots each chain's largest timestamp (or
+  // the persisted floor if larger) as its replay filter, replays each key's
+  // newest WAL entry on `recovery_threads` virtual workers, raises the floor
+  // past every timestamp read, and reclaims unreachable overflow buckets and
+  // log chunks. A crash anywhere inside recovery recovers again to the same
+  // state. Only valid once, on a kAttach instance; returns false if the pool
+  // holds no valid table root or an overflow chain loops.
+  bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
+  uint64_t last_recovery_modeled_ns() const override {
+    return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
+  }
 
   // Locality-aware GC round (epoch flip + I-log copy of unflushed entries).
   void RunGcOnce();
 
   uint64_t log_live_bytes() const { return wals_->live_bytes(); }
-  uint64_t buffer_flushes() const { return buffer_flushes_.load(std::memory_order_relaxed); }
   uint64_t overflow_buckets() const { return overflow_buckets_.load(std::memory_order_relaxed); }
 
  private:
@@ -73,35 +96,52 @@ class CclHashTable {
     uint64_t directory_offset;  // array of num_buckets PmLeaf buckets
     uint64_t slab_registry_offset;
     uint64_t arena_registry_offset;
+    // Every bucket and log timestamp written before the last completed
+    // replay is at most this; the table adds it to every ORDO reading.
+    uint64_t ts_floor;
   };
   static constexpr uint64_t kHashMagic = 0xCC1AA54ULL;
   static constexpr int kAppRootSlot = 1;
 
-  CclHashTable(kvindex::Runtime& runtime, const Options& options, bool recover_tag);
-
-  size_t BucketIndex(uint64_t key) const { return Mix64(key * 3 + 1) % options_.num_buckets; }
+  size_t BucketIndex(uint64_t key) const { return Mix64(key * 3 + 1) % num_buckets_; }
   PmLeaf* Bucket(size_t index) const { return buckets_ + index; }
+  PmLeaf* BucketAt(uint64_t offset) const {
+    return offset == 0 ? nullptr : static_cast<PmLeaf*>(rt_.pool().ToAddr(offset));
+  }
+  // Timestamp for a log entry or bucket commit: the ORDO clock above the floor.
+  uint64_t Timestamp() const { return ts_floor_ + rt_.ordo().Now(); }
+  void Log(int worker, uint32_t epoch, uint64_t key, uint64_t value, uint64_t ts) {
+    bool logged = wals_->Append(worker, static_cast<int>(epoch), key, value, ts);
+    assert(logged && "log arena exhausted");
+    (void)logged;
+  }
 
-  // Applies a batch to a bucket chain under the buffer node's lock:
-  // in-place updates, tombstone bit-clears, appends; allocates overflow
-  // buckets when the chain is full.
-  void BatchInsertBucket(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts,
+  // Applies a batch to bn's bucket chain (bn locked): in-place updates,
+  // tombstone bit-clears, appends, overflow buckets when the chain is full.
+  // Commits each touched bucket once, data lines then header; only the
+  // bucket committed last is stamped with `ts`, so the chain's largest
+  // timestamp covers exactly the batches that are durable. When update_ts
+  // is false (recovery replay) no timestamp changes.
+  void BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kvs, int n, uint64_t ts,
                          bool update_ts = true);
   void FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint64_t ts);
-  void ReplayLogs();
 
   kvindex::Runtime& rt_;
-  Options options_;
+  TreeOptions options_;
+  size_t num_buckets_;
+  kvindex::Lifecycle lifecycle_;
+  bool recovered_ = false;
   std::unique_ptr<pmem::SlabAllocator> overflow_slab_;
   std::unique_ptr<pmem::LogArena> log_arena_;
   std::unique_ptr<WalSet> wals_;
 
   PmLeaf* buckets_ = nullptr;  // contiguous PM array
   std::vector<BufferNode*> directory_;
+  uint64_t ts_floor_ = 0;  // TableRoot::ts_floor as of the last Recover()
 
   std::atomic<uint32_t> global_epoch_{0};
-  std::atomic<uint64_t> buffer_flushes_{0};
   std::atomic<uint64_t> overflow_buckets_{0};
+  std::atomic<uint64_t> last_recovery_modeled_ns_{0};
 };
 
 }  // namespace cclbt::core

@@ -30,6 +30,10 @@ inline constexpr uint64_t kLeafBytes = 256;
 // divided by 256 (leaves are 256 B aligned), bits [62,64) spare.
 inline constexpr uint64_t kBitmapMask = (1ULL << kLeafSlots) - 1;
 
+// Cacheline of KV slot `slot`: line 0 holds the header plus slots 0-1; slots
+// 2-5, 6-9 and 10-13 occupy lines 1-3.
+inline uint32_t LineOfSlot(int slot) { return static_cast<uint32_t>((32 + 16 * slot) / 64); }
+
 inline uint64_t MetaBitmap(uint64_t meta) { return meta & kBitmapMask; }
 inline uint64_t MetaNextOffset(uint64_t meta) { return ((meta >> 14) & ((1ULL << 48) - 1)) << 8; }
 inline uint64_t MakeMeta(uint64_t bitmap, uint64_t next_offset) {
@@ -68,8 +72,10 @@ struct alignas(kLeafBytes) PmLeaf {
   // slots (the filter plus bitmap live in the header cacheline, §4.3). The
   // fingerprint filter is one 16 B SIMD compare (fingerprints + padding are
   // 16 contiguous bytes); only fingerprint hits touch the KV lines.
-  int FindSlot(uint64_t key) const {
-    uint32_t bits = static_cast<uint32_t>(bitmap());
+  int FindSlot(uint64_t key) const { return FindSlot(key, bitmap()); }
+  // The same probe over the slots set in `valid`, a batch's staged bitmap.
+  int FindSlot(uint64_t key, uint64_t valid) const {
+    auto bits = static_cast<uint32_t>(valid);
     uint8_t fp = Fingerprint8(key);
     for (uint32_t cand = simd::FpMatch16(fingerprints, fp, bits); cand != 0; cand &= cand - 1) {
       int slot = __builtin_ctz(cand);

@@ -1,11 +1,13 @@
 #include "src/core/wal.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
 #include "src/metrics/metrics.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
+#include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::core {
@@ -173,7 +175,62 @@ void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEn
   arena.ForEachChunk([&fn](void* mem) { ScanChunk(mem, fn); });
 }
 
-void WalSet::ReclaimAll(pmem::LogArena& arena) {
+uint64_t WalSet::Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int threads,
+                        const std::function<uint64_t(uint64_t)>& snapshot, const ApplyFn& apply,
+                        uint64_t max_ts, uint64_t* floor) {
+  assert(threads >= 1);
+  std::vector<void*> chunks;
+  arena.ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
+  const auto n = static_cast<size_t>(threads);
+  std::vector<LogEntry> entries;
+  std::vector<size_t> steps(n, 0);  // chunks each worker has scanned
+  pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
+  pmsim::VirtualWorkers workers(
+      runtime.device(), threads, [&runtime](int w) { return runtime.SocketForWorker(w); },
+      boot->now_ns());
+
+  // Worker w scans chunks w, w + threads, ..., one per step.
+  workers.Run([&](int w) {
+    size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
+    if (c < chunks.size()) {
+      ScanChunk(chunks[c], [&entries](const LogEntry& entry) { entries.push_back(entry); });
+    }
+    return c + n < chunks.size();
+  });
+  workers.Barrier();
+
+  // Every entry touches only its own key, so applying the newest entries in
+  // key order ends in the state timestamp-ordered replay of all of them
+  // would. Sorting and compacting in place keeps one copy of the log.
+  std::sort(entries.begin(), entries.end(), [](const LogEntry& a, const LogEntry& b) {
+    return a.key != b.key ? a.key < b.key : a.timestamp() < b.timestamp();
+  });
+  size_t kept = 0;
+  for (size_t i = 0; i < entries.size(); i++) {
+    const LogEntry& entry = entries[i];
+    if (i + 1 < entries.size() && entries[i + 1].key == entry.key) {
+      continue;  // a newer entry of this key follows
+    }
+    max_ts = std::max(max_ts, entry.timestamp());
+    if (entry.timestamp() > snapshot(entry.key)) {
+      entries[kept++] = entry;
+    }
+  }
+  entries.resize(kept);
+
+  size_t next = 0;
+  workers.Run([&](int /*w*/) {
+    if (next < entries.size()) {
+      apply(entries, &next);
+    }
+    return next < entries.size();
+  });
+  boot->ResetClock(workers.Barrier());
+
+  if (max_ts != *floor) {
+    *floor = max_ts;
+    pmsim::Persist(floor, sizeof(*floor));
+  }
   // The free markers land in headers the pre-crash workers wrote; recovery
   // owns the whole image, which lockcheck cannot express as a lock.
   pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
@@ -186,6 +243,7 @@ void WalSet::ReclaimAll(pmem::LogArena& arena) {
     }
     arena.FreeChunk(mem);
   });
+  return max_ts;
 }
 
 }  // namespace cclbt::core

@@ -27,6 +27,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/kvindex/runtime.h"
 #include "src/pmem/log_arena.h"
 #include "src/pmsim/device.h"
 
@@ -128,10 +129,20 @@ class WalSet {
   // active log chunk. ScanAll does so for every arena chunk.
   static void ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
   static void ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn);
-  // Recovery, once every log entry has been replayed: persists the free
-  // marker of each active chunk, one chunk at a time, and rebuilds the
-  // arena's free list from every chunk.
-  static void ReclaimAll(pmem::LogArena& arena);
+  // Recovery's replay for CCL-BTree and CCL-Hash (DESIGN.md §10), on
+  // `threads` virtual workers starting at the boot context's clock. Each
+  // step scans one chunk; then each key's newest entry is kept, in key
+  // order, if newer than snapshot(key), the index's replay filter; then each
+  // step calls apply(entries, &next), which applies entries from `next` on
+  // to one leaf or chain and advances it. The boot context resumes at the
+  // slowest worker's clock, persists *floor, the index's timestamp floor,
+  // raised past `max_ts` and every timestamp read, and frees every chunk.
+  // The floor lands first, so a crash inside the reclaim recovers again to
+  // the same state. Returns the new floor.
+  using ApplyFn = std::function<void(const std::vector<LogEntry>& entries, size_t* next)>;
+  static uint64_t Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int threads,
+                         const std::function<uint64_t(uint64_t)>& snapshot, const ApplyFn& apply,
+                         uint64_t max_ts, uint64_t* floor);
 
  private:
   pmem::LogArena* arena_;

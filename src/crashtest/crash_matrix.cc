@@ -20,6 +20,7 @@ constexpr int kGcQuantumOps = 16;
 // A small pool keeps the per-point Crash() restore cheap.
 constexpr size_t kPoolBytes = 32ULL << 20;
 constexpr int kRecoveryThreads = 1;
+constexpr size_t kHashBuckets = 32;
 constexpr int kMaxDiagnostics = 8;
 
 struct Op {
@@ -64,6 +65,8 @@ bench::IndexConfig IndexConfigFor() {
   index_config.tree.th_log_pct = kThLogPct;
   index_config.tree.gc_quantum_ops = kGcQuantumOps;
   index_config.tree.max_workers = 2 + kRecoveryThreads;
+  // Few hash buckets, so CCL-Hash's chains overflow within the workload.
+  index_config.hash_buckets = kHashBuckets;
   return index_config;
 }
 

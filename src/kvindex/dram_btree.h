@@ -56,13 +56,6 @@ class DramBTree {
   DramBTree(const DramBTree&) = delete;
   DramBTree& operator=(const DramBTree&) = delete;
 
-  // Forces every read through the shared-lock path (the pre-optimistic
-  // behavior). Bench-only knob: the A/B baseline in bench_pmsim_hotpath
-  // measures the global-lock read path against the optimistic one.
-  void set_locked_reads(bool locked) {
-    locked_reads_.store(locked, std::memory_order_relaxed);
-  }
-
   // Inserts separator `key` -> `value`. Keys are unique; inserting an
   // existing key overwrites its payload.
   void Insert(uint64_t key, V value) {
@@ -263,20 +256,18 @@ class DramBTree {
   // the body always completes and the result is consistent by construction).
   template <typename Body>
   void ReadSnapshot(Body&& body) const {
-    if (!locked_reads_.load(std::memory_order_relaxed)) {
-      for (int attempt = 0; attempt < kOptimisticAttempts; attempt++) {
-        uint64_t v = version_.ReadBeginNoWait();
-        if ((v & 1) == 0) {
-          bool complete = body();
-          // Retire the section unconditionally: every even snapshot opened a
-          // read section and owes the observer exactly one validate.
-          bool unchanged = version_.ReadValidate(v);
-          if (complete && unchanged) {
-            return;
-          }
+    for (int attempt = 0; attempt < kOptimisticAttempts; attempt++) {
+      uint64_t v = version_.ReadBeginNoWait();
+      if ((v & 1) == 0) {
+        bool complete = body();
+        // Retire the section unconditionally: every even snapshot opened a
+        // read section and owes the observer exactly one validate.
+        bool unchanged = version_.ReadValidate(v);
+        if (complete && unchanged) {
+          return;
         }
-        simd::CpuRelax();
       }
+      simd::CpuRelax();
     }
     sync::SharedLockGuard<sync::SharedMutex> guard(mu_);
     bool complete = body();
@@ -600,7 +591,6 @@ class DramBTree {
 
   mutable sync::SharedMutex mu_{"inner.mu"};
   mutable sync::SeqLock version_{"inner.seq"};
-  std::atomic<bool> locked_reads_{false};
   // Node fields and the bookkeeping below are read by optimistic descents
   // (and written once in the constructor), so they stay un-GUARDED_BY — the
   // seqlock validate, not the lock discipline, is what makes reads sound.

@@ -17,14 +17,12 @@ namespace cclbt::kvindex {
 
 struct RuntimeOptions {
   pmsim::DeviceConfig device;
-  // Cross-socket clock skew bound for ORDO timestamps.
-  uint64_t ordo_boundary_ns = 0;
 };
 
 class Runtime {
  public:
   explicit Runtime(const RuntimeOptions& options)
-      : options_(options), device_(options.device), ordo_(options.ordo_boundary_ns) {
+      : options_(options), device_(options.device) {
     // Pool formatting needs a thread context for its persist calls.
     pmsim::ThreadContext boot_ctx(device_, /*socket=*/0);
     pool_ = pmem::PmPool::Create(device_);

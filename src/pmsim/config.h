@@ -20,6 +20,8 @@ namespace cclbt::pmsim {
 inline constexpr size_t kCachelineBytes = 64;
 inline constexpr size_t kXplineBytes = 256;
 inline constexpr size_t kLinesPerXpline = kXplineBytes / kCachelineBytes;  // 4
+// Address interleaving granularity across the DIMMs of one socket.
+inline constexpr size_t kInterleaveBytes = 4096;
 
 // Persistence-domain backend (DESIGN.md §14). The backend owns everything
 // media-specific: combining-buffer granularity, the persistence boundary
@@ -89,8 +91,6 @@ struct DeviceConfig {
   // Media access unit ("XPLine"): 256 B on Optane DCPMM; set to 4096 to model
   // CXL-flash devices with 4 KB internal pages (paper §6). Power of two.
   size_t xpline_bytes = kXplineBytes;
-  // Address interleaving granularity across the DIMMs of one socket.
-  size_t interleave_bytes = 4096;
   // Persistence-domain backend; kAuto resolves at device construction (see
   // MediaBackend above). After construction PmDevice::config().backend is
   // always a concrete backend.

@@ -125,7 +125,6 @@ PmDevice::PmDevice(const DeviceConfig& config)
     config_.crash_tracking = true;
   }
   socket_shift_ = ShiftFor(config_.socket_region_bytes());
-  interleave_shift_ = ShiftFor(config_.interleave_bytes);
   unit_shift_ = ShiftFor(config_.xpline_bytes);
   dimm_mask_ = ShiftFor(static_cast<size_t>(config_.dimms_per_socket)) >= 0
                    ? static_cast<size_t>(config_.dimms_per_socket) - 1

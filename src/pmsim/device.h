@@ -3,7 +3,7 @@
 //
 // Address space: one contiguous pool. The pool is split into one contiguous
 // region per socket; within a socket, addresses interleave across the
-// socket's DIMMs at `interleave_bytes` granularity (mirroring how the kernel
+// socket's DIMMs at `kInterleaveBytes` granularity (mirroring how the kernel
 // interleaves an App Direct namespace across DIMMs).
 //
 // Persistence model (ADR, the default backend): regular stores hit the
@@ -84,8 +84,7 @@ class PmDevice {
     uintptr_t in_socket =
         socket_shift_ >= 0 ? offset & (config_.socket_region_bytes() - 1)
                            : offset % config_.socket_region_bytes();
-    uintptr_t slot = interleave_shift_ >= 0 ? in_socket >> interleave_shift_
-                                            : in_socket / config_.interleave_bytes;
+    uintptr_t slot = in_socket / kInterleaveBytes;
     auto dimm_in_socket = static_cast<int>(
         dimm_mask_ != 0 ? slot & dimm_mask_
                         : slot % static_cast<size_t>(config_.dimms_per_socket));
@@ -269,7 +268,6 @@ class PmDevice {
   // Hot-path divisor caches: log2 of the divisor when it is a power of two,
   // -1 to fall back to division/modulo.
   int socket_shift_ = -1;
-  int interleave_shift_ = -1;
   int unit_shift_ = -1;
   size_t dimm_mask_ = 0;  // dimms_per_socket - 1 when pow2, else 0
   uint64_t unit_scale_ = 1;  // xpline_bytes / 256 (media service multiplier)

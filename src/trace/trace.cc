@@ -10,7 +10,6 @@ namespace cclbt::trace {
 namespace detail {
 std::atomic<bool> g_enabled{false};
 std::atomic<bool> g_scope_timing{false};
-std::atomic<size_t> g_ring_capacity{1 << 13};  // 8192 events (192 KB) per worker
 constinit thread_local ThreadBinding tl_binding;
 std::atomic<RingFactory> g_ring_factory{nullptr};
 
@@ -67,16 +66,6 @@ void SetScopeTiming(bool on) {
   detail::g_scope_timing.store(on, std::memory_order_relaxed);
 }
 
-void SetRingCapacity(size_t events) {
-  size_t cap = 1;
-  while (cap < events) {
-    cap <<= 1;
-  }
-  detail::g_ring_capacity.store(cap, std::memory_order_relaxed);
-}
-
-size_t RingCapacity() { return detail::g_ring_capacity.load(std::memory_order_relaxed); }
-
 void SetRingFactory(detail::RingFactory factory) {
   detail::g_ring_factory.store(factory, std::memory_order_release);
 }
@@ -122,10 +111,13 @@ Registry& GetRegistry() {
   return *registry;
 }
 
+// Capacity (events) of every worker's ring: 8192 events, 192 KB.
+constexpr size_t kRingCapacity = 1 << 13;
+
 }  // namespace
 
 TraceRing* AcquireRing(int worker_id, int socket) {
-  auto ring = std::make_unique<TraceRing>(RingCapacity());
+  auto ring = std::make_unique<TraceRing>(kRingCapacity);
   TraceRing* raw = ring.get();
   Registry& reg = GetRegistry();
   sync::LockGuard<sync::Mutex> guard(reg.mu);

@@ -102,7 +102,6 @@ struct NamedRing {
 namespace detail {
 extern std::atomic<bool> g_enabled;
 extern std::atomic<bool> g_scope_timing;
-extern std::atomic<size_t> g_ring_capacity;
 
 struct ThreadBinding {
   TraceRing* ring = nullptr;                        // null until first enabled emit
@@ -140,10 +139,6 @@ inline bool ScopeTimingEnabled() {
   return detail::g_scope_timing.load(std::memory_order_relaxed);
 }
 void SetScopeTiming(bool on);
-
-// Ring capacity (events) used for rings created after the call.
-void SetRingCapacity(size_t events);
-size_t RingCapacity();
 
 // ---------------------------------------------------------------------------
 // Per-thread binding, maintained by pmsim::ThreadContext.

@@ -1,13 +1,17 @@
 // Tests for CCL-Hash (the paper's §6 hash-table extension): functional
-// model-check, overflow chaining, tombstones, crash recovery, GC, and the
-// XBI-reduction property vs an unbuffered persistent hash.
+// model-check, overflow chaining, tombstones, range scans, crash recovery
+// (also from inside Recover()), GC, and the XBI-reduction property vs an
+// unbuffered persistent hash.
+#include <iterator>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
 #include "src/core/ccl_hash.h"
+#include "src/pmsim/crash_injector.h"
 #include "tests/crash_util.h"
 
 namespace cclbt::core {
@@ -21,15 +25,21 @@ std::unique_ptr<kvindex::Runtime> MakeRuntime(
   return std::make_unique<kvindex::Runtime>(options);
 }
 
-CclHashTable::Options SmallTable(size_t buckets = 1 << 12) {
-  CclHashTable::Options options;
-  options.num_buckets = buckets;
-  return options;
+constexpr size_t kBuckets = 1 << 12;
+
+// Crash + reopen + attach + Recover through the kvindex lifecycle.
+std::unique_ptr<CclHashTable> CrashAndRecover(kvindex::Runtime& rt, bool torn = false,
+                                              uint64_t torn_seed = 0) {
+  testutil::CrashRestart(rt, torn, torn_seed);
+  auto table =
+      std::make_unique<CclHashTable>(rt, TreeOptions{}, kBuckets, kvindex::Lifecycle::kAttach);
+  EXPECT_TRUE(table->Recover(rt, /*recovery_threads=*/1));
+  return table;
 }
 
 TEST(CclHash, InsertLookupRemove) {
   auto rt = MakeRuntime();
-  CclHashTable table(*rt, SmallTable());
+  CclHashTable table(*rt, TreeOptions{}, kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   table.Upsert(42, 4200);
   uint64_t value = 0;
@@ -45,7 +55,7 @@ TEST(CclHash, InsertLookupRemove) {
 
 TEST(CclHash, RandomModelCheck) {
   auto rt = MakeRuntime();
-  CclHashTable table(*rt, SmallTable());
+  CclHashTable table(*rt, TreeOptions{}, kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   std::map<uint64_t, uint64_t> model;
   Rng rng(71);
@@ -74,7 +84,7 @@ TEST(CclHash, RandomModelCheck) {
 TEST(CclHash, OverflowChainsGrow) {
   auto rt = MakeRuntime();
   // Tiny directory: collisions guaranteed, chains must absorb them.
-  CclHashTable table(*rt, SmallTable(16));
+  CclHashTable table(*rt, TreeOptions{}, 16);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (uint64_t k = 1; k <= 2000; k++) {
     table.Upsert(k, k * 3);
@@ -89,10 +99,9 @@ TEST(CclHash, OverflowChainsGrow) {
 
 TEST(CclHash, CompletedUpsertsSurviveCrash) {
   auto rt = MakeRuntime();
-  CclHashTable::Options options = SmallTable();
   std::map<uint64_t, uint64_t> model;
   {
-    CclHashTable table(*rt, options);
+    CclHashTable table(*rt, TreeOptions{}, kBuckets);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     Rng rng(73);
     for (int i = 0; i < 30000; i++) {
@@ -102,7 +111,7 @@ TEST(CclHash, CompletedUpsertsSurviveCrash) {
       model[key] = value;
     }
   }
-  auto table = testutil::CrashAndRecoverHash(*rt, options);
+  auto table = CrashAndRecover(*rt);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (const auto& [key, value] : model) {
     uint64_t got = 0;
@@ -113,9 +122,8 @@ TEST(CclHash, CompletedUpsertsSurviveCrash) {
 
 TEST(CclHash, DeletesSurviveCrash) {
   auto rt = MakeRuntime();
-  CclHashTable::Options options = SmallTable();
   {
-    CclHashTable table(*rt, options);
+    CclHashTable table(*rt, TreeOptions{}, kBuckets);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     for (uint64_t k = 1; k <= 2000; k++) {
       table.Upsert(k, k);
@@ -124,7 +132,7 @@ TEST(CclHash, DeletesSurviveCrash) {
       table.Remove(k);
     }
   }
-  auto table = testutil::CrashAndRecoverHash(*rt, options, /*torn=*/true, /*torn_seed=*/99);
+  auto table = CrashAndRecover(*rt, /*torn=*/true, /*torn_seed=*/99);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (uint64_t k = 1; k <= 2000; k++) {
     uint64_t value = 0;
@@ -132,9 +140,48 @@ TEST(CclHash, DeletesSurviveCrash) {
   }
 }
 
+// A hash keeps no key order, so Scan sweeps every chain; buffered values
+// and tombstones must override the chain exactly as Lookup sees them.
+TEST(CclHash, ScanReturnsSmallestKeysAtOrAbove) {
+  auto rt = MakeRuntime();
+  CclHashTable table(*rt, TreeOptions{}, 64);
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  std::map<uint64_t, uint64_t> model;
+  Rng rng(79);
+  for (int i = 0; i < 6000; i++) {
+    uint64_t key = rng.NextBounded(3000) + 1;
+    if (rng.NextBounded(10) < 8) {
+      uint64_t value = rng.Next() | 1;
+      table.Upsert(key, value);
+      model[key] = value;
+    } else {
+      table.Remove(key);
+      model.erase(key);
+    }
+  }
+  std::vector<kvindex::KeyValue> out(100);
+  for (uint64_t start : {0ULL, 1ULL, 1234ULL, 2990ULL, 5000ULL}) {
+    size_t n = table.Scan(start, out.size(), out.data());
+    auto it = model.lower_bound(start);
+    size_t expected = std::min<size_t>(out.size(), std::distance(it, model.end()));
+    ASSERT_EQ(n, expected) << "start " << start;
+    for (size_t i = 0; i < n; i++, ++it) {
+      EXPECT_EQ(out[i].key, it->first) << "start " << start << " i " << i;
+      EXPECT_EQ(out[i].value, it->second) << "start " << start << " i " << i;
+    }
+  }
+}
+
+TEST(CclHash, RecoverWithoutTableFails) {
+  auto rt = MakeRuntime();
+  testutil::CrashRestart(*rt);
+  CclHashTable table(*rt, TreeOptions{}, kBuckets, kvindex::Lifecycle::kAttach);
+  EXPECT_FALSE(table.Recover(*rt, /*recovery_threads=*/1));
+}
+
 TEST(CclHash, GcReclaimsLogsAndPreservesData) {
   auto rt = MakeRuntime();
-  CclHashTable table(*rt, SmallTable());
+  CclHashTable table(*rt, TreeOptions{}, kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (uint64_t k = 1; k <= 30000; k++) {
     table.Upsert(Mix64(k) | 1, k);
@@ -152,10 +199,9 @@ TEST(CclHash, GcReclaimsLogsAndPreservesData) {
 
 TEST(CclHash, CrashAfterGcLosesNothing) {
   auto rt = MakeRuntime();
-  CclHashTable::Options options = SmallTable();
   std::map<uint64_t, uint64_t> model;
   {
-    CclHashTable table(*rt, options);
+    CclHashTable table(*rt, TreeOptions{}, kBuckets);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     Rng rng(75);
     for (int i = 0; i < 20000; i++) {
@@ -172,12 +218,72 @@ TEST(CclHash, CrashAfterGcLosesNothing) {
       model[key] = value;
     }
   }
-  auto table = testutil::CrashAndRecoverHash(*rt, options);
+  auto table = CrashAndRecover(*rt);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (const auto& [key, value] : model) {
     uint64_t got = 0;
     ASSERT_TRUE(table->Lookup(key, &got)) << "lost key " << key;
     EXPECT_EQ(got, value);
+  }
+}
+
+// RECIPE's "writers fix inconsistencies", applied to recovery itself: a
+// crash at any fence inside Recover(), clean or torn, recovers again to the
+// newest acknowledged value. Worker 0 activates its log chunk first, then
+// worker 1 logs k's older value into its own chunk and worker 0 the newer
+// one, so the chunk reclaim frees the newer entry before the older.
+TEST(CclHash, CrashInsideRecoveryRecoversAgain) {
+  constexpr uint64_t kKey = 1001;
+  constexpr uint64_t kOther = 7;
+  auto crashed_image = [] {
+    auto rt = MakeRuntime();
+    {
+      CclHashTable table(*rt, TreeOptions{}, kBuckets);
+      pmsim::ThreadContext w0(rt->device(), 0, 0);
+      pmsim::ThreadContext w1(rt->device(), 0, 1);
+      pmsim::ThreadContext::SetCurrent(&w0);
+      table.Upsert(kOther, 5);
+      pmsim::ThreadContext::SetCurrent(&w1);
+      table.Upsert(kKey, 10);
+      pmsim::ThreadContext::SetCurrent(&w0);
+      table.Upsert(kKey, 20);
+    }
+    testutil::CrashRestart(*rt);
+    return rt;
+  };
+
+  uint64_t fences = 0;
+  {
+    auto rt = crashed_image();
+    CclHashTable table(*rt, TreeOptions{}, kBuckets, kvindex::Lifecycle::kAttach);
+    pmsim::CrashInjector injector;
+    rt->device().SetCrashInjector(&injector);
+    injector.Arm(/*fence_target=*/0);  // count-only
+    ASSERT_TRUE(table.Recover(*rt, /*recovery_threads=*/1));
+    rt->device().SetCrashInjector(nullptr);
+    fences = injector.fences_observed();
+  }
+  ASSERT_GE(fences, 3u);  // at least the floor persist and the two chunk frees
+  for (uint64_t target = 1; target <= fences; target++) {
+    for (bool torn : {false, true}) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = crashed_image();
+      {
+        CclHashTable table(*rt, TreeOptions{}, kBuckets, kvindex::Lifecycle::kAttach);
+        pmsim::CrashInjector injector;
+        rt->device().SetCrashInjector(&injector);
+        injector.Arm(target);
+        EXPECT_THROW(table.Recover(*rt, /*recovery_threads=*/1), pmsim::CrashPointReached);
+        rt->device().SetCrashInjector(nullptr);
+      }
+      auto table = CrashAndRecover(*rt, torn, /*torn_seed=*/target);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      uint64_t value = 0;
+      ASSERT_TRUE(table->Lookup(kKey, &value));
+      EXPECT_EQ(value, 20u);
+      ASSERT_TRUE(table->Lookup(kOther, &value));
+      EXPECT_EQ(value, 5u);
+    }
   }
 }
 
@@ -188,9 +294,9 @@ TEST(CclHash, BufferingReducesMediaWrites) {
   // page changes the granularity.
   auto measure = [](bool buffering) {
     auto rt = MakeRuntime(512 << 20, pmsim::MediaBackend::kAdrOptane);
-    CclHashTable::Options options = SmallTable(1 << 12);
+    TreeOptions options;
     options.buffering = buffering;
-    CclHashTable table(*rt, options);
+    CclHashTable table(*rt, options, kBuckets);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     auto before = rt->device().stats().Snapshot();
     Rng rng(77);
@@ -205,12 +311,13 @@ TEST(CclHash, BufferingReducesMediaWrites) {
   EXPECT_LT(buffered, unbuffered * 85 / 100);
 }
 
-// CCL-Hash is not in MakeIndex, so it repeats the index conformance check:
-// bucket writes and the directory format are leaf traffic, log appends wal,
-// and at most 1% of media bytes stays unattributed.
+// CCL-Hash is in neither factory name list, so it repeats the index
+// conformance check: bucket writes and the directory format are leaf
+// traffic, log appends wal, and at most 1% of media bytes stays
+// unattributed.
 TEST(CclHash, MediaWritesAreAttributedToComponents) {
   auto rt = MakeRuntime(512 << 20, pmsim::MediaBackend::kAdrOptane);
-  CclHashTable table(*rt, SmallTable());
+  CclHashTable table(*rt, TreeOptions{}, kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   Rng rng(29);
   for (int i = 0; i < 20000; i++) {

@@ -123,27 +123,13 @@ TEST(Zipfian, ReseededCopyMatchesFreshGenerator) {
 // histogram implementation moved to src/metrics/histogram.h.
 
 TEST(Ordo, MonotonicWithinSocket) {
-  OrdoClock clock(100);
+  OrdoClock clock;
   uint64_t prev = 0;
   for (int i = 0; i < 1000; i++) {
-    uint64_t now = clock.Now(0);
+    uint64_t now = clock.Now();
     EXPECT_GT(now, prev);
     prev = now;
   }
-}
-
-TEST(Ordo, CompareRespectsBoundary) {
-  OrdoClock clock(1000);
-  EXPECT_EQ(clock.Compare(5000, 1000), 1);
-  EXPECT_EQ(clock.Compare(1000, 5000), -1);
-  EXPECT_EQ(clock.Compare(1000, 1500), 0);  // within uncertainty
-}
-
-TEST(Ordo, NowAfterBoundaryOrdersGlobally) {
-  OrdoClock clock(1000);
-  uint64_t t1 = clock.Now(1);
-  uint64_t t2 = clock.NowAfterBoundary(0);
-  EXPECT_EQ(clock.Compare(t2, t1), 1);
 }
 
 TEST(Fingerprint, DeterministicAndSpread) {

@@ -15,7 +15,7 @@ namespace {
 
 // Shared full-size config: all three schedule kinds over a mixed
 // upsert/remove workload. Each recoverable index must clear >= 100 fired
-// points so the two of them together cover the 200-point acceptance bar.
+// points.
 MatrixConfig FullConfig(const std::string& index) {
   MatrixConfig config;
   config.index = index;
@@ -106,6 +106,15 @@ TEST(CrashMatrix, CclBtreeSurvivesFullMatrix) {
   // violations, which ExpectMatrixClean already asserted).
   EXPECT_GT(result.gc_rounds_probe, 0u);
   EXPECT_GE(result.gc_window_points, 20u);
+}
+
+// CCL-Hash (paper §6) on the same matrix: 32 buckets, so chains overflow
+// and batches commit across several buckets of one chain.
+TEST(CrashMatrix, CclHashSurvivesFullMatrix) {
+  MatrixResult result = RunCrashMatrix(FullConfig("cclhash"));
+  ExpectMatrixClean(result, /*min_points=*/100);
+  EXPECT_GT(result.clean_crashes, 0u);
+  EXPECT_GT(result.torn_crashes, 0u);
 }
 
 TEST(CrashMatrix, FastFairSurvivesFullMatrix) {

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "src/core/ccl_btree.h"
-#include "src/core/ccl_hash.h"
 #include "src/kvindex/runtime.h"
 
 namespace cclbt::testutil {
@@ -49,21 +48,6 @@ inline std::unique_ptr<core::CclBTree> CrashAndRecoverTree(kvindex::Runtime& rt,
   auto tree = std::make_unique<core::CclBTree>(rt, options, kvindex::Lifecycle::kAttach);
   EXPECT_TRUE(tree->Recover(rt, recovery_threads));
   return tree;
-}
-
-// Crash + reopen + CCL-Hash recover (the hash table keeps its static
-// Recover: it is not a kvindex::KvIndex).
-inline std::unique_ptr<core::CclHashTable> CrashAndRecoverHash(
-    kvindex::Runtime& rt, const core::CclHashTable::Options& options, bool torn = false,
-    uint64_t torn_seed = 0) {
-  if (torn) {
-    rt.device().CrashTorn(torn_seed);
-  } else {
-    rt.device().Crash();
-  }
-  std::string error;
-  EXPECT_TRUE(rt.Reopen(&error)) << error;
-  return core::CclHashTable::Recover(rt, options);
 }
 
 }  // namespace cclbt::testutil

@@ -237,9 +237,9 @@ TEST(DramBTree, ConcurrentReadersDuringInserts) {
   EXPECT_EQ(errors.load(), 0);
 }
 
-// Locked and optimistic read paths must answer identically on a quiescent
-// tree (the bench A/B harness relies on set_locked_reads being semantically
-// neutral).
+// The optimistic read path must answer like the model on a quiescent tree:
+// RouteFloor and RouteFloorEntry agree with each other and with the floor
+// entry of an ordered map.
 TEST(DramBTree, LockedReadsMatchOptimistic) {
   DramBTree<uint64_t> tree;
   Rng rng(42);
@@ -251,31 +251,18 @@ TEST(DramBTree, LockedReadsMatchOptimistic) {
   }
   for (int i = 0; i < 5000; i++) {
     uint64_t probe = rng.NextBounded(35000);
-    bool found_opt = false;
-    bool found_locked = false;
-    tree.set_locked_reads(false);
-    uint64_t got_opt = tree.RouteFloor(probe, &found_opt);
-    uint64_t sep_opt = 0;
-    uint64_t val_opt = 0;
-    bool has_opt = tree.RouteFloorEntry(probe, &sep_opt, &val_opt);
-    tree.set_locked_reads(true);
-    uint64_t got_locked = tree.RouteFloor(probe, &found_locked);
-    uint64_t sep_locked = 0;
-    uint64_t val_locked = 0;
-    bool has_locked = tree.RouteFloorEntry(probe, &sep_locked, &val_locked);
-    tree.set_locked_reads(false);
-    ASSERT_EQ(found_opt, found_locked);
-    if (found_opt) {
-      EXPECT_EQ(got_opt, got_locked);
-    }
-    ASSERT_EQ(has_opt, has_locked);
-    if (has_opt) {
-      EXPECT_EQ(sep_opt, sep_locked);
-      EXPECT_EQ(val_opt, val_locked);
-      auto it = model.upper_bound(probe);
-      ASSERT_NE(it, model.begin());
-      EXPECT_EQ(sep_opt, std::prev(it)->first);
-      EXPECT_EQ(val_opt, std::prev(it)->second);
+    bool found = false;
+    uint64_t got = tree.RouteFloor(probe, &found);
+    uint64_t sep = 0;
+    uint64_t val = 0;
+    bool has = tree.RouteFloorEntry(probe, &sep, &val);
+    auto it = model.upper_bound(probe);
+    ASSERT_EQ(has, it != model.begin());
+    ASSERT_EQ(found, has);
+    if (has) {
+      EXPECT_EQ(got, val);
+      EXPECT_EQ(sep, std::prev(it)->first);
+      EXPECT_EQ(val, std::prev(it)->second);
     }
   }
 }

@@ -30,8 +30,9 @@
 #      `pmctl check` gates every run-1 dump: a violation, or a checked run
 #      without a checker record, fails the step; includes the
 #      bench_backend_matrix sweep across all backends, the open-loop
-#      bench_service_tail sweep (virtual tail latencies must be bit-stable)
-#      and fig17's recovery rows (replay on virtual workers)
+#      bench_service_tail sweep (virtual tail latencies must be bit-stable),
+#      fig17's recovery rows (replay on virtual workers) and the CCL-Hash
+#      ablation rows (extra_hash)
 #   8. metrics-determinism: the metrics registry / epoch-series test binary
 #      re-run on its own so a nondeterministic .pmmetrics series is named
 #      explicitly in the CI log (step 7 additionally diffs the epoch series
@@ -136,13 +137,13 @@ ctest --test-dir build -R service --output-on-failure
 # Determinism gate: the paper-figure benches must produce bit-identical
 # virtual-metric tails and dumps across back-to-back runs — including
 # cclbtree rows with background GC on (DESIGN.md §10), the backend-matrix
-# sweep across ADR/eADR/CXL (DESIGN.md §14) and fig17's multi-worker
-# recovery — and every dump's pmcheck verdict must be clean (`pmctl check`
-# exit 0). Small scale: the property being checked is exact equality and
-# zero violations, not the metric values themselves.
-echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17 run twice, tails + dumps diffed, pmctl check gated (pmcheck on) ==="
+# sweep across ADR/eADR/CXL (DESIGN.md §14), fig17's multi-worker recovery
+# and CCL-Hash's ablation — and every dump's pmcheck verdict must be clean
+# (`pmctl check` exit 0). Small scale: the property being checked is exact
+# equality and zero violations, not the metric values themselves.
+echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17/extra_hash run twice, tails + dumps diffed, pmctl check gated (pmcheck on) ==="
 CCL_PMCHECK=1 CCL_BENCH_SCALE="${CCL_BENCH_SCALE:-60000}" \
-  ./run_benches.sh --determinism 'fig03|fig10|fig14|backend_matrix|service_tail|fig17'
+  ./run_benches.sh --determinism 'fig03|fig10|fig14|backend_matrix|service_tail|fig17|extra_hash'
 
 # Metrics determinism: the registry's own suite (shard-merge conservation,
 # bit-identical epoch series for identical RunConfigs including a
