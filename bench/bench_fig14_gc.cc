@@ -1,95 +1,75 @@
-// Figure 14: insert-throughput timeline under the three GC strategies
-// (w/o GC, naive GC, locality-aware GC). The tree is populated and its
-// buffers drained, then inserts run while throughput is sampled per window
-// of operations; GC fires when the TH_log trigger is reached. Naive GC's
-// random flush-back craters the insert rate; locality-aware GC barely
-// registers.
+// Figure 14: insert throughput under the three GC strategies (w/o GC,
+// locality-aware GC, naive GC). Each row warms the tree with `scale` keys,
+// then inserts `scale` fresh ones on 48 workers while GC fires at the TH_log
+// trigger on the cooperative quantum. Naive GC's stop-the-world random
+// flush-back craters the insert rate; locality-aware GC costs little.
 //
-// This binary prints the timeline as a table (a series does not fit the
-// google-benchmark counter model).
+// The timeline is the run's epoch series: with CCL_METRICS set, each row
+// writes a .pmmetrics dump and `pmctl series` prints it. The rows report
+// the slowest complete epoch as min_epoch_Mops.
 #include <algorithm>
-#include <cstdio>
-#include <memory>
-#include <vector>
+#include <limits>
+#include <string>
+#include <utility>
 
 #include "bench/bench_common.h"
-#include "src/core/ccl_btree.h"
 
 namespace cclbt::bench {
 namespace {
 
-void RunTimeline(core::GcMode mode, const char* label, uint64_t scale) {
-  kvindex::RuntimeOptions runtime_options;
-  runtime_options.device.pool_bytes = 4ULL << 30;
-  kvindex::Runtime runtime(runtime_options);
-  core::TreeOptions tree_options;
-  tree_options.gc_mode = mode;
-  // The bench paces GC explicitly at window edges via GcTick() so the
-  // timeline is deterministic and GC cost lands between samples.
-  tree_options.background_gc = false;
-  core::CclBTree tree(runtime, tree_options);
-
-  const int kThreads = 48;
-  // Populate and drain all buffers (paper: "populate ... and clean all
-  // buffer nodes").
-  {
-    pmsim::ThreadContext ctx(runtime.device(), 0, 0);
-    for (uint64_t i = 0; i < scale; i++) {
-      tree.Upsert(Mix64(i) | 1, i + 1);
-    }
-    tree.FlushAll();
+// The lowest ops / (t_ns - previous t_ns) over every epoch but the final
+// partial one, in Mop/s (pmctl top's per-epoch Mops); 0 with no complete
+// epoch.
+double MinEpochMops(const metrics::EpochSeries& epochs) {
+  double lowest = std::numeric_limits<double>::infinity();
+  uint64_t prev_t = 0;
+  for (size_t i = 0; i + 1 < epochs.size(); i++) {
+    const uint64_t dt = epochs[i].t_ns - prev_t;
+    prev_t = epochs[i].t_ns;
+    lowest = std::min(lowest, static_cast<double>(epochs[i].TotalOps()) * 1e3 /
+                                  static_cast<double>(dt));
   }
-  runtime.device().ResetCosts();
+  return epochs.size() < 2 ? 0.0 : lowest;
+}
 
-  std::vector<std::unique_ptr<pmsim::ThreadContext>> ctxs;
-  for (int w = 0; w < kThreads; w++) {
-    ctxs.push_back(std::make_unique<pmsim::ThreadContext>(runtime.device(), 0, w));
-  }
-  pmsim::ThreadContext::SetCurrent(nullptr);
-
-  const uint64_t kTotalOps = scale;
-  const uint64_t kWindow = kTotalOps / 24;
-  uint64_t done = 0;
-  uint64_t window_start_vtime = 0;
-  std::printf("%-14s %10s %10s %10s %8s\n", label, "t_ms", "Mops", "log_MB", "gc#");
-  while (done < kTotalOps) {
-    uint64_t window_end = std::min(kTotalOps, done + kWindow);
-    uint64_t ops_in_window = window_end - done;
-    while (done < window_end) {
-      for (int w = 0; w < kThreads && done < window_end; w++) {
-        pmsim::ThreadContext::SetCurrent(ctxs[static_cast<size_t>(w)].get());
-        uint64_t i = scale + done;
-        tree.Upsert(Mix64(i) | 1, i + 1);
-        done++;
+void RegisterAll() {
+  uint64_t scale = BenchScale();
+  const std::pair<const char*, core::GcMode> kModes[] = {
+      {"none", core::GcMode::kNone},
+      {"locality", core::GcMode::kLocalityAware},
+      {"naive", core::GcMode::kNaive}};
+  for (const auto& [name, mode] : kModes) {
+    std::string bench_name = std::string("fig14/gc:") + name;
+    benchmark::RegisterBenchmark(bench_name.c_str(), [=](benchmark::State& state) {
+      for (auto _ : state) {
+        RunConfig config;
+        config.threads = 48;
+        config.warm_keys = scale;
+        config.ops = scale;
+        config.op = OpType::kInsert;
+        config.metrics = true;
+        config.label = std::string("fig14_gc_") + name;
+        IndexConfig index_config;
+        index_config.tree.gc_mode = mode;
+        // The pool size sets the address-to-DIMM map, so it stays 4 GiB.
+        RunResult result =
+            RunIndexWorkload("cclbtree", config, index_config, {.pool_bytes = 4ULL << 30});
+        SetCommonCounters(state, result);
+        const metrics::EpochRecord& last = result.epochs.back();
+        state.counters["gc_rounds"] = static_cast<double>(last.Gauge("gc_rounds"));
+        state.counters["peak_log_MB"] = static_cast<double>(last.Gauge("log_peak_bytes")) / 1e6;
+        state.counters["min_epoch_Mops"] = MinEpochMops(result.epochs);
       }
-    }
-    // GC trigger check between windows (the paper's background thread; here
-    // paced by the bench so the timeline is deterministic). GcTick() owns the
-    // frontier fast-forward onto the tree's GC context, the kGc attribution
-    // scope, and naive GC's stop-the-world clock raise (§3.4 / DESIGN.md §10).
-    tree.GcTick();
-    pmsim::ThreadContext::SetCurrent(nullptr);
-    uint64_t vtime = runtime.device().MaxDimmBusyNs();
-    for (auto& ctx : ctxs) {
-      vtime = std::max(vtime, ctx->now_ns());
-    }
-    double window_ms = static_cast<double>(vtime - window_start_vtime) / 1e6;
-    double mops = window_ms == 0 ? 0 : static_cast<double>(ops_in_window) / (window_ms * 1e3);
-    std::printf("%-14s %10.2f %10.2f %10.2f %8lu\n", label,
-                static_cast<double>(vtime) / 1e6, mops,
-                static_cast<double>(tree.log_live_bytes()) / 1e6,
-                static_cast<unsigned long>(tree.gc_rounds()));
-    window_start_vtime = vtime;
+    })->Iterations(1)->Unit(benchmark::kMillisecond);
   }
 }
 
 }  // namespace
 }  // namespace cclbt::bench
 
-int main() {
-  uint64_t scale = cclbt::bench::BenchScale();
-  cclbt::bench::RunTimeline(cclbt::core::GcMode::kNone, "w/o-GC", scale);
-  cclbt::bench::RunTimeline(cclbt::core::GcMode::kLocalityAware, "locality-GC", scale);
-  cclbt::bench::RunTimeline(cclbt::core::GcMode::kNaive, "naive-GC", scale);
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  cclbt::bench::RegisterAll();
+  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -10,7 +10,6 @@
 
 #include "bench/bench_common.h"
 #include "src/core/ccl_btree.h"
-#include "src/metrics/metrics.h"
 
 namespace cclbt::bench {
 namespace {
@@ -54,13 +53,6 @@ void RegisterAll() {
             state.SkipWithError("recovery failed");
             return;
           }
-          // Registry view of recovery latency (metrics::OpKind::kRecover);
-          // no-op unless the gate is on (e.g. CCL_METRICS set).
-          metrics::RecordOp(
-              metrics::OpKind::kRecover, tree->last_recovery_modeled_ns(),
-              static_cast<uint64_t>(
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(wall1 - wall0)
-                      .count()));
           // Modeled recovery time: the boot context's clock across rebuild,
           // replay (scan → barrier → apply → barrier), floor persist and
           // chunk reclaim, floored by the outstanding media work.

@@ -12,8 +12,9 @@
 //
 // Also counts heap allocations during each measured region via a global
 // operator new/delete override, so "allocation-free hot path" is a number in
-// the output rather than a claim in a doc. Steady-state CCL-BTree lookups
-// and upserts are *asserted* allocation-free (the binary fails otherwise).
+// the output rather than a claim in a doc. Steady-state CCL-BTree lookups,
+// scans and upserts are *asserted* allocation-free (the binary fails
+// otherwise).
 //
 // Usage: bench_pmsim_hotpath [output.json]   (default: BENCH_pmsim.json)
 #include <algorithm>
@@ -384,13 +385,13 @@ int main(int argc, char** argv) {
     results.push_back(cclbt::pmsim::RunTreeUpsert1T(fx));
   }
 
-  // Hard gate, not an advisory number: steady-state tree lookups and upserts
-  // must be allocation-free (max over reps; see the WAL chunk-list reserve
-  // in src/core/wal.h).
+  // Hard gate, not an advisory number: steady-state tree lookups, scans and
+  // upserts must be allocation-free (max over reps; see the WAL chunk-list
+  // reserve in src/core/wal.h).
   int status = 0;
   for (const auto& r : results) {
     bool must_be_alloc_free = r.name == "ccl_lookup_hit_1t" || r.name == "ccl_lookup_miss_1t" ||
-                              r.name == "ccl_upsert_1t";
+                              r.name == "ccl_scan_1t" || r.name == "ccl_upsert_1t";
     if (must_be_alloc_free && r.heap_allocs != 0) {
       std::fprintf(stderr, "FAIL: %s allocated %llu times in a measured rep (expected 0)\n",
                    r.name.c_str(), static_cast<unsigned long long>(r.heap_allocs));

@@ -4,8 +4,8 @@
 # (google-benchmark JSON; bench_pmsim_hotpath keeps its own schema in
 # BENCH_pmsim.json). Results are staged to a temp file and only moved into
 # place after tools/summarize_benches.py --check accepts them, so a crashed
-# or interrupted bench fails this script loudly instead of leaving a
-# partial/invalid BENCH_*.json behind.
+# or interrupted bench, or one that writes no JSON, fails this script loudly
+# instead of leaving a partial/invalid BENCH_*.json behind.
 #
 #   ./run_benches.sh [--filter PATTERN] [--stage-to DIR]
 #
@@ -15,20 +15,22 @@
 #
 #   ./run_benches.sh --determinism [FILTER]
 #
-# runs each staged bench TWICE and diffs the virtual-metric tails
-# (tools/summarize_benches.py --tail): any difference is a violation of the
-# driver determinism contract (DESIGN.md §10) and fails the script. Each run
-# also gets CCL_METRICS set, so every .pmmetrics dump the bench emits is
-# checked: every record but the summary (which holds wall-clock data) must
-# be bit-identical across the two runs — epochs, stats and checker records
-# alike —, and `pmctl series` must accept each dump (it exits non-zero if
-# any epoch's per-component media-write bytes fail to sum to that epoch's
-# windowed media_write_bytes). When CCL_PMCHECK or CCL_LOCKCHECK is 1,
-# `pmctl check` must also exit 0 on every run-1 dump: 3 means checker
-# violations, 2 means a checked run left no checker record. FILTER is an
-# optional egrep pattern over binary names (default: every bench).
-# bench_pmsim_hotpath is excluded — it measures host wall time by design.
-# No bench_output.txt / BENCH_*.json artifacts are touched in this mode.
+# runs each staged bench TWICE, each run writing its google-benchmark JSON,
+# and diffs the virtual-metric tails (tools/summarize_benches.py --tail:
+# every field of every row at full precision, minus the wall-clock ones):
+# any difference is a violation of the driver determinism contract
+# (DESIGN.md §10) and fails the script. Each run also gets CCL_METRICS set,
+# so every .pmmetrics dump the bench emits is checked: every record but the
+# summary (which holds wall-clock data) must be bit-identical across the two
+# runs — epochs, stats and checker records alike —, and `pmctl series` must
+# accept each dump (it exits non-zero if any epoch's per-component
+# media-write bytes fail to sum to that epoch's windowed media_write_bytes).
+# When CCL_PMCHECK or CCL_LOCKCHECK is 1, `pmctl check` must also exit 0 on
+# every run-1 dump: 3 means checker violations, 2 means a checked run left
+# no checker record. FILTER is an optional egrep pattern over binary names
+# (default: every bench). bench_pmsim_hotpath is excluded — it measures host
+# wall time by design. No bench_output.txt / BENCH_*.json artifacts are
+# touched in this mode.
 #
 #   ./run_benches.sh --baseline-update
 #
@@ -68,10 +70,10 @@ run_determinism() {
   if [ "${CCL_PMCHECK:-}" = 1 ] || [ "${CCL_LOCKCHECK:-}" = 1 ]; then
     checked=1
   fi
-  local out1 out2 tail1 tail2 mdir1 mdir2
-  out1="$(mktemp)" && out2="$(mktemp)" && tail1="$(mktemp)" && tail2="$(mktemp)" \
+  local json1 json2 tail1 tail2 mdir1 mdir2
+  json1="$(mktemp)" && json2="$(mktemp)" && tail1="$(mktemp)" && tail2="$(mktemp)" \
     && mdir1="$(mktemp -d)" && mdir2="$(mktemp -d)" || fail "mktemp"
-  trap 'rm -f "$out1" "$out2" "$tail1" "$tail2"; rm -rf "$mdir1" "$mdir2"' EXIT
+  trap 'rm -f "$json1" "$json2" "$tail1" "$tail2"; rm -rf "$mdir1" "$mdir2"' EXIT
   for b in build/bench/bench_*; do
     local name
     name="$(basename "$b")"
@@ -79,13 +81,13 @@ run_determinism() {
     echo "$name" | grep -Eq "$filter" || continue
     matched=1
     rm -f "$mdir1"/*.pmmetrics "$mdir2"/*.pmmetrics
-    CCL_METRICS="$mdir1/m" "$b" > "$out1" 2>&1 \
-      || fail "$name exited with status $? (run 1)"
-    CCL_METRICS="$mdir2/m" "$b" > "$out2" 2>&1 \
-      || fail "$name exited with status $? (run 2)"
-    tools/summarize_benches.py --tail "$out1" > "$tail1" \
+    CCL_METRICS="$mdir1/m" "$b" --benchmark_out="$json1" --benchmark_out_format=json \
+      > /dev/null 2>&1 || fail "$name exited with status $? (run 1)"
+    CCL_METRICS="$mdir2/m" "$b" --benchmark_out="$json2" --benchmark_out_format=json \
+      > /dev/null 2>&1 || fail "$name exited with status $? (run 2)"
+    tools/summarize_benches.py --tail "$json1" > "$tail1" \
       || fail "$name run 1 produced no metric tail"
-    tools/summarize_benches.py --tail "$out2" > "$tail2" \
+    tools/summarize_benches.py --tail "$json2" > "$tail2" \
       || fail "$name run 2 produced no metric tail"
     if diff -u "$tail1" "$tail2"; then
       echo "determinism OK: ${name} ($(wc -l < "$tail1") metric rows bit-identical)"
@@ -133,8 +135,7 @@ run_determinism() {
     elif [ "$ndumps" -gt 0 ]; then
       echo "metrics determinism OK: ${name} (${ndumps} dumps bit-identical, component sums verified$([ "$checked" = 1 ] && echo ", checker verdicts clean"))"
     else
-      # e.g. bench_fig14_gc drives kvindex::Runtime directly, not the driver.
-      echo "metrics: ${name} emitted no .pmmetrics dump (bench bypasses the driver)"
+      echo "metrics: ${name} emitted no .pmmetrics dump (bench bypasses the measured phase)"
     fi
   done
   [ "$matched" = 1 ] || fail "--determinism filter '${filter}' matched no bench"
@@ -214,14 +215,6 @@ for b in build/bench/bench_*; do
   else
     "$b" --benchmark_out="$tmp" --benchmark_out_format=json >> "$OUT_DIR/bench_output.txt" 2>&1 \
       || { rc=$?; rm -f "$tmp"; fail "$name exited with status $rc"; }
-  fi
-  if [ ! -s "$tmp" ]; then
-    # Console-only bench (custom main, e.g. bench_fig14_gc): its results live
-    # in bench_output.txt and there is no JSON artifact to validate.
-    rm -f "$tmp"
-    trap - EXIT
-    echo "" >> "$OUT_DIR/bench_output.txt"
-    continue
   fi
   tools/summarize_benches.py --check "$tmp" \
     || { rm -f "$tmp"; fail "$name wrote invalid results (no partial ${json} kept)"; }

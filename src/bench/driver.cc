@@ -10,7 +10,6 @@
 #include "src/common/rng.h"
 #include "src/common/zipfian.h"
 #include "src/metrics/clock.h"
-#include "src/metrics/metrics.h"
 #include "src/pmem/value_store.h"
 #include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
@@ -137,7 +136,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
   if (config.collect_component_latency) {
     trace::SetScopeTiming(true);
   }
-  // Metrics registry, epoch series and tracing: measurement phase only,
+  // Op histograms, epoch series and tracing: measurement phase only,
   // CPU-side by construction, so enabling them cannot move a virtual metric.
   MeasuredPhase phase(runtime.device(), config.metrics, config.ops > 0,
                       [&index](MeasuredPhase::Gauges* gauges) { index.SampleGauges(gauges); });
@@ -159,7 +158,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     uint64_t cursor = 0;
     uint64_t limit = 0;
     // Per-component share of each op's latency (collect_component_latency).
-    // Whole-op latency goes through the metrics registry instead.
+    // Whole-op latency goes through MeasuredPhase::RecordOp instead.
     std::array<metrics::Histogram, trace::kNumComponents> comp_latency;
     uint64_t final_vtime = 0;
 
@@ -238,7 +237,7 @@ RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
     metrics::OpKind kind =
         ExecuteOp(index, op, key, value, write_bytes, config.scan_len, st.scan_out.data());
     if (metrics_on) {
-      metrics::RecordOp(kind, ctx->now_ns() - t0, metrics::WallNowNs() - wall0);
+      phase.RecordOp(kind, ctx->now_ns() - t0, metrics::WallNowNs() - wall0);
     }
     if (config.collect_component_latency) {
       trace::FlushScopeTime();

@@ -46,15 +46,15 @@ struct RunConfig {
   double zipf_theta = 0.9;
   size_t scan_len = 100;
   int threads_per_socket = 48;
-  // Enable the metrics registry (src/metrics) for the measurement phase:
-  // per-op-kind latency histograms in virtual AND wall time (merged into
-  // RunResult::latency), registry counters, and the series of
+  // Record the measurement phase's metrics: per-op-kind latency histograms
+  // in virtual AND wall time (merged into RunResult::latency; the wall
+  // clock is read per op only with this on), and the series of
   // kMetricsEpochNs virtual-time epochs in RunResult::epochs (windowed
-  // XBI/CLI, media bytes by component, latency percentiles, XPBuffer/GC
-  // gauges). Also switched on by the CCL_METRICS environment variable,
-  // which additionally dumps a .pmmetrics file (see
+  // XBI/CLI, media bytes by component, latency percentiles, XPBuffer and
+  // index gauges). Also switched on by the CCL_METRICS environment
+  // variable, which additionally dumps a .pmmetrics file (see
   // src/bench/measured_phase.h). Epoch records are virtual-time-only and
-  // bit-identical run-to-run for a deterministic config; the registry is
+  // bit-identical run-to-run for a deterministic config; recording is
   // CPU-side only, so enabling it never shifts a virtual metric.
   bool metrics = false;
   // Additionally break per-op latency down by trace::Component (enables
@@ -76,7 +76,7 @@ struct RunConfig {
 };
 
 // Measurement-phase results (PhaseResult: elapsed time, stats delta, CLI/XBI,
-// registry totals, epochs, checker reports, .pmmetrics path) plus the
+// op histograms, epochs, checker reports, .pmmetrics path) plus the
 // driver's own fields. RunIndexWorkload refreshes `pmcheck` after an
 // end-of-run DrainBuffers, so the unflushed-at-close class is included;
 // RunWorkload alone reports the phase it saw.

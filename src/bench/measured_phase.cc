@@ -188,10 +188,6 @@ MeasuredPhase::MeasuredPhase(pmsim::PmDevice& device, bool metrics, bool epochs,
       tracing_(trace::TracingRequested()),
       sample_gauges_(std::move(sample_gauges)),
       next_epoch_ns_(epochs_ ? kMetricsEpochNs : UINT64_MAX) {
-  if (metrics_) {
-    metrics::Reset();
-    metrics::SetEnabled(true);
-  }
   if (tracing_) {
     // Rings are cleared first so the dump shows this phase, not the warm-up;
     // contexts created from here on pick up rings at construction, older
@@ -203,19 +199,19 @@ MeasuredPhase::MeasuredPhase(pmsim::PmDevice& device, bool metrics, bool epochs,
   epoch_prev_stats_ = before_;
 }
 
-// Snapshots the windowed pmsim stats, registry counters and latency
-// percentiles since the previous epoch end, plus the XPBuffer and index
-// gauges at `t_ns`. Every field is virtual-time/count data, so the series is
-// bit-identical run-to-run for a deterministic config.
+// Snapshots the windowed pmsim stats and latency percentiles since the
+// previous epoch end, plus the XPBuffer and pulled gauges at `t_ns`. Every
+// field is virtual-time/count data, so the series is bit-identical
+// run-to-run for a deterministic config.
 void MeasuredPhase::CloseEpoch(uint64_t t_ns) {
   pmsim::StatsSnapshot cur = device_.stats().Snapshot();
   pmsim::StatsSnapshot win = cur.Delta(epoch_prev_stats_);
-  metrics::MetricsSnapshot mcur = metrics::Snapshot();
   metrics::EpochRecord e;
   e.index = series_.size();
   e.t_ns = t_ns;
   for (int k = 0; k < metrics::kNumOpKinds; k++) {
-    metrics::Histogram w = mcur.op_virtual[k].Delta(epoch_prev_metrics_.op_virtual[k]);
+    metrics::Histogram w = op_latency_.op_virtual[k].Delta(epoch_prev_virtual_[k]);
+    epoch_prev_virtual_[k] = op_latency_.op_virtual[k];
     e.ops.push_back(w.Count());
     e.p50_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(50));
     e.p99_ns.push_back(w.Count() == 0 ? 0 : w.Percentile(99));
@@ -234,13 +230,9 @@ void MeasuredPhase::CloseEpoch(uint64_t t_ns) {
   e.xpbuf_resident = xb.resident;
   e.xpbuf_insertions = xb.insertions;
   e.xpbuf_evictions = xb.evictions;
-  for (int c = 0; c < metrics::kNumCounters; c++) {
-    e.counters.push_back(mcur.counters[c] - epoch_prev_metrics_.counters[c]);
-  }
   sample_gauges_(&e.gauges);
   series_.push_back(std::move(e));
   epoch_prev_stats_ = cur;
-  epoch_prev_metrics_ = std::move(mcur);
 }
 
 uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, uint64_t threads,
@@ -270,8 +262,7 @@ uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, u
   if (!metrics_) {
     return elapsed_ns;
   }
-  result->metrics_snapshot = metrics::Snapshot();
-  metrics::SetEnabled(false);
+  result->metrics_snapshot = std::move(op_latency_);
   result->epochs = std::move(series_);
 
   const std::string path = DumpPath(label);
@@ -286,9 +277,6 @@ uint64_t MeasuredPhase::Finish(uint64_t frontier_ns, const std::string& label, u
   header.ops = ops;
   for (int k = 0; k < metrics::kNumOpKinds; k++) {
     header.op_kinds.emplace_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
-  }
-  for (int c = 0; c < metrics::kNumCounters; c++) {
-    header.counters.emplace_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
   }
   for (int c = 0; c < trace::kNumComponents; c++) {
     header.components.emplace_back(trace::ComponentName(static_cast<trace::Component>(c)));

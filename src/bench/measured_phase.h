@@ -3,10 +3,12 @@
 // own scheduler and key generation; the phase owns what both measure the
 // same way:
 //
-//  * the bracket: registry reset + stats snapshot at the start, elapsed =
-//    max(front-end frontier, busiest DIMM) and the stats delta at the end;
+//  * the bracket: stats snapshot at the start, elapsed = max(front-end
+//    frontier, busiest DIMM) and the stats delta at the end;
+//  * the run's per-op-kind latency histograms (RecordOp);
 //  * the virtual-time epoch series (DESIGN.md §13), closed on a fixed
-//    kMetricsEpochNs grid and tiling the phase exactly;
+//    kMetricsEpochNs grid and tiling the phase exactly, with every count
+//    pulled from its owner as a gauge;
 //  * event tracing under CCL_TRACE=1 (src/trace/trace.h);
 //  * the checker reports at the end of the phase;
 //  * the run's one dump, "<CCL_METRICS>.<seq>.<label>.pmmetrics": header,
@@ -38,8 +40,8 @@ namespace cclbt::bench {
 // Virtual-time width of one metrics epoch.
 inline constexpr uint64_t kMetricsEpochNs = 1'000'000;
 
-// True when CCL_METRICS is set: every measured phase enables the metrics
-// registry and writes "<prefix>.<seq>.<label>.pmmetrics".
+// True when CCL_METRICS is set: every measured phase records its metrics
+// and writes "<prefix>.<seq>.<label>.pmmetrics".
 bool MetricsDumpRequested();
 
 // Appends one checker record to the dump at `path`; a disabled report
@@ -55,8 +57,8 @@ struct PhaseResult {
   pmsim::StatsSnapshot stats;     // measured-phase device delta
   double cli_amplification = 0;
   double xbi_amplification = 0;
-  // Registry totals for the phase (zero unless metrics were on): per-op-kind
-  // virtual/wall histograms and counters.
+  // The phase's per-op-kind virtual/wall histograms (empty unless metrics
+  // were on).
   metrics::MetricsSnapshot metrics_snapshot;
   // Virtual-time-epoch series (empty unless epochs were collected).
   // Deterministic: bit-identical run-to-run per DESIGN.md §10.
@@ -78,10 +80,10 @@ class MeasuredPhase {
   using GaugeSampler = std::function<void(Gauges*)>;
 
   // Starts the phase on `device`, whose costs the caller has already reset.
-  // `metrics` (or CCL_METRICS) resets and enables the registry; `epochs`
-  // additionally records the epoch series, pulling index gauges through
-  // `sample_gauges` at each epoch end. CCL_TRACE=1 clears the trace rings
-  // and enables tracing until Finish.
+  // `metrics` (or CCL_METRICS) turns on RecordOp; `epochs` additionally
+  // records the epoch series, pulling gauges through `sample_gauges` at each
+  // epoch end. CCL_TRACE=1 clears the trace rings and enables tracing until
+  // Finish.
   MeasuredPhase(pmsim::PmDevice& device, bool metrics, bool epochs,
                 GaugeSampler sample_gauges);
 
@@ -89,6 +91,15 @@ class MeasuredPhase {
   MeasuredPhase& operator=(const MeasuredPhase&) = delete;
 
   bool metrics() const { return metrics_; }
+
+  // Records one op's latency in both clocks when metrics() is on. Callers
+  // derive wall_ns from metrics::WallNowNs() (the sanctioned shim) only.
+  void RecordOp(metrics::OpKind kind, uint64_t virtual_ns, uint64_t wall_ns) {
+    if (metrics_) {
+      op_latency_.op_virtual[static_cast<size_t>(kind)].Record(virtual_ns);
+      op_latency_.op_wall[static_cast<size_t>(kind)].Record(wall_ns);
+    }
+  }
 
   // Called after each op (or batch) with the virtual clock that just
   // advanced: closes an epoch once `now_ns` crosses the grid, then snaps the
@@ -101,9 +112,8 @@ class MeasuredPhase {
   }
 
   // Ends the phase at the front end's `frontier_ns`: closes the final
-  // (partial) epoch there, fills `result`, disables the registry and
-  // tracing, and writes the .pmmetrics dump under `label`. Returns the
-  // elapsed virtual ns.
+  // (partial) epoch there, fills `result`, disables tracing, and writes the
+  // .pmmetrics dump under `label`. Returns the elapsed virtual ns.
   uint64_t Finish(uint64_t frontier_ns, const std::string& label, uint64_t threads, uint64_t ops,
                   PhaseResult* result);
 
@@ -118,7 +128,8 @@ class MeasuredPhase {
   uint64_t next_epoch_ns_;
   pmsim::StatsSnapshot before_;
   pmsim::StatsSnapshot epoch_prev_stats_;
-  metrics::MetricsSnapshot epoch_prev_metrics_;
+  metrics::MetricsSnapshot op_latency_;
+  metrics::Histogram epoch_prev_virtual_[metrics::kNumOpKinds];
   metrics::EpochSeries series_;
 };
 

@@ -5,12 +5,12 @@
 #include <cassert>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_set>
 #include <vector>
 
 #include "src/common/simd.h"
-#include "src/metrics/metrics.h"
 #include "src/pmsim/crash_injector.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/trace.h"
@@ -270,7 +270,6 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     slots[current_match].value.store(value, std::memory_order_release);
     bn->SetEpochBit(current_match, epoch);
     bn->Unlock();
-    metrics::Add(metrics::Counter::kBufferAbsorbs);
     return;
   }
 
@@ -294,7 +293,6 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     bn->SetEpochBit(pos, epoch);
     bn->set_pos(pos + 1);
     bn->Unlock();
-    metrics::Add(metrics::Counter::kBufferAbsorbs);
     return;
   }
 
@@ -337,8 +335,6 @@ void CclBTree::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint6
     batch[n++] = *extra;
   }
   trace::Emit(trace::EventType::kBufferFlush, static_cast<uint64_t>(n));
-  metrics::Add(metrics::Counter::kBufferFlushes);
-  metrics::Add(metrics::Counter::kBufferFlushEntries, static_cast<uint64_t>(n));
   BatchInsertLeaf(bn, batch, n, ts);
   buffer_flushes_.fetch_add(1, std::memory_order_relaxed);
   // The slots keep serving reads as a cache (§3.2: "even when the buffered
@@ -743,8 +739,8 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
   assert(pmsim::ThreadContext::Current() != nullptr);
   size_t produced = 0;
   uint64_t cursor = start_key;
-  std::vector<kvindex::KeyValue> window;
-  window.reserve(kLeafSlots + 8);
+  // One leaf's live entries plus the buffered ones not already in it.
+  kvindex::KeyValue window[kLeafSlots + 8];
   for (;;) {
     if (produced >= count) {
       break;
@@ -759,7 +755,7 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     bool have_next = inner_.NextEntry(cursor, &next_sep, &next_bn);
 
     // Optimistically snapshot the buffer node + leaf.
-    window.clear();
+    size_t n = 0;
     uint64_t snapshot = bn->ReadBegin();
     if (bn->dead()) {
       continue;  // Re-route: the separator map has changed.
@@ -783,26 +779,26 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     // store the latest versions").
     for (uint64_t bits = MetaBitmap(leaf_copy.meta.load(std::memory_order_relaxed)); bits != 0;
          bits &= bits - 1) {
-      window.push_back(leaf_copy.kvs[__builtin_ctzll(bits)]);
+      window[n++] = leaf_copy.kvs[__builtin_ctzll(bits)];
     }
     for (int i = 0; i < pos; i++) {
       bool replaced = false;
-      for (auto& entry : window) {
-        if (entry.key == buffered[i].key) {
-          entry.value = buffered[i].value;
+      for (size_t j = 0; j < n; j++) {
+        if (window[j].key == buffered[i].key) {
+          window[j].value = buffered[i].value;
           replaced = true;
           break;
         }
       }
       if (!replaced) {
-        window.push_back(buffered[i]);
+        window[n++] = buffered[i];
       }
     }
-    std::sort(window.begin(), window.end(),
+    std::sort(window, window + n,
               [](const kvindex::KeyValue& a, const kvindex::KeyValue& b) { return a.key < b.key; });
-    ChargeDram(window.size() * 6 + static_cast<uint64_t>(nbatch));
+    ChargeDram(n * 6 + static_cast<uint64_t>(nbatch));
 
-    for (const auto& entry : window) {
+    for (const auto& entry : std::span(window, n)) {
       if (entry.key < cursor || entry.value == kTombstone) {
         continue;
       }
@@ -954,18 +950,11 @@ void CclBTree::NaiveGc() {
   // lock, flush every buffer node's pending KVs to its (random) leaf, then
   // recycle all log chunks.
   sync::LockGuard<sync::SharedMutex> gate(naive_gate_);
-  for (BufferNode* bn : CollectBufferNodes()) {
-    bn->Lock();
-    if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, Timestamp());
-    }
-    bn->Unlock();
-  }
+  FlushAll();
   wals_->ReleaseEpoch(0);
   wals_->ReleaseEpoch(1);
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
   gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-  metrics::Add(metrics::Counter::kGcRounds);
 }
 
 void CclBTree::LocalityAwareGc() {
@@ -1005,7 +994,6 @@ void CclBTree::LocalityAwareGc() {
   wals_->ReleaseEpoch(static_cast<int>(old_epoch));
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
   gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-  metrics::Add(metrics::Counter::kGcRounds);
 }
 
 void CclBTree::FlushAll() {

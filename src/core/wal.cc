@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "src/metrics/metrics.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/pmsim/virtual_workers.h"
@@ -131,7 +130,6 @@ bool WalSet::Append(int worker_id, int epoch, uint64_t key, uint64_t value, uint
   if (!wals_[static_cast<size_t>(worker_id)]->Append(epoch, key, value, timestamp)) {
     return false;
   }
-  metrics::Add(metrics::Counter::kWalAppendBytes, sizeof(LogEntry));
   uint64_t live =
       live_bytes_.fetch_add(sizeof(LogEntry), std::memory_order_relaxed) + sizeof(LogEntry);
   uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
@@ -146,7 +144,6 @@ void WalSet::ReleaseEpoch(int epoch) {
   for (auto& wal : wals_) {
     released += wal->ReleaseEpoch(epoch);
   }
-  metrics::Add(metrics::Counter::kWalReleaseBytes, released);
   live_bytes_.fetch_sub(released, std::memory_order_relaxed);
 }
 

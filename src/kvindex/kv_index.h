@@ -72,7 +72,7 @@ class KvIndex {
 
   // Observability hook: append (name, value) gauge samples describing the
   // index's current internal state (GC backlog, buffer churn, structural
-  // counters). Pulled by the bench driver at virtual-time epoch boundaries —
+  // counters). Pulled by the measured phase at virtual-time epoch ends —
   // implementations must only read existing counters/accessors, never touch
   // pmsim state, so sampling cannot perturb the flush schedule. Gauges are
   // cumulative values; consumers window them by differencing consecutive

@@ -1,5 +1,5 @@
 // The repo's one log-bucketed latency histogram (values are ns, but the
-// class is unit-agnostic). Used by the metrics registry for per-op-type
+// class is unit-agnostic). Used by the measured phase for per-op-kind
 // latency in virtual and wall time, by the bench driver for RunResult
 // percentiles, and by bench_fig12's latency-distribution rows.
 //
@@ -32,7 +32,7 @@ class Histogram {
 
   void Record(uint64_t value);
 
-  // Merge another histogram (e.g. per-shard histograms at snapshot time).
+  // Merge another histogram (e.g. every op kind into one whole-op view).
   void Merge(const Histogram& other);
 
   // Windowed view: this histogram minus an earlier snapshot of the same

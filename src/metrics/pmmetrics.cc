@@ -285,7 +285,6 @@ std::string SerializeHeader(const PmMetricsHeader& header) {
       .Field("threads", header.threads)
       .Field("ops", header.ops)
       .Array("op_kinds", header.op_kinds)
-      .Array("counters", header.counters)
       .Array("components", header.components)
       .Finish();
 }
@@ -311,7 +310,6 @@ std::string SerializeEpoch(const EpochRecord& epoch) {
       .Field("insertions", epoch.xpbuf_insertions)
       .Field("evictions", epoch.xpbuf_evictions)
       .EndObject()
-      .Array("counters", epoch.counters)
       .Key("gauges")
       .BeginObject();
   for (const auto& [name, value] : epoch.gauges) {
@@ -383,7 +381,6 @@ bool ReadPmMetricsFile(const std::string& path, PmMetricsFile* out, std::string*
       out->header.threads = v.U64("threads");
       out->header.ops = v.U64("ops");
       out->header.op_kinds = GetStringArray(v, "op_kinds");
-      out->header.counters = GetStringArray(v, "counters");
       out->header.components = GetStringArray(v, "components");
       saw_header = true;
     } else if (type == "epoch") {
@@ -405,7 +402,6 @@ bool ReadPmMetricsFile(const std::string& path, PmMetricsFile* out, std::string*
       e.xpbuf_resident = xpbuf.U64("resident");
       e.xpbuf_insertions = xpbuf.U64("insertions");
       e.xpbuf_evictions = xpbuf.U64("evictions");
-      e.counters = GetU64Array(v, "counters");
       for (const auto& [name, value] : v.At("gauges").object) {
         e.gauges.emplace_back(name, value.number);
       }

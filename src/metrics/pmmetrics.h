@@ -3,15 +3,15 @@
 // (DESIGN.md §13):
 //
 //   {"type":"header", ...}    run identity: label, backend, epoch_ns,
-//                             threads, ops, plus the op-kind / counter /
-//                             component name tables that index the arrays
+//                             threads, ops, plus the op-kind / component
+//                             name tables that index the arrays
 //   {"type":"epoch", ...}     one per virtual-time epoch: windowed pmsim
 //                             stats (user/xpbuffer/media bytes -> windowed
 //                             XBI/CLI), windowed media bytes by component,
 //                             windowed per-op-kind latency percentiles
 //                             (virtual ns), cumulative XPBuffer occupancy /
-//                             insertion / eviction gauges, windowed registry
-//                             counters, and sampled index gauges
+//                             insertion / eviction gauges, and the gauges
+//                             pulled from the index and the front end
 //   {"type":"summary", ...}   end-of-run totals incl. the WALL-time latency
 //                             histograms
 //   {"type":"stats", ...}     the phase's pmsim counters by name and its
@@ -42,7 +42,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/metrics/metrics.h"
+#include "src/metrics/histogram.h"
 
 namespace cclbt::metrics {
 
@@ -58,7 +58,6 @@ struct PmMetricsHeader {
   uint64_t ops = 0;
   // Name tables indexing the epoch-record arrays, in serialized order.
   std::vector<std::string> op_kinds;
-  std::vector<std::string> counters;
   std::vector<std::string> components;
 };
 
@@ -83,8 +82,7 @@ struct EpochRecord {
   uint64_t xpbuf_resident = 0;       // cumulative gauges at t_ns
   uint64_t xpbuf_insertions = 0;
   uint64_t xpbuf_evictions = 0;
-  std::vector<uint64_t> counters;  // windowed registry counters
-  std::vector<std::pair<std::string, uint64_t>> gauges;  // sampled index gauges
+  std::vector<std::pair<std::string, uint64_t>> gauges;  // pulled at t_ns
 
   // Windowed amplification (paper §2.1, per epoch instead of endpoint).
   double WindowCli() const {
@@ -110,6 +108,15 @@ struct EpochRecord {
       n += v;
     }
     return n;
+  }
+  // The gauge named `name`, or 0 when the epoch has none.
+  uint64_t Gauge(std::string_view name) const {
+    for (const auto& [key, value] : gauges) {
+      if (key == name) {
+        return value;
+      }
+    }
+    return 0;
   }
 };
 

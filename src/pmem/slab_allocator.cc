@@ -39,6 +39,7 @@ std::unique_ptr<SlabAllocator> SlabAllocator::Open(PmPool& pool, uint64_t regist
 
 bool SlabAllocator::GrowLocked(int socket, SocketState& state) {
   trace::TraceScope scope(trace::Component::kAllocMeta);
+  sync::LockGuard<sync::Mutex> registry_guard(registry_mu_);
   if (registry_->chunk_count >= options_.max_chunks) {
     return false;
   }

@@ -78,6 +78,9 @@ class SlabAllocator {
 
   PmPool* pool_;
   Options options_;
+  // Every socket's free list appends its chunks to this one registry, so
+  // appends take registry_mu_ on top of the socket's lock.
+  sync::Mutex registry_mu_{"pmem.slab_registry"};
   Registry* registry_ = nullptr;
 
   std::vector<std::unique_ptr<SocketState>> sockets_;

@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/metrics/clock.h"
-#include "src/metrics/metrics.h"
 #include "src/pmsim/thread_context.h"
 
 namespace cclbt::service {
@@ -77,7 +76,8 @@ void ShardedKvService::Warm(const OpenLoopConfig& workload) {
   rt_.device().ResetCosts();
 }
 
-void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
+void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop,
+                                  bench::MeasuredPhase& phase) {
   Shard& sh = *shards_[static_cast<size_t>(s)];
   pmsim::ThreadContext* ctx = sh.ctx.get();
   pmsim::ThreadContext::SetCurrent(ctx);
@@ -110,14 +110,13 @@ void ShardedKvService::ServeBatch(int s, uint64_t start_ns, bool closed_loop) {
   uint64_t done_ns = ctx->now_ns();
   for (const Served& sv : batch) {
     uint64_t arrival = closed_loop ? start_ns : sv.req.arrival_ns;
-    metrics::RecordOp(sv.kind, done_ns - arrival, sv.wall_ns);
+    phase.RecordOp(sv.kind, done_ns - arrival, sv.wall_ns);
     if (config_.track_acked && IsWrite(sv.req.op)) {
       acked_[sv.req.key] = sv.req.op == OpType::kDelete ? 0 : sv.req.value;
     }
   }
   sh.stats.completed += batch.size();
   sh.stats.batches++;
-  metrics::Add(metrics::Counter::kServiceBatches);
 }
 
 void ShardedKvService::SampleGauges(bench::MeasuredPhase::Gauges* out) const {
@@ -126,6 +125,8 @@ void ShardedKvService::SampleGauges(bench::MeasuredPhase::Gauges* out) const {
     std::string p = "s" + std::to_string(s) + "_";
     out->emplace_back(p + "queue_depth", sh.queue.size());
     out->emplace_back(p + "shed", sh.stats.shed);
+    out->emplace_back(p + "admitted", sh.stats.admitted);
+    out->emplace_back(p + "batches", sh.stats.batches);
     bench::MeasuredPhase::Gauges tree_gauges;
     trees_[static_cast<size_t>(s)]->SampleGauges(&tree_gauges);
     for (auto& [name, value] : tree_gauges) {
@@ -174,12 +175,10 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
       Shard& sh = *shards_[static_cast<size_t>(ShardOf(next.key))];
       if (!closed_loop && sh.queue.size() >= config_.queue_capacity) {
         sh.stats.shed++;
-        metrics::Add(metrics::Counter::kServiceSheds);
       } else {
         sh.queue.push_back(next);
         sh.stats.max_queue_depth = std::max<uint64_t>(sh.stats.max_queue_depth, sh.queue.size());
         sh.stats.admitted++;
-        metrics::Add(metrics::Counter::kServiceAdmits);
       }
       have_next = gen.Next(&next);
       continue;
@@ -187,7 +186,7 @@ ServiceResult ShardedKvService::Run(const OpenLoopConfig& workload) {
     if (best < 0) {
       break;  // stream exhausted and every queue drained
     }
-    ServeBatch(best, best_t, closed_loop);
+    ServeBatch(best, best_t, closed_loop, phase);
     phase.Tick(shards_[static_cast<size_t>(best)]->ctx->now_ns());
   }
   pmsim::ThreadContext::SetCurrent(nullptr);

@@ -133,12 +133,13 @@ class ShardedKvService {
   struct Shard;
 
   // Serves one group-commit batch on shard `s`, starting at virtual time
-  // `start_ns` (>= the shard clock; the gap is modeled idle waiting).
-  void ServeBatch(int s, uint64_t start_ns, bool closed_loop);
+  // `start_ns` (>= the shard clock; the gap is modeled idle waiting), and
+  // records each request's latency in `phase`.
+  void ServeBatch(int s, uint64_t start_ns, bool closed_loop, bench::MeasuredPhase& phase);
 
   // Epoch gauges: each shard's queue depth at the epoch instant and its
-  // cumulative sheds, plus the shard index's own gauges, name-prefixed by
-  // shard ("s0_queue_depth", "s0_gc_rounds", ...).
+  // cumulative sheds, admits and batches, plus the shard index's own gauges,
+  // name-prefixed by shard ("s0_queue_depth", "s0_gc_rounds", ...).
   void SampleGauges(bench::MeasuredPhase::Gauges* out) const;
 
   kvindex::Runtime& rt_;

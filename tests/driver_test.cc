@@ -174,6 +174,31 @@ TEST(Driver, CclBeatsUnsortedLeafTreesOnXbi) {
   EXPECT_LT(ccl.xbi_amplification, fp.xbi_amplification * 0.7);
 }
 
+// Fig 14's ordering: locality-aware GC costs insert throughput, naive GC's
+// stop-the-world flush-back costs more, and both modes run GC rounds. ADR:
+// under eADR's random cache evictions naive GC can come out ahead.
+TEST(Driver, GcModesKeepFig14Order) {
+  RunConfig config;
+  config.threads = 48;
+  config.warm_keys = 10'000;
+  config.ops = 10'000;
+  config.metrics = true;
+  auto run = [&config](core::GcMode mode) {
+    IndexConfig index_config;
+    index_config.tree.gc_mode = mode;
+    return RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
+  };
+  RunResult none = run(core::GcMode::kNone);
+  RunResult locality = run(core::GcMode::kLocalityAware);
+  RunResult naive = run(core::GcMode::kNaive);
+  EXPECT_GT(none.mops, locality.mops);
+  EXPECT_GT(locality.mops, naive.mops);
+  ASSERT_FALSE(locality.epochs.empty());
+  ASSERT_FALSE(naive.epochs.empty());
+  EXPECT_GT(locality.epochs.back().Gauge("gc_rounds"), 0u);
+  EXPECT_GT(naive.epochs.back().Gauge("gc_rounds"), 0u);
+}
+
 TEST(Driver, FlatstoreScansFarSlowerThanCcl) {
   RunConfig config = SmallConfig(OpType::kScan);
   config.ops = 2'000;

@@ -390,11 +390,12 @@ namespace {
 
 // The shipped CCL-BTree must be lockcheck-clean on a fig10-micro style
 // workload: warm inserts + measured upserts, background GC on (the default),
-// several logical workers.
+// several logical workers on both sockets, so both sockets' leaf slabs grow.
 TEST(LockCheck, CleanRunOnCclbtreeFig10Micro) {
   RunConfig config;
   config.threads = 4;
-  config.warm_keys = 15'000;
+  config.threads_per_socket = 2;
+  config.warm_keys = 40'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
   RunResult result =

@@ -1,17 +1,15 @@
-// Tests for the metrics registry (src/metrics): the unified log-bucketed
-// histogram (including the former src/common/histogram.h suite, migrated
-// here when the implementations were unified), shard-merge conservation
-// across real OS threads, the disabled-gate zero-registration contract, the
-// deterministic .pmmetrics epoch series (bit-identical across identical
-// RunConfigs, including with background GC), the per-epoch component-bytes
-// sum invariant over both front ends that record epochs (the closed-loop
-// driver and the sharded service), and the .pmmetrics serialize/parse round
-// trip.
+// Tests for the metrics layer (src/metrics and the measured phase): the
+// unified log-bucketed histogram (including the former
+// src/common/histogram.h suite, migrated here when the implementations were
+// unified), the deterministic .pmmetrics epoch series (bit-identical across
+// identical RunConfigs, including with background GC), the per-epoch
+// component-bytes sum invariant over both front ends that record epochs (the
+// closed-loop driver and the sharded service), and the .pmmetrics
+// serialize/parse round trip.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +18,6 @@
 #include "src/common/rng.h"
 #include "src/kvindex/runtime.h"
 #include "src/metrics/histogram.h"
-#include "src/metrics/metrics.h"
 #include "src/metrics/pmmetrics.h"
 #include "src/service/service.h"
 
@@ -146,54 +143,6 @@ TEST(Histogram, DeltaIsWindowed) {
             Histogram::BucketUpperBound(Histogram::BucketFor(1000000)));
 }
 
-// --- registry: gate and shard lifecycle -------------------------------------
-
-// The disabled gate must never register a shard: one relaxed load, no TLS
-// allocation, no registry mutation (the <=2% disabled-cost budget).
-TEST(MetricsRegistry, DisabledGateRegistersNoShard) {
-  metrics::SetEnabled(false);
-  size_t before = metrics::NumShards();
-  std::thread t([] {
-    for (int i = 0; i < 1000; i++) {
-      metrics::Add(metrics::Counter::kBufferAbsorbs);
-      metrics::RecordOp(metrics::OpKind::kUpsert, 100, 100);
-    }
-  });
-  t.join();
-  EXPECT_EQ(metrics::NumShards(), before);
-}
-
-// Counts recorded by real OS threads are conserved through shard merge, even
-// though the threads (and their TLS bindings) are gone by snapshot time.
-TEST(MetricsRegistry, ShardMergeConservation) {
-  metrics::SetEnabled(true);
-  metrics::Reset();
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  uint64_t expected_ops = 0;
-  for (int t = 0; t < kThreads; t++) {
-    uint64_t ops = 1000 + static_cast<uint64_t>(t);
-    expected_ops += ops;
-    threads.emplace_back([t, ops] {
-      for (uint64_t i = 0; i < ops; i++) {
-        metrics::Add(metrics::Counter::kBufferAbsorbs);
-        metrics::Add(metrics::Counter::kWalAppendBytes, 64);
-        metrics::RecordOp(metrics::OpKind::kUpsert, 100 + static_cast<uint64_t>(t), 50);
-      }
-    });
-  }
-  for (auto& t : threads) {
-    t.join();
-  }
-  metrics::MetricsSnapshot snap = metrics::Snapshot();
-  metrics::SetEnabled(false);
-  EXPECT_EQ(snap.counter(metrics::Counter::kBufferAbsorbs), expected_ops);
-  EXPECT_EQ(snap.counter(metrics::Counter::kWalAppendBytes), 64 * expected_ops);
-  EXPECT_EQ(snap.virt(metrics::OpKind::kUpsert).Count(), expected_ops);
-  EXPECT_EQ(snap.wall(metrics::OpKind::kUpsert).Count(), expected_ops);
-  EXPECT_GE(metrics::NumShards(), 1u);
-}
-
 // --- epoch series: determinism and invariants -------------------------------
 
 bench::RunConfig MetricsConfig() {
@@ -222,9 +171,9 @@ TEST(MetricsEpochSeries, BitIdenticalAcrossRuns) {
             metrics::SerializeEpochSeries(second.epochs));
 }
 
-// Same property with background GC enabled: GC rounds, WAL release bytes and
-// the gc_rounds gauge land in epoch records and must stay deterministic
-// under the virtual-time GC scheduling.
+// Same property with background GC enabled: GC rounds land in the epoch
+// records' gc_rounds gauge and must stay deterministic under the
+// virtual-time GC scheduling.
 TEST(MetricsEpochSeries, BackgroundGcBitIdenticalAcrossRuns) {
   bench::IndexConfig index_config;
   index_config.tree.background_gc = true;
@@ -289,7 +238,7 @@ TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
 }
 
 // A run without the metrics flag (and no CCL_METRICS / latency collection)
-// produces no epoch series and no registry activity.
+// produces no epoch series and records no op latency.
 TEST(MetricsEpochSeries, DisabledByDefault) {
   bench::IndexConfig index_config;
   index_config.tree.background_gc = false;
@@ -311,18 +260,15 @@ TEST(PmMetricsFormat, SerializeParseRoundTrip) {
   for (int k = 0; k < metrics::kNumOpKinds; k++) {
     file.header.op_kinds.push_back(metrics::OpKindName(static_cast<metrics::OpKind>(k)));
   }
-  for (int c = 0; c < metrics::kNumCounters; c++) {
-    file.header.counters.push_back(metrics::CounterName(static_cast<metrics::Counter>(c)));
-  }
   file.header.components = {"other", "wal", "leaf"};
 
   metrics::EpochRecord e;
   e.index = 0;
   e.t_ns = 1000000;
-  e.ops = {10, 2, 0, 0};
-  e.p50_ns = {100, 50, 0, 0};
-  e.p99_ns = {200, 60, 0, 0};
-  e.p999_ns = {300, 70, 0, 0};
+  e.ops = {10, 2, 0};
+  e.p50_ns = {100, 50, 0};
+  e.p99_ns = {200, 60, 0};
+  e.p999_ns = {300, 70, 0};
   e.user_bytes = 160;
   e.xpbuffer_write_bytes = 512;
   e.media_write_bytes = 384;
@@ -333,7 +279,6 @@ TEST(PmMetricsFormat, SerializeParseRoundTrip) {
   e.xpbuf_resident = 2;
   e.xpbuf_insertions = 8;
   e.xpbuf_evictions = 6;
-  e.counters.assign(static_cast<size_t>(metrics::kNumCounters), 3);
   e.gauges = {{"gc_rounds", 5}, {"leaf_bytes", 4096}};
   file.epochs.push_back(e);
 

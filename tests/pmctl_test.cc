@@ -4,8 +4,9 @@
 // both dumps, `pmctl check` must exit 3 / 0 / 2 on dumps with a seeded
 // violation / only informational findings / no checker, a bench that calls
 // RunWorkload on its own runtime dumps its checker records too, a removed
-// verb is a usage error, a record type the reader does not know is skipped,
-// and a dump or checker record that cannot be written is named on stderr.
+// verb is a usage error, a record type or field the reader does not know is
+// skipped, and a dump or checker record that cannot be written is named on
+// stderr.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -224,9 +225,11 @@ TEST_F(Pmctl, RemovedVerbsAreUsageErrors) {
   EXPECT_EQ(RunPmctl("locks " + driver_dump_), 64);
 }
 
-// Readers skip record types they do not know, such as the `sample` timeline
-// of older writers. A line that is not JSON, such as the first line of the
-// retired tokenized dump, is an error.
+// Readers skip record types and fields they do not know, such as the
+// `sample` timeline of older writers and the `counters` table and arrays of
+// older headers and epochs (whose op kinds end in `recover`). A line that is
+// not JSON, such as the first line of the retired tokenized dump, is an
+// error.
 TEST_F(Pmctl, UnknownRecordTypeIsSkipped) {
   ASSERT_FALSE(driver_dump_.empty());
   const std::string legacy = Scratch("legacy.pmmetrics");
@@ -235,9 +238,24 @@ TEST_F(Pmctl, UnknownRecordTypeIsSkipped) {
     out << "{\"type\":\"sample\",\"t_ns\":1000000,\"ops\":5000,\"media_write_bytes\":4096}\n";
     std::ifstream in(driver_dump_);
     out << in.rdbuf();
+    out << "{\"type\":\"header\",\"pmmetrics\":1,\"label\":\"legacy\",\"backend\":\"adr\","
+           "\"epoch_ns\":1000000,\"threads\":4,\"ops\":5000,"
+           "\"op_kinds\":[\"upsert\",\"lookup\",\"scan\",\"recover\"],"
+           "\"counters\":[\"buffer_absorbs\",\"buffer_flushes\",\"buffer_flush_entries\","
+           "\"wal_append_bytes\",\"wal_release_bytes\",\"gc_rounds\",\"service_admits\","
+           "\"service_sheds\",\"service_batches\"],"
+           "\"components\":[\"other\",\"wal\",\"leaf\"]}\n"
+           "{\"type\":\"epoch\",\"i\":0,\"t_ns\":1000000,\"ops\":[5000,0,0,0],"
+           "\"p50_ns\":[900,0,0,0],\"p99_ns\":[2000,0,0,0],\"p999_ns\":[4000,0,0,0],"
+           "\"user_bytes\":80000,\"xpbuffer_write_bytes\":320000,\"media_write_bytes\":4096,"
+           "\"media_read_bytes\":0,\"line_flushes\":5000,\"fences\":2500,"
+           "\"comp_bytes\":[0,1024,3072],"
+           "\"xpbuf\":{\"resident\":64,\"insertions\":100,\"evictions\":36},"
+           "\"counters\":[3000,1000,2000,80000,0,0,0,0,0],\"gauges\":{\"gc_rounds\":0}}\n";
   }
   EXPECT_EQ(RunPmctl("stats " + legacy), 0);
   EXPECT_EQ(RunPmctl("series " + legacy), 0);
+  EXPECT_EQ(RunPmctl("top " + legacy), 0);
 
   const std::string tokenized = Scratch("tokenized");
   std::ofstream(tokenized) << "pmtrace 1\nlabel cclbtree\n";

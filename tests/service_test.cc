@@ -124,7 +124,7 @@ TEST(Service, EpochSeriesAndShedCountsAreBitIdenticalAcrossRuns) {
   EXPECT_EQ(a.completed, b.completed);
   ASSERT_FALSE(a.epochs.empty());
   // The serialized epoch series is the CI determinism payload: every field
-  // (windowed stats, percentiles, counters, gauges) must match byte for byte.
+  // (windowed stats, percentiles, gauges) must match byte for byte.
   EXPECT_EQ(metrics::SerializeEpochSeries(a.epochs), metrics::SerializeEpochSeries(b.epochs));
   for (int k = 0; k < metrics::kNumOpKinds; k++) {
     EXPECT_EQ(a.metrics_snapshot.op_virtual[k].Count(), b.metrics_snapshot.op_virtual[k].Count());
@@ -144,12 +144,25 @@ TEST(Service, OverloadShedsInsteadOfGrowingQueues) {
   for (const ShardStats& sh : result.shards) {
     EXPECT_LE(sh.max_queue_depth, 32u);  // bounded by queue_capacity
   }
-  uint64_t admits =
-      result.metrics_snapshot.counter(metrics::Counter::kServiceAdmits);
-  uint64_t sheds = result.metrics_snapshot.counter(metrics::Counter::kServiceSheds);
-  EXPECT_EQ(admits, result.admitted);
-  EXPECT_EQ(sheds, result.shed);
-  EXPECT_EQ(admits + sheds, result.offered);
+  // The per-shard counts sum to the totals, and so do the last epoch's
+  // cumulative sN_shed / sN_admitted gauges pulled from them.
+  ASSERT_FALSE(result.epochs.empty());
+  const metrics::EpochRecord& last = result.epochs.back();
+  uint64_t shard_sheds = 0;
+  uint64_t shard_admits = 0;
+  uint64_t gauge_sheds = 0;
+  uint64_t gauge_admits = 0;
+  for (size_t s = 0; s < result.shards.size(); s++) {
+    shard_sheds += result.shards[s].shed;
+    shard_admits += result.shards[s].admitted;
+    gauge_sheds += last.Gauge("s" + std::to_string(s) + "_shed");
+    gauge_admits += last.Gauge("s" + std::to_string(s) + "_admitted");
+  }
+  EXPECT_EQ(shard_sheds, result.shed);
+  EXPECT_EQ(shard_admits, result.admitted);
+  EXPECT_EQ(gauge_sheds, result.shed);
+  EXPECT_EQ(gauge_admits, result.admitted);
+  EXPECT_EQ(result.admitted + result.shed, result.offered);
 }
 
 TEST(Service, LightLoadShedsLittleAndKeepsLatencyNearService) {

@@ -24,17 +24,18 @@
 #   6c. service: the sharded KV front-end suite re-run as a named step
 #      (ctest -R service) so a socket-pinning, admission-control, or
 #      acked-write-durability regression is named explicitly (DESIGN.md §15)
-#   7. determinism: staged benches run twice with pmcheck enabled,
-#      virtual-metric tails and .pmmetrics dumps diffed (run_benches.sh
+#   7. determinism: staged benches run twice with pmcheck enabled, their
+#      full-precision JSON tails and .pmmetrics dumps diffed (run_benches.sh
 #      --determinism; §10 — diagnostics must not perturb virtual time), and
 #      `pmctl check` gates every run-1 dump: a violation, or a checked run
 #      without a checker record, fails the step; includes the
 #      bench_backend_matrix sweep across all backends, the open-loop
 #      bench_service_tail sweep (virtual tail latencies must be bit-stable),
-#      fig17's recovery rows (replay on virtual workers) and the CCL-Hash
-#      ablation rows (extra_hash)
-#   8. metrics-determinism: the metrics registry / epoch-series test binary
-#      re-run on its own so a nondeterministic .pmmetrics series is named
+#      fig14's three GC rows (each writes a dump, so their timelines are
+#      gated too), fig17's recovery rows (replay on virtual workers) and the
+#      CCL-Hash ablation rows (extra_hash)
+#   8. metrics-determinism: the histogram / epoch-series test binary re-run
+#      on its own so a nondeterministic .pmmetrics series is named
 #      explicitly in the CI log (step 7 additionally diffs the epoch series
 #      emitted by the real benches)
 #   9. bench-gate: tools/bench_gate.py --self-test (seeds a fake regression
@@ -139,15 +140,16 @@ ctest --test-dir build -R service --output-on-failure
 # cclbtree rows with background GC on (DESIGN.md §10), the backend-matrix
 # sweep across ADR/eADR/CXL (DESIGN.md §14), fig17's multi-worker recovery
 # and CCL-Hash's ablation — and every dump's pmcheck verdict must be clean
-# (`pmctl check` exit 0). Small scale: the property being checked is exact
-# equality and zero violations, not the metric values themselves.
+# (`pmctl check` exit 0), fig14's three GC-mode dumps included. Small scale:
+# the property being checked is exact equality and zero violations, not the
+# metric values themselves.
 echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17/extra_hash run twice, tails + dumps diffed, pmctl check gated (pmcheck on) ==="
 CCL_PMCHECK=1 CCL_BENCH_SCALE="${CCL_BENCH_SCALE:-60000}" \
   ./run_benches.sh --determinism 'fig03|fig10|fig14|backend_matrix|service_tail|fig17|extra_hash'
 
-# Metrics determinism: the registry's own suite (shard-merge conservation,
-# bit-identical epoch series for identical RunConfigs including a
-# background-GC run, percentile oracle) re-run as a named step.
+# Metrics determinism: the metrics suite (bit-identical epoch series for
+# identical RunConfigs including a background-GC run, epoch tiling over both
+# front ends, percentile oracle) re-run as a named step.
 echo "=== metrics-determinism: ctest -R metrics ==="
 ctest --test-dir build -R metrics --output-on-failure
 

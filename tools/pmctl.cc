@@ -473,9 +473,6 @@ int CmdSeries(const PmMetricsFile& f, bool json) {
       head += ",mwB_" + c;
     }
     head += ",xpbuf_resident,xpbuf_insertions,xpbuf_evictions";
-    for (const std::string& c : f.header.counters) {
-      head += "," + c;
-    }
     if (!f.epochs.empty()) {
       for (const auto& [name, value] : f.epochs.front().gauges) {
         (void)value;
@@ -503,9 +500,6 @@ int CmdSeries(const PmMetricsFile& f, bool json) {
       }
       row += "," + cell(e.xpbuf_resident) + "," + cell(e.xpbuf_insertions) + "," +
              cell(e.xpbuf_evictions);
-      for (size_t c = 0; c < f.header.counters.size(); c++) {
-        row += "," + cell(c < e.counters.size() ? e.counters[c] : 0);
-      }
       for (const auto& [name, value] : e.gauges) {
         (void)name;
         row += "," + cell(value);

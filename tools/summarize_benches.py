@@ -3,13 +3,12 @@
 
 Usage: tools/summarize_benches.py [bench_output.txt]
        tools/summarize_benches.py --check FILE.json [FILE.json ...]
-       tools/summarize_benches.py --tail FILE
+       tools/summarize_benches.py --tail FILE.json
 
 Default mode parses google-benchmark console rows of the form
     fig10/insert/cclbtree/threads:48/iterations:1  ... Mops=6.97 XBI=8.99 ...
 and prints one aligned table per experiment prefix (fig02, fig03, ...,
-tab1-3, extra_*), with the counters as columns. The fig14 GC timeline is
-passed through verbatim.
+tab1-3, extra_*), with the counters as columns.
 
 --check validates machine-readable BENCH_*.json files (used by
 run_benches.sh to refuse partial/corrupt results): each file must be either
@@ -18,19 +17,19 @@ named) or the bench_pmsim_hotpath schema ("bench": "pmsim_hotpath" +
 non-empty "scenarios" with the expected numeric fields). Exits non-zero on
 the first invalid file.
 
---tail extracts the deterministic "metric tail" of one bench console log:
-per-row counters (virtual-time metrics, key=value tokens, kept verbatim) and
-the fig14 GC timeline, dropping the wall-clock time columns and the wall
-counters tools/bench_gate.py bands (WALL_KEYS). Two runs of the same bench
-must produce byte-identical --tail output (the driver determinism contract,
-DESIGN.md §10); run_benches.sh --determinism diffs them.
+--tail extracts the deterministic "metric tail" of one bench's
+google-benchmark JSON (--benchmark_out): one line per row with every field
+at full (repr) precision, except the wall-clock fields tools/bench_gate.py
+bands (WALL_KEYS). Two runs of the same bench must produce byte-identical
+--tail output (the driver determinism contract, DESIGN.md §10);
+run_benches.sh --determinism diffs them.
 """
 import json
 import re
 import sys
 from collections import defaultdict
 
-from bench_gate import WALL_KEYS
+from bench_gate import WALL_KEYS, entries_by_name
 
 ROW = re.compile(
     r"^(?P<name>(fig|tab|extra|backend|service)\w*/\S+?)/iterations:1\s+(?P<rest>.*)$")
@@ -98,27 +97,21 @@ def run_tail(paths: list[str]) -> int:
     if len(paths) != 1:
         print("--tail requires exactly one file", file=sys.stderr)
         return 2
-    emitted = 0
-    with open(paths[0]) as handle:
-        for line in handle:
-            line = line.rstrip()
-            if line.startswith(("w/o-GC", "locality-GC", "naive-GC")):
-                print(line)  # fig14 timeline rows are fully virtual-time
-                emitted += 1
-                continue
-            match = ROW.match(line.strip())
-            if not match:
-                continue
-            counters = COUNTER.findall(match.group("rest"))
-            print(match.group("name") + "  " +
-                  " ".join(f"{key}={value}" for key, value in counters
-                           if key not in WALL_KEYS))
-            emitted += 1
-    if emitted == 0:
+    try:
+        with open(paths[0]) as handle:
+            entries = entries_by_name(json.load(handle), paths[0])
+    except (OSError, ValueError) as exc:
+        print(f"summarize_benches.py: {paths[0]}: {exc}", file=sys.stderr)
+        return 1
+    if not entries:
         # An empty tail would make any determinism diff vacuously pass.
         print(f"summarize_benches.py: {paths[0]}: no metric rows found",
               file=sys.stderr)
         return 1
+    for name, fields in entries.items():
+        print(name + "  " + " ".join(f"{key}={value!r}"
+                                     for key, value in sorted(fields.items())
+                                     if key not in WALL_KEYS))
     return 0
 
 
@@ -129,13 +122,8 @@ def main() -> int:
         return run_tail(sys.argv[2:])
     path = sys.argv[1] if len(sys.argv) > 1 else "bench_output.txt"
     experiments = defaultdict(list)  # prefix -> [(config, {counter: value})]
-    gc_timeline = []
     with open(path) as handle:
         for line in handle:
-            line = line.rstrip()
-            if line.startswith(("w/o-GC", "locality-GC", "naive-GC")):
-                gc_timeline.append(line)
-                continue
             match = ROW.match(line.strip())
             if not match:
                 continue
@@ -156,11 +144,6 @@ def main() -> int:
             cells = "".join(
                 f"{counters.get(col, float('nan')):>14.3f}" for col in columns)
             print(f"{config:<42}{cells}")
-
-    if gc_timeline:
-        print("\n=== fig14 GC timeline (verbatim) ===")
-        for line in gc_timeline:
-            print(line)
     return 0
 
 
