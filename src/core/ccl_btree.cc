@@ -109,6 +109,9 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   leaf_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
+  if (!leaf_slab_->IsSlot(root->head_leaf_offset)) {
+    return false;
+  }
   head_leaf_ = LeafAt(root->head_leaf_offset);
 
   uint64_t max_ts = root->ts_floor;
@@ -960,40 +963,15 @@ void CclBTree::NaiveGc() {
 void CclBTree::LocalityAwareGc() {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  // Flip the global epoch: appends from now on go to the I-log (§3.4).
-  uint32_t old_epoch = global_epoch_.load(std::memory_order_acquire);
-  uint32_t new_epoch = old_epoch ^ 1u;
-  global_epoch_.store(new_epoch, std::memory_order_release);
-
-  // Copy every still-buffered KV tagged with the old epoch into the I-log —
-  // sequential appends, never a random leaf write. The copy gets a fresh
-  // timestamp, which is safe: the slot holds the newest value for its key
-  // and every later update will receive a still-larger timestamp.
-  for (BufferNode* bn : CollectBufferNodes()) {
-    bn->Lock();
-    if (!bn->dead()) {
-      BufferSlot* slots = bn->slots();
-      int pos = bn->pos();
-      for (int i = 0; i < pos; i++) {
-        if (bn->EpochBit(i) == old_epoch) {
-          uint64_t ts = Timestamp();
-          bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(new_epoch),
-                                      slots[i].key.load(std::memory_order_relaxed),
-                                      slots[i].value.load(std::memory_order_relaxed), ts);
-          assert(logged && "log arena exhausted during GC");
-          (void)logged;
-          bn->SetEpochBit(i, new_epoch);
-        }
-      }
-    }
-    bn->Unlock();
-  }
-  // Every buffered-but-unflushed KV now lives in the I-log (either copied
-  // above or logged there by foreground threads after the flip): the old
-  // B-logs are dead and all their chunks return to the free list.
-  wals_->ReleaseEpoch(static_cast<int>(old_epoch));
+  bool released = LocalityAwareGcRound(
+      *wals_, ctx->worker_id(), global_epoch_, [this] { return CollectBufferNodes(); },
+      [this] { return Timestamp(); });
+  // A round the arena cut short freed nothing, so the log did not shrink:
+  // its floor re-arms the trigger only once the log has doubled.
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
-  gc_rounds_.fetch_add(1, std::memory_order_relaxed);
+  if (released) {
+    gc_rounds_.fetch_add(1, std::memory_order_relaxed);
+  }
 }
 
 void CclBTree::FlushAll() {
@@ -1023,6 +1001,9 @@ bool CclBTree::RebuildFromLeafList(uint64_t floor, uint64_t* max_ts) {
   uint64_t next_offset = head_leaf_->next_offset();
   uint64_t prev_min = 0;
   while (next_offset != 0) {
+    if (!leaf_slab_->IsSlot(next_offset)) {
+      return false;  // a next pointer outside the leaf slab
+    }
     if (!walked.insert(next_offset).second) {
       return false;  // the leaf list loops back on itself
     }

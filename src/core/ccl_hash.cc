@@ -478,26 +478,12 @@ kvindex::MemoryFootprint CclHashTable::Footprint() const {
   return footprint;
 }
 
-void CclHashTable::RunGcOnce() {
+bool CclHashTable::RunGcOnce() {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  uint32_t old_epoch = global_epoch_.load(std::memory_order_acquire);
-  uint32_t new_epoch = old_epoch ^ 1u;
-  global_epoch_.store(new_epoch, std::memory_order_release);
-  for (BufferNode* bn : directory_) {
-    bn->Lock();
-    BufferSlot* slots = bn->slots();
-    int pos = bn->pos();
-    for (int i = 0; i < pos; i++) {
-      if (bn->EpochBit(i) == old_epoch) {
-        Log(ctx->worker_id(), new_epoch, slots[i].key.load(std::memory_order_relaxed),
-            slots[i].value.load(std::memory_order_relaxed), Timestamp());
-        bn->SetEpochBit(i, new_epoch);
-      }
-    }
-    bn->Unlock();
-  }
-  wals_->ReleaseEpoch(static_cast<int>(old_epoch));
+  return LocalityAwareGcRound(
+      *wals_, ctx->worker_id(), global_epoch_, [this] { return directory_; },
+      [this] { return Timestamp(); });
 }
 
 }  // namespace cclbt::core

@@ -83,8 +83,10 @@ class CclHashTable : public kvindex::KvIndex {
     return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
   }
 
-  // Locality-aware GC round (epoch flip + I-log copy of unflushed entries).
-  void RunGcOnce();
+  // One locality-aware GC round on the calling context (LocalityAwareGcRound:
+  // epoch flip, I-log copy of the buffered entries, B-log release). Returns
+  // false if the log arena ran out, in which case no log was freed.
+  bool RunGcOnce();
 
   uint64_t log_live_bytes() const { return wals_->live_bytes(); }
   uint64_t overflow_buckets() const { return overflow_buckets_.load(std::memory_order_relaxed); }

@@ -67,31 +67,38 @@ bool ThreadWal::ActivateChunk(int epoch) {
   return true;
 }
 
-bool ThreadWal::Append(int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
+bool ThreadWal::Append(int epoch, std::span<const LogEntry> entries) {
   trace::TraceScope scope(WalComponent());
   trace::Emit(trace::EventType::kWalAppend, static_cast<uint64_t>(epoch));
-  ActiveChunk& chunk = active_[epoch];
-  if (chunk.base == nullptr ||
-      chunk.cursor + sizeof(LogEntry) > pmem::kLogChunkBytes) {
-    if (!ActivateChunk(epoch)) {
-      return false;
+  for (size_t next = 0; next < entries.size();) {
+    if (active_[epoch].base == nullptr ||
+        active_[epoch].cursor + sizeof(LogEntry) > pmem::kLogChunkBytes) {
+      if (!ActivateChunk(epoch)) {
+        return false;
+      }
     }
+    ActiveChunk& active = active_[epoch];
+    size_t n = std::min(entries.size() - next,
+                        (pmem::kLogChunkBytes - active.cursor) / sizeof(LogEntry));
+    auto* out = reinterpret_cast<LogEntry*>(active.base + active.cursor);
+    for (size_t i = 0; i < n; i++) {
+      const LogEntry& entry = entries[next + i];
+      out[i] = {entry.key, entry.value,
+                MakeTsWord(active.generation, entry.ts_word, entry.key, entry.value)};
+    }
+    {
+      // Log appends write fresh bytes at a monotonically advancing cursor, so
+      // a clean-line report here is always a content coincidence: a recycled
+      // chunk can still hold a byte-identical entry from a prior generation
+      // at this offset (e.g. repeated tombstones of one key at equal ordo
+      // timestamps).
+      pmsim::PmCheckExpect append_expect(pmsim::PmCheckClass::kRedundantFlush);
+      pmsim::Persist(out, n * sizeof(LogEntry));
+    }
+    active.cursor += n * sizeof(LogEntry);
+    appended_bytes_[epoch] += n * sizeof(LogEntry);
+    next += n;
   }
-  ActiveChunk& active = active_[epoch];
-  auto* entry = reinterpret_cast<LogEntry*>(active.base + active.cursor);
-  entry->key = key;
-  entry->value = value;
-  entry->ts_word = MakeTsWord(active.generation, timestamp, key, value);
-  {
-    // Log appends write fresh bytes at a monotonically advancing cursor, so a
-    // clean-line report here is always a content coincidence: a recycled chunk
-    // can still hold a byte-identical entry from a prior generation at this
-    // offset (e.g. repeated tombstones of one key at equal ordo timestamps).
-    pmsim::PmCheckExpect append_expect(pmsim::PmCheckClass::kRedundantFlush);
-    pmsim::Persist(entry, sizeof(LogEntry));
-  }
-  active.cursor += sizeof(LogEntry);
-  appended_bytes_[epoch] += sizeof(LogEntry);
   return true;
 }
 
@@ -125,18 +132,18 @@ WalSet::WalSet(pmem::LogArena& arena, int max_workers) : arena_(&arena) {
   }
 }
 
-bool WalSet::Append(int worker_id, int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
+bool WalSet::Append(int worker_id, int epoch, std::span<const LogEntry> entries) {
   assert(worker_id >= 0 && static_cast<size_t>(worker_id) < wals_.size());
-  if (!wals_[static_cast<size_t>(worker_id)]->Append(epoch, key, value, timestamp)) {
-    return false;
-  }
-  uint64_t live =
-      live_bytes_.fetch_add(sizeof(LogEntry), std::memory_order_relaxed) + sizeof(LogEntry);
+  ThreadWal& wal = *wals_[static_cast<size_t>(worker_id)];
+  const uint64_t before = wal.appended_bytes(epoch);
+  const bool appended = wal.Append(epoch, entries);
+  const uint64_t added = wal.appended_bytes(epoch) - before;
+  uint64_t live = live_bytes_.fetch_add(added, std::memory_order_relaxed) + added;
   uint64_t peak = peak_bytes_.load(std::memory_order_relaxed);
   while (live > peak &&
          !peak_bytes_.compare_exchange_weak(peak, live, std::memory_order_relaxed)) {
   }
-  return true;
+  return appended;
 }
 
 void WalSet::ReleaseEpoch(int epoch) {
@@ -241,6 +248,81 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int th
     arena.FreeChunk(mem);
   });
   return max_ts;
+}
+
+bool LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
+                          const std::function<std::vector<BufferNode*>()>& nodes,
+                          const std::function<uint64_t()>& timestamp) {
+  trace::TraceScope scope(trace::Component::kGc);
+  // Flip the global epoch: appends from now on go to the I-log (§3.4).
+  const uint32_t old_epoch = epoch.load(std::memory_order_acquire);
+  const uint32_t new_epoch = old_epoch ^ 1u;
+  epoch.store(new_epoch, std::memory_order_release);
+
+  // Staged copies and the slots they came from. A node's KVs are staged
+  // together, so up to a node's slots beyond one span wait for the next.
+  constexpr size_t kCapacity = kGcSpanEntries + 8;
+  struct Source {
+    BufferNode* node;
+    int slot;
+  };
+  LogEntry staged[kCapacity];
+  Source sources[kCapacity];
+  size_t count = 0;
+  // Appends the first n staged copies. On failure no staged copy is known to
+  // be durable, and each one's only durable copy is its B-log entry: give
+  // every staged slot its old bit back (a slot rewritten since is merely
+  // copied again) and flip the epoch back, so the next round repeats this
+  // flip and the B-log outlives every copy.
+  auto append = [&](size_t n) {
+    if (wals.Append(worker_id, static_cast<int>(new_epoch), {staged, n})) {
+      count -= n;
+      std::copy_n(staged + n, count, staged);
+      std::copy_n(sources + n, count, sources);
+      return true;
+    }
+    for (size_t i = 0; i < count; i++) {
+      sources[i].node->Lock();
+      sources[i].node->SetEpochBit(sources[i].slot, old_epoch);
+      sources[i].node->Unlock();
+    }
+    epoch.store(old_epoch, std::memory_order_release);
+    return false;
+  };
+
+  // Copy every still-buffered KV tagged with the old epoch into the I-log —
+  // sequential appends, never a random leaf write. The copy gets a fresh
+  // timestamp, which is safe: the slot holds the newest value for its key
+  // and every later update will receive a still-larger timestamp. The nodes
+  // are collected after the flip: a node published later (a split's right
+  // half) buffers only KVs logged in the new epoch.
+  for (BufferNode* bn : nodes()) {
+    assert(bn->nbatch() <= 8);
+    bn->Lock();
+    if (!bn->dead()) {
+      BufferSlot* slots = bn->slots();
+      for (int i = 0; i < bn->pos(); i++) {
+        if (bn->EpochBit(i) == old_epoch) {
+          staged[count] = {slots[i].key.load(std::memory_order_relaxed),
+                           slots[i].value.load(std::memory_order_relaxed), timestamp()};
+          sources[count++] = {bn, i};
+          bn->SetEpochBit(i, new_epoch);
+        }
+      }
+    }
+    bn->Unlock();
+    if (count >= kGcSpanEntries && !append(kGcSpanEntries)) {
+      return false;
+    }
+  }
+  if (count > 0 && !append(count)) {
+    return false;
+  }
+  // Every buffered-but-unflushed KV now lives in the I-log (either copied
+  // above or logged there by foreground threads after the flip): the old
+  // B-logs are dead and all their chunks return to the free list.
+  wals.ReleaseEpoch(static_cast<int>(old_epoch));
+  return true;
 }
 
 }  // namespace cclbt::core

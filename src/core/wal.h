@@ -12,6 +12,10 @@
 // GC land in the I-log (§3.4); the GC frees all B-log chunks at the end of a
 // round.
 //
+// Appends take a span of entries and commit it with one fence: a foreground
+// upsert appends one entry, a GC round appends its I-log copy one 4 KiB span
+// at a time (LocalityAwareGcRound).
+//
 // Entry validity without zeroing recycled chunks: the chunk header carries a
 // generation counter bumped on every (re)activation, and each entry's
 // timestamp word embeds an 8-bit tag = generation ^ checksum(kv). Replay
@@ -25,8 +29,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
+#include "src/core/buffer_node.h"
 #include "src/kvindex/runtime.h"
 #include "src/pmem/log_arena.h"
 #include "src/pmsim/device.h"
@@ -82,9 +88,17 @@ class ThreadWal {
   ThreadWal(const ThreadWal&) = delete;
   ThreadWal& operator=(const ThreadWal&) = delete;
 
-  // Appends and persists one entry to the `epoch` log. Returns false when
-  // the arena is exhausted.
-  bool Append(int epoch, uint64_t key, uint64_t value, uint64_t timestamp);
+  // Appends `entries` to the `epoch` log at the cursor: writes them, flushes
+  // each 64 B line they cover once, and fences once. Each entry's ts_word is
+  // a bare timestamp, which Append tags with the generation of the chunk the
+  // entry lands in. A span that reaches the end of the active chunk fences
+  // what it wrote there and goes on in a fresh chunk. Returns false when the
+  // arena is exhausted; the entries appended before that are durable.
+  bool Append(int epoch, std::span<const LogEntry> entries);
+  bool Append(int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
+    const LogEntry entry{key, value, timestamp};
+    return Append(epoch, {&entry, 1});
+  }
 
   // Releases every chunk of the `epoch` log back to the arena (persisting the
   // free markers). Returns the number of payload bytes released.
@@ -116,7 +130,11 @@ class WalSet {
   WalSet(pmem::LogArena& arena, int max_workers);
 
   // Appends on behalf of `worker_id`; updates the global log-size counter.
-  bool Append(int worker_id, int epoch, uint64_t key, uint64_t value, uint64_t timestamp);
+  bool Append(int worker_id, int epoch, std::span<const LogEntry> entries);
+  bool Append(int worker_id, int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
+    const LogEntry entry{key, value, timestamp};
+    return Append(worker_id, epoch, {&entry, 1});
+  }
 
   // Frees the `epoch` log of every worker (end of a GC round).
   void ReleaseEpoch(int epoch);
@@ -150,6 +168,24 @@ class WalSet {
   std::atomic<uint64_t> live_bytes_{0};
   std::atomic<uint64_t> peak_bytes_{0};
 };
+
+// Entries of one I-log copy span: 4 KiB of log, the DIMM interleave unit.
+inline constexpr size_t kGcSpanEntries = pmsim::kInterleaveBytes / sizeof(LogEntry);
+
+// One locality-aware GC round of CCL-BTree and CCL-Hash (paper §3.4),
+// appending to `worker_id`'s WAL. Flips `epoch`, then calls nodes() for the
+// buffer nodes to visit; under each live node's lock, it stamps every KV
+// buffered in the old epoch with timestamp(), flips its epoch bit and stages
+// it; the staged copies are appended to the new epoch's
+// log one span of kGcSpanEntries at a time, and once more at the end. Every
+// copy is durable before the old epoch's logs are freed, which is the only
+// point that needs it: until then each copied KV is still in that B-log.
+// If the arena runs out, the round ends before the release and returns
+// false: `epoch` flips back and the KVs not yet durably copied keep (or get
+// back) their old bit, so the next round copies them, into the same log.
+bool LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
+                          const std::function<std::vector<BufferNode*>()>& nodes,
+                          const std::function<uint64_t()>& timestamp);
 
 }  // namespace cclbt::core
 

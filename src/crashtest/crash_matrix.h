@@ -39,8 +39,10 @@ struct CrashPoint {
 // function of the op stream and crash points can hit GC's own flush/fence
 // stream — including the relocate-then-free window of the locality-aware GC.
 // The gc-window schedule puts a crash point at every kGcStride-th fence
-// inside each GC round's fence window observed in the probe run.
-inline constexpr uint64_t kGcStride = 2;
+// inside each GC round's fence window observed in the probe run. A round
+// fences once per I-log span, chunk activation and chunk release, so every
+// one of its fences is a distinct durable state worth a point.
+inline constexpr uint64_t kGcStride = 1;
 
 struct MatrixConfig {
   std::string index = "cclbtree";  // factory name; must be recoverable

@@ -1,5 +1,6 @@
 #include "src/pmem/slab_allocator.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/pmsim/lockcheck.h"
@@ -34,6 +35,9 @@ std::unique_ptr<SlabAllocator> SlabAllocator::Open(PmPool& pool, uint64_t regist
                                                    const Options& options) {
   auto slab = std::unique_ptr<SlabAllocator>(new SlabAllocator(pool, options));
   slab->registry_ = reinterpret_cast<Registry*>(pool.ToAddr(registry_offset));
+  const uint64_t* offsets = slab->registry_->chunk_offsets;
+  slab->opened_chunks_.assign(offsets, offsets + slab->registry_->chunk_count);
+  std::sort(slab->opened_chunks_.begin(), slab->opened_chunks_.end());
   return slab;
 }
 
@@ -117,6 +121,16 @@ void SlabAllocator::ForEachSlot(const std::function<void(void*)>& fn) const {
       fn(base + i * options_.slot_bytes);
     }
   }
+}
+
+bool SlabAllocator::IsSlot(uint64_t offset) const {
+  auto above = std::upper_bound(opened_chunks_.begin(), opened_chunks_.end(), offset);
+  if (above == opened_chunks_.begin()) {
+    return false;
+  }
+  const uint64_t within = offset - *std::prev(above);
+  return within < options_.slot_bytes * options_.slots_per_chunk &&
+         within % options_.slot_bytes == 0;
 }
 
 uint64_t SlabAllocator::total_chunk_bytes() const {

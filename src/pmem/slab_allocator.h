@@ -54,6 +54,12 @@ class SlabAllocator {
   // Visits every slot of every chunk (live or not).
   void ForEachSlot(const std::function<void(void*)>& fn) const;
 
+  // Whether pool offset `offset` is a slot of a chunk registered when Open
+  // ran: inside one and slot-aligned. Tree recovery checks each pre-crash
+  // leaf pointer it follows with this. O(log chunks); false on a slab made
+  // by Create.
+  bool IsSlot(uint64_t offset) const;
+
   uint64_t registry_offset() const { return pool_->ToOffset(registry_); }
   size_t slot_bytes() const { return options_.slot_bytes; }
   uint64_t allocated_slots() const { return allocated_slots_.load(std::memory_order_relaxed); }
@@ -82,6 +88,8 @@ class SlabAllocator {
   // appends take registry_mu_ on top of the socket's lock.
   sync::Mutex registry_mu_{"pmem.slab_registry"};
   Registry* registry_ = nullptr;
+  // The chunk offsets the registry held at Open, ascending, for IsSlot.
+  std::vector<uint64_t> opened_chunks_;
 
   std::vector<std::unique_ptr<SocketState>> sockets_;
   // Which socket each chunk was carved for (parallel to registry entries);

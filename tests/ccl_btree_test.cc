@@ -364,6 +364,133 @@ TEST_F(CclBTreeTest, GcSurvivesRepeatedRounds) {
   EXPECT_TRUE(tree_->CheckInvariants());
 }
 
+// A GC round makes its I-log copy durable one 4 KiB span at a time: it
+// commits each line the copies cover (a line split by a span boundary once
+// per span) with one fence per span, plus the header of the I-log chunk it
+// activates and the free marker of the B-log chunk it releases.
+TEST(CclGc, CopyCommitsEachLineOncePerSpan) {
+  auto rt = MakeRuntime();
+  CclBTree tree(*rt, QuietOptions());
+  {
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 20000; k++) {
+      tree.Upsert(Mix64(k) | 1, k);
+    }
+  }
+  auto before = rt->device().stats().Snapshot();
+  ASSERT_TRUE(tree.GcTick());
+  auto delta = rt->device().stats().Snapshot().Delta(before);
+  // The I-log holds the copies alone, from the start of a fresh chunk.
+  const uint64_t copied = tree.log_live_bytes() / sizeof(LogEntry);
+  ASSERT_GT(copied, 3 * kGcSpanEntries);
+  uint64_t lines = 0;
+  uint64_t spans = 0;
+  for (uint64_t first = 0; first < copied; first += kGcSpanEntries, spans++) {
+    const uint64_t begin = sizeof(LogChunkHeader) + first * sizeof(LogEntry);
+    const uint64_t end =
+        sizeof(LogChunkHeader) + std::min(first + kGcSpanEntries, copied) * sizeof(LogEntry);
+    lines += (end - 1) / 64 - begin / 64 + 1;
+  }
+  EXPECT_EQ(delta.committed_lines_by_component[static_cast<int>(trace::Component::kGc)],
+            lines + 2);
+  // The I-log chunk is carved from the pool: three allocator persists.
+  EXPECT_EQ(delta.fences, spans + 2 + 3);
+  EXPECT_EQ(tree.gc_rounds(), 1u);
+}
+
+// A crash at any fence of a GC round, clean or torn — a copy span's, the
+// I-log chunk activation's or the B-log release's — loses nothing: the copy
+// is durable before the B-log it duplicates is freed.
+TEST(CclGc, CrashInsideGcRoundLosesNothing) {
+  constexpr uint64_t kKeys = 8000;
+  // Runs the workload, then one GC round with `injector` armed at `target`
+  // (0: count only), settling a fired crash before the tree goes away.
+  auto run = [](Runtime& rt, uint64_t target, bool torn) {
+    pmsim::CrashInjector injector;
+    CclBTree tree(rt, QuietOptions());
+    {
+      pmsim::ThreadContext ctx(rt.device(), 0, 0);
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        tree.Upsert(Mix64(k) | 1, k);
+      }
+    }
+    rt.device().SetCrashInjector(&injector);
+    injector.Arm(target,
+                 torn ? pmsim::CrashInjector::Mode::kTorn : pmsim::CrashInjector::Mode::kClean,
+                 target);
+    bool fired = false;
+    try {
+      tree.GcTick();
+    } catch (const pmsim::CrashPointReached&) {
+      fired = true;
+    }
+    rt.device().SetCrashInjector(nullptr);
+    if (torn) {
+      rt.device().CrashTorn(target);
+    } else {
+      rt.device().Crash();
+    }
+    EXPECT_EQ(fired, target != 0);
+    return tree.gc_fence_windows();
+  };
+
+  std::vector<CclBTree::GcFenceWindow> windows;
+  {
+    auto rt = MakeRuntime();
+    windows = run(*rt, 0, false);
+  }
+  ASSERT_EQ(windows.size(), 1u);
+  ASSERT_GE(windows[0].last_fence - windows[0].first_fence + 1, 5u);
+  for (uint64_t target = windows[0].first_fence; target <= windows[0].last_fence; target++) {
+    for (bool torn : {false, true}) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = MakeRuntime();
+      run(*rt, target, torn);
+      std::string error;
+      ASSERT_TRUE(rt->Reopen(&error)) << error;
+      CclBTree tree(*rt, QuietOptions(), kvindex::Lifecycle::kAttach);
+      ASSERT_TRUE(tree.Recover(*rt, /*recovery_threads=*/1));
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        uint64_t value = 0;
+        ASSERT_TRUE(tree.Lookup(Mix64(k) | 1, &value)) << "lost key " << k;
+        EXPECT_EQ(value, k);
+      }
+      EXPECT_TRUE(tree.CheckInvariants());
+    }
+  }
+}
+
+// A round that cannot get an I-log chunk ends before it frees the B-log, in
+// every build: the B-log is the only durable copy of the KVs it buffered.
+TEST(CclGc, RoundThatRunsOutOfLogKeepsTheBLog) {
+  auto rt = MakeRuntime();
+  {
+    CclBTree tree(*rt, QuietOptions());
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 3000; k++) {
+      tree.Upsert(Mix64(k) | 1, k);
+    }
+    for (int socket = 0; socket < 2; socket++) {
+      while (rt->pool().AllocateRaw(pmem::kLogChunkBytes, socket) != nullptr) {
+      }
+    }
+    ASSERT_TRUE(tree.GcTriggerReached());
+    const uint64_t live = tree.log_live_bytes();
+    EXPECT_TRUE(tree.GcTick());
+    EXPECT_EQ(tree.gc_rounds(), 0u);
+    EXPECT_EQ(tree.log_live_bytes(), live);
+    EXPECT_FALSE(tree.GcTriggerReached());  // re-armed only once the log doubles
+  }
+  auto tree = testutil::CrashAndRecoverTree(*rt, QuietOptions());
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  for (uint64_t k = 1; k <= 3000; k++) {
+    uint64_t value = 0;
+    ASSERT_TRUE(tree->Lookup(Mix64(k) | 1, &value)) << "lost key " << k;
+    EXPECT_EQ(value, k);
+  }
+}
+
 // --- concurrency ------------------------------------------------------------------
 
 TEST(CclBTreeConcurrency, ParallelDisjointInserts) {
@@ -617,12 +744,20 @@ TEST(CclRecovery, ParallelRecoveryMatchesSerial) {
 }
 
 // Recovery validates the persistent leaf list instead of trusting it. A next
-// pointer back to an earlier leaf, an empty leaf linked to itself, or leaves
-// out of key order each make Recover() return false, and the failed instance
-// destructs cleanly.
+// pointer back to an earlier leaf, an empty leaf linked to itself, leaves out
+// of key order, or a next pointer that is no slot of the leaf slab (past the
+// pool, or into the slab's registry) each make Recover() return false, and
+// the failed instance destructs cleanly.
 TEST(CclRecovery, DamagedLeafListFailsRecovery) {
-  enum class Damage { kBackPointer, kSelfLinkedEmptyLeaf, kOutOfOrder };
-  for (Damage damage : {Damage::kBackPointer, Damage::kSelfLinkedEmptyLeaf, Damage::kOutOfOrder}) {
+  enum class Damage {
+    kBackPointer,
+    kSelfLinkedEmptyLeaf,
+    kOutOfOrder,
+    kOutsidePool,
+    kNotALeafSlot,
+  };
+  for (Damage damage : {Damage::kBackPointer, Damage::kSelfLinkedEmptyLeaf, Damage::kOutOfOrder,
+                        Damage::kOutsidePool, Damage::kNotALeafSlot}) {
     SCOPED_TRACE(static_cast<int>(damage));
     auto rt = MakeRuntime();
     TreeOptions options = QuietOptions();
@@ -663,6 +798,15 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
       case Damage::kOutOfOrder:  // head -> first -> third -> second
         first->meta.store(MakeMeta(first->bitmap(), leaves[3]));
         third->meta.store(MakeMeta(third->bitmap(), leaves[2]));
+        break;
+      case Damage::kOutsidePool:
+        second->meta.store(
+            MakeMeta(second->bitmap(), rt->device().config().pool_bytes + kLeafBytes));
+        break;
+      case Damage::kNotALeafSlot:
+        // Zeroes inside the leaf slab's chunk registry (the root record's
+        // third word), which read as an empty last leaf.
+        second->meta.store(MakeMeta(second->bitmap(), root[2] + 4096));
         break;
     }
     auto tree = std::make_unique<CclBTree>(*rt, options, kvindex::Lifecycle::kAttach);

@@ -2,6 +2,7 @@
 // model-check, overflow chaining, tombstones, range scans, crash recovery
 // (also from inside Recover()), GC, and the XBI-reduction property vs an
 // unbuffered persistent hash.
+#include <algorithm>
 #include <iterator>
 #include <map>
 #include <memory>
@@ -224,6 +225,87 @@ TEST(CclHash, CrashAfterGcLosesNothing) {
     uint64_t got = 0;
     ASSERT_TRUE(table->Lookup(key, &got)) << "lost key " << key;
     EXPECT_EQ(got, value);
+  }
+}
+
+// The hash's GC round is the tree's (LocalityAwareGcRound): its I-log copy
+// commits each line the copies cover once per span with one fence per span,
+// plus the header of the I-log chunk it activates and the free marker of the
+// B-log chunk it releases.
+TEST(CclHash, GcCopyCommitsEachLineOncePerSpan) {
+  auto rt = MakeRuntime();
+  CclHashTable table(*rt, TreeOptions{}, kBuckets);
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  for (uint64_t k = 1; k <= 20000; k++) {
+    table.Upsert(Mix64(k) | 1, k);
+  }
+  auto before = rt->device().stats().Snapshot();
+  ASSERT_TRUE(table.RunGcOnce());
+  auto delta = rt->device().stats().Snapshot().Delta(before);
+  // The I-log holds the copies alone, from the start of a fresh chunk.
+  const uint64_t copied = table.log_live_bytes() / sizeof(LogEntry);
+  ASSERT_GT(copied, 3 * kGcSpanEntries);
+  uint64_t lines = 0;
+  uint64_t spans = 0;
+  for (uint64_t first = 0; first < copied; first += kGcSpanEntries, spans++) {
+    const uint64_t begin = sizeof(LogChunkHeader) + first * sizeof(LogEntry);
+    const uint64_t end =
+        sizeof(LogChunkHeader) + std::min(first + kGcSpanEntries, copied) * sizeof(LogEntry);
+    lines += (end - 1) / 64 - begin / 64 + 1;
+  }
+  EXPECT_EQ(delta.committed_lines_by_component[static_cast<int>(trace::Component::kGc)],
+            lines + 2);
+  // The I-log chunk is carved from the pool: three allocator persists.
+  EXPECT_EQ(delta.fences, spans + 2 + 3);
+}
+
+// A crash at any fence of a GC round, clean or torn, loses nothing: the copy
+// is durable before the B-log it duplicates is freed.
+TEST(CclHash, CrashInsideGcRoundLosesNothing) {
+  constexpr uint64_t kKeys = 8000;
+  // Runs the workload, then one GC round with `injector` armed at `target`
+  // (0: count only); returns the fences the round ran.
+  auto run = [](kvindex::Runtime& rt, uint64_t target, bool torn) {
+    pmsim::CrashInjector injector;
+    CclHashTable table(rt, TreeOptions{}, kBuckets);
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (uint64_t k = 1; k <= kKeys; k++) {
+      table.Upsert(Mix64(k) | 1, k);
+    }
+    rt.device().SetCrashInjector(&injector);
+    injector.Arm(target,
+                 torn ? pmsim::CrashInjector::Mode::kTorn : pmsim::CrashInjector::Mode::kClean,
+                 target);
+    bool fired = false;
+    try {
+      table.RunGcOnce();
+    } catch (const pmsim::CrashPointReached&) {
+      fired = true;
+    }
+    rt.device().SetCrashInjector(nullptr);
+    EXPECT_EQ(fired, target != 0);
+    return injector.fences_observed();
+  };
+
+  uint64_t fences = 0;
+  {
+    auto rt = MakeRuntime();
+    fences = run(*rt, 0, false);
+  }
+  ASSERT_GE(fences, 5u);
+  for (uint64_t target = 1; target <= fences; target++) {
+    for (bool torn : {false, true}) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = MakeRuntime();
+      run(*rt, target, torn);
+      auto table = CrashAndRecover(*rt, torn, /*torn_seed=*/target);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (uint64_t k = 1; k <= kKeys; k++) {
+        uint64_t value = 0;
+        ASSERT_TRUE(table->Lookup(Mix64(k) | 1, &value)) << "lost key " << k;
+        EXPECT_EQ(value, k);
+      }
+    }
   }
 }
 

@@ -1,6 +1,10 @@
 // Unit tests for the write-ahead log layer: entry tagging/checksums, chunk
 // recycling across generations, epoch accounting, and torn-entry rejection.
+#include <atomic>
 #include <map>
+#include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -138,6 +142,167 @@ TEST_F(WalFixture, EntriesCrossChunkBoundaries) {
   });
   EXPECT_EQ(count, kEntries);
   EXPECT_EQ(keys.size(), kEntries);  // no duplicates, none lost
+}
+
+// Lines of the log that the bytes [begin, end) of a chunk cover.
+uint64_t LinesCovered(uint64_t begin, uint64_t end) { return (end - 1) / 64 - begin / 64 + 1; }
+
+// A span writes its entries, flushes each line they cover once and fences
+// once. Rolling into a fresh chunk adds a fence for the full chunk's lines,
+// the three allocator persists that carve the chunk from the pool and the
+// chunk's header persist. The one-entry case commits what Persist(entry, 24)
+// does.
+TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
+  ThreadWal wal(*arena, 0);
+  const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
+  auto span_of = [](uint64_t first, uint64_t n) {
+    std::vector<LogEntry> entries;
+    for (uint64_t key = first; key < first + n; key++) {
+      entries.push_back({key, key * 3, key});
+    }
+    return entries;
+  };
+  auto committed = [this](auto&& append) {
+    auto before = device->stats().Snapshot();
+    append();
+    auto delta = device->stats().Snapshot().Delta(before);
+    return std::pair{delta.committed_lines_by_component[static_cast<int>(trace::Component::kWal)],
+                     delta.fences};
+  };
+
+  // The one-entry case: the chunk's carving and header, then the entry's line.
+  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, 1, 3, 1)); }),
+            (std::pair<uint64_t, uint64_t>{2, 5}));
+  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(2, 1))); }),
+            (std::pair<uint64_t, uint64_t>{1, 1}));
+  // The third entry straddles lines 1 and 2.
+  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(3, 1))); }),
+            (std::pair<uint64_t, uint64_t>{2, 1}));
+
+  // Fill the chunk to 10 entries short of its end in one span.
+  const uint64_t filled = kPerChunk - 10;
+  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(4, filled - 3))); }),
+            (std::pair<uint64_t, uint64_t>{LinesCovered(64 + 3 * 24, 64 + filled * 24), 1}));
+  // A span of 100 entries: 10 end the chunk, 90 open the next.
+  const uint64_t rolled_lines = LinesCovered(64 + filled * 24, 64 + kPerChunk * 24) + 1 +
+                                LinesCovered(64, 64 + 90 * 24);
+  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(filled + 1, 100))); }),
+            (std::pair<uint64_t, uint64_t>{rolled_lines, 6}));
+  EXPECT_EQ(arena->total_chunks(), 2u);
+
+  device->Crash();
+  uint64_t expected = 1;
+  WalSet::ScanAll(*arena, [&expected](const LogEntry& entry) {
+    EXPECT_EQ(entry.key, expected);
+    EXPECT_EQ(entry.value, expected * 3);
+    EXPECT_EQ(entry.timestamp(), expected);
+    expected++;
+  });
+  EXPECT_EQ(expected, filled + 101);
+}
+
+// GC rounds the log arena cuts short free nothing, and every KV a round did
+// not durably copy goes back to the B-log's epoch. Over 400 buffered KVs, two
+// rounds fail, in either order: one that gets no I-log chunk and one that
+// runs out after its first span. During the first of them a foreground
+// upsert rewrites a KV the round has already visited. A third round then
+// completes. After each round, and after a crash, every KV's newest log
+// entry holds its newest value.
+TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
+  const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
+  for (bool span_first : {false, true}) {
+    SCOPED_TRACE(span_first ? "cut after a span first" : "no chunk first");
+    auto small = pmem::LogArena::Create(*pool, /*max_chunks=*/4);
+    WalSet wals(*small, 4);
+    std::atomic<uint32_t> epoch{0};
+    uint64_t clock = 0;
+    auto tick = [&clock] { return ++clock; };
+    auto filler = [&](int worker, int log, uint64_t n) {
+      std::vector<LogEntry> entries;
+      for (uint64_t i = 0; i < n; i++) {
+        entries.push_back({(1ULL << 40) + clock, 1, tick()});
+      }
+      ASSERT_TRUE(wals.Append(worker, log, entries));
+    };
+
+    // Worker 0 logs 50 full nodes of 8 KVs in epoch 0 and holds an epoch-1
+    // chunk for foreground upserts during GC. Workers 1, 2 and 3 run the
+    // rounds: 1 has no chunk, 2 has room for 200 copies and 3 for plenty.
+    // That is the arena's 4 chunks.
+    std::vector<std::unique_ptr<BufferNode, decltype(&BufferNode::Delete)>> owned;
+    std::vector<BufferNode*> nodes;
+    std::map<uint64_t, uint64_t> expected;
+    for (int n = 0; n < 50; n++) {
+      owned.emplace_back(BufferNode::New(nullptr, 8), &BufferNode::Delete);
+      BufferNode* node = owned.back().get();
+      nodes.push_back(node);
+      for (int slot = 0; slot < 8; slot++) {
+        const uint64_t key = static_cast<uint64_t>(n * 8 + slot + 1);
+        ASSERT_TRUE(wals.Append(0, 0, key, key * 10, tick()));
+        node->slots()[slot].key.store(key);
+        node->slots()[slot].value.store(key * 10);
+        node->SetEpochBit(slot, 0);
+        expected[key] = key * 10;
+      }
+      node->set_pos(8);
+    }
+    filler(0, 1, 1);
+    filler(2, 1, kPerChunk - 200);
+    filler(3, 1, 1);
+    ASSERT_EQ(small->total_chunks(), 4u);
+
+    auto check = [&](const std::string& when) {
+      std::map<uint64_t, LogEntry> newest;
+      WalSet::ScanAll(*small, [&newest](const LogEntry& entry) {
+        auto [it, fresh] = newest.try_emplace(entry.key, entry);
+        if (!fresh && entry.timestamp() > it->second.timestamp()) {
+          it->second = entry;
+        }
+      });
+      for (const auto& [key, value] : expected) {
+        auto it = newest.find(key);
+        ASSERT_NE(it, newest.end()) << when << ": lost key " << key;
+        ASSERT_EQ(it->second.value, value) << when << ": stale value for key " << key;
+      }
+    };
+    uint32_t start = 0;  // the epoch the running round flips from
+    auto collect = [&] {
+      EXPECT_NE(epoch.load(), start) << "nodes collected before the epoch flip";
+      return nodes;
+    };
+
+    // The worker with no chunk fails at its first span of 170, after staging
+    // 176 KVs. The one with room copies a span, then runs out 30 copies into
+    // the next. While the first round stamps its 100th KV, key 1 (staged
+    // first) is upserted in the new epoch, as a foreground thread would once
+    // the round has unlocked its node.
+    int stamped = 0;
+    EXPECT_FALSE(LocalityAwareGcRound(wals, span_first ? 2 : 1, epoch, collect, [&] {
+      if (++stamped == 100) {
+        BufferNode* node = nodes[0];
+        const uint32_t now = epoch.load();
+        EXPECT_TRUE(wals.Append(0, static_cast<int>(now), 1, 11, tick()));
+        node->slots()[0].value.store(11);
+        node->SetEpochBit(0, now);
+        expected[1] = 11;
+      }
+      return tick();
+    }));
+    check("after the first round cut short");
+    start = epoch.load();
+    EXPECT_FALSE(LocalityAwareGcRound(wals, span_first ? 1 : 2, epoch, collect, tick));
+    check("after the second round cut short");
+
+    // The third round copies the rest and frees the B-log, worker 0's
+    // epoch-0 chunk.
+    start = epoch.load();
+    EXPECT_TRUE(LocalityAwareGcRound(wals, 3, epoch, collect, tick));
+    EXPECT_EQ(small->free_chunks(), 1u);
+    check("after the complete round");
+
+    device->Crash();
+    check("after a crash");
+  }
 }
 
 TEST_F(WalFixture, EntriesSurviveCrash) {

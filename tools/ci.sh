@@ -24,11 +24,12 @@
 #   6c. service: the sharded KV front-end suite re-run as a named step
 #      (ctest -R service) so a socket-pinning, admission-control, or
 #      acked-write-durability regression is named explicitly (DESIGN.md §15)
-#   7. determinism: staged benches run twice with pmcheck enabled, their
-#      full-precision JSON tails and .pmmetrics dumps diffed (run_benches.sh
-#      --determinism; §10 — diagnostics must not perturb virtual time), and
-#      `pmctl check` gates every run-1 dump: a violation, or a checked run
-#      without a checker record, fails the step; includes the
+#   7. determinism: staged benches run twice with pmcheck and lockcheck
+#      enabled, their full-precision JSON tails and .pmmetrics dumps diffed
+#      (run_benches.sh --determinism; §10 — diagnostics must not perturb
+#      virtual time), and `pmctl check` gates every run-1 dump: a persistency
+#      or lock-discipline violation, or a checked run without a checker
+#      record, fails the step; includes the
 #      bench_backend_matrix sweep across all backends, the open-loop
 #      bench_service_tail sweep (virtual tail latencies must be bit-stable),
 #      fig14's three GC rows (each writes a dump, so their timelines are
@@ -139,12 +140,12 @@ ctest --test-dir build -R service --output-on-failure
 # virtual-metric tails and dumps across back-to-back runs — including
 # cclbtree rows with background GC on (DESIGN.md §10), the backend-matrix
 # sweep across ADR/eADR/CXL (DESIGN.md §14), fig17's multi-worker recovery
-# and CCL-Hash's ablation — and every dump's pmcheck verdict must be clean
-# (`pmctl check` exit 0), fig14's three GC-mode dumps included. Small scale:
-# the property being checked is exact equality and zero violations, not the
-# metric values themselves.
-echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17/extra_hash run twice, tails + dumps diffed, pmctl check gated (pmcheck on) ==="
-CCL_PMCHECK=1 CCL_BENCH_SCALE="${CCL_BENCH_SCALE:-60000}" \
+# and CCL-Hash's ablation — and every dump's pmcheck and lockcheck verdicts
+# must be clean (`pmctl check` exit 0), fig14's three GC-mode dumps and
+# fig10's many-worker rows included. Small scale: the property being checked
+# is exact equality and zero violations, not the metric values themselves.
+echo "=== determinism: fig03/fig10/fig14/backend_matrix/service_tail/fig17/extra_hash run twice, tails + dumps diffed, pmctl check gated (pmcheck + lockcheck on) ==="
+CCL_PMCHECK=1 CCL_LOCKCHECK=1 CCL_BENCH_SCALE="${CCL_BENCH_SCALE:-60000}" \
   ./run_benches.sh --determinism 'fig03|fig10|fig14|backend_matrix|service_tail|fig17|extra_hash'
 
 # Metrics determinism: the metrics suite (bit-identical epoch series for
