@@ -8,10 +8,12 @@
 // <comp>_p50_us / _p99_us / _p999_us counters. The breakdown shows *where*
 // the tail comes from (e.g. buffer-node flushes vs WAL appends).
 //
-// Latency collection goes through the metrics registry (src/metrics): the
-// driver records every op into per-op-kind virtual/wall histograms and
-// RunResult::latency is their merged view — the same single histogram
-// implementation that backs .pmmetrics epoch percentiles.
+// Latency collection goes through the run's MeasuredPhase
+// (src/bench/measured_phase.h), the only recorder of a run: the driver hands
+// every op's latency to MeasuredPhase::RecordOp, which keeps per-op-kind
+// virtual/wall histograms, and RunResult::latency is their merged view — the
+// same histogram implementation (src/metrics) that backs the .pmmetrics
+// epoch percentiles.
 #include <string>
 
 #include "bench/bench_common.h"

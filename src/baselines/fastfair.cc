@@ -87,6 +87,9 @@ bool FastFairTree::Recover(kvindex::Runtime& runtime, int /*recovery_threads*/) 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kNodeBytes;
   node_slab_ = pmem::SlabAllocator::Open(rt_.pool(), registry_offset, slab_options);
+  if (node_slab_ == nullptr) {
+    return false;
+  }
 
   // 1. Walk the persistent leaf chain: the leaves hold the entire dataset,
   // and every completed operation fenced its leaf before returning. Leaves

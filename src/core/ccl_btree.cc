@@ -95,6 +95,9 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   if (root_offset == 0) {
     return false;  // the pool was never formatted with a tree
   }
+  if (!rt_.pool().Holds(root_offset, sizeof(TreeRoot))) {
+    return false;
+  }
   auto* root = static_cast<TreeRoot*>(rt_.pool().ToAddr(root_offset));
   if (root->magic != kTreeMagic) {
     return false;
@@ -108,40 +111,36 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   slab_options.slot_bytes = kLeafBytes;
   leaf_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
-  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
-  if (!leaf_slab_->IsSlot(root->head_leaf_offset)) {
+  if (leaf_slab_ == nullptr || log_arena_ == nullptr ||
+      !leaf_slab_->IsSlot(root->head_leaf_offset)) {
     return false;
   }
+  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
   head_leaf_ = LeafAt(root->head_leaf_offset);
 
   uint64_t max_ts = root->ts_floor;
   if (!RebuildFromLeafList(root->ts_floor, &max_ts)) {
     return false;
   }
-  // Each replay step applies the next entries of one leaf, at most 8, in one
-  // leaf batch that keeps the leaf's timestamp. Every batch routes afresh,
-  // so the entries after a split go to the half that covers them. Timestamps
-  // taken above the new floor order after every one read here although a
-  // restart restarts the ORDO clock, so no leaf timestamp is ever rewritten.
-  ts_floor_ = WalSet::Replay(
-      rt_, *log_arena_, recovery_threads,
-      [this](uint64_t key) { return inner_.RouteFloor(key)->recovery_orig_ts(); },
-      [this](const std::vector<LogEntry>& entries, size_t* next) {
-        BufferNode* bn = RouteAndLock(entries[*next].key);
-        kvindex::KeyValue batch[8];
-        int count = 0;
-        do {
-          batch[count++] = {entries[*next].key, entries[*next].value};
-          ++*next;
-        } while (count < 8 && *next < entries.size() &&
-                 inner_.RouteFloor(entries[*next].key) == bn);
-        BatchInsertLeaf(bn, batch, count, /*ts=*/0, /*update_ts=*/false);
-        bn->Unlock();
-      },
-      max_ts, &root->ts_floor);
-  // Modeled recovery duration: the boot context's clock covers every phase,
-  // since replay ends by raising it to the slowest replay worker's clock.
-  last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
+  RecoveryPhases phases;
+  phases.rebuild_ns = boot_ctx.now_ns() - boot_start;
+  // A full node's overflow goes to its leaf in a batch that keeps the
+  // leaf's timestamp. Every batch routes afresh, so the entries after a
+  // split go to the half that covers them. Timestamps taken above the new
+  // floor order after every one read here although a restart restarts the
+  // ORDO clock, so no leaf timestamp is ever rewritten.
+  ts_floor_ = wals_->Replay(
+      rt_, recovery_threads,
+      {.node = [this](uint64_t key) { return inner_.RouteFloor(key); },
+       .write =
+           [this](BufferNode* bn, kvindex::KeyValue* kvs, int n) {
+             BatchInsertLeaf(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
+           },
+       .nodes = [this] { return CollectBufferNodes(); },
+       .epoch = &global_epoch_,
+       .buffered = options_.buffering},
+      max_ts, &root->ts_floor, &phases);
+  recovery_phases_ = phases;
   recovered_ = true;
   // GC may only start now: every earlier return leaves the instance without
   // a GC context, so a failed recovery never runs a GC round.
@@ -378,6 +377,11 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
   // The writer reads the header (bitmap + fingerprints) before modifying.
   pmsim::ReadPm(leaf, 64);
   uint64_t bitmap = leaf->bitmap();
+  // A slot this batch clears keeps its old key valid in PM until the header
+  // commit below, so only a later batch may reuse it: a crash after the data
+  // lines would leave the slot valid with a new key under the old key's
+  // fingerprint. The inserts fit in the slots free before the batch.
+  const uint64_t committed = bitmap;
 
   // Dry pass: how many fresh slots does this batch need?
   int need = 0;
@@ -453,7 +457,7 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
       dirty_lines |= 1u << LineOfSlot(slot);
       continue;
     }
-    int free = __builtin_ctzll(~bitmap & kBitmapMask);
+    int free = __builtin_ctzll(~(bitmap | committed) & kBitmapMask);
     identical_rewrite |= leaf->kvs[free].key == kv.key && leaf->kvs[free].value == kv.value;
     leaf->kvs[free] = kv;
     leaf->fingerprints[free] = Fingerprint8(kv.key);

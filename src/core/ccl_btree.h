@@ -56,13 +56,16 @@ class CclBTree : public kvindex::KvIndex {
   // lines before the header line that publishes them.
   bool tolerates_torn_crash() const override { return true; }
   // Failure recovery: rebuilds the DRAM layers from the persistent leaf
-  // list, replays each key's newest WAL entry on `recovery_threads` virtual
-  // workers (paper Figure 17), one leaf batch at a time, raises the persisted
+  // list, stages each key's newest WAL entry in its buffer node on
+  // `recovery_threads` virtual workers (paper Figure 17), makes the staged
+  // KVs durable with one locality-aware GC copy, raises the persisted
   // timestamp floor past every timestamp it read, and reclaims unreachable
-  // leaves and log chunks. Leaf timestamps are never rewritten. A crash
-  // anywhere inside recovery recovers again to the same state. Only valid
-  // once, on a kAttach instance; returns false if the pool holds no valid
-  // tree root or the leaf list loops or is out of key order.
+  // leaves and log chunks (WalSet::Replay). Leaf timestamps are never
+  // rewritten. A crash anywhere inside recovery recovers again to the same
+  // state. Only valid once, on a kAttach instance; returns false if the pool
+  // holds no valid tree root, a registry or chunk it names is not wholly
+  // inside the pool, or the leaf list leaves the leaf slab, loops or is out
+  // of key order.
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
@@ -99,11 +102,10 @@ class CclBTree : public kvindex::KvIndex {
   // Benches fold this into the run's modeled elapsed time.
   uint64_t gc_vtime_ns() const { return gc_ctx_ ? gc_ctx_->now_ns() : 0; }
   // Modeled duration of the last Recover() call (paper Figure 17): the boot
-  // context's elapsed clock over rebuild, replay (it waits at the replay
-  // workers' last barrier), the floor persist and the chunk reclaim.
-  uint64_t last_recovery_modeled_ns() const override {
-    return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
-  }
+  // context's elapsed clock over rebuild, scan, stage (it waits at the
+  // replay workers' barriers), copy, floor persist and chunk reclaim.
+  uint64_t last_recovery_modeled_ns() const override { return recovery_phases_.total_ns(); }
+  const RecoveryPhases& last_recovery_phases() const { return recovery_phases_; }
   const TreeOptions& options() const { return options_; }
 
   // Metrics epoch gauges (kv_index.h contract): GC round count and log
@@ -207,7 +209,7 @@ class CclBTree : public kvindex::KvIndex {
   std::atomic<uint64_t> gc_rounds_{0};
   // Live log bytes right after the last GC round (hysteresis floor).
   std::atomic<uint64_t> post_gc_live_bytes_{0};
-  std::atomic<uint64_t> last_recovery_modeled_ns_{0};
+  RecoveryPhases recovery_phases_;  // of the last Recover(), written before recovered_
 
   // --- GC scheduling state (DESIGN.md §10) ------------------------------------
   // The tree-owned context all GC PM traffic is charged to (fig14's GC cost

@@ -96,6 +96,9 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   if (root_offset == 0) {
     return false;  // the pool was never formatted with a table
   }
+  if (!rt_.pool().Holds(root_offset, sizeof(TableRoot))) {
+    return false;
+  }
   auto* root = static_cast<TableRoot*>(rt_.pool().ToAddr(root_offset));
   if (root->magic != kHashMagic) {
     return false;
@@ -110,6 +113,11 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   overflow_slab_ =
       pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
   log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
+  if (overflow_slab_ == nullptr || log_arena_ == nullptr || num_buckets_ == 0 ||
+      num_buckets_ > rt_.device().config().pool_bytes / kLeafBytes ||
+      !rt_.pool().Holds(root->directory_offset, num_buckets_ * kLeafBytes)) {
+    return false;
+  }
   wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
   buckets_ = static_cast<PmLeaf*>(rt_.pool().ToAddr(root->directory_offset));
 
@@ -125,8 +133,9 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
     for (PmLeaf* node = Bucket(b); node != nullptr; node = BucketAt(node->next_offset())) {
       pmsim::ReadPm(node, 64);
       chain_ts = std::max(chain_ts, node->timestamp);
-      if (node->next_offset() != 0 && !reachable.insert(node->next_offset()).second) {
-        return false;  // the chain loops back on itself
+      const uint64_t next = node->next_offset();
+      if (next != 0 && (!overflow_slab_->IsSlot(next) || !reachable.insert(next).second)) {
+        return false;  // the chain leaves the overflow slab or loops back on itself
       }
     }
     directory_.back()->set_recovery_orig_ts(std::max(chain_ts, root->ts_floor));
@@ -136,21 +145,22 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   overflow_slab_->Recover([this, &reachable](const void* slot) {
     return reachable.contains(rt_.pool().ToOffset(slot));
   });
-  // Each replay step applies the next entry to its chain, keeping every
+  RecoveryPhases phases;
+  phases.rebuild_ns = boot_ctx.now_ns() - boot_start;
+  // A full node's overflow goes to its chain in a batch that keeps every
   // timestamp.
-  ts_floor_ = WalSet::Replay(
-      rt_, *log_arena_, recovery_threads,
-      [this](uint64_t key) { return directory_[BucketIndex(key)]->recovery_orig_ts(); },
-      [this](const std::vector<LogEntry>& entries, size_t* next) {
-        const LogEntry& entry = entries[(*next)++];
-        BufferNode* bn = directory_[BucketIndex(entry.key)];
-        kvindex::KeyValue kv{entry.key, entry.value};
-        bn->Lock();
-        BatchInsertBucket(bn, &kv, 1, /*ts=*/0, /*update_ts=*/false);
-        bn->Unlock();
-      },
-      max_ts, &root->ts_floor);
-  last_recovery_modeled_ns_.store(boot_ctx.now_ns() - boot_start, std::memory_order_relaxed);
+  ts_floor_ = wals_->Replay(
+      rt_, recovery_threads,
+      {.node = [this](uint64_t key) { return directory_[BucketIndex(key)]; },
+       .write =
+           [this](BufferNode* bn, kvindex::KeyValue* kvs, int n) {
+             BatchInsertBucket(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
+           },
+       .nodes = [this] { return directory_; },
+       .epoch = &global_epoch_,
+       .buffered = options_.buffering},
+      max_ts, &root->ts_floor, &phases);
+  recovery_phases_ = phases;
   recovered_ = true;
   return true;
 }

@@ -72,16 +72,17 @@ class CclHashTable : public kvindex::KvIndex {
   // lines before the header line that publishes them.
   bool tolerates_torn_crash() const override { return true; }
   // Rebuilds the directory, snapshots each chain's largest timestamp (or
-  // the persisted floor if larger) as its replay filter, replays each key's
-  // newest WAL entry on `recovery_threads` virtual workers, raises the floor
-  // past every timestamp read, and reclaims unreachable overflow buckets and
-  // log chunks. A crash anywhere inside recovery recovers again to the same
-  // state. Only valid once, on a kAttach instance; returns false if the pool
-  // holds no valid table root or an overflow chain loops.
+  // the persisted floor if larger) as its replay filter, stages each key's
+  // newest WAL entry in its chain's buffer node on `recovery_threads`
+  // virtual workers and makes them durable with one locality-aware GC copy
+  // (WalSet::Replay), raises the floor past every timestamp read, and
+  // reclaims unreachable overflow buckets and log chunks. A crash anywhere
+  // inside recovery recovers again to the same state. Only valid once, on a
+  // kAttach instance; returns false if the pool holds no valid table root,
+  // a registry, chunk or the directory is not wholly inside the pool, or an
+  // overflow chain leaves the overflow slab or loops.
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
-  uint64_t last_recovery_modeled_ns() const override {
-    return last_recovery_modeled_ns_.load(std::memory_order_relaxed);
-  }
+  uint64_t last_recovery_modeled_ns() const override { return recovery_phases_.total_ns(); }
 
   // One locality-aware GC round on the calling context (LocalityAwareGcRound:
   // epoch flip, I-log copy of the buffered entries, B-log release). Returns
@@ -143,7 +144,7 @@ class CclHashTable : public kvindex::KvIndex {
 
   std::atomic<uint32_t> global_epoch_{0};
   std::atomic<uint64_t> overflow_buckets_{0};
-  std::atomic<uint64_t> last_recovery_modeled_ns_{0};
+  RecoveryPhases recovery_phases_;  // of the last Recover(), written before recovered_
 };
 
 }  // namespace cclbt::core

@@ -154,7 +154,7 @@ void WalSet::ReleaseEpoch(int epoch) {
   live_bytes_.fetch_sub(released, std::memory_order_relaxed);
 }
 
-void WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn) {
+bool WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn) {
   // Recovery reads every worker's chunks with no lock; the pre-crash owners
   // are gone and replay order is fixed by timestamps, not locks. Without the
   // scope these reads would demote still-live lines out of their
@@ -162,7 +162,7 @@ void WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
   pmsim::LockCheckExpect scan_expect(pmsim::LockCheckClass::kLocksetEmpty);
   const auto* header = static_cast<const LogChunkHeader*>(chunk);
   if (header->magic != kLogChunkMagic || header->state != kChunkActive) {
-    return;
+    return false;
   }
   pmsim::ReadPm(header, sizeof(LogChunkHeader));
   const auto* entries = reinterpret_cast<const LogEntry*>(header + 1);
@@ -173,35 +173,37 @@ void WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
   }
   // Replay reads are sequential; charge one pass over the consumed prefix.
   pmsim::ReadPm(entries, (consumed + 1) * sizeof(LogEntry));
+  return true;
 }
 
 void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn) {
   arena.ForEachChunk([&fn](void* mem) { ScanChunk(mem, fn); });
 }
 
-uint64_t WalSet::Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int threads,
-                        const std::function<uint64_t(uint64_t)>& snapshot, const ApplyFn& apply,
-                        uint64_t max_ts, uint64_t* floor) {
+uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
+                        uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases) {
   assert(threads >= 1);
   std::vector<void*> chunks;
-  arena.ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
+  arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
   const auto n = static_cast<size_t>(threads);
   std::vector<LogEntry> entries;
-  std::vector<size_t> steps(n, 0);  // chunks each worker has scanned
+  std::vector<char> active(chunks.size(), 0);  // chunks the scan found active
+  std::vector<size_t> steps(n, 0);             // chunks each worker has scanned
   pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
+  const uint64_t start = boot->now_ns();
   pmsim::VirtualWorkers workers(
-      runtime.device(), threads, [&runtime](int w) { return runtime.SocketForWorker(w); },
-      boot->now_ns());
+      runtime.device(), threads, [&runtime](int w) { return runtime.SocketForWorker(w); }, start);
 
   // Worker w scans chunks w, w + threads, ..., one per step.
   workers.Run([&](int w) {
     size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
     if (c < chunks.size()) {
-      ScanChunk(chunks[c], [&entries](const LogEntry& entry) { entries.push_back(entry); });
+      active[c] = ScanChunk(chunks[c],
+                            [&entries](const LogEntry& entry) { entries.push_back(entry); });
     }
     return c + n < chunks.size();
   });
-  workers.Barrier();
+  const uint64_t scanned = workers.Barrier();
 
   // Every entry touches only its own key, so applying the newest entries in
   // key order ends in the state timestamp-ordered replay of all of them
@@ -216,37 +218,119 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int th
       continue;  // a newer entry of this key follows
     }
     max_ts = std::max(max_ts, entry.timestamp());
-    if (entry.timestamp() > snapshot(entry.key)) {
+    if (entry.timestamp() > target.node(entry.key)->recovery_orig_ts()) {
       entries[kept++] = entry;
     }
   }
   entries.resize(kept);
 
+  arena_->ResetVolatile();
+  for (size_t c = 0; c < chunks.size(); c++) {
+    if (!active[c]) {
+      arena_->FreeChunk(chunks[c]);
+    }
+  }
+
+  // Writes locked bn's staged KVs and `extra` in one batch that keeps every
+  // timestamp, and empties the node: the write may split the leaf, and no
+  // staged KV may stay behind in the half that no longer covers it.
+  auto write_node = [&target](BufferNode* bn, std::span<const LogEntry> extra) {
+    kvindex::KeyValue batch[8];
+    int count = 0;
+    BufferSlot* slots = bn->slots();
+    for (int i = 0; i < bn->pos(); i++) {
+      batch[count++] = {slots[i].key.load(std::memory_order_relaxed),
+                        slots[i].value.load(std::memory_order_relaxed)};
+    }
+    for (const LogEntry& entry : extra) {
+      batch[count++] = {entry.key, entry.value};
+    }
+    target.write(bn, batch, count);
+    for (int i = 0; i < bn->nbatch(); i++) {
+      slots[i].key.store(0, std::memory_order_relaxed);
+      slots[i].value.store(0, std::memory_order_relaxed);
+    }
+    bn->set_pos(0);
+  };
+
+  // Each step stages the next entries of one node, as a buffered upsert
+  // would: the descent and the slot probe in DRAM, the KV into slot pos,
+  // tagged with the current epoch.
+  const uint32_t epoch = target.epoch->load(std::memory_order_acquire);
+  const uint64_t dram_ns = runtime.device().config().cost.dram_access_ns;
   size_t next = 0;
   workers.Run([&](int /*w*/) {
-    if (next < entries.size()) {
-      apply(entries, &next);
+    if (next == entries.size()) {
+      return false;
     }
+    BufferNode* bn = target.node(entries[next].key);
+    bn->Lock();
+    const int capacity = target.buffered ? bn->nbatch() : 0;
+    do {
+      if (const int pos = bn->pos(); pos < capacity) {
+        pmsim::AdvanceCpu(static_cast<uint64_t>(8 + bn->nbatch()) * dram_ns);
+        bn->slots()[pos].key.store(entries[next].key, std::memory_order_relaxed);
+        bn->slots()[pos].value.store(entries[next].value, std::memory_order_release);
+        bn->SetEpochBit(pos, epoch);
+        bn->set_pos(pos + 1);
+        next++;
+        continue;
+      }
+      // A full node: its staged KVs and its next entries, up to 8, go to its
+      // leaf in one write.
+      size_t end = next;
+      while (end < entries.size() && end - next + static_cast<size_t>(bn->pos()) < 8 &&
+             target.node(entries[end].key) == bn) {
+        end++;
+      }
+      write_node(bn, {entries.data() + next, end - next});
+      next = end;
+    } while (next < entries.size() && target.node(entries[next].key) == bn);
+    bn->Unlock();
     return next < entries.size();
   });
-  boot->ResetClock(workers.Barrier());
+  const uint64_t applied = workers.Barrier();
+  boot->ResetClock(applied);
+
+  // Every copy is stamped above every timestamp read here, so it outranks
+  // each old entry of its key in a later recovery. A round the arena cuts
+  // short leaves the KVs it could not copy staged, and their only durable
+  // copy is still the old log: they go to their leaves before it is freed.
+  const bool copied = LocalityAwareGcRound(
+      *this, static_cast<int>(wals_.size()) - 1, *target.epoch, target.nodes,
+      [&runtime, max_ts] { return max_ts + runtime.ordo().Now(); });
+  if (!copied) {
+    for (BufferNode* bn : target.nodes()) {
+      bn->Lock();
+      if (bn->pos() > 0) {
+        write_node(bn, {});
+      }
+      bn->Unlock();
+    }
+  }
+  const uint64_t copy_end = boot->now_ns();
 
   if (max_ts != *floor) {
     *floor = max_ts;
     pmsim::Persist(floor, sizeof(*floor));
   }
-  // The free markers land in headers the pre-crash workers wrote; recovery
-  // owns the whole image, which lockcheck cannot express as a lock.
-  pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
-  arena.ResetVolatile();
-  arena.ForEachChunk([&arena](void* mem) {
-    auto* header = static_cast<LogChunkHeader*>(mem);
-    if (header->magic == kLogChunkMagic && header->state == kChunkActive) {
-      header->state = kChunkFree;
-      pmsim::Persist(&header->state, sizeof(header->state));
+  {
+    // The free markers land in headers the pre-crash workers wrote; recovery
+    // owns the whole image, which lockcheck cannot express as a lock.
+    pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
+    for (size_t c = 0; c < chunks.size(); c++) {
+      if (active[c]) {
+        auto* header = static_cast<LogChunkHeader*>(chunks[c]);
+        header->state = kChunkFree;
+        pmsim::Persist(&header->state, sizeof(header->state));
+        arena_->FreeChunk(chunks[c]);
+      }
     }
-    arena.FreeChunk(mem);
-  });
+  }
+  phases->scan_ns = scanned - start;
+  phases->apply_ns = applied - scanned;
+  phases->copy_ns = copy_end - applied;
+  phases->reclaim_ns = boot->now_ns() - copy_end;
   return max_ts;
 }
 

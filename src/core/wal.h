@@ -1,8 +1,8 @@
 // Per-thread write-ahead logs (paper §3.3).
 //
 // Each worker owns a private WAL for scalability; a WAL is a chain of 4 MB
-// log chunks drawn from the shared pmem::LogArena (with its global free
-// list). A log entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because
+// log chunks drawn from the shared pmem::LogArena (with a free list per
+// socket). A log entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because
 // entries are appended sequentially, ~10.7 entries share an XPLine and the
 // XPBuffer merges them into one media write — this is the "additional
 // XBI-amplification caused by logging" term (24/256) of §3.5.
@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "src/core/buffer_node.h"
+#include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
 #include "src/pmem/log_arena.h"
 #include "src/pmsim/device.h"
@@ -69,6 +70,19 @@ inline constexpr uint32_t kChunkActive = 1;
 uint8_t EntryChecksum(uint64_t key, uint64_t value);
 uint64_t MakeTsWord(uint32_t generation, uint64_t timestamp, uint64_t key, uint64_t value);
 bool EntryValid(const LogEntry& entry, uint32_t generation);
+
+// Modeled time of each recovery phase on the boot context's clock, which
+// runs through them in this order (bench_fig17_recovery prints them).
+struct RecoveryPhases {
+  uint64_t rebuild_ns = 0;  // the index's own walk of its leaf list or chains
+  // WalSet::Replay's phases; reclaim is the floor persist and chunk frees.
+  uint64_t scan_ns = 0;
+  uint64_t apply_ns = 0;
+  uint64_t copy_ns = 0;
+  uint64_t reclaim_ns = 0;
+
+  uint64_t total_ns() const { return rebuild_ns + scan_ns + apply_ns + copy_ns + reclaim_ns; }
+};
 
 // One worker's WAL. Not thread-safe: exactly one thread appends (that is the
 // point of per-thread logs).
@@ -144,23 +158,49 @@ class WalSet {
   uint64_t peak_bytes() const { return peak_bytes_.load(std::memory_order_relaxed); }
 
   // Recovery: invokes `fn` for each valid entry of `chunk` if it is an
-  // active log chunk. ScanAll does so for every arena chunk.
-  static void ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
+  // active log chunk, and returns whether it is. ScanAll does so for every
+  // arena chunk.
+  static bool ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
   static void ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn);
+
+  // What Replay needs of the index it recovers, CCL-BTree or CCL-Hash.
+  struct ReplayTarget {
+    // The buffer node covering `key`. Its recovery_orig_ts() is the key's
+    // replay filter.
+    std::function<BufferNode*(uint64_t key)> node;
+    // Writes kvs[0, n), n <= 8, into locked bn's leaf or chain in one batch
+    // that keeps every timestamp.
+    std::function<void(BufferNode* bn, kvindex::KeyValue* kvs, int n)> write;
+    // Every live buffer node, for the copy round.
+    std::function<std::vector<BufferNode*>()> nodes;
+    std::atomic<uint32_t>* epoch;  // the index's global epoch
+    bool buffered;  // false: the index reads no buffer, so nothing is staged
+  };
   // Recovery's replay for CCL-BTree and CCL-Hash (DESIGN.md §10), on
-  // `threads` virtual workers starting at the boot context's clock. Each
-  // step scans one chunk; then each key's newest entry is kept, in key
-  // order, if newer than snapshot(key), the index's replay filter; then each
-  // step calls apply(entries, &next), which applies entries from `next` on
-  // to one leaf or chain and advances it. The boot context resumes at the
-  // slowest worker's clock, persists *floor, the index's timestamp floor,
-  // raised past `max_ts` and every timestamp read, and frees every chunk.
-  // The floor lands first, so a crash inside the reclaim recovers again to
-  // the same state. Returns the new floor.
-  using ApplyFn = std::function<void(const std::vector<LogEntry>& entries, size_t* next)>;
-  static uint64_t Replay(kvindex::Runtime& runtime, pmem::LogArena& arena, int threads,
-                         const std::function<uint64_t(uint64_t)>& snapshot, const ApplyFn& apply,
-                         uint64_t max_ts, uint64_t* floor);
+  // `threads` virtual workers starting at the boot context's clock:
+  //   scan     each step scans one chunk; barrier; each key's newest entry
+  //            is kept, in key order, if newer than its node's filter;
+  //   stage    each step takes the next entries of one node and stages each
+  //            in a free slot of the node, DRAM only, as a buffered upsert
+  //            does; a full node's staged KVs and next entries, up to 8, go
+  //            to its leaf in one write instead; barrier;
+  //   copy     the boot context, at the slowest worker's clock, runs one
+  //            LocalityAwareGcRound from the last WAL (the GC's), stamping
+  //            every copy above `max_ts`, so the staged KVs are durable one
+  //            fence per 4 KiB of log, not one leaf batch per key;
+  //   reclaim  it persists *floor, the index's timestamp floor, raised to
+  //            `max_ts` and every timestamp read, then frees exactly the
+  //            chunks the scan found active.
+  // The chunks the scan found free are back on the free list before the
+  // stage, so the copy reuses one. No write before the copy's last fence
+  // raises a timestamp, since until then a staged KV's only durable copy is
+  // in the old log; if the arena cannot hold the copy, the KVs still staged
+  // are written to their leaves like a full node's, so recovery never needs
+  // free log space. The floor lands before the reclaim, so a crash anywhere
+  // recovers again to the same state. Returns the new floor and sets the
+  // modeled time of Replay's four phases in *phases.
+  uint64_t Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
+                  uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases);
 
  private:
   pmem::LogArena* arena_;

@@ -1,5 +1,6 @@
 #include "src/pmem/log_arena.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/pmsim/lockcheck.h"
@@ -8,7 +9,10 @@
 
 namespace cclbt::pmem {
 
-LogArena::LogArena(PmPool& pool, size_t max_chunks) : pool_(&pool), max_chunks_(max_chunks) {}
+LogArena::LogArena(PmPool& pool, size_t max_chunks)
+    : pool_(&pool),
+      max_chunks_(max_chunks),
+      free_lists_(static_cast<size_t>(pool.device().config().num_sockets)) {}
 
 std::unique_ptr<LogArena> LogArena::Create(PmPool& pool, size_t max_chunks) {
   auto arena = std::unique_ptr<LogArena>(new LogArena(pool, max_chunks));
@@ -27,6 +31,9 @@ std::unique_ptr<LogArena> LogArena::Create(PmPool& pool, size_t max_chunks) {
 
 std::unique_ptr<LogArena> LogArena::Open(PmPool& pool, uint64_t registry_offset,
                                          size_t max_chunks) {
+  if (!pool.HoldsRegistry(registry_offset, max_chunks, kLogChunkBytes)) {
+    return nullptr;
+  }
   auto arena = std::unique_ptr<LogArena>(new LogArena(pool, max_chunks));
   arena->registry_ = reinterpret_cast<Registry*>(pool.ToAddr(registry_offset));
   return arena;
@@ -35,32 +42,39 @@ std::unique_ptr<LogArena> LogArena::Open(PmPool& pool, uint64_t registry_offset,
 void* LogArena::AllocChunk(int socket) {
   trace::TraceScope scope(trace::Component::kAllocMeta);
   sync::LockGuard<sync::Mutex> guard(mu_);
-  if (!free_list_.empty()) {
-    void* chunk = free_list_.back();
-    free_list_.pop_back();
-    // Ownership transfer: the recycled chunk's lines may still carry the
-    // previous owner's lockset; the new WAL protects them with its own lock.
-    pmsim::LockCheckResetRange(chunk, kLogChunkBytes);
-    return chunk;
+  std::vector<void*>* list = &free_lists_[static_cast<size_t>(socket)];
+  if (list->empty()) {
+    void* chunk = registry_->chunk_count < max_chunks_
+                      ? pool_->AllocateRaw(kLogChunkBytes, socket)
+                      : nullptr;
+    if (chunk != nullptr) {
+      uint64_t index = registry_->chunk_count;
+      registry_->chunk_offsets[index] = pool_->ToOffset(chunk);
+      pmsim::Persist(&registry_->chunk_offsets[index], sizeof(uint64_t));
+      registry_->chunk_count = index + 1;
+      pmsim::Persist(&registry_->chunk_count, sizeof(uint64_t));
+      return chunk;
+    }
+    // Last resort: a free chunk of another socket.
+    auto remote = std::find_if(free_lists_.begin(), free_lists_.end(),
+                               [](const std::vector<void*>& l) { return !l.empty(); });
+    if (remote == free_lists_.end()) {
+      return nullptr;
+    }
+    list = &*remote;
   }
-  if (registry_->chunk_count >= max_chunks_) {
-    return nullptr;
-  }
-  void* chunk = pool_->AllocateRaw(kLogChunkBytes, socket);
-  if (chunk == nullptr) {
-    return nullptr;
-  }
-  uint64_t index = registry_->chunk_count;
-  registry_->chunk_offsets[index] = pool_->ToOffset(chunk);
-  pmsim::Persist(&registry_->chunk_offsets[index], sizeof(uint64_t));
-  registry_->chunk_count = index + 1;
-  pmsim::Persist(&registry_->chunk_count, sizeof(uint64_t));
+  void* chunk = list->back();
+  list->pop_back();
+  // Ownership transfer: the recycled chunk's lines may still carry the
+  // previous owner's lockset; the new WAL protects them with its own lock.
+  pmsim::LockCheckResetRange(chunk, kLogChunkBytes);
   return chunk;
 }
 
 void LogArena::FreeChunk(void* chunk) {
+  const auto socket = static_cast<size_t>(pool_->device().SocketOf(pool_->ToOffset(chunk)));
   sync::LockGuard<sync::Mutex> guard(mu_);
-  free_list_.push_back(chunk);
+  free_lists_[socket].push_back(chunk);
 }
 
 void LogArena::ForEachChunk(const std::function<void(void*)>& fn) const {
@@ -71,12 +85,18 @@ void LogArena::ForEachChunk(const std::function<void(void*)>& fn) const {
 
 void LogArena::ResetVolatile() {
   sync::LockGuard<sync::Mutex> guard(mu_);
-  free_list_.clear();
+  for (std::vector<void*>& list : free_lists_) {
+    list.clear();
+  }
 }
 
 uint64_t LogArena::free_chunks() const {
   sync::LockGuard<sync::Mutex> guard(mu_);
-  return free_list_.size();
+  uint64_t free = 0;
+  for (const std::vector<void*>& list : free_lists_) {
+    free += list.size();
+  }
+  return free;
 }
 
 }  // namespace cclbt::pmem

@@ -33,6 +33,10 @@ std::unique_ptr<SlabAllocator> SlabAllocator::Create(PmPool& pool, const Options
 
 std::unique_ptr<SlabAllocator> SlabAllocator::Open(PmPool& pool, uint64_t registry_offset,
                                                    const Options& options) {
+  if (!pool.HoldsRegistry(registry_offset, options.max_chunks,
+                          options.slot_bytes * options.slots_per_chunk)) {
+    return nullptr;
+  }
   auto slab = std::unique_ptr<SlabAllocator>(new SlabAllocator(pool, options));
   slab->registry_ = reinterpret_cast<Registry*>(pool.ToAddr(registry_offset));
   const uint64_t* offsets = slab->registry_->chunk_offsets;

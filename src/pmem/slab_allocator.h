@@ -35,7 +35,9 @@ class SlabAllocator {
   // via registry_offset() for storage in a pool app-root slot.
   static std::unique_ptr<SlabAllocator> Create(PmPool& pool, const Options& options);
   // Re-attaches to an existing registry after a (simulated) restart. Volatile
-  // free lists are empty until Recover() runs.
+  // free lists are empty until Recover() runs. nullptr when the registry
+  // lists more than max_chunks chunks, or when it or a chunk it lists is not
+  // wholly inside the pool.
   static std::unique_ptr<SlabAllocator> Open(PmPool& pool, uint64_t registry_offset,
                                              const Options& options);
 

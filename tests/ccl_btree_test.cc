@@ -482,12 +482,20 @@ TEST(CclGc, RoundThatRunsOutOfLogKeepsTheBLog) {
     EXPECT_EQ(tree.log_live_bytes(), live);
     EXPECT_FALSE(tree.GcTriggerReached());  // re-armed only once the log doubles
   }
-  auto tree = testutil::CrashAndRecoverTree(*rt, QuietOptions());
-  pmsim::ThreadContext ctx(rt->device(), 0, 0);
-  for (uint64_t k = 1; k <= 3000; k++) {
-    uint64_t value = 0;
-    ASSERT_TRUE(tree->Lookup(Mix64(k) | 1, &value)) << "lost key " << k;
-    EXPECT_EQ(value, k);
+  // Recovery's own copy round finds the pool full too: it writes the KVs it
+  // staged to their leaves instead, before it frees the log they came from,
+  // so a second crash and recovery still reads every key.
+  for (int restart = 0; restart < 2; restart++) {
+    SCOPED_TRACE("restart " + std::to_string(restart));
+    auto tree = testutil::CrashAndRecoverTree(*rt, QuietOptions());
+    EXPECT_EQ(tree->log_live_bytes(), 0u);  // no copy reached the log
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 3000; k++) {
+      uint64_t value = 0;
+      ASSERT_TRUE(tree->Lookup(Mix64(k) | 1, &value)) << "lost key " << k;
+      EXPECT_EQ(value, k);
+    }
+    EXPECT_TRUE(tree->CheckInvariants());
   }
 }
 
@@ -743,11 +751,13 @@ TEST(CclRecovery, ParallelRecoveryMatchesSerial) {
   EXPECT_EQ(parallel.stats.pm_read_hits, again.stats.pm_read_hits);
 }
 
-// Recovery validates the persistent leaf list instead of trusting it. A next
-// pointer back to an earlier leaf, an empty leaf linked to itself, leaves out
-// of key order, or a next pointer that is no slot of the leaf slab (past the
-// pool, or into the slab's registry) each make Recover() return false, and
-// the failed instance destructs cleanly.
+// Recovery validates the persistent leaf list and the chunk registries
+// instead of trusting them. A next pointer back to an earlier leaf, an empty
+// leaf linked to itself, leaves out of key order, a next pointer that is no
+// slot of the leaf slab (past the pool, or into the slab's registry), a
+// registry count above the registry's capacity, a registry offset or a chunk
+// offset past the pool each make Recover() return false, and the failed
+// instance destructs cleanly.
 TEST(CclRecovery, DamagedLeafListFailsRecovery) {
   enum class Damage {
     kBackPointer,
@@ -755,9 +765,18 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
     kOutOfOrder,
     kOutsidePool,
     kNotALeafSlot,
+    kLeafRegistryCount,
+    kLogRegistryCount,
+    kLeafRegistryOffset,
+    kLogRegistryOffset,
+    kLeafChunkOffset,
+    kLogChunkOffset,
   };
   for (Damage damage : {Damage::kBackPointer, Damage::kSelfLinkedEmptyLeaf, Damage::kOutOfOrder,
-                        Damage::kOutsidePool, Damage::kNotALeafSlot}) {
+                        Damage::kOutsidePool, Damage::kNotALeafSlot, Damage::kLeafRegistryCount,
+                        Damage::kLogRegistryCount, Damage::kLeafRegistryOffset,
+                        Damage::kLogRegistryOffset, Damage::kLeafChunkOffset,
+                        Damage::kLogChunkOffset}) {
     SCOPED_TRACE(static_cast<int>(damage));
     auto rt = MakeRuntime();
     TreeOptions options = QuietOptions();
@@ -768,18 +787,26 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
         tree.Upsert(k, k);
       }
       tree.FlushAll();
+      tree.Upsert(201, 201);  // logged, so the log registry lists a chunk
     }
     rt->device().Crash();
     std::string error;
     ASSERT_TRUE(rt->Reopen(&error)) << error;
 
-    // The durable leaf list, head first; the tree root record's second word
-    // is the head leaf's pool offset.
+    // The durable leaf list, head first. The tree root record's words are
+    // its magic, the head leaf's pool offset, then the leaf slab's and the
+    // log arena's registry offsets; a registry is a chunk count followed by
+    // the chunks' pool offsets.
     auto leaf_at = [&rt](uint64_t offset) {
       return static_cast<PmLeaf*>(rt->pool().ToAddr(offset));
     };
-    const auto* root =
-        static_cast<const uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(options.root_slot)));
+    auto* root =
+        static_cast<uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(options.root_slot)));
+    auto* leaf_registry = static_cast<uint64_t*>(rt->pool().ToAddr(root[2]));
+    auto* log_registry = static_cast<uint64_t*>(rt->pool().ToAddr(root[3]));
+    ASSERT_GE(leaf_registry[0], 1u);
+    ASSERT_GE(log_registry[0], 1u);
+    const uint64_t pool_bytes = rt->device().config().pool_bytes;
     std::vector<uint64_t> leaves;
     for (uint64_t offset = root[1]; offset != 0; offset = leaf_at(offset)->next_offset()) {
       leaves.push_back(offset);
@@ -807,6 +834,25 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
         // Zeroes inside the leaf slab's chunk registry (the root record's
         // third word), which read as an empty last leaf.
         second->meta.store(MakeMeta(second->bitmap(), root[2] + 4096));
+        break;
+      case Damage::kLeafRegistryCount:
+        leaf_registry[0] = pmem::SlabAllocator::Options{}.max_chunks + 1;
+        break;
+      case Damage::kLogRegistryCount:
+        log_registry[0] = 1ULL << 40;
+        break;
+      case Damage::kLeafRegistryOffset:
+        root[2] = pool_bytes;
+        break;
+      case Damage::kLogRegistryOffset:  // the count fits in the pool, its one offset does not
+        root[3] = pool_bytes - sizeof(uint64_t);
+        *static_cast<uint64_t*>(rt->pool().ToAddr(root[3])) = 1;
+        break;
+      case Damage::kLeafChunkOffset:
+        leaf_registry[1] = pool_bytes - kLeafBytes;  // a chunk straddling the pool's end
+        break;
+      case Damage::kLogChunkOffset:
+        log_registry[1] = pool_bytes + pmem::kLogChunkBytes;
         break;
     }
     auto tree = std::make_unique<CclBTree>(*rt, options, kvindex::Lifecycle::kAttach);
@@ -1008,12 +1054,12 @@ TEST(CclRecovery, CrashInsideRecoveryRecoversAgain) {
       rt->device().SetCrashInjector(nullptr);
       fences = injector.fences_observed();
     }
-    ASSERT_GT(fences, 40u);
-    // 40 points spread over the fences, plus the last three: the floor
-    // persist and the two chunk frees.
+    ASSERT_GE(fences, 3u);  // at least the floor persist and the two chunk frees
+    // Every fence, or 40 points spread over the fences plus the last three.
     std::set<uint64_t> targets = {fences - 2, fences - 1};
-    for (uint64_t i = 1; i <= 40; i++) {
-      targets.insert(i * fences / 40);
+    const uint64_t points = std::min<uint64_t>(fences, 40);
+    for (uint64_t i = 1; i <= points; i++) {
+      targets.insert(i * fences / points);
     }
 
     bool torn = false;
@@ -1039,6 +1085,86 @@ TEST(CclRecovery, CrashInsideRecoveryRecoversAgain) {
       }
       EXPECT_TRUE(tree.CheckInvariants());
       torn = !torn;
+    }
+  }
+}
+
+// A node stages at most nbatch KVs. An image written with nbatch 4 and
+// recovered with nbatch 1 overflows its nodes: each full node's staged KV
+// and next entries go to its leaf in one batch that keeps the leaf's
+// timestamp, deletes included, while the KVs staged after them wait for the
+// copy. A crash at any fence of that recovery, clean or torn, with one or
+// four workers, recovers again to every acknowledged upsert and delete.
+TEST(CclRecovery, OverflowingNodesRecoverAgainAfterCrashAtEveryFence) {
+  TreeOptions written = QuietOptions();
+  written.nbatch = 4;
+  TreeOptions options = QuietOptions();
+  options.nbatch = 1;
+  std::map<uint64_t, uint64_t> model;  // kTombstone: deleted
+  auto crashed_image = [&written, &model]() {
+    auto rt = MakeRuntime(32 << 20);
+    {
+      CclBTree tree(*rt, written);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      Rng rng(23);
+      for (int i = 0; i < 1500; i++) {
+        uint64_t key = Mix64(rng.NextBounded(400) + 1) | 1;
+        uint64_t value = rng.NextBounded(4) == 0 ? kTombstone : rng.Next() | 1;
+        tree.Upsert(key, value);
+        model[key] = value;
+      }
+    }
+    testutil::CrashRestart(*rt);
+    return rt;
+  };
+  auto expect_model = [&model](Runtime& rt, CclBTree& tree) {
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (const auto& [key, value] : model) {
+      uint64_t got = 0;
+      ASSERT_EQ(tree.Lookup(key, &got), value != kTombstone) << "key " << key;
+      if (value != kTombstone) {
+        ASSERT_EQ(got, value) << "stale value for key " << key;
+      }
+    }
+    EXPECT_TRUE(tree.CheckInvariants());
+  };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " recovery threads");
+    uint64_t fences = 0;
+    {
+      auto rt = crashed_image();
+      CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+      pmsim::CrashInjector injector;
+      rt->device().SetCrashInjector(&injector);
+      injector.Arm(/*fence_target=*/0);  // count-only
+      const auto before = rt->device().stats().Snapshot();
+      ASSERT_TRUE(tree.Recover(*rt, threads));
+      const auto delta = rt->device().stats().Snapshot().Delta(before);
+      rt->device().SetCrashInjector(nullptr);
+      fences = injector.fences_observed();
+      // Overflow reached the leaves, and the staged KVs the log.
+      EXPECT_GT(delta.committed_lines_by_component[static_cast<int>(trace::Component::kLeaf)], 0u);
+      EXPECT_GT(tree.log_live_bytes(), 0u);
+      expect_model(*rt, tree);
+    }
+    for (uint64_t target = 1; target <= fences; target++) {
+      for (bool torn : {false, true}) {
+        SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+        auto rt = crashed_image();
+        {
+          CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+          pmsim::CrashInjector injector;
+          rt->device().SetCrashInjector(&injector);
+          injector.Arm(target);
+          EXPECT_THROW(tree.Recover(*rt, threads), pmsim::CrashPointReached);
+          rt->device().SetCrashInjector(nullptr);
+        }
+        testutil::CrashRestart(*rt, torn, /*torn_seed=*/target);
+        CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+        ASSERT_TRUE(tree.Recover(*rt, threads));
+        expect_model(*rt, tree);
+      }
     }
   }
 }

@@ -369,6 +369,134 @@ TEST(CclHash, CrashInsideRecoveryRecoversAgain) {
   }
 }
 
+// The tree's overflow test for the hash: an image written with nbatch 4 and
+// recovered with nbatch 1 sends each full node's staged KV and next entries
+// to its chain in one batch that keeps every timestamp, deletes included. A
+// crash at any fence of that recovery, clean or torn, with one or four
+// workers, recovers again to every acknowledged upsert and delete.
+TEST(CclHash, OverflowingNodesRecoverAgainAfterCrashAtEveryFence) {
+  constexpr size_t kFewBuckets = 16;
+  TreeOptions written;
+  written.nbatch = 4;
+  TreeOptions options;
+  options.nbatch = 1;
+  std::map<uint64_t, uint64_t> model;  // kTombstone: deleted
+  auto crashed_image = [&written, &model] {
+    auto rt = MakeRuntime(32 << 20);
+    {
+      CclHashTable table(*rt, written, kFewBuckets);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      Rng rng(29);
+      for (int i = 0; i < 1200; i++) {
+        uint64_t key = Mix64(rng.NextBounded(300) + 1) | 1;
+        uint64_t value = rng.NextBounded(4) == 0 ? kTombstone : rng.Next() | 1;
+        table.Upsert(key, value);
+        model[key] = value;
+      }
+    }
+    testutil::CrashRestart(*rt);
+    return rt;
+  };
+  auto expect_model = [&model](kvindex::Runtime& rt, CclHashTable& table) {
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (const auto& [key, value] : model) {
+      uint64_t got = 0;
+      ASSERT_EQ(table.Lookup(key, &got), value != kTombstone) << "key " << key;
+      if (value != kTombstone) {
+        ASSERT_EQ(got, value) << "stale value for key " << key;
+      }
+    }
+  };
+
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE(std::to_string(threads) + " recovery threads");
+    uint64_t fences = 0;
+    {
+      auto rt = crashed_image();
+      CclHashTable table(*rt, options, kFewBuckets, kvindex::Lifecycle::kAttach);
+      pmsim::CrashInjector injector;
+      rt->device().SetCrashInjector(&injector);
+      injector.Arm(/*fence_target=*/0);  // count-only
+      const auto before = rt->device().stats().Snapshot();
+      ASSERT_TRUE(table.Recover(*rt, threads));
+      const auto delta = rt->device().stats().Snapshot().Delta(before);
+      rt->device().SetCrashInjector(nullptr);
+      fences = injector.fences_observed();
+      // Overflow reached the chains, and the staged KVs the log.
+      EXPECT_GT(delta.committed_lines_by_component[static_cast<int>(trace::Component::kLeaf)], 0u);
+      EXPECT_GT(table.log_live_bytes(), 0u);
+      expect_model(*rt, table);
+    }
+    for (uint64_t target = 1; target <= fences; target++) {
+      for (bool torn : {false, true}) {
+        SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+        auto rt = crashed_image();
+        {
+          CclHashTable table(*rt, options, kFewBuckets, kvindex::Lifecycle::kAttach);
+          pmsim::CrashInjector injector;
+          rt->device().SetCrashInjector(&injector);
+          injector.Arm(target);
+          EXPECT_THROW(table.Recover(*rt, threads), pmsim::CrashPointReached);
+          rt->device().SetCrashInjector(nullptr);
+        }
+        testutil::CrashRestart(*rt, torn, /*torn_seed=*/target);
+        CclHashTable table(*rt, options, kFewBuckets, kvindex::Lifecycle::kAttach);
+        ASSERT_TRUE(table.Recover(*rt, threads));
+        expect_model(*rt, table);
+      }
+    }
+  }
+}
+
+// Recovery validates what it walks: an overflow chain pointer past the pool
+// or to no slot of the overflow slab, a bucket count whose directory does not
+// fit in the pool, or a log registry count above its capacity each make
+// Recover() return false, and the failed instance destructs cleanly.
+TEST(CclHash, DamagedImageFailsRecovery) {
+  enum class Damage { kChainOutsidePool, kChainNotASlot, kBucketCount, kLogRegistryCount };
+  constexpr size_t kFewBuckets = 8;
+  for (Damage damage : {Damage::kChainOutsidePool, Damage::kChainNotASlot, Damage::kBucketCount,
+                        Damage::kLogRegistryCount}) {
+    SCOPED_TRACE(static_cast<int>(damage));
+    auto rt = MakeRuntime(32 << 20);
+    {
+      CclHashTable table(*rt, TreeOptions{}, kFewBuckets);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (uint64_t k = 1; k <= 400; k++) {
+        table.Upsert(k, k);
+      }
+      ASSERT_GT(table.overflow_buckets(), 0u);
+    }
+    testutil::CrashRestart(*rt);
+    // The table root record's words: magic, bucket count, directory offset,
+    // then the overflow slab's and the log arena's registry offsets.
+    auto* root = static_cast<uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(1)));
+    auto* directory = static_cast<PmLeaf*>(rt->pool().ToAddr(root[2]));
+    PmLeaf* chained = std::find_if(directory, directory + kFewBuckets,
+                                   [](const PmLeaf& b) { return b.next_offset() != 0; });
+    ASSERT_NE(chained, directory + kFewBuckets);
+    const uint64_t pool_bytes = rt->device().config().pool_bytes;
+    switch (damage) {
+      case Damage::kChainOutsidePool:
+        chained->meta.store(MakeMeta(chained->bitmap(), pool_bytes + kLeafBytes));
+        break;
+      case Damage::kChainNotASlot:  // a directory bucket, which no slab owns
+        chained->meta.store(MakeMeta(chained->bitmap(), root[2] + kLeafBytes));
+        break;
+      case Damage::kBucketCount:
+        root[1] = pool_bytes / kLeafBytes;
+        break;
+      case Damage::kLogRegistryCount:
+        *static_cast<uint64_t*>(rt->pool().ToAddr(root[4])) = 4097;
+        break;
+    }
+    auto table =
+        std::make_unique<CclHashTable>(*rt, TreeOptions{}, kFewBuckets, kvindex::Lifecycle::kAttach);
+    EXPECT_FALSE(table->Recover(*rt, /*recovery_threads=*/2));
+    table.reset();
+  }
+}
+
 TEST(CclHash, BufferingReducesMediaWrites) {
   // The §6 claim itself: buffered buckets write fewer XPLines than direct
   // bucket writes for the same workload. The claim is about combining in

@@ -13,6 +13,7 @@
 #include "src/core/ccl_btree.h"
 #include "src/core/ccl_hash.h"
 #include "src/pmsim/device.h"
+#include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
 
 namespace cclbt::pmsim {
@@ -379,35 +380,52 @@ TEST(PmCheck, CleanRunOnCclbtreeFig10Micro) {
   EXPECT_GT(result.pmcheck.stat("fence_epochs"), 0u);
 }
 
-// Recovery must be pmcheck-clean too: a replay batch that keeps the leaf
-// timestamp and changes no header byte skips the header commit, and a
-// second recovery that does not move the timestamp floor skips its persist.
+// Recovery must be pmcheck- and lockcheck-clean too, and so must the tree
+// it leaves: a second recovery that does not move the timestamp floor skips
+// its persist, and the recovery's copy appends to the GC's WAL, from the
+// boot context, where the GC round after the recovered tree's upserts
+// appends again.
 TEST(PmCheck, CleanRecoveryOfCclbtree) {
   kvindex::RuntimeOptions options;
   options.device.pool_bytes = 256 << 20;
   options.device.num_sockets = 2;
   options.device.dimms_per_socket = 2;
   options.device.pmcheck = true;
+  options.device.lockcheck = true;
   kvindex::Runtime rt(options);
   core::TreeOptions tree_options;
   tree_options.background_gc = false;
-  {
-    core::CclBTree tree(rt, tree_options);
-    pmsim::ThreadContext ctx(rt.device(), 0, 0);
-    Rng rng(91);
+  auto upsert = [&rt](core::CclBTree& tree, uint64_t seed) {
+    pmsim::ThreadContext w0(rt.device(), 0, 0);
+    pmsim::ThreadContext w1(rt.device(), 1, 1);
+    Rng rng(seed);
     for (int i = 0; i < 20000; i++) {
+      pmsim::ThreadContext::SetCurrent(i % 2 == 0 ? &w0 : &w1);
       tree.Upsert(Mix64(rng.NextBounded(5000) + 1) | 1, rng.Next() | 1);
     }
+  };
+  {
+    core::CclBTree tree(rt, tree_options);
+    upsert(tree, 91);
   }
   for (int round = 0; round < 2; round++) {
     rt.device().Crash();
     ASSERT_TRUE(rt.Reopen());
     core::CclBTree tree(rt, tree_options, kvindex::Lifecycle::kAttach);
     ASSERT_TRUE(tree.Recover(rt, /*recovery_threads=*/4));
+    if (round == 1) {
+      upsert(tree, 92);
+      ASSERT_TRUE(tree.GcTick());
+      EXPECT_EQ(tree.gc_rounds(), 1u);
+    }
   }
   pmsim::PmCheckReport report = rt.device().pmcheck()->Snapshot();
   EXPECT_EQ(report.total(), 0u) << "first diagnostic: "
       << (report.diagnostics.empty() ? "(none materialized)" : report.diagnostics[0].detail);
+  pmsim::LockCheckReport locks = rt.device().lockcheck()->Snapshot();
+  EXPECT_EQ(locks.total(), 0u) << "first diagnostic: "
+      << (locks.diagnostics.empty() ? "(none materialized)" : locks.diagnostics[0].detail);
+  EXPECT_EQ(locks.total_info(), 0u);
 }
 
 // The same for CCL-Hash over a mixed workload on few buckets: a batch

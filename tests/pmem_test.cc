@@ -250,6 +250,8 @@ TEST(SlabAllocator, RecoverRebuildsFreeLists) {
   }
 }
 
+// A freed chunk is recycled on its own socket: another socket carves its
+// own chunk while its region has room, and takes the free one only when not.
 TEST(LogArena, ChunkRecycling) {
   pmsim::PmDevice device(TestConfig(128 << 20));
   pmsim::ThreadContext ctx(device, 0);
@@ -260,9 +262,22 @@ TEST(LogArena, ChunkRecycling) {
   EXPECT_EQ(arena->total_chunks(), 1u);
   arena->FreeChunk(a);
   EXPECT_EQ(arena->free_chunks(), 1u);
-  void* b = arena->AllocChunk(1);  // free list wins over carving
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(arena->total_chunks(), 1u);
+  void* b = arena->AllocChunk(1);  // carving on socket 1 wins over socket 0's free chunk
+  ASSERT_NE(b, nullptr);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(device.SocketOf(pool->ToOffset(b)), 1);
+  EXPECT_EQ(arena->total_chunks(), 2u);
+  EXPECT_EQ(arena->AllocChunk(0), a);  // socket 0's free list wins over carving
+  EXPECT_EQ(arena->total_chunks(), 2u);
+
+  // Socket 1's region full: its last resort is socket 0's free chunk.
+  arena->FreeChunk(a);
+  while (pool->AllocateRaw(kLogChunkBytes, 1) != nullptr) {
+  }
+  EXPECT_EQ(arena->AllocChunk(1), a);
+  EXPECT_EQ(arena->free_chunks(), 0u);
+  EXPECT_EQ(arena->AllocChunk(1), nullptr);
+  EXPECT_EQ(arena->total_chunks(), 2u);
 }
 
 TEST(LogArena, RegistrySurvivesCrash) {

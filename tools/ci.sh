@@ -45,8 +45,10 @@
 #      checked-in baselines — virtual metrics exact, wall within noise band
 #  10. ASan+UBSan on the pmsim + trace + GC-scheduling + pmcheck + lockcheck
 #      + simd + dram_btree + media_model + service + crash_matrix + metrics
-#      + ccl_btree + scan_property + ccl_hash test subset, plus
-#      index_conformance_test, which drives every baseline index
+#      + ccl_btree + scan_property + ccl_hash + wal + pmem test subset (wal
+#      and pmem: the log appends, the copy round and the registry checks
+#      recovery runs on), plus index_conformance_test, which drives every
+#      baseline index
 #  11. TSan on the same subset (gc_scheduling_test's CooperativeGcOnRealThreads
 #      is the real-concurrency stress of the cooperative GC quantum;
 #      dram_btree_test's descent stress races optimistic readers against
@@ -65,7 +67,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SANITIZE_FILTER="pmsim|trace|gc_scheduling|pmcheck|lockcheck|simd|dram_btree|media_model|service|crash_matrix|metrics|ccl_btree|scan_property|ccl_hash"
+SANITIZE_FILTER="pmsim|trace|gc_scheduling|pmcheck|lockcheck|simd|dram_btree|media_model|service|crash_matrix|metrics|ccl_btree|scan_property|ccl_hash|wal|pmem"
 
 echo "=== lint: lint_pm_api.py self-test + tree ==="
 python3 tools/lint_pm_api.py --self-test
