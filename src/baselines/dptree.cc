@@ -16,8 +16,8 @@ constexpr uint64_t kDeleteMarker = 0;  // buffered tombstone
 DpTree::DpTree(kvindex::Runtime& runtime, const Options& options)
     : rt_(runtime), options_(options) {
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
-  log_arena_ = pmem::LogArena::Create(rt_.pool());
-  wals_ = std::make_unique<core::WalSet>(*log_arena_, 130);
+  log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), core::kLogSlabOptions);
+  wals_ = std::make_unique<core::WalSet>(*log_slab_, 130);
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kBigLeafBytes;
   slab_options.slots_per_chunk = 64;  // 256 KB chunks
@@ -45,7 +45,7 @@ void DpTree::Upsert(uint64_t key, uint64_t value) {
     // buffer in DRAM.
     uint64_t ts = rt_.ordo().Now();
     bool logged = wals_->Append(ctx->worker_id(), /*epoch=*/0, key, value, ts);
-    assert(logged && "log arena exhausted");
+    assert(logged && "log slab exhausted");
     (void)logged;
     {
       sync::LockGuard<sync::SharedMutex> guard(buffer_mu_);

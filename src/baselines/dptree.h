@@ -27,7 +27,6 @@
 #include "src/kvindex/dram_btree.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
-#include "src/pmem/log_arena.h"
 #include "src/pmem/slab_allocator.h"
 
 namespace cclbt::baselines {
@@ -75,7 +74,7 @@ class DpTree : public kvindex::KvIndex {
 
   kvindex::Runtime& rt_;
   Options options_;
-  std::unique_ptr<pmem::LogArena> log_arena_;
+  std::unique_ptr<pmem::SlabAllocator> log_slab_;
   std::unique_ptr<core::WalSet> wals_;
   std::unique_ptr<pmem::SlabAllocator> leaf_slab_;
 

@@ -21,7 +21,7 @@
 
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
-#include "src/pmem/log_arena.h"
+#include "src/pmem/slab_allocator.h"
 
 namespace cclbt::baselines {
 
@@ -61,7 +61,7 @@ class FlatStore : public kvindex::KvIndex {
   const Record* Append(uint64_t key, uint64_t value, bool tombstone);
 
   kvindex::Runtime& rt_;
-  std::unique_ptr<pmem::LogArena> arena_;
+  std::unique_ptr<pmem::SlabAllocator> log_slab_;
   std::vector<ThreadLog> logs_;  // per worker id
   sync::Mutex logs_mu_{"bl.flatstore_logs"};  // guards chunk activation only
 

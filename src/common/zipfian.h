@@ -1,7 +1,7 @@
 // YCSB-compatible Zipfian generator (Gray et al., "Quickly Generating
 // Billion-Record Synthetic Databases"). Produces ranks in [0, n) with
-// P(rank=k) proportional to 1/(k+1)^theta, then scrambles the rank so hot
-// keys are spread over the key space, as the YCSB ScrambledZipfian does.
+// P(rank=k) proportional to 1/(k+1)^theta; callers hash the rank (Mix64) so
+// hot keys are spread over the key space, as the YCSB ScrambledZipfian does.
 #ifndef SRC_COMMON_ZIPFIAN_H_
 #define SRC_COMMON_ZIPFIAN_H_
 
@@ -28,11 +28,6 @@ class ZipfianGenerator {
 
   // Next rank in [0, n), Zipf-distributed (rank 0 is the hottest).
   uint64_t NextRank();
-
-  // Rank scrambled over [0, n) so that hot items are not adjacent.
-  uint64_t NextScrambled() { return Scramble(NextRank()); }
-
-  uint64_t Scramble(uint64_t rank) const { return Mix64(rank ^ 0xc6a4a7935bd1e995ULL) % n_; }
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }

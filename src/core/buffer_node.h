@@ -15,6 +15,7 @@
 #include <new>
 
 #include "src/common/lock.h"
+#include "src/common/simd.h"
 #include "src/core/leaf_node.h"
 
 namespace cclbt::core {
@@ -44,10 +45,6 @@ class BufferNode {
 
   uint64_t ReadBegin() const { return version_.ReadBegin(); }
   bool ReadValidate(uint64_t snapshot) const { return version_.ReadValidate(snapshot); }
-
-  // The underlying capability, for REQUIRES(bn->version_lock()) annotations
-  // on helpers that mutate the node/leaf under the writer latch.
-  sync::SeqLock& version_lock() const RETURN_CAPABILITY(version_) { return version_; }
 
   // --- fields ---------------------------------------------------------------
   PmLeaf* leaf() const { return leaf_; }
@@ -80,6 +77,27 @@ class BufferNode {
 
   BufferSlot* slots() { return slots_; }
   const BufferSlot* slots() const { return slots_; }
+
+  // Bitmask of the slots whose key equals `key`. The slots are atomics
+  // mutated under the version lock; the SIMD probe reads them with plain
+  // vector loads — exactly the optimistic race the version-validation
+  // protocol accounts for. Under TSan the scalar loop keeps each access a
+  // relaxed atomic load so the race checker sees the protocol, not the
+  // vector shortcut.
+  uint32_t KeyMatch(uint64_t key) const {
+    if constexpr (simd::kTsanBuild) {
+      uint32_t out = 0;
+      for (int i = 0; i < nbatch_; i++) {
+        if (slots_[i].key.load(std::memory_order_relaxed) == key) {
+          out |= 1u << i;
+        }
+      }
+      return out;
+    } else {
+      return simd::KeyMatchStride2(reinterpret_cast<const uint64_t*>(slots_), nbatch_, key,
+                                   (1u << nbatch_) - 1);
+    }
+  }
 
   // Allocation: slots trail the object (nbatch is fixed per tree).
   static BufferNode* New(PmLeaf* leaf, int nbatch) {

@@ -1,7 +1,6 @@
 #include "src/core/ccl_btree.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cassert>
 #include <cstring>
 #include <optional>
@@ -17,31 +16,6 @@
 
 namespace cclbt::core {
 
-namespace {
-
-// Bitmask of buffer slots whose key equals `key`. The slots are atomics
-// mutated under the node's version lock; the SIMD probe reads them with
-// plain vector loads — exactly the optimistic race the version-validation
-// protocol accounts for. Under TSan the scalar loop keeps each access a
-// relaxed atomic load so the race checker sees the protocol, not the
-// vector shortcut.
-uint32_t BufferKeyMatch(const BufferSlot* slots, int nbatch, uint64_t key) {
-  if constexpr (simd::kTsanBuild) {
-    uint32_t out = 0;
-    for (int i = 0; i < nbatch; i++) {
-      if (slots[i].key.load(std::memory_order_relaxed) == key) {
-        out |= 1u << i;
-      }
-    }
-    return out;
-  } else {
-    return simd::KeyMatchStride2(reinterpret_cast<const uint64_t*>(slots), nbatch, key,
-                                 (1u << nbatch) - 1);
-  }
-}
-
-}  // namespace
-
 CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
                    kvindex::Lifecycle lifecycle)
     : rt_(runtime), options_(options), lifecycle_(lifecycle) {
@@ -56,8 +30,8 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
   leaf_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
-  log_arena_ = pmem::LogArena::Create(rt_.pool());
-  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
+  log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), kLogSlabOptions);
+  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
 
   head_leaf_ = AllocLeaf(/*socket=*/0);
   assert(head_leaf_ != nullptr);
@@ -74,7 +48,7 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
   root->magic = kTreeMagic;
   root->head_leaf_offset = LeafOffset(head_leaf_);
   root->slab_registry_offset = leaf_slab_->registry_offset();
-  root->arena_registry_offset = log_arena_->registry_offset();
+  root->log_registry_offset = log_slab_->registry_offset();
   root->ts_floor = 0;
   pmsim::Persist(root, sizeof(TreeRoot));
   rt_.pool().SetAppRoot(options_.root_slot, rt_.pool().ToOffset(root));
@@ -110,12 +84,12 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
   leaf_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
-  log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
-  if (leaf_slab_ == nullptr || log_arena_ == nullptr ||
+  log_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->log_registry_offset, kLogSlabOptions);
+  if (leaf_slab_ == nullptr || log_slab_ == nullptr ||
       !leaf_slab_->IsSlot(root->head_leaf_offset)) {
     return false;
   }
-  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
+  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
   head_leaf_ = LeafAt(root->head_leaf_offset);
 
   uint64_t max_ts = root->ts_floor;
@@ -255,7 +229,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
 
   // One SIMD probe over the {key,value} slots; a key appears at most once in
   // the buffer (see the stale-eviction below), so first-match == only-match.
-  uint32_t match = BufferKeyMatch(slots, nbatch, key);
+  uint32_t match = bn->KeyMatch(key);
   uint32_t current_bits = match & ((1u << pos) - 1);
   uint32_t stale_bits = match & ~((1u << pos) - 1);
   int current_match = current_bits != 0 ? __builtin_ctz(current_bits) : -1;
@@ -267,7 +241,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     // never triggers a flush).
     uint64_t ts = Timestamp();
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log arena exhausted");
+    assert(logged && "log slab exhausted");
     (void)logged;
     slots[current_match].value.store(value, std::memory_order_release);
     bn->SetEpochBit(current_match, epoch);
@@ -280,7 +254,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
     // (§3.3 — the log is the recovery source for buffered KVs).
     uint64_t ts = Timestamp();
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log arena exhausted");
+    assert(logged && "log slab exhausted");
     (void)logged;
     if (stale_match >= 0 && stale_match != pos) {
       // Evict the stale cached copy of this key into the slot we are about
@@ -304,7 +278,7 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   uint64_t ts = Timestamp();
   if (!options_.write_conservative_logging) {
     bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log arena exhausted");
+    assert(logged && "log slab exhausted");
     (void)logged;
   }
   kvindex::KeyValue extra{key, value};
@@ -708,7 +682,7 @@ bool CclBTree::Lookup(uint64_t key, uint64_t* value_out) {
       BufferSlot* slots = bn->slots();
       int nbatch = bn->nbatch();
       ChargeDram(static_cast<uint64_t>(nbatch));
-      uint32_t match = BufferKeyMatch(slots, nbatch, key);
+      uint32_t match = bn->KeyMatch(key);
       if (match != 0) {
         uint64_t value = slots[__builtin_ctz(match)].value.load(std::memory_order_acquire);
         if (!bn->ReadValidate(snapshot)) {
@@ -970,7 +944,7 @@ void CclBTree::LocalityAwareGc() {
   bool released = LocalityAwareGcRound(
       *wals_, ctx->worker_id(), global_epoch_, [this] { return CollectBufferNodes(); },
       [this] { return Timestamp(); });
-  // A round the arena cut short freed nothing, so the log did not shrink:
+  // A round the log slab cut short freed nothing, so the log did not shrink:
   // its floor re-arms the trigger only once the log has doubled.
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
   if (released) {
@@ -1052,34 +1026,6 @@ kvindex::MemoryFootprint CclBTree::Footprint() const {
       live_bn_count_.load(std::memory_order_relaxed) * BufferNode::PackedBytes(options_.nbatch);
   footprint.pm_bytes = rt_.pool().AllocatedBytes();
   return footprint;
-}
-
-void CclBTree::DumpKeyState(uint64_t key) const {
-  bool found = false;
-  BufferNode* bn = inner_.RouteFloor(key, &found);
-  if (!found) {
-    std::fprintf(stderr, "[dump] no route for key %llu\n", (unsigned long long)key);
-    return;
-  }
-  std::fprintf(stderr, "[dump] key=%llu bn=%p sep=%llu pos=%d dead=%d\n", (unsigned long long)key,
-               static_cast<void*>(bn), (unsigned long long)bn->sep(), bn->pos(), bn->dead());
-  for (int i = 0; i < bn->nbatch(); i++) {
-    std::fprintf(stderr, "[dump]   slot[%d] key=%llu value=%llu epoch=%u\n", i,
-                 (unsigned long long)bn->slots()[i].key.load(),
-                 (unsigned long long)bn->slots()[i].value.load(), bn->EpochBit(i));
-  }
-  const PmLeaf* leaf = bn->leaf();
-  std::fprintf(stderr, "[dump]   leaf=%llu ts=%llu bitmap=%llx\n",
-               (unsigned long long)LeafOffset(leaf), (unsigned long long)leaf->timestamp,
-               (unsigned long long)leaf->bitmap());
-  for (int slot = 0; slot < kLeafSlots; slot++) {
-    if (leaf->SlotValid(slot)) {
-      std::fprintf(stderr, "[dump]   leaf_slot[%d] key=%llu value=%llu fp=%u (want_fp=%u)\n", slot,
-                   (unsigned long long)leaf->kvs[slot].key,
-                   (unsigned long long)leaf->kvs[slot].value, leaf->fingerprints[slot],
-                   Fingerprint8(leaf->kvs[slot].key));
-    }
-  }
 }
 
 bool CclBTree::CheckInvariants() const {

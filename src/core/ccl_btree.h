@@ -117,17 +117,13 @@ class CclBTree : public kvindex::KvIndex {
   // (ordering between leaves, bitmap/fingerprint agreement). Test hook.
   bool CheckInvariants() const;
 
-  // Prints the buffer-node and leaf state covering `key` to stderr. Debug
-  // aid for tests; not thread-safe with concurrent writers.
-  void DumpKeyState(uint64_t key) const;
-
  private:
   struct TreeRoot {  // persistent root record (pool app-root slot
                      // TreeOptions::root_slot, default 0)
     uint64_t magic;
     uint64_t head_leaf_offset;
     uint64_t slab_registry_offset;
-    uint64_t arena_registry_offset;
+    uint64_t log_registry_offset;
     // Every leaf and log timestamp written before the last completed replay
     // is at most this; the tree adds it to every ORDO reading, since a
     // restart restarts the ORDO clock.
@@ -185,7 +181,7 @@ class CclBTree : public kvindex::KvIndex {
   bool recovered_ = false;
 
   std::unique_ptr<pmem::SlabAllocator> leaf_slab_;
-  std::unique_ptr<pmem::LogArena> log_arena_;
+  std::unique_ptr<pmem::SlabAllocator> log_slab_;
   std::unique_ptr<WalSet> wals_;
 
   kvindex::DramBTree<BufferNode*> inner_;

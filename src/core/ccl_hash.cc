@@ -46,8 +46,8 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
   overflow_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
-  log_arena_ = pmem::LogArena::Create(rt_.pool());
-  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
+  log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), kLogSlabOptions);
+  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
 
   size_t directory_bytes = num_buckets_ * kLeafBytes;
   buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, 0));
@@ -75,7 +75,7 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
   root->num_buckets = num_buckets_;
   root->directory_offset = rt_.pool().ToOffset(buckets_);
   root->slab_registry_offset = overflow_slab_->registry_offset();
-  root->arena_registry_offset = log_arena_->registry_offset();
+  root->log_registry_offset = log_slab_->registry_offset();
   root->ts_floor = 0;
   pmsim::Persist(root, sizeof(TableRoot));
   rt_.pool().SetAppRoot(kAppRootSlot, rt_.pool().ToOffset(root));
@@ -112,13 +112,13 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
   slab_options.slot_bytes = kLeafBytes;
   overflow_slab_ =
       pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
-  log_arena_ = pmem::LogArena::Open(rt_.pool(), root->arena_registry_offset);
-  if (overflow_slab_ == nullptr || log_arena_ == nullptr || num_buckets_ == 0 ||
+  log_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->log_registry_offset, kLogSlabOptions);
+  if (overflow_slab_ == nullptr || log_slab_ == nullptr || num_buckets_ == 0 ||
       num_buckets_ > rt_.device().config().pool_bytes / kLeafBytes ||
       !rt_.pool().Holds(root->directory_offset, num_buckets_ * kLeafBytes)) {
     return false;
   }
-  wals_ = std::make_unique<WalSet>(*log_arena_, options_.max_workers);
+  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
   buckets_ = static_cast<PmLeaf*>(rt_.pool().ToAddr(root->directory_offset));
 
   // Overflow buckets are live iff reachable from some directory bucket. A
@@ -188,13 +188,12 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   int nbatch = bn->nbatch();
   uint32_t epoch = global_epoch_.load(std::memory_order_acquire);
 
-  int current_match = -1;
-  int stale_match = -1;
-  for (int i = 0; i < nbatch; i++) {
-    if (slots[i].key.load(std::memory_order_relaxed) == key) {
-      (i < pos ? current_match : stale_match) = i;
-    }
-  }
+  // A key appears at most once in the buffer, as in CclBTree::Upsert.
+  uint32_t match = bn->KeyMatch(key);
+  uint32_t current_bits = match & ((1u << pos) - 1);
+  uint32_t stale_bits = match & ~((1u << pos) - 1);
+  int current_match = current_bits != 0 ? __builtin_ctz(current_bits) : -1;
+  int stale_match = stale_bits != 0 ? __builtin_ctz(stale_bits) : -1;
   if (current_match >= 0) {
     Log(ctx->worker_id(), epoch, key, value, Timestamp());
     slots[current_match].value.store(value, std::memory_order_release);
@@ -243,12 +242,8 @@ void CclHashTable::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, u
   BatchInsertBucket(bn, batch, n, ts);
   bn->set_pos(0);
   if (extra != nullptr) {
-    for (int i = 1; i < bn->nbatch(); i++) {
-      if (slots[i].key.load(std::memory_order_relaxed) == extra->key) {
-        slots[i].key.store(0, std::memory_order_relaxed);
-        slots[i].value.store(0, std::memory_order_relaxed);
-      }
-    }
+    // A trigger write finds every slot current and none holding its key, so
+    // the slots it leaves as read cache stay distinct.
     slots[0].key.store(extra->key, std::memory_order_relaxed);
     slots[0].value.store(extra->value, std::memory_order_release);
   }
@@ -400,19 +395,16 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
   for (;;) {
     uint64_t snapshot = bn->ReadBegin();
     if (options_.buffering) {
-      BufferSlot* slots = bn->slots();
-      for (int i = 0; i < bn->nbatch(); i++) {
-        if (slots[i].key.load(std::memory_order_acquire) == key) {
-          uint64_t value = slots[i].value.load(std::memory_order_acquire);
-          if (!bn->ReadValidate(snapshot)) {
-            break;
-          }
-          if (value == kTombstone) {
-            return false;
-          }
-          *value_out = value;
-          return true;
+      if (const uint32_t match = bn->KeyMatch(key); match != 0) {
+        uint64_t value = bn->slots()[__builtin_ctz(match)].value.load(std::memory_order_acquire);
+        if (!bn->ReadValidate(snapshot)) {
+          continue;
         }
+        if (value == kTombstone) {
+          return false;
+        }
+        *value_out = value;
+        return true;
       }
       if (!bn->ReadValidate(snapshot)) {
         continue;

@@ -86,7 +86,7 @@ class CclHashTable : public kvindex::KvIndex {
 
   // One locality-aware GC round on the calling context (LocalityAwareGcRound:
   // epoch flip, I-log copy of the buffered entries, B-log release). Returns
-  // false if the log arena ran out, in which case no log was freed.
+  // false if the log slab ran out, in which case no log was freed.
   bool RunGcOnce();
 
   uint64_t log_live_bytes() const { return wals_->live_bytes(); }
@@ -98,7 +98,7 @@ class CclHashTable : public kvindex::KvIndex {
     uint64_t num_buckets;
     uint64_t directory_offset;  // array of num_buckets PmLeaf buckets
     uint64_t slab_registry_offset;
-    uint64_t arena_registry_offset;
+    uint64_t log_registry_offset;
     // Every bucket and log timestamp written before the last completed
     // replay is at most this; the table adds it to every ORDO reading.
     uint64_t ts_floor;
@@ -115,7 +115,7 @@ class CclHashTable : public kvindex::KvIndex {
   uint64_t Timestamp() const { return ts_floor_ + rt_.ordo().Now(); }
   void Log(int worker, uint32_t epoch, uint64_t key, uint64_t value, uint64_t ts) {
     bool logged = wals_->Append(worker, static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log arena exhausted");
+    assert(logged && "log slab exhausted");
     (void)logged;
   }
 
@@ -135,7 +135,7 @@ class CclHashTable : public kvindex::KvIndex {
   kvindex::Lifecycle lifecycle_;
   bool recovered_ = false;
   std::unique_ptr<pmem::SlabAllocator> overflow_slab_;
-  std::unique_ptr<pmem::LogArena> log_arena_;
+  std::unique_ptr<pmem::SlabAllocator> log_slab_;
   std::unique_ptr<WalSet> wals_;
 
   PmLeaf* buckets_ = nullptr;  // contiguous PM array

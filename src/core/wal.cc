@@ -50,7 +50,7 @@ bool ThreadWal::ActivateChunk(int epoch) {
   trace::TraceScope scope(WalComponent());
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  void* mem = arena_->AllocChunk(ctx->socket());
+  void* mem = log_->Allocate(ctx->socket());
   if (mem == nullptr) {
     return false;
   }
@@ -116,7 +116,7 @@ uint64_t ThreadWal::ReleaseEpoch(int epoch) {
     auto* header = reinterpret_cast<LogChunkHeader*>(base);
     header->state = kChunkFree;
     pmsim::Persist(&header->state, sizeof(header->state));
-    arena_->FreeChunk(base);
+    log_->Free(base);
   }
   chunks_[epoch].clear();
   active_[epoch] = ActiveChunk{};
@@ -125,10 +125,10 @@ uint64_t ThreadWal::ReleaseEpoch(int epoch) {
   return released;
 }
 
-WalSet::WalSet(pmem::LogArena& arena, int max_workers) : arena_(&arena) {
+WalSet::WalSet(pmem::SlabAllocator& log, int max_workers) : log_(&log) {
   wals_.reserve(static_cast<size_t>(max_workers));
   for (int i = 0; i < max_workers; i++) {
-    wals_.push_back(std::make_unique<ThreadWal>(arena, i));
+    wals_.push_back(std::make_unique<ThreadWal>(log, i));
   }
 }
 
@@ -176,15 +176,16 @@ bool WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
   return true;
 }
 
-void WalSet::ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn) {
-  arena.ForEachChunk([&fn](void* mem) { ScanChunk(mem, fn); });
+void WalSet::ScanAll(const pmem::SlabAllocator& log,
+                     const std::function<void(const LogEntry&)>& fn) {
+  log.ForEachSlot([&fn](void* chunk) { ScanChunk(chunk, fn); });
 }
 
 uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
                         uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases) {
   assert(threads >= 1);
   std::vector<void*> chunks;
-  arena_->ForEachChunk([&chunks](void* mem) { chunks.push_back(mem); });
+  log_->ForEachSlot([&chunks](void* chunk) { chunks.push_back(chunk); });
   const auto n = static_cast<size_t>(threads);
   std::vector<LogEntry> entries;
   std::vector<char> active(chunks.size(), 0);  // chunks the scan found active
@@ -224,12 +225,13 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   }
   entries.resize(kept);
 
-  arena_->ResetVolatile();
-  for (size_t c = 0; c < chunks.size(); c++) {
-    if (!active[c]) {
-      arena_->FreeChunk(chunks[c]);
-    }
-  }
+  // Recover visits the chunks in the order ForEachSlot listed them.
+  size_t visited = 0;
+  log_->Recover([&](const void* chunk) {
+    assert(chunk == chunks[visited]);
+    (void)chunk;
+    return active[visited++] != 0;
+  });
 
   // Writes locked bn's staged KVs and `extra` in one batch that keeps every
   // timestamp, and empties the node: the write may split the leaf, and no
@@ -293,7 +295,7 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   boot->ResetClock(applied);
 
   // Every copy is stamped above every timestamp read here, so it outranks
-  // each old entry of its key in a later recovery. A round the arena cuts
+  // each old entry of its key in a later recovery. A round the log slab cuts
   // short leaves the KVs it could not copy staged, and their only durable
   // copy is still the old log: they go to their leaves before it is freed.
   const bool copied = LocalityAwareGcRound(
@@ -323,7 +325,7 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
         auto* header = static_cast<LogChunkHeader*>(chunks[c]);
         header->state = kChunkFree;
         pmsim::Persist(&header->state, sizeof(header->state));
-        arena_->FreeChunk(chunks[c]);
+        log_->Free(chunks[c]);
       }
     }
   }

@@ -1,10 +1,12 @@
 // Per-thread write-ahead logs (paper §3.3).
 //
 // Each worker owns a private WAL for scalability; a WAL is a chain of 4 MB
-// log chunks drawn from the shared pmem::LogArena (with a free list per
-// socket). A log entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because
-// entries are appended sequentially, ~10.7 entries share an XPLine and the
-// XPBuffer merges them into one media write — this is the "additional
+// log chunks drawn from the index's log slab, a pmem::SlabAllocator whose
+// chunks hold one slot of kLogChunkBytes (kLogSlabOptions): a freed chunk is
+// recycled from a free list per socket before a new one is carved. A log
+// entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because entries are
+// appended sequentially, ~10.7 entries share an XPLine and the XPBuffer
+// merges them into one media write — this is the "additional
 // XBI-amplification caused by logging" term (24/256) of §3.5.
 //
 // Epochs: every WAL keeps two logs, selected by the tree's global epoch bit.
@@ -35,12 +37,15 @@
 #include "src/core/buffer_node.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
-#include "src/pmem/log_arena.h"
+#include "src/pmem/slab_allocator.h"
 #include "src/pmsim/device.h"
 
 namespace cclbt::core {
 
 inline constexpr uint64_t kLogChunkMagic = 0x10C41B7ULL;
+// The log slab of CCL-BTree, CCL-Hash and DPTree.
+inline constexpr pmem::SlabAllocator::Options kLogSlabOptions{
+    .slot_bytes = pmem::kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 4096};
 inline constexpr uint64_t kTsMask = (1ULL << 56) - 1;
 
 struct LogEntry {
@@ -88,7 +93,7 @@ struct RecoveryPhases {
 // point of per-thread logs).
 class ThreadWal {
  public:
-  ThreadWal(pmem::LogArena& arena, int worker_id) : arena_(&arena), worker_id_(worker_id) {
+  ThreadWal(pmem::SlabAllocator& log, int worker_id) : log_(&log), worker_id_(worker_id) {
     // Pre-size the chunk lists so a chunk activation on the hot append path
     // never reallocates: steady-state upserts are asserted allocation-free
     // by bench_pmsim_hotpath. 64 chunks = 256 MB of log per epoch per
@@ -107,15 +112,15 @@ class ThreadWal {
   // a bare timestamp, which Append tags with the generation of the chunk the
   // entry lands in. A span that reaches the end of the active chunk fences
   // what it wrote there and goes on in a fresh chunk. Returns false when the
-  // arena is exhausted; the entries appended before that are durable.
+  // log slab is exhausted; the entries appended before that are durable.
   bool Append(int epoch, std::span<const LogEntry> entries);
   bool Append(int epoch, uint64_t key, uint64_t value, uint64_t timestamp) {
     const LogEntry entry{key, value, timestamp};
     return Append(epoch, {&entry, 1});
   }
 
-  // Releases every chunk of the `epoch` log back to the arena (persisting the
-  // free markers). Returns the number of payload bytes released.
+  // Releases every chunk of the `epoch` log back to the log slab (persisting
+  // the free markers). Returns the number of payload bytes released.
   uint64_t ReleaseEpoch(int epoch);
 
   uint64_t appended_bytes(int epoch) const { return appended_bytes_[epoch]; }
@@ -131,7 +136,7 @@ class ThreadWal {
 
   bool ActivateChunk(int epoch);
 
-  pmem::LogArena* arena_;
+  pmem::SlabAllocator* log_;
   int worker_id_;
   std::vector<std::byte*> chunks_[2];
   ActiveChunk active_[2];
@@ -141,7 +146,7 @@ class ThreadWal {
 // The set of per-worker WALs plus global byte accounting for the GC trigger.
 class WalSet {
  public:
-  WalSet(pmem::LogArena& arena, int max_workers);
+  WalSet(pmem::SlabAllocator& log, int max_workers);
 
   // Appends on behalf of `worker_id`; updates the global log-size counter.
   bool Append(int worker_id, int epoch, std::span<const LogEntry> entries);
@@ -159,9 +164,10 @@ class WalSet {
 
   // Recovery: invokes `fn` for each valid entry of `chunk` if it is an
   // active log chunk, and returns whether it is. ScanAll does so for every
-  // arena chunk.
+  // chunk of `log`.
   static bool ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
-  static void ScanAll(pmem::LogArena& arena, const std::function<void(const LogEntry&)>& fn);
+  static void ScanAll(const pmem::SlabAllocator& log,
+                      const std::function<void(const LogEntry&)>& fn);
 
   // What Replay needs of the index it recovers, CCL-BTree or CCL-Hash.
   struct ReplayTarget {
@@ -191,19 +197,20 @@ class WalSet {
   //   reclaim  it persists *floor, the index's timestamp floor, raised to
   //            `max_ts` and every timestamp read, then frees exactly the
   //            chunks the scan found active.
-  // The chunks the scan found free are back on the free list before the
-  // stage, so the copy reuses one. No write before the copy's last fence
-  // raises a timestamp, since until then a staged KV's only durable copy is
-  // in the old log; if the arena cannot hold the copy, the KVs still staged
-  // are written to their leaves like a full node's, so recovery never needs
-  // free log space. The floor lands before the reclaim, so a crash anywhere
-  // recovers again to the same state. Returns the new floor and sets the
-  // modeled time of Replay's four phases in *phases.
+  // The chunks the scan found free are back on the free lists before the
+  // stage (SlabAllocator::Recover), so the copy reuses one. No write before
+  // the copy's last fence raises a timestamp, since until then a staged KV's
+  // only durable copy is in the old log; if the log slab cannot hold the
+  // copy, the KVs still staged are written to their leaves like a full
+  // node's, so recovery never needs free log space. The floor lands before
+  // the reclaim, so a crash anywhere recovers again to the same state.
+  // Returns the new floor and sets the modeled time of Replay's four phases
+  // in *phases.
   uint64_t Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
                   uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases);
 
  private:
-  pmem::LogArena* arena_;
+  pmem::SlabAllocator* log_;
   std::vector<std::unique_ptr<ThreadWal>> wals_;
   std::atomic<uint64_t> live_bytes_{0};
   std::atomic<uint64_t> peak_bytes_{0};
@@ -220,7 +227,7 @@ inline constexpr size_t kGcSpanEntries = pmsim::kInterleaveBytes / sizeof(LogEnt
 // log one span of kGcSpanEntries at a time, and once more at the end. Every
 // copy is durable before the old epoch's logs are freed, which is the only
 // point that needs it: until then each copied KV is still in that B-log.
-// If the arena runs out, the round ends before the release and returns
+// If the log slab runs out, the round ends before the release and returns
 // false: `epoch` flips back and the KVs not yet durably copied keep (or get
 // back) their old bit, so the next round copies them, into the same log.
 bool LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,

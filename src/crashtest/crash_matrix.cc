@@ -125,6 +125,7 @@ struct PointOutcome {
   bool fired = false;
   bool reopen_ok = false;
   bool recover_ok = false;
+  bool invariants_ok = true;
   std::string reopen_error;
   DurabilityOracle::Report report;
 };
@@ -178,6 +179,9 @@ PointOutcome RunPoint(const MatrixConfig& config, const std::vector<Op>& ops,
   }
   pmsim::ThreadContext ctx(runtime.device(), /*socket=*/0, /*worker_id=*/0);
   outcome.report = oracle.Verify(*recovered, kMaxDiagnostics);
+  if (const auto* tree = dynamic_cast<const core::CclBTree*>(recovered.get())) {
+    outcome.invariants_ok = tree->CheckInvariants();
+  }
   return outcome;
 }
 
@@ -285,6 +289,13 @@ MatrixResult RunCrashMatrix(const MatrixConfig& config) {
     result.stale += outcome.report.stale;
     result.garbage += outcome.report.garbage;
     result.digest = Mix64(result.digest ^ outcome.report.observation_digest);
+    if (!outcome.invariants_ok) {
+      result.invariant_failures++;
+      if (static_cast<int>(result.diagnostics.size()) < kMaxDiagnostics) {
+        result.diagnostics.push_back("invariants broken @fence " +
+                                     std::to_string(point.fence_target));
+      }
+    }
     for (const std::string& diag : outcome.report.diagnostics) {
       if (static_cast<int>(result.diagnostics.size()) >= kMaxDiagnostics) {
         break;

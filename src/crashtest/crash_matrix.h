@@ -10,7 +10,8 @@
 // workload mid-operation; the harness settles the media with
 // PmDevice::Crash() or CrashTorn(seed), reopens the pool
 // (Runtime::Reopen), recovers the index (bench::RecoverIndex) and verifies
-// the durability oracle's invariants.
+// the durability oracle's invariants and, for CCL-BTree, the recovered leaf
+// list's structure (CclBTree::CheckInvariants).
 //
 // Everything — workload, schedules, torn seeds, oracle verdicts — is a pure
 // function of MatrixConfig, so a matrix run is exactly reproducible from its
@@ -90,13 +91,15 @@ struct MatrixResult {
   uint64_t lost = 0;
   uint64_t stale = 0;
   uint64_t garbage = 0;
+  // Recovered CCL-BTree points whose leaf list fails CheckInvariants.
+  uint64_t invariant_failures = 0;
   // Order-sensitive fold over every (crash point, oracle observation): equal
   // between two runs iff the same points fired with the same verdicts.
   uint64_t digest = 0;
   std::vector<std::string> diagnostics;
   bool ok() const {
     return index_recoverable && lost == 0 && stale == 0 && garbage == 0 &&
-           reopen_failures == 0 && recover_failures == 0;
+           invariant_failures == 0 && reopen_failures == 0 && recover_failures == 0;
   }
 };
 

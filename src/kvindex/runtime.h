@@ -8,7 +8,6 @@
 #include <string>
 
 #include "src/common/ordo.h"
-#include "src/pmem/log_arena.h"
 #include "src/pmem/pool.h"
 #include "src/pmem/value_store.h"
 #include "src/pmsim/device.h"

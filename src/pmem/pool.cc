@@ -1,6 +1,5 @@
 #include "src/pmem/pool.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstdio>
 #include <cstring>
@@ -128,19 +127,6 @@ void* PmPool::AllocateRaw(size_t bytes, int socket) {
   header->bump_offset[socket] = offset + bytes;
   pmsim::Persist(&header->bump_offset[socket], sizeof(uint64_t));
   return device_->AddrOf(offset);
-}
-
-bool PmPool::HoldsRegistry(uint64_t offset, uint64_t max_chunks, uint64_t chunk_bytes) const {
-  if (!Holds(offset, sizeof(uint64_t))) {
-    return false;
-  }
-  const auto* words = static_cast<const uint64_t*>(ToAddr(offset));
-  const uint64_t count = words[0];
-  if (count > max_chunks || !Holds(offset, (count + 1) * sizeof(uint64_t))) {
-    return false;
-  }
-  return std::all_of(words + 1, words + 1 + count,
-                     [this, chunk_bytes](uint64_t chunk) { return Holds(chunk, chunk_bytes); });
 }
 
 uint64_t PmPool::GetAppRoot(int slot) const {

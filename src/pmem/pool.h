@@ -88,11 +88,6 @@ class PmPool {
     const uint64_t end = device_->config().pool_bytes;
     return offset >= kSuperblockBytes && offset <= end && bytes <= end - offset;
   }
-  // The same for a chunk registry, the persistent format the slab allocator
-  // and the log arena share (a chunk count, then that many chunk offsets):
-  // whether the count is at most `max_chunks` and the registry and each
-  // chunk of `chunk_bytes` lie wholly inside the pool.
-  bool HoldsRegistry(uint64_t offset, uint64_t max_chunks, uint64_t chunk_bytes) const;
 
   // Application root slots: persistent named entry points for recovery.
   uint64_t GetAppRoot(int slot) const;

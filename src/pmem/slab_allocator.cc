@@ -33,28 +33,46 @@ std::unique_ptr<SlabAllocator> SlabAllocator::Create(PmPool& pool, const Options
 
 std::unique_ptr<SlabAllocator> SlabAllocator::Open(PmPool& pool, uint64_t registry_offset,
                                                    const Options& options) {
-  if (!pool.HoldsRegistry(registry_offset, options.max_chunks,
-                          options.slot_bytes * options.slots_per_chunk)) {
+  if (!pool.Holds(registry_offset, sizeof(Registry))) {
+    return nullptr;
+  }
+  const auto* registry = static_cast<const Registry*>(pool.ToAddr(registry_offset));
+  const uint64_t count = registry->chunk_count;
+  if (count > options.max_chunks ||
+      !pool.Holds(registry_offset, sizeof(Registry) + count * sizeof(uint64_t))) {
+    return nullptr;
+  }
+  std::vector<uint64_t> chunks(registry->chunk_offsets, registry->chunk_offsets + count);
+  std::sort(chunks.begin(), chunks.end());
+  const uint64_t chunk_bytes = options.slot_bytes * options.slots_per_chunk;
+  const auto outside = [&pool, chunk_bytes](uint64_t chunk) {
+    return !pool.Holds(chunk, chunk_bytes);
+  };
+  // Sorted, a chunk listed twice or overlapping the next starts less than a
+  // chunk before it.
+  const auto shared = [chunk_bytes](uint64_t chunk, uint64_t next) {
+    return next - chunk < chunk_bytes;
+  };
+  if (std::any_of(chunks.begin(), chunks.end(), outside) ||
+      std::adjacent_find(chunks.begin(), chunks.end(), shared) != chunks.end()) {
     return nullptr;
   }
   auto slab = std::unique_ptr<SlabAllocator>(new SlabAllocator(pool, options));
   slab->registry_ = reinterpret_cast<Registry*>(pool.ToAddr(registry_offset));
-  const uint64_t* offsets = slab->registry_->chunk_offsets;
-  slab->opened_chunks_.assign(offsets, offsets + slab->registry_->chunk_count);
-  std::sort(slab->opened_chunks_.begin(), slab->opened_chunks_.end());
+  slab->opened_chunks_ = std::move(chunks);
   return slab;
 }
 
-bool SlabAllocator::GrowLocked(int socket, SocketState& state) {
+void SlabAllocator::GrowLocked(int socket, SocketState& state) {
   trace::TraceScope scope(trace::Component::kAllocMeta);
   sync::LockGuard<sync::Mutex> registry_guard(registry_mu_);
   if (registry_->chunk_count >= options_.max_chunks) {
-    return false;
+    return;
   }
   size_t chunk_bytes = options_.slot_bytes * options_.slots_per_chunk;
   void* chunk = pool_->AllocateRaw(chunk_bytes, socket);
   if (chunk == nullptr) {
-    return false;
+    return;
   }
   // Persist the registry append: slot first, then the count (count is the
   // commit point — a crash between the two just forgets the chunk, and the
@@ -70,17 +88,37 @@ bool SlabAllocator::GrowLocked(int socket, SocketState& state) {
   for (size_t i = 0; i < options_.slots_per_chunk; i++) {
     state.free_slots.push_back(base + i * options_.slot_bytes);
   }
-  return true;
 }
 
-void* SlabAllocator::Allocate(int socket) {
-  auto& state = *sockets_[static_cast<size_t>(socket)];
-  sync::LockGuard<sync::Mutex> guard(state.mu);
-  if (state.free_slots.empty() && !GrowLocked(socket, state)) {
+void* SlabAllocator::PopLocked(SocketState& state) {
+  if (state.free_slots.empty()) {
     return nullptr;
   }
   void* slot = state.free_slots.back();
   state.free_slots.pop_back();
+  return slot;
+}
+
+void* SlabAllocator::Allocate(int socket) {
+  void* slot = nullptr;
+  {
+    auto& local = *sockets_[static_cast<size_t>(socket)];
+    sync::LockGuard<sync::Mutex> guard(local.mu);
+    if (local.free_slots.empty()) {
+      GrowLocked(socket, local);
+    }
+    slot = PopLocked(local);
+  }
+  // Last resort: a free slot of another socket, under that socket's lock
+  // alone, since sibling socket locks are never held together.
+  for (size_t s = 0; slot == nullptr && s < sockets_.size(); s++) {
+    auto& other = *sockets_[s];
+    sync::LockGuard<sync::Mutex> guard(other.mu);
+    slot = PopLocked(other);
+  }
+  if (slot == nullptr) {
+    return nullptr;
+  }
   allocated_slots_.fetch_add(1, std::memory_order_relaxed);
   // Ownership transfer: a recycled slot's lines may still carry the previous
   // owner's lockset; the new owner protects them with its own latch.

@@ -1,6 +1,11 @@
 // Chunk-based fixed-size PM allocator (paper §4.2: "we adopt the chunk-based
 // allocation strategy [7] to avoid the potential PM leak for the newly
-// created leaf node").
+// created leaf node"). It is the one allocator of every persistent object
+// kind, with one policy: leaves, hash overflow buckets and big leaves are
+// slots of multi-slot chunks, and a WAL's 4 MB log chunks (§3.3: "When a new
+// log chunk is needed, it is first retrieved from the free list. If the free
+// list is empty, a new log chunk is allocated.") are the one slot of a
+// one-slot chunk of kLogChunkBytes.
 //
 // Leak-safety argument: the only *persistent* allocator metadata is the
 // registry of chunks, updated once per chunk (not per object). Object
@@ -23,6 +28,9 @@
 
 namespace cclbt::pmem {
 
+// A WAL log chunk: the slot size of a log slab, whose chunks hold one slot.
+inline constexpr size_t kLogChunkBytes = 4 * 1024 * 1024;
+
 class SlabAllocator {
  public:
   struct Options {
@@ -36,24 +44,31 @@ class SlabAllocator {
   static std::unique_ptr<SlabAllocator> Create(PmPool& pool, const Options& options);
   // Re-attaches to an existing registry after a (simulated) restart. Volatile
   // free lists are empty until Recover() runs. nullptr when the registry
-  // lists more than max_chunks chunks, or when it or a chunk it lists is not
-  // wholly inside the pool.
+  // lists more than max_chunks chunks, when it or a chunk it lists is not
+  // wholly inside the pool, or when two chunks it lists share a byte (a
+  // repeated or overlapping entry would hand out their slots twice).
   static std::unique_ptr<SlabAllocator> Open(PmPool& pool, uint64_t registry_offset,
                                              const Options& options);
 
   SlabAllocator(const SlabAllocator&) = delete;
   SlabAllocator& operator=(const SlabAllocator&) = delete;
 
-  // Returns a zero-initialized? No: returns the raw slot (callers initialize
-  // and persist). nullptr when PM is exhausted.
+  // Returns a raw slot, which the caller initializes and persists: a free
+  // slot of `socket`, else one of a chunk newly carved from `socket`'s
+  // region, else a free slot of another socket, so allocation never fails
+  // while a slot is free. nullptr when none is free and neither the registry
+  // nor the region has room.
   void* Allocate(int socket);
+  // Returns a slot to the free list of the socket whose region holds it.
   void Free(void* slot);
 
   // Rebuilds free lists: a slot is free iff !is_live(slot). Called once
-  // during failure recovery, before any Allocate.
+  // during failure recovery, before any Allocate. Visits the slots in the
+  // order ForEachSlot does.
   void Recover(const std::function<bool(const void*)>& is_live);
 
-  // Visits every slot of every chunk (live or not).
+  // Visits every slot of every chunk (live or not), chunk by chunk in
+  // registry order.
   void ForEachSlot(const std::function<void(void*)>& fn) const;
 
   // Whether pool offset `offset` is a slot of a chunk registered when Open
@@ -82,7 +97,11 @@ class SlabAllocator {
     std::vector<void*> free_slots GUARDED_BY(mu);
   };
 
-  bool GrowLocked(int socket, SocketState& state) REQUIRES(state.mu);
+  // Carves a chunk from `socket`'s region onto state's free list, unless the
+  // registry or the region is full.
+  void GrowLocked(int socket, SocketState& state) REQUIRES(state.mu);
+  // Pops the last free slot of `state`; nullptr when it has none.
+  static void* PopLocked(SocketState& state) REQUIRES(state.mu);
 
   PmPool* pool_;
   Options options_;
@@ -94,8 +113,6 @@ class SlabAllocator {
   std::vector<uint64_t> opened_chunks_;
 
   std::vector<std::unique_ptr<SocketState>> sockets_;
-  // Which socket each chunk was carved for (parallel to registry entries);
-  // rebuilt on Open from the chunk address itself.
   std::atomic<uint64_t> allocated_slots_{0};
 };
 

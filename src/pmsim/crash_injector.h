@@ -44,9 +44,6 @@ class CrashInjector {
     target_.store(fence_target, std::memory_order_relaxed);
   }
 
-  // Stops firing; fences are still counted until the injector is uninstalled.
-  void Disarm() { target_.store(0, std::memory_order_relaxed); }
-
   uint64_t fences_observed() const { return fences_observed_.load(std::memory_order_relaxed); }
   bool fired() const { return fired_.load(std::memory_order_relaxed); }
   Mode mode() const { return mode_; }

@@ -23,7 +23,7 @@ enum class Component : uint8_t {
   kInner = 3,       // inner-index routing (DRAM; PM reads for key blobs)
   kBufferNode = 4,  // buffer-node merge/cache maintenance
   kGc = 5,          // background/foreground log GC passes
-  kAllocMeta = 6,   // allocator metadata (slab/arena registries, pool root)
+  kAllocMeta = 6,   // allocator metadata (slab registries, pool root)
   kValueStore = 7,  // out-of-band value blobs
   kCount = 8,
 };

@@ -771,12 +771,15 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
     kLogRegistryOffset,
     kLeafChunkOffset,
     kLogChunkOffset,
+    kLeafChunkRepeat,
+    kLogChunkRepeat,
   };
   for (Damage damage : {Damage::kBackPointer, Damage::kSelfLinkedEmptyLeaf, Damage::kOutOfOrder,
                         Damage::kOutsidePool, Damage::kNotALeafSlot, Damage::kLeafRegistryCount,
                         Damage::kLogRegistryCount, Damage::kLeafRegistryOffset,
                         Damage::kLogRegistryOffset, Damage::kLeafChunkOffset,
-                        Damage::kLogChunkOffset}) {
+                        Damage::kLogChunkOffset, Damage::kLeafChunkRepeat,
+                        Damage::kLogChunkRepeat}) {
     SCOPED_TRACE(static_cast<int>(damage));
     auto rt = MakeRuntime();
     TreeOptions options = QuietOptions();
@@ -795,7 +798,7 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
 
     // The durable leaf list, head first. The tree root record's words are
     // its magic, the head leaf's pool offset, then the leaf slab's and the
-    // log arena's registry offsets; a registry is a chunk count followed by
+    // log slab's registry offsets; a registry is a chunk count followed by
     // the chunks' pool offsets.
     auto leaf_at = [&rt](uint64_t offset) {
       return static_cast<PmLeaf*>(rt->pool().ToAddr(offset));
@@ -853,6 +856,14 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
         break;
       case Damage::kLogChunkOffset:
         log_registry[1] = pool_bytes + pmem::kLogChunkBytes;
+        break;
+      case Damage::kLeafChunkRepeat:  // the slab would hand out its slots twice
+        leaf_registry[leaf_registry[0] + 1] = leaf_registry[1];
+        leaf_registry[0]++;
+        break;
+      case Damage::kLogChunkRepeat:
+        log_registry[log_registry[0] + 1] = log_registry[1];
+        log_registry[0]++;
         break;
     }
     auto tree = std::make_unique<CclBTree>(*rt, options, kvindex::Lifecycle::kAttach);

@@ -453,10 +453,18 @@ TEST(CclHash, OverflowingNodesRecoverAgainAfterCrashAtEveryFence) {
 // fit in the pool, or a log registry count above its capacity each make
 // Recover() return false, and the failed instance destructs cleanly.
 TEST(CclHash, DamagedImageFailsRecovery) {
-  enum class Damage { kChainOutsidePool, kChainNotASlot, kBucketCount, kLogRegistryCount };
+  enum class Damage {
+    kChainOutsidePool,
+    kChainNotASlot,
+    kBucketCount,
+    kLogRegistryCount,
+    kOverflowChunkRepeat,
+    kLogChunkRepeat,
+  };
   constexpr size_t kFewBuckets = 8;
   for (Damage damage : {Damage::kChainOutsidePool, Damage::kChainNotASlot, Damage::kBucketCount,
-                        Damage::kLogRegistryCount}) {
+                        Damage::kLogRegistryCount, Damage::kOverflowChunkRepeat,
+                        Damage::kLogChunkRepeat}) {
     SCOPED_TRACE(static_cast<int>(damage));
     auto rt = MakeRuntime(32 << 20);
     {
@@ -469,7 +477,8 @@ TEST(CclHash, DamagedImageFailsRecovery) {
     }
     testutil::CrashRestart(*rt);
     // The table root record's words: magic, bucket count, directory offset,
-    // then the overflow slab's and the log arena's registry offsets.
+    // then the overflow slab's and the log slab's registry offsets; a
+    // registry is a chunk count followed by the chunks' pool offsets.
     auto* root = static_cast<uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(1)));
     auto* directory = static_cast<PmLeaf*>(rt->pool().ToAddr(root[2]));
     PmLeaf* chained = std::find_if(directory, directory + kFewBuckets,
@@ -489,6 +498,15 @@ TEST(CclHash, DamagedImageFailsRecovery) {
       case Damage::kLogRegistryCount:
         *static_cast<uint64_t*>(rt->pool().ToAddr(root[4])) = 4097;
         break;
+      case Damage::kOverflowChunkRepeat:
+      case Damage::kLogChunkRepeat: {  // a slab would hand out the chunk's slots twice
+        auto* registry = static_cast<uint64_t*>(
+            rt->pool().ToAddr(damage == Damage::kOverflowChunkRepeat ? root[3] : root[4]));
+        ASSERT_GE(registry[0], 1u);
+        registry[registry[0] + 1] = registry[1];
+        registry[0]++;
+        break;
+      }
     }
     auto table =
         std::make_unique<CclHashTable>(*rt, TreeOptions{}, kFewBuckets, kvindex::Lifecycle::kAttach);

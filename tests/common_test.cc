@@ -93,14 +93,6 @@ TEST(Zipfian, RanksWithinRange) {
   }
 }
 
-TEST(Zipfian, ScrambledSpreadsHotKeys) {
-  ZipfianGenerator zipf(1 << 20, 0.9, 13);
-  // The two hottest scrambled keys should not be adjacent.
-  uint64_t k0 = zipf.Scramble(0);
-  uint64_t k1 = zipf.Scramble(1);
-  EXPECT_GT(std::max(k0, k1) - std::min(k0, k1), 1u);
-}
-
 // Workers of one run draw from reseeded copies of a shared shape; each copy
 // must draw exactly the ranks a generator built from scratch with its seed
 // draws, whatever the shape's own stream did, on both sides of the

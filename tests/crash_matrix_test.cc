@@ -42,6 +42,7 @@ void ExpectMatrixClean(const MatrixResult& result, uint64_t min_points) {
   EXPECT_EQ(result.lost, 0u);
   EXPECT_EQ(result.stale, 0u);
   EXPECT_EQ(result.garbage, 0u);
+  EXPECT_EQ(result.invariant_failures, 0u);
   EXPECT_TRUE(result.ok());
   EXPECT_GE(result.crash_points, min_points);
   EXPECT_GT(result.keys_checked, 0u);

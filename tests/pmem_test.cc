@@ -1,12 +1,11 @@
-// Unit tests for the PM allocation layer (pool, slab allocator, log arena,
-// value store), including recovery of allocator state.
+// Unit tests for the PM allocation layer (pool, slab allocator, value
+// store), including recovery of allocator state.
 #include <cstring>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
-#include "src/pmem/log_arena.h"
 #include "src/pmem/pool.h"
 #include "src/pmem/slab_allocator.h"
 #include "src/pmem/value_store.h"
@@ -250,51 +249,69 @@ TEST(SlabAllocator, RecoverRebuildsFreeLists) {
   }
 }
 
-// A freed chunk is recycled on its own socket: another socket carves its
-// own chunk while its region has room, and takes the free one only when not.
-TEST(LogArena, ChunkRecycling) {
-  pmsim::PmDevice device(TestConfig(128 << 20));
-  pmsim::ThreadContext ctx(device, 0);
-  auto pool = PmPool::Create(device);
-  auto arena = LogArena::Create(*pool);
-  void* a = arena->AllocChunk(0);
-  ASSERT_NE(a, nullptr);
-  EXPECT_EQ(arena->total_chunks(), 1u);
-  arena->FreeChunk(a);
-  EXPECT_EQ(arena->free_chunks(), 1u);
-  void* b = arena->AllocChunk(1);  // carving on socket 1 wins over socket 0's free chunk
-  ASSERT_NE(b, nullptr);
-  EXPECT_NE(a, b);
-  EXPECT_EQ(device.SocketOf(pool->ToOffset(b)), 1);
-  EXPECT_EQ(arena->total_chunks(), 2u);
-  EXPECT_EQ(arena->AllocChunk(0), a);  // socket 0's free list wins over carving
-  EXPECT_EQ(arena->total_chunks(), 2u);
+// A WAL's log: one 4 MB slot per chunk.
+constexpr SlabAllocator::Options kLogChunks{
+    .slot_bytes = kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 4096};
 
-  // Socket 1's region full: its last resort is socket 0's free chunk.
-  arena->FreeChunk(a);
-  while (pool->AllocateRaw(kLogChunkBytes, 1) != nullptr) {
+// A freed slot is recycled on its own socket: another socket carves its own
+// chunk while its region has room, and takes the free slot only when not.
+// One policy for log chunks and for 256 B slots.
+TEST(SlabAllocator, FreeSlotsRecycleOnTheirOwnSocketFirst) {
+  const SlabAllocator::Options small_slots{
+      .slot_bytes = 256, .slots_per_chunk = 4, .max_chunks = 64};
+  for (const SlabAllocator::Options& options : {kLogChunks, small_slots}) {
+    SCOPED_TRACE(options.slot_bytes);
+    pmsim::PmDevice device(TestConfig(128 << 20));
+    pmsim::ThreadContext ctx(device, 0);
+    auto pool = PmPool::Create(device);
+    auto slab = SlabAllocator::Create(*pool, options);
+    const uint64_t chunk_bytes = options.slot_bytes * options.slots_per_chunk;
+    void* a = slab->Allocate(0);
+    ASSERT_NE(a, nullptr);
+    slab->Free(a);
+    EXPECT_EQ(slab->allocated_slots(), 0u);
+    // Carving on socket 1 wins over socket 0's free slots.
+    for (size_t i = 0; i < options.slots_per_chunk; i++) {
+      void* b = slab->Allocate(1);
+      ASSERT_NE(b, nullptr);
+      EXPECT_EQ(device.SocketOf(pool->ToOffset(b)), 1);
+    }
+    EXPECT_EQ(slab->total_chunk_bytes(), 2 * chunk_bytes);
+    EXPECT_EQ(slab->Allocate(0), a);  // socket 0's free list wins over carving
+    EXPECT_EQ(slab->total_chunk_bytes(), 2 * chunk_bytes);
+
+    // Socket 1's region full: its last resort is socket 0's free slots.
+    slab->Free(a);
+    while (pool->AllocateRaw(chunk_bytes, 1) != nullptr) {
+    }
+    EXPECT_EQ(slab->Allocate(1), a);
+    for (size_t i = 1; i < options.slots_per_chunk; i++) {
+      void* c = slab->Allocate(1);
+      ASSERT_NE(c, nullptr);
+      EXPECT_EQ(device.SocketOf(pool->ToOffset(c)), 0);
+    }
+    EXPECT_EQ(slab->Allocate(1), nullptr);
+    EXPECT_EQ(slab->total_chunk_bytes(), 2 * chunk_bytes);
+    EXPECT_EQ(slab->allocated_slots(), 2 * options.slots_per_chunk);
   }
-  EXPECT_EQ(arena->AllocChunk(1), a);
-  EXPECT_EQ(arena->free_chunks(), 0u);
-  EXPECT_EQ(arena->AllocChunk(1), nullptr);
-  EXPECT_EQ(arena->total_chunks(), 2u);
 }
 
-TEST(LogArena, RegistrySurvivesCrash) {
+TEST(SlabAllocator, LogChunkRegistrySurvivesCrash) {
   pmsim::PmDevice device(TestConfig(128 << 20));
   pmsim::ThreadContext ctx(device, 0);
   auto pool = PmPool::Create(device);
   uint64_t registry;
   {
-    auto arena = LogArena::Create(*pool);
-    registry = arena->registry_offset();
-    arena->AllocChunk(0);
-    arena->AllocChunk(0);
+    auto log = SlabAllocator::Create(*pool, kLogChunks);
+    registry = log->registry_offset();
+    log->Allocate(0);
+    log->Allocate(0);
   }
   device.Crash();
-  auto arena = LogArena::Open(*pool, registry);
+  auto log = SlabAllocator::Open(*pool, registry, kLogChunks);
+  ASSERT_NE(log, nullptr);
   int chunks = 0;
-  arena->ForEachChunk([&chunks](void*) { chunks++; });
+  log->ForEachSlot([&chunks](void*) { chunks++; });
   EXPECT_EQ(chunks, 2);
 }
 

@@ -23,15 +23,19 @@ struct WalFixture : public ::testing::Test {
     device = std::make_unique<pmsim::PmDevice>(config);
     ctx = std::make_unique<pmsim::ThreadContext>(*device, 0, 0);
     pool = pmem::PmPool::Create(*device);
-    arena = pmem::LogArena::Create(*pool);
+    log = pmem::SlabAllocator::Create(*pool, kLogSlabOptions);
   }
 
   pmsim::MediaBackend backend = pmsim::MediaBackend::kAuto;
   std::unique_ptr<pmsim::PmDevice> device;
   std::unique_ptr<pmsim::ThreadContext> ctx;
   std::unique_ptr<pmem::PmPool> pool;
-  std::unique_ptr<pmem::LogArena> arena;
+  std::unique_ptr<pmem::SlabAllocator> log;
 };
+
+uint64_t Chunks(const pmem::SlabAllocator& log) {
+  return log.total_chunk_bytes() / pmem::kLogChunkBytes;
+}
 
 TEST_F(WalFixture, ChecksumDetectsValueCorruption) {
   uint64_t word = MakeTsWord(/*generation=*/3, /*timestamp=*/777, /*key=*/1, /*value=*/2);
@@ -50,12 +54,12 @@ TEST_F(WalFixture, ZeroTimestampIsInvalid) {
 }
 
 TEST_F(WalFixture, AppendedEntriesScanBackInOrder) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   for (uint64_t i = 1; i <= 1000; i++) {
     ASSERT_TRUE(wal.Append(/*epoch=*/0, i, i * 2, /*timestamp=*/i));
   }
   std::vector<LogEntry> seen;
-  WalSet::ScanAll(*arena, [&seen](const LogEntry& entry) { seen.push_back(entry); });
+  WalSet::ScanAll(*log, [&seen](const LogEntry& entry) { seen.push_back(entry); });
   ASSERT_EQ(seen.size(), 1000u);
   for (uint64_t i = 0; i < seen.size(); i++) {
     EXPECT_EQ(seen[i].key, i + 1);
@@ -65,19 +69,20 @@ TEST_F(WalFixture, AppendedEntriesScanBackInOrder) {
 }
 
 TEST_F(WalFixture, ReleaseFreesChunksAndStopsScan) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   for (uint64_t i = 1; i <= 100; i++) {
     wal.Append(0, i, i, i);
   }
   EXPECT_EQ(wal.ReleaseEpoch(0), 100 * sizeof(LogEntry));
   int entries = 0;
-  WalSet::ScanAll(*arena, [&entries](const LogEntry&) { entries++; });
+  WalSet::ScanAll(*log, [&entries](const LogEntry&) { entries++; });
   EXPECT_EQ(entries, 0);  // freed chunks are not scanned
-  EXPECT_EQ(arena->free_chunks(), 1u);
+  EXPECT_EQ(Chunks(*log), 1u);
+  EXPECT_EQ(log->allocated_slots(), 0u);
 }
 
 TEST_F(WalFixture, RecycledChunkRejectsStaleGenerationEntries) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   // Fill generation 1 with many entries, release, then write FEWER entries
   // in generation 2 into the same (recycled, dirty) chunk.
   for (uint64_t i = 1; i <= 500; i++) {
@@ -88,7 +93,7 @@ TEST_F(WalFixture, RecycledChunkRejectsStaleGenerationEntries) {
     wal.Append(0, 1000 + i, i, 5000 + i);
   }
   std::vector<LogEntry> seen;
-  WalSet::ScanAll(*arena, [&seen](const LogEntry& entry) { seen.push_back(entry); });
+  WalSet::ScanAll(*log, [&seen](const LogEntry& entry) { seen.push_back(entry); });
   // Only the 10 fresh entries are valid; the 490 stale ones behind them have
   // the old generation tag and terminate the prefix scan.
   ASSERT_EQ(seen.size(), 10u);
@@ -96,7 +101,7 @@ TEST_F(WalFixture, RecycledChunkRejectsStaleGenerationEntries) {
 }
 
 TEST_F(WalFixture, EpochsAreIndependentChains) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   for (uint64_t i = 1; i <= 50; i++) {
     wal.Append(0, i, i, i);
     wal.Append(1, 100 + i, i, 100 + i);
@@ -105,7 +110,7 @@ TEST_F(WalFixture, EpochsAreIndependentChains) {
   EXPECT_EQ(wal.appended_bytes(1), 50 * sizeof(LogEntry));
   wal.ReleaseEpoch(0);
   int survivors = 0;
-  WalSet::ScanAll(*arena, [&survivors](const LogEntry& entry) {
+  WalSet::ScanAll(*log, [&survivors](const LogEntry& entry) {
     EXPECT_GE(entry.key, 100u);
     survivors++;
   });
@@ -113,7 +118,7 @@ TEST_F(WalFixture, EpochsAreIndependentChains) {
 }
 
 TEST_F(WalFixture, WalSetTracksLiveAndPeakBytes) {
-  WalSet wals(*arena, 8);
+  WalSet wals(*log, 8);
   for (int w = 0; w < 4; w++) {
     for (uint64_t i = 1; i <= 100; i++) {
       ASSERT_TRUE(wals.Append(w, 0, i, i, i * 4 + static_cast<uint64_t>(w) + 1));
@@ -127,16 +132,16 @@ TEST_F(WalFixture, WalSetTracksLiveAndPeakBytes) {
 }
 
 TEST_F(WalFixture, EntriesCrossChunkBoundaries) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   // 4 MB chunk holds ~174k entries; write past one chunk.
   const uint64_t kEntries = 200'000;
   for (uint64_t i = 1; i <= kEntries; i++) {
     ASSERT_TRUE(wal.Append(0, i, i, i));
   }
-  EXPECT_GE(arena->total_chunks(), 2u);
+  EXPECT_GE(Chunks(*log), 2u);
   uint64_t count = 0;
   std::map<uint64_t, int> keys;
-  WalSet::ScanAll(*arena, [&](const LogEntry& entry) {
+  WalSet::ScanAll(*log, [&](const LogEntry& entry) {
     count++;
     keys[entry.key]++;
   });
@@ -153,7 +158,7 @@ uint64_t LinesCovered(uint64_t begin, uint64_t end) { return (end - 1) / 64 - be
 // chunk's header persist. The one-entry case commits what Persist(entry, 24)
 // does.
 TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
   auto span_of = [](uint64_t first, uint64_t n) {
     std::vector<LogEntry> entries;
@@ -188,11 +193,11 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
                                 LinesCovered(64, 64 + 90 * 24);
   EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(filled + 1, 100))); }),
             (std::pair<uint64_t, uint64_t>{rolled_lines, 6}));
-  EXPECT_EQ(arena->total_chunks(), 2u);
+  EXPECT_EQ(Chunks(*log), 2u);
 
   device->Crash();
   uint64_t expected = 1;
-  WalSet::ScanAll(*arena, [&expected](const LogEntry& entry) {
+  WalSet::ScanAll(*log, [&expected](const LogEntry& entry) {
     EXPECT_EQ(entry.key, expected);
     EXPECT_EQ(entry.value, expected * 3);
     EXPECT_EQ(entry.timestamp(), expected);
@@ -201,7 +206,7 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
   EXPECT_EQ(expected, filled + 101);
 }
 
-// GC rounds the log arena cuts short free nothing, and every KV a round did
+// GC rounds the log slab cuts short free nothing, and every KV a round did
 // not durably copy goes back to the B-log's epoch. Over 400 buffered KVs, two
 // rounds fail, in either order: one that gets no I-log chunk and one that
 // runs out after its first span. During the first of them a foreground
@@ -212,23 +217,25 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
   const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
   for (bool span_first : {false, true}) {
     SCOPED_TRACE(span_first ? "cut after a span first" : "no chunk first");
-    auto small = pmem::LogArena::Create(*pool, /*max_chunks=*/4);
+    pmem::SlabAllocator::Options options = kLogSlabOptions;
+    options.max_chunks = 4;
+    auto small = pmem::SlabAllocator::Create(*pool, options);
     WalSet wals(*small, 4);
     std::atomic<uint32_t> epoch{0};
     uint64_t clock = 0;
     auto tick = [&clock] { return ++clock; };
-    auto filler = [&](int worker, int log, uint64_t n) {
+    auto filler = [&](int worker, int log_epoch, uint64_t n) {
       std::vector<LogEntry> entries;
       for (uint64_t i = 0; i < n; i++) {
         entries.push_back({(1ULL << 40) + clock, 1, tick()});
       }
-      ASSERT_TRUE(wals.Append(worker, log, entries));
+      ASSERT_TRUE(wals.Append(worker, log_epoch, entries));
     };
 
     // Worker 0 logs 50 full nodes of 8 KVs in epoch 0 and holds an epoch-1
     // chunk for foreground upserts during GC. Workers 1, 2 and 3 run the
     // rounds: 1 has no chunk, 2 has room for 200 copies and 3 for plenty.
-    // That is the arena's 4 chunks.
+    // That is the log slab's 4 chunks.
     std::vector<std::unique_ptr<BufferNode, decltype(&BufferNode::Delete)>> owned;
     std::vector<BufferNode*> nodes;
     std::map<uint64_t, uint64_t> expected;
@@ -249,7 +256,7 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
     filler(0, 1, 1);
     filler(2, 1, kPerChunk - 200);
     filler(3, 1, 1);
-    ASSERT_EQ(small->total_chunks(), 4u);
+    ASSERT_EQ(Chunks(*small), 4u);
 
     auto check = [&](const std::string& when) {
       std::map<uint64_t, LogEntry> newest;
@@ -297,7 +304,7 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
     // epoch-0 chunk.
     start = epoch.load();
     EXPECT_TRUE(LocalityAwareGcRound(wals, 3, epoch, collect, tick));
-    EXPECT_EQ(small->free_chunks(), 1u);
+    EXPECT_EQ(small->allocated_slots(), 3u);
     check("after the complete round");
 
     device->Crash();
@@ -306,13 +313,13 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
 }
 
 TEST_F(WalFixture, EntriesSurviveCrash) {
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   for (uint64_t i = 1; i <= 300; i++) {
     wal.Append(0, i, i * 7, i);
   }
   device->Crash();
   int count = 0;
-  WalSet::ScanAll(*arena, [&count](const LogEntry& entry) {
+  WalSet::ScanAll(*log, [&count](const LogEntry& entry) {
     EXPECT_EQ(entry.value, entry.key * 7);
     count++;
   });
@@ -328,7 +335,7 @@ struct AdrWalFixture : public WalFixture {
 TEST_F(AdrWalFixture, SequentialAppendsHaveLowXbi) {
   // ~10.7 24 B entries share an XPLine (§3.5): media bytes per entry should
   // be close to 24, far below 256.
-  ThreadWal wal(*arena, 0);
+  ThreadWal wal(*log, 0);
   auto before = device->stats().Snapshot();
   const uint64_t kEntries = 50'000;
   for (uint64_t i = 1; i <= kEntries; i++) {
