@@ -57,6 +57,7 @@ std::string StatsRecord(const pmsim::StatsSnapshot& stats) {
   return line.EndObject()
       .Array("comp_bytes", stats.media_write_bytes_by_component)
       .Array("comp_lines", stats.committed_lines_by_component)
+      .Array("comp_rmw", stats.rmw_evictions_by_component)
       .Finish();
 }
 

@@ -175,6 +175,7 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   assert(key != 0);
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
+  ChargeDram(1);  // the directory slot
   BufferNode* bn = directory_[BucketIndex(key)];
   bn->Lock();
   if (!options_.buffering) {
@@ -194,6 +195,7 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   uint32_t stale_bits = match & ~((1u << pos) - 1);
   int current_match = current_bits != 0 ? __builtin_ctz(current_bits) : -1;
   int stale_match = stale_bits != 0 ? __builtin_ctz(stale_bits) : -1;
+  ChargeDram(static_cast<uint64_t>(nbatch));
   if (current_match >= 0) {
     Log(ctx->worker_id(), epoch, key, value, Timestamp());
     slots[current_match].value.store(value, std::memory_order_release);
@@ -391,10 +393,12 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kv
 }
 
 bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
+  ChargeDram(1);  // the directory slot
   BufferNode* bn = directory_[BucketIndex(key)];
   for (;;) {
     uint64_t snapshot = bn->ReadBegin();
     if (options_.buffering) {
+      ChargeDram(static_cast<uint64_t>(bn->nbatch()));
       if (const uint32_t match = bn->KeyMatch(key); match != 0) {
         uint64_t value = bn->slots()[__builtin_ctz(match)].value.load(std::memory_order_acquire);
         if (!bn->ReadValidate(snapshot)) {

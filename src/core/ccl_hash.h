@@ -113,6 +113,11 @@ class CclHashTable : public kvindex::KvIndex {
   }
   // Timestamp for a log entry or bucket commit: the ORDO clock above the floor.
   uint64_t Timestamp() const { return ts_floor_ + rt_.ordo().Now(); }
+  // Modeled time of `accesses` DRAM accesses, as CclBTree charges them: one
+  // for the directory slot, nbatch per buffer probe.
+  void ChargeDram(uint64_t accesses) const {
+    pmsim::AdvanceCpu(accesses * rt_.device().config().cost.dram_access_ns);
+  }
   void Log(int worker, uint32_t epoch, uint64_t key, uint64_t value, uint64_t ts) {
     bool logged = wals_->Append(worker, static_cast<int>(epoch), key, value, ts);
     assert(logged && "log slab exhausted");

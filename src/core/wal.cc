@@ -12,8 +12,31 @@
 namespace cclbt::core {
 
 namespace {
-constexpr size_t kEntriesPerChunk =
-    (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
+
+// 8 entries fill 3 cache lines: a first entry a multiple of this past the
+// header keeps every chunk on one entry grid and one line phase.
+constexpr size_t kEntryGroupBytes = 8 * sizeof(LogEntry);
+
+// Where a fresh chunk of `worker_id` puts its first entry (wal.h,
+// "Placement"): past the header by the whole interleave units from the
+// DIMM of the chunk's byte 64 to the worker's own DIMM of the chunk's
+// socket, rounded down to whole entry groups, or up where rounding down
+// would leave the worker's unit.
+size_t EntryOffset(const pmsim::PmDevice& device, const std::byte* chunk, int worker_id) {
+  const pmsim::DeviceConfig& config = device.config();
+  const int dimms = config.dimms_per_socket;
+  const int target = (worker_id / config.num_sockets) % dimms;
+  const uintptr_t first = device.OffsetOf(chunk) + sizeof(LogChunkHeader);
+  const int phase = device.DimmOf(first) % dimms;
+  const size_t shift =
+      static_cast<size_t>((target - phase + dimms) % dimms) * pmsim::kInterleaveBytes;
+  size_t grid = shift / kEntryGroupBytes * kEntryGroupBytes;
+  if ((first + grid) / pmsim::kInterleaveBytes != (first + shift) / pmsim::kInterleaveBytes) {
+    grid += kEntryGroupBytes;
+  }
+  return sizeof(LogChunkHeader) + grid;
+}
+
 }  // namespace
 
 uint8_t EntryChecksum(uint64_t key, uint64_t value) {
@@ -61,9 +84,11 @@ bool ThreadWal::ActivateChunk(int epoch) {
   header->state = kChunkActive;
   header->owner_worker = static_cast<uint32_t>(worker_id_);
   header->epoch = static_cast<uint32_t>(epoch);
+  const size_t offset = EntryOffset(ctx->device(), base, worker_id_);
+  header->entry_offset = static_cast<uint32_t>(offset);
   pmsim::Persist(header, sizeof(LogChunkHeader));
   chunks_[epoch].push_back(base);
-  active_[epoch] = ActiveChunk{base, sizeof(LogChunkHeader), header->generation};
+  active_[epoch] = ActiveChunk{base, offset, header->generation};
   return true;
 }
 
@@ -161,18 +186,23 @@ bool WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
   // single-writer exemption and later owner writes would intersect to empty.
   pmsim::LockCheckExpect scan_expect(pmsim::LockCheckClass::kLocksetEmpty);
   const auto* header = static_cast<const LogChunkHeader*>(chunk);
-  if (header->magic != kLogChunkMagic || header->state != kChunkActive) {
+  const size_t offset = header->entry_offset;
+  if (header->magic != kLogChunkMagic || header->state != kChunkActive ||
+      offset < sizeof(LogChunkHeader) || offset > pmem::kLogChunkBytes - sizeof(LogEntry) ||
+      (offset - sizeof(LogChunkHeader)) % sizeof(LogEntry) != 0) {
     return false;
   }
   pmsim::ReadPm(header, sizeof(LogChunkHeader));
-  const auto* entries = reinterpret_cast<const LogEntry*>(header + 1);
+  const auto* entries =
+      reinterpret_cast<const LogEntry*>(static_cast<const std::byte*>(chunk) + offset);
+  const size_t capacity = (pmem::kLogChunkBytes - offset) / sizeof(LogEntry);
   size_t consumed = 0;  // length of the chunk's valid prefix
-  for (; consumed < kEntriesPerChunk && EntryValid(entries[consumed], header->generation);
-       consumed++) {
+  for (; consumed < capacity && EntryValid(entries[consumed], header->generation); consumed++) {
     fn(entries[consumed]);
   }
-  // Replay reads are sequential; charge one pass over the consumed prefix.
-  pmsim::ReadPm(entries, (consumed + 1) * sizeof(LogEntry));
+  // Replay reads are sequential; charge one pass over the consumed prefix
+  // and the entry that ended it, if the chunk has one.
+  pmsim::ReadPm(entries, std::min(consumed + 1, capacity) * sizeof(LogEntry));
   return true;
 }
 

@@ -18,12 +18,32 @@
 // upsert appends one entry, a GC round appends its I-log copy one 4 KiB span
 // at a time (LocalityAwareGcRound).
 //
+// Placement: a chunk's first entry sits on its owner's own DIMM of the
+// chunk's socket, DIMM (worker_id / num_sockets) % dimms_per_socket, which
+// balances fill-first and round-robin worker placement alike. Workers
+// appending in lockstep (the driver steps one op per worker per round) then
+// keep their active log XPLines spread evenly over the socket's DIMMs. Were
+// every chunk to start at the same interleave phase, each GC flip would
+// restart all workers at the head of fresh chunks on one DIMM, whose
+// XPBuffer would evict their half-filled XPLines, each with a
+// read-modify-write, instead of merging ~10.7 entries per media write. The
+// header records the chosen entry_offset: 64 B of header plus the whole
+// interleave units from the DIMM of the chunk's byte 64 to the owner's,
+// rounded to whole groups of 8 entries (3 cache lines) without leaving the
+// owner's unit. The first entry thus keeps, to within 192 B, the unit phase
+// a chunk's first entry had at offset 64, every append flushes the lines it
+// would flush there, and less than dimms_per_socket x 4 KiB of a 4 MiB
+// chunk stays unused: at most 12 KiB on the default 4 DIMMs per socket.
+//
 // Entry validity without zeroing recycled chunks: the chunk header carries a
 // generation counter bumped on every (re)activation, and each entry's
 // timestamp word embeds an 8-bit tag = generation ^ checksum(kv). Replay
-// scans a chunk's entries in order and stops at the first tag mismatch, so
-// stale entries from a previous use of the chunk — or an entry torn by a
-// crash — are never replayed.
+// scans a chunk's entries in order from entry_offset and stops at the first
+// tag mismatch, so stale entries from a previous use of the chunk — or an
+// entry torn by a crash — are not replayed. Every generation's entries lie
+// on one grid, 24 B slots from the header on, whatever its entry_offset, so
+// a stale slot holds a whole entry of an older generation, never a window
+// across two entries, and fails the tag check like at a fixed offset.
 #ifndef SRC_CORE_WAL_H_
 #define SRC_CORE_WAL_H_
 
@@ -63,7 +83,8 @@ struct LogChunkHeader {
   uint32_t state;  // 0 = free, 1 = active
   uint32_t owner_worker;
   uint32_t epoch;
-  uint8_t padding[40];
+  uint32_t entry_offset;  // byte offset of the first entry in the chunk
+  uint8_t padding[36];
 };
 static_assert(sizeof(LogChunkHeader) == 64);
 
@@ -130,7 +151,7 @@ class ThreadWal {
 
   struct ActiveChunk {
     std::byte* base = nullptr;
-    size_t cursor = 0;  // next append offset (past the header)
+    size_t cursor = 0;  // next append offset (entry_offset at activation)
     uint32_t generation = 0;
   };
 
@@ -164,7 +185,9 @@ class WalSet {
 
   // Recovery: invokes `fn` for each valid entry of `chunk` if it is an
   // active log chunk, and returns whether it is. ScanAll does so for every
-  // chunk of `log`.
+  // chunk of `log`. A header is image input: one whose entry_offset is off
+  // the entry grid or leaves no room for an entry is no log chunk, like one
+  // with a bad magic, so a scan never reads outside its chunk.
   static bool ScanChunk(const void* chunk, const std::function<void(const LogEntry&)>& fn);
   static void ScanAll(const pmem::SlabAllocator& log,
                       const std::function<void(const LogEntry&)>& fn);

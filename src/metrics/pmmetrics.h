@@ -15,7 +15,8 @@
 //   {"type":"summary", ...}   end-of-run totals incl. the WALL-time latency
 //                             histograms
 //   {"type":"stats", ...}     the phase's pmsim counters by name and its
-//                             per-component media bytes and committed lines
+//                             per-component media bytes, committed lines
+//                             and read-modify-write evictions
 //   {"type":"heat", ...}      sparse XPLine write heatmap    (CCL_TRACE=1)
 //   {"type":"ring", ...}      one worker's trace events      (CCL_TRACE=1)
 //   {"type":"checker", ...}   one per enabled checker; a later record of

@@ -366,7 +366,7 @@ void PmDevice::PushThroughXpBuffer(ThreadContext& ctx, uintptr_t line_offset,
                   result.rmw ? 1u : 0u, static_cast<uint16_t>(dimm));
     }
     if (result.rmw) {
-      ctx.stats_shard().AddMediaRead(unit);
+      ctx.stats_shard().AddRmwEviction(result.evicted_comp, unit);
     }
     // Media writes are asynchronous behind the WPQ, but a writer stalls once
     // the queue of unserviced media work exceeds the WPQ slack: this is what
@@ -396,7 +396,7 @@ void PmDevice::PushThroughXpBufferAccountingOnly(uintptr_t line_offset) {
     stats_.AddMediaWrite(result.evicted_comp, unit);
     NoteMediaWrite(result.evicted_xpline);
     if (result.rmw) {
-      stats_.AddMediaRead(unit);
+      stats_.AddRmwEviction(result.evicted_comp, unit);
     }
   }
 }
@@ -474,7 +474,7 @@ void PmDevice::DrainBuffers() {
       stats_.AddMediaWrite(comp, unit);
       NoteMediaWrite(xpline);
       if (rmw) {
-        stats_.AddMediaRead(unit);
+        stats_.AddRmwEviction(comp, unit);
       }
     });
   }

@@ -51,7 +51,8 @@ namespace cclbt::pmsim {
   S(crash_lines_dropped)                                                    \
   S(crash_torn_lines_applied)                                               \
   A(media_write_bytes_by_component, ::cclbt::trace::kNumComponents)         \
-  A(committed_lines_by_component, ::cclbt::trace::kNumComponents)
+  A(committed_lines_by_component, ::cclbt::trace::kNumComponents)           \
+  A(rmw_evictions_by_component, ::cclbt::trace::kNumComponents)
 
 // Total uint64 words in the field list, for the bypass static_asserts.
 namespace stats_detail {
@@ -140,6 +141,12 @@ struct alignas(64) StatsShard {
     Bump(committed_lines_by_component[static_cast<int>(comp)], n);
   }
   void AddMediaRead(uint64_t bytes = kXplineBytes) { Bump(media_read_bytes, bytes); }
+  // An evicted media unit of `comp` was only partly dirty: the device reads
+  // it before writing it back (read-modify-write).
+  void AddRmwEviction(trace::Component comp, uint64_t bytes = kXplineBytes) {
+    AddMediaRead(bytes);
+    Bump(rmw_evictions_by_component[static_cast<int>(comp)]);
+  }
   void AddRemoteAccess() { Bump(remote_accesses); }
   void AddPmRead(bool hit) {
     Bump(pm_reads);
@@ -213,6 +220,11 @@ class Stats {
   }
   void AddMediaRead(uint64_t bytes = kXplineBytes) {
     base_.media_read_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  void AddRmwEviction(trace::Component comp, uint64_t bytes = kXplineBytes) {
+    AddMediaRead(bytes);
+    base_.rmw_evictions_by_component[static_cast<int>(comp)].fetch_add(
+        1, std::memory_order_relaxed);
   }
   void AddRemoteAccess() { base_.remote_accesses.fetch_add(1, std::memory_order_relaxed); }
   void AddPmRead(bool hit) {

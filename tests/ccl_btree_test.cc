@@ -14,6 +14,7 @@
 #include "src/common/rng.h"
 #include "src/core/ccl_btree.h"
 #include "src/pmsim/crash_injector.h"
+#include "src/pmsim/virtual_workers.h"
 #include "tests/crash_util.h"
 
 namespace cclbt::core {
@@ -288,6 +289,46 @@ TEST_F(CclBTreeTest, WriteConservativeLoggingReducesLogBytes) {
   // Skipping trigger writes removes 1/(N_batch+1) = 1/3 of log entries.
   EXPECT_NEAR(static_cast<double>(conservative_bytes) / static_cast<double>(naive_bytes),
               2.0 / 3.0, 0.05);
+}
+
+// 48 workers on one socket step one fresh uniform insert each per round, as
+// the driver does, with background GC flipping epochs under them. Each
+// worker's log chunks start on its own DIMM, so their active log XPLines
+// spread over the socket's 4 DIMMs and ~10.7 appends merge into each media
+// write: the WAL's media bytes stay near the bytes it appended. With every
+// chunk starting on one DIMM they read about 1.9x.
+TEST(CclWal, LockstepWorkersKeepLogAppendsSequential) {
+  RuntimeOptions options;
+  options.device.pool_bytes = 512 << 20;
+  options.device.backend = pmsim::MediaBackend::kAdrOptane;
+  options.device.crash_tracking = false;
+  Runtime rt(options);
+  CclBTree tree(rt, TreeOptions{});
+  constexpr int kWorkers = 48;
+  uint64_t next = 0;
+  auto run = [&](uint64_t rounds) {
+    // Fill-first placement: all 48 on socket 0.
+    pmsim::VirtualWorkers workers(rt.device(), kWorkers,
+                                  [&rt](int w) { return rt.SocketForWorker(w, 48); });
+    std::vector<uint64_t> done(kWorkers, 0);
+    workers.Run([&](int w) {
+      next++;
+      tree.Upsert(Mix64(next) | 1, next);
+      return ++done[static_cast<size_t>(w)] < rounds;
+    });
+  };
+  run(1000);  // warm-up
+  const uint64_t flushes = tree.buffer_flushes();
+  const auto before = rt.device().stats().Snapshot();
+  constexpr uint64_t kRounds = 3000;
+  run(kRounds);
+  const auto delta = rt.device().stats().Snapshot().Delta(before);
+  ASSERT_GT(tree.gc_rounds(), 0u);
+  // Write-conservative logging logs every fresh insert but a trigger write.
+  const uint64_t appended =
+      (kWorkers * kRounds - (tree.buffer_flushes() - flushes)) * sizeof(LogEntry);
+  EXPECT_LE(static_cast<double>(delta.media_write_bytes_for(trace::Component::kWal)),
+            1.15 * static_cast<double>(appended));
 }
 
 TEST_F(CclBTreeTest, FootprintTracksGrowth) {
@@ -871,6 +912,44 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
     EXPECT_FALSE(tree->GcTick());
     tree.reset();
   }
+}
+
+// A log chunk header whose entry_offset lies outside the chunk makes its
+// chunk no log chunk (WalFixture.DamagedEntryOffsetIsNoLogChunk has every
+// rejected offset): recovery reads nothing outside it and succeeds without
+// the chunk's entries, with a tree that passes its invariants.
+TEST(CclRecovery, DamagedLogEntryOffsetDropsOnlyItsChunk) {
+  auto rt = MakeRuntime();
+  TreeOptions options = QuietOptions();
+  {
+    CclBTree tree(*rt, options);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 200; k++) {
+      tree.Upsert(k, k);
+    }
+    tree.FlushAll();
+    tree.Upsert(201, 201);  // logged only, in the log slab's one chunk
+  }
+  rt->device().Crash();
+  std::string error;
+  ASSERT_TRUE(rt->Reopen(&error)) << error;
+  // The tree root record's fourth word is the log slab's registry: a chunk
+  // count, then the chunks' pool offsets.
+  auto* root =
+      static_cast<uint64_t*>(rt->pool().ToAddr(rt->pool().GetAppRoot(options.root_slot)));
+  auto* log_registry = static_cast<uint64_t*>(rt->pool().ToAddr(root[3]));
+  ASSERT_EQ(log_registry[0], 1u);
+  static_cast<LogChunkHeader*>(rt->pool().ToAddr(log_registry[1]))->entry_offset = 0xFFFFFFF8u;
+
+  CclBTree tree(*rt, options, kvindex::Lifecycle::kAttach);
+  ASSERT_TRUE(tree.Recover(*rt, /*recovery_threads=*/4));
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  EXPECT_TRUE(tree.CheckInvariants());
+  uint64_t value = 0;
+  for (uint64_t k = 1; k <= 200; k++) {
+    ASSERT_TRUE(tree.Lookup(k, &value)) << k;
+  }
+  EXPECT_FALSE(tree.Lookup(201, &value));
 }
 
 TEST(CclRecovery, DoubleCrashDuringOperationIsSafe) {

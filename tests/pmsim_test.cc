@@ -126,6 +126,37 @@ TEST(Device, XbiRequiresEvictionOrDrain) {
   EXPECT_EQ(device.stats().Snapshot().media_write_bytes, 256u);
 }
 
+// A read-modify-write eviction counts one for the component that buffered
+// the evicted XPLine, next to its media read; a full XPLine's eviction counts
+// none. Evictions by a fence and by the end-of-run drain count alike.
+TEST(Device, RmwEvictionsCountPerComponent) {
+  DeviceConfig config = AdrConfig();
+  config.num_sockets = 1;
+  config.dimms_per_socket = 1;
+  config.xpbuffer_bytes = kXplineBytes;  // one XPLine: each new one evicts
+  PmDevice device(config);
+  ThreadContext ctx(device, 0);
+  auto persist = [&](trace::Component comp, size_t xpline, int lines) {
+    trace::TraceScope scope(comp);
+    for (int line = 0; line < lines; line++) {
+      device.FlushLine(ctx, device.base() + xpline * kXplineBytes + line * kCachelineBytes);
+    }
+    device.Fence(ctx);
+  };
+  auto rmw = [&device](trace::Component comp) {
+    return device.stats().Snapshot().rmw_evictions_by_component[static_cast<int>(comp)];
+  };
+  persist(trace::Component::kWal, 16, 1);   // one of four lines dirty
+  persist(trace::Component::kLeaf, 17, 4);  // evicts the WAL's: a read-modify-write
+  EXPECT_EQ(rmw(trace::Component::kWal), 1u);
+  EXPECT_EQ(device.stats().Snapshot().media_read_bytes, kXplineBytes);
+  persist(trace::Component::kGc, 18, 2);  // evicts the leaf's full XPLine
+  EXPECT_EQ(rmw(trace::Component::kLeaf), 0u);
+  device.DrainBuffers();  // the GC's half-dirty XPLine
+  EXPECT_EQ(rmw(trace::Component::kGc), 1u);
+  EXPECT_EQ(device.stats().Snapshot().media_read_bytes, 2 * kXplineBytes);
+}
+
 TEST(Device, SequentialWritesAmplifyLessThanRandom) {
   // The core phenomenon of the paper (§2): N random single-line flushes cost
   // N XPLines of media write, while N sequential line flushes cost N/4.

@@ -37,6 +37,19 @@ uint64_t Chunks(const pmem::SlabAllocator& log) {
   return log.total_chunk_bytes() / pmem::kLogChunkBytes;
 }
 
+// The headers of every chunk of `log`, in the order the slab carved them.
+std::vector<LogChunkHeader*> Headers(const pmem::SlabAllocator& log) {
+  std::vector<LogChunkHeader*> headers;
+  log.ForEachSlot(
+      [&headers](void* chunk) { headers.push_back(static_cast<LogChunkHeader*>(chunk)); });
+  return headers;
+}
+
+// Entries a chunk holds from its first entry on.
+uint64_t Capacity(const LogChunkHeader& header) {
+  return (pmem::kLogChunkBytes - header.entry_offset) / sizeof(LogEntry);
+}
+
 TEST_F(WalFixture, ChecksumDetectsValueCorruption) {
   uint64_t word = MakeTsWord(/*generation=*/3, /*timestamp=*/777, /*key=*/1, /*value=*/2);
   LogEntry good{1, 2, word};
@@ -100,6 +113,29 @@ TEST_F(WalFixture, RecycledChunkRejectsStaleGenerationEntries) {
   EXPECT_EQ(seen[0].key, 1001u);
 }
 
+// A chunk recycled by a worker of another DIMM starts its entries at another
+// offset, on the same 24 B grid: the stale entries behind the fresh ones are
+// whole entries of the old generation and end the scan.
+TEST_F(WalFixture, ChunkRecycledAtAnotherOffsetRejectsStaleEntries) {
+  ThreadWal first(*log, 0);
+  for (uint64_t i = 1; i <= 2000; i++) {
+    first.Append(0, i, i * 5, i);
+  }
+  const uint32_t old_offset = Headers(*log).at(0)->entry_offset;
+  first.ReleaseEpoch(0);
+  ThreadWal second(*log, 2);  // DIMM 1 of the socket; worker 0's is DIMM 0
+  for (uint64_t i = 1; i <= 10; i++) {
+    second.Append(0, 5000 + i, i, 9000 + i);
+  }
+  ASSERT_EQ(Chunks(*log), 1u);
+  ASSERT_NE(Headers(*log).at(0)->entry_offset, old_offset);
+  std::vector<LogEntry> seen;
+  WalSet::ScanAll(*log, [&seen](const LogEntry& entry) { seen.push_back(entry); });
+  ASSERT_EQ(seen.size(), 10u);
+  EXPECT_EQ(seen[0].key, 5001u);
+  EXPECT_EQ(seen[9].key, 5010u);
+}
+
 TEST_F(WalFixture, EpochsAreIndependentChains) {
   ThreadWal wal(*log, 0);
   for (uint64_t i = 1; i <= 50; i++) {
@@ -156,10 +192,9 @@ uint64_t LinesCovered(uint64_t begin, uint64_t end) { return (end - 1) / 64 - be
 // once. Rolling into a fresh chunk adds a fence for the full chunk's lines,
 // the three allocator persists that carve the chunk from the pool and the
 // chunk's header persist. The one-entry case commits what Persist(entry, 24)
-// does.
+// does. Each chunk's entries start at the entry_offset its header records.
 TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
   ThreadWal wal(*log, 0);
-  const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
   auto span_of = [](uint64_t first, uint64_t n) {
     std::vector<LogEntry> entries;
     for (uint64_t key = first; key < first + n; key++) {
@@ -178,6 +213,8 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
   // The one-entry case: the chunk's carving and header, then the entry's line.
   EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, 1, 3, 1)); }),
             (std::pair<uint64_t, uint64_t>{2, 5}));
+  const uint64_t first = Headers(*log).at(0)->entry_offset;
+  const uint64_t per_chunk = Capacity(*Headers(*log).at(0));
   EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(2, 1))); }),
             (std::pair<uint64_t, uint64_t>{1, 1}));
   // The third entry straddles lines 1 and 2.
@@ -185,15 +222,17 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
             (std::pair<uint64_t, uint64_t>{2, 1}));
 
   // Fill the chunk to 10 entries short of its end in one span.
-  const uint64_t filled = kPerChunk - 10;
-  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(4, filled - 3))); }),
-            (std::pair<uint64_t, uint64_t>{LinesCovered(64 + 3 * 24, 64 + filled * 24), 1}));
+  const uint64_t filled = per_chunk - 10;
+  EXPECT_EQ(
+      committed([&] { ASSERT_TRUE(wal.Append(0, span_of(4, filled - 3))); }),
+      (std::pair<uint64_t, uint64_t>{LinesCovered(first + 3 * 24, first + filled * 24), 1}));
   // A span of 100 entries: 10 end the chunk, 90 open the next.
-  const uint64_t rolled_lines = LinesCovered(64 + filled * 24, 64 + kPerChunk * 24) + 1 +
-                                LinesCovered(64, 64 + 90 * 24);
-  EXPECT_EQ(committed([&] { ASSERT_TRUE(wal.Append(0, span_of(filled + 1, 100))); }),
-            (std::pair<uint64_t, uint64_t>{rolled_lines, 6}));
-  EXPECT_EQ(Chunks(*log), 2u);
+  const auto rolled = committed([&] { ASSERT_TRUE(wal.Append(0, span_of(filled + 1, 100))); });
+  ASSERT_EQ(Chunks(*log), 2u);
+  const uint64_t next = Headers(*log).at(1)->entry_offset;
+  const uint64_t rolled_lines = LinesCovered(first + filled * 24, first + per_chunk * 24) + 1 +
+                                LinesCovered(next, next + 90 * 24);
+  EXPECT_EQ(rolled, (std::pair<uint64_t, uint64_t>{rolled_lines, 6}));
 
   device->Crash();
   uint64_t expected = 1;
@@ -214,7 +253,6 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
 // completes. After each round, and after a crash, every KV's newest log
 // entry holds its newest value.
 TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
-  const uint64_t kPerChunk = (pmem::kLogChunkBytes - sizeof(LogChunkHeader)) / sizeof(LogEntry);
   for (bool span_first : {false, true}) {
     SCOPED_TRACE(span_first ? "cut after a span first" : "no chunk first");
     pmem::SlabAllocator::Options options = kLogSlabOptions;
@@ -254,7 +292,8 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
       node->set_pos(8);
     }
     filler(0, 1, 1);
-    filler(2, 1, kPerChunk - 200);
+    filler(2, 1, 1);
+    filler(2, 1, Capacity(*Headers(*small).back()) - 201);
     filler(3, 1, 1);
     ASSERT_EQ(Chunks(*small), 4u);
 
@@ -324,6 +363,67 @@ TEST_F(WalFixture, EntriesSurviveCrash) {
     count++;
   });
   EXPECT_EQ(count, 300);
+}
+
+// A chunk header is image input: an entry_offset below the first slot, off
+// the 24 B entry grid, or past the last slot makes the chunk no log chunk,
+// so the scan reads nothing outside it. The last slot itself is in range.
+TEST_F(WalFixture, DamagedEntryOffsetIsNoLogChunk) {
+  ThreadWal wal(*log, 0);
+  for (uint64_t i = 1; i <= 10; i++) {
+    ASSERT_TRUE(wal.Append(0, i, i, i));
+  }
+  device->Crash();
+  LogChunkHeader* header = Headers(*log).at(0);
+  const uint32_t last = pmem::kLogChunkBytes - sizeof(LogEntry);
+  for (uint32_t offset : {0u, 40u, 65u, 72u, last + 8, last + 24, 0xFFFFFFF8u}) {
+    SCOPED_TRACE(offset);
+    header->entry_offset = offset;
+    int entries = 0;
+    EXPECT_FALSE(WalSet::ScanChunk(header, [&entries](const LogEntry&) { entries++; }));
+    EXPECT_EQ(entries, 0);
+  }
+  header->entry_offset = last;
+  int entries = 0;
+  EXPECT_TRUE(WalSet::ScanChunk(header, [&entries](const LogEntry&) { entries++; }));
+  EXPECT_EQ(entries, 0);  // the last slot was never written
+}
+
+// 48 workers each activate a chunk on the default geometry, 2 sockets of 4
+// DIMMs. A chunk's first entry lands on its owner's own DIMM of the chunk's
+// socket, so under either placement every socket's first entries spread
+// evenly over its DIMMs: 12 on each DIMM of socket 0 when the workers fill
+// it, 6 on each DIMM of both sockets when they alternate.
+TEST(WalPlacement, FirstEntriesSpreadOverTheSocketsDimms) {
+  constexpr int kWorkers = 48;
+  for (int threads_per_socket : {kWorkers, 0}) {
+    SCOPED_TRACE(threads_per_socket != 0 ? "fill-first" : "round-robin");
+    kvindex::RuntimeOptions options;
+    options.device.pool_bytes = 512 << 20;
+    options.device.crash_tracking = false;
+    kvindex::Runtime rt(options);
+    const pmsim::PmDevice& device = rt.device();
+    pmsim::ThreadContext boot(rt.device(), 0);
+    auto log = pmem::SlabAllocator::Create(rt.pool(), kLogSlabOptions);
+    WalSet wals(*log, kWorkers);
+    for (int w = 0; w < kWorkers; w++) {
+      pmsim::ThreadContext ctx(rt.device(), rt.SocketForWorker(w, threads_per_socket), w);
+      ASSERT_TRUE(wals.Append(w, 0, static_cast<uint64_t>(w) + 1, 1, 1));
+    }
+    std::vector<int> first_entries(static_cast<size_t>(device.config().total_dimms()), 0);
+    for (const LogChunkHeader* header : Headers(*log)) {
+      const uintptr_t chunk = device.OffsetOf(header);
+      EXPECT_EQ(device.SocketOf(chunk),
+                rt.SocketForWorker(static_cast<int>(header->owner_worker), threads_per_socket));
+      EXPECT_EQ((header->entry_offset - sizeof(LogChunkHeader)) % sizeof(LogEntry), 0u);
+      EXPECT_LE(header->entry_offset, sizeof(LogChunkHeader) + 3 * pmsim::kInterleaveBytes);
+      first_entries[static_cast<size_t>(device.DimmOf(chunk + header->entry_offset))]++;
+    }
+    const std::vector<int> expected =
+        threads_per_socket != 0 ? std::vector<int>{12, 12, 12, 12, 0, 0, 0, 0}
+                                : std::vector<int>{6, 6, 6, 6, 6, 6, 6, 6};
+    EXPECT_EQ(first_entries, expected);
+  }
 }
 
 // Write combining of sequential appends is an ADR property: eADR's random

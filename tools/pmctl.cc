@@ -93,6 +93,7 @@ int CmdStats(const PmMetricsFile& f) {
   }
   const std::vector<JsonValue>& comp_bytes = stats->Array("comp_bytes");
   const std::vector<JsonValue>& comp_lines = stats->Array("comp_lines");
+  const std::vector<JsonValue>& comp_rmw = stats->Array("comp_rmw");
   if (!comp_bytes.empty()) {
     std::printf("\n-- media write bytes by component (code scope) --\n");
     uint64_t comp_total = 0;
@@ -102,15 +103,16 @@ int CmdStats(const PmMetricsFile& f) {
     for (size_t c = 0; c < comp_bytes.size(); c++) {
       const uint64_t bytes = comp_bytes[c].number;
       const uint64_t lines = c < comp_lines.size() ? comp_lines[c].number : 0;
+      const uint64_t rmw = c < comp_rmw.size() ? comp_rmw[c].number : 0;
       if (bytes == 0 && lines == 0) {
         continue;
       }
       double pct = media == 0 ? 0.0
                               : 100.0 * static_cast<double>(bytes) / static_cast<double>(media);
-      std::printf("  %-12s %14llu  %6.2f%%   (%s, %llu committed lines)\n",
+      std::printf("  %-12s %14llu  %6.2f%%   (%s, %llu committed lines, %llu rmw evictions)\n",
                   c < f.header.components.size() ? f.header.components[c].c_str() : "?",
                   static_cast<unsigned long long>(bytes), pct, HumanBytes(bytes).c_str(),
-                  static_cast<unsigned long long>(lines));
+                  static_cast<unsigned long long>(lines), static_cast<unsigned long long>(rmw));
     }
     std::printf("  %-12s %14llu  %s\n", "total", static_cast<unsigned long long>(comp_total),
                 comp_total == media ? "(= media_write_bytes)" : "(!= media_write_bytes)");
