@@ -10,7 +10,7 @@ FlatStore::FlatStore(kvindex::Runtime& runtime) : rt_(runtime), logs_(130) {
   pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
   log_slab_ = pmem::SlabAllocator::Create(
       rt_.pool(),
-      {.slot_bytes = pmem::kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 1 << 16});
+      {.slot_bytes = kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 1 << 16});
 }
 
 FlatStore::~FlatStore() = default;
@@ -20,7 +20,7 @@ const FlatStore::Record* FlatStore::Append(uint64_t key, uint64_t value, bool to
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
   auto& log = logs_[static_cast<size_t>(ctx->worker_id())];
-  if (log.chunk == nullptr || log.cursor + sizeof(Record) > pmem::kLogChunkBytes) {
+  if (log.chunk == nullptr || log.cursor + sizeof(Record) > kLogChunkBytes) {
     sync::LockGuard<sync::Mutex> guard(logs_mu_);
     log.chunk = static_cast<std::byte*>(log_slab_->Allocate(ctx->socket()));
     assert(log.chunk != nullptr && "PM exhausted");

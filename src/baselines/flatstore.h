@@ -52,6 +52,8 @@ class FlatStore : public kvindex::KvIndex {
   // line whose only written byte was a zero meta word — a flush that
   // persisted nothing.
   static constexpr uint64_t kRecordValid = 2;
+  // A log chunk: the one slot of a one-slot chunk of the log slab.
+  static constexpr size_t kLogChunkBytes = 4 * 1024 * 1024;
 
   struct ThreadLog {
     std::byte* chunk = nullptr;

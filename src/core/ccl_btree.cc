@@ -25,7 +25,13 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
     // validates the root record instead of asserting on it.
     return;
   }
-  pmsim::ThreadContext boot_ctx(rt_.device(), /*socket=*/0, /*worker_id=*/0);
+  // The tree's home is the socket of the context that builds it (socket 0
+  // with none): the root record and head leaf live there, and its GC and
+  // recovery contexts run there.
+  if (const pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current()) {
+    home_socket_ = ctx->socket();
+  }
+  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket_, /*worker_id=*/0);
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
@@ -33,7 +39,7 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
   log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), kLogSlabOptions);
   wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
 
-  head_leaf_ = AllocLeaf(/*socket=*/0);
+  head_leaf_ = AllocLeaf(home_socket_);
   assert(head_leaf_ != nullptr);
   std::memset(static_cast<void*>(head_leaf_), 0, kLeafBytes);
   {
@@ -43,7 +49,7 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
     pmsim::Persist(head_leaf_, kLeafBytes);
   }
 
-  auto* root = static_cast<TreeRoot*>(rt_.pool().AllocateRaw(sizeof(TreeRoot), 0));
+  auto* root = static_cast<TreeRoot*>(rt_.pool().AllocateRaw(sizeof(TreeRoot), home_socket_));
   assert(root != nullptr);
   root->magic = kTreeMagic;
   root->head_leaf_offset = LeafOffset(head_leaf_);
@@ -77,7 +83,10 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
     return false;
   }
 
-  pmsim::ThreadContext boot_ctx(rt_.device(), /*socket=*/0, /*worker_id=*/0);
+  // Recovery runs where the tree lives, so its reads of the leaves and logs
+  // the tree's workers wrote there are local.
+  home_socket_ = rt_.device().SocketOf(root_offset);
+  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket_, /*worker_id=*/0);
   uint64_t boot_start = boot_ctx.now_ns();
   pmsim::ReadPm(root, sizeof(TreeRoot));
 
@@ -822,45 +831,65 @@ void CclBTree::InitGc() {
     return;
   }
   // Deterministic participant: a tree-owned context that all GC PM traffic
-  // is charged to, whether rounds come from the cooperative quantum or from
-  // explicit GcTick() callers (fig14, tests). Constructed with no
-  // thread-local current installed so the context is bound to no OS thread
-  // and carries no dangling `previous_` restore target.
+  // is charged to, whether spans come from the cooperative quantum or from
+  // explicit GcTick() callers (tests). Constructed with no thread-local
+  // current installed so the context is bound to no OS thread and carries no
+  // dangling `previous_` restore target.
   pmsim::ThreadContext* saved = pmsim::ThreadContext::Current();
   pmsim::ThreadContext::SetCurrent(nullptr);
-  gc_ctx_ = std::make_unique<pmsim::ThreadContext>(rt_.device(), /*socket=*/0,
+  gc_ctx_ = std::make_unique<pmsim::ThreadContext>(rt_.device(), home_socket_,
                                                    /*worker_id=*/options_.max_workers - 1);
   pmsim::ThreadContext::SetCurrent(saved);
+  gc_span_ns_ = rt_.device().MediaWriteServiceNs(kGcSpanEntries * sizeof(LogEntry));
 }
 
 bool CclBTree::GcTick() {
-  if (gc_ctx_ == nullptr || options_.gc_mode == GcMode::kNone || !GcTriggerReached()) {
+  if (gc_ctx_ == nullptr ||
+      (!gc_round_active_.load(std::memory_order_acquire) && !GcTriggerReached())) {
     return false;
   }
   sync::TryLockGuard<sync::Mutex> tick(gc_tick_mu_);
   if (!tick.owns()) {
-    return false;  // another worker is mid-round; it covers this trigger
+    return false;  // another worker is inside a tick; it covers this one
   }
-  if (!GcTriggerReached()) {
+  const bool naive = options_.gc_mode == GcMode::kNaive;
+  const pmsim::ThreadContext* caller = pmsim::ThreadContext::Current();
+  uint64_t start = gc_ctx_->now_ns();
+  if (naive) {
+    // Stop-the-world at the frontier of every live clock: the round happens
+    // "now" in the simulated timeline, after the work that tripped the
+    // trigger, not at whatever stale time the last round ended.
+    start = std::max(start, rt_.device().MaxContextClockNs());
+  } else if (caller != nullptr) {
+    // A span starts one span's media service time before the caller's
+    // present, so it ends by then if the DIMM it writes is free: it never
+    // reserves DIMM time in the foreground's future.
+    if (start + gc_span_ns_ > caller->now_ns()) {
+      return false;  // the GC context is still busy with its last span
+    }
+    start = caller->now_ns() - gc_span_ns_;
+  }
+  if (!gc_round_ && !GcTriggerReached()) {
     return false;  // the round that just finished already cleared it
   }
-  // Fast-forward the GC context to the frontier of every live clock: the
-  // round happens "now" in the simulated timeline, after the work that
-  // tripped the trigger, not at whatever stale time the last round ended.
-  gc_ctx_->ResetClock(std::max(gc_ctx_->now_ns(), rt_.device().MaxContextClockNs()));
-  pmsim::ThreadContext* saved = pmsim::ThreadContext::Current();
-  // A crash injector may abort the round mid-stream (CrashPointReached):
+  gc_ctx_->ResetClock(start);
+  // A crash injector may abort the span mid-stream (CrashPointReached):
   // restore the caller's context on every exit path.
   struct Restore {
     pmsim::ThreadContext* saved;
     ~Restore() { pmsim::ThreadContext::SetCurrent(saved); }
-  } restore{saved};
+  } restore{pmsim::ThreadContext::Current()};
   pmsim::ThreadContext::SetCurrent(gc_ctx_.get());
-  RunGcOnce();
-  if (options_.gc_mode == GcMode::kNaive) {
-    // Stop-the-world: every worker resumes only after the barrier ends.
+  if (naive) {
+    NaiveGc();
+    // Every worker resumes only after the barrier ends.
     rt_.device().RaiseContextClocks(gc_ctx_->now_ns());
+    return true;
   }
+  if (!gc_round_) {
+    BeginGcRound();
+  }
+  RunGcSpan();
   return true;
 }
 
@@ -889,24 +918,26 @@ void CclBTree::RunGcOnce() {
   if (options_.gc_mode == GcMode::kNone) {
     return;
   }
-  // With a crash injector installed (crash-matrix runs only), record this
-  // round's fence window so the matrix can schedule points that land inside
-  // GC's own flush/fence stream.
+  sync::LockGuard<sync::Mutex> guard(gc_tick_mu_);
+  if (options_.gc_mode == GcMode::kNaive) {
+    NaiveGc();
+    return;
+  }
+  if (!gc_round_) {
+    BeginGcRound();
+  }
+  while (!RunGcSpan()) {
+  }
+}
+
+template <typename Work>
+void CclBTree::InGcWindow(Work&& work) {
+  // With a crash injector installed (crash-matrix runs only), record the
+  // window so the matrix can schedule points that land inside GC's own
+  // flush/fence stream.
   pmsim::CrashInjector* injector = rt_.device().crash_injector();
   const uint64_t first_fence = injector != nullptr ? injector->fences_observed() + 1 : 0;
-  trace::TraceScope scope(trace::Component::kGc);
-  trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
-  switch (options_.gc_mode) {
-    case GcMode::kNone:
-      break;
-    case GcMode::kNaive:
-      NaiveGc();
-      break;
-    case GcMode::kLocalityAware:
-      LocalityAwareGc();
-      break;
-  }
-  trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
+  work();
   if (injector != nullptr) {
     uint64_t last_fence = injector->fences_observed();
     if (last_fence >= first_fence) {
@@ -914,6 +945,36 @@ void CclBTree::RunGcOnce() {
       gc_fence_windows_.push_back({first_fence, last_fence});
     }
   }
+}
+
+void CclBTree::BeginGcRound() {
+  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
+  assert(ctx != nullptr);
+  trace::TraceScope scope(trace::Component::kGc);
+  trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
+  gc_round_.emplace(
+      *wals_, ctx->worker_id(), global_epoch_, [this] { return CollectBufferNodes(); },
+      [this] { return Timestamp(); });
+  gc_round_active_.store(true, std::memory_order_release);
+}
+
+bool CclBTree::RunGcSpan() {
+  LocalityAwareGcRound::Progress progress = LocalityAwareGcRound::Progress::kMore;
+  InGcWindow([&] { progress = gc_round_->RunSpan(); });
+  if (progress == LocalityAwareGcRound::Progress::kMore) {
+    return false;
+  }
+  gc_round_.reset();
+  gc_round_active_.store(false, std::memory_order_release);
+  // A round the log slab cut short freed nothing, so the log did not shrink:
+  // its floor re-arms the trigger only once the log has doubled.
+  post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
+  if (progress == LocalityAwareGcRound::Progress::kDone) {
+    gc_rounds_.fetch_add(1, std::memory_order_relaxed);
+  }
+  trace::TraceScope scope(trace::Component::kGc);
+  trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
+  return true;
 }
 
 std::vector<BufferNode*> CclBTree::CollectBufferNodes() const {
@@ -930,26 +991,17 @@ void CclBTree::NaiveGc() {
   // Paper §3.4 "Naive GC": stop foreground buffering/logging with a global
   // lock, flush every buffer node's pending KVs to its (random) leaf, then
   // recycle all log chunks.
-  sync::LockGuard<sync::SharedMutex> gate(naive_gate_);
-  FlushAll();
-  wals_->ReleaseEpoch(0);
-  wals_->ReleaseEpoch(1);
+  trace::TraceScope scope(trace::Component::kGc);
+  trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
+  InGcWindow([this] {
+    sync::LockGuard<sync::SharedMutex> gate(naive_gate_);
+    FlushAll();
+    wals_->ReleaseEpoch(0);
+    wals_->ReleaseEpoch(1);
+  });
   post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
   gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void CclBTree::LocalityAwareGc() {
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  bool released = LocalityAwareGcRound(
-      *wals_, ctx->worker_id(), global_epoch_, [this] { return CollectBufferNodes(); },
-      [this] { return Timestamp(); });
-  // A round the log slab cut short freed nothing, so the log did not shrink:
-  // its floor re-arms the trigger only once the log has doubled.
-  post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
-  if (released) {
-    gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-  }
+  trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
 }
 
 void CclBTree::FlushAll() {

@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/common/lock.h"
@@ -69,20 +70,26 @@ class CclBTree : public kvindex::KvIndex {
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
 
   // --- GC (paper §3.4, scheduling DESIGN.md §10) -----------------------------
-  // One full GC round in the caller's thread (benches drive this directly;
-  // GcTick() calls it when the TH_log trigger fires).
+  // Runs a GC round to its end in the caller's context: the one GcTick()
+  // started, else a new one (benches and tests drive this directly).
   void RunGcOnce();
   bool GcTriggerReached() const;
-  // Deterministic virtual-time GC step: if the trigger has fired, runs one
-  // round on the tree-owned GC context, fast-forwarded to the frontier of
-  // all live worker clocks. Called automatically every gc_quantum_ops-th
-  // upsert when background_gc is on; benches and tests may also call it
-  // directly at virtual-time epochs. Returns true if a round ran. No-op in
-  // GcMode::kNone and while another thread is mid-round.
+  // Deterministic virtual-time GC step on the tree-owned GC context, called
+  // every gc_quantum_ops-th upsert when background_gc is on; tests may call
+  // it directly. Locality-aware GC starts a round if none is active and the
+  // trigger has fired, then runs one span of it (LocalityAwareGcRound) that
+  // ends by the calling worker's present: at max(GC clock, W - S), where W
+  // is the caller's clock and S one span's media service time, and not at
+  // all while the GC clock is past W - S. With no current context the span
+  // runs at the GC clock. Naive GC runs a whole stop-the-world round at the
+  // frontier of all live worker clocks and raises every clock to its end.
+  // Returns true if a span or round ran. No-op in GcMode::kNone and while
+  // another thread is inside a tick.
   bool GcTick() override;
-  // Fence-count windows [first, last] (1-based, inclusive) of completed GC
-  // rounds, recorded only while a pmsim::CrashInjector is installed. The
-  // crash matrix schedules points inside these windows to crash mid-GC.
+  // Fence-count windows [first, last] (1-based, inclusive) of GC spans (a
+  // naive round is one), recorded only while a pmsim::CrashInjector is
+  // installed. The crash matrix schedules points inside these windows to
+  // crash mid-GC.
   struct GcFenceWindow {
     uint64_t first_fence = 0;
     uint64_t last_fence = 0;
@@ -92,6 +99,7 @@ class CclBTree : public kvindex::KvIndex {
   // --- introspection ----------------------------------------------------------
   uint64_t log_live_bytes() const { return wals_->live_bytes(); }
   uint64_t log_peak_bytes() const { return wals_->peak_bytes(); }
+  const pmem::SlabAllocator& log_slab() const { return *log_slab_; }
   uint64_t leaf_bytes() const { return leaf_slab_->allocated_slots() * kLeafBytes; }
   uint64_t dram_hits() const { return dram_hits_.load(std::memory_order_relaxed); }
   uint64_t buffer_flushes() const { return buffer_flushes_.load(std::memory_order_relaxed); }
@@ -157,7 +165,15 @@ class CclBTree : public kvindex::KvIndex {
   // whose recovery is unsettled.
   void InitGc();
   void NaiveGc();
-  void LocalityAwareGc();
+  // Locality-aware GC with gc_tick_mu_ held: begins a round appending to the
+  // current context's WAL, and runs its next span, returning true once the
+  // round has ended.
+  void BeginGcRound();
+  bool RunGcSpan();
+  // Runs `work`, recording its fences as a GC window when a crash injector
+  // is installed.
+  template <typename Work>
+  void InGcWindow(Work&& work);
   // Collects live buffer nodes in key order (brief shared-lock windows).
   std::vector<BufferNode*> CollectBufferNodes() const;
 
@@ -208,9 +224,15 @@ class CclBTree : public kvindex::KvIndex {
   RecoveryPhases recovery_phases_;  // of the last Recover(), written before recovered_
 
   // --- GC scheduling state (DESIGN.md §10) ------------------------------------
+  // The socket of the root record: the tree's boot, replay and GC contexts
+  // run there.
+  int home_socket_ = 0;
   // The tree-owned context all GC PM traffic is charged to (fig14's GC cost
-  // model), serialized by gc_tick_mu_.
+  // model), and the round in progress, serialized by gc_tick_mu_.
   std::unique_ptr<pmsim::ThreadContext> gc_ctx_;
+  std::optional<LocalityAwareGcRound> gc_round_;
+  std::atomic<bool> gc_round_active_{false};  // gc_round_ holds a round
+  uint64_t gc_span_ns_ = 0;  // S: media service time of one span's 4 KiB
   sync::Mutex gc_tick_mu_{"tree.gc_tick"};
   // Upserts since creation; every gc_quantum_ops-th one checks the trigger.
   std::atomic<uint64_t> gc_op_counter_{0};

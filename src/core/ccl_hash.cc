@@ -41,7 +41,11 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
     // validates the root record instead of asserting on it.
     return;
   }
-  pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
+  // The table lives on the socket of the context that builds it (socket 0
+  // with none), as CclBTree does.
+  const pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
+  const int home_socket = ctx != nullptr ? ctx->socket() : 0;
+  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket, 0);
 
   pmem::SlabAllocator::Options slab_options;
   slab_options.slot_bytes = kLeafBytes;
@@ -50,7 +54,7 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
   wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
 
   size_t directory_bytes = num_buckets_ * kLeafBytes;
-  buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, 0));
+  buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, home_socket));
   assert(buckets_ != nullptr && "PM exhausted for bucket directory");
   std::memset(static_cast<void*>(buckets_), 0, directory_bytes);
   {
@@ -69,7 +73,7 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
     pmsim::Fence();
   }
 
-  auto* root = static_cast<TableRoot*>(rt_.pool().AllocateRaw(sizeof(TableRoot), 0));
+  auto* root = static_cast<TableRoot*>(rt_.pool().AllocateRaw(sizeof(TableRoot), home_socket));
   assert(root != nullptr);
   root->magic = kHashMagic;
   root->num_buckets = num_buckets_;
@@ -104,7 +108,8 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
     return false;
   }
 
-  pmsim::ThreadContext boot_ctx(rt_.device(), 0, 0);
+  // Recovery runs on the socket of the root record, where the table lives.
+  pmsim::ThreadContext boot_ctx(rt_.device(), rt_.device().SocketOf(root_offset), 0);
   uint64_t boot_start = boot_ctx.now_ns();
   pmsim::ReadPm(root, sizeof(TableRoot));
   num_buckets_ = root->num_buckets;
@@ -487,9 +492,10 @@ kvindex::MemoryFootprint CclHashTable::Footprint() const {
 bool CclHashTable::RunGcOnce() {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
-  return LocalityAwareGcRound(
+  LocalityAwareGcRound round(
       *wals_, ctx->worker_id(), global_epoch_, [this] { return directory_; },
       [this] { return Timestamp(); });
+  return round.Finish();
 }
 
 }  // namespace cclbt::core

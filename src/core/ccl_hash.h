@@ -84,12 +84,14 @@ class CclHashTable : public kvindex::KvIndex {
   bool Recover(kvindex::Runtime& runtime, int recovery_threads) override;
   uint64_t last_recovery_modeled_ns() const override { return recovery_phases_.total_ns(); }
 
-  // One locality-aware GC round on the calling context (LocalityAwareGcRound:
-  // epoch flip, I-log copy of the buffered entries, B-log release). Returns
-  // false if the log slab ran out, in which case no log was freed.
+  // One locality-aware GC round, run to its end on the calling context
+  // (LocalityAwareGcRound: epoch flip, I-log copy of the buffered entries,
+  // B-log release). Returns false if the log slab ran out, in which case no
+  // log was freed.
   bool RunGcOnce();
 
   uint64_t log_live_bytes() const { return wals_->live_bytes(); }
+  const pmem::SlabAllocator& log_slab() const { return *log_slab_; }
   uint64_t overflow_buckets() const { return overflow_buckets_.load(std::memory_order_relaxed); }
 
  private:

@@ -87,6 +87,9 @@ bool ThreadWal::ActivateChunk(int epoch) {
   const size_t offset = EntryOffset(ctx->device(), base, worker_id_);
   header->entry_offset = static_cast<uint32_t>(offset);
   pmsim::Persist(header, sizeof(LogChunkHeader));
+  if (chunks_[epoch].capacity() == 0) {
+    chunks_[epoch].reserve(kChunkListReserve);
+  }
   chunks_[epoch].push_back(base);
   active_[epoch] = ActiveChunk{base, offset, header->generation};
   return true;
@@ -97,14 +100,14 @@ bool ThreadWal::Append(int epoch, std::span<const LogEntry> entries) {
   trace::Emit(trace::EventType::kWalAppend, static_cast<uint64_t>(epoch));
   for (size_t next = 0; next < entries.size();) {
     if (active_[epoch].base == nullptr ||
-        active_[epoch].cursor + sizeof(LogEntry) > pmem::kLogChunkBytes) {
+        active_[epoch].cursor + sizeof(LogEntry) > kWalChunkBytes) {
       if (!ActivateChunk(epoch)) {
         return false;
       }
     }
     ActiveChunk& active = active_[epoch];
     size_t n = std::min(entries.size() - next,
-                        (pmem::kLogChunkBytes - active.cursor) / sizeof(LogEntry));
+                        (kWalChunkBytes - active.cursor) / sizeof(LogEntry));
     auto* out = reinterpret_cast<LogEntry*>(active.base + active.cursor);
     for (size_t i = 0; i < n; i++) {
       const LogEntry& entry = entries[next + i];
@@ -188,14 +191,14 @@ bool WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
   const auto* header = static_cast<const LogChunkHeader*>(chunk);
   const size_t offset = header->entry_offset;
   if (header->magic != kLogChunkMagic || header->state != kChunkActive ||
-      offset < sizeof(LogChunkHeader) || offset > pmem::kLogChunkBytes - sizeof(LogEntry) ||
+      offset < sizeof(LogChunkHeader) || offset > kWalChunkBytes - sizeof(LogEntry) ||
       (offset - sizeof(LogChunkHeader)) % sizeof(LogEntry) != 0) {
     return false;
   }
   pmsim::ReadPm(header, sizeof(LogChunkHeader));
   const auto* entries =
       reinterpret_cast<const LogEntry*>(static_cast<const std::byte*>(chunk) + offset);
-  const size_t capacity = (pmem::kLogChunkBytes - offset) / sizeof(LogEntry);
+  const size_t capacity = (kWalChunkBytes - offset) / sizeof(LogEntry);
   size_t consumed = 0;  // length of the chunk's valid prefix
   for (; consumed < capacity && EntryValid(entries[consumed], header->generation); consumed++) {
     fn(entries[consumed]);
@@ -223,7 +226,7 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
   const uint64_t start = boot->now_ns();
   pmsim::VirtualWorkers workers(
-      runtime.device(), threads, [&runtime](int w) { return runtime.SocketForWorker(w); }, start);
+      runtime.device(), threads, [socket = boot->socket()](int) { return socket; }, start);
 
   // Worker w scans chunks w, w + threads, ..., one per step.
   workers.Run([&](int w) {
@@ -238,19 +241,22 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
 
   // Every entry touches only its own key, so applying the newest entries in
   // key order ends in the state timestamp-ordered replay of all of them
-  // would. Sorting and compacting in place keeps one copy of the log.
-  std::sort(entries.begin(), entries.end(), [](const LogEntry& a, const LogEntry& b) {
-    return a.key != b.key ? a.key < b.key : a.timestamp() < b.timestamp();
-  });
+  // would. Sorting and compacting in place keeps one copy of the log. The
+  // filter routes each key's newest entry in key order: filtering as the
+  // scan reads would route every entry in log order, a random descent each.
+  std::sort(entries.begin(), entries.end(),
+            [](const LogEntry& a, const LogEntry& b) { return a.key < b.key; });
   size_t kept = 0;
-  for (size_t i = 0; i < entries.size(); i++) {
-    const LogEntry& entry = entries[i];
-    if (i + 1 < entries.size() && entries[i + 1].key == entry.key) {
-      continue;  // a newer entry of this key follows
+  for (size_t i = 0; i < entries.size();) {
+    LogEntry newest = entries[i];  // the newest of this key's entries
+    for (i++; i < entries.size() && entries[i].key == newest.key; i++) {
+      if (entries[i].timestamp() > newest.timestamp()) {
+        newest = entries[i];
+      }
     }
-    max_ts = std::max(max_ts, entry.timestamp());
-    if (entry.timestamp() > target.node(entry.key)->recovery_orig_ts()) {
-      entries[kept++] = entry;
+    max_ts = std::max(max_ts, newest.timestamp());
+    if (newest.timestamp() > target.node(newest.key)->recovery_orig_ts()) {
+      entries[kept++] = newest;
     }
   }
   entries.resize(kept);
@@ -328,9 +334,9 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   // each old entry of its key in a later recovery. A round the log slab cuts
   // short leaves the KVs it could not copy staged, and their only durable
   // copy is still the old log: they go to their leaves before it is freed.
-  const bool copied = LocalityAwareGcRound(
-      *this, static_cast<int>(wals_.size()) - 1, *target.epoch, target.nodes,
-      [&runtime, max_ts] { return max_ts + runtime.ordo().Now(); });
+  LocalityAwareGcRound copy(*this, static_cast<int>(wals_.size()) - 1, *target.epoch, target.nodes,
+                            [&runtime, max_ts] { return max_ts + runtime.ordo().Now(); });
+  const bool copied = copy.Finish();
   if (!copied) {
     for (BufferNode* bn : target.nodes()) {
       bn->Lock();
@@ -366,79 +372,87 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   return max_ts;
 }
 
-bool LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
-                          const std::function<std::vector<BufferNode*>()>& nodes,
-                          const std::function<uint64_t()>& timestamp) {
+LocalityAwareGcRound::LocalityAwareGcRound(
+    WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
+    const std::function<std::vector<BufferNode*>()>& nodes, std::function<uint64_t()> timestamp)
+    : wals_(&wals),
+      worker_id_(worker_id),
+      epoch_(&epoch),
+      old_epoch_(epoch.load(std::memory_order_acquire)),
+      new_epoch_(old_epoch_ ^ 1u),
+      timestamp_(std::move(timestamp)) {
+  // Flip the global epoch: appends from now on go to the I-log (§3.4). The
+  // nodes are collected after the flip.
+  epoch.store(new_epoch_, std::memory_order_release);
+  nodes_ = nodes();
+}
+
+// Appends the first n staged copies. On failure no staged copy is known to
+// be durable, and each one's only durable copy is its B-log entry: give
+// every staged slot its old bit back (a slot rewritten since is merely
+// copied again) and flip the epoch back, so the next round repeats this
+// flip and the B-log outlives every copy.
+bool LocalityAwareGcRound::Append(size_t n) {
+  if (wals_->Append(worker_id_, static_cast<int>(new_epoch_), {staged_, n})) {
+    count_ -= n;
+    std::copy_n(staged_ + n, count_, staged_);
+    std::copy_n(sources_ + n, count_, sources_);
+    return true;
+  }
+  for (size_t i = 0; i < count_; i++) {
+    sources_[i].node->Lock();
+    sources_[i].node->SetEpochBit(sources_[i].slot, old_epoch_);
+    sources_[i].node->Unlock();
+  }
+  epoch_->store(old_epoch_, std::memory_order_release);
+  return false;
+}
+
+LocalityAwareGcRound::Progress LocalityAwareGcRound::RunSpan() {
   trace::TraceScope scope(trace::Component::kGc);
-  // Flip the global epoch: appends from now on go to the I-log (§3.4).
-  const uint32_t old_epoch = epoch.load(std::memory_order_acquire);
-  const uint32_t new_epoch = old_epoch ^ 1u;
-  epoch.store(new_epoch, std::memory_order_release);
-
-  // Staged copies and the slots they came from. A node's KVs are staged
-  // together, so up to a node's slots beyond one span wait for the next.
-  constexpr size_t kCapacity = kGcSpanEntries + 8;
-  struct Source {
-    BufferNode* node;
-    int slot;
-  };
-  LogEntry staged[kCapacity];
-  Source sources[kCapacity];
-  size_t count = 0;
-  // Appends the first n staged copies. On failure no staged copy is known to
-  // be durable, and each one's only durable copy is its B-log entry: give
-  // every staged slot its old bit back (a slot rewritten since is merely
-  // copied again) and flip the epoch back, so the next round repeats this
-  // flip and the B-log outlives every copy.
-  auto append = [&](size_t n) {
-    if (wals.Append(worker_id, static_cast<int>(new_epoch), {staged, n})) {
-      count -= n;
-      std::copy_n(staged + n, count, staged);
-      std::copy_n(sources + n, count, sources);
-      return true;
-    }
-    for (size_t i = 0; i < count; i++) {
-      sources[i].node->Lock();
-      sources[i].node->SetEpochBit(sources[i].slot, old_epoch);
-      sources[i].node->Unlock();
-    }
-    epoch.store(old_epoch, std::memory_order_release);
-    return false;
-  };
-
   // Copy every still-buffered KV tagged with the old epoch into the I-log —
-  // sequential appends, never a random leaf write. The copy gets a fresh
-  // timestamp, which is safe: the slot holds the newest value for its key
-  // and every later update will receive a still-larger timestamp. The nodes
-  // are collected after the flip: a node published later (a split's right
-  // half) buffers only KVs logged in the new epoch.
-  for (BufferNode* bn : nodes()) {
+  // sequential appends, never a random leaf write.
+  while (cursor_ < nodes_.size() && count_ < kGcSpanEntries) {
+    BufferNode* bn = nodes_[cursor_++];
     assert(bn->nbatch() <= 8);
     bn->Lock();
     if (!bn->dead()) {
       BufferSlot* slots = bn->slots();
       for (int i = 0; i < bn->pos(); i++) {
-        if (bn->EpochBit(i) == old_epoch) {
-          staged[count] = {slots[i].key.load(std::memory_order_relaxed),
-                           slots[i].value.load(std::memory_order_relaxed), timestamp()};
-          sources[count++] = {bn, i};
-          bn->SetEpochBit(i, new_epoch);
+        if (bn->EpochBit(i) == old_epoch_) {
+          staged_[count_] = {slots[i].key.load(std::memory_order_relaxed),
+                             slots[i].value.load(std::memory_order_relaxed), timestamp_()};
+          sources_[count_++] = {bn, i};
+          bn->SetEpochBit(i, new_epoch_);
         }
       }
     }
     bn->Unlock();
-    if (count >= kGcSpanEntries && !append(kGcSpanEntries)) {
-      return false;
+  }
+  if (count_ >= kGcSpanEntries) {
+    if (!Append(kGcSpanEntries)) {
+      return Progress::kCutShort;
+    }
+    if (cursor_ < nodes_.size() || count_ > 0) {
+      return Progress::kMore;
     }
   }
-  if (count > 0 && !append(count)) {
-    return false;
+  if (count_ > 0 && !Append(count_)) {
+    return Progress::kCutShort;
   }
   // Every buffered-but-unflushed KV now lives in the I-log (either copied
   // above or logged there by foreground threads after the flip): the old
   // B-logs are dead and all their chunks return to the free list.
-  wals.ReleaseEpoch(static_cast<int>(old_epoch));
-  return true;
+  wals_->ReleaseEpoch(static_cast<int>(old_epoch_));
+  return Progress::kDone;
+}
+
+bool LocalityAwareGcRound::Finish() {
+  Progress progress = Progress::kMore;
+  while (progress == Progress::kMore) {
+    progress = RunSpan();
+  }
+  return progress == Progress::kDone;
 }
 
 }  // namespace cclbt::core

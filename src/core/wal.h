@@ -1,13 +1,16 @@
 // Per-thread write-ahead logs (paper §3.3).
 //
-// Each worker owns a private WAL for scalability; a WAL is a chain of 4 MB
-// log chunks drawn from the index's log slab, a pmem::SlabAllocator whose
-// chunks hold one slot of kLogChunkBytes (kLogSlabOptions): a freed chunk is
-// recycled from a free list per socket before a new one is carved. A log
-// entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because entries are
-// appended sequentially, ~10.7 entries share an XPLine and the XPBuffer
+// Each worker owns a private WAL for scalability; a WAL is a chain of
+// 256 KiB log chunks drawn from the index's log slab, a pmem::SlabAllocator
+// whose chunks hold one slot of kWalChunkBytes (kLogSlabOptions): a freed
+// chunk is recycled from a free list per socket before a new one is carved.
+// A log entry is 24 B: a 16 B KV plus an 8 B timestamp word. Because entries
+// are appended sequentially, ~10.7 entries share an XPLine and the XPBuffer
 // merges them into one media write — this is the "additional
-// XBI-amplification caused by logging" term (24/256) of §3.5.
+// XBI-amplification caused by logging" term (24/256) of §3.5. A chunk is
+// small because a worker holds up to two of them at once, one per epoch:
+// during a GC round 48 workers hold 96, which must fit one socket's region
+// next to the tree.
 //
 // Epochs: every WAL keeps two logs, selected by the tree's global epoch bit.
 // Entries written before a GC flip land in the B-log, entries written during
@@ -32,8 +35,9 @@
 // rounded to whole groups of 8 entries (3 cache lines) without leaving the
 // owner's unit. The first entry thus keeps, to within 192 B, the unit phase
 // a chunk's first entry had at offset 64, every append flushes the lines it
-// would flush there, and less than dimms_per_socket x 4 KiB of a 4 MiB
-// chunk stays unused: at most 12 KiB on the default 4 DIMMs per socket.
+// would flush there, and less than dimms_per_socket x 4 KiB of a chunk stays
+// unused: at most 12 KiB, 4.7% of a chunk, on the default 4 DIMMs per
+// socket.
 //
 // Entry validity without zeroing recycled chunks: the chunk header carries a
 // generation counter bumped on every (re)activation, and each entry's
@@ -63,9 +67,11 @@
 namespace cclbt::core {
 
 inline constexpr uint64_t kLogChunkMagic = 0x10C41B7ULL;
-// The log slab of CCL-BTree, CCL-Hash and DPTree.
+// A WAL log chunk: the slot of a log slab, whose chunks hold one slot.
+inline constexpr size_t kWalChunkBytes = 256 * 1024;
+// The log slab of CCL-BTree, CCL-Hash and DPTree: at most 1 GiB of log.
 inline constexpr pmem::SlabAllocator::Options kLogSlabOptions{
-    .slot_bytes = pmem::kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 4096};
+    .slot_bytes = kWalChunkBytes, .slots_per_chunk = 1, .max_chunks = 4096};
 inline constexpr uint64_t kTsMask = (1ULL << 56) - 1;
 
 struct LogEntry {
@@ -114,15 +120,7 @@ struct RecoveryPhases {
 // point of per-thread logs).
 class ThreadWal {
  public:
-  ThreadWal(pmem::SlabAllocator& log, int worker_id) : log_(&log), worker_id_(worker_id) {
-    // Pre-size the chunk lists so a chunk activation on the hot append path
-    // never reallocates: steady-state upserts are asserted allocation-free
-    // by bench_pmsim_hotpath. 64 chunks = 256 MB of log per epoch per
-    // worker, far beyond any workload here; past that push_back grows as
-    // usual.
-    chunks_[0].reserve(kChunkListReserve);
-    chunks_[1].reserve(kChunkListReserve);
-  }
+  ThreadWal(pmem::SlabAllocator& log, int worker_id) : log_(&log), worker_id_(worker_id) {}
   ~ThreadWal();
 
   ThreadWal(const ThreadWal&) = delete;
@@ -147,7 +145,12 @@ class ThreadWal {
   uint64_t appended_bytes(int epoch) const { return appended_bytes_[epoch]; }
 
  private:
-  static constexpr size_t kChunkListReserve = 64;
+  // A chunk list is sized at its first activation, so a later activation on
+  // the hot append path never reallocates (steady-state upserts are asserted
+  // allocation-free by bench_pmsim_hotpath) and a WAL that never logs holds
+  // none: 256 MB of log per epoch per worker, far beyond any workload here;
+  // past that push_back grows as usual.
+  static constexpr size_t kChunkListReserve = (256 << 20) / kWalChunkBytes;
 
   struct ActiveChunk {
     std::byte* base = nullptr;
@@ -206,7 +209,8 @@ class WalSet {
     bool buffered;  // false: the index reads no buffer, so nothing is staged
   };
   // Recovery's replay for CCL-BTree and CCL-Hash (DESIGN.md §10), on
-  // `threads` virtual workers starting at the boot context's clock:
+  // `threads` virtual workers on the boot context's socket, starting at its
+  // clock:
   //   scan     each step scans one chunk; barrier; each key's newest entry
   //            is kept, in key order, if newer than its node's filter;
   //   stage    each step takes the next entries of one node and stages each
@@ -214,9 +218,9 @@ class WalSet {
   //            does; a full node's staged KVs and next entries, up to 8, go
   //            to its leaf in one write instead; barrier;
   //   copy     the boot context, at the slowest worker's clock, runs one
-  //            LocalityAwareGcRound from the last WAL (the GC's), stamping
-  //            every copy above `max_ts`, so the staged KVs are durable one
-  //            fence per 4 KiB of log, not one leaf batch per key;
+  //            LocalityAwareGcRound to its end from the last WAL (the GC's),
+  //            stamping every copy above `max_ts`, so the staged KVs are
+  //            durable one fence per 4 KiB of log, not one leaf batch per key;
   //   reclaim  it persists *floor, the index's timestamp floor, raised to
   //            `max_ts` and every timestamp read, then frees exactly the
   //            chunks the scan found active.
@@ -242,20 +246,69 @@ class WalSet {
 // Entries of one I-log copy span: 4 KiB of log, the DIMM interleave unit.
 inline constexpr size_t kGcSpanEntries = pmsim::kInterleaveBytes / sizeof(LogEntry);
 
-// One locality-aware GC round of CCL-BTree and CCL-Hash (paper §3.4),
-// appending to `worker_id`'s WAL. Flips `epoch`, then calls nodes() for the
-// buffer nodes to visit; under each live node's lock, it stamps every KV
-// buffered in the old epoch with timestamp(), flips its epoch bit and stages
-// it; the staged copies are appended to the new epoch's
-// log one span of kGcSpanEntries at a time, and once more at the end. Every
-// copy is durable before the old epoch's logs are freed, which is the only
-// point that needs it: until then each copied KV is still in that B-log.
-// If the log slab runs out, the round ends before the release and returns
-// false: `epoch` flips back and the KVs not yet durably copied keep (or get
-// back) their old bit, so the next round copies them, into the same log.
-bool LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
-                          const std::function<std::vector<BufferNode*>()>& nodes,
-                          const std::function<uint64_t()>& timestamp);
+// One locality-aware GC round of CCL-BTree and CCL-Hash (paper §3.4), run
+// one span of its I-log copy at a time, so foreground upserts go on between
+// spans (DESIGN.md §10). Each copy is appended to `worker_id`'s WAL.
+//
+// The constructor begins the round: it flips `epoch`, then calls nodes() for
+// the buffer nodes to visit. The snapshot stays valid across spans: buffer
+// nodes are freed only with their index, dead ones are skipped, and a node
+// published after the flip (a split's right half) buffers only KVs logged
+// in the new epoch, because the flush that split the leaf emptied the left
+// buffer. Each RunSpan() visits nodes from the cursor; under each live
+// node's lock it stamps every KV buffered in the old epoch with timestamp(),
+// flips its epoch bit and stages it, and once one span of kGcSpanEntries
+// copies is staged it appends them with one fence. The copy gets a fresh
+// timestamp, which is safe: the slot holds the newest value for its key, and
+// every later update, flush or copy receives a still-larger one. The last
+// span appends the rest and frees the old epoch's logs. Every copy is
+// durable before that release, the only point that needs it: until then
+// each copied KV is still in that B-log.
+//
+// If the log slab runs out, the round is cut short before the release:
+// `epoch` flips back and the KVs not yet durably copied get their old bit
+// back, so the next round copies them, into the same log as the copies that
+// did land and the KVs that foreground upserts logged there between spans.
+class LocalityAwareGcRound {
+ public:
+  enum class Progress { kMore, kDone, kCutShort };
+
+  LocalityAwareGcRound(WalSet& wals, int worker_id, std::atomic<uint32_t>& epoch,
+                       const std::function<std::vector<BufferNode*>()>& nodes,
+                       std::function<uint64_t()> timestamp);
+
+  LocalityAwareGcRound(const LocalityAwareGcRound&) = delete;
+  LocalityAwareGcRound& operator=(const LocalityAwareGcRound&) = delete;
+
+  // Appends one span, or the last one and the release. Only while kMore.
+  Progress RunSpan();
+  // Runs the remaining spans; returns whether the round released the B-log.
+  bool Finish();
+
+ private:
+  // Copies staged together with the slots they came from. A node's KVs are
+  // staged together, so up to a node's slots beyond one span wait for the
+  // next.
+  static constexpr size_t kCapacity = kGcSpanEntries + 8;
+  struct Source {
+    BufferNode* node;
+    int slot;
+  };
+
+  bool Append(size_t n);
+
+  WalSet* wals_;
+  int worker_id_;
+  std::atomic<uint32_t>* epoch_;
+  uint32_t old_epoch_;
+  uint32_t new_epoch_;
+  std::function<uint64_t()> timestamp_;
+  std::vector<BufferNode*> nodes_;
+  size_t cursor_ = 0;  // the next node to visit
+  size_t count_ = 0;   // copies staged
+  LogEntry staged_[kCapacity];
+  Source sources_[kCapacity];
+};
 
 }  // namespace cclbt::core
 

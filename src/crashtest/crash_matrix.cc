@@ -91,7 +91,7 @@ struct Probe {
 
 // Runs the workload to completion with a count-only injector: yields the
 // fence range the schedules cover, the index's declared capabilities, and
-// the fence windows of every GC round (per-point replays are byte-identical
+// the fence windows of every GC span (per-point replays are byte-identical
 // up to their crash fence, so the probe's windows locate GC activity in
 // every replay too).
 Probe ProbeWorkload(const MatrixConfig& config, const std::vector<Op>& ops) {

@@ -4,7 +4,7 @@
 // single-worker workload, probes how many fences the uninterrupted workload
 // executes, derives a crash schedule from the seed (every-Nth, seeded-random
 // and exhaustive-window points over the fence range, plus points inside the
-// fence windows of the probe's background-GC rounds), and then, for every
+// fence windows of the probe's background-GC spans), and then, for every
 // scheduled point, replays the workload in a fresh Runtime with a
 // pmsim::CrashInjector armed at that fence. The injected crash aborts the
 // workload mid-operation; the harness settles the media with
@@ -40,9 +40,9 @@ struct CrashPoint {
 // function of the op stream and crash points can hit GC's own flush/fence
 // stream — including the relocate-then-free window of the locality-aware GC.
 // The gc-window schedule puts a crash point at every kGcStride-th fence
-// inside each GC round's fence window observed in the probe run. A round
-// fences once per I-log span, chunk activation and chunk release, so every
-// one of its fences is a distinct durable state worth a point.
+// inside each GC span's fence window observed in the probe run. A span
+// fences once per I-log append, chunk activation and chunk release, so
+// every one of its fences is a distinct durable state worth a point.
 inline constexpr uint64_t kGcStride = 1;
 
 struct MatrixConfig {
@@ -70,7 +70,7 @@ struct MatrixConfig {
 };
 
 // Fence-count window [first_fence, last_fence] (1-based, inclusive) of one
-// completed GC round, as observed by the probe run's injector.
+// GC span (a naive round is one), as observed by the probe run's injector.
 struct GcWindow {
   uint64_t first_fence = 0;
   uint64_t last_fence = 0;

@@ -62,10 +62,11 @@ class KvIndex {
   virtual void FlushAll() {}
 
   // Deterministic-GC hook (DESIGN.md §10): an index with a schedulable
-  // background reclaimer checks its trigger here and runs at most one round
-  // at this virtual-time point, charging the work to its own context.
-  // Returns true if a round ran. CclBTree's cooperative quantum calls it
-  // every gc_quantum_ops-th upsert; benches and tests may also call it at
+  // background reclaimer checks its trigger here and runs a bounded slice
+  // of its work at this virtual-time point (CclBTree: one span of a
+  // locality-aware round, or a whole naive round), charging the work to its
+  // own context. Returns true if work ran. CclBTree's cooperative quantum
+  // calls it every gc_quantum_ops-th upsert; tests may also call it at
   // chosen virtual-time points. Indexes without background work keep the
   // no-op default.
   virtual bool GcTick() { return false; }

@@ -2,10 +2,10 @@
 // allocation strategy [7] to avoid the potential PM leak for the newly
 // created leaf node"). It is the one allocator of every persistent object
 // kind, with one policy: leaves, hash overflow buckets and big leaves are
-// slots of multi-slot chunks, and a WAL's 4 MB log chunks (§3.3: "When a new
-// log chunk is needed, it is first retrieved from the free list. If the free
-// list is empty, a new log chunk is allocated.") are the one slot of a
-// one-slot chunk of kLogChunkBytes.
+// slots of multi-slot chunks, and log chunks (§3.3: "When a new log chunk
+// is needed, it is first retrieved from the free list. If the free list is
+// empty, a new log chunk is allocated.") are the one slot of a one-slot
+// chunk.
 //
 // Leak-safety argument: the only *persistent* allocator metadata is the
 // registry of chunks, updated once per chunk (not per object). Object
@@ -27,9 +27,6 @@
 #include "src/pmem/pool.h"
 
 namespace cclbt::pmem {
-
-// A WAL log chunk: the slot size of a log slab, whose chunks hold one slot.
-inline constexpr size_t kLogChunkBytes = 4 * 1024 * 1024;
 
 class SlabAllocator {
  public:

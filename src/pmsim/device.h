@@ -157,11 +157,18 @@ class PmDevice {
   };
   XpBufferTotals SampleXpBuffers() const;
 
-  // Frontier of all registered contexts' virtual clocks. A deterministic
-  // background participant (e.g. CCL-BTree's GC context) fast-forwards to
-  // this point before running, so its work lands "now" in the simulated
-  // timeline rather than at whatever stale time its private clock holds.
+  // Frontier of all registered contexts' virtual clocks. A stop-the-world
+  // participant (CCL-BTree's naive GC) fast-forwards to this point before
+  // running, so its work lands "now" in the simulated timeline rather than
+  // at whatever stale time its private clock holds.
   uint64_t MaxContextClockNs() const;
+  // Media service time of writing `bytes` on one DIMM in whole media units,
+  // local and without read-modify-writes, as PushThroughXpBuffer charges
+  // each eviction: 4 KiB takes 16 x 300 ns on the defaults.
+  uint64_t MediaWriteServiceNs(size_t bytes) const {
+    return (bytes + config_.xpline_bytes - 1) / config_.xpline_bytes *
+           config_.cost.xpline_write_service_ns * unit_scale_;
+  }
   // Raises every registered context's clock to at least `to_ns`. Models a
   // stop-the-world phase (naive GC): all workers observe the barrier's end.
   void RaiseContextClocks(uint64_t to_ns);

@@ -16,6 +16,7 @@
 #include "src/pmsim/crash_injector.h"
 #include "src/pmsim/virtual_workers.h"
 #include "tests/crash_util.h"
+#include "tests/gc_copy_util.h"
 
 namespace cclbt::core {
 namespace {
@@ -408,7 +409,8 @@ TEST_F(CclBTreeTest, GcSurvivesRepeatedRounds) {
 // A GC round makes its I-log copy durable one 4 KiB span at a time: it
 // commits each line the copies cover (a line split by a span boundary once
 // per span) with one fence per span, plus the header of the I-log chunk it
-// activates and the free marker of the B-log chunk it releases.
+// activates and the free marker of each B-log chunk it releases. Ticks with
+// no current context run one span each, until the round ends.
 TEST(CclGc, CopyCommitsEachLineOncePerSpan) {
   auto rt = MakeRuntime();
   CclBTree tree(*rt, QuietOptions());
@@ -418,34 +420,34 @@ TEST(CclGc, CopyCommitsEachLineOncePerSpan) {
       tree.Upsert(Mix64(k) | 1, k);
     }
   }
+  const uint64_t blog_chunks = testutil::ActiveLogChunks(tree.log_slab()).size();
   auto before = rt->device().stats().Snapshot();
-  ASSERT_TRUE(tree.GcTick());
+  uint64_t ticks = 0;
+  while (tree.gc_rounds() == 0) {
+    ASSERT_TRUE(tree.GcTick());
+    ASSERT_LT(++ticks, 1000u);
+  }
   auto delta = rt->device().stats().Snapshot().Delta(before);
   // The I-log holds the copies alone, from the start of a fresh chunk.
+  const auto ilog = testutil::ActiveLogChunks(tree.log_slab());
+  ASSERT_EQ(ilog.size(), 1u);
   const uint64_t copied = tree.log_live_bytes() / sizeof(LogEntry);
   ASSERT_GT(copied, 3 * kGcSpanEntries);
-  uint64_t lines = 0;
-  uint64_t spans = 0;
-  for (uint64_t first = 0; first < copied; first += kGcSpanEntries, spans++) {
-    const uint64_t begin = sizeof(LogChunkHeader) + first * sizeof(LogEntry);
-    const uint64_t end =
-        sizeof(LogChunkHeader) + std::min(first + kGcSpanEntries, copied) * sizeof(LogEntry);
-    lines += (end - 1) / 64 - begin / 64 + 1;
-  }
+  const testutil::GcCommits expected = testutil::ExpectedGcCommits(*ilog[0], copied, blog_chunks);
   EXPECT_EQ(delta.committed_lines_by_component[static_cast<int>(trace::Component::kGc)],
-            lines + 2);
-  // The I-log chunk is carved from the pool: three allocator persists.
-  EXPECT_EQ(delta.fences, spans + 2 + 3);
+            expected.lines);
+  EXPECT_EQ(delta.fences, expected.fences);
   EXPECT_EQ(tree.gc_rounds(), 1u);
 }
 
-// A crash at any fence of a GC round, clean or torn — a copy span's, the
-// I-log chunk activation's or the B-log release's — loses nothing: the copy
-// is durable before the B-log it duplicates is freed.
+// A crash at any fence of any span of a GC round, clean or torn — a copy
+// span's, the I-log chunk activation's or the B-log release's — loses
+// nothing: the copy is durable before the B-log it duplicates is freed.
 TEST(CclGc, CrashInsideGcRoundLosesNothing) {
   constexpr uint64_t kKeys = 8000;
-  // Runs the workload, then one GC round with `injector` armed at `target`
-  // (0: count only), settling a fired crash before the tree goes away.
+  // Runs the workload, then ticks one GC round span by span with `injector`
+  // armed at `target` (0: count only), settling a fired crash before the
+  // tree goes away.
   auto run = [](Runtime& rt, uint64_t target, bool torn) {
     pmsim::CrashInjector injector;
     CclBTree tree(rt, QuietOptions());
@@ -461,7 +463,9 @@ TEST(CclGc, CrashInsideGcRoundLosesNothing) {
                  target);
     bool fired = false;
     try {
-      tree.GcTick();
+      for (int tick = 0; tick < 1000 && tree.gc_rounds() == 0; tick++) {
+        tree.GcTick();
+      }
     } catch (const pmsim::CrashPointReached&) {
       fired = true;
     }
@@ -480,9 +484,15 @@ TEST(CclGc, CrashInsideGcRoundLosesNothing) {
     auto rt = MakeRuntime();
     windows = run(*rt, 0, false);
   }
-  ASSERT_EQ(windows.size(), 1u);
-  ASSERT_GE(windows[0].last_fence - windows[0].first_fence + 1, 5u);
-  for (uint64_t target = windows[0].first_fence; target <= windows[0].last_fence; target++) {
+  ASSERT_GE(windows.size(), 3u) << "the round did not run in several spans";
+  std::vector<uint64_t> targets;
+  for (const CclBTree::GcFenceWindow& window : windows) {
+    for (uint64_t target = window.first_fence; target <= window.last_fence; target++) {
+      targets.push_back(target);
+    }
+  }
+  ASSERT_GE(targets.size(), windows.size() + 4);  // + the I-log chunk's carving and header
+  for (uint64_t target : targets) {
     for (bool torn : {false, true}) {
       SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
       auto rt = MakeRuntime();
@@ -513,7 +523,7 @@ TEST(CclGc, RoundThatRunsOutOfLogKeepsTheBLog) {
       tree.Upsert(Mix64(k) | 1, k);
     }
     for (int socket = 0; socket < 2; socket++) {
-      while (rt->pool().AllocateRaw(pmem::kLogChunkBytes, socket) != nullptr) {
+      while (rt->pool().AllocateRaw(kWalChunkBytes, socket) != nullptr) {
       }
     }
     ASSERT_TRUE(tree.GcTriggerReached());
@@ -896,7 +906,7 @@ TEST(CclRecovery, DamagedLeafListFailsRecovery) {
         leaf_registry[1] = pool_bytes - kLeafBytes;  // a chunk straddling the pool's end
         break;
       case Damage::kLogChunkOffset:
-        log_registry[1] = pool_bytes + pmem::kLogChunkBytes;
+        log_registry[1] = pool_bytes + kWalChunkBytes;
         break;
       case Damage::kLeafChunkRepeat:  // the slab would hand out its slots twice
         leaf_registry[leaf_registry[0] + 1] = leaf_registry[1];

@@ -14,6 +14,7 @@
 #include "src/core/ccl_hash.h"
 #include "src/pmsim/crash_injector.h"
 #include "tests/crash_util.h"
+#include "tests/gc_copy_util.h"
 
 namespace cclbt::core {
 namespace {
@@ -230,8 +231,8 @@ TEST(CclHash, CrashAfterGcLosesNothing) {
 
 // The hash's GC round is the tree's (LocalityAwareGcRound): its I-log copy
 // commits each line the copies cover once per span with one fence per span,
-// plus the header of the I-log chunk it activates and the free marker of the
-// B-log chunk it releases.
+// plus the header of the I-log chunk it activates and the free marker of
+// each B-log chunk it releases.
 TEST(CclHash, GcCopyCommitsEachLineOncePerSpan) {
   auto rt = MakeRuntime();
   CclHashTable table(*rt, TreeOptions{}, kBuckets);
@@ -239,24 +240,19 @@ TEST(CclHash, GcCopyCommitsEachLineOncePerSpan) {
   for (uint64_t k = 1; k <= 20000; k++) {
     table.Upsert(Mix64(k) | 1, k);
   }
+  const uint64_t blog_chunks = testutil::ActiveLogChunks(table.log_slab()).size();
   auto before = rt->device().stats().Snapshot();
   ASSERT_TRUE(table.RunGcOnce());
   auto delta = rt->device().stats().Snapshot().Delta(before);
   // The I-log holds the copies alone, from the start of a fresh chunk.
+  const auto ilog = testutil::ActiveLogChunks(table.log_slab());
+  ASSERT_EQ(ilog.size(), 1u);
   const uint64_t copied = table.log_live_bytes() / sizeof(LogEntry);
   ASSERT_GT(copied, 3 * kGcSpanEntries);
-  uint64_t lines = 0;
-  uint64_t spans = 0;
-  for (uint64_t first = 0; first < copied; first += kGcSpanEntries, spans++) {
-    const uint64_t begin = sizeof(LogChunkHeader) + first * sizeof(LogEntry);
-    const uint64_t end =
-        sizeof(LogChunkHeader) + std::min(first + kGcSpanEntries, copied) * sizeof(LogEntry);
-    lines += (end - 1) / 64 - begin / 64 + 1;
-  }
+  const testutil::GcCommits expected = testutil::ExpectedGcCommits(*ilog[0], copied, blog_chunks);
   EXPECT_EQ(delta.committed_lines_by_component[static_cast<int>(trace::Component::kGc)],
-            lines + 2);
-  // The I-log chunk is carved from the pool: three allocator persists.
-  EXPECT_EQ(delta.fences, spans + 2 + 3);
+            expected.lines);
+  EXPECT_EQ(delta.fences, expected.fences);
 }
 
 // A crash at any fence of a GC round, clean or torn, loses nothing: the copy

@@ -46,9 +46,57 @@ TEST(GcSchedulingTest, DeterministicQuantumRunsGcAtTrigger) {
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   InsertMany(tree, 4000, /*seed=*/1);
   EXPECT_GT(tree.gc_rounds(), 0u) << "cooperative quantum never ran a round";
-  // The round ran on the tree-owned GC context, fast-forwarded to the
-  // virtual-time frontier — not at time zero, not on the worker's clock.
+  // The round ran on the tree-owned GC context, paced by the worker's
+  // clock — not at time zero.
   EXPECT_GT(tree.gc_vtime_ns(), 0u);
+}
+
+// A locality-aware round runs one span per tick while foreground upserts go
+// on between ticks. A tick runs its span exactly when the GC context is not
+// busy, that is when its clock is at most W - S (W the ticking worker's
+// clock, S one span's media service time), and starts it at W - S, so the
+// span never starts in the worker's future; it ends within S of W, later
+// than W only by the wait behind the worker's own writes to its DIMM. Every
+// KV, old or written during the round, stays readable.
+TEST(GcSchedulingTest, RoundSpansTicksWhileUpsertsContinue) {
+  auto rt = MakeRuntime();
+  TreeOptions options = GcOptions();
+  options.background_gc = false;  // spans only via the ticks below
+  CclBTree tree(*rt, options);
+  pmsim::ThreadContext ctx(rt->device(), 0, 0);
+  constexpr uint64_t kKeys = 6000;
+  std::vector<uint64_t> expected(kKeys);
+  for (uint64_t i = 0; i < kKeys; i++) {
+    expected[i] = i + 1;
+    tree.Upsert(Mix64(i) | 1, expected[i]);
+  }
+  ASSERT_TRUE(tree.GcTriggerReached());
+  const uint64_t span_ns = rt->device().MediaWriteServiceNs(kGcSpanEntries * sizeof(LogEntry));
+  Rng rng(6);
+  int spans = 0;
+  for (int step = 0; tree.gc_rounds() == 0; step++) {
+    ASSERT_LT(step, 10000) << "the round never ended";
+    for (int op = 0; op < 16; op++) {
+      const uint64_t i = rng.NextBounded(kKeys);
+      expected[i] += kKeys;
+      tree.Upsert(Mix64(i) | 1, expected[i]);
+    }
+    const uint64_t idle_since = tree.gc_vtime_ns();
+    const bool ran = tree.GcTick();
+    EXPECT_EQ(ran, idle_since + span_ns <= ctx.now_ns()) << "step " << step;
+    if (ran) {
+      spans++;
+      EXPECT_LE(tree.gc_vtime_ns(), ctx.now_ns() + span_ns) << "span " << spans;
+    }
+  }
+  EXPECT_GE(spans, 3) << "the round did not span several ticks";
+  EXPECT_EQ(tree.gc_rounds(), 1u);
+  EXPECT_TRUE(tree.CheckInvariants());
+  for (uint64_t i = 0; i < kKeys; i++) {
+    uint64_t value = 0;
+    ASSERT_TRUE(tree.Lookup(Mix64(i) | 1, &value)) << "key #" << i;
+    EXPECT_EQ(value, expected[i]);
+  }
 }
 
 TEST(GcSchedulingTest, DeterministicGcIsReproducible) {

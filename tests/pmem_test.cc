@@ -249,9 +249,9 @@ TEST(SlabAllocator, RecoverRebuildsFreeLists) {
   }
 }
 
-// A WAL's log: one 4 MB slot per chunk.
+// A log: one 4 MB slot per chunk.
 constexpr SlabAllocator::Options kLogChunks{
-    .slot_bytes = kLogChunkBytes, .slots_per_chunk = 1, .max_chunks = 4096};
+    .slot_bytes = 4 << 20, .slots_per_chunk = 1, .max_chunks = 4096};
 
 // A freed slot is recycled on its own socket: another socket carves its own
 // chunk while its region has room, and takes the free slot only when not.

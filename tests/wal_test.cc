@@ -34,7 +34,7 @@ struct WalFixture : public ::testing::Test {
 };
 
 uint64_t Chunks(const pmem::SlabAllocator& log) {
-  return log.total_chunk_bytes() / pmem::kLogChunkBytes;
+  return log.total_chunk_bytes() / kWalChunkBytes;
 }
 
 // The headers of every chunk of `log`, in the order the slab carved them.
@@ -47,7 +47,7 @@ std::vector<LogChunkHeader*> Headers(const pmem::SlabAllocator& log) {
 
 // Entries a chunk holds from its first entry on.
 uint64_t Capacity(const LogChunkHeader& header) {
-  return (pmem::kLogChunkBytes - header.entry_offset) / sizeof(LogEntry);
+  return (kWalChunkBytes - header.entry_offset) / sizeof(LogEntry);
 }
 
 TEST_F(WalFixture, ChecksumDetectsValueCorruption) {
@@ -169,7 +169,7 @@ TEST_F(WalFixture, WalSetTracksLiveAndPeakBytes) {
 
 TEST_F(WalFixture, EntriesCrossChunkBoundaries) {
   ThreadWal wal(*log, 0);
-  // 4 MB chunk holds ~174k entries; write past one chunk.
+  // A 256 KiB chunk holds ~10.9k entries; write past several chunks.
   const uint64_t kEntries = 200'000;
   for (uint64_t i = 1; i <= kEntries; i++) {
     ASSERT_TRUE(wal.Append(0, i, i, i));
@@ -248,8 +248,10 @@ TEST_F(WalFixture, SpanAppendCommitsEachLineOnceWithOneFence) {
 // GC rounds the log slab cuts short free nothing, and every KV a round did
 // not durably copy goes back to the B-log's epoch. Over 400 buffered KVs, two
 // rounds fail, in either order: one that gets no I-log chunk and one that
-// runs out after its first span. During the first of them a foreground
-// upsert rewrites a KV the round has already visited. A third round then
+// runs out in its second span. During the first of them a foreground upsert
+// rewrites a KV the round has already visited; between the two spans of the
+// one that runs out, foreground upserts log in the new epoch a KV the first
+// span copied and one the round never reaches. A third round then
 // completes. After each round, and after a crash, every KV's newest log
 // entry holds its newest value.
 TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
@@ -317,32 +319,44 @@ TEST_F(WalFixture, GcRoundsCutShortKeepEveryBufferedValue) {
       return nodes;
     };
 
+    // A foreground upsert of `key` in the current epoch, as worker 0 would
+    // log it once the round has unlocked the key's node.
+    auto upsert = [&](uint64_t key, uint64_t value) {
+      BufferNode* node = nodes[(key - 1) / 8];
+      const int slot = static_cast<int>((key - 1) % 8);
+      const uint32_t now = epoch.load();
+      EXPECT_TRUE(wals.Append(0, static_cast<int>(now), key, value, tick()));
+      node->slots()[slot].value.store(value);
+      node->SetEpochBit(slot, now);
+      expected[key] = value;
+    };
+
     // The worker with no chunk fails at its first span of 170, after staging
-    // 176 KVs. The one with room copies a span, then runs out 30 copies into
-    // the next. While the first round stamps its 100th KV, key 1 (staged
-    // first) is upserted in the new epoch, as a foreground thread would once
-    // the round has unlocked its node.
+    // 176 KVs. The one with room copies a span (nodes 0-21), then runs out
+    // 30 copies into the next. While the first round stamps its 100th KV,
+    // key 1 (staged first) is upserted in the new epoch.
     int stamped = 0;
-    EXPECT_FALSE(LocalityAwareGcRound(wals, span_first ? 2 : 1, epoch, collect, [&] {
+    LocalityAwareGcRound first(wals, span_first ? 2 : 1, epoch, collect, [&] {
       if (++stamped == 100) {
-        BufferNode* node = nodes[0];
-        const uint32_t now = epoch.load();
-        EXPECT_TRUE(wals.Append(0, static_cast<int>(now), 1, 11, tick()));
-        node->slots()[0].value.store(11);
-        node->SetEpochBit(0, now);
-        expected[1] = 11;
+        upsert(1, 11);
       }
       return tick();
-    }));
+    });
+    if (span_first) {
+      ASSERT_EQ(first.RunSpan(), LocalityAwareGcRound::Progress::kMore);
+      upsert(2, 21);      // copied by the span that landed
+      upsert(399, 3991);  // in node 49, which this round never reaches
+    }
+    EXPECT_EQ(first.RunSpan(), LocalityAwareGcRound::Progress::kCutShort);
     check("after the first round cut short");
     start = epoch.load();
-    EXPECT_FALSE(LocalityAwareGcRound(wals, span_first ? 1 : 2, epoch, collect, tick));
+    EXPECT_FALSE(LocalityAwareGcRound(wals, span_first ? 1 : 2, epoch, collect, tick).Finish());
     check("after the second round cut short");
 
     // The third round copies the rest and frees the B-log, worker 0's
     // epoch-0 chunk.
     start = epoch.load();
-    EXPECT_TRUE(LocalityAwareGcRound(wals, 3, epoch, collect, tick));
+    EXPECT_TRUE(LocalityAwareGcRound(wals, 3, epoch, collect, tick).Finish());
     EXPECT_EQ(small->allocated_slots(), 3u);
     check("after the complete round");
 
@@ -375,7 +389,7 @@ TEST_F(WalFixture, DamagedEntryOffsetIsNoLogChunk) {
   }
   device->Crash();
   LogChunkHeader* header = Headers(*log).at(0);
-  const uint32_t last = pmem::kLogChunkBytes - sizeof(LogEntry);
+  const uint32_t last = kWalChunkBytes - sizeof(LogEntry);
   for (uint32_t offset : {0u, 40u, 65u, 72u, last + 8, last + 24, 0xFFFFFFF8u}) {
     SCOPED_TRACE(offset);
     header->entry_offset = offset;
