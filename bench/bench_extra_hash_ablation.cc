@@ -14,8 +14,8 @@ void RegisterAll() {
   uint64_t scale = BenchScale();
   for (bool buffering : {false, true}) {
     for (bool conservative : {false, true}) {
-      if (!buffering && conservative) {
-        continue;  // meaningless combination
+      if (!buffering && !conservative) {
+        continue;  // N_batch = 0 logs every write under naive logging
       }
       std::string bench_name = std::string("extra_hash/") +
                                (buffering ? (conservative ? "ccl-hash" : "ccl-hash-naivelog")
@@ -28,7 +28,9 @@ void RegisterAll() {
           config.ops = scale;
           config.op = OpType::kInsert;
           IndexConfig index_config;
-          index_config.tree.buffering = buffering;
+          if (!buffering) {
+            index_config.tree.nbatch = 0;
+          }
           index_config.tree.write_conservative_logging = conservative;
           index_config.hash_buckets = scale / 8;
           SetCommonCounters(state, RunIndexWorkload("cclhash", config, index_config));

@@ -30,7 +30,7 @@ void RegisterAll() {
           runtime_options.device.pool_bytes = 8ULL << 30;
           kvindex::Runtime runtime(runtime_options);
           core::TreeOptions tree_options;
-          tree_options.background_gc = false;
+          tree_options.gc_quantum_ops = 0;
           {
             core::CclBTree tree(runtime, tree_options);
             RunConfig config;

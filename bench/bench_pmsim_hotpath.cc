@@ -267,7 +267,7 @@ struct TreeFixture {
     core::TreeOptions tree_options;
     // GC off: wall-clock scenarios must not interleave GC rounds (the GC
     // schedule is exercised — and frozen — by the virtual-time benches).
-    tree_options.background_gc = false;
+    tree_options.gc_quantum_ops = 0;
     tree = std::make_unique<core::CclBTree>(*runtime, tree_options);
     pmsim::ThreadContext ctx(runtime->device(), 0, 0);
     for (uint64_t i = 0; i < scale; i++) {

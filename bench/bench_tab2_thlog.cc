@@ -20,7 +20,6 @@ void RegisterAll() {
         kvindex::Runtime runtime(runtime_options);
         core::TreeOptions tree_options;
         tree_options.th_log_pct = th_log;
-        tree_options.background_gc = true;  // GC must run live for this table
         core::CclBTree tree(runtime, tree_options);
 
         RunConfig config;

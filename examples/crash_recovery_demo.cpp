@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   runtime_options.device.pool_bytes = 2ULL << 30;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
 
   // Phase 1: random upserts and deletes; remember what was acknowledged.
   std::map<uint64_t, uint64_t> acknowledged;

@@ -49,14 +49,15 @@ int main() {
   std::printf("CCL-BTree paper tour — %llu random inserts per configuration\n\n",
               (unsigned long long)kOps);
 
-  // --- Step 0: the problem. Direct random leaf writes (ablation "Base"). ----
+  // --- Step 0: the problem. Direct random leaf writes (ablation "Base":
+  // N_batch = 0, so every insert is a trigger write). ----------------------
   {
     kvindex::RuntimeOptions ro;
     ro.device.pool_bytes = 2ULL << 30;
     kvindex::Runtime rt(ro);
     core::TreeOptions opt;
-    opt.buffering = false;
-    opt.background_gc = false;
+    opt.nbatch = 0;
+    opt.gc_quantum_ops = 0;
     core::CclBTree tree(rt, opt);
     pmsim::ThreadContext ctx(rt.device(), 0, 0);
     Probe probe(rt.device());
@@ -71,7 +72,7 @@ int main() {
     kvindex::Runtime rt(ro);
     core::TreeOptions opt;
     opt.write_conservative_logging = false;
-    opt.background_gc = false;
+    opt.gc_quantum_ops = 0;
     core::CclBTree tree(rt, opt);
     pmsim::ThreadContext ctx(rt.device(), 0, 0);
     Probe probe(rt.device());
@@ -87,7 +88,7 @@ int main() {
     ro.device.pool_bytes = 2ULL << 30;
     kvindex::Runtime rt(ro);
     core::TreeOptions opt;  // full design
-    opt.background_gc = false;
+    opt.gc_quantum_ops = 0;
     core::CclBTree tree(rt, opt);
     pmsim::ThreadContext ctx(rt.device(), 0, 0);
     Probe probe(rt.device());

@@ -49,7 +49,7 @@ cd "$(dirname "$0")"
 
 BASELINE_DIR="bench/baselines"
 DEFAULT_BASELINE_SCALE=60000
-DEFAULT_BASELINE_FILTER='fig03|fig04|tab1_nbatch|service_tail|fig17|extra_hash'
+DEFAULT_BASELINE_FILTER='fig03|fig04|tab1_nbatch|service_tail|fig17|extra_hash|fig13'
 
 fail() {
   echo "run_benches.sh: FAILED: $*" >&2

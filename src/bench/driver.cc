@@ -94,7 +94,9 @@ uint64_t WarmKey(const RunConfig& config, uint64_t i) {
 RunResult RunWorkload(kvindex::Runtime& runtime, kvindex::KvIndex& index,
                       const RunConfig& config) {
   assert(config.threads >= 1);
-  auto socket_of = [&](int w) { return runtime.SocketForWorker(w, config.threads_per_socket); };
+  // Fill-first at the paper's 48 cores per socket, unless the device sets
+  // its own core count.
+  auto socket_of = [&](int w) { return runtime.SocketForWorker(w, /*default_per_socket=*/48); };
   if (config.preset_keys != nullptr) {
     assert(config.preset_keys->size() >= config.warm_keys + config.ops);
   }

@@ -45,7 +45,6 @@ struct RunConfig {
   KeyDistribution dist = KeyDistribution::kUniform;
   double zipf_theta = 0.9;
   size_t scan_len = 100;
-  int threads_per_socket = 48;
   // Record the measurement phase's metrics: per-op-kind latency histograms
   // in virtual AND wall time (merged into RunResult::latency; the wall
   // clock is read per op only with this on), and the series of

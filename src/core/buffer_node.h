@@ -3,6 +3,13 @@
 // writes so they flush to the leaf's XPLine in one batch, and caching the
 // most recent KVs for reads.
 //
+// The slot protocol (Upsert, built on UpsertSlot, Put and Flush; the node
+// locked) is the one write path of CCL-BTree and CCL-Hash, and recovery's
+// replay stages and flushes through Put and Unflushed: slots [0, pos) hold
+// unflushed KVs, each tagged with the epoch of its log entry; slots
+// [pos, nbatch) cache flushed leaf state; a key is in at most one slot. With
+// N_batch = 0 every upsert is a trigger write (the unbuffered "Base" arm).
+//
 // The paper compresses {leaf pointer, version lock, epoch bitmap, position}
 // into an 8 B header plus N_batch KV slots; we keep the fields addressable
 // (slots are atomics so optimistic readers are race-free) and account DRAM
@@ -11,8 +18,10 @@
 #define SRC_CORE_BUFFER_NODE_H_
 
 #include <atomic>
+#include <cassert>
 #include <cstdint>
 #include <new>
+#include <span>
 
 #include "src/common/lock.h"
 #include "src/common/simd.h"
@@ -97,6 +106,103 @@ class BufferNode {
       return simd::KeyMatchStride2(reinterpret_cast<const uint64_t*>(slots_), nbatch_, key,
                                    (1u << nbatch_) - 1);
     }
+  }
+
+  // --- slot protocol (node locked) --------------------------------------------
+  // The slot an upsert of `key` goes to: the one holding its unflushed
+  // value, else slot pos, after slot pos's cached KV overwrites a stale
+  // cached copy of `key` elsewhere, so the key stays in one slot. -1 when
+  // every slot is unflushed: the upsert is a trigger write.
+  int UpsertSlot(uint64_t key) {
+    const int pos = this->pos();
+    const uint32_t unflushed = (1u << pos) - 1;
+    const uint32_t match = KeyMatch(key);
+    if ((match & unflushed) != 0) {
+      return __builtin_ctz(match & unflushed);
+    }
+    if (pos == nbatch_) {
+      return -1;
+    }
+    if (const uint32_t stale = match & ~unflushed; stale != 0 && __builtin_ctz(stale) != pos) {
+      BufferSlot& copy = slots_[__builtin_ctz(stale)];
+      copy.key.store(slots_[pos].key.load(std::memory_order_relaxed), std::memory_order_relaxed);
+      copy.value.store(slots_[pos].value.load(std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+    }
+    return pos;
+  }
+
+  // Stores an unflushed KV, logged in `epoch`, in `slot` (from UpsertSlot).
+  void Put(int slot, uint64_t key, uint64_t value, uint32_t epoch) {
+    slots_[slot].key.store(key, std::memory_order_relaxed);
+    slots_[slot].value.store(value, std::memory_order_release);
+    SetEpochBit(slot, epoch);
+    if (slot == pos()) {
+      set_pos(slot + 1);
+    }
+  }
+
+  // Copies the unflushed KVs, in slot order, to batch[0, pos) and returns
+  // pos: the head of every flush batch.
+  int Unflushed(kvindex::KeyValue* batch) const {
+    const int n = pos();
+    for (int i = 0; i < n; i++) {
+      batch[i] = {slots_[i].key.load(std::memory_order_relaxed),
+                  slots_[i].value.load(std::memory_order_relaxed)};
+    }
+    return n;
+  }
+
+  // Calls write(batch, n) once with the unflushed KVs, then `extra` (at most
+  // 8 in all). The slots cache flushed state by then, so `write` may check
+  // them against what it wrote: pos is 0 and slot 0 caches extra's first
+  // KV, a trigger write, whose key no other slot holds.
+  template <typename Write>
+  void Flush(std::span<const kvindex::KeyValue> extra, Write&& write) {
+    kvindex::KeyValue batch[8];
+    int n = Unflushed(batch);
+    assert(static_cast<size_t>(n) + extra.size() <= 8);
+    for (const kvindex::KeyValue& kv : extra) {
+      batch[n++] = kv;
+    }
+    set_pos(0);
+    if (!extra.empty() && nbatch_ > 0) {
+      slots_[0].key.store(extra[0].key, std::memory_order_relaxed);
+      slots_[0].value.store(extra[0].value, std::memory_order_release);
+    }
+    write(batch, n);
+  }
+
+  // One upsert of the write path (paper §3.2–§3.3); returns whether the
+  // node flushed. A buffered KV is logged (log() fails only on an exhausted
+  // log slab) before it takes its slot. A trigger write flushes the node
+  // with the KV in one write(batch, n) and is logged only when `log_trigger`
+  // (naive logging), as the flush makes it durable itself.
+  template <typename Log, typename Write>
+  bool Upsert(uint64_t key, uint64_t value, uint32_t epoch, bool log_trigger, Log&& log,
+              Write&& write) {
+    const int slot = UpsertSlot(key);
+    if (slot >= 0 || log_trigger) {
+      const bool logged = log();
+      assert(logged && "log slab exhausted");
+      (void)logged;
+    }
+    if (slot >= 0) {
+      Put(slot, key, value, epoch);
+      return false;
+    }
+    const kvindex::KeyValue trigger{key, value};
+    Flush({&trigger, 1}, write);
+    return true;
+  }
+
+  // Blanks every slot and empties the node.
+  void Clear() {
+    for (int i = 0; i < nbatch_; i++) {
+      slots_[i].key.store(0, std::memory_order_relaxed);
+      slots_[i].value.store(0, std::memory_order_relaxed);
+    }
+    set_pos(0);
   }
 
   // Allocation: slots trail the object (nbatch is fixed per tree).

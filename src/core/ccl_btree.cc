@@ -19,7 +19,7 @@ namespace cclbt::core {
 CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
                    kvindex::Lifecycle lifecycle)
     : rt_(runtime), options_(options), lifecycle_(lifecycle) {
-  assert(options_.nbatch >= 1 && options_.nbatch <= 6);
+  assert(options_.nbatch >= 0 && options_.nbatch <= 6);
   if (lifecycle_ == kvindex::Lifecycle::kAttach) {
     // Binding to the persistent image is deferred to Recover(), which
     // validates the root record instead of asserting on it.
@@ -120,8 +120,7 @@ bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
              BatchInsertLeaf(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
            },
        .nodes = [this] { return CollectBufferNodes(); },
-       .epoch = &global_epoch_,
-       .buffered = options_.buffering},
+       .epoch = &global_epoch_},
       max_ts, &root->ts_floor, &phases);
   recovery_phases_ = phases;
   recovered_ = true;
@@ -198,9 +197,9 @@ void CclBTree::Upsert(uint64_t key, uint64_t value) {
   }
   // Cooperative GC quantum, outside the naive gate (NaiveGc takes it
   // exclusively; scheduling from inside the shared section would deadlock).
-  if (options_.background_gc && options_.gc_mode != GcMode::kNone) {
+  if (options_.gc_quantum_ops > 0 && options_.gc_mode != GcMode::kNone) {
     uint64_t n = gc_op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (options_.gc_quantum_ops > 0 && n % static_cast<uint64_t>(options_.gc_quantum_ops) == 0) {
+    if (n % static_cast<uint64_t>(options_.gc_quantum_ops) == 0) {
       GcTick();
     }
   }
@@ -210,90 +209,20 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   assert(ctx != nullptr);
   ChargeDram(8);  // inner-index descent
-
-  if (!options_.buffering) {
-    // Ablation "Base": write straight to the PM leaf, FPTree-style. The
-    // leaf's bitmap-commit makes the single-KV insert crash-consistent
-    // without any WAL.
-    BufferNode* bn = RouteAndLock(key);
-    kvindex::KeyValue kv{key, value};
-    BatchInsertLeaf(bn, &kv, 1, Timestamp());
-    uint64_t sep = bn->sep();
-    bool underflow = value == kTombstone && bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
-    bn->Unlock();
-    if (underflow) {
-      TryMergeLeft(sep);
-    }
-    return;
-  }
-
   BufferNode* bn = RouteAndLock(key);
-  BufferSlot* slots = bn->slots();
-  int pos = bn->pos();
-  int nbatch = bn->nbatch();
   // The global epoch must be read inside the critical section: the GC flips
   // it and then visits every buffer node under its lock, so any slot tagged
   // with the old epoch here is guaranteed to be seen by the GC scan (§3.4).
   uint32_t epoch = global_epoch_.load(std::memory_order_acquire);
-
-  // One SIMD probe over the {key,value} slots; a key appears at most once in
-  // the buffer (see the stale-eviction below), so first-match == only-match.
-  uint32_t match = bn->KeyMatch(key);
-  uint32_t current_bits = match & ((1u << pos) - 1);
-  uint32_t stale_bits = match & ~((1u << pos) - 1);
-  int current_match = current_bits != 0 ? __builtin_ctz(current_bits) : -1;
-  int stale_match = stale_bits != 0 ? __builtin_ctz(stale_bits) : -1;
-  ChargeDram(static_cast<uint64_t>(nbatch));
-
-  if (current_match >= 0) {
-    // Update of a KV still buffered: overwrite in place. Logged always (it
-    // never triggers a flush).
-    uint64_t ts = Timestamp();
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log slab exhausted");
-    (void)logged;
-    slots[current_match].value.store(value, std::memory_order_release);
-    bn->SetEpochBit(current_match, epoch);
-    bn->Unlock();
-    return;
-  }
-
-  if (pos < nbatch) {
-    // Non-trigger write: append the WAL entry first, then fill the slot
-    // (§3.3 — the log is the recovery source for buffered KVs).
-    uint64_t ts = Timestamp();
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log slab exhausted");
-    (void)logged;
-    if (stale_match >= 0 && stale_match != pos) {
-      // Evict the stale cached copy of this key into the slot we are about
-      // to consume, so no key ever appears twice in the buffer.
-      slots[stale_match].key.store(slots[pos].key.load(std::memory_order_relaxed),
-                                   std::memory_order_relaxed);
-      slots[stale_match].value.store(slots[pos].value.load(std::memory_order_relaxed),
-                                     std::memory_order_relaxed);
-    }
-    slots[pos].key.store(key, std::memory_order_relaxed);
-    slots[pos].value.store(value, std::memory_order_release);
-    bn->SetEpochBit(pos, epoch);
-    bn->set_pos(pos + 1);
-    bn->Unlock();
-    return;
-  }
-
-  // Trigger write: the buffer is full — flush everything plus this KV in one
-  // XPLine batch. Write-conservative logging skips the WAL entry because the
-  // KV becomes durable via the leaf flush itself (§3.3).
-  uint64_t ts = Timestamp();
-  if (!options_.write_conservative_logging) {
-    bool logged = wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log slab exhausted");
-    (void)logged;
-  }
-  kvindex::KeyValue extra{key, value};
-  FlushBuffer(bn, &extra, ts);
+  ChargeDram(static_cast<uint64_t>(bn->nbatch()));  // the slot probe
+  const uint64_t ts = Timestamp();
+  // A trigger write flushes everything plus this KV in one XPLine batch.
+  const bool flushed = bn->Upsert(
+      key, value, epoch, !options_.write_conservative_logging,
+      [&] { return wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts); },
+      [&](kvindex::KeyValue* batch, int n) { FlushBatch(bn, batch, n, ts); });
   uint64_t sep = bn->sep();
-  bool underflow = bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
+  bool underflow = flushed && bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
   bn->Unlock();
   if (underflow) {
     TryMergeLeft(sep);
@@ -305,20 +234,8 @@ bool CclBTree::Remove(uint64_t key) {
   return true;
 }
 
-void CclBTree::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint64_t ts) {
+void CclBTree::FlushBatch(BufferNode* bn, kvindex::KeyValue* batch, int n, uint64_t ts) {
   trace::TraceScope scope(trace::Component::kBufferNode);
-  BufferSlot* slots = bn->slots();
-  int pos = bn->pos();
-  kvindex::KeyValue batch[8];
-  assert(pos + (extra != nullptr ? 1 : 0) <= 8);
-  for (int i = 0; i < pos; i++) {
-    batch[i].key = slots[i].key.load(std::memory_order_relaxed);
-    batch[i].value = slots[i].value.load(std::memory_order_relaxed);
-  }
-  int n = pos;
-  if (extra != nullptr) {
-    batch[n++] = *extra;
-  }
   trace::Emit(trace::EventType::kBufferFlush, static_cast<uint64_t>(n));
   BatchInsertLeaf(bn, batch, n, ts);
   buffer_flushes_.fetch_add(1, std::memory_order_relaxed);
@@ -329,11 +246,7 @@ void CclBTree::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint6
   // new leaf, and a later merge could make such out-of-range slots reachable
   // again with stale values — so revalidate every slot against the leaf and
   // blank the ones that no longer mirror it.
-  bn->set_pos(0);
-  if (extra != nullptr) {
-    slots[0].key.store(extra->key, std::memory_order_relaxed);
-    slots[0].value.store(extra->value, std::memory_order_release);
-  }
+  BufferSlot* slots = bn->slots();
   PmLeaf* leaf = bn->leaf();
   for (int i = 0; i < bn->nbatch(); i++) {
     uint64_t cached_key = slots[i].key.load(std::memory_order_relaxed);
@@ -595,7 +508,7 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
     // smaller timestamp and would be skipped by the recovery replay filter,
     // so drain the left buffer first (its flush timestamp is globally fresh).
     if (left->pos() > 0) {
-      FlushBuffer(left, nullptr, Timestamp());
+      FlushBuffer(left);
     }
     PmLeaf* left_leaf = left->leaf();
     PmLeaf* right_leaf = right->leaf();
@@ -685,28 +598,23 @@ bool CclBTree::Lookup(uint64_t key, uint64_t* value_out) {
     // Start the PM leaf's header line (bitmap + fingerprints) toward the
     // cache now: on a buffer miss the probe below needs it immediately.
     __builtin_prefetch(bn->leaf());
-    if (options_.buffering) {
-      // Buffer first: slots [0,pos) hold the newest unflushed values, slots
-      // [pos,nbatch) mirror flushed leaf state (§3.2/§4.3).
-      BufferSlot* slots = bn->slots();
-      int nbatch = bn->nbatch();
-      ChargeDram(static_cast<uint64_t>(nbatch));
-      uint32_t match = bn->KeyMatch(key);
-      if (match != 0) {
-        uint64_t value = slots[__builtin_ctz(match)].value.load(std::memory_order_acquire);
-        if (!bn->ReadValidate(snapshot)) {
-          continue;  // Retry from routing.
-        }
-        dram_hits_.fetch_add(1, std::memory_order_relaxed);
-        if (value == kTombstone) {
-          return false;
-        }
-        *value_out = value;
-        return true;
-      }
+    // Buffer first: slots [0,pos) hold the newest unflushed values, slots
+    // [pos,nbatch) mirror flushed leaf state (§3.2/§4.3).
+    ChargeDram(static_cast<uint64_t>(bn->nbatch()));
+    if (uint32_t match = bn->KeyMatch(key); match != 0) {
+      uint64_t value = bn->slots()[__builtin_ctz(match)].value.load(std::memory_order_acquire);
       if (!bn->ReadValidate(snapshot)) {
-        continue;
+        continue;  // Retry from routing.
       }
+      dram_hits_.fetch_add(1, std::memory_order_relaxed);
+      if (value == kTombstone) {
+        return false;
+      }
+      *value_out = value;
+      return true;
+    }
+    if (!bn->ReadValidate(snapshot)) {
+      continue;
     }
     // Miss in the buffer: one XPLine read from the PM leaf, filtered by the
     // header's bitmap + fingerprints.
@@ -753,13 +661,8 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     PmLeaf leaf_copy;
     std::memcpy(static_cast<void*>(&leaf_copy), static_cast<const void*>(bn->leaf()), kLeafBytes);
     pmsim::ReadPm(bn->leaf(), kLeafBytes);
-    int pos = bn->pos();
-    int nbatch = bn->nbatch();
     kvindex::KeyValue buffered[8];
-    for (int i = 0; i < pos; i++) {
-      buffered[i].key = bn->slots()[i].key.load(std::memory_order_acquire);
-      buffered[i].value = bn->slots()[i].value.load(std::memory_order_acquire);
-    }
+    const int pos = bn->Unflushed(buffered);
     if (!bn->ReadValidate(snapshot)) {
       continue;
     }
@@ -786,7 +689,7 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
     }
     std::sort(window, window + n,
               [](const kvindex::KeyValue& a, const kvindex::KeyValue& b) { return a.key < b.key; });
-    ChargeDram(n * 6 + static_cast<uint64_t>(nbatch));
+    ChargeDram(n * 6 + static_cast<uint64_t>(bn->nbatch()));
 
     for (const auto& entry : std::span(window, n)) {
       if (entry.key < cursor || entry.value == kTombstone) {
@@ -1010,7 +913,7 @@ void CclBTree::FlushAll() {
   for (BufferNode* bn : CollectBufferNodes()) {
     bn->Lock();
     if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn, nullptr, Timestamp());
+      FlushBuffer(bn);
     }
     bn->Unlock();
   }

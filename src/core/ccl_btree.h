@@ -75,8 +75,8 @@ class CclBTree : public kvindex::KvIndex {
   void RunGcOnce();
   bool GcTriggerReached() const;
   // Deterministic virtual-time GC step on the tree-owned GC context, called
-  // every gc_quantum_ops-th upsert when background_gc is on; tests may call
-  // it directly. Locality-aware GC starts a round if none is active and the
+  // every gc_quantum_ops-th upsert (never with a quantum of 0); tests may
+  // call it directly. Locality-aware GC starts a round if none is active and the
   // trigger has fired, then runs one span of it (LocalityAwareGcRound) that
   // ends by the calling worker's present: at max(GC clock, W - S), where W
   // is the caller's clock and S one span's media service time, and not at
@@ -144,9 +144,15 @@ class CclBTree : public kvindex::KvIndex {
   // Routes to the covering buffer node and acquires its version lock,
   // retrying on concurrent splits/merges.
   BufferNode* RouteAndLock(uint64_t key);
-  // Flushes all buffered KVs plus `extra` into the leaf in one batch
-  // (bn locked). `ts` stamps the leaf.
-  void FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint64_t ts);
+  // Writes one flush batch of bn (BufferNode::Flush or ::Upsert; bn locked)
+  // to its leaf, stamped `ts`, then blanks each cache slot that no longer
+  // mirrors the leaf.
+  void FlushBatch(BufferNode* bn, kvindex::KeyValue* batch, int n, uint64_t ts);
+  // Flushes all of bn's buffered KVs to its leaf in one batch (bn locked).
+  void FlushBuffer(BufferNode* bn) {
+    const uint64_t ts = Timestamp();
+    bn->Flush({}, [&](kvindex::KeyValue* batch, int n) { FlushBatch(bn, batch, n, ts); });
+  }
   // Applies `n` KVs to bn's leaf: in-place updates, tombstones, new slots;
   // splits when full. Persists data lines then the header (bn locked).
   // When update_ts is false the leaf timestamp is preserved (recovery replay).

@@ -162,8 +162,7 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
              BatchInsertBucket(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
            },
        .nodes = [this] { return directory_; },
-       .epoch = &global_epoch_,
-       .buffered = options_.buffering},
+       .epoch = &global_epoch_},
       max_ts, &root->ts_floor, &phases);
   recovery_phases_ = phases;
   recovered_ = true;
@@ -183,77 +182,14 @@ void CclHashTable::Upsert(uint64_t key, uint64_t value) {
   ChargeDram(1);  // the directory slot
   BufferNode* bn = directory_[BucketIndex(key)];
   bn->Lock();
-  if (!options_.buffering) {
-    kvindex::KeyValue kv{key, value};
-    BatchInsertBucket(bn, &kv, 1, Timestamp());
-    bn->Unlock();
-    return;
-  }
-  BufferSlot* slots = bn->slots();
-  int pos = bn->pos();
-  int nbatch = bn->nbatch();
   uint32_t epoch = global_epoch_.load(std::memory_order_acquire);
-
-  // A key appears at most once in the buffer, as in CclBTree::Upsert.
-  uint32_t match = bn->KeyMatch(key);
-  uint32_t current_bits = match & ((1u << pos) - 1);
-  uint32_t stale_bits = match & ~((1u << pos) - 1);
-  int current_match = current_bits != 0 ? __builtin_ctz(current_bits) : -1;
-  int stale_match = stale_bits != 0 ? __builtin_ctz(stale_bits) : -1;
-  ChargeDram(static_cast<uint64_t>(nbatch));
-  if (current_match >= 0) {
-    Log(ctx->worker_id(), epoch, key, value, Timestamp());
-    slots[current_match].value.store(value, std::memory_order_release);
-    bn->SetEpochBit(current_match, epoch);
-    bn->Unlock();
-    return;
-  }
-  if (pos < nbatch) {
-    Log(ctx->worker_id(), epoch, key, value, Timestamp());
-    if (stale_match >= 0 && stale_match != pos) {
-      slots[stale_match].key.store(slots[pos].key.load(std::memory_order_relaxed),
-                                   std::memory_order_relaxed);
-      slots[stale_match].value.store(slots[pos].value.load(std::memory_order_relaxed),
-                                     std::memory_order_relaxed);
-    }
-    slots[pos].key.store(key, std::memory_order_relaxed);
-    slots[pos].value.store(value, std::memory_order_release);
-    bn->SetEpochBit(pos, epoch);
-    bn->set_pos(pos + 1);
-    bn->Unlock();
-    return;
-  }
-  // Trigger write: flush buffered KVs + this one in one bucket batch;
-  // write-conservative logging skips the WAL entry (§3.3).
-  uint64_t ts = Timestamp();
-  if (!options_.write_conservative_logging) {
-    Log(ctx->worker_id(), epoch, key, value, ts);
-  }
-  kvindex::KeyValue extra{key, value};
-  FlushBuffer(bn, &extra, ts);
+  ChargeDram(static_cast<uint64_t>(bn->nbatch()));  // the slot probe
+  const uint64_t ts = Timestamp();
+  bn->Upsert(
+      key, value, epoch, !options_.write_conservative_logging,
+      [&] { return wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts); },
+      [&](const kvindex::KeyValue* batch, int n) { BatchInsertBucket(bn, batch, n, ts); });
   bn->Unlock();
-}
-
-void CclHashTable::FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint64_t ts) {
-  BufferSlot* slots = bn->slots();
-  int pos = bn->pos();
-  kvindex::KeyValue batch[8];
-  for (int i = 0; i < pos; i++) {
-    batch[i] = {slots[i].key.load(std::memory_order_relaxed),
-                slots[i].value.load(std::memory_order_relaxed)};
-  }
-  int n = pos;
-  if (extra != nullptr) {
-    batch[n++] = *extra;
-  }
-  BatchInsertBucket(bn, batch, n, ts);
-  bn->set_pos(0);
-  if (extra != nullptr) {
-    // A trigger write finds every slot current and none holding its key, so
-    // the slots it leaves as read cache stay distinct.
-    slots[0].key.store(extra->key, std::memory_order_relaxed);
-    slots[0].value.store(extra->value, std::memory_order_release);
-  }
 }
 
 void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kvs, int n,
@@ -402,22 +338,20 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
   BufferNode* bn = directory_[BucketIndex(key)];
   for (;;) {
     uint64_t snapshot = bn->ReadBegin();
-    if (options_.buffering) {
-      ChargeDram(static_cast<uint64_t>(bn->nbatch()));
-      if (const uint32_t match = bn->KeyMatch(key); match != 0) {
-        uint64_t value = bn->slots()[__builtin_ctz(match)].value.load(std::memory_order_acquire);
-        if (!bn->ReadValidate(snapshot)) {
-          continue;
-        }
-        if (value == kTombstone) {
-          return false;
-        }
-        *value_out = value;
-        return true;
-      }
+    ChargeDram(static_cast<uint64_t>(bn->nbatch()));
+    if (const uint32_t match = bn->KeyMatch(key); match != 0) {
+      uint64_t value = bn->slots()[__builtin_ctz(match)].value.load(std::memory_order_acquire);
       if (!bn->ReadValidate(snapshot)) {
         continue;
       }
+      if (value == kTombstone) {
+        return false;
+      }
+      *value_out = value;
+      return true;
+    }
+    if (!bn->ReadValidate(snapshot)) {
+      continue;
     }
     for (PmLeaf* node = bn->leaf(); node != nullptr; node = BucketAt(node->next_offset())) {
       pmsim::ReadPm(node, kLeafBytes);
@@ -451,7 +385,7 @@ size_t CclHashTable::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* o
       snapshot = bn->ReadBegin();
       found.resize(static_cast<size_t>(mark));
       // The buffered slots first, tombstones included: they override the chain.
-      for (int i = 0; options_.buffering && i < bn->nbatch(); i++) {
+      for (int i = 0; i < bn->nbatch(); i++) {
         uint64_t key = bn->slots()[i].key.load(std::memory_order_acquire);
         if (key != 0) {
           found.push_back({key, bn->slots()[i].value.load(std::memory_order_acquire)});

@@ -15,16 +15,17 @@
 //   GC            locality-aware B-log/I-log epoch flip
 //
 // It runs on CCL-BTree's machinery: the same TreeOptions, the same kvindex
-// lifecycle and the same recovery (WalSet::Replay filtered by
-// BufferNode::recovery_orig_ts, and a persisted timestamp floor). Routing is
-// simpler than the tree's: an entry's chain is recomputed from its key hash,
-// so no fence entries are needed. The bucket count is fixed (resizing à la
+// lifecycle, the same write path (BufferNode::Upsert: an upsert fills a
+// slot after its log entry, or flushes the node to its chain as an
+// unlogged trigger write) and the same recovery (WalSet::Replay filtered by
+// BufferNode::recovery_orig_ts, and a persisted timestamp floor). Routing
+// is simpler than the tree's: an entry's chain is recomputed from its key
+// hash, so no fence entries are needed. The bucket count is fixed (resizing à la
 // CLevel is out of scope for this prototype).
 #ifndef SRC_CORE_CCL_HASH_H_
 #define SRC_CORE_CCL_HASH_H_
 
 #include <atomic>
-#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -44,9 +45,10 @@ class CclHashTable : public kvindex::KvIndex {
   // (Lifecycle::kCreate, app-root slot 1), or binds to an existing table
   // after Runtime::Reopen() (Lifecycle::kAttach: the bucket count is the
   // persisted one) — an attached table must complete Recover() before any
-  // operation. Reads nbatch, buffering (false = the unbuffered ablation arm:
-  // direct bucket writes, no WAL), write_conservative_logging and
-  // max_workers from `options`.
+  // operation. Reads nbatch (0 = the unbuffered ablation arm: every upsert
+  // is a trigger write, a direct bucket write that write-conservative
+  // logging never logs), write_conservative_logging and max_workers from
+  // `options`.
   CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options, size_t num_buckets,
                kvindex::Lifecycle lifecycle = kvindex::Lifecycle::kCreate);
 
@@ -120,11 +122,6 @@ class CclHashTable : public kvindex::KvIndex {
   void ChargeDram(uint64_t accesses) const {
     pmsim::AdvanceCpu(accesses * rt_.device().config().cost.dram_access_ns);
   }
-  void Log(int worker, uint32_t epoch, uint64_t key, uint64_t value, uint64_t ts) {
-    bool logged = wals_->Append(worker, static_cast<int>(epoch), key, value, ts);
-    assert(logged && "log slab exhausted");
-    (void)logged;
-  }
 
   // Applies a batch to bn's bucket chain (bn locked): in-place updates,
   // tombstone bit-clears, appends, overflow buckets when the chain is full.
@@ -134,7 +131,6 @@ class CclHashTable : public kvindex::KvIndex {
   // is false (recovery replay) no timestamp changes.
   void BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kvs, int n, uint64_t ts,
                          bool update_ts = true);
-  void FlushBuffer(BufferNode* bn, const kvindex::KeyValue* extra, uint64_t ts);
 
   kvindex::Runtime& rt_;
   TreeOptions options_;

@@ -50,7 +50,6 @@ struct alignas(kLeafBytes) PmLeaf {
   uint64_t bitmap() const { return MetaBitmap(meta.load(std::memory_order_acquire)); }
   uint64_t next_offset() const { return MetaNextOffset(meta.load(std::memory_order_acquire)); }
 
-  bool SlotValid(int slot) const { return (bitmap() >> slot) & 1; }
   int ValidCount() const { return __builtin_popcountll(bitmap()); }
 
   // Valid slots holding a live value. A valid slot with value 0 is a *fence

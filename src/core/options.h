@@ -14,24 +14,24 @@ enum class GcMode {
 };
 
 struct TreeOptions {
-  // Number of KV slots per buffer node (paper N_batch).
+  // Number of KV slots per buffer node (paper N_batch), 0 to 6. With 0
+  // every upsert is a trigger write straight to its leaf, which
+  // write-conservative logging never logs.
   int nbatch = 2;
   // GC trigger: run when log bytes exceed th_log_pct% of leaf bytes.
   int th_log_pct = 20;
   GcMode gc_mode = GcMode::kLocalityAware;
-  // Ablation switches (paper Figure 13):
-  //   buffering=false                        -> "Base"
-  //   buffering=true, conservative=false     -> "+BNode" (naive logging)
-  //   buffering=true, conservative=true      -> "+WLog"  (full design)
-  bool buffering = true;
+  // Ablation arms (paper Figure 13):
+  //   nbatch=0, conservative=true      -> "Base"   (direct leaf writes, no log)
+  //   nbatch=2, conservative=false     -> "+BNode" (naive logging)
+  //   nbatch=2, conservative=true      -> "+WLog"  (full design)
   bool write_conservative_logging = true;
-  // Run GC automatically when the trigger fires (benches may drive GC
-  // manually instead). GC is a virtual-time participant (DESIGN.md §10):
-  // every gc_quantum_ops-th upsert checks the trigger (the cooperative
-  // quantum) and runs a due round on the tree's own ThreadContext, so runs
-  // stay deterministic. Smaller quanta react faster to log growth at the
-  // price of more trigger checks on the write path.
-  bool background_gc = true;
+  // GC is a virtual-time participant (DESIGN.md §10): every
+  // gc_quantum_ops-th upsert checks the trigger (the cooperative quantum)
+  // and runs a due span on the tree's own ThreadContext, so runs stay
+  // deterministic. Smaller quanta react faster to log growth at the price
+  // of more trigger checks on the write path. 0: GC runs only when a caller
+  // drives it (GcTick, RunGcOnce).
   int gc_quantum_ops = 64;
   // Maximum worker ids (threads) the per-thread WAL array supports; the
   // tree's GC context appends its I-log entries as the last one.

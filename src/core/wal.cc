@@ -274,21 +274,12 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
   // staged KV may stay behind in the half that no longer covers it.
   auto write_node = [&target](BufferNode* bn, std::span<const LogEntry> extra) {
     kvindex::KeyValue batch[8];
-    int count = 0;
-    BufferSlot* slots = bn->slots();
-    for (int i = 0; i < bn->pos(); i++) {
-      batch[count++] = {slots[i].key.load(std::memory_order_relaxed),
-                        slots[i].value.load(std::memory_order_relaxed)};
-    }
+    int count = bn->Unflushed(batch);
     for (const LogEntry& entry : extra) {
       batch[count++] = {entry.key, entry.value};
     }
     target.write(bn, batch, count);
-    for (int i = 0; i < bn->nbatch(); i++) {
-      slots[i].key.store(0, std::memory_order_relaxed);
-      slots[i].value.store(0, std::memory_order_relaxed);
-    }
-    bn->set_pos(0);
+    bn->Clear();
   };
 
   // Each step stages the next entries of one node, as a buffered upsert
@@ -303,14 +294,10 @@ uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarg
     }
     BufferNode* bn = target.node(entries[next].key);
     bn->Lock();
-    const int capacity = target.buffered ? bn->nbatch() : 0;
     do {
-      if (const int pos = bn->pos(); pos < capacity) {
+      if (const int pos = bn->pos(); pos < bn->nbatch()) {
         pmsim::AdvanceCpu(static_cast<uint64_t>(8 + bn->nbatch()) * dram_ns);
-        bn->slots()[pos].key.store(entries[next].key, std::memory_order_relaxed);
-        bn->slots()[pos].value.store(entries[next].value, std::memory_order_release);
-        bn->SetEpochBit(pos, epoch);
-        bn->set_pos(pos + 1);
+        bn->Put(pos, entries[next].key, entries[next].value, epoch);
         next++;
         continue;
       }

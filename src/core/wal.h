@@ -206,7 +206,6 @@ class WalSet {
     // Every live buffer node, for the copy round.
     std::function<std::vector<BufferNode*>()> nodes;
     std::atomic<uint32_t>* epoch;  // the index's global epoch
-    bool buffered;  // false: the index reads no buffer, so nothing is staged
   };
   // Recovery's replay for CCL-BTree and CCL-Hash (DESIGN.md §10), on
   // `threads` virtual workers on the boot context's socket, starting at its

@@ -59,9 +59,8 @@ kvindex::RuntimeOptions RuntimeOptionsFor(const MatrixConfig& config) {
 bench::IndexConfig IndexConfigFor() {
   bench::IndexConfig index_config;
   // Deterministic GC (DESIGN.md §10) keeps fence counts a pure function of
-  // the op stream even with background GC on, so the matrix can crash inside
-  // GC's own flush/fence stream instead of disabling it.
-  index_config.tree.background_gc = true;
+  // the op stream even with the cooperative GC quantum on, so the matrix can
+  // crash inside GC's own flush/fence stream instead of disabling it.
   index_config.tree.th_log_pct = kThLogPct;
   index_config.tree.gc_quantum_ops = kGcQuantumOps;
   index_config.tree.max_workers = 2 + kRecoveryThreads;

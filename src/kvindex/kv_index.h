@@ -57,8 +57,10 @@ class KvIndex {
   // DRAM / PM space accounting for the paper's Figure 18.
   virtual MemoryFootprint Footprint() const = 0;
 
-  // Hook called once after warm-up so indexes with deferred work (e.g.
-  // DPTree's buffer merge) can reach a steady state before measurement.
+  // Writes every buffered KV through to the index's persistent structure:
+  // CCL-BTree flushes each buffer node to its leaf, DPTree merges its buffer
+  // into the base tree, the LSM store flushes its memtable. Naive GC is
+  // built on it; benches and tests call it to reach a drained state.
   virtual void FlushAll() {}
 
   // Deterministic-GC hook (DESIGN.md §10): an index with a schedulable

@@ -71,22 +71,23 @@ class Runtime {
   OrdoClock& ordo() { return ordo_; }
   const RuntimeOptions& options() const { return options_; }
 
-  // Socket for a worker index. With an explicit threads_per_socket (or
-  // DeviceConfig::cores_per_socket), fill socket 0's cores first, then
-  // socket 1 — mirroring the paper's pthread_setaffinity_np pinning on a
-  // 2x48-way box. When neither is given (0), place workers round-robin
-  // across sockets so small-worker-count runs still exercise the configured
-  // topology instead of piling every worker onto socket 0 behind a 48-core
-  // fill threshold they never cross.
-  int SocketForWorker(int worker, int threads_per_socket = 0) const {
+  // Socket for a worker index. Fill-first, socket 0's cores before socket
+  // 1's, mirroring the paper's pthread_setaffinity_np pinning on a 2x48-way
+  // box, at DeviceConfig::cores_per_socket cores per socket, or at the
+  // caller's `default_per_socket` when the device leaves it 0. When both are
+  // 0, place workers round-robin across sockets so small-worker-count runs
+  // still exercise the configured topology instead of piling every worker
+  // onto socket 0 behind a 48-core fill threshold they never cross.
+  int SocketForWorker(int worker, int default_per_socket = 0) const {
     int num_sockets = device_.config().num_sockets;
-    if (threads_per_socket <= 0) {
-      threads_per_socket = device_.config().cores_per_socket;
+    int per_socket = device_.config().cores_per_socket;
+    if (per_socket <= 0) {
+      per_socket = default_per_socket;
     }
-    if (threads_per_socket <= 0) {
+    if (per_socket <= 0) {
       return worker % num_sockets;
     }
-    return (worker / threads_per_socket) % num_sockets;
+    return (worker / per_socket) % num_sockets;
   }
 
  private:

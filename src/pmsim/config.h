@@ -78,13 +78,12 @@ struct DeviceConfig {
   size_t pool_bytes = 1ULL << 30;
   int num_sockets = 2;
   int dimms_per_socket = 4;
-  // CPU cores per socket, used by worker->socket placement
-  // (kvindex::Runtime::SocketForWorker) when the caller does not pass an
-  // explicit threads-per-socket. 0 (the default) means "unspecified": small
-  // worker counts are then placed round-robin across sockets instead of
-  // piling onto socket 0 behind a fill-first threshold no run of that size
-  // ever crosses. Set to e.g. 48 to model the paper's 2x48-way box with
-  // fill-first pinning.
+  // CPU cores per socket of fill-first worker->socket placement
+  // (kvindex::Runtime::SocketForWorker). 0 (the default) means
+  // "unspecified": the caller's default then applies (the bench driver's is
+  // the paper's 48), and with none, workers are placed round-robin across
+  // sockets instead of piling onto socket 0 behind a fill-first threshold no
+  // small run ever crosses.
   int cores_per_socket = 0;
   // Per-DIMM write-combining buffer (XPBuffer): 16 KB of 256 B XPLines.
   size_t xpbuffer_bytes = 16 * 1024;

@@ -8,7 +8,6 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "src/common/rng.h"
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/media_model.h"
 #include "src/pmsim/pmcheck.h"
@@ -480,8 +479,15 @@ void PmDevice::DrainBuffers() {
   }
 }
 
-void PmDevice::Crash() {
-  assert(shadow_.data != nullptr && "Crash() requires crash_tracking");
+void PmDevice::Crash() { CrashWith(nullptr); }
+
+void PmDevice::CrashTorn(uint64_t seed) {
+  Rng rng(seed);
+  CrashWith(&rng);
+}
+
+void PmDevice::CrashWith(Rng* torn) {
+  assert(shadow_.data != nullptr && "a crash requires crash_tracking");
   if (pmcheck_ != nullptr) {
     // An injector-scheduled crash is the harness doing its job — in-flight
     // state is expected there, so the class-4 scan only runs for crashes
@@ -498,40 +504,13 @@ void PmDevice::Crash() {
   // durable, so it reports 0).
   uint64_t volatile_lines_lost = media_->DropVolatileOnCrash();
   uint64_t lines_dropped = 0;
-  {
-    sync::LockGuard<sync::Mutex> guard(contexts_mu_);
-    for (ThreadContext* ctx : contexts_) {
-      lines_dropped += ctx->pending_lines_.size();
-      ctx->ClearPending();
-    }
-    lines_dropped += unwound_pending_.size();
-    unwound_pending_.clear();
-  }
-  stats_.AddCrash(lines_dropped + volatile_lines_lost, /*torn_lines_applied=*/0);
-  RestoreWorkingImage();
-  // Fresh boot: the XPBuffer is power-protected, so its content already lives
-  // in the shadow image; the model itself restarts cold.
-  for (auto& xpbuffer : xpbuffers_) {
-    xpbuffer->Drain([](bool, trace::Component, uint64_t) {});
-  }
-}
-
-void PmDevice::CrashTorn(uint64_t seed) {
-  assert(shadow_.data != nullptr && "CrashTorn() requires crash_tracking");
-  if (pmcheck_ != nullptr) {
-    pmcheck_->OnCrash((injector_ != nullptr && injector_->fired()) || !durable_at_commit_);
-  }
-  if (lockcheck_ != nullptr) {
-    lockcheck_->OnCrash();
-  }
-  uint64_t volatile_lines_lost = media_->DropVolatileOnCrash();
-  Rng rng(seed);
-  uint64_t lines_dropped = 0;
   uint64_t torn_lines_applied = 0;
   {
     sync::LockGuard<sync::Mutex> guard(contexts_mu_);
-    auto draw = [&](uintptr_t line) {
-      if ((rng.Next() & 1) != 0) {
+    // Each pending line's fate, drawn in a fixed order (live contexts in
+    // registration order, then unwound lines) so a seed names one image.
+    auto settle = [&](uintptr_t line) {
+      if (torn != nullptr && (torn->Next() & 1) != 0) {
         WriteShadowLine(line, pool_.get() + line);
         torn_lines_applied++;
       } else {
@@ -540,17 +519,19 @@ void PmDevice::CrashTorn(uint64_t seed) {
     };
     for (ThreadContext* ctx : contexts_) {
       for (uintptr_t line : ctx->pending_lines_) {
-        draw(line);
+        settle(line);
       }
       ctx->ClearPending();
     }
     for (uintptr_t line : unwound_pending_) {
-      draw(line);
+      settle(line);
     }
     unwound_pending_.clear();
   }
   stats_.AddCrash(lines_dropped + volatile_lines_lost, torn_lines_applied);
   RestoreWorkingImage();
+  // Fresh boot: the XPBuffer is power-protected, so its content already lives
+  // in the shadow image; the model itself restarts cold.
   for (auto& xpbuffer : xpbuffers_) {
     xpbuffer->Drain([](bool, trace::Component, uint64_t) {});
   }

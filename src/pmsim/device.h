@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/common/lock.h"
+#include "src/common/rng.h"
 #include "src/pmsim/config.h"
 #include "src/pmsim/crash_injector.h"
 #include "src/pmsim/stats.h"
@@ -253,6 +254,10 @@ class PmDevice {
       word.fetch_or(bit, std::memory_order_relaxed);
     }
   }
+  // Crash() and CrashTorn(): settles every pending line, persisting it when
+  // `torn` is non-null and its next draw is odd, else dropping it; then
+  // restores the working image.
+  void CrashWith(Rng* torn);
   // Crash()/CrashTorn(): makes the working image equal the shadow image by
   // copying back marked pages and returning each run of unmarked pages to
   // the kernel (zero-filled on next touch).

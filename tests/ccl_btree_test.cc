@@ -37,7 +37,7 @@ std::unique_ptr<Runtime> MakeRuntime(size_t pool_bytes = 256 << 20,
 
 TreeOptions QuietOptions() {
   TreeOptions options;
-  options.background_gc = false;  // tests drive GC explicitly
+  options.gc_quantum_ops = 0;  // tests drive GC explicitly
   return options;
 }
 
@@ -251,11 +251,11 @@ TEST_F(CclBTreeTest, XbiLowerThanUnbufferedBase) {
   // The headline claim: leaf-node centric buffering reduces media writes per
   // user byte vs writing each KV straight to a random leaf (§3.5). ADR only:
   // eADR's random cache evictions scatter the batched leaf writes.
-  auto measure = [](bool buffering) {
+  auto measure = [](int nbatch) {
     auto rt = MakeRuntime(256 << 20, pmsim::MediaBackend::kAdrOptane);
     TreeOptions options;
-    options.background_gc = false;
-    options.buffering = buffering;
+    options.gc_quantum_ops = 0;
+    options.nbatch = nbatch;
     CclBTree tree(*rt, options);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     Rng rng(7);
@@ -267,8 +267,8 @@ TEST_F(CclBTreeTest, XbiLowerThanUnbufferedBase) {
     rt->device().DrainBuffers();
     return rt->device().stats().Snapshot().XbiAmplification();
   };
-  double xbi_base = measure(false);
-  double xbi_ccl = measure(true);
+  double xbi_base = measure(0);
+  double xbi_ccl = measure(2);
   EXPECT_LT(xbi_ccl, xbi_base * 0.75);
 }
 
@@ -276,7 +276,7 @@ TEST_F(CclBTreeTest, WriteConservativeLoggingReducesLogBytes) {
   auto measure = [](bool conservative) {
     auto rt = MakeRuntime();
     TreeOptions options;
-    options.background_gc = false;
+    options.gc_quantum_ops = 0;
     options.write_conservative_logging = conservative;
     CclBTree tree(*rt, options);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
@@ -555,7 +555,7 @@ TEST(CclGc, RoundThatRunsOutOfLogKeepsTheBLog) {
 TEST(CclBTreeConcurrency, ParallelDisjointInserts) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(*rt, options);
   const int kThreads = 4;
   const uint64_t kPerThread = 20000;
@@ -587,7 +587,7 @@ TEST(CclBTreeConcurrency, ParallelDisjointInserts) {
 TEST(CclBTreeConcurrency, ReadersDuringWritesSeeConsistentValues) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(*rt, options);
   {
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
@@ -628,7 +628,7 @@ TEST(CclBTreeConcurrency, ReadersDuringWritesSeeConsistentValues) {
 TEST(CclBTreeConcurrency, GcConcurrentWithForegroundInserts) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(*rt, options);
   std::atomic<bool> stop{false};
   std::thread gc([&] {
@@ -672,7 +672,7 @@ TEST_P(CclCrashTest, AllCompletedUpsertsSurviveCrash) {
   // it was either WAL-logged + fenced, or flushed with the leaf batch.
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   const int kOps = 20000;
   std::map<uint64_t, uint64_t> model;
   {
@@ -701,7 +701,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CclCrashTest, ::testing::Values(1, 2, 3, 4, 5));
 TEST(CclRecovery, DeletesSurviveCrash) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   {
     CclBTree tree(*rt, options);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
@@ -724,7 +724,7 @@ TEST(CclRecovery, DeletesSurviveCrash) {
 TEST(CclRecovery, CrashAfterGcLosesNothing) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   std::map<uint64_t, uint64_t> model;
   {
     CclBTree tree(*rt, options);
@@ -762,7 +762,7 @@ TEST(CclRecovery, ParallelRecoveryMatchesSerial) {
   auto build = [](int recovery_threads) {
     auto rt = MakeRuntime();
     TreeOptions options;
-    options.background_gc = false;
+    options.gc_quantum_ops = 0;
     std::map<uint64_t, uint64_t> model;
     {
       CclBTree tree(*rt, options);
@@ -965,7 +965,7 @@ TEST(CclRecovery, DamagedLogEntryOffsetDropsOnlyItsChunk) {
 TEST(CclRecovery, DoubleCrashDuringOperationIsSafe) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   std::map<uint64_t, uint64_t> model;
   {
     CclBTree tree(*rt, options);
@@ -995,7 +995,7 @@ TEST(CclRecovery, DoubleCrashDuringOperationIsSafe) {
 TEST(CclRecovery, RecoveredTreeAcceptsNewWritesAndScans) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   {
     CclBTree tree(*rt, options);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
@@ -1023,7 +1023,7 @@ TEST(CclRecovery, TornCrashIsRecoverable) {
   // restore every completed upsert.
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   std::map<uint64_t, uint64_t> model;
   {
     CclBTree tree(*rt, options);
@@ -1271,24 +1271,103 @@ TEST(CclRecovery, OverflowingNodesRecoverAgainAfterCrashAtEveryFence) {
 
 // --- ablation configurations ------------------------------------------------------
 
+// Base (N_batch = 0): every upsert is a trigger write, durable in its leaf
+// when it returns and never logged. A crash after a run has returned, or at
+// any fence of a mixed upsert/delete run, clean or torn, keeps every
+// acknowledged op, and the op in flight is applied wholly or not at all.
 TEST(CclAblation, BaseModeIsDurablePerOperation) {
-  auto rt = MakeRuntime();
-  TreeOptions options;
-  options.background_gc = false;
-  options.buffering = false;
-  {
-    CclBTree tree(*rt, options);
-    pmsim::ThreadContext ctx(rt->device(), 0, 0);
-    for (uint64_t k = 1; k <= 3000; k++) {
-      tree.Upsert(k, k + 7);
+  TreeOptions options = QuietOptions();
+  options.nbatch = 0;
+  std::vector<KeyValue> ops;
+  Rng rng(29);
+  for (int i = 0; i < 400; i++) {
+    uint64_t key = Mix64(rng.NextBounded(120) + 1) | 1;
+    ops.push_back({key, rng.NextBounded(4) == 0 ? kTombstone : rng.Next() | 1});
+  }
+  // Runs `ops` on a fresh tree with a crash armed at `target` (0: none), and
+  // returns how many were acknowledged.
+  auto run = [&](Runtime& rt, pmsim::CrashInjector& injector, uint64_t target) {
+    CclBTree tree(rt, options);
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    rt.device().SetCrashInjector(&injector);
+    injector.Arm(target);
+    size_t acked = 0;
+    try {
+      for (; acked < ops.size(); acked++) {
+        tree.Upsert(ops[acked].key, ops[acked].value);
+      }
+      EXPECT_EQ(tree.log_live_bytes(), 0u);
+      EXPECT_GT(tree.merges(), 0u);
+    } catch (const pmsim::CrashPointReached&) {
+    }
+    rt.device().SetCrashInjector(nullptr);
+    return acked;
+  };
+  // Crashes `rt`, recovers, and checks every key of `ops` against the first
+  // `acked` ops; ops[acked], if any, was in flight and may read old or new.
+  auto expect_acked = [&](Runtime& rt, size_t acked, bool torn, uint64_t torn_seed) {
+    std::map<uint64_t, uint64_t> model;  // kTombstone: deleted
+    for (size_t i = 0; i < acked; i++) {
+      model[ops[i].key] = ops[i].value;
+    }
+    auto tree = testutil::CrashAndRecoverTree(rt, options, 1, torn, torn_seed);
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (const KeyValue& op : ops) {
+      uint64_t got = 0;
+      const bool found = tree->Lookup(op.key, &got);
+      const uint64_t value = found ? got : kTombstone;
+      const auto it = model.find(op.key);
+      const uint64_t acked_value = it != model.end() ? it->second : kTombstone;
+      if (acked < ops.size() && op.key == ops[acked].key) {
+        ASSERT_TRUE(value == acked_value || value == ops[acked].value) << "key " << op.key;
+      } else {
+        ASSERT_EQ(value, acked_value) << "key " << op.key;
+      }
+    }
+    ASSERT_TRUE(tree->CheckInvariants());
+  };
+
+  uint64_t fences = 0;
+  for (bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "completed run, torn" : "completed run, clean");
+    auto rt = MakeRuntime(32 << 20);
+    pmsim::CrashInjector injector;
+    ASSERT_EQ(run(*rt, injector, 0), ops.size());
+    fences = injector.fences_observed();
+    expect_acked(*rt, ops.size(), torn, /*torn_seed=*/1);
+  }
+  EXPECT_GE(fences, ops.size());  // each op commits at least once
+  for (uint64_t target = 1; target <= fences; target++) {
+    for (bool torn : {false, true}) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = MakeRuntime(32 << 20);
+      pmsim::CrashInjector injector;
+      const size_t acked = run(*rt, injector, target);
+      ASSERT_LT(acked, ops.size());
+      expect_acked(*rt, acked, torn, /*torn_seed=*/target);
     }
   }
-  auto tree = testutil::CrashAndRecoverTree(*rt, options);
-  pmsim::ThreadContext ctx(rt->device(), 0, 0);
-  for (uint64_t k = 1; k <= 3000; k++) {
-    uint64_t value = 0;
-    ASSERT_TRUE(tree->Lookup(k, &value)) << "key " << k;
-    EXPECT_EQ(value, k + 7);
+
+  // Sequential inserts split hundreds of leaves; after they return, every
+  // key reads back.
+  for (bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "sequential run, torn" : "sequential run, clean");
+    auto rt = MakeRuntime();
+    {
+      CclBTree tree(*rt, options);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      for (uint64_t k = 1; k <= 3000; k++) {
+        tree.Upsert(k, k + 7);
+      }
+      EXPECT_GT(tree.splits(), 100u);
+    }
+    auto tree = testutil::CrashAndRecoverTree(*rt, options, 1, torn, /*torn_seed=*/3000);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    for (uint64_t k = 1; k <= 3000; k++) {
+      uint64_t value = 0;
+      ASSERT_TRUE(tree->Lookup(k, &value)) << "key " << k;
+      ASSERT_EQ(value, k + 7);
+    }
   }
 }
 
@@ -1297,7 +1376,7 @@ class NbatchTest : public ::testing::TestWithParam<int> {};
 TEST_P(NbatchTest, AllNbatchValuesCorrect) {
   auto rt = MakeRuntime();
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   options.nbatch = GetParam();
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
@@ -1312,7 +1391,7 @@ TEST_P(NbatchTest, AllNbatchValuesCorrect) {
   EXPECT_TRUE(tree.CheckInvariants());
 }
 
-INSTANTIATE_TEST_SUITE_P(Nbatch1To5, NbatchTest, ::testing::Range(1, 6));
+INSTANTIATE_TEST_SUITE_P(Nbatch0To5, NbatchTest, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace cclbt::core

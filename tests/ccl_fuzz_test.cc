@@ -24,7 +24,7 @@ TEST_P(CclFuzzTest, MixedOpsWithGcAndCrashesMatchModel) {
   runtime_options.device.pool_bytes = 512 << 20;
   kvindex::Runtime runtime(runtime_options);
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   options.nbatch = 1 + GetParam() % 5;  // vary N_batch across seeds
 
   auto tree = std::make_unique<CclBTree>(runtime, options);
@@ -110,7 +110,7 @@ TEST(CclEdgeCases, ExtremeKeysWork) {
   runtime_options.device.pool_bytes = 128 << 20;
   kvindex::Runtime runtime(runtime_options);
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(runtime, options);
   pmsim::ThreadContext ctx(runtime.device(), 0, 0);
   tree.Upsert(1, 10);
@@ -128,7 +128,7 @@ TEST(CclEdgeCases, SequentialInsertsSplitRightwards) {
   runtime_options.device.pool_bytes = 256 << 20;
   kvindex::Runtime runtime(runtime_options);
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(runtime, options);
   pmsim::ThreadContext ctx(runtime.device(), 0, 0);
   for (uint64_t k = 1; k <= 50'000; k++) {
@@ -145,7 +145,7 @@ TEST(CclEdgeCases, ReinsertAfterMassDeleteReusesLeaves) {
   runtime_options.device.pool_bytes = 256 << 20;
   kvindex::Runtime runtime(runtime_options);
   TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(runtime, options);
   pmsim::ThreadContext ctx(runtime.device(), 0, 0);
   for (int round = 0; round < 3; round++) {

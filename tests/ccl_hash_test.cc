@@ -444,6 +444,87 @@ TEST(CclHash, OverflowingNodesRecoverAgainAfterCrashAtEveryFence) {
   }
 }
 
+// The unbuffered arm (N_batch = 0): every upsert is a trigger write, a
+// bucket batch durable when it returns and never logged. A crash after a run
+// has returned, or at any fence of a mixed upsert/delete run over overflowing
+// chains, clean or torn, keeps every acknowledged op, and the op in flight is
+// applied wholly or not at all.
+TEST(CclHash, BaseModeIsDurablePerOperation) {
+  constexpr size_t kFewBuckets = 8;
+  TreeOptions options;
+  options.nbatch = 0;
+  std::vector<kvindex::KeyValue> ops;
+  Rng rng(31);
+  for (int i = 0; i < 400; i++) {
+    uint64_t key = Mix64(rng.NextBounded(160) + 1) | 1;
+    ops.push_back({key, rng.NextBounded(4) == 0 ? kTombstone : rng.Next() | 1});
+  }
+  // Runs `ops` on a fresh table with a crash armed at `target` (0: none),
+  // and returns how many were acknowledged.
+  auto run = [&](kvindex::Runtime& rt, pmsim::CrashInjector& injector, uint64_t target) {
+    CclHashTable table(rt, options, kFewBuckets);
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    rt.device().SetCrashInjector(&injector);
+    injector.Arm(target);
+    size_t acked = 0;
+    try {
+      for (; acked < ops.size(); acked++) {
+        table.Upsert(ops[acked].key, ops[acked].value);
+      }
+      EXPECT_EQ(table.log_live_bytes(), 0u);
+      EXPECT_GT(table.overflow_buckets(), 0u);
+    } catch (const pmsim::CrashPointReached&) {
+    }
+    rt.device().SetCrashInjector(nullptr);
+    return acked;
+  };
+  // Crashes `rt`, recovers, and checks every key of `ops` against the first
+  // `acked` ops; ops[acked], if any, was in flight and may read old or new.
+  auto expect_acked = [&](kvindex::Runtime& rt, size_t acked, bool torn, uint64_t torn_seed) {
+    std::map<uint64_t, uint64_t> model;  // kTombstone: deleted
+    for (size_t i = 0; i < acked; i++) {
+      model[ops[i].key] = ops[i].value;
+    }
+    testutil::CrashRestart(rt, torn, torn_seed);
+    CclHashTable table(rt, options, kFewBuckets, kvindex::Lifecycle::kAttach);
+    ASSERT_TRUE(table.Recover(rt, /*recovery_threads=*/1));
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (const kvindex::KeyValue& op : ops) {
+      uint64_t got = 0;
+      const bool found = table.Lookup(op.key, &got);
+      const uint64_t value = found ? got : kTombstone;
+      const auto it = model.find(op.key);
+      const uint64_t acked_value = it != model.end() ? it->second : kTombstone;
+      if (acked < ops.size() && op.key == ops[acked].key) {
+        ASSERT_TRUE(value == acked_value || value == ops[acked].value) << "key " << op.key;
+      } else {
+        ASSERT_EQ(value, acked_value) << "key " << op.key;
+      }
+    }
+  };
+
+  uint64_t fences = 0;
+  for (bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "completed run, torn" : "completed run, clean");
+    auto rt = MakeRuntime(32 << 20);
+    pmsim::CrashInjector injector;
+    ASSERT_EQ(run(*rt, injector, 0), ops.size());
+    fences = injector.fences_observed();
+    expect_acked(*rt, ops.size(), torn, /*torn_seed=*/1);
+  }
+  EXPECT_GE(fences, ops.size());  // each op commits at least once
+  for (uint64_t target = 1; target <= fences; target++) {
+    for (bool torn : {false, true}) {
+      SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+      auto rt = MakeRuntime(32 << 20);
+      pmsim::CrashInjector injector;
+      const size_t acked = run(*rt, injector, target);
+      ASSERT_LT(acked, ops.size());
+      expect_acked(*rt, acked, torn, /*torn_seed=*/target);
+    }
+  }
+}
+
 // Recovery validates what it walks: an overflow chain pointer past the pool
 // or to no slot of the overflow slab, a bucket count whose directory does not
 // fit in the pool, or a log registry count above its capacity each make
@@ -516,10 +597,10 @@ TEST(CclHash, BufferingReducesMediaWrites) {
   // bucket writes for the same workload. The claim is about combining in
   // 256 B XPLines, so ADR: eADR scrambles the write order and a 4 KB CXL
   // page changes the granularity.
-  auto measure = [](bool buffering) {
+  auto measure = [](int nbatch) {
     auto rt = MakeRuntime(512 << 20, pmsim::MediaBackend::kAdrOptane);
     TreeOptions options;
-    options.buffering = buffering;
+    options.nbatch = nbatch;
     CclHashTable table(*rt, options, kBuckets);
     pmsim::ThreadContext ctx(rt->device(), 0, 0);
     auto before = rt->device().stats().Snapshot();
@@ -530,8 +611,8 @@ TEST(CclHash, BufferingReducesMediaWrites) {
     rt->device().DrainBuffers();
     return rt->device().stats().Snapshot().Delta(before).media_write_bytes;
   };
-  uint64_t unbuffered = measure(false);
-  uint64_t buffered = measure(true);
+  uint64_t unbuffered = measure(0);
+  uint64_t buffered = measure(2);
   EXPECT_LT(buffered, unbuffered * 85 / 100);
 }
 

@@ -15,7 +15,6 @@ namespace {
 RunConfig SmallConfig() {
   RunConfig config;
   config.threads = 4;
-  config.threads_per_socket = 2;
   config.warm_keys = 20'000;
   config.ops = 20'000;
   config.op = OpType::kInsert;
@@ -23,11 +22,19 @@ RunConfig SmallConfig() {
   return config;
 }
 
+// Two workers per socket, so the four workers span both sockets and every
+// run below makes remote accesses.
+pmsim::DeviceConfig TwoSocketDevice() {
+  return {.pool_bytes = 2ULL << 30, .cores_per_socket = 2};
+}
+
 // The cclbtree cases below assert media writes and GC bytes that a run this
 // small only produces at ADR's 256 B XPLine (a 4 KB CXL page buffer absorbs
 // it), so they pin that backend; the determinism itself holds on every one.
 pmsim::DeviceConfig AdrDevice() {
-  return {.pool_bytes = 2ULL << 30, .backend = pmsim::MediaBackend::kAdrOptane};
+  pmsim::DeviceConfig device = TwoSocketDevice();
+  device.backend = pmsim::MediaBackend::kAdrOptane;
+  return device;
 }
 
 void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
@@ -52,7 +59,7 @@ void ExpectIdenticalVirtualMetrics(const RunResult& a, const RunResult& b) {
 // bit-identical. GC disabled: the no-GC baseline of the contract.
 TEST(DriverDeterminismTest, RepeatedRunsAreBitIdentical) {
   IndexConfig index_config;
-  index_config.tree.background_gc = false;
+  index_config.tree.gc_quantum_ops = 0;
   RunConfig config = SmallConfig();
   RunResult first = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
   RunResult second = RunIndexWorkload("cclbtree", config, index_config, AdrDevice());
@@ -66,7 +73,6 @@ TEST(DriverDeterminismTest, RepeatedRunsAreBitIdentical) {
 // GC ran on a free-running OS thread paced by wall-clock sleeps.
 TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
   IndexConfig index_config;
-  index_config.tree.background_gc = true;
   // Low trigger threshold so several GC rounds fire inside this small run;
   // the assertions below prove GC actually ran.
   index_config.tree.th_log_pct = 10;
@@ -94,9 +100,10 @@ TEST(DriverDeterminismTest, BackgroundGcRunsAreBitIdentical) {
 // log, different flush pattern).
 TEST(DriverDeterminismTest, FastFairRepeatedRunsAreBitIdentical) {
   RunConfig config = SmallConfig();
-  RunResult first = RunIndexWorkload("fastfair", config);
-  RunResult second = RunIndexWorkload("fastfair", config);
+  RunResult first = RunIndexWorkload("fastfair", config, {}, TwoSocketDevice());
+  RunResult second = RunIndexWorkload("fastfair", config, {}, TwoSocketDevice());
   ASSERT_GT(first.stats.media_write_bytes, 0u);
+  ASSERT_GT(first.stats.remote_accesses, 0u) << "the workers never left one socket";
   ExpectIdenticalVirtualMetrics(first, second);
 }
 

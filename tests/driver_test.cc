@@ -22,7 +22,7 @@ RunConfig SmallConfig(OpType op = OpType::kInsert) {
 // Background GC off: the counters below measure foreground work only.
 IndexConfig QuietTree() {
   IndexConfig config;
-  config.tree.background_gc = false;
+  config.tree.gc_quantum_ops = 0;
   return config;
 }
 

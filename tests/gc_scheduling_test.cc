@@ -41,7 +41,7 @@ void InsertMany(CclBTree& tree, uint64_t count, uint64_t seed) {
 
 TEST(GcSchedulingTest, DeterministicQuantumRunsGcAtTrigger) {
   auto rt = MakeRuntime();
-  TreeOptions options = GcOptions();  // background_gc on
+  TreeOptions options = GcOptions();  // the cooperative quantum on
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   InsertMany(tree, 4000, /*seed=*/1);
@@ -61,7 +61,7 @@ TEST(GcSchedulingTest, DeterministicQuantumRunsGcAtTrigger) {
 TEST(GcSchedulingTest, RoundSpansTicksWhileUpsertsContinue) {
   auto rt = MakeRuntime();
   TreeOptions options = GcOptions();
-  options.background_gc = false;  // spans only via the ticks below
+  options.gc_quantum_ops = 0;  // spans only via the ticks below
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   constexpr uint64_t kKeys = 6000;
@@ -121,7 +121,7 @@ TEST(GcSchedulingTest, DeterministicGcIsReproducible) {
 TEST(GcSchedulingTest, ManualGcTickHonorsTriggerAndHysteresis) {
   auto rt = MakeRuntime();
   TreeOptions options = GcOptions();
-  options.background_gc = false;  // rounds only via explicit ticks
+  options.gc_quantum_ops = 0;  // rounds only via explicit ticks
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   InsertMany(tree, 2000, /*seed=*/2);
@@ -152,7 +152,7 @@ TEST(GcSchedulingTest, NaiveGcRaisesWorkerClocksToBarrierEnd) {
   auto rt = MakeRuntime();
   TreeOptions options = GcOptions();
   options.gc_mode = GcMode::kNaive;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   CclBTree tree(*rt, options);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   InsertMany(tree, 2000, /*seed=*/4);

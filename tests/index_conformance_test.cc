@@ -32,7 +32,7 @@ class IndexConformanceTest : public ::testing::TestWithParam<std::string> {
   void SetUp() override {
     rt_ = MakeRuntime();
     IndexConfig config;
-    config.tree.background_gc = false;
+    config.tree.gc_quantum_ops = 0;
     index_ = MakeIndex(GetParam(), *rt_, config);
     ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
   }
@@ -198,7 +198,7 @@ TEST_P(IndexConformanceTest, MediaWritesAreAttributedToComponents) {
   index_.reset();
   rt_ = MakeRuntime(pmsim::MediaBackend::kAdrOptane);
   IndexConfig config;
-  config.tree.background_gc = false;
+  config.tree.gc_quantum_ops = 0;
   index_ = MakeIndex(GetParam(), *rt_, config);
   ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
   Rng rng(29);
@@ -258,7 +258,7 @@ TEST_P(IndexConformanceTest, CrashRecoveryRestoresAckedState) {
   std::string error;
   ASSERT_TRUE(rt_->Reopen(&error)) << error;
   IndexConfig config;
-  config.tree.background_gc = false;
+  config.tree.gc_quantum_ops = 0;
   index_ = RecoverIndex(GetParam(), *rt_, config);
   ASSERT_NE(index_, nullptr) << GetParam() << " failed to recover";
   ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
@@ -295,7 +295,7 @@ TEST_P(IndexConformanceTest, TornCrashRecoveryRestoresAckedState) {
   std::string error;
   ASSERT_TRUE(rt_->Reopen(&error)) << error;
   IndexConfig config;
-  config.tree.background_gc = false;
+  config.tree.gc_quantum_ops = 0;
   index_ = RecoverIndex(GetParam(), *rt_, config);
   ASSERT_NE(index_, nullptr) << GetParam() << " failed to recover";
   ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
@@ -319,7 +319,7 @@ TEST_P(IndexConformanceTest, RecoveredIndexAcceptsNewWrites) {
   std::string error;
   ASSERT_TRUE(rt_->Reopen(&error)) << error;
   IndexConfig config;
-  config.tree.background_gc = false;
+  config.tree.gc_quantum_ops = 0;
   index_ = RecoverIndex(GetParam(), *rt_, config);
   ASSERT_NE(index_, nullptr) << GetParam();
   ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);

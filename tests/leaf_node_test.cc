@@ -1,10 +1,13 @@
 // Unit tests for the persistent leaf-node layout: meta-word packing, slot
 // search with fingerprints, free-slot/min-key helpers, fence-entry
-// semantics.
+// semantics; and for the buffer node's slot protocol.
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/core/buffer_node.h"
 #include "src/core/leaf_node.h"
 
 namespace cclbt::core {
@@ -113,6 +116,133 @@ TEST(LeafLayout, ExactlyOneXpline) {
   static_assert(kLeafSlots == 14);
   // Header = meta(8) + ts(8) + fingerprints(14) + pad(2) = 32 bytes.
   EXPECT_EQ(offsetof(PmLeaf, kvs), 32u);
+}
+
+// --- buffer node slot protocol ------------------------------------------------
+
+using kvindex::KeyValue;
+using Kv = std::pair<uint64_t, uint64_t>;
+
+// N_batch = 0 is covered through the indexes (NbatchTest, CclAblation and
+// CclHash.BaseModeIsDurablePerOperation).
+class BufferNodeTest : public ::testing::Test {
+ protected:
+  void TearDown() override { BufferNode::Delete(bn_); }
+
+  Kv Slot(int i) const { return {bn_->slots()[i].key.load(), bn_->slots()[i].value.load()}; }
+  void Upsert(uint64_t key, uint64_t value, uint32_t epoch = 0) {
+    const int slot = bn_->UpsertSlot(key);
+    ASSERT_GE(slot, 0) << "key " << key;
+    bn_->Put(slot, key, value, epoch);
+  }
+  // Flushes with `extra` and returns the one batch written.
+  std::vector<Kv> Flush(const std::vector<KeyValue>& extra) {
+    std::vector<Kv> written;
+    int calls = 0;
+    bn_->Flush(extra, [&](KeyValue* batch, int n) {
+      calls++;
+      for (int i = 0; i < n; i++) {
+        written.emplace_back(batch[i].key, batch[i].value);
+      }
+    });
+    EXPECT_EQ(calls, 1);
+    return written;
+  }
+
+  BufferNode* bn_ = BufferNode::New(nullptr, 3);
+};
+
+TEST_F(BufferNodeTest, StagesAtPosAndUpdatesUnflushedKeysInPlace) {
+  Upsert(10, 100, /*epoch=*/1);
+  Upsert(20, 200);
+  EXPECT_EQ(bn_->pos(), 2);
+  EXPECT_EQ(bn_->EpochBit(0), 1u);
+  // The update takes the key's slot and its log entry's epoch; pos stays.
+  EXPECT_EQ(bn_->UpsertSlot(10), 0);
+  bn_->Put(0, 10, 101, 0);
+  EXPECT_EQ(bn_->pos(), 2);
+  EXPECT_EQ(bn_->EpochBit(0), 0u);
+  EXPECT_EQ(Slot(0), Kv(10, 101));
+  EXPECT_EQ(Slot(1), Kv(20, 200));
+}
+
+TEST_F(BufferNodeTest, FullNodeMakesTriggerWritesAndFlushesInSlotOrder) {
+  Upsert(1, 10);
+  Upsert(2, 20);
+  Upsert(3, 30);
+  EXPECT_EQ(bn_->UpsertSlot(4), -1);
+  EXPECT_EQ(bn_->UpsertSlot(2), 1);  // an unflushed key still updates in place
+  EXPECT_EQ(Flush({{4, 40}}), (std::vector<Kv>{{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
+  // Every slot now caches flushed state; slot 0 the trigger KV.
+  EXPECT_EQ(bn_->pos(), 0);
+  EXPECT_EQ(Slot(0), Kv(4, 40));
+  EXPECT_EQ(Slot(1), Kv(2, 20));
+  EXPECT_EQ(Slot(2), Kv(3, 30));
+}
+
+TEST_F(BufferNodeTest, FlushWithoutExtraLeavesTheCache) {
+  Upsert(1, 10);
+  Upsert(2, 20);
+  EXPECT_EQ(Flush({}), (std::vector<Kv>{{1, 10}, {2, 20}}));
+  EXPECT_EQ(bn_->pos(), 0);
+  EXPECT_EQ(Slot(0), Kv(1, 10));
+  EXPECT_EQ(Slot(1), Kv(2, 20));
+}
+
+TEST_F(BufferNodeTest, StaleCachedCopyMovesSoTheKeyIsInOneSlot) {
+  Upsert(1, 10);
+  Upsert(2, 20);
+  Upsert(3, 30);
+  Flush({{4, 40}});  // cache: 4, 2, 3
+  // Key 3 is cached in slot 2; the upsert takes slot pos = 0, and slot 0's
+  // cached KV moves to slot 2.
+  EXPECT_EQ(bn_->UpsertSlot(3), 0);
+  bn_->Put(0, 3, 31, 0);
+  EXPECT_EQ(bn_->KeyMatch(3), 1u << 0);
+  EXPECT_EQ(Slot(0), Kv(3, 31));
+  EXPECT_EQ(Slot(2), Kv(4, 40));
+  // A copy cached in slot pos itself is overwritten in place.
+  EXPECT_EQ(bn_->UpsertSlot(2), 1);
+  bn_->Put(1, 2, 21, 0);
+  EXPECT_EQ(bn_->KeyMatch(2), 1u << 1);
+  EXPECT_EQ(bn_->pos(), 2);
+  EXPECT_EQ(Flush({}), (std::vector<Kv>{{3, 31}, {2, 21}}));
+}
+
+// Upsert logs a buffered KV before it takes its slot, and a trigger write
+// only under naive logging; a trigger write flushes with the KV last.
+TEST_F(BufferNodeTest, UpsertLogsBufferedKvsAndTriggerWritesOnlyUnderNaiveLogging) {
+  std::vector<Kv> logged;
+  std::vector<Kv> written;
+  auto upsert = [&](uint64_t key, uint64_t value, bool log_trigger) {
+    return bn_->Upsert(
+        key, value, /*epoch=*/0, log_trigger,
+        [&] {
+          EXPECT_EQ(bn_->KeyMatch(key) & ((1u << bn_->pos()) - 1), 0u) << "logged after Put";
+          logged.emplace_back(key, value);
+          return true;
+        },
+        [&](KeyValue* batch, int n) {
+          for (int i = 0; i < n; i++) {
+            written.emplace_back(batch[i].key, batch[i].value);
+          }
+        });
+  };
+  EXPECT_FALSE(upsert(1, 10, false));
+  EXPECT_FALSE(upsert(2, 20, false));
+  EXPECT_FALSE(upsert(3, 30, false));
+  EXPECT_TRUE(upsert(4, 40, false));
+  EXPECT_EQ(logged, (std::vector<Kv>{{1, 10}, {2, 20}, {3, 30}}));
+  EXPECT_EQ(written, (std::vector<Kv>{{1, 10}, {2, 20}, {3, 30}, {4, 40}}));
+  EXPECT_EQ(Slot(0), Kv(4, 40));
+  written.clear();
+  EXPECT_FALSE(upsert(5, 50, true));
+  EXPECT_FALSE(upsert(6, 60, true));
+  EXPECT_FALSE(upsert(7, 70, true));
+  EXPECT_TRUE(upsert(8, 80, true));
+  EXPECT_EQ(logged.size(), 7u);
+  EXPECT_EQ(logged.back(), Kv(8, 80));
+  EXPECT_EQ(written, (std::vector<Kv>{{5, 50}, {6, 60}, {7, 70}, {8, 80}}));
 }
 
 }  // namespace

@@ -394,12 +394,11 @@ namespace {
 TEST(LockCheck, CleanRunOnCclbtreeFig10Micro) {
   RunConfig config;
   config.threads = 4;
-  config.threads_per_socket = 2;
   config.warm_keys = 40'000;
   config.ops = 15'000;
   config.op = OpType::kUpdate;
-  RunResult result =
-      RunIndexWorkload("cclbtree", config, {}, {.pool_bytes = 1ULL << 30, .lockcheck = true});
+  RunResult result = RunIndexWorkload(
+      "cclbtree", config, {}, {.pool_bytes = 1ULL << 30, .cores_per_socket = 2, .lockcheck = true});
   ASSERT_TRUE(result.lockcheck.enabled);
   EXPECT_EQ(result.lockcheck.total(), 0u)
       << "first diagnostic: "

@@ -148,7 +148,6 @@ TEST(Histogram, DeltaIsWindowed) {
 bench::RunConfig MetricsConfig() {
   bench::RunConfig config;
   config.threads = 4;
-  config.threads_per_socket = 2;
   config.warm_keys = 20'000;
   config.ops = 20'000;
   config.op = OpType::kInsert;
@@ -157,15 +156,18 @@ bench::RunConfig MetricsConfig() {
   return config;
 }
 
+// Two workers per socket, so the four workers span both sockets.
+pmsim::DeviceConfig MetricsDevice() { return {.pool_bytes = 2ULL << 30, .cores_per_socket = 2}; }
+
 // The serialized epoch series is the deterministic payload of a .pmmetrics
 // file: identical RunConfigs must produce bit-identical bytes (DESIGN.md §10
 // extended to time-resolved metrics).
 TEST(MetricsEpochSeries, BitIdenticalAcrossRuns) {
   bench::IndexConfig index_config;
-  index_config.tree.background_gc = false;
+  index_config.tree.gc_quantum_ops = 0;
   bench::RunConfig config = MetricsConfig();
-  bench::RunResult first = bench::RunIndexWorkload("cclbtree", config, index_config);
-  bench::RunResult second = bench::RunIndexWorkload("cclbtree", config, index_config);
+  bench::RunResult first = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
+  bench::RunResult second = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
   ASSERT_FALSE(first.epochs.empty());
   EXPECT_EQ(metrics::SerializeEpochSeries(first.epochs),
             metrics::SerializeEpochSeries(second.epochs));
@@ -176,10 +178,9 @@ TEST(MetricsEpochSeries, BitIdenticalAcrossRuns) {
 // virtual-time GC scheduling.
 TEST(MetricsEpochSeries, BackgroundGcBitIdenticalAcrossRuns) {
   bench::IndexConfig index_config;
-  index_config.tree.background_gc = true;
   bench::RunConfig config = MetricsConfig();
-  bench::RunResult first = bench::RunIndexWorkload("cclbtree", config, index_config);
-  bench::RunResult second = bench::RunIndexWorkload("cclbtree", config, index_config);
+  bench::RunResult first = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
+  bench::RunResult second = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
   ASSERT_FALSE(first.epochs.empty());
   EXPECT_EQ(metrics::SerializeEpochSeries(first.epochs),
             metrics::SerializeEpochSeries(second.epochs));
@@ -211,9 +212,8 @@ void ExpectEpochsTile(const metrics::EpochSeries& epochs, uint64_t media_write_b
 // closed-loop driver, and a 2-shard closed-loop service run.
 TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
   bench::IndexConfig index_config;
-  index_config.tree.background_gc = true;
   bench::RunConfig config = MetricsConfig();
-  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config);
+  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
   {
     SCOPED_TRACE("driver");
     ExpectEpochsTile(result.epochs, result.stats.media_write_bytes, config.ops);
@@ -241,10 +241,10 @@ TEST(MetricsEpochSeries, ComponentSumsAndWindowTiling) {
 // produces no epoch series and records no op latency.
 TEST(MetricsEpochSeries, DisabledByDefault) {
   bench::IndexConfig index_config;
-  index_config.tree.background_gc = false;
+  index_config.tree.gc_quantum_ops = 0;
   bench::RunConfig config = MetricsConfig();
   config.metrics = false;
-  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config);
+  bench::RunResult result = bench::RunIndexWorkload("cclbtree", config, index_config, MetricsDevice());
   EXPECT_TRUE(result.epochs.empty());
   EXPECT_EQ(result.metrics_snapshot.virt(metrics::OpKind::kUpsert).Count(), 0u);
 }

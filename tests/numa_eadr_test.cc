@@ -14,21 +14,20 @@ namespace cclbt::bench {
 namespace {
 
 TEST(Numa, RemoteAccessesAppearWhenThreadsSpanSockets) {
-  // With 8 workers at threads_per_socket=4, workers 4-7 run on socket 1 but
+  // With 8 workers at 4 cores per socket, workers 4-7 run on socket 1 but
   // FPTree allocates every leaf on socket 0 -> remote accesses accumulate.
   RunConfig config;
   config.threads = 8;
-  config.threads_per_socket = 4;
   config.warm_keys = 20'000;
   config.ops = 20'000;
-  RunResult result = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
+  RunResult result =
+      RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20, .cores_per_socket = 4});
   EXPECT_GT(result.stats.remote_accesses, config.ops / 4);
 }
 
 TEST(Numa, SingleSocketRunHasNoRemoteAccesses) {
   RunConfig config;
-  config.threads = 8;
-  config.threads_per_socket = 48;  // everyone on socket 0
+  config.threads = 8;  // the driver's 48 cores per socket: everyone on socket 0
   config.warm_keys = 20'000;
   config.ops = 20'000;
   RunResult result = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
@@ -40,13 +39,13 @@ TEST(Numa, CclRemoteFractionLowerThanSocketObliviousBaseline) {
   // remote-access rate across sockets must undercut FPTree's.
   RunConfig config;
   config.threads = 8;
-  config.threads_per_socket = 4;
   config.warm_keys = 30'000;
   config.ops = 30'000;
   IndexConfig quiet;
-  quiet.tree.background_gc = false;
-  RunResult ccl = RunIndexWorkload("cclbtree", config, quiet, {.pool_bytes = 512 << 20});
-  RunResult fp = RunIndexWorkload("fptree", config, {}, {.pool_bytes = 512 << 20});
+  quiet.tree.gc_quantum_ops = 0;
+  const pmsim::DeviceConfig device{.pool_bytes = 512 << 20, .cores_per_socket = 4};
+  RunResult ccl = RunIndexWorkload("cclbtree", config, quiet, device);
+  RunResult fp = RunIndexWorkload("fptree", config, {}, device);
   EXPECT_LT(ccl.stats.remote_accesses, fp.stats.remote_accesses);
 }
 
@@ -56,7 +55,7 @@ TEST(Eadr, TreeWorksWithoutFences) {
   runtime_options.device.backend = pmsim::MediaBackend::kEadr;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   core::CclBTree tree(runtime, options);
   pmsim::ThreadContext ctx(runtime.device(), 0, 0);
   for (uint64_t k = 1; k <= 20'000; k++) {
@@ -77,7 +76,7 @@ TEST(Eadr, EadrStoresPersistAcrossCrashWithoutFences) {
   runtime_options.device.crash_tracking = true;
   kvindex::Runtime runtime(runtime_options);
   core::TreeOptions options;
-  options.background_gc = false;
+  options.gc_quantum_ops = 0;
   {
     core::CclBTree tree(runtime, options);
     pmsim::ThreadContext ctx(runtime.device(), 0, 0);
@@ -111,7 +110,7 @@ TEST(Eadr, ExplicitFlushBeatsEadrOnXbiForCcl) {
     runtime_options.device.eadr_cache_lines = 4096;
     kvindex::Runtime runtime(runtime_options);
     IndexConfig quiet;
-    quiet.tree.background_gc = false;
+    quiet.tree.gc_quantum_ops = 0;
     auto index = MakeIndex("cclbtree", runtime, quiet);
     return RunWorkload(runtime, *index, config).xbi_amplification;
   };

@@ -394,7 +394,7 @@ TEST(PmCheck, CleanRecoveryOfCclbtree) {
   options.device.lockcheck = true;
   kvindex::Runtime rt(options);
   core::TreeOptions tree_options;
-  tree_options.background_gc = false;
+  tree_options.gc_quantum_ops = 0;
   auto upsert = [&rt](core::CclBTree& tree, uint64_t seed) {
     pmsim::ThreadContext w0(rt.device(), 0, 0);
     pmsim::ThreadContext w1(rt.device(), 1, 1);

@@ -27,7 +27,7 @@ class ScanPropertyTest : public ::testing::TestWithParam<std::string> {
   void SetUp() override {
     rt_ = MakeRuntime();
     IndexConfig config;
-    config.tree.background_gc = false;
+    config.tree.gc_quantum_ops = 0;
     index_ = MakeIndex(GetParam(), *rt_, config);
     ctx_ = std::make_unique<pmsim::ThreadContext>(rt_->device(), 0, 0);
   }

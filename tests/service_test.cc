@@ -51,7 +51,7 @@ OpenLoopConfig SmallWorkload(double offered_mops) {
 
 TEST(Runtime, SocketForWorkerRoundRobinsWhenCoreCountUnknown) {
   kvindex::Runtime rt(SmallRuntime());
-  // 2 sockets, no cores_per_socket, no explicit threads_per_socket: a
+  // 2 sockets, no cores_per_socket, no caller default: a
   // 4-worker run must use both sockets, not pile onto socket 0 behind a
   // fill-first threshold it never crosses.
   EXPECT_EQ(rt.SocketForWorker(0), 0);
@@ -62,7 +62,7 @@ TEST(Runtime, SocketForWorkerRoundRobinsWhenCoreCountUnknown) {
 
 TEST(Runtime, SocketForWorkerFillsFirstWithExplicitCoreCount) {
   kvindex::Runtime rt(SmallRuntime());
-  // Explicit threads_per_socket keeps the paper's fill-first pinning.
+  // The caller's default keeps the paper's fill-first pinning.
   EXPECT_EQ(rt.SocketForWorker(0, 48), 0);
   EXPECT_EQ(rt.SocketForWorker(47, 48), 0);
   EXPECT_EQ(rt.SocketForWorker(48, 48), 1);
@@ -77,6 +77,8 @@ TEST(Runtime, SocketForWorkerUsesDeviceCoresPerSocket) {
   EXPECT_EQ(rt.SocketForWorker(1), 0);
   EXPECT_EQ(rt.SocketForWorker(2), 1);
   EXPECT_EQ(rt.SocketForWorker(3), 1);
+  // The device's core count wins over the caller's default.
+  EXPECT_EQ(rt.SocketForWorker(2, 48), 1);
 }
 
 // --- shard placement ---------------------------------------------------------

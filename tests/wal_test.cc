@@ -410,8 +410,8 @@ TEST_F(WalFixture, DamagedEntryOffsetIsNoLogChunk) {
 // it, 6 on each DIMM of both sockets when they alternate.
 TEST(WalPlacement, FirstEntriesSpreadOverTheSocketsDimms) {
   constexpr int kWorkers = 48;
-  for (int threads_per_socket : {kWorkers, 0}) {
-    SCOPED_TRACE(threads_per_socket != 0 ? "fill-first" : "round-robin");
+  for (int per_socket : {kWorkers, 0}) {
+    SCOPED_TRACE(per_socket != 0 ? "fill-first" : "round-robin");
     kvindex::RuntimeOptions options;
     options.device.pool_bytes = 512 << 20;
     options.device.crash_tracking = false;
@@ -421,21 +421,21 @@ TEST(WalPlacement, FirstEntriesSpreadOverTheSocketsDimms) {
     auto log = pmem::SlabAllocator::Create(rt.pool(), kLogSlabOptions);
     WalSet wals(*log, kWorkers);
     for (int w = 0; w < kWorkers; w++) {
-      pmsim::ThreadContext ctx(rt.device(), rt.SocketForWorker(w, threads_per_socket), w);
+      pmsim::ThreadContext ctx(rt.device(), rt.SocketForWorker(w, per_socket), w);
       ASSERT_TRUE(wals.Append(w, 0, static_cast<uint64_t>(w) + 1, 1, 1));
     }
     std::vector<int> first_entries(static_cast<size_t>(device.config().total_dimms()), 0);
     for (const LogChunkHeader* header : Headers(*log)) {
       const uintptr_t chunk = device.OffsetOf(header);
       EXPECT_EQ(device.SocketOf(chunk),
-                rt.SocketForWorker(static_cast<int>(header->owner_worker), threads_per_socket));
+                rt.SocketForWorker(static_cast<int>(header->owner_worker), per_socket));
       EXPECT_EQ((header->entry_offset - sizeof(LogChunkHeader)) % sizeof(LogEntry), 0u);
       EXPECT_LE(header->entry_offset, sizeof(LogChunkHeader) + 3 * pmsim::kInterleaveBytes);
       first_entries[static_cast<size_t>(device.DimmOf(chunk + header->entry_offset))]++;
     }
     const std::vector<int> expected =
-        threads_per_socket != 0 ? std::vector<int>{12, 12, 12, 12, 0, 0, 0, 0}
-                                : std::vector<int>{6, 6, 6, 6, 6, 6, 6, 6};
+        per_socket != 0 ? std::vector<int>{12, 12, 12, 12, 0, 0, 0, 0}
+                        : std::vector<int>{6, 6, 6, 6, 6, 6, 6, 6};
     EXPECT_EQ(first_entries, expected);
   }
 }
