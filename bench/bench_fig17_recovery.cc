@@ -1,7 +1,7 @@
 // Figure 17: failure-recovery time of CCL-BTree vs dataset size, with 24 and
 // 48 recovery threads; the paper reports time growing linearly with data and
 // shrinking with threads. Each row reports the modeled ms of every phase
-// next to recovery_ms (WalSet::Replay, DESIGN.md §10): rebuild (DRAM layers
+// next to recovery_ms (CclIndex::Replay, DESIGN.md §10): rebuild (DRAM layers
 // from the leaf list), scan (the log chunks, in parallel), apply (each key's
 // newest entry staged in its buffer node, in parallel), copy (one
 // locality-aware GC round makes the staged KVs durable) and reclaim (the

@@ -9,6 +9,7 @@
 
 namespace cclbt::baselines {
 
+using core::BufferNode;
 using core::kBitmapMask;
 using core::kLeafBytes;
 using core::kLeafSlots;
@@ -35,20 +36,25 @@ LeafTree::LeafTree(kvindex::Runtime& runtime, const Options& options)
   inner_.Insert(0, NewHandle(head_leaf_, 0));
 }
 
-LeafTree::~LeafTree() = default;
-
-LeafHandle* LeafTree::NewHandle(PmLeaf* leaf, uint64_t sep) {
-  auto handle = std::make_unique<LeafHandle>(leaf, sep);
-  LeafHandle* raw = handle.get();
+LeafTree::~LeafTree() {
   sync::LockGuard<sync::Mutex> guard(handles_mu_);
-  handles_.push_back(std::move(handle));
-  return raw;
+  for (BufferNode* handle : handles_) {
+    BufferNode::Delete(handle);
+  }
 }
 
-LeafHandle* LeafTree::RouteAndLock(uint64_t key) {
+BufferNode* LeafTree::NewHandle(PmLeaf* leaf, uint64_t sep) {
+  BufferNode* handle = BufferNode::New(leaf, /*nbatch=*/0);
+  handle->set_sep(sep);
+  sync::LockGuard<sync::Mutex> guard(handles_mu_);
+  handles_.push_back(handle);
+  return handle;
+}
+
+BufferNode* LeafTree::RouteAndLock(uint64_t key) {
   for (;;) {
     bool found = false;
-    LeafHandle* handle = inner_.RouteFloor(key, &found);
+    BufferNode* handle = inner_.RouteFloor(key, &found);
     assert(found);
     if (!handle->TryLock()) {
       std::this_thread::yield();
@@ -68,7 +74,7 @@ void LeafTree::Upsert(uint64_t key, uint64_t value) {
   // index lives in DRAM.
   trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
-  LeafHandle* handle = RouteAndLock(key);
+  BufferNode* handle = RouteAndLock(key);
   if (options_.policy == LeafPolicy::kSorted) {
     InsertSorted(handle, key, value);
   } else {
@@ -77,7 +83,7 @@ void LeafTree::Upsert(uint64_t key, uint64_t value) {
   handle->Unlock();
 }
 
-void LeafTree::InsertUnsorted(LeafHandle* handle, uint64_t key, uint64_t value) {
+void LeafTree::InsertUnsorted(BufferNode* handle, uint64_t key, uint64_t value) {
   for (;;) {
     PmLeaf* leaf = handle->leaf();
     pmsim::ReadPm(leaf, 64);  // header read (bitmap + fingerprints)
@@ -105,7 +111,7 @@ void LeafTree::InsertUnsorted(LeafHandle* handle, uint64_t key, uint64_t value) 
       free = __builtin_ctzll(~bitmap & kBitmapMask);
     }
     if (free < 0) {
-      LeafHandle* right = SplitLeaf(handle);  // returned locked
+      BufferNode* right = SplitLeaf(handle);  // returned locked
       if (key >= right->sep()) {
         InsertUnsorted(right, key, value);
         right->Unlock();
@@ -136,7 +142,7 @@ void LeafTree::InsertUnsorted(LeafHandle* handle, uint64_t key, uint64_t value) 
   }
 }
 
-void LeafTree::InsertSorted(LeafHandle* handle, uint64_t key, uint64_t value) {
+void LeafTree::InsertSorted(BufferNode* handle, uint64_t key, uint64_t value) {
   for (;;) {
     PmLeaf* leaf = handle->leaf();
     pmsim::ReadPm(leaf, kLeafBytes);
@@ -153,7 +159,7 @@ void LeafTree::InsertSorted(LeafHandle* handle, uint64_t key, uint64_t value) {
       return;
     }
     if (count == kLeafSlots) {
-      LeafHandle* right = SplitLeaf(handle);
+      BufferNode* right = SplitLeaf(handle);
       if (key >= right->sep()) {
         InsertSorted(right, key, value);
         right->Unlock();
@@ -194,7 +200,7 @@ void LeafTree::InsertSorted(LeafHandle* handle, uint64_t key, uint64_t value) {
   }
 }
 
-LeafHandle* LeafTree::SplitLeaf(LeafHandle* handle) {
+BufferNode* LeafTree::SplitLeaf(BufferNode* handle) {
   pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
   PmLeaf* leaf = handle->leaf();
   uint64_t bitmap = leaf->bitmap();
@@ -251,7 +257,7 @@ LeafHandle* LeafTree::SplitLeaf(LeafHandle* handle) {
   pmsim::FlushLine(leaf);
   pmsim::Fence();
 
-  LeafHandle* right = NewHandle(new_leaf, split_key);
+  BufferNode* right = NewHandle(new_leaf, split_key);
   right->TryLock();  // uncontended: not yet published
   inner_.Insert(split_key, right);
   return right;
@@ -261,7 +267,7 @@ bool LeafTree::Lookup(uint64_t key, uint64_t* value_out) {
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
   for (;;) {
     bool found = false;
-    LeafHandle* handle = inner_.RouteFloor(key, &found);
+    BufferNode* handle = inner_.RouteFloor(key, &found);
     if (!found) {
       return false;
     }
@@ -287,7 +293,7 @@ bool LeafTree::Lookup(uint64_t key, uint64_t* value_out) {
 bool LeafTree::Remove(uint64_t key) {
   trace::TraceScope scope(trace::Component::kLeaf);
   pmsim::AdvanceCpu(8 * rt_.device().config().cost.dram_access_ns);
-  LeafHandle* handle = RouteAndLock(key);
+  BufferNode* handle = RouteAndLock(key);
   PmLeaf* leaf = handle->leaf();
   pmsim::ReadPm(leaf, 64);
   int slot = leaf->FindSlot(key);
@@ -340,12 +346,12 @@ size_t LeafTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
       break;
     }
     bool found = false;
-    LeafHandle* handle = inner_.RouteFloor(cursor, &found);
+    BufferNode* handle = inner_.RouteFloor(cursor, &found);
     if (!found) {
       break;
     }
     uint64_t next_sep = 0;
-    LeafHandle* next_handle = nullptr;
+    BufferNode* next_handle = nullptr;
     bool have_next = inner_.NextEntry(cursor, &next_sep, &next_handle);
 
     window.clear();

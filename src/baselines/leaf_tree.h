@@ -27,7 +27,7 @@
 #include "src/common/lock.h"
 #include <vector>
 
-#include "src/baselines/leaf_handle.h"
+#include "src/core/buffer_node.h"
 #include "src/kvindex/dram_btree.h"
 #include "src/kvindex/kv_index.h"
 #include "src/kvindex/runtime.h"
@@ -58,20 +58,22 @@ class LeafTree : public kvindex::KvIndex {
   kvindex::MemoryFootprint Footprint() const override;
 
  private:
-  LeafHandle* RouteAndLock(uint64_t key);
-  void InsertUnsorted(LeafHandle* handle, uint64_t key, uint64_t value);
-  void InsertSorted(LeafHandle* handle, uint64_t key, uint64_t value);
-  LeafHandle* SplitLeaf(LeafHandle* handle);  // returns new right handle, locked
-  LeafHandle* NewHandle(core::PmLeaf* leaf, uint64_t sep);
+  core::BufferNode* RouteAndLock(uint64_t key);
+  void InsertUnsorted(core::BufferNode* handle, uint64_t key, uint64_t value);
+  void InsertSorted(core::BufferNode* handle, uint64_t key, uint64_t value);
+  core::BufferNode* SplitLeaf(core::BufferNode* handle);  // returns new right handle, locked
+  core::BufferNode* NewHandle(core::PmLeaf* leaf, uint64_t sep);
 
   kvindex::Runtime& rt_;
   Options options_;
   std::unique_ptr<pmem::SlabAllocator> leaf_slab_;
-  kvindex::DramBTree<LeafHandle*> inner_;
+  kvindex::DramBTree<core::BufferNode*> inner_;
   core::PmLeaf* head_leaf_;
 
+  // Leaf handles, owned: buffer nodes with no slots, so a version lock, the
+  // leaf pointer and the separator key (CCL-BTree's optimistic locking).
   sync::Mutex handles_mu_{"bl.leaf_handles"};
-  std::vector<std::unique_ptr<LeafHandle>> handles_;
+  std::vector<core::BufferNode*> handles_;
 };
 
 }  // namespace cclbt::baselines

@@ -63,7 +63,7 @@ class BufferNode {
   uint64_t sep() const { return sep_; }
   void set_sep(uint64_t sep) { sep_ = sep; }
 
-  // Replay filter of the last recovery (WalSet::Replay): the pre-crash
+  // Replay filter of the last recovery (CclIndex::Replay): the pre-crash
   // timestamp of the leaf (of the hash's bucket chain), or the index's
   // persisted timestamp floor if larger. A tree split copies it to the new
   // right-hand node.

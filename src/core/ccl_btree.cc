@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/common/simd.h"
-#include "src/pmsim/crash_injector.h"
 #include "src/pmsim/pmcheck.h"
 #include "src/trace/trace.h"
 
@@ -18,27 +17,15 @@ namespace cclbt::core {
 
 CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
                    kvindex::Lifecycle lifecycle)
-    : rt_(runtime), options_(options), lifecycle_(lifecycle) {
-  assert(options_.nbatch >= 0 && options_.nbatch <= 6);
-  if (lifecycle_ == kvindex::Lifecycle::kAttach) {
-    // Binding to the persistent image is deferred to Recover(), which
-    // validates the root record instead of asserting on it.
-    return;
+    : CclIndex(runtime, options, lifecycle, options.root_slot, kTreeMagic, /*own_words=*/1) {
+  // An attached tree binds to the persistent image in Recover(), which
+  // validates the root record instead of asserting on it.
+  if (lifecycle == kvindex::Lifecycle::kCreate) {
+    Create();
   }
-  // The tree's home is the socket of the context that builds it (socket 0
-  // with none): the root record and head leaf live there, and its GC and
-  // recovery contexts run there.
-  if (const pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current()) {
-    home_socket_ = ctx->socket();
-  }
-  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket_, /*worker_id=*/0);
+}
 
-  pmem::SlabAllocator::Options slab_options;
-  slab_options.slot_bytes = kLeafBytes;
-  leaf_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
-  log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), kLogSlabOptions);
-  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
-
+void CclBTree::Format(uint64_t* own) {
   head_leaf_ = AllocLeaf(home_socket_);
   assert(head_leaf_ != nullptr);
   std::memset(static_cast<void*>(head_leaf_), 0, kLeafBytes);
@@ -48,86 +35,8 @@ CclBTree::CclBTree(kvindex::Runtime& runtime, const TreeOptions& options,
     pmsim::PmCheckExpect format_expect(pmsim::PmCheckClass::kRedundantFlush);
     pmsim::Persist(head_leaf_, kLeafBytes);
   }
-
-  auto* root = static_cast<TreeRoot*>(rt_.pool().AllocateRaw(sizeof(TreeRoot), home_socket_));
-  assert(root != nullptr);
-  root->magic = kTreeMagic;
-  root->head_leaf_offset = LeafOffset(head_leaf_);
-  root->slab_registry_offset = leaf_slab_->registry_offset();
-  root->log_registry_offset = log_slab_->registry_offset();
-  root->ts_floor = 0;
-  pmsim::Persist(root, sizeof(TreeRoot));
-  rt_.pool().SetAppRoot(options_.root_slot, rt_.pool().ToOffset(root));
-
-  BufferNode* head_bn = NewBufferNode(head_leaf_, /*sep=*/0, /*recovery_ts=*/0);
-  inner_.Insert(0, head_bn);
-
-  InitGc();
-}
-
-bool CclBTree::Recover(kvindex::Runtime& runtime, int recovery_threads) {
-  assert(&runtime == &rt_ && "Recover must use the runtime the tree was constructed with");
-  (void)runtime;
-  if (lifecycle_ != kvindex::Lifecycle::kAttach || recovered_) {
-    return false;
-  }
-  uint64_t root_offset = rt_.pool().GetAppRoot(options_.root_slot);
-  if (root_offset == 0) {
-    return false;  // the pool was never formatted with a tree
-  }
-  if (!rt_.pool().Holds(root_offset, sizeof(TreeRoot))) {
-    return false;
-  }
-  auto* root = static_cast<TreeRoot*>(rt_.pool().ToAddr(root_offset));
-  if (root->magic != kTreeMagic) {
-    return false;
-  }
-
-  // Recovery runs where the tree lives, so its reads of the leaves and logs
-  // the tree's workers wrote there are local.
-  home_socket_ = rt_.device().SocketOf(root_offset);
-  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket_, /*worker_id=*/0);
-  uint64_t boot_start = boot_ctx.now_ns();
-  pmsim::ReadPm(root, sizeof(TreeRoot));
-
-  pmem::SlabAllocator::Options slab_options;
-  slab_options.slot_bytes = kLeafBytes;
-  leaf_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
-  log_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->log_registry_offset, kLogSlabOptions);
-  if (leaf_slab_ == nullptr || log_slab_ == nullptr ||
-      !leaf_slab_->IsSlot(root->head_leaf_offset)) {
-    return false;
-  }
-  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
-  head_leaf_ = LeafAt(root->head_leaf_offset);
-
-  uint64_t max_ts = root->ts_floor;
-  if (!RebuildFromLeafList(root->ts_floor, &max_ts)) {
-    return false;
-  }
-  RecoveryPhases phases;
-  phases.rebuild_ns = boot_ctx.now_ns() - boot_start;
-  // A full node's overflow goes to its leaf in a batch that keeps the
-  // leaf's timestamp. Every batch routes afresh, so the entries after a
-  // split go to the half that covers them. Timestamps taken above the new
-  // floor order after every one read here although a restart restarts the
-  // ORDO clock, so no leaf timestamp is ever rewritten.
-  ts_floor_ = wals_->Replay(
-      rt_, recovery_threads,
-      {.node = [this](uint64_t key) { return inner_.RouteFloor(key); },
-       .write =
-           [this](BufferNode* bn, kvindex::KeyValue* kvs, int n) {
-             BatchInsertLeaf(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
-           },
-       .nodes = [this] { return CollectBufferNodes(); },
-       .epoch = &global_epoch_},
-      max_ts, &root->ts_floor, &phases);
-  recovery_phases_ = phases;
-  recovered_ = true;
-  // GC may only start now: every earlier return leaves the instance without
-  // a GC context, so a failed recovery never runs a GC round.
-  InitGc();
-  return true;
+  own[0] = LeafOffset(head_leaf_);
+  inner_.Insert(0, NewBufferNode(head_leaf_, /*sep=*/0, /*recovery_ts=*/0));
 }
 
 CclBTree::~CclBTree() {
@@ -161,10 +70,6 @@ PmLeaf* CclBTree::LeafAt(uint64_t offset) const {
   return static_cast<PmLeaf*>(rt_.pool().ToAddr(offset));
 }
 
-void CclBTree::ChargeDram(uint64_t accesses) const {
-  pmsim::AdvanceCpu(accesses * rt_.device().config().cost.dram_access_ns);
-}
-
 // --- write path ----------------------------------------------------------------
 
 BufferNode* CclBTree::RouteAndLock(uint64_t key) {
@@ -187,40 +92,12 @@ BufferNode* CclBTree::RouteAndLock(uint64_t key) {
   }
 }
 
-void CclBTree::Upsert(uint64_t key, uint64_t value) {
-  assert(key != 0 && "key 0 is reserved for the head sentinel separator");
-  if (options_.gc_mode == GcMode::kNaive) {
-    sync::SharedLockGuard<sync::SharedMutex> gate(naive_gate_);
-    UpsertInternal(key, value);
-  } else {
-    UpsertInternal(key, value);
-  }
-  // Cooperative GC quantum, outside the naive gate (NaiveGc takes it
-  // exclusively; scheduling from inside the shared section would deadlock).
-  if (options_.gc_quantum_ops > 0 && options_.gc_mode != GcMode::kNone) {
-    uint64_t n = gc_op_counter_.fetch_add(1, std::memory_order_relaxed) + 1;
-    if (n % static_cast<uint64_t>(options_.gc_quantum_ops) == 0) {
-      GcTick();
-    }
-  }
+BufferNode* CclBTree::LockNode(uint64_t key) {
+  ChargeDram(8);  // inner-index descent
+  return RouteAndLock(key);
 }
 
-void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  ChargeDram(8);  // inner-index descent
-  BufferNode* bn = RouteAndLock(key);
-  // The global epoch must be read inside the critical section: the GC flips
-  // it and then visits every buffer node under its lock, so any slot tagged
-  // with the old epoch here is guaranteed to be seen by the GC scan (§3.4).
-  uint32_t epoch = global_epoch_.load(std::memory_order_acquire);
-  ChargeDram(static_cast<uint64_t>(bn->nbatch()));  // the slot probe
-  const uint64_t ts = Timestamp();
-  // A trigger write flushes everything plus this KV in one XPLine batch.
-  const bool flushed = bn->Upsert(
-      key, value, epoch, !options_.write_conservative_logging,
-      [&] { return wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts); },
-      [&](kvindex::KeyValue* batch, int n) { FlushBatch(bn, batch, n, ts); });
+void CclBTree::AfterUpsert(BufferNode* bn, bool flushed) {
   uint64_t sep = bn->sep();
   bool underflow = flushed && bn->leaf()->LiveCount() < kLeafSlots / 2 && sep != 0;
   bn->Unlock();
@@ -229,16 +106,11 @@ void CclBTree::UpsertInternal(uint64_t key, uint64_t value) {
   }
 }
 
-bool CclBTree::Remove(uint64_t key) {
-  Upsert(key, kTombstone);
-  return true;
-}
-
-void CclBTree::FlushBatch(BufferNode* bn, kvindex::KeyValue* batch, int n, uint64_t ts) {
-  trace::TraceScope scope(trace::Component::kBufferNode);
-  trace::Emit(trace::EventType::kBufferFlush, static_cast<uint64_t>(n));
-  BatchInsertLeaf(bn, batch, n, ts);
-  buffer_flushes_.fetch_add(1, std::memory_order_relaxed);
+void CclBTree::WriteBatch(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts) {
+  BatchInsertLeaf(bn, kvs, n, ts);
+  if (ts == 0) {
+    return;  // replay: recovery empties the node after the write
+  }
   // The slots keep serving reads as a cache (§3.2: "even when the buffered
   // KVs are flushed to the leaf nodes, they are still reserved in the buffer
   // nodes until overwritten"). A slot is only a valid cache entry while it
@@ -266,8 +138,7 @@ void CclBTree::FlushBatch(BufferNode* bn, kvindex::KeyValue* batch, int n, uint6
   }
 }
 
-void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts,
-                               bool update_ts) {
+void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, uint64_t ts) {
   trace::TraceScope scope(trace::Component::kLeaf);
   PmLeaf* leaf = bn->leaf();
   // The writer reads the header (bitmap + fingerprints) before modifying.
@@ -306,10 +177,10 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
       }
     }
     if (nl > 0) {
-      BatchInsertLeaf(bn, left_kvs, nl, ts, update_ts);
+      BatchInsertLeaf(bn, left_kvs, nl, ts);
     }
     if (nr > 0) {
-      BatchInsertLeaf(right_bn, right_kvs, nr, ts, update_ts);
+      BatchInsertLeaf(right_bn, right_kvs, nr, ts);
     }
     right_bn->Unlock();
     return;
@@ -383,12 +254,13 @@ void CclBTree::BatchInsertLeaf(BufferNode* bn, kvindex::KeyValue* kvs, int n, ui
 
   // Step 3: commit — update timestamp then publish the new bitmap with one
   // atomic meta store, persist the header line. Nothing in this batch is
-  // visible before the meta line lands (§4.2). A replay batch that keeps
-  // the timestamp and changed nothing in line 0 has nothing to commit.
-  if (!update_ts && !header_changed && (dirty_lines & 1) == 0) {
+  // visible before the meta line lands (§4.2). A replay batch (stamped 0)
+  // keeps the timestamp, and if it changed nothing in line 0 it has nothing
+  // to commit.
+  if (ts == 0 && !header_changed && (dirty_lines & 1) == 0) {
     return;
   }
-  if (update_ts) {
+  if (ts != 0) {
     leaf->timestamp = ts;
   }
   uint64_t next_offset = leaf->next_offset();
@@ -508,7 +380,7 @@ void CclBTree::TryMergeLeft(uint64_t sep) {
     // smaller timestamp and would be skipped by the recovery replay filter,
     // so drain the left buffer first (its flush timestamp is globally fresh).
     if (left->pos() > 0) {
-      FlushBuffer(left);
+      FlushNode(left);
     }
     PmLeaf* left_leaf = left->leaf();
     PmLeaf* right_leaf = right->leaf();
@@ -711,217 +583,13 @@ size_t CclBTree::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) 
   return produced;
 }
 
-// --- GC ----------------------------------------------------------------------------
-
-bool CclBTree::GcTriggerReached() const {
-  uint64_t leaves = leaf_bytes();
-  if (leaves == 0) {
-    return false;
-  }
-  uint64_t live = wals_->live_bytes();
-  if (live * 100 <= leaves * static_cast<uint64_t>(options_.th_log_pct)) {
-    return false;
-  }
-  // Hysteresis: a GC round cannot shrink the log below the still-buffered
-  // entries (its floor). Without re-arming only after the log has grown well
-  // past the previous floor, a buffer-heavy tree whose floor sits above
-  // TH_log would garbage-collect in a busy loop.
-  return live >= 2 * post_gc_live_bytes_.load(std::memory_order_relaxed);
-}
-
-void CclBTree::InitGc() {
-  if (options_.gc_mode == GcMode::kNone) {
-    return;
-  }
-  // Deterministic participant: a tree-owned context that all GC PM traffic
-  // is charged to, whether spans come from the cooperative quantum or from
-  // explicit GcTick() callers (tests). Constructed with no thread-local
-  // current installed so the context is bound to no OS thread and carries no
-  // dangling `previous_` restore target.
-  pmsim::ThreadContext* saved = pmsim::ThreadContext::Current();
-  pmsim::ThreadContext::SetCurrent(nullptr);
-  gc_ctx_ = std::make_unique<pmsim::ThreadContext>(rt_.device(), home_socket_,
-                                                   /*worker_id=*/options_.max_workers - 1);
-  pmsim::ThreadContext::SetCurrent(saved);
-  gc_span_ns_ = rt_.device().MediaWriteServiceNs(kGcSpanEntries * sizeof(LogEntry));
-}
-
-bool CclBTree::GcTick() {
-  if (gc_ctx_ == nullptr ||
-      (!gc_round_active_.load(std::memory_order_acquire) && !GcTriggerReached())) {
-    return false;
-  }
-  sync::TryLockGuard<sync::Mutex> tick(gc_tick_mu_);
-  if (!tick.owns()) {
-    return false;  // another worker is inside a tick; it covers this one
-  }
-  const bool naive = options_.gc_mode == GcMode::kNaive;
-  const pmsim::ThreadContext* caller = pmsim::ThreadContext::Current();
-  uint64_t start = gc_ctx_->now_ns();
-  if (naive) {
-    // Stop-the-world at the frontier of every live clock: the round happens
-    // "now" in the simulated timeline, after the work that tripped the
-    // trigger, not at whatever stale time the last round ended.
-    start = std::max(start, rt_.device().MaxContextClockNs());
-  } else if (caller != nullptr) {
-    // A span starts one span's media service time before the caller's
-    // present, so it ends by then if the DIMM it writes is free: it never
-    // reserves DIMM time in the foreground's future.
-    if (start + gc_span_ns_ > caller->now_ns()) {
-      return false;  // the GC context is still busy with its last span
-    }
-    start = caller->now_ns() - gc_span_ns_;
-  }
-  if (!gc_round_ && !GcTriggerReached()) {
-    return false;  // the round that just finished already cleared it
-  }
-  gc_ctx_->ResetClock(start);
-  // A crash injector may abort the span mid-stream (CrashPointReached):
-  // restore the caller's context on every exit path.
-  struct Restore {
-    pmsim::ThreadContext* saved;
-    ~Restore() { pmsim::ThreadContext::SetCurrent(saved); }
-  } restore{pmsim::ThreadContext::Current()};
-  pmsim::ThreadContext::SetCurrent(gc_ctx_.get());
-  if (naive) {
-    NaiveGc();
-    // Every worker resumes only after the barrier ends.
-    rt_.device().RaiseContextClocks(gc_ctx_->now_ns());
-    return true;
-  }
-  if (!gc_round_) {
-    BeginGcRound();
-  }
-  RunGcSpan();
-  return true;
-}
-
-std::vector<CclBTree::GcFenceWindow> CclBTree::gc_fence_windows() const {
-  sync::LockGuard<sync::Mutex> guard(gc_windows_mu_);
-  return gc_fence_windows_;
-}
-
-void CclBTree::SampleGauges(std::vector<std::pair<std::string, uint64_t>>* out) const {
-  out->emplace_back("gc_rounds", gc_rounds());
-  out->emplace_back("log_live_bytes", log_live_bytes());
-  out->emplace_back("log_peak_bytes", log_peak_bytes());
-  out->emplace_back("leaf_bytes", leaf_bytes());
-  out->emplace_back("buffer_flushes", buffer_flushes());
-  out->emplace_back("splits", splits());
-  out->emplace_back("merges", merges());
-  out->emplace_back("dram_hits", dram_hits());
-  // Value-store health: allocation growth plus the bytes orphaned by
-  // restarts (Runtime::Reopen region leak) — pmctl top/series watch the
-  // latter grow across repeated crash-recover cycles.
-  out->emplace_back("valuestore_bytes", rt_.values().allocated_bytes());
-  out->emplace_back("valuestore_leaked_bytes", rt_.values().leaked_bytes());
-}
-
-void CclBTree::RunGcOnce() {
-  if (options_.gc_mode == GcMode::kNone) {
-    return;
-  }
-  sync::LockGuard<sync::Mutex> guard(gc_tick_mu_);
-  if (options_.gc_mode == GcMode::kNaive) {
-    NaiveGc();
-    return;
-  }
-  if (!gc_round_) {
-    BeginGcRound();
-  }
-  while (!RunGcSpan()) {
-  }
-}
-
-template <typename Work>
-void CclBTree::InGcWindow(Work&& work) {
-  // With a crash injector installed (crash-matrix runs only), record the
-  // window so the matrix can schedule points that land inside GC's own
-  // flush/fence stream.
-  pmsim::CrashInjector* injector = rt_.device().crash_injector();
-  const uint64_t first_fence = injector != nullptr ? injector->fences_observed() + 1 : 0;
-  work();
-  if (injector != nullptr) {
-    uint64_t last_fence = injector->fences_observed();
-    if (last_fence >= first_fence) {
-      sync::LockGuard<sync::Mutex> guard(gc_windows_mu_);
-      gc_fence_windows_.push_back({first_fence, last_fence});
-    }
-  }
-}
-
-void CclBTree::BeginGcRound() {
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  trace::TraceScope scope(trace::Component::kGc);
-  trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
-  gc_round_.emplace(
-      *wals_, ctx->worker_id(), global_epoch_, [this] { return CollectBufferNodes(); },
-      [this] { return Timestamp(); });
-  gc_round_active_.store(true, std::memory_order_release);
-}
-
-bool CclBTree::RunGcSpan() {
-  LocalityAwareGcRound::Progress progress = LocalityAwareGcRound::Progress::kMore;
-  InGcWindow([&] { progress = gc_round_->RunSpan(); });
-  if (progress == LocalityAwareGcRound::Progress::kMore) {
-    return false;
-  }
-  gc_round_.reset();
-  gc_round_active_.store(false, std::memory_order_release);
-  // A round the log slab cut short freed nothing, so the log did not shrink:
-  // its floor re-arms the trigger only once the log has doubled.
-  post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
-  if (progress == LocalityAwareGcRound::Progress::kDone) {
-    gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-  }
-  trace::TraceScope scope(trace::Component::kGc);
-  trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
-  return true;
-}
-
-std::vector<BufferNode*> CclBTree::CollectBufferNodes() const {
-  std::vector<BufferNode*> bns;
-  bns.reserve(static_cast<size_t>(live_bn_count_.load(std::memory_order_relaxed)) + 16);
-  inner_.ForEachFrom(0, [&bns](uint64_t /*sep*/, BufferNode* bn) {
-    bns.push_back(bn);
-    return true;
-  });
-  return bns;
-}
-
-void CclBTree::NaiveGc() {
-  // Paper §3.4 "Naive GC": stop foreground buffering/logging with a global
-  // lock, flush every buffer node's pending KVs to its (random) leaf, then
-  // recycle all log chunks.
-  trace::TraceScope scope(trace::Component::kGc);
-  trace::Emit(trace::EventType::kGcBegin, wals_->live_bytes());
-  InGcWindow([this] {
-    sync::LockGuard<sync::SharedMutex> gate(naive_gate_);
-    FlushAll();
-    wals_->ReleaseEpoch(0);
-    wals_->ReleaseEpoch(1);
-  });
-  post_gc_live_bytes_.store(wals_->live_bytes(), std::memory_order_relaxed);
-  gc_rounds_.fetch_add(1, std::memory_order_relaxed);
-  trace::Emit(trace::EventType::kGcEnd, wals_->live_bytes());
-}
-
-void CclBTree::FlushAll() {
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  for (BufferNode* bn : CollectBufferNodes()) {
-    bn->Lock();
-    if (!bn->dead() && bn->pos() > 0) {
-      FlushBuffer(bn);
-    }
-    bn->Unlock();
-  }
-}
-
 // --- recovery ---------------------------------------------------------------------
 
-bool CclBTree::RebuildFromLeafList(uint64_t floor, uint64_t* max_ts) {
+bool CclBTree::Rebuild(const uint64_t* own, uint64_t floor, uint64_t* max_ts) {
+  if (!leaf_slab_->IsSlot(own[0])) {
+    return false;  // the head leaf is no leaf-slab slot
+  }
+  head_leaf_ = LeafAt(own[0]);
   // Every leaf the walk has visited, so a next pointer back to one ends it;
   // minus the unlinked empty leaves, that is the reachable set.
   std::unordered_set<uint64_t> walked{LeafOffset(head_leaf_)};
@@ -973,6 +641,32 @@ bool CclBTree::RebuildFromLeafList(uint64_t floor, uint64_t* max_ts) {
 }
 
 // --- introspection ---------------------------------------------------------------
+
+std::vector<BufferNode*> CclBTree::Nodes() const {
+  std::vector<BufferNode*> bns;
+  bns.reserve(static_cast<size_t>(live_bn_count_.load(std::memory_order_relaxed)) + 16);
+  inner_.ForEachFrom(0, [&bns](uint64_t /*sep*/, BufferNode* bn) {
+    bns.push_back(bn);
+    return true;
+  });
+  return bns;
+}
+
+void CclBTree::SampleGauges(std::vector<std::pair<std::string, uint64_t>>* out) const {
+  out->emplace_back("gc_rounds", gc_rounds());
+  out->emplace_back("log_live_bytes", log_live_bytes());
+  out->emplace_back("log_peak_bytes", log_peak_bytes());
+  out->emplace_back("leaf_bytes", leaf_bytes());
+  out->emplace_back("buffer_flushes", buffer_flushes());
+  out->emplace_back("splits", splits());
+  out->emplace_back("merges", merges());
+  out->emplace_back("dram_hits", dram_hits());
+  // Value-store health: allocation growth plus the bytes orphaned by
+  // restarts (Runtime::Reopen region leak) — pmctl top/series watch the
+  // latter grow across repeated crash-recover cycles.
+  out->emplace_back("valuestore_bytes", rt_.values().allocated_bytes());
+  out->emplace_back("valuestore_leaked_bytes", rt_.values().leaked_bytes());
+}
 
 kvindex::MemoryFootprint CclBTree::Footprint() const {
   kvindex::MemoryFootprint footprint;

@@ -35,26 +35,18 @@ constexpr int kMaxStaged = 16;
 
 CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options,
                            size_t num_buckets, kvindex::Lifecycle lifecycle)
-    : rt_(runtime), options_(options), num_buckets_(num_buckets), lifecycle_(lifecycle) {
-  if (lifecycle_ == kvindex::Lifecycle::kAttach) {
-    // Binding to the persistent image is deferred to Recover(), which
-    // validates the root record instead of asserting on it.
-    return;
+    : CclIndex(runtime, options, lifecycle, kAppRootSlot, kHashMagic, /*own_words=*/2),
+      num_buckets_(num_buckets) {
+  // An attached table binds to the persistent image in Recover(), which
+  // validates the root record instead of asserting on it.
+  if (lifecycle == kvindex::Lifecycle::kCreate) {
+    Create();
   }
-  // The table lives on the socket of the context that builds it (socket 0
-  // with none), as CclBTree does.
-  const pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  const int home_socket = ctx != nullptr ? ctx->socket() : 0;
-  pmsim::ThreadContext boot_ctx(rt_.device(), home_socket, 0);
+}
 
-  pmem::SlabAllocator::Options slab_options;
-  slab_options.slot_bytes = kLeafBytes;
-  overflow_slab_ = pmem::SlabAllocator::Create(rt_.pool(), slab_options);
-  log_slab_ = pmem::SlabAllocator::Create(rt_.pool(), kLogSlabOptions);
-  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
-
+void CclHashTable::Format(uint64_t* own) {
   size_t directory_bytes = num_buckets_ * kLeafBytes;
-  buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, home_socket));
+  buckets_ = static_cast<PmLeaf*>(rt_.pool().AllocateRaw(directory_bytes, home_socket_));
   assert(buckets_ != nullptr && "PM exhausted for bucket directory");
   std::memset(static_cast<void*>(buckets_), 0, directory_bytes);
   {
@@ -72,64 +64,23 @@ CclHashTable::CclHashTable(kvindex::Runtime& runtime, const TreeOptions& options
     }
     pmsim::Fence();
   }
-
-  auto* root = static_cast<TableRoot*>(rt_.pool().AllocateRaw(sizeof(TableRoot), home_socket));
-  assert(root != nullptr);
-  root->magic = kHashMagic;
-  root->num_buckets = num_buckets_;
-  root->directory_offset = rt_.pool().ToOffset(buckets_);
-  root->slab_registry_offset = overflow_slab_->registry_offset();
-  root->log_registry_offset = log_slab_->registry_offset();
-  root->ts_floor = 0;
-  pmsim::Persist(root, sizeof(TableRoot));
-  rt_.pool().SetAppRoot(kAppRootSlot, rt_.pool().ToOffset(root));
-
+  own[0] = num_buckets_;
+  own[1] = rt_.pool().ToOffset(buckets_);
   directory_.resize(num_buckets_, nullptr);
   for (size_t b = 0; b < num_buckets_; b++) {
     directory_[b] = BufferNode::New(Bucket(b), options_.nbatch);
   }
 }
 
-bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
-  assert(&runtime == &rt_ && "Recover must use the runtime the table was constructed with");
-  (void)runtime;
-  if (lifecycle_ != kvindex::Lifecycle::kAttach || recovered_) {
+bool CclHashTable::Rebuild(const uint64_t* own, uint64_t floor, uint64_t* max_ts) {
+  num_buckets_ = own[0];
+  if (num_buckets_ == 0 || num_buckets_ > rt_.device().config().pool_bytes / kLeafBytes ||
+      !rt_.pool().Holds(own[1], num_buckets_ * kLeafBytes)) {
     return false;
   }
-  uint64_t root_offset = rt_.pool().GetAppRoot(kAppRootSlot);
-  if (root_offset == 0) {
-    return false;  // the pool was never formatted with a table
-  }
-  if (!rt_.pool().Holds(root_offset, sizeof(TableRoot))) {
-    return false;
-  }
-  auto* root = static_cast<TableRoot*>(rt_.pool().ToAddr(root_offset));
-  if (root->magic != kHashMagic) {
-    return false;
-  }
+  buckets_ = static_cast<PmLeaf*>(rt_.pool().ToAddr(own[1]));
 
-  // Recovery runs on the socket of the root record, where the table lives.
-  pmsim::ThreadContext boot_ctx(rt_.device(), rt_.device().SocketOf(root_offset), 0);
-  uint64_t boot_start = boot_ctx.now_ns();
-  pmsim::ReadPm(root, sizeof(TableRoot));
-  num_buckets_ = root->num_buckets;
-  pmem::SlabAllocator::Options slab_options;
-  slab_options.slot_bytes = kLeafBytes;
-  overflow_slab_ =
-      pmem::SlabAllocator::Open(rt_.pool(), root->slab_registry_offset, slab_options);
-  log_slab_ = pmem::SlabAllocator::Open(rt_.pool(), root->log_registry_offset, kLogSlabOptions);
-  if (overflow_slab_ == nullptr || log_slab_ == nullptr || num_buckets_ == 0 ||
-      num_buckets_ > rt_.device().config().pool_bytes / kLeafBytes ||
-      !rt_.pool().Holds(root->directory_offset, num_buckets_ * kLeafBytes)) {
-    return false;
-  }
-  wals_ = std::make_unique<WalSet>(*log_slab_, options_.max_workers);
-  buckets_ = static_cast<PmLeaf*>(rt_.pool().ToAddr(root->directory_offset));
-
-  // Overflow buckets are live iff reachable from some directory bucket. A
-  // chain's replay filter is its largest timestamp (the bucket a batch
-  // commits last carries the batch's), or the floor if larger.
-  uint64_t max_ts = root->ts_floor;
+  // Overflow buckets are live iff reachable from some directory bucket.
   std::unordered_set<uint64_t> reachable;
   directory_.reserve(num_buckets_);
   for (size_t b = 0; b < num_buckets_; b++) {
@@ -139,33 +90,16 @@ bool CclHashTable::Recover(kvindex::Runtime& runtime, int recovery_threads) {
       pmsim::ReadPm(node, 64);
       chain_ts = std::max(chain_ts, node->timestamp);
       const uint64_t next = node->next_offset();
-      if (next != 0 && (!overflow_slab_->IsSlot(next) || !reachable.insert(next).second)) {
+      if (next != 0 && (!leaf_slab_->IsSlot(next) || !reachable.insert(next).second)) {
         return false;  // the chain leaves the overflow slab or loops back on itself
       }
     }
-    directory_.back()->set_recovery_orig_ts(std::max(chain_ts, root->ts_floor));
-    max_ts = std::max(max_ts, chain_ts);
+    directory_.back()->set_recovery_orig_ts(std::max(chain_ts, floor));
+    *max_ts = std::max(*max_ts, chain_ts);
   }
-  overflow_buckets_.store(reachable.size(), std::memory_order_relaxed);
-  overflow_slab_->Recover([this, &reachable](const void* slot) {
+  leaf_slab_->Recover([this, &reachable](const void* slot) {
     return reachable.contains(rt_.pool().ToOffset(slot));
   });
-  RecoveryPhases phases;
-  phases.rebuild_ns = boot_ctx.now_ns() - boot_start;
-  // A full node's overflow goes to its chain in a batch that keeps every
-  // timestamp.
-  ts_floor_ = wals_->Replay(
-      rt_, recovery_threads,
-      {.node = [this](uint64_t key) { return directory_[BucketIndex(key)]; },
-       .write =
-           [this](BufferNode* bn, kvindex::KeyValue* kvs, int n) {
-             BatchInsertBucket(bn, kvs, n, /*ts=*/0, /*update_ts=*/false);
-           },
-       .nodes = [this] { return directory_; },
-       .epoch = &global_epoch_},
-      max_ts, &root->ts_floor, &phases);
-  recovery_phases_ = phases;
-  recovered_ = true;
   return true;
 }
 
@@ -175,25 +109,15 @@ CclHashTable::~CclHashTable() {
   }
 }
 
-void CclHashTable::Upsert(uint64_t key, uint64_t value) {
-  assert(key != 0);
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
+BufferNode* CclHashTable::LockNode(uint64_t key) {
   ChargeDram(1);  // the directory slot
   BufferNode* bn = directory_[BucketIndex(key)];
   bn->Lock();
-  uint32_t epoch = global_epoch_.load(std::memory_order_acquire);
-  ChargeDram(static_cast<uint64_t>(bn->nbatch()));  // the slot probe
-  const uint64_t ts = Timestamp();
-  bn->Upsert(
-      key, value, epoch, !options_.write_conservative_logging,
-      [&] { return wals_->Append(ctx->worker_id(), static_cast<int>(epoch), key, value, ts); },
-      [&](const kvindex::KeyValue* batch, int n) { BatchInsertBucket(bn, batch, n, ts); });
-  bn->Unlock();
+  return bn;
 }
 
 void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kvs, int n,
-                                     uint64_t ts, bool update_ts) {
+                                     uint64_t ts) {
   assert(n <= 8);
   trace::TraceScope scope(trace::Component::kLeaf);
   StagedBucket staged[kMaxStaged] = {};
@@ -272,7 +196,7 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kv
       // Chain a fresh overflow bucket (CCEH-stash style). Its zeroed format
       // is durable before the tail's commit publishes the link.
       pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-      auto* fresh = static_cast<PmLeaf*>(overflow_slab_->Allocate(ctx->socket()));
+      auto* fresh = static_cast<PmLeaf*>(leaf_slab_->Allocate(ctx->socket()));
       assert(fresh != nullptr && "PM exhausted");
       std::memset(static_cast<void*>(fresh), 0, kLeafBytes);
       {
@@ -284,7 +208,6 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kv
       StagedBucket& link = stage(tail);
       link.next = rt_.pool().ToOffset(fresh);
       link.header_changed = true;
-      overflow_buckets_.fetch_add(1, std::memory_order_relaxed);
       free_bucket = fresh;
       free_slot = 0;
     }
@@ -296,6 +219,12 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kv
     st.bitmap |= 1ULL << free_slot;
     st.dirty_lines |= 1u << LineOfSlot(free_slot);
     st.header_changed = true;
+  }
+
+  if (ts != 0 && num_staged == 0) {
+    // Only tombstones of absent keys: the head's header commit carries the
+    // stamp, which outranks every older log entry of the batch's keys.
+    stage(bn->leaf());
   }
 
   // Commit each staged bucket once, the way CclBTree::BatchInsertLeaf
@@ -320,7 +249,7 @@ void CclHashTable::BatchInsertBucket(BufferNode* bn, const kvindex::KeyValue* kv
     if (flushed_any) {
       pmsim::Fence();
     }
-    bool stamp = update_ts && s + 1 == num_staged;
+    bool stamp = ts != 0 && s + 1 == num_staged;
     if (!stamp && !st.header_changed && (st.dirty_lines & 1) == 0) {
       continue;
     }
@@ -344,6 +273,7 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
       if (!bn->ReadValidate(snapshot)) {
         continue;
       }
+      dram_hits_.fetch_add(1, std::memory_order_relaxed);
       if (value == kTombstone) {
         return false;
       }
@@ -369,11 +299,6 @@ bool CclHashTable::Lookup(uint64_t key, uint64_t* value_out) {
       return false;
     }
   }
-}
-
-bool CclHashTable::Remove(uint64_t key) {
-  Upsert(key, kTombstone);
-  return true;
 }
 
 size_t CclHashTable::Scan(uint64_t start_key, size_t count, kvindex::KeyValue* out) {
@@ -421,15 +346,6 @@ kvindex::MemoryFootprint CclHashTable::Footprint() const {
   footprint.dram_bytes = num_buckets_ * BufferNode::PackedBytes(options_.nbatch);
   footprint.pm_bytes = rt_.pool().AllocatedBytes();
   return footprint;
-}
-
-bool CclHashTable::RunGcOnce() {
-  pmsim::ThreadContext* ctx = pmsim::ThreadContext::Current();
-  assert(ctx != nullptr);
-  LocalityAwareGcRound round(
-      *wals_, ctx->worker_id(), global_epoch_, [this] { return directory_; },
-      [this] { return Timestamp(); });
-  return round.Finish();
 }
 
 }  // namespace cclbt::core

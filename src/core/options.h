@@ -1,5 +1,6 @@
-// Tunables of CCL-BTree. Defaults match the paper (§3.2: N_batch = 2,
-// §3.4: TH_log = 20%, one GC thread).
+// Tunables of the CCL indexes (CclIndex): CCL-BTree reads every field,
+// CCL-Hash every field but root_slot. Defaults match the paper (§3.2:
+// N_batch = 2, §3.4: TH_log = 20%, one GC thread).
 #ifndef SRC_CORE_OPTIONS_H_
 #define SRC_CORE_OPTIONS_H_
 
@@ -18,7 +19,8 @@ struct TreeOptions {
   // every upsert is a trigger write straight to its leaf, which
   // write-conservative logging never logs.
   int nbatch = 2;
-  // GC trigger: run when log bytes exceed th_log_pct% of leaf bytes.
+  // GC trigger: run when log bytes exceed th_log_pct% of leaf bytes (of
+  // bucket bytes, directory and overflow, for CCL-Hash).
   int th_log_pct = 20;
   GcMode gc_mode = GcMode::kLocalityAware;
   // Ablation arms (paper Figure 13):
@@ -28,13 +30,13 @@ struct TreeOptions {
   bool write_conservative_logging = true;
   // GC is a virtual-time participant (DESIGN.md §10): every
   // gc_quantum_ops-th upsert checks the trigger (the cooperative quantum)
-  // and runs a due span on the tree's own ThreadContext, so runs stay
+  // and runs a due span on the index's own ThreadContext, so runs stay
   // deterministic. Smaller quanta react faster to log growth at the price
   // of more trigger checks on the write path. 0: GC runs only when a caller
   // drives it (GcTick, RunGcOnce).
   int gc_quantum_ops = 64;
   // Maximum worker ids (threads) the per-thread WAL array supports; the
-  // tree's GC context appends its I-log entries as the last one.
+  // index's GC context appends its I-log entries as the last one.
   int max_workers = 136;
   // Pool app-root slot holding this tree's persistent root record. Multiple
   // trees can coexist in one pool (the sharded service gives each shard its

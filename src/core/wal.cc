@@ -6,7 +6,6 @@
 
 #include "src/pmsim/lockcheck.h"
 #include "src/pmsim/pmcheck.h"
-#include "src/pmsim/virtual_workers.h"
 #include "src/trace/trace.h"
 
 namespace cclbt::core {
@@ -153,7 +152,7 @@ uint64_t ThreadWal::ReleaseEpoch(int epoch) {
   return released;
 }
 
-WalSet::WalSet(pmem::SlabAllocator& log, int max_workers) : log_(&log) {
+WalSet::WalSet(pmem::SlabAllocator& log, int max_workers) {
   wals_.reserve(static_cast<size_t>(max_workers));
   for (int i = 0; i < max_workers; i++) {
     wals_.push_back(std::make_unique<ThreadWal>(log, i));
@@ -212,151 +211,6 @@ bool WalSet::ScanChunk(const void* chunk, const std::function<void(const LogEntr
 void WalSet::ScanAll(const pmem::SlabAllocator& log,
                      const std::function<void(const LogEntry&)>& fn) {
   log.ForEachSlot([&fn](void* chunk) { ScanChunk(chunk, fn); });
-}
-
-uint64_t WalSet::Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
-                        uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases) {
-  assert(threads >= 1);
-  std::vector<void*> chunks;
-  log_->ForEachSlot([&chunks](void* chunk) { chunks.push_back(chunk); });
-  const auto n = static_cast<size_t>(threads);
-  std::vector<LogEntry> entries;
-  std::vector<char> active(chunks.size(), 0);  // chunks the scan found active
-  std::vector<size_t> steps(n, 0);             // chunks each worker has scanned
-  pmsim::ThreadContext* boot = pmsim::ThreadContext::Current();
-  const uint64_t start = boot->now_ns();
-  pmsim::VirtualWorkers workers(
-      runtime.device(), threads, [socket = boot->socket()](int) { return socket; }, start);
-
-  // Worker w scans chunks w, w + threads, ..., one per step.
-  workers.Run([&](int w) {
-    size_t c = static_cast<size_t>(w) + n * steps[static_cast<size_t>(w)]++;
-    if (c < chunks.size()) {
-      active[c] = ScanChunk(chunks[c],
-                            [&entries](const LogEntry& entry) { entries.push_back(entry); });
-    }
-    return c + n < chunks.size();
-  });
-  const uint64_t scanned = workers.Barrier();
-
-  // Every entry touches only its own key, so applying the newest entries in
-  // key order ends in the state timestamp-ordered replay of all of them
-  // would. Sorting and compacting in place keeps one copy of the log. The
-  // filter routes each key's newest entry in key order: filtering as the
-  // scan reads would route every entry in log order, a random descent each.
-  std::sort(entries.begin(), entries.end(),
-            [](const LogEntry& a, const LogEntry& b) { return a.key < b.key; });
-  size_t kept = 0;
-  for (size_t i = 0; i < entries.size();) {
-    LogEntry newest = entries[i];  // the newest of this key's entries
-    for (i++; i < entries.size() && entries[i].key == newest.key; i++) {
-      if (entries[i].timestamp() > newest.timestamp()) {
-        newest = entries[i];
-      }
-    }
-    max_ts = std::max(max_ts, newest.timestamp());
-    if (newest.timestamp() > target.node(newest.key)->recovery_orig_ts()) {
-      entries[kept++] = newest;
-    }
-  }
-  entries.resize(kept);
-
-  // Recover visits the chunks in the order ForEachSlot listed them.
-  size_t visited = 0;
-  log_->Recover([&](const void* chunk) {
-    assert(chunk == chunks[visited]);
-    (void)chunk;
-    return active[visited++] != 0;
-  });
-
-  // Writes locked bn's staged KVs and `extra` in one batch that keeps every
-  // timestamp, and empties the node: the write may split the leaf, and no
-  // staged KV may stay behind in the half that no longer covers it.
-  auto write_node = [&target](BufferNode* bn, std::span<const LogEntry> extra) {
-    kvindex::KeyValue batch[8];
-    int count = bn->Unflushed(batch);
-    for (const LogEntry& entry : extra) {
-      batch[count++] = {entry.key, entry.value};
-    }
-    target.write(bn, batch, count);
-    bn->Clear();
-  };
-
-  // Each step stages the next entries of one node, as a buffered upsert
-  // would: the descent and the slot probe in DRAM, the KV into slot pos,
-  // tagged with the current epoch.
-  const uint32_t epoch = target.epoch->load(std::memory_order_acquire);
-  const uint64_t dram_ns = runtime.device().config().cost.dram_access_ns;
-  size_t next = 0;
-  workers.Run([&](int /*w*/) {
-    if (next == entries.size()) {
-      return false;
-    }
-    BufferNode* bn = target.node(entries[next].key);
-    bn->Lock();
-    do {
-      if (const int pos = bn->pos(); pos < bn->nbatch()) {
-        pmsim::AdvanceCpu(static_cast<uint64_t>(8 + bn->nbatch()) * dram_ns);
-        bn->Put(pos, entries[next].key, entries[next].value, epoch);
-        next++;
-        continue;
-      }
-      // A full node: its staged KVs and its next entries, up to 8, go to its
-      // leaf in one write.
-      size_t end = next;
-      while (end < entries.size() && end - next + static_cast<size_t>(bn->pos()) < 8 &&
-             target.node(entries[end].key) == bn) {
-        end++;
-      }
-      write_node(bn, {entries.data() + next, end - next});
-      next = end;
-    } while (next < entries.size() && target.node(entries[next].key) == bn);
-    bn->Unlock();
-    return next < entries.size();
-  });
-  const uint64_t applied = workers.Barrier();
-  boot->ResetClock(applied);
-
-  // Every copy is stamped above every timestamp read here, so it outranks
-  // each old entry of its key in a later recovery. A round the log slab cuts
-  // short leaves the KVs it could not copy staged, and their only durable
-  // copy is still the old log: they go to their leaves before it is freed.
-  LocalityAwareGcRound copy(*this, static_cast<int>(wals_.size()) - 1, *target.epoch, target.nodes,
-                            [&runtime, max_ts] { return max_ts + runtime.ordo().Now(); });
-  const bool copied = copy.Finish();
-  if (!copied) {
-    for (BufferNode* bn : target.nodes()) {
-      bn->Lock();
-      if (bn->pos() > 0) {
-        write_node(bn, {});
-      }
-      bn->Unlock();
-    }
-  }
-  const uint64_t copy_end = boot->now_ns();
-
-  if (max_ts != *floor) {
-    *floor = max_ts;
-    pmsim::Persist(floor, sizeof(*floor));
-  }
-  {
-    // The free markers land in headers the pre-crash workers wrote; recovery
-    // owns the whole image, which lockcheck cannot express as a lock.
-    pmsim::LockCheckExpect reclaim_expect(pmsim::LockCheckClass::kUnlockedWrite);
-    for (size_t c = 0; c < chunks.size(); c++) {
-      if (active[c]) {
-        auto* header = static_cast<LogChunkHeader*>(chunks[c]);
-        header->state = kChunkFree;
-        pmsim::Persist(&header->state, sizeof(header->state));
-        log_->Free(chunks[c]);
-      }
-    }
-  }
-  phases->scan_ns = scanned - start;
-  phases->apply_ns = applied - scanned;
-  phases->copy_ns = copy_end - applied;
-  phases->reclaim_ns = boot->now_ns() - copy_end;
-  return max_ts;
 }
 
 LocalityAwareGcRound::LocalityAwareGcRound(

@@ -12,7 +12,9 @@
 // during a GC round 48 workers hold 96, which must fit one socket's region
 // next to the tree.
 //
-// Epochs: every WAL keeps two logs, selected by the tree's global epoch bit.
+// A CclIndex owns one WalSet, and its Replay scans the chunks (ScanChunk).
+//
+// Epochs: every WAL keeps two logs, selected by the index's global epoch bit.
 // Entries written before a GC flip land in the B-log, entries written during
 // GC land in the I-log (§3.4); the GC frees all B-log chunks at the end of a
 // round.
@@ -59,8 +61,6 @@
 #include <vector>
 
 #include "src/core/buffer_node.h"
-#include "src/kvindex/kv_index.h"
-#include "src/kvindex/runtime.h"
 #include "src/pmem/slab_allocator.h"
 #include "src/pmsim/device.h"
 
@@ -102,19 +102,6 @@ inline constexpr uint32_t kChunkActive = 1;
 uint8_t EntryChecksum(uint64_t key, uint64_t value);
 uint64_t MakeTsWord(uint32_t generation, uint64_t timestamp, uint64_t key, uint64_t value);
 bool EntryValid(const LogEntry& entry, uint32_t generation);
-
-// Modeled time of each recovery phase on the boot context's clock, which
-// runs through them in this order (bench_fig17_recovery prints them).
-struct RecoveryPhases {
-  uint64_t rebuild_ns = 0;  // the index's own walk of its leaf list or chains
-  // WalSet::Replay's phases; reclaim is the floor persist and chunk frees.
-  uint64_t scan_ns = 0;
-  uint64_t apply_ns = 0;
-  uint64_t copy_ns = 0;
-  uint64_t reclaim_ns = 0;
-
-  uint64_t total_ns() const { return rebuild_ns + scan_ns + apply_ns + copy_ns + reclaim_ns; }
-};
 
 // One worker's WAL. Not thread-safe: exactly one thread appends (that is the
 // point of per-thread logs).
@@ -195,48 +182,7 @@ class WalSet {
   static void ScanAll(const pmem::SlabAllocator& log,
                       const std::function<void(const LogEntry&)>& fn);
 
-  // What Replay needs of the index it recovers, CCL-BTree or CCL-Hash.
-  struct ReplayTarget {
-    // The buffer node covering `key`. Its recovery_orig_ts() is the key's
-    // replay filter.
-    std::function<BufferNode*(uint64_t key)> node;
-    // Writes kvs[0, n), n <= 8, into locked bn's leaf or chain in one batch
-    // that keeps every timestamp.
-    std::function<void(BufferNode* bn, kvindex::KeyValue* kvs, int n)> write;
-    // Every live buffer node, for the copy round.
-    std::function<std::vector<BufferNode*>()> nodes;
-    std::atomic<uint32_t>* epoch;  // the index's global epoch
-  };
-  // Recovery's replay for CCL-BTree and CCL-Hash (DESIGN.md §10), on
-  // `threads` virtual workers on the boot context's socket, starting at its
-  // clock:
-  //   scan     each step scans one chunk; barrier; each key's newest entry
-  //            is kept, in key order, if newer than its node's filter;
-  //   stage    each step takes the next entries of one node and stages each
-  //            in a free slot of the node, DRAM only, as a buffered upsert
-  //            does; a full node's staged KVs and next entries, up to 8, go
-  //            to its leaf in one write instead; barrier;
-  //   copy     the boot context, at the slowest worker's clock, runs one
-  //            LocalityAwareGcRound to its end from the last WAL (the GC's),
-  //            stamping every copy above `max_ts`, so the staged KVs are
-  //            durable one fence per 4 KiB of log, not one leaf batch per key;
-  //   reclaim  it persists *floor, the index's timestamp floor, raised to
-  //            `max_ts` and every timestamp read, then frees exactly the
-  //            chunks the scan found active.
-  // The chunks the scan found free are back on the free lists before the
-  // stage (SlabAllocator::Recover), so the copy reuses one. No write before
-  // the copy's last fence raises a timestamp, since until then a staged KV's
-  // only durable copy is in the old log; if the log slab cannot hold the
-  // copy, the KVs still staged are written to their leaves like a full
-  // node's, so recovery never needs free log space. The floor lands before
-  // the reclaim, so a crash anywhere recovers again to the same state.
-  // Returns the new floor and sets the modeled time of Replay's four phases
-  // in *phases.
-  uint64_t Replay(kvindex::Runtime& runtime, int threads, const ReplayTarget& target,
-                  uint64_t max_ts, uint64_t* floor, RecoveryPhases* phases);
-
  private:
-  pmem::SlabAllocator* log_;
   std::vector<std::unique_ptr<ThreadWal>> wals_;
   std::atomic<uint64_t> live_bytes_{0};
   std::atomic<uint64_t> peak_bytes_{0};

@@ -111,9 +111,9 @@ Probe ProbeWorkload(const MatrixConfig& config, const std::vector<Op>& ops) {
     runtime.device().SetCrashInjector(nullptr);
   }
   probe.total_fences = injector.fences_observed();
-  if (auto* tree = dynamic_cast<core::CclBTree*>(index.get())) {
-    probe.gc_rounds = tree->gc_rounds();
-    for (const core::CclBTree::GcFenceWindow& window : tree->gc_fence_windows()) {
+  if (auto* ccl = dynamic_cast<core::CclIndex*>(index.get())) {
+    probe.gc_rounds = ccl->gc_rounds();
+    for (const core::CclIndex::GcFenceWindow& window : ccl->gc_fence_windows()) {
       probe.gc_windows.push_back({window.first_fence, window.last_fence});
     }
   }

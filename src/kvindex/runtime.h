@@ -34,7 +34,7 @@ class Runtime {
   // Simulated machine restart: re-attaches to the surviving device media via
   // PmPool::Open (superblock validation included) instead of reformatting,
   // and restarts the ORDO clock. An index whose timestamps must order after
-  // pre-crash ones persists its own floor (CCL-BTree's TreeRoot::ts_floor).
+  // pre-crash ones persists its own floor (the CCL indexes' root-record ts_floor).
   // Typically called after PmDevice::Crash()/CrashTorn(). On validation
   // failure returns false, fills `error_out` with the structured diagnostic
   // message, and leaves the previous pool/value-store handles in place.

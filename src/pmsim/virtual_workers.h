@@ -1,6 +1,6 @@
 // Virtual workers: n modeled workers, each with its own ThreadContext,
 // stepped round-robin on the calling OS thread. The bench driver's workers
-// and the recovery replay (WalSet::Replay) run here, so the XPBuffer/DIMM
+// and the recovery replay (CclIndex::Replay) run here, so the XPBuffer/DIMM
 // model sees the same request order every run and virtual-time metrics stay
 // bit-identical (DESIGN.md §10). Real OS threads stay in the stress tests.
 #ifndef SRC_PMSIM_VIRTUAL_WORKERS_H_

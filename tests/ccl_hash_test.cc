@@ -6,6 +6,7 @@
 #include <iterator>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -181,9 +182,16 @@ TEST(CclHash, RecoverWithoutTableFails) {
   EXPECT_FALSE(table.Recover(*rt, /*recovery_threads=*/1));
 }
 
+// The GC tests below drive GC themselves, so the cooperative quantum is off.
+TreeOptions ManualGcOptions() {
+  TreeOptions options;
+  options.gc_quantum_ops = 0;
+  return options;
+}
+
 TEST(CclHash, GcReclaimsLogsAndPreservesData) {
   auto rt = MakeRuntime();
-  CclHashTable table(*rt, TreeOptions{}, kBuckets);
+  CclHashTable table(*rt, ManualGcOptions(), kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (uint64_t k = 1; k <= 30000; k++) {
     table.Upsert(Mix64(k) | 1, k);
@@ -235,7 +243,7 @@ TEST(CclHash, CrashAfterGcLosesNothing) {
 // each B-log chunk it releases.
 TEST(CclHash, GcCopyCommitsEachLineOncePerSpan) {
   auto rt = MakeRuntime();
-  CclHashTable table(*rt, TreeOptions{}, kBuckets);
+  CclHashTable table(*rt, ManualGcOptions(), kBuckets);
   pmsim::ThreadContext ctx(rt->device(), 0, 0);
   for (uint64_t k = 1; k <= 20000; k++) {
     table.Upsert(Mix64(k) | 1, k);
@@ -305,6 +313,93 @@ TEST(CclHash, CrashInsideGcRoundLosesNothing) {
   }
 }
 
+// CCL-Hash runs the GC its TreeOptions configure. Without GC no round runs
+// and the log only grows; naive GC runs rounds, and a round drains every
+// buffer into the chains through FlushAll before it frees the whole log; the
+// default locality-aware GC runs rounds under the cooperative quantum, keeps
+// the log below what GC-less logging leaves, and a crash loses no
+// acknowledged op.
+TEST(CclHash, HonoursGcMode) {
+  constexpr size_t kFewBuckets = 64;
+  std::map<uint64_t, uint64_t> model;  // kTombstone: deleted
+  // Runs the workload, checking after each op that the log never shrinks
+  // when `log_only_grows`.
+  auto run = [&model](CclHashTable& table, bool log_only_grows) {
+    model.clear();
+    Rng rng(37);
+    uint64_t live = 0;
+    for (int i = 0; i < 20000; i++) {
+      uint64_t key = Mix64(rng.NextBounded(3000) + 1) | 1;
+      uint64_t value = rng.NextBounded(10) == 0 ? kTombstone : rng.Next() | 1;
+      table.Upsert(key, value);
+      model[key] = value;
+      if (log_only_grows) {
+        ASSERT_GE(table.log_live_bytes(), live) << "op " << i;
+        live = table.log_live_bytes();
+      }
+    }
+  };
+  auto expect_model_after_crash = [&model](kvindex::Runtime& rt, const TreeOptions& options) {
+    testutil::CrashRestart(rt);
+    CclHashTable table(rt, options, kFewBuckets, kvindex::Lifecycle::kAttach);
+    ASSERT_TRUE(table.Recover(rt, /*recovery_threads=*/1));
+    pmsim::ThreadContext ctx(rt.device(), 0, 0);
+    for (const auto& [key, value] : model) {
+      uint64_t got = 0;
+      ASSERT_EQ(table.Lookup(key, &got), value != kTombstone) << "key " << key;
+      if (value != kTombstone) {
+        ASSERT_EQ(got, value) << "stale value for key " << key;
+      }
+    }
+  };
+
+  uint64_t gcless_log = 0;
+  {
+    SCOPED_TRACE("none");
+    TreeOptions options;
+    options.gc_mode = GcMode::kNone;
+    auto rt = MakeRuntime(64 << 20);
+    CclHashTable table(*rt, options, kFewBuckets);
+    pmsim::ThreadContext ctx(rt->device(), 0, 0);
+    run(table, /*log_only_grows=*/true);
+    EXPECT_EQ(table.gc_rounds(), 0u);
+    EXPECT_FALSE(table.RunGcOnce());
+    gcless_log = table.log_live_bytes();
+    EXPECT_GT(gcless_log, 0u);
+  }
+  {
+    SCOPED_TRACE("naive");
+    TreeOptions options;
+    options.gc_mode = GcMode::kNaive;
+    auto rt = MakeRuntime(64 << 20);
+    {
+      CclHashTable table(*rt, options, kFewBuckets);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      run(table, /*log_only_grows=*/false);
+      EXPECT_GT(table.gc_rounds(), 0u);
+      const uint64_t flushes = table.buffer_flushes();
+      ASSERT_TRUE(table.RunGcOnce());
+      EXPECT_EQ(table.log_live_bytes(), 0u);
+      EXPECT_GT(table.buffer_flushes(), flushes);
+    }
+    // The log is gone, so every acknowledged op is in the chains.
+    expect_model_after_crash(*rt, options);
+  }
+  {
+    SCOPED_TRACE("locality-aware");
+    const TreeOptions options;
+    auto rt = MakeRuntime(64 << 20);
+    {
+      CclHashTable table(*rt, options, kFewBuckets);
+      pmsim::ThreadContext ctx(rt->device(), 0, 0);
+      run(table, /*log_only_grows=*/false);
+      EXPECT_GT(table.gc_rounds(), 0u);
+      EXPECT_LT(table.log_peak_bytes(), gcless_log);
+    }
+    expect_model_after_crash(*rt, options);
+  }
+}
+
 // RECIPE's "writers fix inconsistencies", applied to recovery itself: a
 // crash at any fence inside Recover(), clean or torn, recovers again to the
 // newest acknowledged value. Worker 0 activates its log chunk first, then
@@ -361,6 +456,78 @@ TEST(CclHash, CrashInsideRecoveryRecoversAgain) {
       EXPECT_EQ(value, 20u);
       ASSERT_TRUE(table->Lookup(kOther, &value));
       EXPECT_EQ(value, 5u);
+    }
+  }
+}
+
+// A crash inside a GC round's log release must not resurrect a removed key,
+// on either CclIndex (N_batch = 2; the table has one bucket). Worker 1 logs
+// K's value; worker 0 removes K in its buffer slot (logged) and then two
+// absent keys, the second a trigger write whose batch holds only tombstones
+// of keys absent from the leaf or chain. The round frees worker 0's B-log
+// before worker 1's, so a crash between the two leaves K's old entry as its
+// newest in the log: the trigger write's commit must carry a timestamp that
+// outranks it. Crashed at every fence of the round, clean and torn.
+TEST(CclHash, CrashInsideLogReleaseKeepsRemovedKeyAbsent) {
+  constexpr uint64_t kKey = 1001;
+  TreeOptions options;
+  options.nbatch = 2;
+  options.gc_quantum_ops = 0;
+  for (const bool hash : {false, true}) {
+    SCOPED_TRACE(hash ? "CCL-Hash" : "CCL-BTree");
+    auto make = [&](kvindex::Runtime& rt,
+                    kvindex::Lifecycle lifecycle) -> std::unique_ptr<CclIndex> {
+      if (hash) {
+        return std::make_unique<CclHashTable>(rt, options, /*num_buckets=*/1, lifecycle);
+      }
+      return std::make_unique<CclBTree>(rt, options, lifecycle);
+    };
+    // Runs the ops, then one GC round with a crash armed at `target` (0:
+    // count only); returns the fences the round ran.
+    auto run = [&](kvindex::Runtime& rt, uint64_t target, bool torn) {
+      auto index = make(rt, kvindex::Lifecycle::kCreate);
+      pmsim::ThreadContext w0(rt.device(), 0, 0);
+      pmsim::ThreadContext w1(rt.device(), 0, 1);
+      pmsim::ThreadContext::SetCurrent(&w1);
+      index->Upsert(kKey, 10);
+      pmsim::ThreadContext::SetCurrent(&w0);
+      index->Remove(kKey);
+      index->Remove(7);
+      index->Remove(9);  // the trigger write
+      pmsim::CrashInjector injector;
+      rt.device().SetCrashInjector(&injector);
+      injector.Arm(target,
+                   torn ? pmsim::CrashInjector::Mode::kTorn : pmsim::CrashInjector::Mode::kClean,
+                   target);
+      bool fired = false;
+      try {
+        index->RunGcOnce();
+      } catch (const pmsim::CrashPointReached&) {
+        fired = true;
+      }
+      rt.device().SetCrashInjector(nullptr);
+      EXPECT_EQ(fired, target != 0);
+      return injector.fences_observed();
+    };
+
+    uint64_t fences = 0;
+    {
+      auto rt = MakeRuntime(32 << 20);
+      fences = run(*rt, 0, false);
+    }
+    ASSERT_GE(fences, 2u);  // one chunk release per worker
+    for (uint64_t target = 1; target <= fences; target++) {
+      for (bool torn : {false, true}) {
+        SCOPED_TRACE("fence " + std::to_string(target) + (torn ? " torn" : " clean"));
+        auto rt = MakeRuntime(32 << 20);
+        run(*rt, target, torn);
+        testutil::CrashRestart(*rt, torn, /*torn_seed=*/target);
+        auto index = make(*rt, kvindex::Lifecycle::kAttach);
+        ASSERT_TRUE(index->Recover(*rt, /*recovery_threads=*/1));
+        pmsim::ThreadContext ctx(rt->device(), 0, 0);
+        uint64_t value = 0;
+        EXPECT_FALSE(index->Lookup(kKey, &value)) << "resurrected value " << value;
+      }
     }
   }
 }

@@ -110,12 +110,15 @@ TEST(CrashMatrix, CclBtreeSurvivesFullMatrix) {
 }
 
 // CCL-Hash (paper §6) on the same matrix: 32 buckets, so chains overflow
-// and batches commit across several buckets of one chain.
+// and batches commit across several buckets of one chain. Its GC is the
+// tree's, so the matrix crashes inside GC rounds too.
 TEST(CrashMatrix, CclHashSurvivesFullMatrix) {
   MatrixResult result = RunCrashMatrix(FullConfig("cclhash"));
   ExpectMatrixClean(result, /*min_points=*/100);
   EXPECT_GT(result.clean_crashes, 0u);
   EXPECT_GT(result.torn_crashes, 0u);
+  EXPECT_GT(result.gc_rounds_probe, 0u);
+  EXPECT_GE(result.gc_window_points, 20u);
 }
 
 TEST(CrashMatrix, FastFairSurvivesFullMatrix) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "src/core/wal.h"
+#include "src/kvindex/runtime.h"
 #include "src/pmem/pool.h"
 
 namespace cclbt::core {

@@ -112,19 +112,26 @@ def compare_case(name, base, staged, wall_band, wall_floor_ms, problems):
                     "change is intended, run ./run_benches.sh --baseline-update)")
 
 
+def bench_files(directory):
+    return {os.path.basename(p) for p in glob.glob(os.path.join(directory, "BENCH_*.json"))}
+
+
 def compare_dirs(baselines_dir, staged_dir, wall_band, wall_floor_ms):
     """Returns a list of problem strings (empty = gate passes)."""
     problems = []
-    baseline_files = sorted(
-        os.path.basename(p)
-        for p in glob.glob(os.path.join(baselines_dir, "BENCH_*.json")))
+    baseline_files = bench_files(baselines_dir)
     if not baseline_files:
         return [f"no BENCH_*.json baselines in {baselines_dir}"]
-    for fname in baseline_files:
+    staged_files = bench_files(staged_dir)
+    for fname in sorted(baseline_files | staged_files):
         base_path = os.path.join(baselines_dir, fname)
         staged_path = os.path.join(staged_dir, fname)
-        if not os.path.isfile(staged_path):
+        if fname not in staged_files:
             problems.append(f"{fname}: staged run produced no such file")
+            continue
+        if fname not in baseline_files:
+            problems.append(f"{fname}: staged file has no baseline "
+                            "(run ./run_benches.sh --baseline-update)")
             continue
         try:
             with open(base_path, encoding="utf-8") as f:
@@ -181,7 +188,8 @@ def _pmsim_file(wall_ms, heap_allocs):
 
 def self_test():
     cases = [
-        # (description, baseline json, staged json, expect_pass)
+        # (description, baseline json, staged json or [(file name, json)],
+        #  expect_pass)
         ("identical results pass",
          _gb_file(3.5, 17.3, 240.0), _gb_file(3.5, 17.3, 240.0), True),
         ("virtual metric drift detected",
@@ -198,6 +206,9 @@ def self_test():
          _pmsim_file(200.0, 0), _pmsim_file(260.0, 0), True),
         ("missing staged file detected",
          _gb_file(3.5, 17.3, 240.0), None, False),
+        ("staged file without baseline detected",
+         _gb_file(3.5, 17.3, 240.0), [("BENCH_selftest.json", _gb_file(3.5, 17.3, 240.0)),
+                                      ("BENCH_new.json", _gb_file(3.5, 17.3, 240.0))], False),
     ]
     failures = []
     for desc, base, staged, expect_pass in cases:
@@ -209,10 +220,12 @@ def self_test():
             with open(os.path.join(bdir, "BENCH_selftest.json"), "w",
                       encoding="utf-8") as f:
                 json.dump(base, f)
-            if staged is not None:
-                with open(os.path.join(sdir, "BENCH_selftest.json"), "w",
-                          encoding="utf-8") as f:
-                    json.dump(staged, f)
+            if not isinstance(staged, list):
+                staged = [("BENCH_selftest.json", staged)]
+            for name, data in staged:
+                if data is not None:
+                    with open(os.path.join(sdir, name), "w", encoding="utf-8") as f:
+                        json.dump(data, f)
             problems = compare_dirs(bdir, sdir, wall_band=1.0, wall_floor_ms=50.0)
             if bool(problems) == expect_pass:
                 verdict = "passed" if not problems else f"failed ({problems[0]})"
